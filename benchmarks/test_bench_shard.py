@@ -1,6 +1,6 @@
 """ISSUE 8 — sharded scatter-gather execution benchmark.
 
-Three scenarios land in ``BENCH_shard.json`` at the repository root:
+Two scenarios land in ``BENCH_shard.json`` at the repository root:
 
 * **scattered** (the acceptance workload): two relations of 50k small
   boxes each (130k rows total after mutation bursts) scattered over a
@@ -17,9 +17,6 @@ Three scenarios land in ``BENCH_shard.json`` at the repository root:
 * **dense**: heavily overlapping boxes where envelopes cannot prune —
   recorded for honesty (no speedup threshold; the interesting claim is
   that results stay identical when pruning never fires).
-* **worker_pool**: dispatch overhead of the persistent pool.  A warm
-  dispatch must beat the fork-per-query legacy transport; the cold
-  start (pool creation) is recorded alongside.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from pathlib import Path
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
-from repro.runtime import parallel
 from repro.runtime.cache import caching
 from repro.runtime.context import QueryContext
 from repro.sqlc import index
@@ -279,70 +275,3 @@ def test_dense_join_stays_identical():
         "shard_pairs_probed": probed,
         "results_identical": True,
     })
-
-
-# Module-level predicate: pickles by reference, so filter_rows takes
-# the persistent-pool transport.
-def _one_in_seven(row):
-    return row["a"] % 7 == 0
-
-
-def test_warm_pool_dispatch_beats_fork_per_query():
-    rows = [(i,) for i in range(4_000)]
-    columns = ("a",)
-    expected = [row for row in rows if row[0] % 7 == 0]
-
-    bound = 7
-
-    def closure(row):
-        # A closure cannot pickle, so this forces the legacy
-        # fork-per-query transport.
-        return row["a"] % bound == 0
-
-    parallel.reset_stats()
-    parallel.shutdown_pool()
-    try:
-        with parallel.parallelism(2):
-            fork_times = []
-            for _ in range(ROUNDS):
-                start = time.perf_counter()
-                kept = parallel.filter_rows(columns, rows, closure)
-                fork_times.append(time.perf_counter() - start)
-                assert kept == expected
-            if parallel.stats()["fallbacks"]:
-                import pytest
-                pytest.skip("process pool unavailable on this runner")
-
-            start = time.perf_counter()
-            kept = parallel.filter_rows(columns, rows, _one_in_seven)
-            cold_seconds = time.perf_counter() - start
-            assert kept == expected
-
-            warm_times = []
-            for _ in range(ROUNDS):
-                start = time.perf_counter()
-                kept = parallel.filter_rows(columns, rows,
-                                            _one_in_seven)
-                warm_times.append(time.perf_counter() - start)
-                assert kept == expected
-        stats = parallel.stats()
-    finally:
-        parallel.shutdown_pool()
-
-    t_fork = _median(fork_times)
-    t_warm = _median(warm_times)
-    _record("worker_pool", {
-        "rows": len(rows),
-        "workers": 2,
-        "median_seconds_fork_per_query": round(t_fork, 4),
-        "cold_start_seconds": round(cold_seconds, 4),
-        "median_seconds_warm_dispatch": round(t_warm, 4),
-        "warm_vs_fork_speedup": round(t_fork / t_warm, 2),
-        "pool_dispatches": stats["pool_dispatches"],
-        "pool_cold_starts": stats["pool_cold_starts"],
-    })
-
-    assert stats["pool_cold_starts"] == 1
-    assert t_warm < t_fork, (
-        f"warm pool dispatch ({t_warm:.4f}s) should undercut "
-        f"fork-per-query startup ({t_fork:.4f}s)")

@@ -18,8 +18,8 @@ Public surface:
 * :class:`PlanCache` — the compiled-plan cache keyed on (query AST,
   schema fingerprint, options); see ``docs/API.md``, "Prepared queries
   & the plan cache";
-* :func:`parallelism` / :func:`current_parallelism` — the partitioned
-  parallel evaluator's worker-count gate (see ``docs/API.md``,
+* :func:`parallelism` — the partitioned parallel evaluator's
+  worker-count gate (see ``docs/API.md``,
   "Indexing & parallel execution");
 * :func:`numeric_available` / :func:`scipy_available` — the single
   import guard in front of the optional ``fast`` extra (numpy/scipy);
@@ -64,7 +64,6 @@ from repro.runtime.guard import (
     should_degrade,
 )
 from repro.runtime.parallel import (
-    current_parallelism,
     filter_rows,
     parallelism,
     should_partition,
@@ -88,7 +87,6 @@ __all__ = [
     "get_global_plan_cache",
     "current_context",
     "current_guard",
-    "current_parallelism",
     "default_context",
     "filter_rows",
     "get_global_cache",

@@ -151,8 +151,9 @@ class ExecutionStats:
     #: pool workers (the rest probed serially in-process).
     shard_pairs_parallel: int = 0
     # -- persistent worker pool -----------------------------------------
-    #: Parallel regions dispatched through the persistent pool (the
-    #: remainder took the legacy fork-per-query or serial path).
+    #: Tasks delivered by the persistent pool (shard-pair probes, the
+    #: server's whole-query requests; row filters fork their own
+    #: one-shot workers and never count here).
     pool_dispatches: int = 0
     #: Pool dispatches that had to create (or grow) the pool first;
     #: ``pool_dispatches - pool_cold_starts`` ran on warm workers.

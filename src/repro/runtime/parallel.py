@@ -1,100 +1,75 @@
 """Partitioned parallel evaluation over worker processes.
 
-ROADMAP's north star asks the flat engine to run "as fast as the
-hardware allows"; this module supplies the execution half of that:
-large row filters (the exact phase of :class:`~repro.sqlc.algebra.
-IndexJoin` and big ``Select`` nodes) are split into contiguous chunks
-and evaluated by a ``ProcessPoolExecutor``, then merged back
-deterministically.
+Large row filters (the exact phase of :class:`~repro.sqlc.algebra.
+IndexJoin` and big ``Select`` nodes), surviving shard-pair probes and
+the server's whole-query requests all run on **one parallel region**,
+:func:`dispatch`: pro-rate the guard, reserve a cancel slot, submit,
+gather in task order, absorb every delivered outcome exactly once.
+For :func:`filter_rows` and :func:`scatter_tasks` the region goes on
+(:func:`_run_region`) to recompute whatever was not delivered
+in-process, under the parent guard, re-raise the first worker
+exhaustion and checkpoint — so serial evaluation is the only fallback
+there is, and every fallback is counted under a reason
+(``stats()["fallback_reasons"]``).
 
-Design points, in the order they bit:
+**Two transports, chosen by the caller, never probed.**
 
-**Determinism.**  Chunks are contiguous slices of the input row list
-and results are concatenated in chunk order, so the output row order is
-identical to the serial evaluation.  Runs under a
-:class:`~repro.runtime.faults.FaultPlan` are forced serial — fault
-schedules count ticks on one guard, and sharding the tick stream across
-processes would make injected failures nondeterministic.
+* **Fork-inherit** (:func:`filter_rows`) — a one-shot pool is forked
+  for the region, so the workers *inherit* the predicate, the rows and
+  the whole parent context (database, params, caches, options); only
+  chunk bounds and kept indices cross the pickle boundary.  Translator
+  predicates are closures over the constraint engine and cannot travel
+  any other way, and what a filter spends its time on — exact
+  elimination — dwarfs the fork.
+* **Persistent pool** (:func:`scatter_tasks`, the server's process
+  executor) — warm workers reused across regions.  ``fn``, each task
+  and each value are pickled; the worker trusts nothing it inherited
+  and rebuilds its context from :func:`context_options`, which carries
+  *every* plain-data option of the parent.  A task or value that will
+  not pickle fails that one future only; it counts as undelivered.
 
-**Budget pro-rating.**  Each worker activates a derived
-:class:`~repro.runtime.context.QueryContext` whose fresh
-:class:`~repro.runtime.guard.ExecutionGuard` carries
-``remaining_budget // partitions`` of every *work* budget of the
-parent context's guard (pivots, branches, canonical; disjuncts is a
-per-disjunction cap and passes through unchanged) and the full
-remaining wall-clock deadline (workers run concurrently).  Worker
-guards always use ``on_exhaustion="fail"`` so exhaustion surfaces as an
-exception; the parent re-raises the first (in chunk order) worker
-error, and the caller's own policy — degrade or fail — applies at the
-usual engine boundary, exactly as in a serial run.
+**Determinism.**  Values come back in task order (filter chunks are
+contiguous slices), so the output equals the serial evaluation's.
+Runs under a :class:`~repro.runtime.faults.FaultPlan` are forced
+serial — fault schedules count ticks on one guard.
 
-**Counter merging.**  Each worker runs under a fresh
-:class:`~repro.runtime.context.ExecutionStats` and ships its
-:meth:`~repro.runtime.context.ExecutionStats.snapshot` back; the parent
-folds it in with the *generic*
-:meth:`~repro.runtime.context.ExecutionStats.merge` (each field's
-declared reduction), so counters added to ``ExecutionStats`` later
-survive the round-trip with no change here.  Guard spend additionally
-merges into the parent guard (budget bookkeeping), and cache traffic
-into the parent's cache object (whose entries would otherwise die with
-the fork); bounding-box counters live only in ``ExecutionStats`` and
-need no second write.
-:class:`~repro.errors.ResourceExhausted` instances don't survive
-pickling (keyword-only constructors), so workers ship plain dicts and
-the parent reconstructs the exception class by name.
+**Budgets.**  Each worker runs under a fresh guard carrying
+``remaining // tasks`` of every *work* budget of the parent's guard
+(pivots, branches, canonical; disjuncts caps one disjunction and
+passes through whole) and the full remaining deadline.  Worker guards
+``fail`` on exhaustion unless the dispatch says otherwise, so a trip
+travels back as a plain dict (:class:`~repro.errors.ResourceExhausted`
+has keyword-only constructors and does not pickle); the parent
+re-raises the first one in task order and the caller's own policy
+applies at the usual engine boundary.
 
-**Transport.**  Two transports, picked per filter by whether the
-predicate pickles:
+**Counters.**  Each worker ships its fresh
+:class:`~repro.runtime.context.ExecutionStats` snapshot and guard
+spend; the parent folds them in with the generic
+:meth:`~repro.runtime.context.ExecutionStats.merge`, so counters added
+later survive the round-trip with no change here.
 
-* **Persistent pool** (preferred) — a lazily created, process-wide
-  :class:`WorkerPool` of warm fork workers reused across queries.
-  Each task ships ``(columns, row chunk, predicate, budgets, context
-  options)`` over the pickle boundary, so warm workers never see stale
-  fork-inherited state: they rebuild a fresh context from the shipped
-  options every task.  Dispatch to a warm pool skips the per-query
-  fork/teardown entirely (``pool_dispatches`` vs ``pool_cold_starts``
-  in :class:`~repro.runtime.context.ExecutionStats`).  A dead pool
-  (:class:`~concurrent.futures.process.BrokenProcessPool`) is
-  discarded and the filter falls back to the legacy transport below.
-* **Fork-per-query** (legacy fallback) — translator predicates are
-  closures over the constraint engine and don't pickle; for those the
-  payload is published in a module global, a one-shot pool is forked
-  (inheriting it), and only chunk bounds cross the pickle boundary.
-
-Platforms without ``fork`` fall back to serial evaluation.
-
-**Task-level scatter.**  :func:`scatter_tasks` generalizes the
-row-filter transport into a futures API: any picklable ``fn(*args)``
-tasks are dispatched to the warm pool, run under pro-rated worker
-guards, and their values gathered back *in task order* (deterministic
-merge).  :class:`~repro.sqlc.shard.ShardedIndexJoin` uses it to probe
-surviving shard pairs concurrently; the server's process executor uses
-the same pool for whole-query execution.
-
-**Cross-process cancellation.**  A worker cannot see
+**Cancellation.**  A worker cannot see
 :meth:`~repro.runtime.guard.ExecutionGuard.cancel` called in the
-parent — the flag lives in parent memory.  The *cancel board* closes
-the gap: a small shared-memory byte array allocated at import time, so
-every forked pool inherits it.  A dispatch that wants mid-flight
-cancellation reserves a slot, ships the slot number with the task, and
-the worker guard polls the slot at every checkpoint
-(:meth:`~repro.runtime.guard.ExecutionGuard.bind_cancel_probe`); the
-parent's gather loop writes the slot when it observes its own guard
-cancelled, and the workers wind down with ``QueryCancelled`` at their
-next checkpoint.
+parent.  The *cancel board* — a shared-memory byte array allocated at
+import time, so every fork inherits it — closes the gap: the region
+reserves a slot, the worker guard polls it at every checkpoint, and
+the gather loop flips it when it sees the parent guard cancelled.
+
+Platforms without ``fork`` evaluate serially.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
+# By name, not ``from concurrent import futures``: that would import
+# ``concurrent.futures.process`` lazily, after this module, and the
+# interpreter would tear it down before a pool still alive at exit.
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import repro.errors as errors_mod
 from repro.errors import QueryCancelled, ResourceExhausted
@@ -113,34 +88,36 @@ _DIVIDED_BUDGETS = (
     ("max_canonical", "canonical_steps"),
 )
 
-_stats = {"runs": 0, "partitions": 0, "max_workers": 0, "fallbacks": 0,
-          "pool_dispatches": 0, "pool_cold_starts": 0,
-          "scatters": 0, "salvaged_chunks": 0}
+#: Why a region (or part of one) ran in-process: a parent budget had
+#: nothing left to split; the pool could not start or was found dead
+#: at submit; an outcome never came back (a worker died, or a task or
+#: value would not pickle).
+FALLBACK_REASONS = ("no_headroom", "pool_start_failed", "worker_lost")
 
 
-def stats() -> dict[str, int]:
+def _zeroed_stats() -> dict[str, Any]:
+    return {"runs": 0, "partitions": 0, "max_workers": 0,
+            "fallbacks": 0, "pool_dispatches": 0, "pool_cold_starts": 0,
+            "scatters": 0,
+            "fallback_reasons": dict.fromkeys(FALLBACK_REASONS, 0)}
+
+
+_stats = _zeroed_stats()
+
+
+def stats() -> dict[str, Any]:
     """Cumulative counters: ``runs`` (parallel regions executed),
-    ``partitions`` (chunks dispatched), ``max_workers`` (largest pool
-    used), ``fallbacks`` (regions degraded to serial at runtime),
-    ``pool_dispatches`` (tasks sent to the persistent pool),
+    ``partitions`` (tasks dispatched), ``max_workers`` (widest region),
+    ``fallbacks`` (regions that ran wholly or partly in-process) and
+    ``fallback_reasons`` (the same count by :data:`FALLBACK_REASONS`),
+    ``pool_dispatches`` (tasks delivered by the persistent pool),
     ``pool_cold_starts`` (persistent pools created), ``scatters``
-    (task-level scatter regions), ``salvaged_chunks`` (chunk outcomes
-    kept across a mid-run pool death instead of being recomputed)."""
-    return dict(_stats)
+    (regions sent to the persistent pool)."""
+    return {**_stats, "fallback_reasons": dict(_stats["fallback_reasons"])}
 
 
 def reset_stats() -> None:
-    for key in _stats:
-        _stats[key] = 0
-
-
-# ---------------------------------------------------------------------------
-# Parallelism context (the CLI's --parallel N)
-# ---------------------------------------------------------------------------
-
-
-def current_parallelism() -> int:
-    return context_mod.current_context().parallelism
+    _stats.update(_zeroed_stats())
 
 
 @contextmanager
@@ -161,33 +138,41 @@ def _fork_available() -> bool:
         return False
 
 
-def should_partition(n_rows: int,
-                     ctx: QueryContext | None = None) -> bool:
-    """Partition this filter?  Requires parallelism in the (given or
-    ambient) context, enough rows to amortize pool startup, no
-    FaultPlan on the context's guard (fault determinism), a ``fork``
-    start method, and not already being inside a worker."""
-    ctx = context_mod.resolve(ctx)
-    return _should_partition(n_rows, ctx, ctx.parallelism)
-
-
-def _should_partition(n_rows: int, ctx: QueryContext,
-                      limit: int) -> bool:
-    if _IN_WORKER or limit < 2 or n_rows < PARTITION_THRESHOLD:
-        return False
-    guard = ctx.guard
-    if guard is not None and guard.faults is not None:
+def _may_fork(ctx: QueryContext, limit: int) -> bool:
+    """Needs parallelism, no FaultPlan on the guard (fault
+    determinism), a ``fork`` start method, and not already being inside
+    a worker."""
+    if _IN_WORKER or limit < 2 or ctx.faults is not None:
         return False
     return _fork_available()
+
+
+def should_partition(n_rows: int,
+                     ctx: QueryContext | None = None) -> bool:
+    """Partition this filter?  Requires enough rows to amortize the
+    fork and a (given or ambient) context that allows workers."""
+    ctx = context_mod.resolve(ctx)
+    return n_rows >= PARTITION_THRESHOLD \
+        and _may_fork(ctx, ctx.parallelism)
+
+
+def should_scatter(n_tasks: int, ctx: QueryContext | None = None,
+                   workers: int | None = None) -> bool:
+    """Dispatch ``n_tasks`` independent tasks to the pool?  Requires at
+    least two tasks and a context (or the explicit ``workers``
+    annotation) that allows workers."""
+    ctx = context_mod.resolve(ctx)
+    return n_tasks >= 2 and _may_fork(
+        ctx, workers if workers is not None else ctx.parallelism)
 
 
 # ---------------------------------------------------------------------------
 # The cancel board (cross-process cooperative cancellation)
 # ---------------------------------------------------------------------------
 
-#: Concurrent dispatches that can each carry a live cancel channel.
-#: A dispatch that finds no free slot simply runs without one (its
-#: workers still terminate on their pro-rated deadline).
+#: Concurrent regions that can each carry a live cancel channel.  A
+#: region that finds no free slot simply runs without one (its workers
+#: still terminate on their pro-rated deadline).
 CANCEL_SLOTS = 128
 
 try:
@@ -206,7 +191,7 @@ def acquire_cancel_slot() -> int | None:
     """Reserve (and clear) a cancel-board slot, or ``None`` when the
     board is unavailable or fully busy.  A slot freed while a stale
     worker still polls it is harmless: the worker belongs to an
-    abandoned dispatch, so a spurious cancel only stops wasted work."""
+    abandoned region, so a spurious cancel only stops wasted work."""
     if _CANCEL_BOARD is None:
         return None
     with _SLOT_LOCK:
@@ -239,7 +224,7 @@ def slot_cancelled(slot: int | None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The persistent worker pool
+# Worker pools
 # ---------------------------------------------------------------------------
 
 
@@ -252,7 +237,8 @@ def _warm_task() -> int:
 
 
 class WorkerPool:
-    """A persistent fork-based worker pool, reused across queries.
+    """A fork-based worker pool: the persistent one (:func:`get_pool`)
+    or a region's one-shot.
 
     Thin wrapper over :class:`~concurrent.futures.ProcessPoolExecutor`
     carrying its nominal size (executors don't expose theirs) so
@@ -275,14 +261,10 @@ class WorkerPool:
         first dispatch, which PR 8 measured as a 6x cold-start penalty
         on the first query).  Returns the number of distinct worker
         processes that answered."""
-        futures = [self.submit(_warm_task) for _ in range(self.workers)]
-        pids = set()
-        for future in futures:
-            try:
-                pids.add(future.result(timeout=30))
-            except Exception:  # pragma: no cover - fork pressure
-                break
-        return len(pids)
+        pids, _lost = _gather(
+            [self.submit(_warm_task) for _ in range(self.workers)],
+            None, None)
+        return len(set(pids) - {None})
 
     def shutdown(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
@@ -326,8 +308,9 @@ def warm(workers: int) -> int:
 
 
 def shutdown_pool() -> None:
-    """Discard the persistent pool (tests; broken-pool recovery).  The
-    next pool dispatch cold-starts a fresh one."""
+    """Discard the persistent pool (tests; lost-worker recovery; the
+    server after a mutation).  The next pool dispatch cold-starts a
+    fresh one."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is not None:
@@ -335,31 +318,239 @@ def shutdown_pool() -> None:
             _POOL = None
 
 
-def _transportable(predicate) -> bool:
-    """Does the predicate survive a pickle round-trip?  Translator
-    predicates are closures (they don't); module-level functions and
-    functools.partial over them do, and take the warm-pool path."""
-    try:
-        pickle.dumps(predicate)
-        return True
-    except Exception:
-        return False
-
-
-#: Public name for callers gating their own pool dispatch on
-#: picklability (shard scatter, the server's process executor).
-transportable = _transportable
-
-
 # ---------------------------------------------------------------------------
-# The partitioned filter
+# The parallel region
 # ---------------------------------------------------------------------------
 
-#: (columns, rows, predicate) published to forked workers.
-_PAYLOAD: tuple | None = None
+#: ``(ctx, fn)`` a fork-inherit region publishes for the workers its
+#: submits fork; ``None`` otherwise.
+_INHERITED: tuple[QueryContext, Callable] | None = None
 
-#: True inside a worker process — suppresses nested partitioning.
+#: Held while a region takes its pool, publishes :data:`_INHERITED` and
+#: submits: every worker forks inside ``submit`` (all at the first one
+#: on CPython >= 3.11, one per submit before), so a worker can only
+#: ever inherit its own region's payload — never another thread's,
+#: never a cleared one — and no other region can replace the persistent
+#: pool between taking it and submitting to it.  Gathering happens
+#: outside it.
+_FORK_LOCK = threading.Lock()
+
+#: True inside a worker process — suppresses nested regions.
 _IN_WORKER = False
+
+
+def context_options(ctx: QueryContext) -> dict[str, Any]:
+    """Every plain-data option of ``ctx``, as ``QueryContext`` keyword
+    arguments: what a pool worker rebuilds its context from.  A
+    disabled cache travels as an explicit ``None``; an enabled one is
+    left out, so the worker keeps its own process-wide cache (that is
+    what makes warm workers *warm*)."""
+    options: dict[str, Any] = {
+        "prefilter": ctx.prefilter, "indexing": ctx.indexing,
+        "numeric": ctx.numeric, "use_optimizer": ctx.use_optimizer,
+        "shards": ctx.shards, "params": ctx.params}
+    if ctx.cache is None:
+        options["cache"] = None
+    if ctx.plan_cache is None:
+        options["plan_cache"] = None
+    return options
+
+
+def _worker_limits(guard: ExecutionGuard | None, tasks: int,
+                   on_exhaustion: str) -> dict | None:
+    """The pro-rated budget dict shipped to each worker — empty for
+    unguarded workers, ``None`` when some budget has no spend left (the
+    region then runs in-process so the parent guard trips at its usual
+    site)."""
+    if guard is None:
+        return {}
+    limits: dict = {"on_exhaustion": on_exhaustion,
+                    "max_disjuncts": guard.max_disjuncts}
+    if guard.deadline is not None:
+        limits["deadline"] = guard.deadline - guard.elapsed()
+        if limits["deadline"] <= 0:
+            return None
+    for limit_name, counter_name in _DIVIDED_BUDGETS:
+        limit = getattr(guard, limit_name)
+        if limit is None:
+            continue
+        remaining = limit - getattr(guard, counter_name)
+        if remaining <= 0:
+            return None
+        limits[limit_name] = max(1, remaining // tasks)
+    return limits
+
+
+def _fell_back(ctx: QueryContext, reason: str) -> str:
+    _stats["fallbacks"] += 1
+    _stats["fallback_reasons"][reason] += 1
+    ctx.stats.parallel_fallbacks += 1
+    return reason
+
+
+def _gather(pending: list, guard: ExecutionGuard | None,
+            slot: int | None) -> tuple[list, bool]:
+    """Collect results in submit order, propagating a parent-side
+    cancel to the workers through the cancel board.
+
+    Returns ``(results, lost)``: ``results[i]`` is ``None`` for every
+    future that did not deliver, and ``lost`` says a worker died (the
+    executor is broken and must be discarded).  Any other failure is
+    that one future's — its task or value would not pickle, or ``fn``
+    raised something a worker does not translate — and the caller's
+    in-process recomputation will succeed or raise the same error from
+    the parent's own stack.  On cancel the workers are *not*
+    abandoned: the board flip makes each one raise ``QueryCancelled``
+    at its next checkpoint and its error outcome ships back normally,
+    so the pool stays clean and the spend is still accounted."""
+    results: list = [None] * len(pending)
+    lost = signalled = False
+    for i, future in enumerate(pending):
+        while not future.done():
+            if not signalled and guard is not None and guard.cancelled:
+                signal_cancel(slot)
+                signalled = True
+            wait([future], timeout=0.05)
+        if future.cancelled():
+            continue
+        # Inspected, not raised: raising here would tie the future,
+        # its exception's traceback and this frame — and through it the
+        # caller's pool — into a cycle only the collector frees.
+        error = future.exception()
+        if error is None:
+            results[i] = future.result()
+        elif isinstance(error, BrokenExecutor):
+            lost = True
+    return results, lost
+
+
+def dispatch(fn: Callable, tasks: Sequence[tuple], ctx: QueryContext,
+             width: int, *, inherit: bool = False,
+             on_exhaustion: str = "fail"
+             ) -> tuple[list[dict | None], str | None]:
+    """Run ``fn(*task)`` for every task in up to ``width`` worker
+    processes — the one parallel region every caller shares.
+
+    Returns ``(outcomes, reason)``.  ``outcomes[i]`` is task *i*'s
+    worker outcome — ``value``, or ``error`` (a worker guard's trip as
+    a plain dict) — already absorbed into ``ctx`` (guard spend, stats,
+    cache traffic) exactly once, or ``None`` when the task was not
+    delivered; nothing of an undelivered task is absorbed, so the
+    caller may recompute it without double-charging.
+    ``reason`` names the fallback (:data:`FALLBACK_REASONS`) when any
+    outcome is ``None``, else ``None``.
+
+    ``inherit=True`` forks a one-shot pool whose workers inherit ``fn``
+    and ``ctx`` themselves (``fn`` may be a closure); otherwise ``fn``
+    is pickled to the persistent pool with :func:`context_options`.
+    ``on_exhaustion`` is the worker guards' policy: ``"fail"`` for a
+    *part* of a query, the request's own when the task *is* the query.
+    """
+    global _INHERITED
+    guard = ctx.guard
+    outcomes: list[dict | None] = [None] * len(tasks)
+    limits = _worker_limits(guard, len(tasks), on_exhaustion)
+    if limits is None:
+        return outcomes, _fell_back(ctx, "no_headroom")
+    slot = acquire_cancel_slot() if guard is not None else None
+    if slot is not None:
+        limits["cancel_slot"] = slot
+    shipped_fn, options = (None, None) if inherit \
+        else (fn, context_options(ctx))
+    one_shot = None
+    try:
+        try:
+            with _FORK_LOCK:
+                if inherit:
+                    pool = one_shot = WorkerPool(width)
+                    cold = False
+                    _INHERITED = (ctx, fn)
+                else:
+                    pool, cold = get_pool(width)
+                try:
+                    pending = [pool.submit(_run_task, shipped_fn, task,
+                                           limits, options)
+                               for task in tasks]
+                finally:
+                    _INHERITED = None
+        except (OSError, RuntimeError):
+            # Fork limits, sandboxing, or a pool found dead at submit.
+            if not inherit:
+                shutdown_pool()
+            return outcomes, _fell_back(ctx, "pool_start_failed")
+        outcomes, lost = _gather(pending, guard, slot)
+    finally:
+        release_cancel_slot(slot)
+        if one_shot is not None:
+            one_shot.shutdown()
+
+    delivered = [o for o in outcomes if o is not None]
+    _stats["runs"] += 1
+    _stats["partitions"] += len(tasks)
+    _stats["max_workers"] = max(_stats["max_workers"], width)
+    ctx.stats.parallel_runs += 1
+    ctx.stats.partitions += len(tasks)
+    ctx.stats.workers = max(ctx.stats.workers, width)
+    if not inherit:
+        _stats["scatters"] += 1
+        _stats["pool_dispatches"] += len(delivered)
+        ctx.stats.pool_dispatches += len(delivered)
+        if cold:
+            ctx.stats.pool_cold_starts += 1
+        if lost:
+            shutdown_pool()
+    for outcome in delivered:
+        _absorb_outcome(ctx, guard, outcome)
+    if len(delivered) < len(tasks):
+        return outcomes, _fell_back(ctx, "worker_lost")
+    return outcomes, None
+
+
+def _absorb_outcome(ctx: QueryContext, guard: ExecutionGuard | None,
+                    outcome: dict) -> None:
+    """Fold ONE worker outcome into the parent context."""
+    snapshot = outcome["stats"]
+    if guard is not None:
+        guard.absorb_spend(outcome["spend"])
+    # One generic merge covers every declared counter — including
+    # any added after this code was written.
+    ctx.stats.merge(snapshot)
+    # The cache object still needs the worker deltas (the entries
+    # and cumulative counters a worker wrote die with its process
+    # or stay in the pool worker).  Bounds traffic, by contrast,
+    # lives *only* in ExecutionStats.
+    cache = ctx.active_cache()
+    if cache is not None:
+        cache.absorb({
+            "hits": snapshot.get("cache_hits", 0),
+            "misses": snapshot.get("cache_misses", 0),
+            "evictions": snapshot.get("cache_evictions", 0),
+            "simplex_saved": snapshot.get("cache_simplex_saved", 0),
+        })
+
+
+def _run_region(fn: Callable, tasks: Sequence[tuple],
+                ctx: QueryContext, width: int,
+                inherit: bool = False) -> list:
+    """:func:`dispatch`, then the values in task order: an undelivered
+    task is recomputed here, in-process, so its spend ticks the parent
+    guard directly (no pro-rating, no second absorption) and an
+    exhaustion raises where the serial run would have reached; the
+    first worker exhaustion re-raises; then the guard's
+    cancellation/deadline checkpoint runs (a worker without a cancel
+    slot can't see a cancel issued after it was handed its task)."""
+    outcomes, _reason = dispatch(fn, tasks, ctx, width, inherit=inherit)
+    values: list = []
+    for task, outcome in zip(tasks, outcomes):
+        if outcome is None:
+            values.append(fn(*task))
+        elif outcome["error"] is not None:
+            raise _rebuild_exhaustion(ctx.guard, outcome["error"])
+        else:
+            values.append(outcome["value"])
+    if ctx.guard is not None:
+        ctx.guard.checkpoint("parallel-merge")
+    return values
 
 
 def filter_rows(columns: Sequence[str], rows: list,
@@ -367,28 +558,25 @@ def filter_rows(columns: Sequence[str], rows: list,
                 ctx: QueryContext | None = None,
                 workers: int | None = None) -> list:
     """The rows satisfying ``predicate`` (a row-dict test), in input
-    order — partitioned across worker processes when the context (and
-    the optional per-node ``workers`` annotation planted by the
+    order — partitioned across forked worker processes when the context
+    (and the optional per-node ``workers`` annotation planted by the
     optimizer's parallelism rule) allows, serially otherwise."""
     ctx = context_mod.resolve(ctx)
     limit = workers if workers is not None else ctx.parallelism
     cols = tuple(columns)
-    if not _should_partition(len(rows), ctx, limit):
+    if len(rows) < PARTITION_THRESHOLD or not _may_fork(ctx, limit):
         return [row for row in rows
                 if predicate(dict(zip(cols, row)))]
-    if _transportable(predicate):
-        try:
-            return _pool_filter(cols, rows, predicate, ctx, limit)
-        except BrokenProcessPool:
-            # Every worker died before producing anything (OOM kill,
-            # signal).  No outcome was merged, so rerunning the whole
-            # set is safe; the legacy fork-per-query transport gets a
-            # fresh set of processes.  (A *partial* death never lands
-            # here — _pool_filter salvages the completed chunks and
-            # finishes the lost ones itself, so nothing re-dispatched
-            # was already absorbed.)
-            shutdown_pool()
-    return _parallel_filter(cols, rows, predicate, ctx, limit)
+
+    def kept(start: int, stop: int) -> list[int]:
+        return [i for i in range(start, stop)
+                if predicate(dict(zip(cols, rows[i])))]
+
+    chunks = _chunk_bounds(len(rows), min(limit, len(rows)))
+    return [rows[i]
+            for part in _run_region(kept, chunks, ctx, len(chunks),
+                                    inherit=True)
+            for i in part]
 
 
 def _chunk_bounds(n_rows: int, chunks: int) -> list[tuple[int, int]]:
@@ -402,300 +590,6 @@ def _chunk_bounds(n_rows: int, chunks: int) -> list[tuple[int, int]]:
     return bounds_list
 
 
-def _worker_limits(guard: ExecutionGuard | None,
-                   partitions: int) -> dict | None:
-    """The pro-rated budget dict shipped to each worker, or ``None``
-    for unguarded workers.  Raises :class:`_NoHeadroom` when some
-    budget has no spend left — the caller then runs serially so the
-    parent guard trips at its usual site."""
-    if guard is None:
-        return None
-    limits: dict = {}
-    if guard.deadline is not None:
-        remaining = guard.deadline - guard.elapsed()
-        if remaining <= 0:
-            raise _NoHeadroom
-        limits["deadline"] = remaining
-    for limit_name, counter_name in _DIVIDED_BUDGETS:
-        limit = getattr(guard, limit_name)
-        if limit is None:
-            continue
-        remaining = limit - getattr(guard, counter_name)
-        if remaining <= 0:
-            raise _NoHeadroom
-        limits[limit_name] = max(1, remaining // partitions)
-    limits["max_disjuncts"] = guard.max_disjuncts
-    return limits
-
-
-class _NoHeadroom(Exception):
-    """Internal: a budget is already exhausted; run serial."""
-
-
-def _serial_fallback(columns: tuple, rows: list,
-                     predicate: Callable[[dict], bool],
-                     ctx: QueryContext) -> list:
-    _stats["fallbacks"] += 1
-    ctx.stats.parallel_fallbacks += 1
-    return [row for row in rows
-            if predicate(dict(zip(columns, row)))]
-
-
-def _book_run(ctx: QueryContext, n_chunks: int) -> None:
-    _stats["runs"] += 1
-    _stats["partitions"] += n_chunks
-    _stats["max_workers"] = max(_stats["max_workers"], n_chunks)
-    ctx.stats.parallel_runs += 1
-    ctx.stats.partitions += n_chunks
-    if n_chunks > ctx.stats.workers:
-        ctx.stats.workers = n_chunks
-
-
-def _absorb_outcome(ctx: QueryContext, guard: ExecutionGuard | None,
-                    outcome: dict) -> None:
-    """Fold ONE worker outcome dict into the parent context.  Callers
-    must absorb each outcome exactly once — the salvage path after a
-    mid-run pool death keeps completed outcomes and re-runs only the
-    lost chunks, so a second absorption would double-count the dead
-    workers' counters."""
-    snapshot = outcome["stats"]
-    if guard is not None:
-        guard.absorb_spend(outcome["spend"])
-    # One generic merge covers every declared counter — including
-    # any added after this code was written.
-    ctx.stats.merge(snapshot)
-    # The cache object still needs the worker deltas (the entries
-    # and cumulative counters a worker wrote die with its process
-    # or stay in the pool worker).  Bounds traffic, by contrast,
-    # lives *only* in ExecutionStats now — the old
-    # ``bounds.absorb`` mirror write here counted the same checks
-    # twice.
-    cache = ctx.active_cache()
-    if cache is not None:
-        cache.absorb({
-            "hits": snapshot.get("cache_hits", 0),
-            "misses": snapshot.get("cache_misses", 0),
-            "evictions": snapshot.get("cache_evictions", 0),
-            "simplex_saved": snapshot.get("cache_simplex_saved", 0),
-        })
-
-
-def _merge_outcomes(ctx: QueryContext, guard: ExecutionGuard | None,
-                    outcomes: list[dict]) -> None:
-    """Fold worker outcome dicts into the parent context — both
-    transports ship the same shape.  Raises the first (chunk-order)
-    worker exhaustion after all counters merged, then runs the guard's
-    cancellation/deadline checkpoint (workers can't see a cancel issued
-    after they were handed their task)."""
-    first_error: dict | None = None
-    for outcome in outcomes:
-        _absorb_outcome(ctx, guard, outcome)
-        if outcome["error"] is not None and first_error is None:
-            first_error = outcome["error"]
-    if first_error is not None:
-        raise _rebuild_exhaustion(guard, first_error)
-    if guard is not None:
-        guard.checkpoint("parallel-merge")
-
-
-def _gather(futures: list, guard: ExecutionGuard | None,
-            slot: int | None) -> tuple[list, bool]:
-    """Collect outcomes in dispatch order, propagating a parent-side
-    cancel to the workers through the cancel board.
-
-    Returns ``(outcomes, broken)`` where ``outcomes[i]`` is ``None``
-    for futures lost to a pool death (``broken`` then ``True``).  On
-    cancel the workers are *not* abandoned: the board flip makes each
-    one raise ``QueryCancelled`` at its next checkpoint, its error
-    outcome ships back normally, and the ordinary merge re-raises it —
-    so the pool stays clean and the spend is still accounted."""
-    outcomes: list = [None] * len(futures)
-    broken = False
-    signalled = False
-    for i, future in enumerate(futures):
-        while True:
-            if not signalled and slot is not None \
-                    and guard is not None and guard.cancelled:
-                signal_cancel(slot)
-                signalled = True
-            try:
-                outcomes[i] = future.result(timeout=0.05)
-                break
-            except FuturesTimeout:
-                continue
-            except BrokenProcessPool:
-                broken = True
-                break
-            except (OSError, RuntimeError):
-                broken = True
-                break
-    return outcomes, broken
-
-
-def _context_options(ctx: QueryContext) -> dict:
-    """The option flags a worker rebuilds its fresh context from."""
-    return {"prefilter": ctx.prefilter, "indexing": ctx.indexing,
-            "numeric": ctx.numeric}
-
-
-def _pool_filter(columns: tuple, rows: list,
-                 predicate: Callable[[dict], bool],
-                 ctx: QueryContext, limit: int) -> list:
-    """The persistent-pool transport: chunk rows and predicate cross
-    the pickle boundary into warm workers.  Raises
-    :class:`BrokenProcessPool` (caller falls back) only when the pool
-    died with *nothing* completed; a partial death is salvaged here —
-    completed chunk outcomes are absorbed exactly once and only the
-    lost chunks are recomputed, serially, under the parent guard."""
-    guard = ctx.guard
-    workers = min(limit, len(rows))
-    chunks = _chunk_bounds(len(rows), workers)
-    try:
-        limits = _worker_limits(guard, len(chunks))
-    except _NoHeadroom:
-        return _serial_fallback(columns, rows, predicate, ctx)
-    options = _context_options(ctx)
-    slot = acquire_cancel_slot() if guard is not None else None
-    if slot is not None:
-        limits = dict(limits)
-        limits["cancel_slot"] = slot
-    try:
-        try:
-            pool, cold = get_pool(len(chunks))
-            if cold:
-                ctx.stats.pool_cold_starts += 1
-            futures = [pool.submit(_run_pool_task, columns,
-                                   rows[start:stop], predicate, limits,
-                                   options)
-                       for start, stop in chunks]
-        except BrokenProcessPool:
-            # Submitting to an already-dead pool: nothing ran, the
-            # caller's whole-set fallback is exactly right.
-            raise
-        except (OSError, RuntimeError):
-            # Pool startup failure (fork limits, sandboxing): serial
-            # is always a correct answer.
-            return _serial_fallback(columns, rows, predicate, ctx)
-        outcomes, broken = _gather(futures, guard, slot)
-    finally:
-        release_cancel_slot(slot)
-
-    if broken:
-        shutdown_pool()
-        if not any(outcome is not None for outcome in outcomes):
-            raise BrokenProcessPool(
-                "worker pool died before any chunk completed")
-        return _salvage_filter(columns, rows, predicate, ctx,
-                               chunks, outcomes)
-
-    _book_run(ctx, len(chunks))
-    _stats["pool_dispatches"] += len(chunks)
-    ctx.stats.pool_dispatches += len(chunks)
-    _merge_outcomes(ctx, guard, outcomes)
-    kept: list = []
-    for (start, _stop), outcome in zip(chunks, outcomes):
-        kept.extend(rows[start + i] for i in outcome["kept"])
-    return kept
-
-
-def _salvage_filter(columns: tuple, rows: list,
-                    predicate: Callable[[dict], bool],
-                    ctx: QueryContext, chunks: list[tuple[int, int]],
-                    outcomes: list) -> list:
-    """Finish a filter whose pool died mid-run: keep every completed
-    chunk's outcome (absorbed exactly once), recompute only the lost
-    chunks serially under the parent guard, preserving chunk order —
-    so the result, and the merged counters, match a clean run.
-
-    Absorption idempotence is the point: the pre-PR-10 path re-ran the
-    *whole* chunk set through the legacy transport after a death, which
-    double-counts whenever some workers had already finished their
-    work (their spend is in the counters the moment they return)."""
-    guard = ctx.guard
-    completed = [o for o in outcomes if o is not None]
-    _book_run(ctx, len(chunks))
-    _stats["pool_dispatches"] += len(completed)
-    ctx.stats.pool_dispatches += len(completed)
-    _stats["salvaged_chunks"] += len(completed)
-    _stats["fallbacks"] += 1
-    ctx.stats.parallel_fallbacks += 1
-    for outcome in completed:
-        _absorb_outcome(ctx, guard, outcome)
-    kept: list = []
-    for (start, stop), outcome in zip(chunks, outcomes):
-        if outcome is not None:
-            if outcome["error"] is not None:
-                raise _rebuild_exhaustion(guard, outcome["error"])
-            kept.extend(rows[start + i] for i in outcome["kept"])
-        else:
-            # Lost chunk: evaluate in-process.  The parent guard is
-            # active, so this spend ticks it directly (no pro-rating,
-            # no second absorption), and an exhaustion raises at the
-            # position the serial run would have reached.
-            kept.extend(row for row in rows[start:stop]
-                        if predicate(dict(zip(columns, row))))
-    if guard is not None:
-        guard.checkpoint("parallel-merge")
-    return kept
-
-
-def _parallel_filter(columns: tuple, rows: list,
-                     predicate: Callable[[dict], bool],
-                     ctx: QueryContext, limit: int) -> list:
-    global _PAYLOAD
-    guard = ctx.guard
-    workers = min(limit, len(rows))
-    chunks = _chunk_bounds(len(rows), workers)
-    try:
-        limits = _worker_limits(guard, len(chunks))
-    except _NoHeadroom:
-        return _serial_fallback(columns, rows, predicate, ctx)
-
-    _PAYLOAD = (columns, rows, predicate)
-    try:
-        mp_context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(chunks),
-                                 mp_context=mp_context) as pool:
-            futures = [pool.submit(_run_chunk, start, stop, limits)
-                       for start, stop in chunks]
-            outcomes = [f.result() for f in futures]
-    except (OSError, RuntimeError):
-        # Pool startup failure (fork limits, sandboxing): serial is
-        # always a correct answer.
-        return _serial_fallback(columns, rows, predicate, ctx)
-    finally:
-        _PAYLOAD = None
-
-    _book_run(ctx, len(chunks))
-    _merge_outcomes(ctx, guard, outcomes)
-    kept: list = []
-    for outcome in outcomes:
-        kept.extend(rows[i] for i in outcome["kept"])
-    return kept
-
-
-# ---------------------------------------------------------------------------
-# Task-level scatter (the futures API)
-# ---------------------------------------------------------------------------
-
-
-def should_scatter(n_tasks: int, ctx: QueryContext | None = None,
-                   workers: int | None = None) -> bool:
-    """Dispatch ``n_tasks`` independent tasks to the pool?  Mirrors
-    :func:`should_partition`: needs parallelism in the context (or the
-    explicit ``workers`` annotation), at least two tasks, no FaultPlan
-    (fault schedules count ticks on one guard), ``fork``, and not
-    already being inside a worker."""
-    ctx = context_mod.resolve(ctx)
-    limit = workers if workers is not None else ctx.parallelism
-    if _IN_WORKER or limit < 2 or n_tasks < 2:
-        return False
-    guard = ctx.guard
-    if guard is not None and guard.faults is not None:
-        return False
-    return _fork_available()
-
-
 def scatter_tasks(fn: Callable, tasks: Sequence[tuple],
                   ctx: QueryContext | None = None,
                   workers: int | None = None) -> list:
@@ -703,88 +597,14 @@ def scatter_tasks(fn: Callable, tasks: Sequence[tuple],
     the values **in task order** (the deterministic merge: callers that
     fold the values in sequence get exactly the serial loop's result).
 
-    The caller is responsible for gating on :func:`should_scatter` and
-    on :func:`transportable` for ``fn``/``tasks``/values.  Semantics
-    match the partitioned filter: each worker runs under a fresh
-    context (rebuilt from the parent's option flags) and a pro-rated
-    guard (``remaining // n_tasks`` of each work budget, the full
-    remaining deadline); worker counters merge generically into the
-    parent; the first task-order exhaustion re-raises after all
-    counters merged.  A parent-side cancel propagates through the
-    cancel board; a mid-run pool death salvages completed outcomes
-    (absorbed exactly once) and re-runs only the lost tasks serially."""
+    The caller gates on :func:`should_scatter`; ``fn`` reads its
+    context ambiently, in a worker as in-process.  Same semantics as
+    the partitioned filter: pro-rated worker guards, counters merged
+    generically, first task-order exhaustion re-raised, undelivered
+    tasks recomputed in-process."""
     ctx = context_mod.resolve(ctx)
-    guard = ctx.guard
     limit = workers if workers is not None else ctx.parallelism
-    try:
-        limits = _worker_limits(guard, len(tasks))
-    except _NoHeadroom:
-        return _serial_tasks(fn, tasks, ctx)
-    options = _context_options(ctx)
-    slot = acquire_cancel_slot() if guard is not None else None
-    if slot is not None:
-        limits = dict(limits)
-        limits["cancel_slot"] = slot
-    try:
-        try:
-            pool, cold = get_pool(min(limit, len(tasks)))
-            if cold:
-                ctx.stats.pool_cold_starts += 1
-            futures = [pool.submit(_run_task, fn, task, limits, options)
-                       for task in tasks]
-        except BrokenProcessPool:
-            # Already-dead pool at submit time: discard it (the next
-            # dispatch cold-starts) and run this region serially.
-            shutdown_pool()
-            return _serial_tasks(fn, tasks, ctx)
-        except (OSError, RuntimeError):
-            return _serial_tasks(fn, tasks, ctx)
-        outcomes, broken = _gather(futures, guard, slot)
-    finally:
-        release_cancel_slot(slot)
-
-    if broken:
-        shutdown_pool()
-    completed = [o for o in outcomes if o is not None]
-    # Book the region by hand: tasks can outnumber the pool, so the
-    # worker peak is the pool size, not the task count.
-    pool_workers = min(limit, len(tasks))
-    _stats["runs"] += 1
-    _stats["partitions"] += len(tasks)
-    _stats["max_workers"] = max(_stats["max_workers"], pool_workers)
-    ctx.stats.parallel_runs += 1
-    ctx.stats.partitions += len(tasks)
-    if pool_workers > ctx.stats.workers:
-        ctx.stats.workers = pool_workers
-    _stats["scatters"] += 1
-    _stats["pool_dispatches"] += len(completed)
-    ctx.stats.pool_dispatches += len(completed)
-    if broken:
-        _stats["salvaged_chunks"] += len(completed)
-        _stats["fallbacks"] += 1
-        ctx.stats.parallel_fallbacks += 1
-    for outcome in completed:
-        _absorb_outcome(ctx, guard, outcome)
-    values: list = []
-    for task, outcome in zip(tasks, outcomes):
-        if outcome is None:
-            # Lost to the pool death: run in-process under the parent
-            # guard (absorbed outcomes stay absorbed — no re-dispatch).
-            values.append(fn(*task))
-        elif outcome["error"] is not None:
-            raise _rebuild_exhaustion(guard, outcome["error"])
-        else:
-            values.append(outcome["value"])
-    if guard is not None:
-        guard.checkpoint("scatter-merge")
-    return values
-
-
-def _serial_tasks(fn: Callable, tasks: Sequence[tuple],
-                  ctx: QueryContext) -> list:
-    _stats["fallbacks"] += 1
-    ctx.stats.parallel_fallbacks += 1
-    return [fn(*task) for task in tasks]
+    return _run_region(fn, tasks, ctx, min(limit, len(tasks)))
 
 
 def _rebuild_exhaustion(guard: ExecutionGuard | None,
@@ -811,142 +631,63 @@ def _rebuild_exhaustion(guard: ExecutionGuard | None,
 # ---------------------------------------------------------------------------
 
 
-def _build_worker_guard(limits: dict | None) -> ExecutionGuard | None:
-    """The pro-rated per-worker guard — always ``on_exhaustion="fail"``
-    so exhaustion travels back as an exception for the parent to
-    re-raise under its own policy.  When the dispatch carries a cancel
-    slot, the guard polls it at every checkpoint — the parent's cancel
-    reaches this process through the fork-shared board."""
-    if limits is None:
+def _guard_from_limits(limits: dict) -> ExecutionGuard | None:
+    """The pro-rated per-worker guard.  When the region carries a
+    cancel slot the guard polls it at every checkpoint — the parent's
+    cancel reaches this process through the fork-shared board."""
+    if not limits:
         return None
     guard = ExecutionGuard(
         deadline=limits.get("deadline"),
         max_pivots=limits.get("max_pivots"),
         max_branches=limits.get("max_branches"),
-        max_disjuncts=limits.get("max_disjuncts"),
+        max_disjuncts=limits["max_disjuncts"],
         max_canonical=limits.get("max_canonical"),
-        on_exhaustion="fail")
+        on_exhaustion=limits["on_exhaustion"])
     slot = limits.get("cancel_slot")
     if slot is not None:
         guard.bind_cancel_probe(lambda: slot_cancelled(slot))
     return guard
 
 
-def _exhaustion_dict(exc: ResourceExhausted) -> dict:
-    # str(exc) already embeds the [budget=...] diagnostics block;
-    # ship the bare message so reconstruction doesn't double it.
-    return {
-        "kind": type(exc).__name__,
-        "message": ("deadline exceeded" if exc.budget == "deadline"
-                    else f"{exc.budget} budget exhausted"),
-        "budget": exc.budget,
-        "limit": exc.limit,
-        "spent": exc.spent,
-        "fragment": exc.fragment,
-    }
+def _run_task(fn: Callable | None, args: tuple, limits: dict,
+              options: dict | None) -> dict:
+    """The one worker entry point: evaluate ``fn(*args)`` under a
+    pro-rated guard and a *fresh* ``ExecutionStats``, so the shipped
+    snapshot is exactly this task's delta.
 
-
-def _finish_outcome(worker_ctx: QueryContext,
-                    worker_guard: ExecutionGuard | None,
-                    kept: list[int], error: dict | None) -> dict:
-    worker_ctx.stats.capture_guard(worker_guard)
-    spend = worker_guard.spend() if worker_guard is not None else {}
-    return {"kept": kept, "spend": spend,
-            "stats": worker_ctx.stats.snapshot(), "error": error}
-
-
-def _run_chunk(start: int, stop: int, limits: dict | None) -> dict:
-    """Evaluate one chunk in a one-shot forked worker (legacy
-    transport).
-
-    The worker activates a context derived from the fork-inherited one
-    with a pro-rated guard and a *fresh* ``ExecutionStats``, so its
-    stats snapshot is exactly this chunk's delta.  Returns kept row
-    *indices* (absolute, so the parent merges without offset
-    bookkeeping); worker exhaustion travels back as a plain ``error``
-    dict.
-    """
+    ``options is None`` marks a fork-inherit region: ``fn`` and the
+    parent context come from :data:`_INHERITED`.  A pool worker may
+    have forked during an unrelated earlier query, so there the context
+    is rebuilt from the shipped :func:`context_options`.  ``fn`` reads
+    the context ambiently; a guard trip travels back as a plain
+    ``error`` dict."""
     global _IN_WORKER
     _IN_WORKER = True
-    columns, rows, predicate = _PAYLOAD
-    worker_guard = _build_worker_guard(limits)
-    worker_ctx = context_mod.current_context().derive(
-        guard=worker_guard, stats=ExecutionStats())
-
-    kept: list[int] = []
-    error: dict | None = None
-    try:
-        with worker_ctx.activate():
-            for i in range(start, stop):
-                if predicate(dict(zip(columns, rows[i]))):
-                    kept.append(i)
-    except ResourceExhausted as exc:
-        error = _exhaustion_dict(exc)
-    return _finish_outcome(worker_ctx, worker_guard, kept, error)
-
-
-def _run_task(fn: Callable, args: tuple, limits: dict | None,
-              options: dict) -> dict:
-    """Evaluate one scatter task in a warm pool worker.
-
-    Like :func:`_run_pool_task`, nothing fork-inherited is trusted:
-    the context is rebuilt from the shipped option flags, under a
-    pro-rated guard (with the cancel-board probe when the dispatch
-    carries a slot).  ``fn`` reads the context ambiently — the task
-    body runs inside ``worker_ctx.activate()`` — and its return value
-    ships back in the outcome's ``value`` field.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    worker_guard = _build_worker_guard(limits)
-    worker_ctx = QueryContext(
-        guard=worker_guard,
-        prefilter=options["prefilter"],
-        indexing=options["indexing"],
-        numeric=options["numeric"],
-        stats=ExecutionStats())
-
-    value = None
-    error: dict | None = None
+    guard = _guard_from_limits(limits)
+    if options is None:
+        base, fn = _INHERITED
+        worker_ctx = base.derive(guard=guard, stats=ExecutionStats())
+    else:
+        worker_ctx = QueryContext(guard=guard, stats=ExecutionStats(),
+                                  **options)
+    value = error = None
     try:
         with worker_ctx.activate():
             value = fn(*args)
     except ResourceExhausted as exc:
-        error = _exhaustion_dict(exc)
-    outcome = _finish_outcome(worker_ctx, worker_guard, [], error)
-    outcome["value"] = value
-    return outcome
-
-
-def _run_pool_task(columns: tuple, rows: list,
-                   predicate: Callable[[dict], bool],
-                   limits: dict | None, options: dict) -> dict:
-    """Evaluate one shipped chunk in a warm pool worker.
-
-    Unlike :func:`_run_chunk`, nothing fork-inherited is trusted — the
-    pool may have been forked during an unrelated earlier query — so
-    the context is rebuilt from the shipped option flags (the worker's
-    own process-wide constraint cache stays, deliberately: it is what
-    makes warm workers *warm*).  Returns chunk-local kept indices; the
-    parent offsets them by the chunk start.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    worker_guard = _build_worker_guard(limits)
-    worker_ctx = QueryContext(
-        guard=worker_guard,
-        prefilter=options["prefilter"],
-        indexing=options["indexing"],
-        numeric=options["numeric"],
-        stats=ExecutionStats())
-
-    kept: list[int] = []
-    error: dict | None = None
-    try:
-        with worker_ctx.activate():
-            for i, row in enumerate(rows):
-                if predicate(dict(zip(columns, row))):
-                    kept.append(i)
-    except ResourceExhausted as exc:
-        error = _exhaustion_dict(exc)
-    return _finish_outcome(worker_ctx, worker_guard, kept, error)
+        # str(exc) already embeds the [budget=...] diagnostics block;
+        # ship the bare message so reconstruction doesn't double it.
+        error = {
+            "kind": type(exc).__name__,
+            "message": ("deadline exceeded" if exc.budget == "deadline"
+                        else f"{exc.budget} budget exhausted"),
+            "budget": exc.budget,
+            "limit": exc.limit,
+            "spent": exc.spent,
+            "fragment": exc.fragment,
+        }
+    worker_ctx.stats.capture_guard(guard)
+    return {"value": value, "error": error,
+            "spend": guard.spend() if guard is not None else {},
+            "stats": worker_ctx.stats.snapshot()}

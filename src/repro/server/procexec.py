@@ -2,8 +2,9 @@
 
 The thread executor in :mod:`repro.server.service` keeps *distinct*
 concurrent queries on one interpreter, so solver-bound load gains
-nothing from extra cores.  This module runs a whole query in a
-:class:`~repro.runtime.parallel.WorkerPool` worker process instead:
+nothing from extra cores.  This module is the task the service hands
+to :func:`repro.runtime.parallel.dispatch` instead: a whole query, run
+in a persistent-pool worker process.
 
 **Shipping strategy.**  The database never pickles per request — the
 worker *inherits* it by fork.  :func:`publish` stores
@@ -13,32 +14,27 @@ service re-publishes and discards the pool
 (:func:`~repro.runtime.parallel.shutdown_pool`), so the next dispatch
 forks workers that inherit the post-mutation database.  The version
 check in :func:`run_query` turns any remaining race into a clean
-``{"stale": True}`` reply, which the service converts into a silent
+``{"stale": True}`` reply, which the service converts into a
 thread-path fallback — never a wrong answer.
 
 What *does* cross the process boundary per request is small: the query
-AST, parameter oids, the option flags, and the guard budgets.  Rows
-come back already ``dump_oid``-serialized in result order, so the
-service publishes byte-identical frames to the thread path's.
+AST plus what every pool task carries — the context options (parameter
+oids among them) and the guard budgets.  Rows come back already
+``dump_oid``-serialized in result order, so the service publishes
+byte-identical frames to the thread path's.
 
-**Cancellation.**  The request's guard budgets rebuild in the worker
-under the request's own ``on_exhaustion`` policy (degrade must produce
-the same partial rows and warnings it would in-process), and the
-worker guard binds a cancel-board slot probe — the service signals the
-slot when the job's shared guard is cancelled, and the worker observes
-it at its next checkpoint.
+**Guard.**  The service dispatches with the request's own
+``on_exhaustion`` policy (degrade must produce the same partial rows
+and warnings it would in-process), and cancellation reaches the worker
+through the region's cancel-board slot like any other pool task's.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 from repro import lyric
 from repro.model.database import Database
 from repro.model.serialize import dump_oid
-from repro.runtime import parallel
-from repro.runtime.context import ExecutionStats, QueryContext
-from repro.runtime.guard import ExecutionGuard
+from repro.runtime.context import current_context
 from repro.server import protocol
 
 #: ``(db_version, database)`` the *next* pool fork will inherit.
@@ -53,69 +49,27 @@ def publish(db_version: int, db: Database | None) -> None:
     _PUBLISHED = (db_version, db)
 
 
-def published_version() -> int:
-    return _PUBLISHED[0]
-
-
-def _worker_guard(limits: Mapping[str, Any]) -> ExecutionGuard:
-    """The request guard, rebuilt worker-side: same budgets, same
-    exhaustion policy (a degrade request must degrade *in the worker*
-    to produce identical partial output), plus the cancel-board
-    probe."""
-    guard = ExecutionGuard(
-        deadline=limits.get("deadline"),
-        max_pivots=limits.get("max_pivots"),
-        max_branches=limits.get("max_branches"),
-        max_disjuncts=limits.get("max_disjuncts"),
-        max_canonical=limits.get("max_canonical"),
-        on_exhaustion=limits.get("on_exhaustion", "fail"))
-    slot = limits.get("cancel_slot")
-    if slot is not None:
-        guard.bind_cancel_probe(
-            lambda: parallel.slot_cancelled(slot))
-    return guard
-
-
-def run_query(db_version: int, query_ast, params, translated: bool,
-              use_optimizer: bool, options: Mapping[str, Any],
-              limits: Mapping[str, Any]) -> dict:
-    """The worker body: execute one query against the fork-inherited
-    database and ship the whole result back.
+def run_query(db_version: int, query_ast, translated: bool) -> dict:
+    """The pool task: execute one query against the fork-inherited
+    database, under the ambient (worker-rebuilt) context, and ship the
+    whole result back.
 
     Returns ``{"stale": True}`` when the inherited database predates
     ``db_version`` (the service falls back to its thread path), else a
     reply dict with ``rows`` (``(values, oid)`` pairs, dump_oid
-    serialized, in result order), ``columns``/``engine``/``partial``/
-    ``warnings``, the stats snapshot, the guard spend — or
-    ``error_code``/``error_message`` plus the rows produced before the
-    error, mirroring what the thread path would already have
-    streamed."""
+    serialized, in result order) and ``columns``/``engine``/
+    ``partial``/``warnings`` — or ``error_code``/``error_message`` plus
+    the rows produced before the error, mirroring what the thread path
+    would already have streamed.  Stats and guard spend travel in the
+    task outcome, as for every pool task."""
     version, db = _PUBLISHED
     if db is None or version != db_version:
         return {"stale": True}
-    # Pool-in-pool suppression: a server worker must not fork its own
-    # worker pool for shard scatter or partitioned filters.
-    parallel._IN_WORKER = True
-    guard = _worker_guard(limits)
-    stats = ExecutionStats()
-    ctx_kwargs: dict[str, Any] = dict(
-        guard=guard, stats=stats,
-        params=dict(params) if params else None,
-        prefilter=options.get("prefilter", True),
-        indexing=options.get("indexing", True),
-        numeric=options.get("numeric"),
-        shards=options.get("shards", 0),
-        use_optimizer=use_optimizer)
-    if options.get("cache_off"):
-        ctx_kwargs["cache"] = None
-    if options.get("plan_cache_off"):
-        ctx_kwargs["plan_cache"] = None
-    ctx = QueryContext(**ctx_kwargs)
-    baseline = guard.spend()
+    ctx = current_context()
     rows: list[tuple] = []
     try:
         stream = lyric.stream(db, query_ast, translated=translated,
-                              use_optimizer=use_optimizer, ctx=ctx)
+                              use_optimizer=ctx.use_optimizer, ctx=ctx)
         batch = stream.next_batch(64)
         while batch:
             rows.extend((
@@ -123,22 +77,16 @@ def run_query(db_version: int, query_ast, params, translated: bool,
                 dump_oid(row.oid) if row.oid is not None else None)
                 for row in batch)
             batch = stream.next_batch(64)
-        stats.capture_guard(guard, baseline)
         return {
             "rows": rows,
             "columns": list(stream.columns),
             "engine": stream.engine,
             "partial": bool(stream.warnings),
             "warnings": list(stream.warnings),
-            "stats": stats.snapshot(),
-            "spend": guard.spend(),
         }
     except BaseException as exc:  # noqa: BLE001 - process boundary
-        stats.capture_guard(guard, baseline)
         return {
             "rows": rows,
             "error_code": protocol.error_code(exc),
             "error_message": str(exc),
-            "stats": stats.snapshot(),
-            "spend": guard.spend(),
         }

@@ -29,14 +29,13 @@ workers publish events back via ``loop.call_soon_threadsafe``.
 
 **Executor modes.**  The executor above is always a thread pool; with
 ``executor="process"`` (or ``"auto"`` on a multi-core fork platform)
-each executor thread first tries to run its query in a
-:class:`~repro.runtime.parallel.WorkerPool` *process* via
-:mod:`repro.server.procexec` — true parallelism for distinct-query
-load — and falls back to the in-thread body whenever the request
-cannot ship (unpicklable AST or params), the pool is saturated or
-broken, or the worker's inherited database is stale.  The fallback is
-taken before anything is published, so clients cannot observe which
-path served them except through STATS.
+each executor thread first hands its query to the persistent worker
+pool as one :func:`~repro.runtime.parallel.dispatch` task
+(:mod:`repro.server.procexec`) — true parallelism for distinct-query
+load — and falls back to the in-thread body, under a reason from
+:data:`PROCESS_FALLBACK_REASONS`, whenever no worker served it.  The
+fallback is taken before anything is published, so clients cannot
+observe which path served them except through STATS.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ import asyncio
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, AsyncIterator, Mapping
 
@@ -71,6 +68,14 @@ ROW_BATCH = 32
 #: Budget axes a client may request and the server may cap.
 BUDGET_FIELDS = ("deadline", "max_pivots", "max_branches",
                  "max_disjuncts", "max_canonical")
+
+#: Why a process-mode request was served by the thread path: every
+#: worker slot busy (``ServerLimits.max_workers``); the task or its
+#: reply never crossed the process boundary (it would not pickle, or
+#: the worker died); the worker's fork-inherited database predates the
+#: request; the pool could not start.
+PROCESS_FALLBACK_REASONS = ("saturated", "undelivered", "stale",
+                            "pool_start_failed")
 
 
 @dataclass(frozen=True)
@@ -166,10 +171,12 @@ class ServiceStats:
         #: owning service.
         self.executor = "thread"
         #: Requests served end-to-end in a pool worker process, and
-        #: requests that fell back to the thread path (unpicklable,
-        #: saturated, stale, or broken pool).
+        #: requests that fell back to the thread path, in total and by
+        #: reason.
         self.process_requests = 0
         self.process_fallbacks = 0
+        self.process_fallback_reasons = dict.fromkeys(
+            PROCESS_FALLBACK_REASONS, 0)
 
     def record_request(self, stats: ExecutionStats | None, *,
                        rows: int = 0, outcome: str = "ok") -> None:
@@ -206,12 +213,15 @@ class ServiceStats:
             else:
                 self.sessions_closed += 1
 
-    def note_process(self, *, fallback: bool) -> None:
+    def note_process(self, fallback: str | None) -> None:
+        """One process-mode request: served by a worker (``None``) or
+        by the thread path for the named reason."""
         with self._lock:
-            if fallback:
-                self.process_fallbacks += 1
-            else:
+            if fallback is None:
                 self.process_requests += 1
+            else:
+                self.process_fallbacks += 1
+                self.process_fallback_reasons[fallback] += 1
 
     def snapshot(self) -> dict[str, Any]:
         """The whole account as a JSON-able dict (the STATS reply and
@@ -234,6 +244,8 @@ class ServiceStats:
                 "executor": self.executor,
                 "process_requests": self.process_requests,
                 "process_fallbacks": self.process_fallbacks,
+                "process_fallback_reasons":
+                    dict(self.process_fallback_reasons),
                 #: The process-wide worker-pool account — in particular
                 #: ``pool_cold_starts``, the warm-pool satellite's
                 #: observable.
@@ -513,11 +525,12 @@ class QueryService:
 
         def work() -> None:
             if self.executor_mode == "process":
-                if self._execute_via_pool(job, db_version, query_ast,
-                                          params, translated,
-                                          use_optimizer):
+                fallback = self._execute_via_pool(
+                    job, db_version, query_ast, params, translated,
+                    use_optimizer)
+                if fallback is None:
                     return
-                self.stats.note_process(fallback=True)
+                self.stats.note_process(fallback)
             self._execute(job, db, query_ast, params,
                           translated, use_optimizer)
 
@@ -590,89 +603,55 @@ class QueryService:
                           query_ast: ast.Query,
                           params: Mapping[str, Oid] | None,
                           translated: bool,
-                          use_optimizer: bool) -> bool:
-        """Try to run the request in a pool worker process.  Returns
-        False — with *nothing published* — whenever the thread path
-        must serve instead: the request doesn't pickle, the worker cap
-        is reached, the pool broke, or the worker's fork-inherited
-        database is stale."""
-        if not parallel.transportable(
-                (query_ast, tuple(sorted((params or {}).items())))):
-            return False
+                          use_optimizer: bool) -> str | None:
+        """Try to run the request as one pool task.  Returns ``None``
+        once a worker's reply is published, else — with *nothing
+        published* — the :data:`PROCESS_FALLBACK_REASONS` entry saying
+        why the thread path must serve instead."""
         if not self._worker_slots.acquire(blocking=False):
-            return False
-        slot = parallel.acquire_cancel_slot()
+            return "saturated"
         try:
-            guard = job.guard
-            limits: dict[str, Any] = {
-                name: getattr(guard, name) for name in BUDGET_FIELDS}
-            limits["on_exhaustion"] = guard.on_exhaustion
-            limits["cancel_slot"] = slot
-            base = self._base_ctx
-            options = {
-                "prefilter": base.prefilter,
-                "indexing": base.indexing,
-                "numeric": base.numeric,
-                "shards": base.shards,
-                "cache_off": base.cache is None,
-                "plan_cache_off": base.plan_cache is None,
-            }
-            try:
-                pool, cold = parallel.get_pool(self._pool_size)
-                future = pool.submit(
-                    procexec.run_query, db_version, query_ast, params,
-                    translated, use_optimizer, options, limits)
-            except Exception:
-                parallel.shutdown_pool()
-                return False
-            signalled = False
-            while True:
-                if guard.cancelled and not signalled:
-                    # Propagate the parent-side cancel; the worker's
-                    # guard observes the board at its next checkpoint
-                    # and ships a clean "cancelled" reply.
-                    parallel.signal_cancel(slot)
-                    signalled = True
-                try:
-                    reply = future.result(timeout=0.05)
-                    break
-                except FuturesTimeout:
-                    continue
-                except (BrokenProcessPool, OSError, RuntimeError):
-                    parallel.shutdown_pool()
-                    return False
+            ctx = self._base_ctx.derive(
+                guard=job.guard, stats=ExecutionStats(),
+                params=dict(params) if params else None,
+                use_optimizer=use_optimizer)
+            # The task *is* the query, so the worker guard keeps the
+            # request's own exhaustion policy; a parent-side cancel
+            # reaches it through the region's cancel slot.
+            (outcome,), reason = parallel.dispatch(
+                procexec.run_query,
+                [(db_version, query_ast, translated)], ctx,
+                self._pool_size,
+                on_exhaustion=job.guard.on_exhaustion)
+            if outcome is None:
+                return reason if reason == "pool_start_failed" \
+                    else "undelivered"
+            reply = outcome["value"]
             if reply.get("stale"):
-                return False
+                return "stale"
             # Count the process-served request *before* the terminal
             # frame goes out (same invariant as record_request in the
             # thread path: anyone who observed "done" also sees this
             # request in the aggregate).
-            self.stats.note_process(fallback=False)
-            self._publish_reply(job, reply, cold)
-            return True
+            self.stats.note_process(None)
+            self._publish_reply(job, reply, ctx.stats)
+            return None
         finally:
-            parallel.release_cancel_slot(slot)
             self._worker_slots.release()
 
     def _publish_reply(self, job: _Job, reply: dict,
-                       cold: bool) -> None:
+                       stats: ExecutionStats) -> None:
         """Publish a worker reply as the exact event sequence the
         thread path would have produced (frames are byte-identical;
         only their timing differs — the worker ships the whole result
-        at once)."""
+        at once).  ``stats`` is the request's account, the worker's
+        already merged in."""
         loop = self._loop
         assert loop is not None
 
         def post(event: tuple) -> None:
             loop.call_soon_threadsafe(job.publish, event)
 
-        stats = ExecutionStats()
-        stats.merge(reply["stats"])
-        stats.pool_dispatches += 1
-        if cold:
-            stats.pool_cold_starts += 1
-        parallel._stats["pool_dispatches"] += 1
-        job.guard.absorb_spend(reply["spend"])
         rows = reply["rows"]
         for i in range(0, len(rows), ROW_BATCH):
             post(("rows", rows[i:i + ROW_BATCH]))

@@ -401,16 +401,14 @@ def scatter_pairs(left: ShardedConstraintRelation,
     # Pass 2: probe the survivors — concurrently through the pool when
     # it is worth it, serially otherwise.  Either way ``local_sets``
     # lines up with ``surviving`` (deterministic merge order).
-    local_sets = None
     parallel_probes = 0
     if parallel_mod.should_scatter(probed, ctx, workers):
-        tasks = [(left_shards[li][1], right_shards[ri][1])
-                 for li, ri in surviving]
-        if parallel_mod.transportable(tasks[0]):
-            local_sets = parallel_mod.scatter_tasks(
-                _probe_shard_pair, tasks, ctx=ctx, workers=workers)
-            parallel_probes = probed
-    if local_sets is None:
+        local_sets = parallel_mod.scatter_tasks(
+            _probe_shard_pair,
+            [(left_shards[li][1], right_shards[ri][1])
+             for li, ri in surviving], ctx=ctx, workers=workers)
+        parallel_probes = probed
+    else:
         local_sets = [
             index_mod.candidate_pairs(left_shards[li][1],
                                       right_shards[ri][1], ctx=ctx)

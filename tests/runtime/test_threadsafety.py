@@ -1,6 +1,6 @@
 """Thread-safety of the process-wide singletons concurrent sessions
-share: the constraint cache, the compiled-plan cache, and the worker
-pool accessor.
+share: the constraint cache, the compiled-plan cache, the worker
+pool accessor, and the fork-inherit payload of partitioned filters.
 
 Before the serving layer these objects were only ever touched from one
 thread; the query server executes requests on a thread pool, so every
@@ -12,6 +12,7 @@ counter interleavings are allowed to race benignly.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from repro.model.office import build_office_database
 from repro.runtime import parallel
 from repro.runtime.cache import ConstraintCache
+from repro.runtime.context import QueryContext
 from repro.runtime.plancache import PlanCache
 from repro.core.parser import parse_query
 
@@ -174,3 +176,40 @@ class TestWorkerPoolThreadSafety:
             assert pool.submit(len, (1, 2, 3)).result(timeout=30) == 3
         finally:
             parallel.shutdown_pool()
+
+
+@pytest.mark.skipif(not parallel._fork_available(),
+                    reason="fork start method unavailable")
+class TestForkInheritThreadSafety:
+    def test_concurrent_filters_inherit_their_own_payload(self):
+        """Executor threads (more than cores) partition different rows
+        under different closures at once; a worker forked under another
+        thread's payload (or a cleared one) would return the wrong rows
+        or crash."""
+        results: dict[int, list] = {}
+
+        def worker(i):
+            rows = [(n,) for n in range(i * 1000, i * 1000 + 150 + i)]
+            modulus = 3 + i
+
+            def predicate(row):
+                return row["a"] % modulus == 0
+
+            ctx = QueryContext(parallelism=2)
+            for _ in range(6):
+                kept = parallel.filter_rows(("a",), rows, predicate,
+                                            ctx=ctx)
+                assert kept == [r for r in rows if r[0] % modulus == 0]
+            results[i] = [ctx.stats.parallel_runs,
+                          ctx.stats.parallel_fallbacks]
+
+        parallel.reset_stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(worker, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        if parallel.stats()["fallbacks"]:
+            pytest.skip("process pool unavailable")
+        assert results == dict.fromkeys(range(3), [6, 0])

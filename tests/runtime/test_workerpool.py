@@ -1,17 +1,24 @@
-"""Unit tests for the persistent worker pool: the picklable-predicate
-filter transport, the task-level scatter API, cross-process
-cancellation, warm-up, and salvage after a mid-run pool death."""
+"""Unit tests for the one parallel region and its two transports:
+every filter forks and inherits, tasks go to the persistent pool
+(reuse, growth, recovery, budgets, warm-up, the context a pool worker
+rebuilds), cancellation crosses the board mid-flight, and whatever a
+region did not deliver is recomputed exactly once."""
+
+import threading
+import time
 
 import pytest
 
 from repro.errors import PivotBudgetExceeded, QueryCancelled
 from repro.runtime import parallel
+from repro.runtime.context import QueryContext, current_context
 from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard, current_guard, guarded
 from repro.runtime.parallel import (
     filter_rows,
     get_pool,
     parallelism,
+    scatter_tasks,
     shutdown_pool,
 )
 
@@ -24,9 +31,6 @@ def _fresh_pool_state():
     shutdown_pool()
     yield
     shutdown_pool()
-
-
-# Module-level predicates pickle by reference — the pool transport.
 
 
 def _thirds(row):
@@ -47,49 +51,93 @@ def _skip_unless_parallel():
         pytest.skip("process pool unavailable")
 
 
+def _pool_available() -> bool:
+    """Probe once whether real pool dispatch works on this runner,
+    then discard the pool and the counters the probe touched."""
+    with parallelism(2):
+        scatter_tasks(_identity, [(0,), (1,)])
+    available = not parallel.stats()["fallbacks"]
+    shutdown_pool()
+    parallel.reset_stats()
+    return available
+
+
+# Task functions are module-level: the pool transport pickles them.
+
+
+def _identity(x):
+    return x
+
+
+def _square(x):
+    current_guard().tick_pivots(1)
+    return x * x
+
+
+def _checkpointing(x):
+    current_guard().checkpoint("scatter-test")
+    return x
+
+
+def _five_pivots(x):
+    current_guard().tick_pivots(5)
+    return x
+
+
+def _report_context():
+    ctx = current_context()
+    return {"cache_off": ctx.cache is None,
+            "plan_cache_off": ctx.plan_cache is None,
+            "params": ctx.params, "shards": ctx.shards,
+            "use_optimizer": ctx.use_optimizer,
+            "prefilter": ctx.prefilter, "indexing": ctx.indexing,
+            "numeric": ctx.numeric}
+
+
+def _tasks(n):
+    return [(i,) for i in range(n)]
+
+
 class TestTransportSelection:
-    def test_picklable_predicate_takes_the_pool(self):
+    """Filters never touch the persistent pool, whether or not their
+    predicate would pickle."""
+
+    def _assert_forked(self, predicate):
         with parallelism(3):
-            kept = filter_rows(("a",), ROWS, _thirds)
+            kept = filter_rows(("a",), ROWS, predicate)
         _skip_unless_parallel()
         assert kept == _serial_filter(ROWS)
         stats = parallel.stats()
-        assert stats["pool_dispatches"] == 3
-        assert stats["pool_cold_starts"] == 1
         assert stats["runs"] == 1
-
-    def test_closure_takes_the_legacy_transport(self):
-        bound = 3
-
-        def closure(row):
-            return row["a"] % bound == 0
-
-        with parallelism(3):
-            kept = filter_rows(("a",), ROWS, closure)
-        _skip_unless_parallel()
-        assert kept == _serial_filter(ROWS)
-        stats = parallel.stats()
+        assert stats["partitions"] == 3
         assert stats["pool_dispatches"] == 0
         assert stats["pool_cold_starts"] == 0
-        assert stats["runs"] == 1
+        assert stats["scatters"] == 0
+
+    def test_picklable_predicate_takes_the_fork_transport(self):
+        self._assert_forked(_thirds)
+
+    def test_closure_takes_the_fork_transport(self):
+        bound = 3
+        self._assert_forked(lambda row: row["a"] % bound == 0)
 
 
 class TestWarmReuse:
     def test_second_dispatch_reuses_the_pool(self):
         with parallelism(3):
-            filter_rows(("a",), ROWS, _thirds)
+            scatter_tasks(_identity, _tasks(3))
             _skip_unless_parallel()
-            filter_rows(("a",), ROWS, _thirds)
+            scatter_tasks(_identity, _tasks(3))
         stats = parallel.stats()
         assert stats["pool_cold_starts"] == 1
         assert stats["pool_dispatches"] == 6
 
     def test_growing_replaces_the_pool(self):
         with parallelism(2):
-            filter_rows(("a",), ROWS, _thirds)
+            scatter_tasks(_identity, _tasks(4))
         _skip_unless_parallel()
         with parallelism(4):
-            filter_rows(("a",), ROWS, _thirds)
+            scatter_tasks(_identity, _tasks(4))
         assert parallel.stats()["pool_cold_starts"] == 2
 
     def test_smaller_request_keeps_the_bigger_pool(self):
@@ -99,14 +147,11 @@ class TestWarmReuse:
         assert again is pool and not cold
 
     def test_context_stats_record_warm_and_cold(self):
-        from repro.runtime import context as context_mod
-        from repro.runtime.context import ExecutionStats
-        ctx = context_mod.current_context().derive(
-            parallelism=3, stats=ExecutionStats())
+        ctx = QueryContext(parallelism=3)
         with ctx.activate():
-            filter_rows(("a",), ROWS, _thirds)
+            scatter_tasks(_identity, _tasks(3))
             _skip_unless_parallel()
-            filter_rows(("a",), ROWS, _thirds)
+            scatter_tasks(_identity, _tasks(3))
         assert ctx.stats.pool_cold_starts == 1
         assert ctx.stats.pool_dispatches == 6
 
@@ -114,41 +159,46 @@ class TestWarmReuse:
 class TestPoolDeath:
     def test_dead_pool_falls_back_and_recovers(self):
         with parallelism(2):
-            kept = filter_rows(("a",), ROWS, _thirds)
+            assert scatter_tasks(_identity, _tasks(4)) == [0, 1, 2, 3]
             _skip_unless_parallel()
-            assert kept == _serial_filter(ROWS)
             # Kill every warm worker behind the pool's back.
             pool, cold = get_pool(2)
             assert not cold
             for proc in list(pool._executor._processes.values()):
                 proc.terminate()
                 proc.join()
-            # The broken pool is detected, discarded, and the filter
-            # falls back to the legacy transport — same rows out.
-            kept = filter_rows(("a",), ROWS, _thirds)
-            assert kept == _serial_filter(ROWS)
+            # The dead pool is detected (at submit or at gather) and
+            # discarded, the tasks recomputed in-process — same values.
+            assert scatter_tasks(_identity, _tasks(4)) == [0, 1, 2, 3]
+            stats = parallel.stats()
+            assert stats["fallbacks"] == 1
+            reasons = stats["fallback_reasons"]
+            assert reasons["worker_lost"] \
+                + reasons["pool_start_failed"] == 1
             # The next dispatch cold-starts a fresh pool.
-            kept = filter_rows(("a",), ROWS, _thirds)
-            assert kept == _serial_filter(ROWS)
-        assert parallel.stats()["pool_cold_starts"] >= 2
+            assert scatter_tasks(_identity, _tasks(4)) == [0, 1, 2, 3]
+        stats = parallel.stats()
+        assert stats["fallbacks"] == 1
+        assert stats["pool_cold_starts"] == 2
 
 
 class TestPoolBudgets:
     def test_guard_spend_absorbed_through_the_pool(self):
         guard = ExecutionGuard(max_pivots=10_000)
         with guarded(guard), parallelism(2):
-            kept = filter_rows(("a",), ROWS, _ticking)
+            values = scatter_tasks(_square, _tasks(6))
         _skip_unless_parallel()
-        assert parallel.stats()["pool_dispatches"] == 2
-        assert len(kept) == len(ROWS)
-        assert guard.pivots == len(ROWS)
-        assert guard.checkpoints >= 1
+        assert values == [i * i for i in range(6)]
+        assert parallel.stats()["pool_dispatches"] == 6
+        assert guard.pivots == 6
+        assert guard.checkpoints >= 1  # the parallel-merge checkpoint
 
     def test_budget_trip_rebuilds_exception(self):
-        guard = ExecutionGuard(max_pivots=10)
+        guard = ExecutionGuard(max_pivots=6)
         with guarded(guard), parallelism(2):
+            # Pro-rated to 3 pivots a task; each spends 5.
             with pytest.raises(PivotBudgetExceeded) as exc:
-                filter_rows(("a",), ROWS, _ticking)
+                scatter_tasks(_five_pivots, _tasks(2))
         _skip_unless_parallel()
         assert parallel.stats()["pool_dispatches"] == 2
         assert exc.value.budget == "pivots"
@@ -163,78 +213,97 @@ class TestPoolBudgets:
         assert kept == _serial_filter(ROWS)
         stats = parallel.stats()
         assert stats["fallbacks"] == 1
-        assert stats["pool_dispatches"] == 0
+        assert stats["fallback_reasons"]["no_headroom"] == 1
+        assert stats["runs"] == 0
 
 
-def _pool_available() -> bool:
-    """Probe once whether real pool dispatch works on this runner,
-    then reset the counters the probe touched."""
-    with parallelism(2):
-        filter_rows(("a",), ROWS[:8], _thirds)
-    available = not parallel.stats()["fallbacks"]
-    parallel.reset_stats()
-    return available
+def _losing(*lost_positions, total=False):
+    """A ``_gather`` that delivers everything but the given positions
+    (as if those workers died mid-run); ``total`` delivers nothing."""
+    real_gather = parallel._gather
+
+    def gather(pending, guard, slot):
+        results, _lost = real_gather(pending, guard, slot)
+        if total:
+            return [None] * len(results), True
+        for position in lost_positions:
+            results[position] = None
+        return results, True
+    return gather
 
 
 class TestSalvage:
-    """Satellite regression: a mid-run pool death must absorb each
-    completed chunk's counters exactly once and recompute only the
-    lost chunks (the old path re-dispatched the whole set, which
-    double-counted the finished workers' spend)."""
+    """An undelivered chunk or task is recomputed once, in-process,
+    under the parent guard, and delivered ones are absorbed once: one
+    tick per row (or task) on the guard either way."""
 
     def test_partial_death_absorbs_each_chunk_once(self, monkeypatch):
         if not _pool_available():
             pytest.skip("process pool unavailable")
-        real_gather = parallel._gather
-
-        def partial_gather(futures, guard, slot):
-            outcomes, broken = real_gather(futures, guard, slot)
-            # Pretend the pool died after two of three chunks landed.
-            outcomes[1] = None
-            return outcomes, True
-
-        monkeypatch.setattr(parallel, "_gather", partial_gather)
+        monkeypatch.setattr(parallel, "_gather", _losing(1))
         guard = ExecutionGuard(max_pivots=10_000)
         with guarded(guard), parallelism(3):
             kept = filter_rows(("a",), ROWS, _ticking)
-        assert len(kept) == len(ROWS)
-        # Exactly one tick per row: completed chunks absorbed once,
-        # the lost chunk recomputed under the parent guard.
+        assert kept == ROWS
         assert guard.pivots == len(ROWS)
         stats = parallel.stats()
-        assert stats["salvaged_chunks"] == 2
-        assert stats["pool_dispatches"] == 2
+        assert stats["runs"] == 1
         assert stats["fallbacks"] == 1
+        assert stats["fallback_reasons"]["worker_lost"] == 1
 
     def test_total_death_absorbs_nothing_then_recovers(
             self, monkeypatch):
         if not _pool_available():
             pytest.skip("process pool unavailable")
-
-        def dead_gather(futures, guard, slot):
-            for future in futures:
-                future.cancel()
-            return [None] * len(futures), True
-
-        monkeypatch.setattr(parallel, "_gather", dead_gather)
         guard = ExecutionGuard(max_pivots=10_000)
         with guarded(guard), parallelism(3):
-            kept = filter_rows(("a",), ROWS, _ticking)
-        # Whole-set legacy fallback: still one tick per row, because
-        # nothing was absorbed before the fallback re-ran everything.
-        assert len(kept) == len(ROWS)
-        assert guard.pivots == len(ROWS)
-        assert parallel.stats()["salvaged_chunks"] == 0
+            with monkeypatch.context() as patched:
+                patched.setattr(parallel, "_gather",
+                                _losing(total=True))
+                kept = filter_rows(("a",), ROWS, _ticking)
+            # Nothing was absorbed, everything recomputed: still one
+            # tick per row.
+            assert kept == ROWS
+            assert guard.pivots == len(ROWS)
+            assert parallel.stats()["fallbacks"] == 1
+            # The next region forks afresh and is delivered whole.
+            assert filter_rows(("a",), ROWS, _ticking) == ROWS
+        assert guard.pivots == 2 * len(ROWS)
+        assert parallel.stats()["fallbacks"] == 1
 
 
-def _square(x):
-    current_guard().tick_pivots(1)
-    return x * x
+class TestMidFlightCancel:
+    def test_cancel_stops_closure_workers_at_their_next_checkpoint(
+            self):
+        if not _pool_available():
+            pytest.skip("process pool unavailable")
+        pause = 0.01
 
+        def slow(row):  # a closure: what a translated query filters by
+            guard = current_guard()
+            guard.checkpoint("slow-test")
+            guard.tick_pivots(1)
+            time.sleep(pause)
+            return True
 
-def _checkpointing(x):
-    current_guard().checkpoint("scatter-test")
-    return x
+        rows = ROWS * 2  # ~2 s a worker when nobody cancels
+        guard = ExecutionGuard()
+        timer = threading.Timer(0.2, guard.cancel)
+        started = time.perf_counter()
+        timer.start()
+        try:
+            with guarded(guard), parallelism(2):
+                with pytest.raises(QueryCancelled):
+                    filter_rows(("a",), rows, slow)
+        finally:
+            timer.cancel()
+        assert time.perf_counter() - started < 1.0
+        assert guard.exhausted == "cancellation"
+        # Each worker's spend came back exactly once: it ticked once
+        # per row it finished and checkpointed once more to see the
+        # cancel.
+        assert 0 < guard.pivots < len(rows)
+        assert guard.checkpoints == guard.pivots + 2
 
 
 class TestScatterTasks:
@@ -243,8 +312,7 @@ class TestScatterTasks:
             pytest.skip("process pool unavailable")
         guard = ExecutionGuard(max_pivots=10_000)
         with guarded(guard), parallelism(3):
-            values = parallel.scatter_tasks(
-                _square, [(i,) for i in range(7)])
+            values = scatter_tasks(_square, _tasks(7))
         assert values == [i * i for i in range(7)]
         assert guard.pivots == 7
         stats = parallel.stats()
@@ -259,10 +327,10 @@ class TestScatterTasks:
             # The serial fallback runs under the parent guard, so the
             # budget trips exactly where a serial run would trip it.
             with pytest.raises(PivotBudgetExceeded):
-                parallel.scatter_tasks(
-                    _square, [(i,) for i in range(4)])
+                scatter_tasks(_square, _tasks(4))
         stats = parallel.stats()
         assert stats["fallbacks"] == 1
+        assert stats["fallback_reasons"]["no_headroom"] == 1
         assert stats["scatters"] == 0
 
     def test_cancel_propagates_through_the_board(self):
@@ -272,20 +340,17 @@ class TestScatterTasks:
         guard.cancel()
         with guarded(guard), parallelism(2):
             with pytest.raises(QueryCancelled):
-                parallel.scatter_tasks(
-                    _checkpointing, [(i,) for i in range(4)])
+                scatter_tasks(_checkpointing, _tasks(4))
 
     def test_should_scatter_gates(self):
-        from repro.runtime import context as context_mod
-        ctx = context_mod.current_context().derive(parallelism=4)
+        ctx = current_context().derive(parallelism=4)
         with ctx.activate():
             assert not parallel.should_scatter(1)
             faulted = ctx.derive(
                 guard=ExecutionGuard(faults=FaultPlan()))
             with faulted.activate():
                 assert not parallel.should_scatter(4)
-        serial_ctx = context_mod.current_context().derive(
-            parallelism=1)
+        serial_ctx = current_context().derive(parallelism=1)
         with serial_ctx.activate():
             assert not parallel.should_scatter(4)
             # The explicit workers annotation overrides the context.
@@ -295,24 +360,49 @@ class TestScatterTasks:
     def test_salvages_lost_tasks_in_process(self, monkeypatch):
         if not _pool_available():
             pytest.skip("process pool unavailable")
-        real_gather = parallel._gather
-
-        def partial_gather(futures, guard, slot):
-            outcomes, broken = real_gather(futures, guard, slot)
-            outcomes[2] = None
-            return outcomes, True
-
-        monkeypatch.setattr(parallel, "_gather", partial_gather)
+        monkeypatch.setattr(parallel, "_gather", _losing(2))
         guard = ExecutionGuard(max_pivots=10_000)
         with guarded(guard), parallelism(3):
-            values = parallel.scatter_tasks(
-                _square, [(i,) for i in range(5)])
+            values = scatter_tasks(_square, _tasks(5))
         assert values == [i * i for i in range(5)]
         # 4 absorbed worker ticks + 1 in-process re-run tick.
         assert guard.pivots == 5
         stats = parallel.stats()
-        assert stats["salvaged_chunks"] == 4
+        assert stats["pool_dispatches"] == 4
         assert stats["fallbacks"] == 1
+        assert stats["fallback_reasons"]["worker_lost"] == 1
+
+    def test_unpicklable_task_fails_alone(self):
+        if not _pool_available():
+            pytest.skip("process pool unavailable")
+        unpicklable = lambda: None  # noqa: E731
+        tasks = [(1,), (unpicklable,), (3,)]
+        pool, _cold = get_pool(2)
+        with parallelism(2):
+            values = scatter_tasks(_identity, tasks)
+            assert values == [1, unpicklable, 3]
+            stats = parallel.stats()
+            assert stats["pool_dispatches"] == 2
+            assert stats["fallback_reasons"]["worker_lost"] == 1
+            # One future failed, not the pool: the same workers serve
+            # the next region.
+            assert scatter_tasks(_identity, _tasks(3)) == [0, 1, 2]
+        assert parallel.stats()["fallbacks"] == 1
+        assert get_pool(2) == (pool, False)
+
+    def test_worker_context_carries_every_option(self):
+        if not _pool_available():
+            pytest.skip("process pool unavailable")
+        ctx = QueryContext(
+            cache=None, plan_cache=None, params={"k": 7}, shards=4,
+            use_optimizer=False, prefilter=False, indexing=False,
+            numeric=False, parallelism=2)
+        with ctx.activate():
+            expected = _report_context()
+            reports = scatter_tasks(_report_context, [(), ()])
+        assert parallel.stats()["pool_dispatches"] == 2
+        assert reports == [expected, expected]
+        assert expected["cache_off"] and expected["plan_cache_off"]
 
 
 class TestWarm:
@@ -324,5 +414,5 @@ class TestWarm:
         assert parallel.stats()["pool_cold_starts"] == 1
         # A dispatch after warm-up reuses the warmed pool.
         with parallelism(2):
-            filter_rows(("a",), ROWS, _thirds)
+            scatter_tasks(_identity, _tasks(2))
         assert parallel.stats()["pool_cold_starts"] == 1

@@ -1,20 +1,23 @@
 """The process executor end to end: pool-worker execution publishes
 the exact frames the thread path would (stats timing aside), CANCEL
 crosses the cancel board into a busy worker, every fallback path
-(unpicklable, stale fork, saturated slots) still serves correct rows
-through the threads, and warm-up/STATS surface the pool account."""
+(undelivered, stale fork, saturated slots) still serves correct rows
+through the threads under its reason, and warm-up/STATS surface the
+pool account."""
 
 import asyncio
 
 import pytest
 
 from repro.errors import QueryCancelled
+from repro.model.oid import LiteralOid
 from repro.runtime import parallel
 from repro.runtime.cache import clear_global_cache
 from repro.server import QueryService, procexec
 
 from tests.server.harness import (
     SLOW_QUERY,
+    ServerLimits,
     client_for,
     office_db,
     rows_bytes,
@@ -164,22 +167,42 @@ class TestCancellation:
 
 
 class TestFallbacks:
-    def test_unpicklable_request_takes_the_thread_path(
-            self, monkeypatch):
+    def test_unpicklable_request_takes_the_thread_path(self):
         db = office_db(5, seed=1)
-        text = "SELECT X, X.color FROM Office_Object X"
+        text = ("SELECT X, X.color FROM Office_Object X "
+                "WHERE X.color = $c")
+
+        class LocalLiteral(LiteralOid):
+            """Instances of a function-local class do not pickle."""
+            __slots__ = ()
+
+        params = {"c": LocalLiteral("red")}
+
+        async def run(executor):
+            service = QueryService(db, executor_threads=2,
+                                   executor=executor)
+            try:
+                events = await drain(await service.submit(
+                    service.parse(text), params=params))
+                next_events = await drain(await service.submit(
+                    service.parse("SELECT X FROM Office_Object X")))
+                return events, next_events, service.stats.snapshot()
+            finally:
+                service.close()
 
         async def main():
-            baseline_events, _ = await _run_once(db, text, "thread")
-            monkeypatch.setattr(parallel, "transportable",
-                                lambda payload: False)
-            fallback_events, snap = await _run_once(
-                db, text, "process")
-            return baseline_events, fallback_events, snap
-        baseline_events, fallback_events, snap = asyncio.run(main())
-        assert frames(fallback_events) == frames(baseline_events)
-        assert snap["process_requests"] == 0
+            return await run("thread"), await run("process")
+        (baseline_events, _, _), (events, next_events, snap) = \
+            asyncio.run(main())
+        assert baseline_events[-1][1]["rows"] > 0
+        assert frames(events) == frames(baseline_events)
         assert snap["process_fallbacks"] == 1
+        assert snap["process_fallback_reasons"]["undelivered"] == 1
+        # The bad request failed its own future, not the pool: the
+        # next request is served by the same (once-started) workers.
+        assert next_events[-1][0] == "done"
+        assert snap["process_requests"] == 1
+        assert snap["pool"]["pool_cold_starts"] == 1
 
     def test_stale_fork_falls_back_silently(self):
         db = office_db(5, seed=2)
@@ -204,6 +227,31 @@ class TestFallbacks:
         assert frames(events) == frames(baseline_events)
         assert snap["process_requests"] == 0
         assert snap["process_fallbacks"] == 1
+
+    def test_saturated_slots_take_the_thread_path(self):
+        db = office_db(8, seed=5)
+
+        async def main():
+            service = QueryService(db, executor_threads=2,
+                                   executor="process",
+                                   limits=ServerLimits(max_workers=1))
+            try:
+                # Two distinct queries at once, one worker slot: the
+                # second finds it taken and is served by its thread.
+                first, second = await asyncio.gather(
+                    service.submit(service.parse(SLOW_QUERY)),
+                    service.submit(service.parse(
+                        "SELECT X FROM Office_Object X")))
+                events = await asyncio.gather(drain(first),
+                                              drain(second))
+                return events, service.stats.snapshot()
+            finally:
+                service.close()
+        events, snap = asyncio.run(main())
+        assert [e[-1][0] for e in events] == ["done", "done"]
+        assert snap["process_requests"] == 1
+        assert snap["process_fallbacks"] == 1
+        assert snap["process_fallback_reasons"]["saturated"] == 1
 
     def test_mutation_republishes_to_fresh_workers(self):
         async def main():
