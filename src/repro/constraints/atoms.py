@@ -213,8 +213,33 @@ class LinearConstraint:
         return LinearConstraint.build(new_expr, self._relop, self._bound)
 
     def rename(self, mapping: Mapping[Variable, Variable]) -> "LinearConstraint":
-        return LinearConstraint.build(
-            self._expr.rename(mapping), self._relop, self._bound)
+        """The atom over renamed variables.
+
+        A renaming that keeps this atom's variables distinct keeps it
+        normal — the coefficients, hence their gcd and lcm, are the
+        same numbers — except that ``=`` / ``!=`` fix their sign by the
+        alphabetically first variable, which may now be another one.
+        Only a renaming that merges variables goes through
+        :meth:`build` again."""
+        coeffs = self._expr._coeffs
+        renamed: dict[Variable, Fraction] = {}
+        moved = False
+        for var, coeff in coeffs.items():
+            target = mapping.get(var, var)
+            moved = moved or target.name != var.name
+            renamed[target] = coeff
+        if not moved:
+            return self
+        if len(renamed) != len(coeffs):
+            return LinearConstraint.build(
+                self._expr.rename(mapping), self._relop, self._bound)
+        bound = self._bound
+        if self._relop in (Relop.EQ, Relop.NE) \
+                and renamed[min(renamed, key=lambda v: v.name)] < 0:
+            renamed = {var: -coeff for var, coeff in renamed.items()}
+            bound = -bound
+        return LinearConstraint(LinearExpression._normal(renamed),
+                                self._relop, bound)
 
     # -- identity --------------------------------------------------------
 

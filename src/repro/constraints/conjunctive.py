@@ -128,8 +128,19 @@ class ConjunctiveConstraint:
 
     def rename(self, mapping: Mapping[Variable, Variable]
                ) -> "ConjunctiveConstraint":
-        return ConjunctiveConstraint(
-            atom.rename(mapping) for atom in self._atoms)
+        """The conjunction over renamed variables.  A renaming that
+        keeps the variables distinct maps distinct non-trivial atoms to
+        distinct non-trivial atoms, so there is nothing to clean up
+        again; one that merges variables can make atoms trivial or
+        equal and goes through the constructor."""
+        variables = self.variables
+        atoms = tuple(atom.rename(mapping) for atom in self._atoms)
+        if len({mapping.get(v, v) for v in variables}) != len(variables):
+            return ConjunctiveConstraint(atoms)
+        renamed = ConjunctiveConstraint.__new__(ConjunctiveConstraint)
+        renamed._atoms = atoms
+        renamed._hash = None
+        return renamed
 
     # -- satisfiability / entailment (delegated) --------------------------------
 

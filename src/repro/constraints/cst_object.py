@@ -172,6 +172,8 @@ class CSTObject:
             raise DimensionError(
                 f"renaming schema has {len(new_schema)} variables, "
                 f"object has dimension {self.dimension}")
+        if new_schema == self._schema:
+            return self
         mapping = dict(zip(self._schema, new_schema))
         return CSTObject(new_schema, self._constraint.rename(mapping),
                          canonicalize=False)

@@ -21,6 +21,9 @@ from repro.errors import NonLinearError
 RationalLike = Union[int, Fraction, str, Rational]
 
 
+_ZERO = Fraction(0)
+
+
 def to_fraction(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact :class:`Fraction`.
 
@@ -175,6 +178,18 @@ class LinearExpression:
         self._hash: int | None = None
 
     # -- construction helpers -----------------------------------------
+
+    @classmethod
+    def _normal(cls, coeffs: dict[Variable, Fraction]
+                ) -> "LinearExpression":
+        """An expression over ``coeffs`` as they are — non-zero
+        Fractions keyed by Variables, owned by the result — and no
+        constant term."""
+        expr = cls.__new__(cls)
+        expr._coeffs = coeffs
+        expr._constant = _ZERO
+        expr._hash = None
+        return expr
 
     @classmethod
     def constant(cls, value: RationalLike) -> "LinearExpression":

@@ -218,7 +218,7 @@ def _side(db, analysis, formula: ast.CstFormula, env):
         cst = formula_to_cst(db, analysis, formula, env)
         return cst.constraint, cst.schema
     if isinstance(formula.body, ast.FRef):
-        cst = _ref_cst_object(db, analysis, formula.body, env)
+        cst, _ = _ref_cst_object(db, analysis, formula.body, env)
         return cst.constraint, cst.schema
     body = instantiate_formula(db, analysis, formula, env)
     return body, None
@@ -364,25 +364,29 @@ def _ref_value(db: Database, ref: ast.FRef, env) -> CSTObject:
 
 
 def _ref_cst_object(db: Database, analysis: AnalyzedQuery,
-                    ref: ast.FRef, env) -> CSTObject:
+                    ref: ast.FRef, env
+                    ) -> tuple[CSTObject, tuple[Variable, ...]]:
     """The referenced CST object renamed onto its schema-variable names
-    (the attribute's CST spec) and then onto explicit arguments."""
+    (the attribute's CST spec) and then onto explicit arguments — in
+    one step, stored schema to final names — and the schema it has
+    between the two."""
     cst = _ref_value(db, ref, env)
     info = analysis.ref_info.get(ref)
     spec = info.spec if info is not None else None
+    schema = cst.schema
     if spec is not None:
         if cst.dimension != spec.dimension:
             raise EvaluationError(
                 f"reference {ref}: stored CST object has dimension "
                 f"{cst.dimension}, schema declares {spec.dimension}")
-        cst = cst.rename(spec.variables)
-    if ref.args is not None:
-        if len(ref.args) != cst.dimension:
-            raise EvaluationError(
-                f"reference {ref}: {len(ref.args)} arguments for a "
-                f"{cst.dimension}-dimensional CST object")
-        cst = cst.rename([Variable(a) for a in ref.args])
-    return cst
+        schema = spec.variables
+    if ref.args is None:
+        return cst.rename(schema), schema
+    if len(ref.args) != cst.dimension:
+        raise EvaluationError(
+            f"reference {ref}: {len(ref.args)} arguments for a "
+            f"{cst.dimension}-dimensional CST object")
+    return cst.rename([Variable(a) for a in ref.args]), schema
 
 
 def _ref_constraint(db: Database, analysis: AnalyzedQuery,
@@ -391,21 +395,7 @@ def _ref_constraint(db: Database, analysis: AnalyzedQuery,
     """Reference constraint plus pending implicit equalities and the
     reference's anchor record."""
     info = analysis.ref_info.get(ref)
-    base = _ref_value(db, ref, env)
-    spec = info.spec if info is not None else None
-    if spec is not None:
-        if base.dimension != spec.dimension:
-            raise EvaluationError(
-                f"reference {ref}: stored CST object has dimension "
-                f"{base.dimension}, schema declares {spec.dimension}")
-        base = base.rename(spec.variables)
-    schema_before_args = base.schema
-    if ref.args is not None:
-        if len(ref.args) != base.dimension:
-            raise EvaluationError(
-                f"reference {ref}: {len(ref.args)} arguments for a "
-                f"{base.dimension}-dimensional CST object")
-        base = base.rename([Variable(a) for a in ref.args])
+    base, schema_before_args = _ref_cst_object(db, analysis, ref, env)
 
     used_names = dict(zip(schema_before_args, base.schema))
 

@@ -8,7 +8,7 @@ restages it as an explicit :class:`Pipeline` of named phases over one
 
 * **parse** — concrete syntax → AST plus semantic analysis;
 * **translate** — AST → the Section 5 flat-relational logical plan;
-* **logical-plan** — the flat catalog is built and bound into the
+* **logical-plan** — the database's flat catalog is bound into the
   context (it feeds the cost-based rewrites);
 * **rewrite rules** — each enabled
   :class:`~repro.sqlc.optimizer.RewriteRule` runs in order, recorded
@@ -16,8 +16,9 @@ restages it as an explicit :class:`Pipeline` of named phases over one
   after;
 * **physical-plan** — the physical rules (index-join selection,
   parallelism annotation) produce the executable plan;
-* **bind** — a fresh flat catalog and a context carrying the database
-  attach the (database-free) plan to this execution;
+* **bind** — the database's flat catalog (kept between queries, see
+  :func:`repro.model.relations.flatten`) and a context carrying the
+  database attach the (database-free) plan to this execution;
 * **execute** — :func:`repro.sqlc.engine.execute` evaluates it.
 
 With an active :class:`~repro.runtime.plancache.PlanCache` the whole
@@ -44,7 +45,7 @@ from repro.core.parser import parse_query
 from repro.core.result import ResultRow, ResultSet
 from repro.core.semantics import AnalyzedQuery, analyze
 from repro.model.database import Database
-from repro.model.relations import flatten
+from repro.model.relations import Catalog, flatten
 from repro.runtime import context as context_mod
 from repro.runtime.context import (
     ExecutionStats,
@@ -157,10 +158,10 @@ class Pipeline:
             plan_after=translated.plan.explain()))
 
         started = time.perf_counter()
-        # The catalog built here feeds the cost-based rewrites only
-        # (row-count estimates); execution flattens its own, so stale
+        # The catalog feeds the cost-based rewrites only (row-count
+        # estimates, shard layout); execution binds its own, so stale
         # sizes can cost performance but never correctness.
-        catalog = flatten(self.db, shards=self.ctx.shards)
+        catalog = flatten(self.db, self.ctx.shards, stats)
         exec_ctx = self.ctx.derive(catalog=catalog)
         total_rows = sum(len(r) for r in catalog.values())
         stats.phases.append(PhaseRecord(
@@ -196,16 +197,11 @@ class Pipeline:
     def execute(self, compiled: CompiledQuery) -> ConstraintRelation:
         """Bind the database and evaluate an already-rewritten plan.
 
-        The bind step is what replaces compile-time capture: a fresh
-        flat catalog plus a context carrying ``db`` (for the plan's
-        late-bound closures), recorded as its own phase."""
+        The bind step is what replaces compile-time capture: the
+        database's flat catalog plus a context carrying ``db`` (for
+        the plan's late-bound closures), recorded as its own phase."""
+        catalog, exec_ctx = self.bind()
         stats = self.ctx.stats
-        started = time.perf_counter()
-        catalog = flatten(self.db, shards=self.ctx.shards)
-        exec_ctx = self.ctx.derive(catalog=catalog, db=self.db)
-        stats.phases.append(PhaseRecord(
-            "bind", time.perf_counter() - started,
-            detail=f"catalog: {len(catalog)} relations"))
         started = time.perf_counter()
         relation = engine.execute(
             compiled.plan, catalog,
@@ -216,6 +212,23 @@ class Pipeline:
             detail=f"{len(relation)} rows"))
         stats.optimized = compiled.optimized
         return relation
+
+    def bind(self) -> tuple[Catalog, QueryContext]:
+        """The catalog of the database as it is now, and the context
+        that carries both; records the ``bind`` phase, with the
+        query's whole catalog account (compile looks it up too)."""
+        stats = self.ctx.stats
+        started = time.perf_counter()
+        catalog = flatten(self.db, self.ctx.shards, stats)
+        exec_ctx = self.ctx.derive(catalog=catalog, db=self.db)
+        detail = (f"catalog: {len(catalog)} relations, "
+                  f"{stats.catalog_hits} hits, "
+                  f"{stats.catalog_rebuilds} rebuilds")
+        if stats.catalog_rebuild_reason is not None:
+            detail += f" ({stats.catalog_rebuild_reason})"
+        stats.phases.append(PhaseRecord(
+            "bind", time.perf_counter() - started, detail=detail))
+        return catalog, exec_ctx
 
     def run(self, query: str | ast.Query) -> ResultSet:
         """All phases end to end, re-packaging the flat relation into a

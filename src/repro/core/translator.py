@@ -7,6 +7,14 @@ expressions into joins over the class-extent and attribute relations of
 selections (constraint predicates become closures over the constraint
 engine), and compute SELECT-clause CST formulas as extended columns.
 
+A path headed by a FROM variable scans its first attribute *restricted
+to the variable's class* (``attr:a@C``) instead of joining ``class:C``
+with ``attr:a``, so a query's CST columns come straight off catalog
+relations.  The scans are joined left-deep in query order under one
+selection; the optimizer's ``reorder-joins`` rule
+(:func:`repro.sqlc.optimizer.plan_joins`) gives the join its shape
+and places the WHERE conjuncts.
+
 The translated plan is executed by :func:`repro.sqlc.engine.execute`,
 optionally through the optimizer — giving a second, independent
 evaluation path that the tests differential-check against the naive
@@ -21,6 +29,7 @@ expression forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -36,7 +45,6 @@ from repro.model.paths import PathExpression, VarRef
 from repro.model.relations import (
     attribute_relation_name,
     extent_relation_name,
-    flatten,
 )
 from repro.runtime import context as context_mod
 from repro.runtime.context import QueryContext, bound_db
@@ -107,6 +115,11 @@ class _Translator:
         self.analysis = analysis
         self.query = analysis.query
         self._fresh = itertools.count()
+        self.from_classes = {item.var: item.class_name
+                             for item in self.query.from_items}
+        #: FROM variables some path fragment already restricts to
+        #: their class.
+        self.restricted: set[str] = set()
 
     def fresh_column(self) -> str:
         return f"_p{next(self._fresh)}"
@@ -114,23 +127,27 @@ class _Translator:
     # -- main ------------------------------------------------------------
 
     def translate(self) -> TranslatedQuery:
-        plans: list[algebra.Plan] = []
-        for item in self.query.from_items:
-            scan = algebra.Scan(extent_relation_name(item.class_name),
-                                ("oid",))
-            plans.append(algebra.Rename(scan, (("oid", item.var),)))
-
+        # Paths first: flattening them says which FROM variables
+        # still need their extent scanned.
+        fragments: list[algebra.Plan] = []
         for path in self.analysis.skeleton:
-            plans.extend(self.flatten_path(path))
-        residual = self.collect_residual(self.query.where)
-
-        plan = plans[0]
-        for part in plans[1:]:
-            plan = algebra.NaturalJoin(plan, part)
-
-        predicate = self.compile_where_parts(residual)
-        if predicate is not None:
-            plan = algebra.Select(plan, predicate)
+            fragments.extend(self.flatten_path(path))
+        extents: list[algebra.Plan] = [
+            algebra.Rename(
+                algebra.Scan(extent_relation_name(item.class_name),
+                             ("oid",)),
+                (("oid", item.var),))
+            for item in self.query.from_items
+            if item.var not in self.restricted]
+        # One left-deep join in query order under one selection: the
+        # shape is the optimizer's business (``reorder-joins``).
+        plan = functools.reduce(algebra.NaturalJoin, extents + fragments)
+        predicates = [self.compile_predicate(part) for part
+                      in self.collect_residual(self.query.where)]
+        if predicates:
+            plan = algebra.Select(
+                plan, predicates[0] if len(predicates) == 1
+                else algebra.And(tuple(predicates)))
 
         # SELECT items become output columns (possibly computed).
         out_columns: list[str] = []
@@ -192,8 +209,14 @@ class _Translator:
                             else self.fresh_column())
                 literal = None
 
+            # The first step of a path headed by a FROM variable
+            # reads only that variable's class.
+            head_class = self.from_classes.get(current) \
+                if index == 0 and ground is None else None
+            if head_class is not None:
+                self.restricted.add(current)
             scan = algebra.Scan(
-                attribute_relation_name(step.attribute),
+                attribute_relation_name(step.attribute, head_class),
                 ("oid", "value"))
             fragment: algebra.Plan = algebra.Rename(
                 scan, (("oid", current), ("value", next_col)))
@@ -223,15 +246,6 @@ class _Translator:
         if isinstance(node, ast.WPath):
             return []  # skeleton, already joined
         return [node]
-
-    def compile_where_parts(self, parts: list[ast.Where]
-                            ) -> algebra.Predicate | None:
-        predicates = [self.compile_predicate(p) for p in parts]
-        if not predicates:
-            return None
-        if len(predicates) == 1:
-            return predicates[0]
-        return algebra.And(tuple(predicates))
 
     def compile_predicate(self, node: ast.Where) -> algebra.Predicate:
         if isinstance(node, ast.WAnd):
@@ -417,10 +431,10 @@ class _Translator:
             if ref.source in boxers:
                 continue
             info = self.analysis.ref_info.get(ref)
-            spec_variables = info.spec.variables \
+            spec_variables = tuple(info.spec.variables) \
                 if info is not None and info.spec is not None else None
             args = tuple(ref.args) if ref.args is not None else None
-            boxers[ref.source] = _ref_boxer(spec_variables, args)
+            boxers[ref.source] = _RefBoxer(spec_variables, args)
         return tuple(sorted(boxers.items()))
 
     def compile_entails(self, node: ast.WEntails) -> algebra.Predicate:
@@ -482,35 +496,40 @@ class _Translator:
         raise TranslationError(f"cannot translate SELECT item {item!r}")
 
 
-def _ref_boxer(spec_variables, args):
+@dataclass(frozen=True)
+class _RefBoxer:
     """A boxer (cell -> box, conventions of :mod:`repro.sqlc.index`)
     for one bare-variable constraint reference, mirroring the
     positional renaming chain of formula instantiation: the stored CST
     schema is renamed onto the attribute's declared ``spec_variables``
     (when any), then onto the explicit ``args`` (when any).  Any cell
     the exact path would reject or rename differently maps to the
-    unknown box ``{}``, which never prunes."""
+    unknown box ``{}``, which never prunes.
 
-    def boxer(cell):
+    A value, not a closure: two references renamed alike box alike, so
+    their plans share one box index per scanned relation."""
+
+    spec_variables: tuple[Variable, ...] | None
+    args: tuple[str, ...] | None
+
+    def __call__(self, cell):
         if not isinstance(cell, CstOid):
             return {}
         try:
             cst = cell.cst
             schema = cst.schema
             target = list(schema)
-            if spec_variables is not None:
-                if len(spec_variables) != len(schema):
+            if self.spec_variables is not None:
+                if len(self.spec_variables) != len(schema):
                     return {}
-                target = list(spec_variables)
-            if args is not None:
-                if len(args) != len(schema):
+                target = list(self.spec_variables)
+            if self.args is not None:
+                if len(self.args) != len(schema):
                     return {}
-                target = [Variable(a) for a in args]
+                target = [Variable(a) for a in self.args]
             box = cst.cheap_box()
         except Exception:
             return {}
         if box is None:
             return None
         return {t: box[s] for s, t in zip(schema, target) if s in box}
-
-    return boxer

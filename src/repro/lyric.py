@@ -121,12 +121,11 @@ def explain(db: Database, text: str | ast.Query,
     from repro.sqlc.engine import explain_analyze
 
     call_ctx = _call_context(None, ctx, use_optimizer=use_optimizer)
-    compiled = Pipeline(db, call_ctx).compile(text)
+    pipeline = Pipeline(db, call_ctx)
+    compiled = pipeline.compile(text)
     if not analyze:
         return compiled.plan.explain()
-    from repro.model.relations import flatten
-    catalog = flatten(db, shards=call_ctx.shards)
-    exec_ctx = call_ctx.derive(catalog=catalog, db=db)
+    catalog, exec_ctx = pipeline.bind()
     started = time.perf_counter()
     rendered = explain_analyze(compiled.plan, catalog,
                                use_optimizer=False, ctx=exec_ctx)

@@ -8,7 +8,7 @@ attributes, a set of oids for set-valued ones.  CST attribute values are
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.constraints.cst_object import CSTObject
 from repro.errors import (
@@ -18,17 +18,28 @@ from repro.errors import (
 from repro.model.oid import CstOid, LiteralOid, Oid, as_oid
 from repro.model.schema import AttributeDef, Schema
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.model.relations import Catalog
+
 
 class DBObject:
-    """A stored tuple-object."""
+    """A stored tuple-object.
 
-    __slots__ = ("_oid", "_class_name", "_values")
+    :meth:`set`, :meth:`unset` and :meth:`restore` change the object in
+    memory and tell the owning :class:`Database` (so derived state such
+    as the flat catalog is dropped), but they are not validated and not
+    logged: :meth:`Database.update_attribute` is the durable path.
+    """
+
+    __slots__ = ("_oid", "_class_name", "_values", "_owner")
 
     def __init__(self, oid: Oid, class_name: str,
                  values: Mapping[str, object] | None = None):
         self._oid = oid
         self._class_name = class_name
         self._values: dict[str, Oid | frozenset[Oid]] = {}
+        #: The database storing this object (set by ``add_object``).
+        self._owner: "Database | None" = None
         if values:
             for name, value in values.items():
                 self.set(name, value)
@@ -51,6 +62,7 @@ class DBObject:
             self._values[attribute] = frozenset(as_oid(v) for v in value)
         else:
             self._values[attribute] = as_oid(value)
+        self._changed()
 
     def get(self, attribute: str) -> Oid | frozenset[Oid] | None:
         return self._values.get(attribute)
@@ -58,6 +70,7 @@ class DBObject:
     def unset(self, attribute: str) -> None:
         """Remove an attribute value (missing is fine)."""
         self._values.pop(attribute, None)
+        self._changed()
 
     def restore(self, attribute: str,
                 value: Oid | frozenset[Oid] | None) -> None:
@@ -66,6 +79,13 @@ class DBObject:
             self._values.pop(attribute, None)
         else:
             self._values[attribute] = value
+        self._changed()
+
+    def _changed(self) -> None:
+        # After the change, never before: a reader that sees the new
+        # version must also see the new value.
+        if self._owner is not None:
+            self._owner._mutated()
 
     def values(self, attribute: str) -> tuple[Oid, ...]:
         """The attribute value as a tuple of oids (empty when absent;
@@ -98,10 +118,26 @@ class Database:
         #: Mutation observer ``(event, **data)`` — the durable store's
         #: write-ahead log subscribes here (:mod:`repro.storage`).
         self._observer = None
+        self._version = 0
+        #: The flat-relation catalog of the current state, kept here by
+        #: :func:`repro.model.relations.flatten` (``None`` before the
+        #: first translated query).
+        self.flat_catalog: "Catalog | None" = None
 
     @property
     def schema(self) -> Schema:
         return self._schema
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: moves whenever a stored object is added,
+        removed or changed — through the database or directly through
+        :class:`DBObject`.  Derived state is valid for one value of it
+        (and of :attr:`Schema.version`)."""
+        return self._version
+
+    def _mutated(self) -> None:
+        self._version += 1
 
     # -- mutation observation ------------------------------------------------
 
@@ -128,8 +164,10 @@ class Database:
         if oid in self._objects:
             raise IntegrityError(f"oid {oid} already present")
         obj = DBObject(oid, class_name, values)
+        obj._owner = self
         self._objects[oid] = obj
         self._direct_extents.setdefault(class_name, []).append(oid)
+        self._mutated()
         self._notify("add_object", obj=obj)
         return obj
 
@@ -339,6 +377,8 @@ class Database:
         extent = self._direct_extents.get(obj.class_name, [])
         if oid in extent:
             extent.remove(oid)
+        obj._owner = None
+        self._mutated()
         self._notify("remove_object", oid=oid, force=force)
 
     # -- CST convenience ----------------------------------------------------------------

@@ -165,6 +165,14 @@ class ExecutionStats:
     plan_cache_invalidations: int = 0
     #: Compile seconds skipped by plan-cache hits.
     plan_compile_saved: float = 0.0
+    # -- flat catalog ----------------------------------------------------
+    #: Catalog lookups answered by the catalog the database held.
+    catalog_hits: int = 0
+    #: Lookups that built a new one, and why the last of them had to
+    #: (one of :data:`repro.model.relations.REBUILD_REASONS`).
+    catalog_rebuilds: int = 0
+    catalog_rebuild_reason: str | None = field(
+        default=None, metadata={"merge": "first"})
     # -- pipeline phase trace ------------------------------------------
     phases: list[PhaseRecord] = field(default_factory=list,
                                       metadata={"merge": "extend"})

@@ -62,6 +62,7 @@ Platforms without ``fork`` evaluate serially.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 # By name, not ``from concurrent import futures``: that would import
@@ -337,6 +338,20 @@ _FORK_LOCK = threading.Lock()
 
 #: True inside a worker process — suppresses nested regions.
 _IN_WORKER = False
+
+
+def fork_safe_lock() -> threading.Lock:
+    """A lock for a process-wide structure that workers use too: every
+    fork first waits for it, so no child starts with a copy held by a
+    thread that does not exist there.  The hooks stay registered for
+    good — module-level locks only, and never fork while holding
+    one.  Where the platform cannot fork it is a plain lock."""
+    lock = threading.Lock()
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(before=lock.acquire,
+                            after_in_parent=lock.release,
+                            after_in_child=lock.release)
+    return lock
 
 
 def context_options(ctx: QueryContext) -> dict[str, Any]:

@@ -52,6 +52,7 @@ from repro.core import ast
 from repro.errors import EvaluationError
 from repro.model.database import Database
 from repro.model.oid import Oid
+from repro.model.relations import REBUILD_REASONS
 from repro.model.serialize import dump_oid
 from repro.runtime import ExecutionGuard, QueryContext
 from repro.runtime import parallel
@@ -177,6 +178,9 @@ class ServiceStats:
         self.process_fallbacks = 0
         self.process_fallback_reasons = dict.fromkeys(
             PROCESS_FALLBACK_REASONS, 0)
+        #: Requests that had to rebuild the database's flat catalog,
+        #: by reason (their number is ``execution.catalog_rebuilds``).
+        self.catalog_rebuild_reasons = dict.fromkeys(REBUILD_REASONS, 0)
 
     def record_request(self, stats: ExecutionStats | None, *,
                        rows: int = 0, outcome: str = "ok") -> None:
@@ -194,6 +198,10 @@ class ServiceStats:
                 snap.pop("phases", None)
                 snap.pop("warnings", None)
                 self._execution.merge(snap)
+                reason = stats.catalog_rebuild_reason
+                if reason is not None:
+                    self.catalog_rebuild_reasons[reason] = \
+                        self.catalog_rebuild_reasons.get(reason, 0) + 1
 
     def note_dedup(self, hit: bool) -> None:
         with self._lock:
@@ -246,6 +254,8 @@ class ServiceStats:
                 "process_fallbacks": self.process_fallbacks,
                 "process_fallback_reasons":
                     dict(self.process_fallback_reasons),
+                "catalog_rebuild_reasons":
+                    dict(self.catalog_rebuild_reasons),
                 #: The process-wide worker-pool account — in particular
                 #: ``pool_cold_starts``, the warm-pool satellite's
                 #: observable.

@@ -49,6 +49,7 @@ from repro.model.oid import CstOid, Oid
 from repro.runtime import context as context_mod
 from repro.runtime import numeric as numeric_mod
 from repro.runtime.context import QueryContext
+from repro.runtime.parallel import fork_safe_lock
 from repro.sqlc.relation import ConstraintRelation
 
 #: A boxer: cell -> box (``dict`` over-approximation, ``{}`` unknown,
@@ -308,16 +309,26 @@ def envelopes_disjoint(left: "dict | None", right: "dict | None") -> bool:
 
 _index_cache: WeakKeyDictionary = WeakKeyDictionary()
 
+#: Catalog relations are shared by every query on their database, so
+#: concurrent sessions look up, build and prune the same entries.
+_CACHE_LOCK = fork_safe_lock()
+
 
 def index_for(relation: ConstraintRelation, column: str,
               boxer: Boxer,
               ctx: QueryContext | None = None) -> BoxIndex:
     """The (possibly cached) box index of ``relation[column]``.
 
-    The boxer participates by *object identity*, and boxers are pure
-    schema-derived closures attached to the plan at translate time —
-    so a plan-cache hit, which reuses the plan's boxer objects, keeps
-    hitting the same index-cache entries across executions.
+    A renamed view of a frozen relation is indexed as that relation
+    (:attr:`~repro.sqlc.relation.ConstraintRelation.origin`): a box
+    index holds row positions and boxes, no column names, so every
+    query scanning a catalog relation — under whatever variable names
+    — shares the one index.
+
+    The boxer participates by equality.  The translator's boxers are
+    values (equal for the same declared variables and arguments), so
+    two plans, or one plan compiled twice, hit the same entries; a
+    plain function is equal only to itself.
 
     Entries are keyed by ``(column, boxer, version)`` — the version is
     *part of the key*, so an index returned for one version is never
@@ -332,40 +343,44 @@ def index_for(relation: ConstraintRelation, column: str,
     from scratch.  Older versions are pruned from the cache once
     superseded; dropping the relation drops its indexes (weak keys).
     """
-    per_relation = _index_cache.get(relation)
-    if per_relation is None:
-        per_relation = {}
-        _index_cache[relation] = per_relation
-    key = (column, boxer, relation.version)
-    hit = per_relation.get(key)
-    if hit is not None:
-        return hit
-    newest_version, newest = -1, None
-    for (col, bxr, version), index in per_relation.items():
-        if col == column and bxr == boxer \
-                and version > newest_version:
-            newest_version, newest = version, index
-    appended_only = (
-        newest is not None
-        and newest_version < relation.version
-        and relation.version - newest_version
-        == len(relation) - newest.n_rows
-        and len(relation) >= newest.n_rows)
-    if appended_only:
-        built = newest.extended(relation, column, boxer)
-        _stats["extends"] += 1
-        context_mod.resolve(ctx).stats.index_extends += 1
-    else:
-        built = BoxIndex(relation, column, boxer)
-        _stats["builds"] += 1
-        context_mod.resolve(ctx).stats.index_builds += 1
-    stale = [k for k in per_relation
-             if k[0] == column and k[1] == boxer
-             and k[2] != relation.version]
-    for k in stale:
-        del per_relation[k]
-    per_relation[key] = built
-    return built
+    if relation.origin is not None:
+        relation, columns = relation.origin
+        column = columns[column]
+    with _CACHE_LOCK:
+        per_relation = _index_cache.get(relation)
+        if per_relation is None:
+            per_relation = {}
+            _index_cache[relation] = per_relation
+        key = (column, boxer, relation.version)
+        hit = per_relation.get(key)
+        if hit is not None:
+            return hit
+        newest_version, newest = -1, None
+        for (col, bxr, version), index in per_relation.items():
+            if col == column and bxr == boxer \
+                    and version > newest_version:
+                newest_version, newest = version, index
+        appended_only = (
+            newest is not None
+            and newest_version < relation.version
+            and relation.version - newest_version
+            == len(relation) - newest.n_rows
+            and len(relation) >= newest.n_rows)
+        if appended_only:
+            built = newest.extended(relation, column, boxer)
+            _stats["extends"] += 1
+            context_mod.resolve(ctx).stats.index_extends += 1
+        else:
+            built = BoxIndex(relation, column, boxer)
+            _stats["builds"] += 1
+            context_mod.resolve(ctx).stats.index_builds += 1
+        stale = [k for k in per_relation
+                 if k[0] == column and k[1] == boxer
+                 and k[2] != relation.version]
+        for k in stale:
+            del per_relation[k]
+        per_relation[key] = built
+        return built
 
 
 def cached_indexes() -> int:

@@ -8,10 +8,12 @@ as a named :class:`RewriteRule` with signature ``(plan, ctx) -> plan``:
 * ``push-selections`` — a Select above a join whose predicate only
   references one side's columns moves below the join; conjunctions are
   split first so each conjunct sinks as deep as it can;
-* ``reorder-joins`` — chains of natural joins are re-associated
-  greedily, starting from the smallest base relation and always joining
-  the relation sharing columns with the partial result (avoiding
-  accidental cross products);
+* ``reorder-joins`` — every tree of natural joins, with the selections
+  on and inside it, is planned again from its *predicate graph*
+  (:func:`plan_joins`): inputs that share columns are joined first,
+  then inputs a conjunct ties together, and a cross product is left
+  only where nothing connects two inputs; each conjunct sits on the
+  lowest join that has its columns;
 * ``cheap-predicates-first`` — conjuncts inside each Select reorder so
   free oid comparisons prune rows before exact-solver predicates run;
 * ``select-index-joins`` (physical) — a Select whose conjunction holds
@@ -111,12 +113,11 @@ def _rule_decide_parallelism(plan: Plan, ctx: QueryContext) -> Plan:
     return plan
 
 
-#: Logical rewrites (plan shape): pushdown runs again after reordering
-#: because reordering can re-expose sink opportunities.
+#: Logical rewrites (plan shape).  Join planning places the conjuncts
+#: it finds itself, so pushdown need not run again after it.
 LOGICAL_RULES: tuple[RewriteRule, ...] = (
     RewriteRule("push-selections", _rule_push_selections),
     RewriteRule("reorder-joins", _rule_reorder_joins),
-    RewriteRule("push-selections", _rule_push_selections),
     RewriteRule("cheap-predicates-first", _rule_cheap_predicates_first),
 )
 
@@ -158,7 +159,7 @@ def apply_rules(plan: Plan, ctx: QueryContext,
 def optimize(plan: Plan, catalog: Catalog | None = None,
              ctx: QueryContext | None = None) -> Plan:
     """Apply all rewrites; ``catalog`` (when given) provides the base
-    relation sizes used by the greedy join order.  Options (indexing,
+    relation sizes used by the join order.  Options (indexing,
     parallelism) come from ``ctx`` or the ambient context."""
     base = context_mod.resolve(ctx)
     if catalog is not None:
@@ -328,24 +329,116 @@ def _rename_predicate(pred: Predicate,
 
 
 # ---------------------------------------------------------------------------
-# Join ordering
+# Join planning from the predicate graph
 # ---------------------------------------------------------------------------
 
 
+def plan_joins(leaves: Sequence[Plan], conjuncts: Sequence[Predicate],
+               catalog: Catalog | None = None) -> Plan:
+    """The natural join of ``leaves`` under the conjunction of
+    ``conjuncts``, shaped by the *predicate graph*: the leaves are its
+    vertices, a column two leaves share is an edge, and so is a
+    conjunct whose columns lie on both sides.
+
+    Leaves connected by shared columns are joined first, each such
+    component from its smallest leaf (by ``catalog`` sizes where
+    known) and in the order the components are given; the components
+    are then joined along conjunct edges, a conjunct carrying boxers —
+    one :func:`select_index_joins` can turn into an
+    :class:`IndexJoin` — before any other; only components nothing
+    ties together are multiplied.  Every conjunct lands on the lowest
+    node that has all its columns, sunk into a leaf when one leaf has
+    them.  The ``reorder-joins`` rule is the one caller: the
+    translator emits a left-deep join in query order under one
+    selection.
+    """
+    pending = list(conjuncts)
+
+    def place(plan: Plan) -> Plan:
+        columns = set(plan.columns)
+        ready = [p for p in pending if p.referenced_columns <= columns]
+        for pred in ready:
+            pending.remove(pred)
+        return _sink_conjuncts(plan, ready)
+
+    def merge(parts: list[Plan],
+              linked: Callable[[Plan, list[Plan]], int | None]
+              ) -> list[Plan]:
+        groups = []
+        while parts:
+            current = parts.pop(0)
+            while (pick := linked(current, parts)) is not None:
+                current = place(NaturalJoin(current, parts.pop(pick)))
+            groups.append(current)
+        return groups
+
+    def shares_column(current: Plan, parts: list[Plan]) -> int | None:
+        columns = set(current.columns)
+        return next((i for i, part in enumerate(parts)
+                     if columns & set(part.columns)), None)
+
+    def shares_conjunct(current: Plan, parts: list[Plan]) -> int | None:
+        columns = set(current.columns)
+        pick = None
+        for i, part in enumerate(parts):
+            both = columns | set(part.columns)
+            for pred in pending:
+                if pred.referenced_columns <= both:
+                    if isinstance(pred, CstPredicate) and pred.boxers:
+                        return i
+                    if pick is None:
+                        pick = i
+        return pick
+
+    def any_left(current: Plan, parts: list[Plan]) -> int | None:
+        return 0 if parts else None
+
+    parts: list[Plan] = []
+    for component in _column_components(leaves):
+        parts += merge(
+            sorted((place(leaf) for leaf in component),
+                   key=lambda leaf: _estimate(leaf, catalog or {})),
+            shares_column)
+    for linked in (shares_conjunct, any_left):
+        parts = merge(parts, linked)
+    return _wrap(parts[0], pending)
+
+
+def _column_components(leaves: Sequence[Plan]) -> list[list[Plan]]:
+    """``leaves`` grouped into the connected components of the graph
+    whose edges are shared column names; groups in the order of their
+    first leaf."""
+    groups: list[list[Plan]] = []
+    for leaf in leaves:
+        columns = set(leaf.columns)
+        touched = [group for group in groups
+                   if any(columns & set(member.columns)
+                          for member in group)]
+        if not touched:
+            groups.append([leaf])
+            continue
+        home = touched[0]
+        for group in touched[1:]:
+            home += group
+        home.append(leaf)
+        groups = [group for group in groups
+                  if group is home or all(group is not t for t in touched)]
+    return groups
+
+
 def reorder_joins(plan: Plan, catalog: Catalog) -> Plan:
-    if isinstance(plan, NaturalJoin):
-        leaves = _collect_join_leaves(plan)
-        if len(leaves) > 2:
-            original_columns = plan.columns
-            leaves = [reorder_joins(leaf, catalog) for leaf in leaves]
-            joined = _greedy_join(leaves, catalog)
-            if joined.columns == original_columns:
-                return joined
-            # Reordering permutes the natural-join column order;
+    if isinstance(plan, (NaturalJoin, Select)):
+        leaves: list[Plan] = []
+        conjuncts: list[Predicate] = []
+        _collect_join_graph(plan, leaves, conjuncts)
+        if len(leaves) > 1:
+            joined = plan_joins(
+                [reorder_joins(leaf, catalog) for leaf in leaves],
+                conjuncts, catalog)
+            # Planning permutes the natural-join column order;
             # restore it so the rewrite is observationally neutral.
-            return Project(joined, original_columns)
-        return NaturalJoin(reorder_joins(plan.left, catalog),
-                           reorder_joins(plan.right, catalog))
+            return joined if joined.columns == plan.columns \
+                else Project(joined, plan.columns)
     if isinstance(plan, Select):
         return Select(reorder_joins(plan.child, catalog), plan.predicate)
     if isinstance(plan, Project):
@@ -363,11 +456,23 @@ def reorder_joins(plan: Plan, catalog: Catalog) -> Plan:
     return plan
 
 
-def _collect_join_leaves(plan: Plan) -> list[Plan]:
+def _collect_join_graph(plan: Plan, leaves: list[Plan],
+                        conjuncts: list[Predicate]) -> None:
+    """The inputs of a tree of natural joins and the conjuncts of the
+    selections on and inside it (a selection commutes with a natural
+    join above it: its columns stay present and unchanged)."""
     if isinstance(plan, NaturalJoin):
-        return _collect_join_leaves(plan.left) \
-            + _collect_join_leaves(plan.right)
-    return [plan]
+        _collect_join_graph(plan.left, leaves, conjuncts)
+        _collect_join_graph(plan.right, leaves, conjuncts)
+        return
+    below = plan
+    while isinstance(below, Select):
+        below = below.child
+    if below is not plan and isinstance(below, NaturalJoin):
+        conjuncts.extend(_split_conjuncts(plan.predicate))
+        _collect_join_graph(plan.child, leaves, conjuncts)
+    else:
+        leaves.append(plan)
 
 
 def _estimate(plan: Plan, catalog: Catalog) -> int:
@@ -528,22 +633,6 @@ def select_sharded_joins(plan: Plan, catalog: Catalog) -> Plan:
         return Extend(select_sharded_joins(plan.child, catalog),
                       plan.column, plan.compute, plan.label)
     return plan
-
-
-def _greedy_join(leaves: list[Plan], catalog: Catalog) -> Plan:
-    remaining = sorted(leaves, key=lambda p: _estimate(p, catalog))
-    current = remaining.pop(0)
-    current_cols = set(current.columns)
-    while remaining:
-        # Prefer a leaf sharing columns (a real join); smallest first.
-        pick = next(
-            (i for i, leaf in enumerate(remaining)
-             if current_cols & set(leaf.columns)),
-            0)
-        leaf = remaining.pop(pick)
-        current = NaturalJoin(current, leaf)
-        current_cols |= set(leaf.columns)
-    return current
 
 
 # ---------------------------------------------------------------------------

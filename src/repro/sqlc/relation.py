@@ -21,10 +21,18 @@ class ConstraintRelation:
     Rows are tuples of oids aligned with ``columns``.  Duplicate rows
     are kept by default (bag semantics, like SQL); :meth:`distinct`
     removes them.
+
+    A *frozen* relation (:meth:`freeze`) is read-only: the flat catalog
+    of a database freezes its relations because every query on that
+    database scans the same objects.  Renaming a frozen relation gives
+    a view that shares its rows and records where they came from
+    (:attr:`origin`), so structures derived from the rows are cached
+    once for the relation and all its views.
     """
 
     __slots__ = ("_name", "_columns", "_rows", "_index", "_version",
-                 "_observer", "_batch_observer", "__weakref__")
+                 "_observer", "_batch_observer", "_frozen", "_origin",
+                 "__weakref__")
 
     def __init__(self, name: str, columns: Sequence[str],
                  rows: Iterable[Sequence] = ()):
@@ -39,6 +47,9 @@ class ConstraintRelation:
         self._version = 0
         self._observer = None
         self._batch_observer = None
+        self._frozen = False
+        self._origin: tuple[ConstraintRelation, dict[str, str]] | None \
+            = None
         rows = list(rows)
         if rows:
             self.add_rows(rows)
@@ -57,7 +68,23 @@ class ConstraintRelation:
         self._observer = observer
         self._batch_observer = batch_observer
 
+    def freeze(self) -> "ConstraintRelation":
+        """Make the relation read-only, for good; returns it."""
+        self._frozen = True
+        return self
+
+    @property
+    def origin(self) -> "tuple[ConstraintRelation, dict[str, str]] | None":
+        """For a renamed view of a frozen relation: that relation and
+        the map from this view's column names to its own.  ``None`` for
+        every other relation."""
+        return self._origin
+
     def _prepare_row(self, row: Sequence) -> tuple[Oid, ...]:
+        if self._frozen:
+            raise EvaluationError(
+                f"relation {self._name!r} is read-only: it belongs to "
+                "a catalog that queries share")
         values = tuple(as_oid(v) for v in row)
         if len(values) != len(self._columns):
             raise EvaluationError(
@@ -141,8 +168,22 @@ class ConstraintRelation:
                name: str | None = None) -> "ConstraintRelation":
         columns = [mapping.get(c, c) for c in self._columns]
         result = ConstraintRelation(name or self._name, columns)
-        result._rows = list(self._rows)
+        self._share_rows(result)
         return result
+
+    def _share_rows(self, view: "ConstraintRelation") -> None:
+        """Give ``view`` (this relation under other column names) the
+        rows: the list itself and an :attr:`origin` when frozen, a copy
+        otherwise."""
+        if not self._frozen:
+            view._rows = list(self._rows)
+            return
+        base, back = self._origin or (self, None)
+        view._rows = self._rows
+        view._frozen = True
+        view._origin = (base, {
+            new: old if back is None else back[old]
+            for old, new in zip(self._columns, view._columns)})
 
     def project(self, columns: Sequence[str],
                 name: str | None = None) -> "ConstraintRelation":

@@ -229,9 +229,9 @@ class ShardedConstraintRelation(ConstraintRelation):
                        ctx: QueryContext | None = None) -> None:
         """Maintain a per-shard box index of ``column`` under ``boxer``
         eagerly: built now, extended on every future ``add_rows``
-        batch (boxers compare by identity, matching the index cache)."""
+        batch (boxers compare as in the index cache)."""
         for col, bxr in self._index_targets:
-            if col == column and bxr is boxer:
+            if col == column and bxr == boxer:
                 return
         self._index_targets.append((column, boxer))
         ctx = context_mod.resolve(ctx)
@@ -265,10 +265,12 @@ class ShardedConstraintRelation(ConstraintRelation):
     def rename(self, mapping: dict[str, str],
                name: str | None = None) -> "ShardedConstraintRelation":
         """Shard-preserving rename: renaming never moves a row, so the
-        snapshot keeps the routing (positions, boundaries, sealed
-        state) and renames each shard in place.  This is what lets the
+        result keeps the routing (positions, boundaries, sealed state)
+        and renames each shard in place.  This is what lets the
         optimizer treat ``Rename(Scan(sharded))`` as a sharded side —
-        the plan shape the translator emits for aliased scans."""
+        the plan shape the translator emits for aliased scans.  A view
+        of a frozen relation shares the routing instead of copying it,
+        and its shards are views of the frozen shards."""
         self._route_backlog(force=True)
         new_name = name or self._name
         result = ShardedConstraintRelation(
@@ -278,16 +280,25 @@ class ShardedConstraintRelation(ConstraintRelation):
             partition_by=(mapping.get(self.partition_by,
                                       self.partition_by)
                           if self.partition_by is not None else None))
-        result._rows = list(self._rows)
+        self._share_rows(result)
         result._shard_rels = [
             rel.rename(mapping, name=f"{new_name}#{i}")
             for i, rel in enumerate(self._shard_rels)]
-        result._shard_positions = [list(p)
-                                   for p in self._shard_positions]
+        result._shard_positions = self._shard_positions if self._frozen \
+            else [list(p) for p in self._shard_positions]
         result._boundaries = (None if self._boundaries is None
                               else list(self._boundaries))
         result._routed = self._routed
         return result
+
+    def freeze(self) -> "ShardedConstraintRelation":
+        """Read-only from here on: the rows are routed and the
+        boundaries fixed now, so no later reader seals the relation
+        under another reader's feet."""
+        self._route_backlog(force=True)
+        for rel in self._shard_rels:
+            rel.freeze()
+        return super().freeze()
 
     # -- shard access ------------------------------------------------------
 

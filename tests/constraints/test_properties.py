@@ -246,3 +246,66 @@ class TestParserRoundtrip:
             assert reparsed.is_syntactically_false()
         else:
             assert reparsed == conj
+
+
+# Renaming targets: the atoms' own variables (so a renaming can permute
+# them — which moves the ``=``/``!=`` lead variable — or merge two),
+# one name sorting before all of them and one after.
+TARGETS = VARS + [Variable("a"), Variable("w")]
+
+renamings = st.dictionaries(st.sampled_from(VARS),
+                            st.sampled_from(TARGETS))
+
+
+def _rebuilt(atom, mapping):
+    """Renaming as it was before the structural path: through
+    ``build`` and full normalisation."""
+    return LinearConstraint.build(atom.expression.rename(mapping),
+                                  atom.relop, atom.bound)
+
+
+class TestStructuralRename:
+    """The renaming that skips normalisation (injective on the atom's
+    variables) and the one that does not (variables merged) both equal
+    the ``build``-based renaming, down to hash and ordering key."""
+
+    @given(atoms(), renamings)
+    @settings(max_examples=300, deadline=None)
+    def test_atom_rename_equals_rebuild(self, atom, mapping):
+        renamed, expected = atom.rename(mapping), _rebuilt(atom, mapping)
+        assert renamed == expected
+        assert hash(renamed) == hash(expected)
+        assert renamed.sort_key() == expected.sort_key()
+        assert str(renamed) == str(expected)
+        assert renamed.expression.coefficients \
+            == expected.expression.coefficients
+        assert renamed.expression.constant_term == 0
+
+    @given(atoms(relops=(Relop.EQ, Relop.NE)))
+    def test_equalities_keep_the_lead_coefficient_positive(self, atom):
+        # x -> w pushes x behind y and z: the lead variable changes
+        # whenever x had one of them beside it.
+        renamed = atom.rename({VARS[0]: Variable("w")})
+        if not renamed.is_trivial:
+            lead = min(renamed.variables, key=lambda v: v.name)
+            assert renamed.expression.coefficient(lead) > 0
+
+    @given(conjunctions(relops=(Relop.LE, Relop.LT, Relop.EQ,
+                                Relop.NE)), renamings)
+    @settings(max_examples=200, deadline=None)
+    def test_conjunction_rename_equals_rebuild(self, conj, mapping):
+        renamed = conj.rename(mapping)
+        expected = ConjunctiveConstraint(
+            _rebuilt(atom, mapping) for atom in conj.atoms)
+        assert renamed.atoms == expected.atoms
+        assert renamed == expected
+        assert hash(renamed) == hash(expected)
+
+    def test_identity_renaming_returns_the_atom(self):
+        x, y = VARS[0], VARS[1]
+        atom = LinearConstraint.build(x + 2 * y, Relop.LE, 3)
+        assert atom.rename({}) is atom
+        assert atom.rename({x: Variable("x"), VARS[2]: y}) is atom
+        # A swap keeps the variable *set* and still changes the atom.
+        assert atom.rename({x: y, y: x}) \
+            == LinearConstraint.build(y + 2 * x, Relop.LE, 3)

@@ -58,7 +58,7 @@ class TestExplain:
         text = lyric.explain(db, """
             SELECT Y FROM Desk X WHERE X.drawer[Y].color['red']
         """)
-        assert "Scan(class:Desk)" in text
+        assert "Scan(attr:drawer@Desk)" in text
         assert "attr:color" in text
 
     def test_explain_unoptimized_differs(self):

@@ -58,7 +58,7 @@ class TestExplainAnalyze:
             SELECT Y FROM Desk X WHERE X.drawer[Y].color['red']
         """, analyze=True)
         assert "[1 rows]" in text
-        assert "Scan(class:Desk)" in text
+        assert "Scan(attr:drawer@Desk)" in text
 
     def test_empty_plan_counts(self, office):
         db, _ = office

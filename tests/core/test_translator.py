@@ -79,8 +79,10 @@ class TestPlanShape:
             SELECT Y FROM Desk X WHERE X.drawer[Y].color['red']
         """)
         text = translated.plan.explain()
-        assert "Scan(class:Desk)" in text
-        assert "attr:drawer" in text
+        # X heads the path, so its class restricts the first scan
+        # instead of being joined in.
+        assert "Scan(attr:drawer@Desk)" in text
+        assert "class:Desk" not in text
         assert "attr:color" in text
 
     def test_where_formula_becomes_cst_predicate(self, office):

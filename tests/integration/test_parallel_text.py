@@ -4,7 +4,8 @@ A translated WHERE clause is a closure over the constraint engine, so
 text queries can only take the fork-inherit transport: under
 ``parallelism=2`` the benchmark's join queries and an office
 entailment query must run a real parallel region, never touch the
-persistent pool, and return the serial run's bytes.
+persistent pool, and return the serial run's bytes.  A filter under
+``PARTITION_THRESHOLD`` rows stays serial, with the same bytes.
 """
 
 import pytest
@@ -24,24 +25,31 @@ pytestmark = pytest.mark.skipif(
 def _sparse():
     inst = text.build_sparse(3, {"n": 16, "overlaps": 3, "windows": 1})
     return (inst.db, text.SPARSE_JOIN_QUERY, None,
-            {"indexing": False, "numeric": False})
+            {"indexing": False, "numeric": False}, True)
 
 
 def _dense():
     inst = text.build_dense(3, {"n": 12, "extra": 4, "atoms": 5,
                                 "drawn": 30})
     return (inst.db, text.DENSE_JOIN_QUERY, text.distinct_k(0),
-            {"numeric": False})
+            {"numeric": False}, True)
 
 
 def _office():
+    # The filter reads only the desks' rows (attr:drawer_center@Desk),
+    # half of the 48 objects: under PARTITION_THRESHOLD, no region.
     return (office.generate(48, seed=3).db,
-            office.RED_LEFT_DRAWER_QUERY, None, {})
+            office.RED_LEFT_DRAWER_QUERY, None, {}, False)
 
 
-@pytest.mark.parametrize("case", [_sparse, _dense, _office])
+def _office_160():
+    return (office.generate(160, seed=3).db,
+            office.RED_LEFT_DRAWER_QUERY, None, {}, True)
+
+
+@pytest.mark.parametrize("case", [_sparse, _dense, _office, _office_160])
 def test_parallel_region_returns_the_serial_bytes(case):
-    db, query, params, options = case()
+    db, query, params, options, region = case()
     serial = lyric.query_translated(
         db, query, params=params, ctx=QueryContext(**options))
     ctx = QueryContext(parallelism=2, **options)
@@ -50,5 +58,5 @@ def test_parallel_region_returns_the_serial_bytes(case):
         pytest.skip("process pool unavailable")
     assert len(serial) > 0
     assert rows_bytes(fanned) == rows_bytes(serial)
-    assert ctx.stats.parallel_runs >= 1
+    assert (ctx.stats.parallel_runs >= 1) == region
     assert ctx.stats.pool_dispatches == 0

@@ -188,11 +188,26 @@ class TestStatsMergeRegression:
         parent = ExecutionStats()
         parent.merge(worker.snapshot())
 
+        # The catalog account is among them: a pool worker's rebuild,
+        # and its reason, must reach the request's account.
+        assert {"catalog_hits", "catalog_rebuilds",
+                "catalog_rebuild_reason"} <= set(expected)
         for name, value in expected.items():
             merged = getattr(parent, name)
             assert merged == value, (
                 f"counter {name!r} was lost in the worker round-trip: "
                 f"sent {value!r}, parent has {merged!r}")
+
+    def test_catalog_account_sums_and_keeps_the_first_reason(self):
+        a, b, c = ExecutionStats(), ExecutionStats(), ExecutionStats()
+        a.catalog_hits = 2
+        b.catalog_hits, b.catalog_rebuilds = 3, 1
+        b.catalog_rebuild_reason = "db_mutated"
+        c.catalog_rebuilds, c.catalog_rebuild_reason = 1, "shards_changed"
+        a.merge(b.snapshot())
+        a.merge(c)
+        assert (a.catalog_hits, a.catalog_rebuilds,
+                a.catalog_rebuild_reason) == (5, 2, "db_mutated")
 
     def test_sum_fields_accumulate(self):
         a, b = ExecutionStats(), ExecutionStats()

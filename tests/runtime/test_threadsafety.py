@@ -1,6 +1,7 @@
 """Thread-safety of the process-wide singletons concurrent sessions
 share: the constraint cache, the compiled-plan cache, the worker
-pool accessor, and the fork-inherit payload of partitioned filters.
+pool accessor, the fork-inherit payload of partitioned filters, and
+the flat catalog a database keeps between queries.
 
 Before the serving layer these objects were only ever touched from one
 thread; the query server executes requests on a thread pool, so every
@@ -12,15 +13,20 @@ counter interleavings are allowed to race benignly.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
+from repro import lyric
 from repro.model.office import build_office_database
+from repro.model.relations import flatten
 from repro.runtime import parallel
 from repro.runtime.cache import ConstraintCache
-from repro.runtime.context import QueryContext
+from repro.runtime.context import ExecutionStats, QueryContext
 from repro.runtime.plancache import PlanCache
 from repro.core.parser import parse_query
 
@@ -47,9 +53,10 @@ def _hammer(worker, threads=THREADS):
     for t in pool:
         t.start()
     for t in pool:
-        t.join()
+        t.join(timeout=120)
     if errors:
         raise errors[0]
+    assert not any(t.is_alive() for t in pool), "a worker hung"
 
 
 class TestConstraintCacheThreadSafety:
@@ -213,3 +220,124 @@ class TestForkInheritThreadSafety:
         if parallel.stats()["fallbacks"]:
             pytest.skip("process pool unavailable")
         assert results == dict.fromkeys(range(3), [6, 0])
+
+
+class TestForkSafeLock:
+    @pytest.mark.skipif(not parallel._fork_available(),
+                        reason="fork start method unavailable")
+    def test_a_fork_waits_for_the_holder(self):
+        """A thread holds the lock across a fork request: the fork
+        happens after the release, and the child's copy is free."""
+        lock = parallel.fork_safe_lock()
+        held = threading.Event()
+        released = []
+
+        def holder():
+            with lock:
+                held.set()
+                time.sleep(0.1)
+                released.append(True)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        held.wait()
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if lock.acquire(blocking=False) else 1)
+        assert released == [True]
+        thread.join()
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert lock.acquire(blocking=False)
+        lock.release()
+
+    def test_the_package_imports_where_nothing_can_fork(self):
+        """``os.register_at_fork`` is Unix-only; the module-level
+        catalog and index-cache locks are made at import."""
+        script = (
+            "import os, multiprocessing, concurrent.futures.process\n"
+            "del os.register_at_fork\n"
+            "from repro import lyric\n"
+            "from repro.model.office import build_office_database\n"
+            "db, _ = build_office_database()\n"
+            "assert len(lyric.query_translated("
+            "db, 'SELECT X FROM Desk X')) == 1\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env=os.environ | {"PYTHONPATH": os.pathsep.join(
+                                  sys.path)})
+        assert done.returncode == 0, done.stderr
+
+
+class TestCatalogThreadSafety:
+    QUERY = "SELECT X, C FROM Desk X WHERE X.color[C]"
+
+    def colors(self, db, stats=None):
+        ctx = QueryContext(stats=stats or ExecutionStats())
+        return [row.values[1].value
+                for row in lyric.query_translated(db, self.QUERY, ctx=ctx)]
+
+    def test_concurrent_first_queries_build_one_catalog(self):
+        """More threads than cores ask for the catalog of a database
+        that has none yet: one of them builds it, under the lock, and
+        everybody gets that one."""
+        db, _ = build_office_database()
+        accounts = [ExecutionStats() for _ in range(THREADS)]
+        catalogs = []
+
+        def worker(i):
+            assert self.colors(db, accounts[i]) == ["red"]
+            catalogs.append(flatten(db))
+
+        _hammer(worker)
+        assert sum(a.catalog_rebuilds for a in accounts) == 1
+        assert [a.catalog_rebuild_reason for a in accounts
+                if a.catalog_rebuilds] == ["first_use"]
+        assert all(c is catalogs[0] for c in catalogs)
+
+    def test_readers_never_keep_a_catalog_a_write_outdated(self):
+        """Readers query while one writer recolours the desk through
+        both mutation routes.  A query that starts after the writer's
+        n-th write returned sees that write or a later one: a version
+        bumped *before* its change (the slow writes below hold that
+        window open) or a lost invalidation would leave an outdated
+        catalog under the current version, and every later query would
+        be served from it."""
+        db, oids = build_office_database()
+        order = {"red": -1} | {f"colour-{n}": n for n in range(40)}
+        written = [-1]
+
+        class Slowly(list):
+            """A one-member value set whose conversion gives the
+            readers time to run."""
+            def __iter__(self):
+                time.sleep(0.002)
+                return super().__iter__()
+
+        def worker(i):
+            if i == 0:
+                try:
+                    for colour, n in list(order.items())[1:]:
+                        if n % 2:
+                            db.update_attribute(oids.standard_desk,
+                                                "color", colour)
+                        else:
+                            db.object(oids.standard_desk).set(
+                                "color", Slowly([colour]))
+                        written[0] = n
+                        time.sleep(0.001)   # readers see it complete
+                finally:
+                    written.append("done")
+                return
+            while len(written) == 1:
+                floor = written[0]
+                (seen,) = self.colors(db)
+                assert order[seen] >= floor
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert self.colors(db) == ["colour-39"]
+        assert flatten(db).key == (db.version, db.schema.version, 0)

@@ -231,6 +231,25 @@ class TestServiceStats:
                 f"counter {name!r} was lost in the aggregate: "
                 f"sent {value!r}, snapshot has {execution.get(name)!r}")
 
+    def test_catalog_rebuilds_are_counted_by_reason(self):
+        stats = ServiceStats()
+        assert stats.snapshot()["catalog_rebuild_reasons"] == {
+            "first_use": 0, "db_mutated": 0, "schema_changed": 0,
+            "shards_changed": 0}
+        for reason in ("first_use", None, "db_mutated", "db_mutated"):
+            request = ExecutionStats()
+            request.catalog_hits = 1
+            if reason is not None:
+                request.catalog_rebuilds = 1
+                request.catalog_rebuild_reason = reason
+            stats.record_request(request)
+        snapshot = stats.snapshot()
+        assert snapshot["catalog_rebuild_reasons"] == {
+            "first_use": 1, "db_mutated": 2, "schema_changed": 0,
+            "shards_changed": 0}
+        assert snapshot["execution"]["catalog_hits"] == 4
+        assert snapshot["execution"]["catalog_rebuilds"] == 3
+
     def test_outcomes_and_counters(self):
         stats = ServiceStats()
         stats.record_request(ExecutionStats(), rows=5, outcome="ok")
