@@ -302,11 +302,7 @@ def experiment_e16() -> None:
                   "canonicalization/satisfiability workload")
     from repro.constraints.canonical import canonical_conjunctive
     from repro.constraints.conjunctive import ConjunctiveConstraint
-    from repro.runtime.cache import (
-        ConstraintCache,
-        caching,
-        prefilter,
-    )
+    from repro.runtime.cache import ConstraintCache
     base = [redundant_conjunction(3, 5, 4, seed=s) for s in range(8)]
     base += [random_polytope(3, 8, seed=s) for s in range(8)]
     base += [random_infeasible(3, 8, seed=s) for s in range(8)]
@@ -320,12 +316,12 @@ def experiment_e16() -> None:
                 for c in workload]
 
     def run_disabled():
-        with caching(None), prefilter(False):
+        with QueryContext(cache=None, prefilter=False).activate():
             return run_all()
 
     def run_cached():
         cache = ConstraintCache()
-        with caching(cache):
+        with QueryContext(cache=cache).activate():
             result = run_all()
         return result, cache.counters()
 

@@ -19,7 +19,8 @@ from pathlib import Path
 from repro.constraints.canonical import canonical_conjunctive
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.satisfiability import is_satisfiable
-from repro.runtime.cache import ConstraintCache, caching, prefilter
+from repro.runtime.cache import ConstraintCache
+from repro.runtime.context import QueryContext
 from repro.workloads.random_constraints import (
     random_infeasible,
     random_polytope,
@@ -61,14 +62,14 @@ def test_cache_speedup_and_equivalence():
     workload = _workload()
 
     def run_off():
-        with caching(None), prefilter(False):
+        with QueryContext(cache=None, prefilter=False).activate():
             return _evaluate(workload)
 
     counters = {}
 
     def run_on():
         cache = ConstraintCache()
-        with caching(cache):
+        with QueryContext(cache=cache).activate():
             result = _evaluate(workload)
         counters.update(cache.counters())
         return result
@@ -111,7 +112,7 @@ def test_warm_cache_hit_rate():
     almost entirely hits."""
     workload = _workload()
     cache = ConstraintCache()
-    with caching(cache):
+    with QueryContext(cache=cache).activate():
         first = _evaluate(workload)
         warm_start_hits = cache.hits
         second = _evaluate(workload)

@@ -22,8 +22,7 @@ from pathlib import Path
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
-from repro.runtime import parallel
-from repro.runtime.cache import caching
+from repro.runtime.context import QueryContext
 from repro.sqlc import index
 from repro.sqlc.algebra import (
     CstPredicate,
@@ -105,7 +104,7 @@ def test_index_join_speedup_and_equivalence():
     total_pairs = N_LEFT * N_RIGHT
 
     def run_nested():
-        with caching(None):
+        with QueryContext(cache=None).activate():
             return _rows(execute(_nested_loop_plan(), catalog,
                                  use_optimizer=False))
 
@@ -115,7 +114,7 @@ def test_index_join_speedup_and_equivalence():
         # Rebuild the index every round: build cost is part of the
         # honest indexed timing.
         index.clear_index_cache()
-        with caching(None):
+        with QueryContext(cache=None).activate():
             return _rows(execute(_index_join_plan(), catalog,
                                  use_optimizer=False,
                                  stats=indexed_stats))
@@ -124,7 +123,7 @@ def test_index_join_speedup_and_equivalence():
 
     def run_parallel():
         index.clear_index_cache()
-        with caching(None), parallel.parallelism(2):
+        with QueryContext(cache=None, parallelism=2).activate():
             return _rows(execute(_index_join_plan(), catalog,
                                  use_optimizer=False,
                                  stats=parallel_stats))

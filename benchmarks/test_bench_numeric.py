@@ -23,8 +23,8 @@ import pytest
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
-from repro.runtime import numeric_available, numeric_mode
-from repro.runtime.cache import caching
+from repro.runtime import numeric_available
+from repro.runtime.context import QueryContext
 from repro.sqlc import index
 from repro.sqlc.algebra import CstPredicate, IndexJoin, Scan
 from repro.sqlc.engine import ExecutionStats, execute
@@ -104,7 +104,7 @@ def test_numeric_kernel_speedup_and_equivalence():
 
     def run_exact():
         index.clear_index_cache()
-        with caching(None), numeric_mode(False):
+        with QueryContext(cache=None, numeric=False).activate():
             return _rows(execute(_plan(), catalog,
                                  use_optimizer=False,
                                  stats=exact_stats))
@@ -113,7 +113,7 @@ def test_numeric_kernel_speedup_and_equivalence():
 
     def run_numeric():
         index.clear_index_cache()
-        with caching(None), numeric_mode(True):
+        with QueryContext(cache=None, numeric=True).activate():
             return _rows(execute(_plan(), catalog,
                                  use_optimizer=False,
                                  stats=numeric_stats))

@@ -29,7 +29,6 @@ from pathlib import Path
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
-from repro.runtime.cache import caching
 from repro.runtime.context import QueryContext
 from repro.sqlc import index
 from repro.sqlc.algebra import (
@@ -147,7 +146,7 @@ def test_scattered_burst_join_speedup():
     sharded = {"L": sl, "R": sr}
 
     index.clear_index_cache()
-    with caching(None):
+    with QueryContext(cache=None).activate():
         # Warm-up: build both sides' indexes once; every timed round
         # then measures incremental maintenance, not a cold build.
         baseline = _rows(execute(_plain_plan(), plain,
@@ -238,7 +237,7 @@ def test_dense_join_stays_identical():
     unsharded_times, sharded_times = [], []
     pruned = probed = 0
     baseline = result = None
-    with caching(None):
+    with QueryContext(cache=None).activate():
         for _ in range(ROUNDS):
             index.clear_index_cache()
             start = time.perf_counter()

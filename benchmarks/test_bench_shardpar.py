@@ -33,7 +33,6 @@ from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
 from repro.runtime import parallel
-from repro.runtime.cache import caching
 from repro.runtime.context import QueryContext
 from repro.sqlc import index
 from repro.sqlc.algebra import CstPredicate, Scan, ShardedIndexJoin
@@ -77,11 +76,11 @@ def _box_rows(count, seed, spread, size, base=0):
                                 size=size))]
 
 
-def _sharded_plan(workers=None):
+def _sharded_plan():
     return ShardedIndexJoin(
         Scan("L", ("lid", "e")), Scan("R", ("rid", "f")),
         "e", "f", index.cst_cell_box, index.cst_cell_box,
-        _predicate(), workers=workers)
+        _predicate())
 
 
 def _rows(relation) -> list:
@@ -137,20 +136,20 @@ def test_concurrent_probes_match_serial_and_record_speedup():
         for _ in range(ROUNDS):
             ctx = QueryContext()
             start = time.perf_counter()
-            pairs_serial, info = scatter_pairs(
+            pairs_serial = scatter_pairs(
                 sl, sr, "e", "f", index.cst_cell_box,
                 index.cst_cell_box, ctx=ctx)
             serial_times.append(time.perf_counter() - start)
-            assert info["shard_pairs_parallel"] == 0
-            probed = info["shard_pairs_probed"]
+            assert ctx.stats.shard_pairs_parallel == 0
+            probed = ctx.stats.shard_pairs_probed
 
-            ctx = QueryContext()
+            ctx = QueryContext(parallelism=WORKERS)
             start = time.perf_counter()
-            pairs_parallel, info = scatter_pairs(
+            pairs_parallel = scatter_pairs(
                 sl, sr, "e", "f", index.cst_cell_box,
-                index.cst_cell_box, ctx=ctx, workers=WORKERS)
+                index.cst_cell_box, ctx=ctx)
             parallel_times.append(time.perf_counter() - start)
-            parallel_probed = info["shard_pairs_parallel"]
+            parallel_probed = ctx.stats.shard_pairs_parallel
 
             # The headline invariant: byte-identical candidates.
             assert pairs_parallel == pairs_serial
@@ -201,7 +200,7 @@ def test_full_join_byte_identical_across_probe_modes():
     parallel.shutdown_pool()
     try:
         index.clear_index_cache()
-        with caching(None):
+        with QueryContext(cache=None).activate():
             ctx = QueryContext()
             start = time.perf_counter()
             serial = _rows(execute(_sharded_plan(), catalog,
@@ -209,11 +208,10 @@ def test_full_join_byte_identical_across_probe_modes():
             t_serial = time.perf_counter() - start
             assert ctx.stats.shard_pairs_parallel == 0
 
-            ctx = QueryContext()
+            ctx = QueryContext(parallelism=WORKERS)
             start = time.perf_counter()
-            fanned = _rows(execute(_sharded_plan(workers=WORKERS),
-                                   catalog, use_optimizer=False,
-                                   ctx=ctx))
+            fanned = _rows(execute(_sharded_plan(), catalog,
+                                   use_optimizer=False, ctx=ctx))
             t_parallel = time.perf_counter() - start
             parallel_probed = ctx.stats.shard_pairs_parallel
     finally:

@@ -39,40 +39,6 @@ Interval = tuple[Fraction | None, bool, Fraction | None, bool]
 #: The whole real line.
 FULL: Interval = (None, False, None, False)
 
-# The check/refutation counters moved into
-# ``ExecutionStats.box_checks`` / ``box_refutations`` on the
-# :class:`~repro.runtime.context.QueryContext`: the prefilter books its
-# traffic once, on the context doing the work, and worker snapshots
-# merge through the generic stats merge instead of a second
-# module-global absorb (which double-counted the same traffic).  The
-# three functions below survive as thin deprecated shims over the
-# *ambient* context's account.
-
-
-def stats() -> dict[str, int]:
-    """Deprecated shim: the ambient context's check/refutation
-    counters, in the old dict shape.  Prefer
-    ``ctx.stats.box_checks`` / ``ctx.stats.box_refutations``."""
-    acct = context_mod.current_context().stats
-    return {"checks": acct.box_checks,
-            "refutations": acct.box_refutations}
-
-
-def reset_stats() -> None:
-    """Deprecated shim: zero the ambient context's box counters."""
-    acct = context_mod.current_context().stats
-    acct.box_checks = 0
-    acct.box_refutations = 0
-
-
-def absorb(delta: Mapping[str, int]) -> None:
-    """Deprecated shim: fold old-shape counter deltas into the ambient
-    context's account.  The parallel evaluator no longer calls this —
-    worker snapshots arrive through ``ExecutionStats.merge``."""
-    acct = context_mod.current_context().stats
-    acct.box_checks += delta.get("checks", 0)
-    acct.box_refutations += delta.get("refutations", 0)
-
 
 # ---------------------------------------------------------------------------
 # Box derivation

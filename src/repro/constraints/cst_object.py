@@ -27,6 +27,7 @@ from repro.constraints.existential import (
     ExistentialConjunctiveConstraint,
 )
 from repro.constraints.terms import RationalLike, Variable, to_fraction
+from repro.runtime.context import current_context
 
 #: Union of the four family classes.
 AnyConstraint = (ConjunctiveConstraint | DisjunctiveConstraint
@@ -190,8 +191,7 @@ class CSTObject:
         observationally identical to the slow path.
         """
         schema = _merge_schemas(self._schema, other._schema)
-        from repro.runtime import cache
-        if cache.prefilter_active() \
+        if current_context().prefilter_active() \
                 and isinstance(self._constraint,
                                (ConjunctiveConstraint,
                                 DisjunctiveConstraint)) \

@@ -23,7 +23,7 @@ from repro.constraints.atoms import LinearConstraint
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.implication import negated_atom_branches
 from repro.constraints.terms import RationalLike, Variable
-from repro.runtime.guard import current_guard
+from repro.runtime.context import current_context
 
 
 class DisjunctiveConstraint:
@@ -55,7 +55,7 @@ class DisjunctiveConstraint:
                 cleaned.append(d)
         self._disjuncts = tuple(cleaned)
         self._hash: int | None = None
-        guard = current_guard()
+        guard = current_context().guard
         if guard is not None:
             guard.note_disjuncts(len(self._disjuncts))
 

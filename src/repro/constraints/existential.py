@@ -22,7 +22,7 @@ from repro.constraints.atoms import LinearConstraint
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.disjunctive import DisjunctiveConstraint
 from repro.constraints.terms import RationalLike, Variable
-from repro.runtime.guard import current_guard
+from repro.runtime.context import current_context
 
 #: Threshold for the "simplifying quantifier elimination" heuristic: a
 #: quantified variable is eliminated eagerly when its Fourier-Motzkin
@@ -177,7 +177,7 @@ class ExistentialConjunctiveConstraint:
         """
         body = self._body
         quantified = set(self._quantified)
-        guard = current_guard()
+        guard = current_context().guard
         changed = True
         while changed and quantified:
             changed = False
@@ -319,7 +319,7 @@ class DisjunctiveExistentialConstraint:
                 cleaned.append(d)
         self._disjuncts = tuple(cleaned)
         self._hash: int | None = None
-        guard = current_guard()
+        guard = current_context().guard
         if guard is not None:
             guard.note_disjuncts(len(self._disjuncts),
                                  fragment="disjunctive-existential")

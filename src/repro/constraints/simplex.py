@@ -34,25 +34,6 @@ from repro.runtime.context import QueryContext
 from repro.runtime.guard import ExecutionGuard
 
 
-#: Process-wide count of :func:`solve` invocations.  **Deprecated
-#: shim**: per-execution accounting lives in
-#: ``ExecutionStats.simplex_solves`` (which the memoization layer now
-#: samples to price cached entries, and which survives parallel worker
-#: round-trips via the generic stats merge); this global remains only
-#: for callers that want a process-wide total.
-_TOTAL_CALLS = 0
-
-
-def call_count() -> int:
-    """Total exact-simplex solves since interpreter start.
-
-    Deprecated: prefer ``ctx.stats.simplex_solves``, the per-context
-    account (this global keeps counting, but mixes every context's
-    work and double-counts nothing only in single-context processes).
-    """
-    return _TOTAL_CALLS
-
-
 class LPStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -99,8 +80,6 @@ def solve(objective: LinearExpression,
         if atom.relop not in (Relop.LE, Relop.EQ):
             raise ConstraintError(
                 f"simplex accepts only <= and = atoms, got {atom}")
-    global _TOTAL_CALLS
-    _TOTAL_CALLS += 1
     resolved = context_mod.resolve(ctx)
     resolved.stats.simplex_solves += 1
     guard = resolved.guard

@@ -14,8 +14,8 @@ restages it as an explicit :class:`Pipeline` of named phases over one
   :class:`~repro.sqlc.optimizer.RewriteRule` runs in order, recorded
   individually as a ``rewrite:<name>`` phase with the plan before and
   after;
-* **physical-plan** — the physical rules (index-join selection,
-  parallelism annotation) produce the executable plan;
+* **physical-plan** — the physical rules (index-join and
+  sharded-join selection) produce the executable plan;
 * **bind** — the database's flat catalog (kept between queries, see
   :func:`repro.model.relations.flatten`) and a context carrying the
   database attach the (database-free) plan to this execution;
@@ -181,7 +181,7 @@ class Pipeline:
                 record=True)
             stats.phases.append(PhaseRecord(
                 "physical-plan", time.perf_counter() - started,
-                detail="index-join selection, parallelism",
+                detail="index-join selection",
                 plan_after=plan.explain()))
 
         compiled = CompiledQuery(

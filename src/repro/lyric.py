@@ -32,7 +32,7 @@ from repro.core.views import ViewResult, create_view
 from repro.errors import QueryCancelled, ResourceExhausted
 from repro.model.database import Database
 from repro.model.oid import Oid, as_oid
-from repro.runtime import ExecutionGuard, QueryContext, guarded
+from repro.runtime import ExecutionGuard, QueryContext
 from repro.runtime import context as context_mod
 from repro.runtime.context import ExecutionStats
 from repro.runtime.guard import should_degrade
@@ -313,7 +313,7 @@ class PreparedQuery:
     original, while any DDL mutation correctly invalidates them.
 
     The compiled plan is memoized per plan-relevant option combination
-    (numeric/indexing/optimizer/parallelism); queries outside the
+    (numeric/indexing/optimizer/shards); queries outside the
     translatable fragment fall back to the naive evaluator, as does any
     run under fault injection (a memoized plan would shift the fault
     schedule's compile-phase ticks).
@@ -388,7 +388,6 @@ __all__ = [
     "Database",
     "ExecutionGuard",
     "QueryContext",
-    "guarded",
     "ResultSet",
     "ViewResult",
     "create_view",

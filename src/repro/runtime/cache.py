@@ -23,11 +23,12 @@ honest):
   nondeterministic.
 
 The cache is process-global by default and travels inside the active
-:class:`~repro.runtime.context.QueryContext`; :func:`caching` scopes a
-different cache (or ``None`` to disable) to a dynamic extent by
-deriving a context, which is what the CLI's
-``--no-cache``/``--cache-size`` flags and the A/B benchmarks use.
-:func:`prefilter` gates the interval prefilter
+:class:`~repro.runtime.context.QueryContext`, whose
+:meth:`~repro.runtime.context.QueryContext.memoized` is the lookup
+protocol; ``QueryContext(cache=...)`` (or ``derive(cache=...)``) scopes
+a different cache, or ``None`` to disable, which is what the CLI's
+``--no-cache``/``--cache-size`` flags and the A/B benchmarks use.  The
+context's ``prefilter`` option gates the interval prefilter
 (:mod:`repro.constraints.bounds`) the same way.
 """
 
@@ -35,10 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Callable, Hashable, Iterator, TypeVar
-
-T = TypeVar("T")
+from typing import Hashable
 
 #: Default LRU capacity — entries are single booleans or conjunction
 #: objects, so memory per entry is dominated by the key's atom tuples.
@@ -136,7 +134,7 @@ class ConstraintCache:
 
 
 # ---------------------------------------------------------------------------
-# Ambient cache selection — shims over the active QueryContext
+# The process-global cache (the QueryContext default)
 # ---------------------------------------------------------------------------
 
 _global_cache = ConstraintCache()
@@ -148,71 +146,3 @@ def get_global_cache() -> ConstraintCache:
 
 def clear_global_cache() -> None:
     _global_cache.clear()
-
-
-def active_cache() -> ConstraintCache | None:
-    """The cache the current context should use, or ``None``.
-
-    ``None`` when caching is disabled in this context **or** the active
-    guard injects faults (fault determinism beats speed).  Shim over
-    :meth:`repro.runtime.context.QueryContext.active_cache`.
-    """
-    from repro.runtime import context
-    return context.current_context().active_cache()
-
-
-def prefilter_active() -> bool:
-    """Is the interval prefilter enabled in this context?  Off under
-    fault injection, for the same determinism reason as the cache."""
-    from repro.runtime import context
-    return context.current_context().prefilter_active()
-
-
-@contextmanager
-def caching(cache: ConstraintCache | None) -> Iterator[None]:
-    """Use ``cache`` for the dynamic extent; ``caching(None)``
-    disables memoization entirely (the A/B baseline).  Implemented by
-    deriving a :class:`~repro.runtime.context.QueryContext` with the
-    override and activating it."""
-    from repro.runtime import context
-    derived = context.current_context().derive(cache=cache)
-    with derived.activate():
-        yield
-
-
-@contextmanager
-def prefilter(enabled: bool) -> Iterator[None]:
-    """Enable/disable the bounding-box prefilter for the extent."""
-    from repro.runtime import context
-    derived = context.current_context().derive(prefilter=enabled)
-    with derived.activate():
-        yield
-
-
-# ---------------------------------------------------------------------------
-# The memoization protocol
-# ---------------------------------------------------------------------------
-
-
-def memoized(key: Hashable, compute: Callable[[], T]) -> T:
-    """``compute()`` through the active context's cache — shim over
-    :meth:`repro.runtime.context.QueryContext.memoized` for public
-    entry points; internal layers call the context method directly.
-    """
-    from repro.runtime import context
-    return context.current_context().memoized(key, compute)
-
-
-def counters() -> dict[str, int]:
-    """Counters of the context's cache (zeros when disabled).
-
-    Reads the context's *configured* cache, not :func:`active_cache`:
-    fault injection bypasses the cache for lookups but should not zero
-    the report the CLI prints.
-    """
-    from repro.runtime import context
-    cache = context.current_context().cache
-    if cache is None:
-        return {"hits": 0, "misses": 0, "evictions": 0,
-                "simplex_saved": 0, "entries": 0}
-    return cache.counters()

@@ -20,11 +20,12 @@ star of serving many concurrent queries from one process.
 Every layer of the engine *receives* the context explicitly (a ``ctx``
 parameter resolved once at each public entry point); exactly one
 ``ContextVar`` remains, holding the active ``QueryContext``, and the
-pre-existing ambient APIs (``guarded``, ``caching``, ``prefilter``,
-``indexing``, ``parallelism``) survive as thin shims that derive and
-activate a context.  Two ``QueryContext``\\ s are fully isolated: two
-engines with different budgets and caches can run interleaved in one
-process without stats, cache, or guard bleed-through.
+context is the only carrier: an option is set by constructing (or
+:meth:`~QueryContext.derive`-ing) a context and activating it, a
+counter is read from its :class:`ExecutionStats`.  Two
+``QueryContext``\\ s are fully isolated: two engines with different
+budgets and caches can run interleaved in one process without stats,
+cache, or guard bleed-through.
 """
 
 from __future__ import annotations
@@ -119,21 +120,25 @@ class ExecutionStats:
     cache_simplex_saved: int = 0
     box_checks: int = 0
     box_refutations: int = 0
-    #: Exact-simplex invocations booked by the solver itself (the
-    #: per-context successor of ``simplex.call_count()``).
+    #: Exact-simplex invocations booked by the solver itself.
     simplex_solves: int = 0
     # -- numeric fast path (float prefilter / exact fallback) ----------
     numeric_accepts: int = 0
     numeric_rejects: int = 0
     numeric_fallbacks: int = 0
     # -- box index / parallel execution --------------------------------
+    #: Box indexes constructed from scratch (index-cache misses).
     index_builds: int = 0
     #: Box indexes brought current by *extending* a cached index with
     #: appended rows instead of rebuilding from scratch
     #: (:func:`repro.sqlc.index.index_for`).
     index_extends: int = 0
+    #: Coarse candidate pairs examined by the sweep/grid phase.
     index_probes: int = 0
+    #: Pairs that survived the box test to the exact phase.
     index_candidates: int = 0
+    #: Pairs refuted without running the exact predicate
+    #: (``|R|x|S| - candidates`` per join).
     candidates_pruned: int = 0
     partitions: int = 0
     workers: int = _merged(merge="max")

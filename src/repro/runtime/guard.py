@@ -24,11 +24,10 @@ cooperative cancellation
 
 The guard travels inside the active
 :class:`~repro.runtime.context.QueryContext`; engine layers receive it
-explicitly through a ``ctx`` parameter, and :func:`current_guard` /
-:func:`guarded` remain as thin shims over the context for public entry
-points.  When no guard is active every checkpoint sees ``None`` — the
-unguarded fast path does no counting, no clock reads, and no exception
-handling.
+explicitly through a ``ctx`` parameter (or read
+``current_context().guard``).  When no guard is active every checkpoint
+sees ``None`` — the unguarded fast path does no counting, no clock
+reads, and no exception handling.
 
 Exceeding a budget raises a subclass of
 :class:`~repro.errors.ResourceExhausted` carrying structured
@@ -42,8 +41,7 @@ what they had, with a warning.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import (
     BranchBudgetExceeded,
@@ -122,8 +120,8 @@ class ExecutionGuard:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Start the deadline clock (idempotent; :func:`guarded` calls
-        this on activation)."""
+        """Start the deadline clock (idempotent; activating the
+        guard's context calls this)."""
         if self._started is None:
             self._started = self._clock()
 
@@ -310,40 +308,6 @@ class ExecutionGuard:
         self.exhausted = budget
         raise exc_type(f"{budget} budget exhausted", budget=budget,
                        limit=limit, spent=spent, fragment=fragment)
-
-
-# ---------------------------------------------------------------------------
-# Ambient guard — a shim over the active QueryContext
-# ---------------------------------------------------------------------------
-
-
-def current_guard() -> ExecutionGuard | None:
-    """The active context's guard, or None (the unguarded fast path).
-
-    Shim over :func:`repro.runtime.context.current_context` for call
-    sites at the public API boundary; internal layers receive the
-    :class:`~repro.runtime.context.QueryContext` explicitly.
-    """
-    from repro.runtime import context
-    return context.current_context().guard
-
-
-@contextmanager
-def guarded(guard: ExecutionGuard | None) -> Iterator[ExecutionGuard | None]:
-    """Activate ``guard`` for the dynamic extent of the block.
-
-    ``guarded(None)`` is a no-op context (convenient for optional-guard
-    call sites).  Guards nest; the innermost wins.  Implemented by
-    deriving and activating a :class:`QueryContext` over the current
-    one, so every layer sees the guard through the one ambient context.
-    """
-    if guard is None:
-        yield None
-        return
-    from repro.runtime import context
-    derived = context.current_context().derive(guard=guard)
-    with derived.activate():
-        yield guard
 
 
 def should_degrade(guard: ExecutionGuard | None) -> bool:

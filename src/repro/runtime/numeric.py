@@ -79,17 +79,6 @@ def scipy_available() -> bool:
 
 
 @contextmanager
-def numeric_mode(enabled: bool) -> Iterator[None]:
-    """Enable/disable the numeric fast path for the dynamic extent —
-    the shim mirror of ``QueryContext(numeric=...)``, like
-    :func:`repro.sqlc.index.indexing` for the box index."""
-    from repro.runtime import context as context_mod
-    derived = context_mod.current_context().derive(numeric=enabled)
-    with derived.activate():
-        yield
-
-
-@contextmanager
 def force(available: bool | None) -> Iterator[None]:
     """Override the probe for the dynamic extent (tests only):
     ``force(False)`` simulates a missing ``fast`` extra, ``force(None)``

@@ -69,8 +69,7 @@ import time
 # ``concurrent.futures.process`` lazily, after this module, and the
 # interpreter would tear it down before a pool still alive at exit.
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import repro.errors as errors_mod
 from repro.errors import QueryCancelled, ResourceExhausted
@@ -121,17 +120,6 @@ def reset_stats() -> None:
     _stats.update(_zeroed_stats())
 
 
-@contextmanager
-def parallelism(workers: int) -> Iterator[None]:
-    """Allow up to ``workers`` worker processes for the dynamic extent
-    (1 = serial, the default).  Shim deriving a
-    :class:`~repro.runtime.context.QueryContext` over the current one;
-    the derived constructor rejects non-positive worker counts."""
-    derived = context_mod.current_context().derive(parallelism=workers)
-    with derived.activate():
-        yield
-
-
 def _fork_available() -> bool:
     try:
         return "fork" in multiprocessing.get_all_start_methods()
@@ -139,11 +127,11 @@ def _fork_available() -> bool:
         return False
 
 
-def _may_fork(ctx: QueryContext, limit: int) -> bool:
+def _may_fork(ctx: QueryContext) -> bool:
     """Needs parallelism, no FaultPlan on the guard (fault
     determinism), a ``fork`` start method, and not already being inside
     a worker."""
-    if _IN_WORKER or limit < 2 or ctx.faults is not None:
+    if _IN_WORKER or ctx.parallelism < 2 or ctx.faults is not None:
         return False
     return _fork_available()
 
@@ -153,18 +141,14 @@ def should_partition(n_rows: int,
     """Partition this filter?  Requires enough rows to amortize the
     fork and a (given or ambient) context that allows workers."""
     ctx = context_mod.resolve(ctx)
-    return n_rows >= PARTITION_THRESHOLD \
-        and _may_fork(ctx, ctx.parallelism)
+    return n_rows >= PARTITION_THRESHOLD and _may_fork(ctx)
 
 
-def should_scatter(n_tasks: int, ctx: QueryContext | None = None,
-                   workers: int | None = None) -> bool:
+def should_scatter(n_tasks: int,
+                   ctx: QueryContext | None = None) -> bool:
     """Dispatch ``n_tasks`` independent tasks to the pool?  Requires at
-    least two tasks and a context (or the explicit ``workers``
-    annotation) that allows workers."""
-    ctx = context_mod.resolve(ctx)
-    return n_tasks >= 2 and _may_fork(
-        ctx, workers if workers is not None else ctx.parallelism)
+    least two tasks and a context that allows workers."""
+    return n_tasks >= 2 and _may_fork(context_mod.resolve(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +554,14 @@ def _run_region(fn: Callable, tasks: Sequence[tuple],
 
 def filter_rows(columns: Sequence[str], rows: list,
                 predicate: Callable[[dict], bool],
-                ctx: QueryContext | None = None,
-                workers: int | None = None) -> list:
+                ctx: QueryContext | None = None) -> list:
     """The rows satisfying ``predicate`` (a row-dict test), in input
-    order — partitioned across forked worker processes when the context
-    (and the optional per-node ``workers`` annotation planted by the
-    optimizer's parallelism rule) allows, serially otherwise."""
+    order — partitioned across up to ``ctx.parallelism`` forked worker
+    processes when :func:`should_partition` allows, serially
+    otherwise."""
     ctx = context_mod.resolve(ctx)
-    limit = workers if workers is not None else ctx.parallelism
     cols = tuple(columns)
-    if len(rows) < PARTITION_THRESHOLD or not _may_fork(ctx, limit):
+    if not should_partition(len(rows), ctx):
         return [row for row in rows
                 if predicate(dict(zip(cols, row)))]
 
@@ -587,7 +569,7 @@ def filter_rows(columns: Sequence[str], rows: list,
         return [i for i in range(start, stop)
                 if predicate(dict(zip(cols, rows[i])))]
 
-    chunks = _chunk_bounds(len(rows), min(limit, len(rows)))
+    chunks = _chunk_bounds(len(rows), min(ctx.parallelism, len(rows)))
     return [rows[i]
             for part in _run_region(kept, chunks, ctx, len(chunks),
                                     inherit=True)
@@ -606,8 +588,7 @@ def _chunk_bounds(n_rows: int, chunks: int) -> list[tuple[int, int]]:
 
 
 def scatter_tasks(fn: Callable, tasks: Sequence[tuple],
-                  ctx: QueryContext | None = None,
-                  workers: int | None = None) -> list:
+                  ctx: QueryContext | None = None) -> list:
     """Run ``fn(*task)`` for every task in warm pool workers and return
     the values **in task order** (the deterministic merge: callers that
     fold the values in sequence get exactly the serial loop's result).
@@ -618,8 +599,7 @@ def scatter_tasks(fn: Callable, tasks: Sequence[tuple],
     generically, first task-order exhaustion re-raised, undelivered
     tasks recomputed in-process."""
     ctx = context_mod.resolve(ctx)
-    limit = workers if workers is not None else ctx.parallelism
-    return _run_region(fn, tasks, ctx, min(limit, len(tasks)))
+    return _run_region(fn, tasks, ctx, min(ctx.parallelism, len(tasks)))
 
 
 def _rebuild_exhaustion(guard: ExecutionGuard | None,

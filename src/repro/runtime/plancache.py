@@ -28,9 +28,11 @@ Keys are ``(query AST, schema fingerprint, plan-relevant options)``:
   schemas share plans (a ``Store``-restored database reuses plans
   prepared against the original), and any DDL mutation changes the key;
 * the **options** that change the compiled plan: ``numeric``,
-  ``indexing``, ``use_optimizer``, ``parallelism`` and ``shards``
-  (they steer the physical rewrites — sharding selects scatter-gather
-  join nodes — so they must partition the cache).
+  ``indexing``, ``use_optimizer`` and ``shards`` (they steer the
+  physical rewrites — sharding selects scatter-gather join nodes — so
+  they must partition the cache).  ``parallelism`` is not one of them:
+  nodes read the worker count from the executing context, so one
+  cached plan serves every worker count.
 
 Guard interaction mirrors the constraint cache
 (:mod:`repro.runtime.cache`): a hit runs one guard checkpoint (done by
@@ -67,8 +69,7 @@ DEFAULT_PLAN_CACHE_SIZE = 256
 def plan_options_key(ctx: "QueryContext") -> tuple:
     """The plan-relevant slice of a context's options — everything that
     changes what the compile pipeline produces."""
-    return (ctx.numeric, ctx.indexing, ctx.use_optimizer,
-            ctx.parallelism, ctx.shards)
+    return (ctx.numeric, ctx.indexing, ctx.use_optimizer, ctx.shards)
 
 
 def plan_key(query_ast: Hashable, fingerprint: bytes,
@@ -226,11 +227,3 @@ def get_global_plan_cache() -> PlanCache:
 
 def clear_global_plan_cache() -> None:
     _global_plan_cache.clear()
-
-
-def active_plan_cache() -> PlanCache | None:
-    """The plan cache the current context should use, or ``None``
-    (disabled, or fault injection active).  Shim over
-    :meth:`repro.runtime.context.QueryContext.active_plan_cache`."""
-    from repro.runtime import context
-    return context.current_context().active_plan_cache()

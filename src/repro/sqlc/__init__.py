@@ -25,8 +25,6 @@ from repro.sqlc.index import (
     BoxIndex,
     candidate_pairs,
     index_for,
-    indexing,
-    indexing_active,
 )
 from repro.sqlc.optimizer import (
     optimize,
@@ -60,8 +58,6 @@ __all__ = [
     "candidate_pairs",
     "execute",
     "index_for",
-    "indexing",
-    "indexing_active",
     "optimize",
     "push_selections",
     "reorder_joins",

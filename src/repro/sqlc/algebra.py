@@ -20,13 +20,14 @@ share one plan across executions, databases and parameter bindings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import functools
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.errors import EvaluationError
 from repro.model.oid import CstOid, Oid
 from repro.runtime import context as context_mod
-from repro.runtime import parallel
 from repro.runtime.context import QueryContext
 from repro.sqlc import index as index_mod
 from repro.sqlc.relation import ConstraintRelation
@@ -35,8 +36,21 @@ from repro.sqlc.relation import ConstraintRelation
 Catalog = Mapping[str, ConstraintRelation]
 
 
+@functools.cache
+def _field_names(node_type: type) -> tuple[str, ...]:
+    """A node class's dataclass field names (``explain`` asks for every
+    node of a plan, a dozen times a compile)."""
+    return tuple(f.name for f in dataclasses.fields(node_type))
+
+
 class Plan:
-    """Base class of plan nodes."""
+    """Base class of plan nodes.
+
+    Every node is a frozen dataclass and holds no execution state: one
+    tree is shared by every execution the plan cache hands it to, so
+    options and counters live in the evaluating
+    :class:`~repro.runtime.context.QueryContext`.
+    """
 
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
@@ -46,11 +60,32 @@ class Plan:
     def columns(self) -> tuple[str, ...]:
         raise NotImplementedError
 
+    def child_fields(self) -> dict[str, "Plan"]:
+        """The node's Plan-valued dataclass fields, in declaration
+        order — the one place that knows where a node keeps its inputs;
+        :attr:`children` and :meth:`map_children` are built on it."""
+        return {name: value for name in _field_names(type(self))
+                if isinstance(value := getattr(self, name), Plan)}
+
+    @property
+    def children(self) -> tuple["Plan", ...]:
+        """The node's inputs, left to right."""
+        return tuple(self.child_fields().values())
+
+    def map_children(self, fn: Callable[["Plan"], "Plan"]) -> "Plan":
+        """This node with ``fn`` applied to each child — a copy where a
+        child changed, the node itself where none did: the generic step
+        of every tree walk, so a rewrite names only the nodes it treats
+        specially."""
+        changed = {name: new
+                   for name, child in self.child_fields().items()
+                   if (new := fn(child)) is not child}
+        return dataclasses.replace(self, **changed) if changed else self
+
     def explain(self, depth: int = 0) -> str:
         pad = "  " * depth
-        children = getattr(self, "children", ())
         text = f"{pad}{self.describe()}"
-        for child in children:
+        for child in self.children:
             text += "\n" + child.explain(depth + 1)
         return text
 
@@ -93,10 +128,6 @@ class Rename(Plan):
     child: Plan
     mapping: tuple[tuple[str, str], ...]
 
-    @property
-    def children(self):
-        return (self.child,)
-
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
         return self.child.evaluate(catalog, ctx).rename(
@@ -117,10 +148,6 @@ class Project(Plan):
     child: Plan
     kept: tuple[str, ...]
 
-    @property
-    def children(self):
-        return (self.child,)
-
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
         return self.child.evaluate(catalog, ctx).project(self.kept)
@@ -137,13 +164,6 @@ class Project(Plan):
 class Select(Plan):
     child: Plan
     predicate: "Predicate"
-    #: Worker-count annotation planted by the optimizer's parallelism
-    #: rule; None = use the context's setting.
-    workers: int | None = None
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
@@ -155,8 +175,7 @@ class Select(Plan):
         # kernel when the context's numeric option is active.
         from repro.sqlc import batch
         kept = batch.filter_rows(base.columns, list(base),
-                                 self.predicate, ctx=ctx,
-                                 workers=self.workers, relation=base)
+                                 self.predicate, ctx=ctx, relation=base)
         result = ConstraintRelation(base.name, base.columns)
         result._rows = kept
         return result
@@ -173,10 +192,6 @@ class Select(Plan):
 class NaturalJoin(Plan):
     left: Plan
     right: Plan
-
-    @property
-    def children(self):
-        return (self.left, self.right)
 
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
@@ -209,7 +224,8 @@ class IndexJoin(Plan):
     predicate would have rejected, so results are identical to the
     unindexed plan (same rows, same order).
 
-    When the interval prefilter is disabled (``--no-prefilter``, or a
+    When the context turns indexing or the interval prefilter off
+    (``--no-index``, ``QueryContext(prefilter=False)``, or a
     :class:`~repro.runtime.faults.FaultPlan` run, where box shortcuts
     would perturb deterministic fault schedules) the node degrades to
     the plain nested enumeration — same exact-phase work as the
@@ -223,13 +239,6 @@ class IndexJoin(Plan):
     left_boxer: Callable
     right_boxer: Callable
     predicate: "Predicate"
-    #: Worker-count annotation planted by the optimizer's parallelism
-    #: rule; None = use the context's setting.
-    workers: int | None = None
-
-    @property
-    def children(self):
-        return (self.left, self.right)
 
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
@@ -239,34 +248,26 @@ class IndexJoin(Plan):
         pairs = self._candidate_pairs(left, right, ctx)
         return self._join_candidates(left, right, pairs, ctx)
 
+    @staticmethod
+    def probes_index(ctx: QueryContext) -> bool:
+        """Does a join evaluated under ``ctx`` probe box indexes (else
+        it enumerates every pair)?"""
+        return ctx.indexing and ctx.prefilter_active()
+
     def _candidate_pairs(self, left: ConstraintRelation,
                          right: ConstraintRelation,
                          ctx: QueryContext) -> list[tuple[int, int]]:
         """Candidate row-position pairs via one monolithic box index
-        per side (or full enumeration when indexing/prefilter is off).
-        Also plants the ``_last`` probe record ``explain_analyze``
-        renders."""
-        total = len(left) * len(right)
-        if ctx.indexing and ctx.prefilter_active():
-            left_index = index_mod.index_for(
-                left, self.left_column, self.left_boxer, ctx=ctx)
-            right_index = index_mod.index_for(
-                right, self.right_column, self.right_boxer, ctx=ctx)
-            before = index_mod.stats()
-            pairs = index_mod.candidate_pairs(left_index, right_index,
-                                              ctx=ctx)
-            after = index_mod.stats()
-            object.__setattr__(self, "_last", {
-                "probes": after["probes"] - before["probes"],
-                "candidates": len(pairs),
-                "pruned": total - len(pairs),
-                "total": total,
-            })
-        else:
-            pairs = [(l, r) for l in range(len(left))
-                     for r in range(len(right))]
-            object.__setattr__(self, "_last", None)
-        return pairs
+        per side (or full enumeration when indexing/prefilter is
+        off)."""
+        if not self.probes_index(ctx):
+            return [(l, r) for l in range(len(left))
+                    for r in range(len(right))]
+        left_index = index_mod.index_for(
+            left, self.left_column, self.left_boxer, ctx=ctx)
+        right_index = index_mod.index_for(
+            right, self.right_column, self.right_boxer, ctx=ctx)
+        return index_mod.candidate_pairs(left_index, right_index, ctx=ctx)
 
     def _join_candidates(self, left: ConstraintRelation,
                          right: ConstraintRelation,
@@ -293,7 +294,7 @@ class IndexJoin(Plan):
                 for l, r in pairs]
         from repro.sqlc import batch
         kept = batch.filter_rows(out_columns, rows, self.predicate,
-                                 ctx=ctx, workers=self.workers)
+                                 ctx=ctx)
         result = ConstraintRelation(
             f"({left.name}*{right.name})", out_columns)
         result._rows = kept
@@ -340,26 +341,11 @@ class ShardedIndexJoin(IndexJoin):
         from repro.sqlc.shard import scatter_pairs
         if not (isinstance(left, ShardedConstraintRelation)
                 and isinstance(right, ShardedConstraintRelation)) \
-                or not (ctx.indexing and ctx.prefilter_active()):
+                or not self.probes_index(ctx):
             return super()._candidate_pairs(left, right, ctx)
-        total = len(left) * len(right)
-        before = index_mod.stats()
-        pairs, info = scatter_pairs(
+        return scatter_pairs(
             left, right, self.left_column, self.right_column,
-            self.left_boxer, self.right_boxer, ctx=ctx,
-            workers=self.workers)
-        after = index_mod.stats()
-        object.__setattr__(self, "_last", {
-            "probes": after["probes"] - before["probes"],
-            "candidates": len(pairs),
-            "pruned": total - len(pairs),
-            "total": total,
-            "shards": info["shards"],
-            "shard_pairs_pruned": info["shard_pairs_pruned"],
-            "shard_pairs_probed": info["shard_pairs_probed"],
-            "shard_pairs_parallel": info["shard_pairs_parallel"],
-        })
-        return pairs
+            self.left_boxer, self.right_boxer, ctx=ctx)
 
     def describe(self) -> str:
         return (f"ShardedIndexJoin({self.left_column} box-overlap "
@@ -369,10 +355,6 @@ class ShardedIndexJoin(IndexJoin):
 @dataclass(frozen=True)
 class Distinct(Plan):
     child: Plan
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
@@ -387,10 +369,6 @@ class Distinct(Plan):
 class Union(Plan):
     left: Plan
     right: Plan
-
-    @property
-    def children(self):
-        return (self.left, self.right)
 
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
@@ -411,10 +389,6 @@ class Extend(Plan):
     column: str
     compute: Callable[[dict[str, Oid]], Oid]
     label: str = "expr"
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:

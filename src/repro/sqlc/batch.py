@@ -93,8 +93,7 @@ def _units_for(cst: CstPredicate, cells: Sequence[tuple],
 
 
 def filter_rows(columns: Sequence[str], rows: list, predicate,
-                ctx=None, workers: int | None = None,
-                relation=None) -> list:
+                ctx=None, relation=None) -> list:
     """Drop-in for :func:`repro.runtime.parallel.filter_rows` that
     batches extractable constraint predicates through the numeric
     kernel.  ``relation`` (optional) names the base relation the rows
@@ -105,7 +104,7 @@ def filter_rows(columns: Sequence[str], rows: list, predicate,
         plan = _split(predicate)
     if plan is None:
         return parallel.filter_rows(columns, rows, predicate,
-                                    ctx=resolved, workers=workers)
+                                    ctx=resolved)
     pre, cst, post = plan
     cols = tuple(columns)
     position = {c: i for i, c in enumerate(cols)}
@@ -137,8 +136,7 @@ def filter_rows(columns: Sequence[str], rows: list, predicate,
         exact_ctx = resolved.derive(numeric=False)
         with exact_ctx.activate():
             kept_rows = parallel.filter_rows(
-                cols, [rows[i] for i in unknown], cst,
-                ctx=exact_ctx, workers=workers)
+                cols, [rows[i] for i in unknown], cst, ctx=exact_ctx)
         # Map the kept subset (an order-preserving sub-list of the
         # unknown rows; worker round-trips may copy the tuples, and a
         # deterministic predicate decides equal-valued rows equally)

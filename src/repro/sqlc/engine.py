@@ -7,20 +7,20 @@ it, optionally runs the optimizer's rewrite rules, and evaluates the
 plan.  All effectiveness counters (cache, box prefilter, index,
 parallel) are written *directly* into the context's
 :class:`~repro.runtime.context.ExecutionStats` by the layers doing the
-work — the engine no longer diffs process-global counters, so two
-interleaved contexts keep separate accounts.
+work, and nowhere else — no process-global counter, nothing on the
+plan nodes — so two interleaved contexts keep separate accounts, and
+:func:`explain_analyze` reads a node's probe counts as the delta of
+its own context's account around that node's one evaluation.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from repro.errors import ResourceExhausted
 from repro.runtime import context as context_mod
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.runtime.guard import ExecutionGuard, should_degrade
 from repro.sqlc import optimizer as optimizer_mod
-from repro.sqlc.algebra import Catalog, Materialized, Plan
+from repro.sqlc.algebra import Catalog, IndexJoin, Materialized, Plan
 from repro.sqlc.relation import ConstraintRelation
 
 __all__ = ["ExecutionStats", "execute", "explain_analyze"]
@@ -87,20 +87,9 @@ def execute(plan: Plan, catalog: Catalog,
     return result
 
 
-def _with_materialized_children(node: Plan,
-                                results: dict[int, ConstraintRelation]
-                                ) -> Plan:
-    """A copy of ``node`` whose Plan-valued fields are replaced by
-    :class:`~repro.sqlc.algebra.Materialized` wrappers around the
-    children's already-computed results."""
-    if not getattr(node, "children", ()):
-        return node
-    changes = {
-        f.name: Materialized(results[id(value)])
-        for f in dataclasses.fields(node)
-        if isinstance((value := getattr(node, f.name)), Plan)
-    }
-    return dataclasses.replace(node, **changes)
+#: The counters behind an index join's ``--analyze`` annotation.
+_PROBE_COUNTERS = ("index_probes", "index_candidates", "candidates_pruned",
+                   "shard_joins", "shard_pairs_pruned", "shard_pairs_probed")
 
 
 def explain_analyze(plan: Plan, catalog: Catalog,
@@ -111,47 +100,49 @@ def explain_analyze(plan: Plan, catalog: Catalog,
     Each node is evaluated exactly once: children first, then the node
     itself against *materialized* child results — so a node shared or
     deeply nested in the tree no longer re-evaluates its whole subtree
-    once per ancestor.
+    once per ancestor, and an index join's probe counts are what the
+    context's account gained across that one evaluation.
     """
     exec_ctx = context_mod.resolve(ctx).derive(catalog=catalog)
+    acct = exec_ctx.stats
+    results: dict[int, ConstraintRelation] = {}
+    probes: dict[int, dict[str, int]] = {}
     with exec_ctx.activate():
         if use_optimizer:
             plan = optimizer_mod.apply_rules(plan, exec_ctx)
-        counts: dict[int, int] = {}
-        results: dict[int, ConstraintRelation] = {}
 
-        def measure(node: Plan) -> None:
-            if id(node) in results:
-                return
-            for child in getattr(node, "children", ()):
-                measure(child)
-            replaced = _with_materialized_children(node, results)
-            result = replaced.evaluate(catalog, exec_ctx)
-            if replaced is not node and hasattr(replaced, "_last"):
-                # dataclasses.replace evaluated a copy; carry the index
-                # probe counts back to the node being rendered.
-                object.__setattr__(node, "_last", replaced._last)
-            counts[id(node)] = len(result)
-            results[id(node)] = result
+        def measure(node: Plan) -> Plan:
+            if id(node) not in results:
+                replaced = node.map_children(measure)
+                before = [getattr(acct, name) for name in _PROBE_COUNTERS]
+                results[id(node)] = replaced.evaluate(catalog, exec_ctx)
+                probes[id(node)] = {
+                    name: getattr(acct, name) - was
+                    for name, was in zip(_PROBE_COUNTERS, before)}
+            return Materialized(results[id(node)])
 
         measure(plan)
+    indexed = IndexJoin.probes_index(exec_ctx)
 
     def render(node: Plan, depth: int) -> str:
         pad = "  " * depth
         line = (f"{pad}{node.describe()}  "
-                f"[{counts.get(id(node), '?')} rows]")
-        probe = getattr(node, "_last", None)
-        if probe is not None:
-            line += (f"  [index: probed {probe['probes']}, pruned "
-                     f"{probe['pruned']} of {probe['total']} pairs, "
-                     f"{probe['candidates']} candidates]")
-            if "shards" in probe:
-                left_n, right_n = probe["shards"]
-                line += (f"  [shards: {left_n}x{right_n}, "
+                f"[{len(results[id(node)])} rows]")
+        if indexed and isinstance(node, IndexJoin):
+            probe = probes[id(node)]
+            candidates = probe["index_candidates"]
+            pruned = probe["candidates_pruned"]
+            line += (f"  [index: probed {probe['index_probes']}, pruned "
+                     f"{pruned} of {candidates + pruned} pairs, "
+                     f"{candidates} candidates]")
+            if probe["shard_joins"]:
+                left, right = (results[id(c)] for c in node.children)
+                line += (f"  [shards: {left.shard_count}x"
+                         f"{right.shard_count}, "
                          f"{probe['shard_pairs_pruned']} shard pairs "
                          f"pruned, {probe['shard_pairs_probed']} "
                          f"probed]")
-        for child in getattr(node, "children", ()):
+        for child in node.children:
             line += "\n" + render(child, depth + 1)
         return line
 

@@ -40,8 +40,7 @@ identical with and without the index.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 from weakref import WeakKeyDictionary
 
 from repro.constraints import bounds
@@ -60,66 +59,6 @@ Boxer = Callable[[Oid], object]
 #: this fraction of the variable's span, the sweep's active lists stay
 #: long and a uniform grid enumerates candidates more cheaply.
 DENSITY_THRESHOLD = 0.25
-
-#: Effectiveness counters (process-global, like ``bounds``; the engine
-#: reports per-execution deltas and the parallel evaluator absorbs
-#: worker-side deltas).
-_stats = {"builds": 0, "extends": 0, "probes": 0, "pruned": 0,
-          "candidates": 0}
-
-
-def stats() -> dict[str, int]:
-    """A copy of the global index counters.
-
-    ``builds``
-        box indexes constructed from scratch (cache misses);
-    ``extends``
-        indexes brought current by extending a cached index with
-        appended rows only (the incremental-maintenance path);
-    ``probes``
-        coarse candidate pairs examined by the sweep/grid phase;
-    ``pruned``
-        pairs refuted without running the exact predicate
-        (``|R|x|S| - candidates`` per join);
-    ``candidates``
-        pairs that survived to the exact phase.
-    """
-    return dict(_stats)
-
-
-def reset_stats() -> None:
-    for key in _stats:
-        _stats[key] = 0
-
-
-def absorb_stats(delta: dict) -> None:
-    """Fold counter deltas from a worker process into this process's
-    counters (used by :mod:`repro.runtime.parallel`)."""
-    for key, value in delta.items():
-        if key in _stats:
-            _stats[key] += value
-
-
-# ---------------------------------------------------------------------------
-# Enable/disable gate (the CLI's --no-index)
-# ---------------------------------------------------------------------------
-
-
-def indexing_active() -> bool:
-    """Is box-index join acceleration enabled in the active context?"""
-    return context_mod.current_context().indexing
-
-
-@contextmanager
-def indexing(enabled: bool) -> Iterator[None]:
-    """Enable/disable index-join selection for the dynamic extent (the
-    optimizer consults this; plans built while disabled use
-    ``NaturalJoin`` + ``Select`` throughout).  Shim deriving a
-    :class:`~repro.runtime.context.QueryContext` over the current
-    one."""
-    derived = context_mod.current_context().derive(indexing=enabled)
-    with derived.activate():
-        yield
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +307,9 @@ def index_for(relation: ConstraintRelation, column: str,
             and len(relation) >= newest.n_rows)
         if appended_only:
             built = newest.extended(relation, column, boxer)
-            _stats["extends"] += 1
             context_mod.resolve(ctx).stats.index_extends += 1
         else:
             built = BoxIndex(relation, column, boxer)
-            _stats["builds"] += 1
             context_mod.resolve(ctx).stats.index_builds += 1
         stale = [k for k in per_relation
                  if k[0] == column and k[1] == boxer
@@ -589,15 +526,12 @@ def candidate_pairs(left: BoxIndex, right: BoxIndex,
         if left.unbounded[var]:
             for pos in left.unbounded[var]:
                 coarse.extend((pos, other) for other in right.nonempty)
-    _stats["probes"] += len(coarse)
     ctx.stats.index_probes += len(coarse)
     candidates = [
         (l, r) for l, r in coarse
         if not bounds.boxes_disjoint(left.boxes[l], right.boxes[r],
                                      ctx=ctx)]
     candidates.sort()
-    _stats["candidates"] += len(candidates)
-    _stats["pruned"] += total - len(candidates)
     ctx.stats.index_candidates += len(candidates)
     ctx.stats.candidates_pruned += total - len(candidates)
     return candidates

@@ -25,16 +25,20 @@ as a named :class:`RewriteRule` with signature ``(plan, ctx) -> plan``:
 * ``select-sharded-joins`` (physical) — an IndexJoin whose two sides
   scan sharded catalog relations becomes a :class:`~repro.sqlc.algebra.
   ShardedIndexJoin`, scatter-gathering over per-shard box indexes and
-  pruning shard pairs with disjoint bounding envelopes;
-* ``decide-parallelism`` (physical) — filter-bearing nodes are
-  annotated with the context's worker count, making the degree of
-  parallelism an explicit plan property.
+  pruning shard pairs with disjoint bounding envelopes.
+
+The degree of parallelism is not a plan property: filter-bearing nodes
+read ``ctx.parallelism`` when they are evaluated, so one plan serves
+every worker count.
 
 :data:`LOGICAL_RULES` and :data:`PHYSICAL_RULES` are what the staged
 pipeline (:mod:`repro.core.pipeline`) runs as its rewrite phases;
 :func:`optimize` remains the one-call wrapper applying everything.
 The rewrites are semantics-preserving for the operators used by the
-translator (set/bag equivalence up to row order).
+translator (set/bag equivalence up to row order).  Every rule walks the
+tree with :meth:`~repro.sqlc.algebra.Plan.map_children` and names only
+the nodes it treats specially, so a rewrite reaches below every node
+type.
 """
 
 from __future__ import annotations
@@ -52,8 +56,6 @@ from repro.sqlc.algebra import (
     ColumnEq,
     ColumnLiteral,
     CstPredicate,
-    Distinct,
-    Extend,
     IndexJoin,
     NaturalJoin,
     Not,
@@ -65,7 +67,6 @@ from repro.sqlc.algebra import (
     Scan,
     Select,
     ShardedIndexJoin,
-    Union,
 )
 
 
@@ -107,12 +108,6 @@ def _rule_select_sharded_joins(plan: Plan, ctx: QueryContext) -> Plan:
     return plan
 
 
-def _rule_decide_parallelism(plan: Plan, ctx: QueryContext) -> Plan:
-    if ctx.parallelism > 1:
-        return decide_parallelism(plan, ctx.parallelism)
-    return plan
-
-
 #: Logical rewrites (plan shape).  Join planning places the conjuncts
 #: it finds itself, so pushdown need not run again after it.
 LOGICAL_RULES: tuple[RewriteRule, ...] = (
@@ -125,7 +120,6 @@ LOGICAL_RULES: tuple[RewriteRule, ...] = (
 PHYSICAL_RULES: tuple[RewriteRule, ...] = (
     RewriteRule("select-index-joins", _rule_select_index_joins),
     RewriteRule("select-sharded-joins", _rule_select_sharded_joins),
-    RewriteRule("decide-parallelism", _rule_decide_parallelism),
 )
 
 ALL_RULES: tuple[RewriteRule, ...] = LOGICAL_RULES + PHYSICAL_RULES
@@ -139,28 +133,29 @@ def apply_rules(plan: Plan, ctx: QueryContext,
     With ``record`` each rule appends a ``rewrite:<name>`` phase record
     (timing plus rendered before/after plans) to ``ctx.stats`` — the
     per-rule rows of the pipeline's ``--analyze`` trace."""
+    text = plan.explain() if record else ""
     for rule in (ALL_RULES if rules is None else rules):
-        if not record:
-            plan = rule.apply(plan, ctx)
-            continue
-        before_text = plan.explain()
         started = time.perf_counter()
-        plan = rule.apply(plan, ctx)
-        after_text = plan.explain()
-        ctx.stats.phases.append(PhaseRecord(
-            name=f"rewrite:{rule.name}",
-            seconds=time.perf_counter() - started,
-            detail="changed" if after_text != before_text
-            else "unchanged",
-            plan_before=before_text, plan_after=after_text))
+        rewritten = rule.apply(plan, ctx)
+        if record:
+            # A walk that changed nothing hands back the node it was
+            # given (Plan.map_children): nothing to render again.
+            after = text if rewritten is plan else rewritten.explain()
+            ctx.stats.phases.append(PhaseRecord(
+                name=f"rewrite:{rule.name}",
+                seconds=time.perf_counter() - started,
+                detail="changed" if after != text else "unchanged",
+                plan_before=text, plan_after=after))
+            text = after
+        plan = rewritten
     return plan
 
 
 def optimize(plan: Plan, catalog: Catalog | None = None,
              ctx: QueryContext | None = None) -> Plan:
     """Apply all rewrites; ``catalog`` (when given) provides the base
-    relation sizes used by the join order.  Options (indexing,
-    parallelism) come from ``ctx`` or the ambient context."""
+    relation sizes used by the join order.  Options (indexing) come
+    from ``ctx`` or the ambient context."""
     base = context_mod.resolve(ctx)
     if catalog is not None:
         base = base.derive(catalog=catalog)
@@ -174,25 +169,9 @@ def optimize(plan: Plan, catalog: Catalog | None = None,
 
 def push_selections(plan: Plan) -> Plan:
     if isinstance(plan, Select):
-        child = push_selections(plan.child)
-        conjuncts = _split_conjuncts(plan.predicate)
-        return _sink_conjuncts(child, conjuncts)
-    if isinstance(plan, NaturalJoin):
-        return NaturalJoin(push_selections(plan.left),
-                           push_selections(plan.right))
-    if isinstance(plan, Project):
-        return Project(push_selections(plan.child), plan.kept)
-    if isinstance(plan, Rename):
-        return Rename(push_selections(plan.child), plan.mapping)
-    if isinstance(plan, Distinct):
-        return Distinct(push_selections(plan.child))
-    if isinstance(plan, Union):
-        return Union(push_selections(plan.left),
-                     push_selections(plan.right))
-    if isinstance(plan, Extend):
-        return Extend(push_selections(plan.child), plan.column,
-                      plan.compute, plan.label)
-    return plan
+        return _sink_conjuncts(push_selections(plan.child),
+                               _split_conjuncts(plan.predicate))
+    return plan.map_children(push_selections)
 
 
 def _split_conjuncts(predicate: Predicate) -> list[Predicate]:
@@ -275,30 +254,10 @@ def order_cheap_predicates(plan: Plan) -> Plan:
     cheap tests run first (stable sort: original order among equals) —
     semantics-preserving because conjunction is commutative and every
     predicate is a pure row test, and ``And`` short-circuits."""
-    if isinstance(plan, Select):
-        return Select(order_cheap_predicates(plan.child),
-                      _order_conjuncts(plan.predicate), plan.workers)
-    if isinstance(plan, IndexJoin):
+    plan = plan.map_children(order_cheap_predicates)
+    if isinstance(plan, (Select, IndexJoin)):
         return dataclasses.replace(
-            plan,
-            left=order_cheap_predicates(plan.left),
-            right=order_cheap_predicates(plan.right),
-            predicate=_order_conjuncts(plan.predicate))
-    if isinstance(plan, NaturalJoin):
-        return NaturalJoin(order_cheap_predicates(plan.left),
-                           order_cheap_predicates(plan.right))
-    if isinstance(plan, Union):
-        return Union(order_cheap_predicates(plan.left),
-                     order_cheap_predicates(plan.right))
-    if isinstance(plan, Project):
-        return Project(order_cheap_predicates(plan.child), plan.kept)
-    if isinstance(plan, Rename):
-        return Rename(order_cheap_predicates(plan.child), plan.mapping)
-    if isinstance(plan, Distinct):
-        return Distinct(order_cheap_predicates(plan.child))
-    if isinstance(plan, Extend):
-        return Extend(order_cheap_predicates(plan.child), plan.column,
-                      plan.compute, plan.label)
+            plan, predicate=_order_conjuncts(plan.predicate))
     return plan
 
 
@@ -439,21 +398,7 @@ def reorder_joins(plan: Plan, catalog: Catalog) -> Plan:
             # restore it so the rewrite is observationally neutral.
             return joined if joined.columns == plan.columns \
                 else Project(joined, plan.columns)
-    if isinstance(plan, Select):
-        return Select(reorder_joins(plan.child, catalog), plan.predicate)
-    if isinstance(plan, Project):
-        return Project(reorder_joins(plan.child, catalog), plan.kept)
-    if isinstance(plan, Rename):
-        return Rename(reorder_joins(plan.child, catalog), plan.mapping)
-    if isinstance(plan, Distinct):
-        return Distinct(reorder_joins(plan.child, catalog))
-    if isinstance(plan, Union):
-        return Union(reorder_joins(plan.left, catalog),
-                     reorder_joins(plan.right, catalog))
-    if isinstance(plan, Extend):
-        return Extend(reorder_joins(plan.child, catalog), plan.column,
-                      plan.compute, plan.label)
-    return plan
+    return plan.map_children(lambda child: reorder_joins(child, catalog))
 
 
 def _collect_join_graph(plan: Plan, leaves: list[Plan],
@@ -479,14 +424,15 @@ def _estimate(plan: Plan, catalog: Catalog) -> int:
     if isinstance(plan, Scan):
         rel = catalog.get(plan.relation)
         return len(rel) if rel is not None else 1000
-    if isinstance(plan, (Select,)):
+    if isinstance(plan, Select):
         return max(1, _estimate(plan.child, catalog) // 3)
-    if isinstance(plan, (Project, Rename, Distinct, Extend)):
-        return _estimate(plan.child, catalog)
     if isinstance(plan, NaturalJoin):
         return _estimate(plan.left, catalog) \
             * max(1, _estimate(plan.right, catalog))
-    return 1000
+    inputs = plan.children
+    # A one-input operator (Project, Rename, Distinct, Extend) passes
+    # its input's size through; anything else is a guess.
+    return _estimate(inputs[0], catalog) if len(inputs) == 1 else 1000
 
 
 # ---------------------------------------------------------------------------
@@ -507,40 +453,25 @@ def select_index_joins(plan: Plan) -> Plan:
     directly above each join carries all the stuck cross-side
     conjuncts.
     """
-    if isinstance(plan, Select):
-        child = select_index_joins(plan.child)
-        join = child
-        kept = None
-        # reorder_joins may interpose a column-order-restoring Project;
-        # Select and Project commute when the predicate only references
-        # kept columns (always true: it sits above the Project).
-        if isinstance(join, Project) \
-                and isinstance(join.child, NaturalJoin) \
-                and plan.predicate.referenced_columns <= set(join.kept):
-            kept = join.kept
-            join = join.child
-        if isinstance(join, NaturalJoin):
-            rewritten = _try_index_join(
-                join, _split_conjuncts(plan.predicate))
-            if rewritten is not None:
-                return rewritten if kept is None \
-                    else Project(rewritten, kept)
-        return Select(child, plan.predicate)
-    if isinstance(plan, NaturalJoin):
-        return NaturalJoin(select_index_joins(plan.left),
-                           select_index_joins(plan.right))
-    if isinstance(plan, Project):
-        return Project(select_index_joins(plan.child), plan.kept)
-    if isinstance(plan, Rename):
-        return Rename(select_index_joins(plan.child), plan.mapping)
-    if isinstance(plan, Distinct):
-        return Distinct(select_index_joins(plan.child))
-    if isinstance(plan, Union):
-        return Union(select_index_joins(plan.left),
-                     select_index_joins(plan.right))
-    if isinstance(plan, Extend):
-        return Extend(select_index_joins(plan.child), plan.column,
-                      plan.compute, plan.label)
+    plan = plan.map_children(select_index_joins)
+    if not isinstance(plan, Select):
+        return plan
+    join = plan.child
+    kept = None
+    # reorder_joins may interpose a column-order-restoring Project;
+    # Select and Project commute when the predicate only references
+    # kept columns (always true: it sits above the Project).
+    if isinstance(join, Project) \
+            and isinstance(join.child, NaturalJoin) \
+            and plan.predicate.referenced_columns <= set(join.kept):
+        kept = join.kept
+        join = join.child
+    if isinstance(join, NaturalJoin):
+        rewritten = _try_index_join(
+            join, _split_conjuncts(plan.predicate))
+        if rewritten is not None:
+            return rewritten if kept is None \
+                else Project(rewritten, kept)
     return plan
 
 
@@ -601,75 +532,13 @@ def select_sharded_joins(plan: Plan, catalog: Catalog) -> Plan:
     the same order as the monolithic index (envelope pruning only drops
     pairs the pairwise box test would drop), and degrades to the parent
     path when the bound relations turn out not to be sharded."""
+    plan = plan.map_children(
+        lambda child: select_sharded_joins(child, catalog))
     if isinstance(plan, IndexJoin) \
-            and not isinstance(plan, ShardedIndexJoin):
-        left = select_sharded_joins(plan.left, catalog)
-        right = select_sharded_joins(plan.right, catalog)
-        if _scans_sharded(left, catalog) \
-                and _scans_sharded(right, catalog):
-            return ShardedIndexJoin(
-                left, right, plan.left_column, plan.right_column,
-                plan.left_boxer, plan.right_boxer, plan.predicate,
-                plan.workers)
-        return dataclasses.replace(plan, left=left, right=right)
-    if isinstance(plan, Select):
-        return Select(select_sharded_joins(plan.child, catalog),
-                      plan.predicate, plan.workers)
-    if isinstance(plan, NaturalJoin):
-        return NaturalJoin(select_sharded_joins(plan.left, catalog),
-                           select_sharded_joins(plan.right, catalog))
-    if isinstance(plan, Union):
-        return Union(select_sharded_joins(plan.left, catalog),
-                     select_sharded_joins(plan.right, catalog))
-    if isinstance(plan, Project):
-        return Project(select_sharded_joins(plan.child, catalog),
-                       plan.kept)
-    if isinstance(plan, Rename):
-        return Rename(select_sharded_joins(plan.child, catalog),
-                      plan.mapping)
-    if isinstance(plan, Distinct):
-        return Distinct(select_sharded_joins(plan.child, catalog))
-    if isinstance(plan, Extend):
-        return Extend(select_sharded_joins(plan.child, catalog),
-                      plan.column, plan.compute, plan.label)
-    return plan
-
-
-# ---------------------------------------------------------------------------
-# Parallelism decision
-# ---------------------------------------------------------------------------
-
-
-def decide_parallelism(plan: Plan, workers: int) -> Plan:
-    """Annotate every filter-bearing node (Select, IndexJoin) with the
-    worker count, making the parallelism decision a plan property.
-    Nodes carrying an annotation partition with exactly that many
-    workers; unannotated nodes fall back to the context's setting at
-    evaluation time (so unoptimized plans still parallelize)."""
-    if isinstance(plan, Select):
-        return Select(decide_parallelism(plan.child, workers),
-                      plan.predicate, workers)
-    if isinstance(plan, IndexJoin):
-        return dataclasses.replace(
-            plan,
-            left=decide_parallelism(plan.left, workers),
-            right=decide_parallelism(plan.right, workers),
-            workers=workers)
-    if isinstance(plan, NaturalJoin):
-        return NaturalJoin(decide_parallelism(plan.left, workers),
-                           decide_parallelism(plan.right, workers))
-    if isinstance(plan, Union):
-        return Union(decide_parallelism(plan.left, workers),
-                     decide_parallelism(plan.right, workers))
-    if isinstance(plan, Project):
-        return Project(decide_parallelism(plan.child, workers),
-                       plan.kept)
-    if isinstance(plan, Rename):
-        return Rename(decide_parallelism(plan.child, workers),
-                      plan.mapping)
-    if isinstance(plan, Distinct):
-        return Distinct(decide_parallelism(plan.child, workers))
-    if isinstance(plan, Extend):
-        return Extend(decide_parallelism(plan.child, workers),
-                      plan.column, plan.compute, plan.label)
+            and not isinstance(plan, ShardedIndexJoin) \
+            and _scans_sharded(plan.left, catalog) \
+            and _scans_sharded(plan.right, catalog):
+        return ShardedIndexJoin(
+            plan.left, plan.right, plan.left_column, plan.right_column,
+            plan.left_boxer, plan.right_boxer, plan.predicate)
     return plan

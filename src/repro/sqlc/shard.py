@@ -356,9 +356,8 @@ def scatter_pairs(left: ShardedConstraintRelation,
                   right: ShardedConstraintRelation,
                   left_column: str, right_column: str,
                   left_boxer: Boxer, right_boxer: Boxer,
-                  ctx: QueryContext | None = None,
-                  workers: int | None = None
-                  ) -> tuple[list[tuple[int, int]], dict]:
+                  ctx: QueryContext | None = None
+                  ) -> list[tuple[int, int]]:
     """Global candidate (left, right) row-position pairs for a sharded
     join, with shard-pair envelope pruning.
 
@@ -395,30 +394,26 @@ def scatter_pairs(left: ShardedConstraintRelation,
     # Pass 1: envelope pruning — collect the surviving shard pairs so
     # the probe phase can dispatch them as one task batch.
     surviving: list[tuple[int, int]] = []
-    pruned = 0
     for li, (_, left_index, left_size) in enumerate(left_shards):
         left_env = left_index.envelope()
         for ri, (_, right_index, right_size) in enumerate(right_shards):
             if index_mod.envelopes_disjoint(left_env,
                                             right_index.envelope()):
-                pruned += 1
                 # Every cross pair died without per-pair work; keep the
                 # relation-level pruning counter meaningful.
                 ctx.stats.candidates_pruned += left_size * right_size
                 continue
             surviving.append((li, ri))
-    probed = len(surviving)
 
     # Pass 2: probe the survivors — concurrently through the pool when
     # it is worth it, serially otherwise.  Either way ``local_sets``
     # lines up with ``surviving`` (deterministic merge order).
-    parallel_probes = 0
-    if parallel_mod.should_scatter(probed, ctx, workers):
+    if parallel_mod.should_scatter(len(surviving), ctx):
         local_sets = parallel_mod.scatter_tasks(
             _probe_shard_pair,
             [(left_shards[li][1], right_shards[ri][1])
-             for li, ri in surviving], ctx=ctx, workers=workers)
-        parallel_probes = probed
+             for li, ri in surviving], ctx=ctx)
+        ctx.stats.shard_pairs_parallel += len(surviving)
     else:
         local_sets = [
             index_mod.candidate_pairs(left_shards[li][1],
@@ -433,12 +428,7 @@ def scatter_pairs(left: ShardedConstraintRelation,
                      for l, r in local)
     pairs.sort()
     ctx.stats.shard_joins += 1
-    ctx.stats.shard_pairs_pruned += pruned
-    ctx.stats.shard_pairs_probed += probed
-    ctx.stats.shard_pairs_parallel += parallel_probes
-    return pairs, {
-        "shards": (len(left_shards), len(right_shards)),
-        "shard_pairs_pruned": pruned,
-        "shard_pairs_probed": probed,
-        "shard_pairs_parallel": parallel_probes,
-    }
+    ctx.stats.shard_pairs_pruned += \
+        len(left_shards) * len(right_shards) - len(surviving)
+    ctx.stats.shard_pairs_probed += len(surviving)
+    return pairs

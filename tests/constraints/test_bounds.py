@@ -12,6 +12,7 @@ from repro.constraints.existential import (
     ExistentialConjunctiveConstraint,
 )
 from repro.constraints.terms import variables
+from repro.runtime.context import QueryContext
 from repro.workloads.random_constraints import (
     random_infeasible,
     random_polytope,
@@ -107,12 +108,12 @@ class TestRefutes:
             assert bounds.refutes(conj)
 
     def test_counters_advance(self):
-        bounds.reset_stats()
-        bounds.refutes(ConjunctiveConstraint.of(Ge(x, 5), Le(x, 1)))
-        bounds.refutes(ConjunctiveConstraint.of(Ge(x, 0)))
-        stats = bounds.stats()
-        assert stats["checks"] == 2
-        assert stats["refutations"] == 1
+        ctx = QueryContext()
+        bounds.refutes(ConjunctiveConstraint.of(Ge(x, 5), Le(x, 1)),
+                       ctx=ctx)
+        bounds.refutes(ConjunctiveConstraint.of(Ge(x, 0)), ctx=ctx)
+        assert ctx.stats.box_checks == 2
+        assert ctx.stats.box_refutations == 1
 
 
 class TestConstraintBox:

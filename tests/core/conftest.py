@@ -8,12 +8,12 @@ cold.
 
 import pytest
 
-from repro.constraints import bounds
 from repro.runtime import cache
+from repro.runtime.context import default_context
 
 
 @pytest.fixture(autouse=True)
 def _cold_constraint_cache():
     cache.clear_global_cache()
-    bounds.reset_stats()
+    default_context().stats.reset()
     yield

@@ -7,8 +7,6 @@ identical with the cache+prefilter on and off — including under a
 keyed on structural content, so any divergence is a bug.
 """
 
-import contextlib
-
 import pytest
 
 from repro import lyric
@@ -24,8 +22,8 @@ from repro.model.office import (
     build_office_database,
 )
 from repro.model.relations import flatten
-from repro.runtime import ExecutionGuard
-from repro.runtime.cache import ConstraintCache, caching, prefilter
+from repro.runtime import ExecutionGuard, QueryContext
+from repro.runtime.cache import ConstraintCache
 from repro.sqlc import engine
 from repro.workloads.random_constraints import (
     make_variables,
@@ -53,14 +51,11 @@ def db():
 
 
 def cached():
-    return caching(ConstraintCache())
+    return QueryContext(cache=ConstraintCache()).activate()
 
 
 def uncached():
-    stack = contextlib.ExitStack()
-    stack.enter_context(caching(None))
-    stack.enter_context(prefilter(False))
-    return stack
+    return QueryContext(cache=None, prefilter=False).activate()
 
 
 class TestConstraintLevelEquivalence:
@@ -140,7 +135,7 @@ class TestQueryLevelEquivalence:
     def test_warm_cache_skips_simplex_entirely(self, db):
         query = QUERIES[2]
         shared = ConstraintCache()
-        with caching(shared):
+        with QueryContext(cache=shared).activate():
             first = lyric.query(db, query)
             g = ExecutionGuard()
             second = lyric.query(db, query, guard=g)

@@ -7,8 +7,13 @@ and guard spend.  These tests interleave constraint-heavy executions
 across two contexts and assert nothing crosses over.
 """
 
+import re
+import sys
+import threading
+
 import pytest
 
+from bench import text as bench_text
 from repro import lyric
 from repro.model.office import build_office_database
 from repro.runtime import context as context_mod
@@ -133,3 +138,59 @@ class TestInterleavedIsolation:
                                    use_optimizer=False, ctx=plain)
         b = lyric.query_translated(office, QUERY, ctx=tuned)
         assert sorted(map(str, a)) == sorted(map(str, b))
+
+
+class TestIndexAccountIsolation:
+    """An index join's probe counts belong to the context that ran it
+    — not to the process, and not to the plan node, which the plan
+    cache hands to every context."""
+
+    JOIN = bench_text.SPARSE_JOIN_QUERY
+
+    @pytest.fixture
+    def scattered(self):
+        return bench_text.build_sparse(
+            3, {"n": 60, "overlaps": 3, "windows": 1}).db
+
+    def _index_line(self, db):
+        rendered = lyric.explain(db, self.JOIN, analyze=True)
+        (line,) = re.findall(r"\[index: [^\]]*\]", rendered)
+        return line
+
+    def test_analyze_line_ignores_a_concurrent_join(self, scattered):
+        alone = self._index_line(scattered)
+        assert "probed 0" not in alone
+        stop = threading.Event()
+
+        def same_join_elsewhere():
+            while not stop.is_set():
+                lyric.query_translated(scattered, self.JOIN,
+                                       ctx=QueryContext(cache=None))
+
+        other = threading.Thread(target=same_join_elsewhere)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        other.start()
+        try:
+            seen = {self._index_line(scattered) for _ in range(40)}
+        finally:
+            stop.set()
+            other.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not other.is_alive()
+        assert seen == {alone}
+
+    def test_contexts_share_a_cached_plan_not_an_account(self,
+                                                         scattered):
+        ctx_a, ctx_b = QueryContext(), QueryContext()
+        lyric.query_translated(scattered, self.JOIN, ctx=ctx_a)
+        once = (ctx_a.stats.index_probes, ctx_a.stats.index_candidates)
+        assert min(once) > 0
+        lyric.query_translated(scattered, self.JOIN, ctx=ctx_b)
+        lyric.query_translated(scattered, self.JOIN, ctx=ctx_a)
+        assert ctx_b.stats.plan_cache_hits == 1
+        assert (ctx_b.stats.index_probes,
+                ctx_b.stats.index_candidates) == once
+        assert (ctx_a.stats.index_probes,
+                ctx_a.stats.index_candidates) == (2 * once[0],
+                                                  2 * once[1])

@@ -5,7 +5,9 @@ text queries can only take the fork-inherit transport: under
 ``parallelism=2`` the benchmark's join queries and an office
 entailment query must run a real parallel region, never touch the
 persistent pool, and return the serial run's bytes.  A filter under
-``PARTITION_THRESHOLD`` rows stays serial, with the same bytes.
+``PARTITION_THRESHOLD`` rows stays serial, with the same bytes.  The
+worker count is no part of the plan: the parallel run executes the
+very plan the serial run compiled, as a plan-cache hit.
 """
 
 import pytest
@@ -54,6 +56,8 @@ def test_parallel_region_returns_the_serial_bytes(case):
         db, query, params=params, ctx=QueryContext(**options))
     ctx = QueryContext(parallelism=2, **options)
     fanned = lyric.query_translated(db, query, params=params, ctx=ctx)
+    assert (ctx.stats.plan_cache_hits, ctx.stats.plan_cache_misses) \
+        == (1, 0)
     if ctx.stats.parallel_fallbacks:
         pytest.skip("process pool unavailable")
     assert len(serial) > 0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import errors
-from repro.constraints import simplex
 from repro.constraints.atoms import Ge, Le
 from repro.constraints.canonical import (
     canonical_conjunctive,
@@ -12,16 +11,13 @@ from repro.constraints.canonical import (
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.implication import atom_redundant_in
 from repro.constraints.terms import Variable, variables
-from repro.runtime import ExecutionGuard, FaultPlan, guarded
-from repro.runtime.cache import (
-    ConstraintCache,
-    active_cache,
-    caching,
-    get_global_cache,
-    memoized,
-    prefilter,
-    prefilter_active,
+from repro.runtime import (
+    ExecutionGuard,
+    FaultPlan,
+    QueryContext,
+    current_context,
 )
+from repro.runtime.cache import ConstraintCache, get_global_cache
 
 x, y = variables("x y")
 
@@ -79,55 +75,56 @@ class TestLRU:
 
 class TestContextSelection:
     def test_global_by_default(self):
-        assert active_cache() is get_global_cache()
+        assert current_context().active_cache() is get_global_cache()
 
     def test_caching_none_disables(self):
-        with caching(None):
-            assert active_cache() is None
-        assert active_cache() is get_global_cache()
+        with QueryContext(cache=None).activate():
+            assert current_context().active_cache() is None
+        assert current_context().active_cache() is get_global_cache()
 
     def test_scoped_cache_wins(self):
         scoped = ConstraintCache(maxsize=16)
-        with caching(scoped):
-            assert active_cache() is scoped
+        with QueryContext(cache=scoped).activate():
+            assert current_context().active_cache() is scoped
 
     def test_fault_plan_bypasses_cache(self):
         guard = ExecutionGuard(faults=FaultPlan())
-        with guarded(guard):
-            assert active_cache() is None
-            assert not prefilter_active()
+        with QueryContext(guard=guard).activate():
+            assert current_context().active_cache() is None
+            assert not current_context().prefilter_active()
 
     def test_prefilter_context(self):
-        assert prefilter_active()
-        with prefilter(False):
-            assert not prefilter_active()
-        assert prefilter_active()
+        assert current_context().prefilter_active()
+        with QueryContext(prefilter=False).activate():
+            assert not current_context().prefilter_active()
+        assert current_context().prefilter_active()
 
 
 class TestMemoizedSemantics:
     def test_computes_once(self):
         calls = []
-        with caching(ConstraintCache()):
+        with QueryContext(cache=ConstraintCache()).activate() as ctx:
             for _ in range(3):
-                value = memoized("k", lambda: calls.append(1) or 42)
+                value = ctx.memoized("k", lambda: calls.append(1) or 42)
             assert value == 42
         assert len(calls) == 1
 
     def test_disabled_computes_every_time(self):
         calls = []
-        with caching(None):
+        with QueryContext(cache=None).activate() as ctx:
             for _ in range(3):
-                memoized("k", lambda: calls.append(1) or 42)
+                ctx.memoized("k", lambda: calls.append(1) or 42)
         assert len(calls) == 3
 
     def test_simplex_cost_recorded(self):
         cache = ConstraintCache()
         conj = interval(0, 10)
-        with caching(cache):
+        with QueryContext(cache=cache).activate() as ctx:
             conj.is_satisfiable()
-            before = simplex.call_count()
+            before = ctx.stats.simplex_solves
+            assert before >= 1
             assert ConjunctiveConstraint(conj.atoms).is_satisfiable()
-        assert simplex.call_count() == before   # second check: no LP
+        assert ctx.stats.simplex_solves == before  # second check: no LP
         assert cache.hits == 1
         assert cache.simplex_saved >= 1
 
@@ -142,10 +139,10 @@ class TestMemoizedSemantics:
                     "boom", budget="pivots", limit=1, spent=2)
             return "ok"
 
-        with caching(cache):
+        with QueryContext(cache=cache).activate() as ctx:
             with pytest.raises(errors.PivotBudgetExceeded):
-                memoized("k", compute)
-            assert memoized("k", compute) == "ok"
+                ctx.memoized("k", compute)
+            assert ctx.memoized("k", compute) == "ok"
         assert len(attempts) == 2
 
 
@@ -154,7 +151,7 @@ class TestGuardInteraction:
         conj = interval(0, 10)
         conj.is_satisfiable()    # warm the global cache
         guard = ExecutionGuard(max_pivots=1, max_branches=1)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             assert ConjunctiveConstraint(conj.atoms).is_satisfiable()
         assert guard.pivots == 0
         assert guard.branches == 0
@@ -164,7 +161,7 @@ class TestGuardInteraction:
         conj.is_satisfiable()
         guard = ExecutionGuard()
         guard.cancel()
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.QueryCancelled):
                 ConjunctiveConstraint(conj.atoms).is_satisfiable()
         assert guard.exhausted == "cancellation"
@@ -176,7 +173,7 @@ class TestGuardInteraction:
         conj.is_satisfiable()    # warm
         guard = ExecutionGuard(
             faults=FaultPlan(fail_simplex_at=1))
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.InjectedFaultError):
                 ConjunctiveConstraint(conj.atoms).is_satisfiable()
 
@@ -184,7 +181,7 @@ class TestGuardInteraction:
 class TestCachedDecisions:
     def test_satisfiability_cached_across_equal_instances(self):
         cache = ConstraintCache()
-        with caching(cache):
+        with QueryContext(cache=cache).activate():
             assert interval(0, 10).is_satisfiable()
             assert interval(0, 10).is_satisfiable()
         assert cache.hits == 1
@@ -192,7 +189,7 @@ class TestCachedDecisions:
     def test_canonical_conjunctive_cached(self):
         cache = ConstraintCache()
         conj = ConjunctiveConstraint.of(Le(x, 1), Le(x, 2), Le(y, 3))
-        with caching(cache):
+        with QueryContext(cache=cache).activate():
             first = canonical_conjunctive(conj)
             second = canonical_conjunctive(
                 ConjunctiveConstraint(conj.atoms))
@@ -203,7 +200,7 @@ class TestCachedDecisions:
     def test_atom_redundant_cached(self):
         cache = ConstraintCache()
         context = ConjunctiveConstraint.of(Le(x, 1))
-        with caching(cache):
+        with QueryContext(cache=cache).activate():
             assert atom_redundant_in(Le(x, 2), context)
             assert atom_redundant_in(Le(x, 2), context)
         assert cache.hits >= 1
@@ -211,7 +208,7 @@ class TestCachedDecisions:
     def test_canonical_key_cached_and_alpha_invariant(self):
         cache = ConstraintCache()
         a, b = Variable("a"), Variable("b")
-        with caching(cache):
+        with QueryContext(cache=cache).activate():
             key1 = canonical_key(interval(0, 10), (x, y))
             key2 = canonical_key(interval(0, 10), (x, y))
             renamed = ConjunctiveConstraint.of(Ge(a, 0), Le(a, 10))
@@ -222,10 +219,10 @@ class TestCachedDecisions:
     def test_cached_answer_matches_uncached(self):
         conj = interval(0, 10)
         bad = ConjunctiveConstraint.of(Ge(x, 5), Le(x, 1))
-        with caching(None), prefilter(False):
+        with QueryContext(cache=None, prefilter=False).activate():
             plain_good = conj.is_satisfiable()
             plain_bad = bad.is_satisfiable()
-        with caching(ConstraintCache()):
+        with QueryContext(cache=ConstraintCache()).activate():
             assert ConjunctiveConstraint(
                 conj.atoms).is_satisfiable() == plain_good
             assert ConjunctiveConstraint(

@@ -17,7 +17,7 @@ from repro.runtime.context import (
     current_context,
 )
 from repro.runtime.faults import FaultPlan
-from repro.runtime.guard import ExecutionGuard, current_guard
+from repro.runtime.guard import ExecutionGuard
 
 x, y = variables("x y")
 
@@ -84,9 +84,9 @@ class TestActivation:
         assert current_context() is not ctx
         with ctx.activate():
             assert current_context() is ctx
-            assert current_guard() is ctx.guard
+            assert current_context().guard is ctx.guard
         assert current_context() is not ctx
-        assert current_guard() is None
+        assert current_context().guard is None
 
     def test_activations_nest(self):
         outer, inner = QueryContext(), QueryContext()

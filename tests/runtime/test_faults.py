@@ -21,7 +21,7 @@ from repro.model.office import (
     build_office_database,
 )
 from repro.model.relations import flatten
-from repro.runtime import ExecutionGuard, FaultPlan, guarded
+from repro.runtime import ExecutionGuard, FaultPlan, QueryContext
 from repro.sqlc import engine
 
 x, y = variables("x y")
@@ -61,7 +61,7 @@ class TestForcedExhaustion:
     def test_pivots(self):
         guard = ExecutionGuard(
             faults=FaultPlan(exhaust_budget="pivots", exhaust_after=1))
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.PivotBudgetExceeded) as info:
                 simplex.solve(x + y, [Le(x, 1), Le(y, 1)])
         assert info.value.fragment == "fault-injection"
@@ -70,7 +70,7 @@ class TestForcedExhaustion:
         conj = ConjunctiveConstraint.of(Le(x, 1), Ne(x, 0))
         guard = ExecutionGuard(
             faults=FaultPlan(exhaust_budget="branches"))
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.BranchBudgetExceeded) as info:
                 conj.is_satisfiable()
         assert info.value.fragment == "fault-injection"
@@ -78,7 +78,7 @@ class TestForcedExhaustion:
     def test_disjuncts(self):
         guard = ExecutionGuard(
             faults=FaultPlan(exhaust_budget="disjuncts", exhaust_after=2))
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.DisjunctBudgetExceeded):
                 DisjunctiveConstraint(
                     ConjunctiveConstraint.of(Eq(x, i)) for i in range(3))
@@ -87,7 +87,7 @@ class TestForcedExhaustion:
         conj = ConjunctiveConstraint.of(Le(x, 1), Le(x, 2), Le(y, 3))
         guard = ExecutionGuard(
             faults=FaultPlan(exhaust_budget="canonical", exhaust_after=1))
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.CanonicalizationBudgetExceeded):
                 canonical_conjunctive(conj)
 
@@ -105,7 +105,7 @@ class TestForcedExhaustion:
 class TestInjectedSimplexFailure:
     def test_fails_on_exact_call(self):
         guard = ExecutionGuard(faults=FaultPlan(fail_simplex_at=2))
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             first = simplex.solve(x, [Le(x, 1)])
             assert first.is_optimal
             with pytest.raises(errors.InjectedFaultError):
@@ -113,7 +113,7 @@ class TestInjectedSimplexFailure:
 
     def test_error_is_catchable_as_repro_error(self):
         guard = ExecutionGuard(faults=FaultPlan(fail_simplex_at=1))
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.ReproError):
                 ConjunctiveConstraint.of(Le(x, 1)).is_satisfiable()
 

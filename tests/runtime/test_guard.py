@@ -21,7 +21,7 @@ from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.disjunctive import DisjunctiveConstraint
 from repro.constraints.existential import DisjunctiveExistentialConstraint
 from repro.constraints.terms import variables
-from repro.runtime import ExecutionGuard, current_guard, guarded
+from repro.runtime import ExecutionGuard, QueryContext, current_context
 
 x, y, z = variables("x y z")
 
@@ -56,33 +56,33 @@ class TestConstruction:
 
 class TestAmbientActivation:
     def test_no_guard_by_default(self):
-        assert current_guard() is None
+        assert current_context().guard is None
 
     def test_guarded_activates_and_restores(self):
         guard = ExecutionGuard(max_pivots=10)
-        with guarded(guard) as active:
-            assert active is guard
-            assert current_guard() is guard
-        assert current_guard() is None
+        with QueryContext(guard=guard).activate() as active:
+            assert active.guard is guard
+            assert current_context().guard is guard
+        assert current_context().guard is None
 
     def test_guarded_none_is_noop(self):
-        with guarded(None) as active:
-            assert active is None
-            assert current_guard() is None
+        with QueryContext(guard=None).activate() as active:
+            assert active.guard is None
+            assert current_context().guard is None
 
     def test_guards_nest(self):
         outer = ExecutionGuard(max_pivots=10)
         inner = ExecutionGuard(max_pivots=5)
-        with guarded(outer):
-            with guarded(inner):
-                assert current_guard() is inner
-            assert current_guard() is outer
+        with QueryContext(guard=outer).activate():
+            with current_context().derive(guard=inner).activate():
+                assert current_context().guard is inner
+            assert current_context().guard is outer
 
 
 class TestPivotBudget:
     def test_simplex_counts_pivots(self):
         guard = ExecutionGuard()
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             result = simplex.solve(x + y, [Le(x, 1), Le(y, 1)])
         assert result.is_optimal
         assert guard.pivots > 0
@@ -90,7 +90,7 @@ class TestPivotBudget:
 
     def test_pivot_budget_trips(self):
         guard = ExecutionGuard(max_pivots=1)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.PivotBudgetExceeded) as info:
                 simplex.solve(x + y, [Le(x, 1), Le(y, 1), Le(x + y, 3)])
         assert info.value.budget == "pivots"
@@ -100,7 +100,7 @@ class TestPivotBudget:
     def test_satisfiability_spends_pivots(self):
         conj = ConjunctiveConstraint.of(Le(x, 1), Le(-x, 0), Lt(y, 5))
         guard = ExecutionGuard(max_pivots=1)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.PivotBudgetExceeded):
                 conj.is_satisfiable()
 
@@ -112,7 +112,7 @@ class TestBranchBudget:
         conj = ConjunctiveConstraint.of(
             Eq(x, 0), Ne(x, 0), Ne(y, 1), Ne(y, 2), Ne(y, 3))
         guard = ExecutionGuard(max_branches=4)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.BranchBudgetExceeded) as info:
                 conj.is_satisfiable()
         assert info.value.budget == "branches"
@@ -121,7 +121,7 @@ class TestBranchBudget:
     def test_branches_counted_without_limit(self):
         conj = ConjunctiveConstraint.of(Eq(x, 0), Ne(x, 1))
         guard = ExecutionGuard()
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             assert conj.is_satisfiable()
         assert guard.branches >= 1
 
@@ -140,7 +140,7 @@ class TestDisjunctBudget:
         right = DisjunctiveConstraint(
             ConjunctiveConstraint.of(Eq(y, i)) for i in range(3))
         guard = ExecutionGuard(max_disjuncts=5)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.DisjunctBudgetExceeded) as info:
                 left.conjoin(right)
         assert info.value.budget == "disjuncts"
@@ -148,14 +148,14 @@ class TestDisjunctBudget:
 
     def test_peak_disjuncts_recorded(self):
         guard = ExecutionGuard()
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             DisjunctiveConstraint(
                 ConjunctiveConstraint.of(Eq(x, i)) for i in range(4))
         assert guard.peak_disjuncts == 4
 
     def test_dex_family_also_capped(self):
         guard = ExecutionGuard(max_disjuncts=2)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.DisjunctBudgetExceeded):
                 DisjunctiveExistentialConstraint.of(
                     DisjunctiveConstraint(
@@ -168,7 +168,7 @@ class TestCanonicalBudget:
         conj = ConjunctiveConstraint.of(
             Le(x, 1), Le(x, 2), Le(x, 3), Le(y, 1), Le(y, 2))
         guard = ExecutionGuard(max_canonical=2)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(
                     errors.CanonicalizationBudgetExceeded) as info:
                 canonical_conjunctive(conj)
@@ -178,7 +178,7 @@ class TestCanonicalBudget:
         dis = DisjunctiveConstraint(
             ConjunctiveConstraint.of(Le(x, i)) for i in range(1, 5))
         guard = ExecutionGuard(max_canonical=1)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.CanonicalizationBudgetExceeded):
                 remove_subsumed_disjuncts(dis)
 
@@ -199,7 +199,7 @@ class TestDeadline:
     def test_deadline_checked_inside_simplex(self):
         clock = FakeClock()
         guard = ExecutionGuard(deadline=2, clock=clock)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.DeadlineExceeded):
                 # Each pivot tick reads the clock once → trips mid-solve.
                 simplex.solve(x + y + z,
@@ -225,7 +225,7 @@ class TestCancellation:
         conj = ConjunctiveConstraint.of(Le(x, 1))
         guard = ExecutionGuard()
         guard.cancel()
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             with pytest.raises(errors.QueryCancelled):
                 conj.is_satisfiable()
 
@@ -255,7 +255,7 @@ class TestDiagnostics:
     def test_spend_summary(self):
         guard = ExecutionGuard()
         conj = ConjunctiveConstraint.of(Le(x, 1), Ne(x, 5))
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             assert conj.is_satisfiable()
         spend = guard.spend()
         assert spend["pivots"] > 0
@@ -269,7 +269,7 @@ class TestUnguardedBehaviour:
             Le(x, 10), Le(-x, 0), Ne(x, 5), Lt(y, 3))
         unguarded_point = conj.sample_point()
         guard = ExecutionGuard(max_pivots=10_000, max_branches=1_000)
-        with guarded(guard):
+        with QueryContext(guard=guard).activate():
             guarded_point = conj.sample_point()
         assert unguarded_point == guarded_point
         assert unguarded_point[x] >= 0

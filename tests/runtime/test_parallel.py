@@ -6,13 +6,13 @@ from repro.constraints import bounds
 from repro.constraints.terms import Variable
 from repro.errors import PivotBudgetExceeded, QueryCancelled
 from repro.runtime import parallel
+from repro.runtime.context import QueryContext, current_context
 from repro.runtime.faults import FaultPlan
-from repro.runtime.guard import ExecutionGuard, current_guard, guarded
+from repro.runtime.guard import ExecutionGuard
 from repro.runtime.parallel import (
     PARTITION_THRESHOLD,
     _chunk_bounds,
     filter_rows,
-    parallelism,
     should_partition,
 )
 
@@ -50,8 +50,7 @@ class TestChunkBounds:
 class TestGating:
     def test_parallelism_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            with parallelism(0):
-                pass
+            QueryContext(parallelism=0)
 
     def test_serial_without_context(self):
         assert not should_partition(len(ROWS))
@@ -60,7 +59,7 @@ class TestGating:
 
     def test_serial_below_threshold(self):
         small = ROWS[:PARTITION_THRESHOLD - 1]
-        with parallelism(2):
+        with QueryContext(parallelism=2).activate():
             assert not should_partition(len(small))
             assert filter_rows(("a",), small, _thirds) \
                 == _serial_filter(small)
@@ -68,7 +67,7 @@ class TestGating:
 
     def test_fault_plan_forces_serial(self):
         guard = ExecutionGuard(faults=FaultPlan())
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             assert not should_partition(len(ROWS))
             assert filter_rows(("a",), ROWS, _thirds) \
                 == _serial_filter(ROWS)
@@ -77,7 +76,7 @@ class TestGating:
     def test_nested_partitioning_suppressed(self):
         parallel._IN_WORKER = True
         try:
-            with parallelism(2):
+            with QueryContext(parallelism=2).activate():
                 assert not should_partition(len(ROWS))
         finally:
             parallel._IN_WORKER = False
@@ -85,7 +84,7 @@ class TestGating:
 
 class TestParallelFilter:
     def test_matches_serial_in_order(self):
-        with parallelism(3):
+        with QueryContext(parallelism=3).activate():
             kept = filter_rows(("a",), ROWS, _thirds)
         assert kept == _serial_filter(ROWS)
         stats = parallel.stats()
@@ -97,11 +96,11 @@ class TestParallelFilter:
 
     def test_guard_spend_absorbed(self):
         def ticking(row):
-            current_guard().tick_pivots(1)
+            current_context().guard.tick_pivots(1)
             return True
 
         guard = ExecutionGuard(max_pivots=10_000)
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             kept = filter_rows(("a",), ROWS, ticking)
         if parallel.stats()["fallbacks"]:
             pytest.skip("process pool unavailable")
@@ -118,21 +117,20 @@ class TestParallelFilter:
             return not bounds.boxes_disjoint(
                 near, near if row["a"] % 2 else far)
 
-        before = bounds.stats()["checks"]
-        with parallelism(2):
+        with QueryContext(parallelism=2).activate() as ctx:
             kept = filter_rows(("a",), ROWS, boxing)
         if parallel.stats()["fallbacks"]:
             pytest.skip("process pool unavailable")
         assert kept == [row for row in ROWS if row[0] % 2]
-        assert bounds.stats()["checks"] - before == len(ROWS)
+        assert ctx.stats.box_checks == len(ROWS)
 
     def test_worker_budget_trip_rebuilds_exception(self):
         def ticking(row):
-            current_guard().tick_pivots(1)
+            current_context().guard.tick_pivots(1)
             return True
 
         guard = ExecutionGuard(max_pivots=10)
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             with pytest.raises(PivotBudgetExceeded) as exc:
                 filter_rows(("a",), ROWS, ticking)
         if parallel.stats()["fallbacks"]:
@@ -145,7 +143,7 @@ class TestParallelFilter:
     def test_exhausted_parent_budget_falls_back_serial(self):
         guard = ExecutionGuard(max_pivots=5)
         guard.absorb_spend({"pivots": 5})  # no headroom left to split
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             kept = filter_rows(("a",), ROWS, _thirds)
         assert kept == _serial_filter(ROWS)
         stats = parallel.stats()
@@ -155,7 +153,7 @@ class TestParallelFilter:
     def test_cancellation_observed_at_merge(self):
         guard = ExecutionGuard()
         guard.cancel()
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             with pytest.raises(QueryCancelled):
                 filter_rows(("a",), ROWS, _thirds)
         if parallel.stats()["fallbacks"]:

@@ -132,7 +132,7 @@ class TestOptionsKeying:
         assert plan_options_key(base) \
             != plan_options_key(base.derive(use_optimizer=False))
         assert plan_options_key(base) \
-            != plan_options_key(base.derive(parallelism=4))
+            != plan_options_key(base.derive(shards=4))
 
     def test_execution_only_options_do_not_partition(self):
         base = QueryContext()
@@ -140,6 +140,11 @@ class TestOptionsKeying:
             == plan_options_key(base.derive(prefilter=not base.prefilter))
         assert plan_options_key(base) \
             == plan_options_key(base.derive(cache=None))
+        # Nodes read the worker count from the executing context, so
+        # one compiled plan serves every degree of parallelism.
+        assert len(plan_options_key(base)) == 4
+        assert plan_options_key(base) \
+            == plan_options_key(base.derive(parallelism=4))
 
     def test_plan_key_carries_fingerprint(self):
         ctx = QueryContext()
@@ -171,6 +176,16 @@ class TestPipelineIntegration:
         Pipeline(office).run("  " + QUERY.replace("\n", " \n "))
         cache = get_global_plan_cache()
         assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_one_plan_for_every_worker_count(self, office):
+        ctx1 = QueryContext(stats=ExecutionStats(), parallelism=1)
+        serial = Pipeline(office, ctx1).run(QUERY)
+        assert ctx1.stats.plan_cache_misses == 1
+        ctx2 = QueryContext(stats=ExecutionStats(), parallelism=2)
+        fanned = Pipeline(office, ctx2).run(QUERY)
+        assert ctx2.stats.plan_cache_hits == 1
+        assert ctx2.stats.plan_cache_misses == 0
+        assert [r.values for r in serial] == [r.values for r in fanned]
 
     def test_options_get_separate_entries(self, office):
         Pipeline(office).run(QUERY)

@@ -13,11 +13,10 @@ from repro.errors import PivotBudgetExceeded, QueryCancelled
 from repro.runtime import parallel
 from repro.runtime.context import QueryContext, current_context
 from repro.runtime.faults import FaultPlan
-from repro.runtime.guard import ExecutionGuard, current_guard, guarded
+from repro.runtime.guard import ExecutionGuard
 from repro.runtime.parallel import (
     filter_rows,
     get_pool,
-    parallelism,
     scatter_tasks,
     shutdown_pool,
 )
@@ -38,7 +37,7 @@ def _thirds(row):
 
 
 def _ticking(row):
-    current_guard().tick_pivots(1)
+    current_context().guard.tick_pivots(1)
     return True
 
 
@@ -54,7 +53,7 @@ def _skip_unless_parallel():
 def _pool_available() -> bool:
     """Probe once whether real pool dispatch works on this runner,
     then discard the pool and the counters the probe touched."""
-    with parallelism(2):
+    with QueryContext(parallelism=2).activate():
         scatter_tasks(_identity, [(0,), (1,)])
     available = not parallel.stats()["fallbacks"]
     shutdown_pool()
@@ -70,17 +69,17 @@ def _identity(x):
 
 
 def _square(x):
-    current_guard().tick_pivots(1)
+    current_context().guard.tick_pivots(1)
     return x * x
 
 
 def _checkpointing(x):
-    current_guard().checkpoint("scatter-test")
+    current_context().guard.checkpoint("scatter-test")
     return x
 
 
 def _five_pivots(x):
-    current_guard().tick_pivots(5)
+    current_context().guard.tick_pivots(5)
     return x
 
 
@@ -103,7 +102,7 @@ class TestTransportSelection:
     predicate would pickle."""
 
     def _assert_forked(self, predicate):
-        with parallelism(3):
+        with QueryContext(parallelism=3).activate():
             kept = filter_rows(("a",), ROWS, predicate)
         _skip_unless_parallel()
         assert kept == _serial_filter(ROWS)
@@ -124,7 +123,7 @@ class TestTransportSelection:
 
 class TestWarmReuse:
     def test_second_dispatch_reuses_the_pool(self):
-        with parallelism(3):
+        with QueryContext(parallelism=3).activate():
             scatter_tasks(_identity, _tasks(3))
             _skip_unless_parallel()
             scatter_tasks(_identity, _tasks(3))
@@ -133,10 +132,10 @@ class TestWarmReuse:
         assert stats["pool_dispatches"] == 6
 
     def test_growing_replaces_the_pool(self):
-        with parallelism(2):
+        with QueryContext(parallelism=2).activate():
             scatter_tasks(_identity, _tasks(4))
         _skip_unless_parallel()
-        with parallelism(4):
+        with QueryContext(parallelism=4).activate():
             scatter_tasks(_identity, _tasks(4))
         assert parallel.stats()["pool_cold_starts"] == 2
 
@@ -158,7 +157,7 @@ class TestWarmReuse:
 
 class TestPoolDeath:
     def test_dead_pool_falls_back_and_recovers(self):
-        with parallelism(2):
+        with QueryContext(parallelism=2).activate():
             assert scatter_tasks(_identity, _tasks(4)) == [0, 1, 2, 3]
             _skip_unless_parallel()
             # Kill every warm worker behind the pool's back.
@@ -185,7 +184,7 @@ class TestPoolDeath:
 class TestPoolBudgets:
     def test_guard_spend_absorbed_through_the_pool(self):
         guard = ExecutionGuard(max_pivots=10_000)
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             values = scatter_tasks(_square, _tasks(6))
         _skip_unless_parallel()
         assert values == [i * i for i in range(6)]
@@ -195,7 +194,7 @@ class TestPoolBudgets:
 
     def test_budget_trip_rebuilds_exception(self):
         guard = ExecutionGuard(max_pivots=6)
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             # Pro-rated to 3 pivots a task; each spends 5.
             with pytest.raises(PivotBudgetExceeded) as exc:
                 scatter_tasks(_five_pivots, _tasks(2))
@@ -208,7 +207,7 @@ class TestPoolBudgets:
     def test_exhausted_parent_budget_falls_back_serial(self):
         guard = ExecutionGuard(max_pivots=5)
         guard.absorb_spend({"pivots": 5})
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             kept = filter_rows(("a",), ROWS, _thirds)
         assert kept == _serial_filter(ROWS)
         stats = parallel.stats()
@@ -242,7 +241,7 @@ class TestSalvage:
             pytest.skip("process pool unavailable")
         monkeypatch.setattr(parallel, "_gather", _losing(1))
         guard = ExecutionGuard(max_pivots=10_000)
-        with guarded(guard), parallelism(3):
+        with QueryContext(guard=guard, parallelism=3).activate():
             kept = filter_rows(("a",), ROWS, _ticking)
         assert kept == ROWS
         assert guard.pivots == len(ROWS)
@@ -256,7 +255,7 @@ class TestSalvage:
         if not _pool_available():
             pytest.skip("process pool unavailable")
         guard = ExecutionGuard(max_pivots=10_000)
-        with guarded(guard), parallelism(3):
+        with QueryContext(guard=guard, parallelism=3).activate():
             with monkeypatch.context() as patched:
                 patched.setattr(parallel, "_gather",
                                 _losing(total=True))
@@ -280,7 +279,7 @@ class TestMidFlightCancel:
         pause = 0.01
 
         def slow(row):  # a closure: what a translated query filters by
-            guard = current_guard()
+            guard = current_context().guard
             guard.checkpoint("slow-test")
             guard.tick_pivots(1)
             time.sleep(pause)
@@ -292,7 +291,7 @@ class TestMidFlightCancel:
         started = time.perf_counter()
         timer.start()
         try:
-            with guarded(guard), parallelism(2):
+            with QueryContext(guard=guard, parallelism=2).activate():
                 with pytest.raises(QueryCancelled):
                     filter_rows(("a",), rows, slow)
         finally:
@@ -311,7 +310,7 @@ class TestScatterTasks:
         if not _pool_available():
             pytest.skip("process pool unavailable")
         guard = ExecutionGuard(max_pivots=10_000)
-        with guarded(guard), parallelism(3):
+        with QueryContext(guard=guard, parallelism=3).activate():
             values = scatter_tasks(_square, _tasks(7))
         assert values == [i * i for i in range(7)]
         assert guard.pivots == 7
@@ -323,7 +322,7 @@ class TestScatterTasks:
     def test_no_headroom_falls_back_serial(self):
         guard = ExecutionGuard(max_pivots=5)
         guard.absorb_spend({"pivots": 5})
-        with guarded(guard), parallelism(3):
+        with QueryContext(guard=guard, parallelism=3).activate():
             # The serial fallback runs under the parent guard, so the
             # budget trips exactly where a serial run would trip it.
             with pytest.raises(PivotBudgetExceeded):
@@ -338,7 +337,7 @@ class TestScatterTasks:
             pytest.skip("process pool unavailable")
         guard = ExecutionGuard()
         guard.cancel()
-        with guarded(guard), parallelism(2):
+        with QueryContext(guard=guard, parallelism=2).activate():
             with pytest.raises(QueryCancelled):
                 scatter_tasks(_checkpointing, _tasks(4))
 
@@ -346,6 +345,8 @@ class TestScatterTasks:
         ctx = current_context().derive(parallelism=4)
         with ctx.activate():
             assert not parallel.should_scatter(1)
+            assert parallel.should_scatter(4) \
+                == parallel._fork_available()
             faulted = ctx.derive(
                 guard=ExecutionGuard(faults=FaultPlan()))
             with faulted.activate():
@@ -353,16 +354,13 @@ class TestScatterTasks:
         serial_ctx = current_context().derive(parallelism=1)
         with serial_ctx.activate():
             assert not parallel.should_scatter(4)
-            # The explicit workers annotation overrides the context.
-            if parallel._fork_available():
-                assert parallel.should_scatter(4, workers=4)
 
     def test_salvages_lost_tasks_in_process(self, monkeypatch):
         if not _pool_available():
             pytest.skip("process pool unavailable")
         monkeypatch.setattr(parallel, "_gather", _losing(2))
         guard = ExecutionGuard(max_pivots=10_000)
-        with guarded(guard), parallelism(3):
+        with QueryContext(guard=guard, parallelism=3).activate():
             values = scatter_tasks(_square, _tasks(5))
         assert values == [i * i for i in range(5)]
         # 4 absorbed worker ticks + 1 in-process re-run tick.
@@ -378,7 +376,7 @@ class TestScatterTasks:
         unpicklable = lambda: None  # noqa: E731
         tasks = [(1,), (unpicklable,), (3,)]
         pool, _cold = get_pool(2)
-        with parallelism(2):
+        with QueryContext(parallelism=2).activate():
             values = scatter_tasks(_identity, tasks)
             assert values == [1, unpicklable, 3]
             stats = parallel.stats()
@@ -413,6 +411,6 @@ class TestWarm:
         assert answered >= 1
         assert parallel.stats()["pool_cold_starts"] == 1
         # A dispatch after warm-up reuses the warmed pool.
-        with parallelism(2):
+        with QueryContext(parallelism=2).activate():
             scatter_tasks(_identity, _tasks(2))
         assert parallel.stats()["pool_cold_starts"] == 1

@@ -9,8 +9,7 @@ from repro.constraints import matrix
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
-from repro.runtime import numeric, parallel
-from repro.runtime.cache import caching
+from repro.runtime import numeric
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.sqlc import batch, index
 from repro.sqlc.algebra import (
@@ -88,11 +87,10 @@ class TestFilterEquivalence:
     def test_select_rows_identical_numeric_on_and_off(self):
         catalog = {"T": _relation()}
         plan = Select(Scan("T", ("rid", "c")), _cell_predicate())
-        with caching(None):
-            with numeric.numeric_mode(False):
-                baseline = execute(plan, catalog, use_optimizer=False)
-            with numeric.numeric_mode(True):
-                fast = execute(plan, catalog, use_optimizer=False)
+        with QueryContext(cache=None, numeric=False).activate():
+            baseline = execute(plan, catalog, use_optimizer=False)
+        with QueryContext(cache=None, numeric=True).activate():
+            fast = execute(plan, catalog, use_optimizer=False)
         _same_relation(baseline, fast)
 
     def test_join_rows_identical_numeric_on_and_off(self):
@@ -100,11 +98,10 @@ class TestFilterEquivalence:
         plan = Select(NaturalJoin(Scan("L", ("lid", "e")),
                                   Scan("R", ("rid", "f"))),
                       _pair_predicate())
-        with caching(None):
-            with numeric.numeric_mode(False):
-                baseline = execute(plan, catalog, use_optimizer=False)
-            with numeric.numeric_mode(True):
-                fast = execute(plan, catalog, use_optimizer=False)
+        with QueryContext(cache=None, numeric=False).activate():
+            baseline = execute(plan, catalog, use_optimizer=False)
+        with QueryContext(cache=None, numeric=True).activate():
+            fast = execute(plan, catalog, use_optimizer=False)
         _same_relation(baseline, fast)
 
     def test_index_join_rows_identical_numeric_on_and_off(self):
@@ -113,13 +110,12 @@ class TestFilterEquivalence:
                          Scan("R", ("rid", "f")),
                          "e", "f", index.cst_cell_box,
                          index.cst_cell_box, _pair_predicate())
-        with caching(None):
-            index.clear_index_cache()
-            with numeric.numeric_mode(False):
-                baseline = execute(plan, catalog, use_optimizer=False)
-            index.clear_index_cache()
-            with numeric.numeric_mode(True):
-                fast = execute(plan, catalog, use_optimizer=False)
+        index.clear_index_cache()
+        with QueryContext(cache=None, numeric=False).activate():
+            baseline = execute(plan, catalog, use_optimizer=False)
+        index.clear_index_cache()
+        with QueryContext(cache=None, numeric=True).activate():
+            fast = execute(plan, catalog, use_optimizer=False)
         _same_relation(baseline, fast)
 
     def test_and_pre_and_post_parts_preserved(self):
@@ -130,17 +126,16 @@ class TestFilterEquivalence:
                          _cell_predicate()))
         plan = Select(Scan("T", ("rid", "c")), predicate)
         catalog = {"T": relation}
-        with caching(None):
-            with numeric.numeric_mode(False):
-                baseline = execute(plan, catalog, use_optimizer=False)
-            with numeric.numeric_mode(True):
-                fast = execute(plan, catalog, use_optimizer=False)
+        with QueryContext(cache=None, numeric=False).activate():
+            baseline = execute(plan, catalog, use_optimizer=False)
+        with QueryContext(cache=None, numeric=True).activate():
+            fast = execute(plan, catalog, use_optimizer=False)
         _same_relation(baseline, fast)
         # ... and with the constraint conjunct first.
         flipped = And((_cell_predicate(),
                        ColumnLiteral("rid", some_rid)))
         plan = Select(Scan("T", ("rid", "c")), flipped)
-        with caching(None), numeric.numeric_mode(True):
+        with QueryContext(cache=None, numeric=True).activate():
             fast = execute(plan, catalog, use_optimizer=False)
         _same_relation(baseline, fast)
 
@@ -191,7 +186,7 @@ class TestStatsSurfacing:
         catalog = {"T": _relation()}
         plan = Select(Scan("T", ("rid", "c")), _cell_predicate())
         stats = ExecutionStats()
-        with caching(None):
+        with QueryContext(cache=None).activate():
             execute(plan, catalog, use_optimizer=False, stats=stats)
         decided = stats.numeric_accepts + stats.numeric_rejects
         assert decided + stats.numeric_fallbacks == len(catalog["T"])
@@ -210,11 +205,11 @@ class TestStatsSurfacing:
         catalog = {"T": _relation(count=80, seed=8)}
         plan = Select(Scan("T", ("rid", "c")), _cell_predicate())
         serial_stats = ExecutionStats()
-        with caching(None):
+        with QueryContext(cache=None).activate():
             serial = execute(plan, catalog, use_optimizer=False,
                              stats=serial_stats)
         parallel_stats = ExecutionStats()
-        with caching(None), parallel.parallelism(2):
+        with QueryContext(cache=None, parallelism=2).activate():
             fanned = execute(plan, catalog, use_optimizer=False,
                              stats=parallel_stats)
         _same_relation(serial, fanned)

@@ -5,9 +5,9 @@ import pytest
 from repro.constraints.parser import parse_cst
 from repro.errors import EvaluationError
 from repro.model.oid import LiteralOid, oid
-from repro.runtime.cache import caching
+from repro.runtime.context import QueryContext
 from repro.runtime.faults import FaultPlan
-from repro.runtime.guard import ExecutionGuard, guarded
+from repro.runtime.guard import ExecutionGuard
 from repro.sqlc import index
 from repro.sqlc.algebra import (
     CstPredicate,
@@ -22,10 +22,12 @@ from repro.sqlc.relation import ConstraintRelation
 
 
 @pytest.fixture(autouse=True)
-def _fresh_index_state():
-    index.reset_stats()
+def acct():
+    """A cold index cache, and a fresh ambient context whose account
+    the test reads the index counters from."""
     index.clear_index_cache()
-    yield
+    with QueryContext().activate() as ctx:
+        yield ctx.stats
 
 
 def _sat_intersection(a, b):
@@ -87,7 +89,7 @@ class TestBoxIndex:
         assert built.boxes == [{}]
         assert built.nonempty == [0]
 
-    def test_candidate_pairs_prune_and_order(self, catalog):
+    def test_candidate_pairs_prune_and_order(self, catalog, acct):
         left = index.index_for(catalog["lefts"], "e",
                                index.cst_cell_box)
         right = index.index_for(catalog["rights"], "f",
@@ -95,10 +97,9 @@ class TestBoxIndex:
         pairs = index.candidate_pairs(left, right)
         # Only [0,4]x[4,6] and [3,5]x[4,6] overlap; sorted order.
         assert pairs == [(0, 0), (2, 0)]
-        stats = index.stats()
-        assert stats["candidates"] == 2
-        assert stats["pruned"] == 4
-        assert stats["probes"] < 6
+        assert acct.index_candidates == 2
+        assert acct.candidates_pruned == 4
+        assert acct.index_probes < 6
 
     def test_unknown_boxes_always_candidates(self):
         lit = ConstraintRelation("lit", ("c",),
@@ -122,12 +123,12 @@ class TestBoxIndex:
         pairs = index.candidate_pairs(built, built)
         assert pairs == [(i, j) for i in range(8) for j in range(8)]
 
-    def test_cache_hit_and_version_invalidation(self, catalog):
+    def test_cache_hit_and_version_invalidation(self, catalog, acct):
         rel = catalog["lefts"]
         first = index.index_for(rel, "e", index.cst_cell_box)
         again = index.index_for(rel, "e", index.cst_cell_box)
         assert again is first
-        assert index.stats()["builds"] == 1
+        assert acct.index_builds == 1
         rel.add_row((oid("d"), parse_cst("((x) | 7 <= x <= 8)")))
         # A pure append extends the cached index (copy-on-extend)
         # instead of rebuilding; the old object stays frozen.
@@ -135,8 +136,8 @@ class TestBoxIndex:
         assert extended is not first
         assert extended.n_rows == 4
         assert first.n_rows == 3
-        assert index.stats()["builds"] == 1
-        assert index.stats()["extends"] == 1
+        assert acct.index_builds == 1
+        assert acct.index_extends == 1
         # The extended index is structurally identical to a rebuild.
         rebuilt = index.BoxIndex(rel, "e", index.cst_cell_box)
         assert extended.boxes == rebuilt.boxes
@@ -154,7 +155,7 @@ class TestIndexJoin:
         assert list(indexed) == list(baseline)
 
     def test_disabled_indexing_same_result(self, catalog):
-        with index.indexing(False):
+        with QueryContext(indexing=False).activate():
             off = execute(index_join_plan(), catalog,
                           use_optimizer=False)
         on = execute(index_join_plan(), catalog, use_optimizer=False)
@@ -162,11 +163,10 @@ class TestIndexJoin:
 
     def test_fault_plan_disables_pruning(self, catalog):
         guard = ExecutionGuard(faults=FaultPlan())
-        before = index.stats()["probes"]
-        with guarded(guard):
+        with QueryContext(guard=guard).activate() as ctx:
             result = execute(index_join_plan(), catalog,
                              use_optimizer=False)
-        assert index.stats()["probes"] == before
+        assert ctx.stats.index_probes == 0
         assert len(result) == 2
 
     def test_optimizer_selects_index_join(self, catalog):
@@ -183,7 +183,7 @@ class TestIndexJoin:
         assert not isinstance(optimize(plan, catalog), IndexJoin)
 
     def test_optimizer_gate(self, catalog):
-        with index.indexing(False):
+        with QueryContext(indexing=False).activate():
             optimized = optimize(join_plan(), catalog)
         assert not isinstance(optimized, IndexJoin)
         assert select_index_joins(join_plan()) != join_plan()
@@ -206,7 +206,7 @@ class TestStatsReset:
     def test_reused_stats_object_resets(self, catalog):
         guard = ExecutionGuard(max_pivots=10_000)
         stats = ExecutionStats()
-        with caching(None):
+        with QueryContext(cache=None).activate():
             execute(join_plan(), catalog, stats=stats, guard=guard)
             first = (stats.pivots, stats.simplex_calls,
                      stats.candidates_pruned)

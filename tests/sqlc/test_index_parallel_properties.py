@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.constraints.cst_object import CSTObject
 from repro.model.oid import LiteralOid
-from repro.runtime.cache import caching
+from repro.runtime.context import QueryContext
 from repro.runtime.guard import ExecutionGuard
 from repro.runtime import parallel
 from repro.sqlc import index
@@ -29,7 +29,6 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _fresh_index_state():
-    index.reset_stats()
     index.clear_index_cache()
     parallel.reset_stats()
     yield
@@ -92,7 +91,7 @@ class TestIndexJoinEquivalence:
     @settings(max_examples=10, deadline=None)
     def test_equivalence_under_degrade_without_cache(self, seed):
         catalog = _catalog(seed)
-        with caching(None):
+        with QueryContext(cache=None).activate():
             baseline = execute(
                 _nested_loop_plan(), catalog, use_optimizer=False,
                 guard=ExecutionGuard(max_pivots=1_000_000,
@@ -126,7 +125,7 @@ class TestParallelEquivalence:
         serial = execute(_index_join_plan(), catalog,
                          use_optimizer=False)
         before = parallel.stats()
-        with parallel.parallelism(2):
+        with QueryContext(parallelism=2).activate():
             fanned = execute(_index_join_plan(), catalog,
                              use_optimizer=False)
         after = parallel.stats()
@@ -138,12 +137,12 @@ class TestParallelEquivalence:
     def test_parallel_under_degrade_without_cache(self, seed):
         catalog = _catalog(seed, n_left=16, n_right=16,
                            spread=10, size=10)
-        with caching(None):
+        with QueryContext(cache=None).activate():
             serial = execute(
                 _index_join_plan(), catalog, use_optimizer=False,
                 guard=ExecutionGuard(max_pivots=1_000_000,
                                      on_exhaustion="degrade"))
-            with parallel.parallelism(2):
+            with QueryContext(cache=None, parallelism=2).activate():
                 fanned = execute(
                     _index_join_plan(), catalog, use_optimizer=False,
                     guard=ExecutionGuard(max_pivots=1_000_000,
@@ -155,7 +154,7 @@ class TestParallelEquivalence:
         degrade to the same empty relation."""
         catalog = _catalog(5, n_left=16, n_right=16,
                            spread=10, size=10)
-        with caching(None):
+        with QueryContext(cache=None).activate():
             serial_stats = ExecutionStats()
             serial = execute(
                 _index_join_plan(), catalog, use_optimizer=False,
@@ -163,7 +162,7 @@ class TestParallelEquivalence:
                 guard=ExecutionGuard(max_pivots=3,
                                      on_exhaustion="degrade"))
             parallel_stats = ExecutionStats()
-            with parallel.parallelism(2):
+            with QueryContext(cache=None, parallelism=2).activate():
                 fanned = execute(
                     _index_join_plan(), catalog, use_optimizer=False,
                     stats=parallel_stats,
@@ -178,7 +177,7 @@ class TestParallelEquivalence:
         catalog = _catalog(6, n_left=16, n_right=16,
                            spread=10, size=10)
         stats = ExecutionStats()
-        with parallel.parallelism(2):
+        with QueryContext(parallelism=2).activate():
             execute(_index_join_plan(), catalog, use_optimizer=False,
                     stats=stats)
         if parallel.stats()["runs"]:

@@ -16,6 +16,7 @@ from repro.sqlc.algebra import (
     Scan,
     ShardedIndexJoin,
 )
+from repro.sqlc.engine import explain_analyze
 from repro.sqlc.optimizer import select_sharded_joins
 from repro.sqlc.relation import ConstraintRelation
 from repro.sqlc.shard import (
@@ -31,7 +32,6 @@ from repro.workloads.random_constraints import (
 
 @pytest.fixture(autouse=True)
 def _fresh_index_state():
-    index.reset_stats()
     index.clear_index_cache()
     yield
 
@@ -289,12 +289,12 @@ class TestScatterGather:
             index.index_for(plain["L"], "e", index.cst_cell_box),
             index.index_for(plain["R"], "f", index.cst_cell_box),
             ctx=ctx)
-        pairs, info = scatter_pairs(
+        pairs = scatter_pairs(
             sharded["L"], sharded["R"], "e", "f",
             index.cst_cell_box, index.cst_cell_box, ctx=ctx)
         assert pairs == mono
-        assert info["shard_pairs_pruned"] \
-            + info["shard_pairs_probed"] == 16
+        assert ctx.stats.shard_pairs_pruned \
+            + ctx.stats.shard_pairs_probed == 16
 
     def test_join_results_byte_identical(self):
         plain, sharded = _sharded_catalog()
@@ -335,11 +335,16 @@ class TestScatterGather:
 
     def test_explain_record_carries_shard_counts(self):
         _, sharded = _sharded_catalog()
-        node = _sharded_join()
-        node.evaluate(sharded, QueryContext())
-        assert node._last["shards"] == (4, 4)
-        assert node._last["shard_pairs_pruned"] \
-            + node._last["shard_pairs_probed"] == 16
+        ctx = QueryContext()
+        rendered = explain_analyze(_sharded_join(), sharded,
+                                   use_optimizer=False, ctx=ctx)
+        acct = ctx.stats
+        assert acct.shard_pairs_pruned + acct.shard_pairs_probed == 16
+        assert (f"[index: probed {acct.index_probes}, pruned "
+                f"{acct.candidates_pruned} of {80 * 60} pairs, "
+                f"{acct.index_candidates} candidates]") in rendered
+        assert (f"[shards: 4x4, {acct.shard_pairs_pruned} shard pairs "
+                f"pruned, {acct.shard_pairs_probed} probed]") in rendered
 
 
 class TestOptimizerSelection:

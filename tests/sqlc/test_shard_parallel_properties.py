@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.constraints.cst_object import CSTObject
 from repro.model.oid import LiteralOid
 from repro.runtime import parallel
-from repro.runtime.cache import caching
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard
@@ -40,7 +39,6 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
-    index.reset_stats()
     index.clear_index_cache()
     parallel.reset_stats()
     yield
@@ -89,11 +87,11 @@ def _plain_plan():
                      index.cst_cell_box, _predicate())
 
 
-def _sharded_plan(workers=None):
+def _sharded_plan():
     return ShardedIndexJoin(
         Scan("L", ("lid", "e")), Scan("R", ("rid", "f")),
         "e", "f", index.cst_cell_box, index.cst_cell_box,
-        _predicate(), workers=workers)
+        _predicate())
 
 
 def _same_relation(a, b):
@@ -118,8 +116,9 @@ class TestShardParallelEquivalence:
         baseline = execute(_plain_plan(), plain, use_optimizer=False)
         serial = execute(_sharded_plan(), sharded,
                          use_optimizer=False)
-        fanned = execute(_sharded_plan(workers=3), sharded,
-                         use_optimizer=False)
+        fanned = execute(_sharded_plan(), sharded,
+                         use_optimizer=False,
+                         ctx=QueryContext(parallelism=3))
         _same_relation(baseline, serial)
         _same_relation(serial, fanned)
 
@@ -128,11 +127,12 @@ class TestShardParallelEquivalence:
     @settings(max_examples=5, deadline=None)
     def test_agreement_without_cache(self, seed, shards):
         plain, sharded = _catalogs(seed, shards, True)
-        with caching(None):
+        with QueryContext(cache=None).activate():
             baseline = execute(_plain_plan(), plain,
                                use_optimizer=False)
-            fanned = execute(_sharded_plan(workers=3), sharded,
-                             use_optimizer=False)
+            fanned = execute(
+                _sharded_plan(), sharded, use_optimizer=False,
+                ctx=QueryContext(cache=None, parallelism=3))
         _same_relation(baseline, fanned)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -142,9 +142,9 @@ class TestShardParallelEquivalence:
         plain, sharded = _catalogs(seed, shards, True)
         baseline = execute(_plain_plan(), plain, use_optimizer=False,
                            ctx=QueryContext(numeric=False))
-        fanned = execute(_sharded_plan(workers=3), sharded,
+        fanned = execute(_sharded_plan(), sharded,
                          use_optimizer=False,
-                         ctx=QueryContext(numeric=False))
+                         ctx=QueryContext(numeric=False, parallelism=3))
         _same_relation(baseline, fanned)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -155,14 +155,14 @@ class TestShardParallelEquivalence:
         # budget, so serial and concurrent probing leave the exact
         # phase identical spend headroom — identical partial rows.
         plain, sharded = _catalogs(seed, shards, True)
-        with caching(None):
+        with QueryContext(cache=None).activate():
             baseline = execute(
                 _plain_plan(), plain, use_optimizer=False,
                 guard=ExecutionGuard(max_pivots=60,
                                      on_exhaustion="degrade"))
             fanned = execute(
-                _sharded_plan(workers=3), sharded,
-                use_optimizer=False,
+                _sharded_plan(), sharded, use_optimizer=False,
+                ctx=QueryContext(cache=None, parallelism=3),
                 guard=ExecutionGuard(max_pivots=60,
                                      on_exhaustion="degrade"))
         _same_relation(baseline, fanned)
@@ -176,9 +176,9 @@ class TestShardParallelGates:
         stats = ExecutionStats()
         baseline = execute(_plain_plan(), plain, use_optimizer=False,
                            guard=faults_a)
-        fanned = execute(_sharded_plan(workers=3), sharded,
+        fanned = execute(_sharded_plan(), sharded,
                          use_optimizer=False, guard=faults_b,
-                         stats=stats)
+                         stats=stats, ctx=QueryContext(parallelism=3))
         _same_relation(baseline, fanned)
         assert stats.shard_pairs_parallel == 0
         assert parallel.stats()["scatters"] == 0
@@ -190,8 +190,9 @@ class TestShardParallelGates:
                          use_optimizer=False, stats=serial_stats)
         assert serial_stats.shard_pairs_parallel == 0
         fanned_stats = ExecutionStats()
-        fanned = execute(_sharded_plan(workers=3), sharded,
-                         use_optimizer=False, stats=fanned_stats)
+        fanned = execute(_sharded_plan(), sharded,
+                         use_optimizer=False, stats=fanned_stats,
+                         ctx=QueryContext(parallelism=3))
         _same_relation(serial, fanned)
         if parallel.stats()["scatters"]:
             # The pool really ran: every surviving pair probed in a

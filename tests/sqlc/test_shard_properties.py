@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.constraints.cst_object import CSTObject
 from repro.model.oid import LiteralOid
-from repro.runtime.cache import caching
 from repro.runtime.context import QueryContext
 from repro.runtime.guard import ExecutionGuard
 from repro.sqlc import index
@@ -34,7 +33,6 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _fresh_index_state():
-    index.reset_stats()
     index.clear_index_cache()
     yield
 
@@ -114,7 +112,7 @@ class TestShardedEquivalence:
     @settings(max_examples=10, deadline=None)
     def test_matches_without_cache(self, seed, shards):
         plain, sharded = _catalogs(seed, shards, True)
-        with caching(None):
+        with QueryContext(cache=None).activate():
             baseline = execute(_plain_plan(), plain,
                                use_optimizer=False)
             result = execute(_sharded_plan(), sharded,
@@ -156,7 +154,7 @@ class TestShardedEquivalence:
         # degraded partial result must still be identical, because
         # candidate order (hence budget spend order) is identical.
         plain, sharded = _catalogs(seed, shards, True)
-        with caching(None):
+        with QueryContext(cache=None).activate():
             baseline = execute(
                 _plain_plan(), plain, use_optimizer=False,
                 guard=ExecutionGuard(max_pivots=60,

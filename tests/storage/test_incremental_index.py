@@ -60,11 +60,12 @@ def matrix_keys(matrix, relation):
 
 
 @pytest.fixture(autouse=True)
-def _reset_counters():
-    index_mod.reset_stats()
+def acct():
+    """A cold matrix cache, and a fresh ambient context whose account
+    the test reads the index counters from."""
     matrix_mod.clear_matrix_cache()
-    yield
-    index_mod.reset_stats()
+    with QueryContext().activate() as ctx:
+        yield ctx.stats
     matrix_mod.clear_matrix_cache()
 
 
@@ -82,15 +83,12 @@ class TestIncrementalBoxIndex:
             rebuilt = index_mod.BoxIndex(rel, "e",
                                          index_mod.cst_cell_box)
             assert_indexes_equal(current, rebuilt)
-        stats = index_mod.stats()
-        assert stats["builds"] == 1
-        assert stats["extends"] == 4
         assert ctx.stats.index_builds == 1
         assert ctx.stats.index_extends == 4
         # The original index never moved: copy-on-extend froze it.
         assert first.n_rows == 2
 
-    def test_multi_row_append_extends_once(self):
+    def test_multi_row_append_extends_once(self, acct):
         rel = fresh_relation(3)
         index_mod.index_for(rel, "e", index_mod.cst_cell_box)
         for i in range(5):
@@ -98,7 +96,7 @@ class TestIncrementalBoxIndex:
         current = index_mod.index_for(rel, "e",
                                       index_mod.cst_cell_box)
         assert current.n_rows == 8
-        assert index_mod.stats()["extends"] == 1
+        assert acct.index_extends == 1
         assert_indexes_equal(
             current,
             index_mod.BoxIndex(rel, "e", index_mod.cst_cell_box))
@@ -115,16 +113,15 @@ class TestIncrementalBoxIndex:
             current,
             index_mod.BoxIndex(rel, "e", index_mod.cst_cell_box))
 
-    def test_version_gap_without_appends_rebuilds(self):
+    def test_version_gap_without_appends_rebuilds(self, acct):
         """A version delta that does not match the row delta (not a
         pure append) must fall back to a full rebuild, never extend."""
         rel = fresh_relation(3)
         index_mod.index_for(rel, "e", index_mod.cst_cell_box)
         rel._version += 1  # simulate an in-place, non-append mutation
         index_mod.index_for(rel, "e", index_mod.cst_cell_box)
-        stats = index_mod.stats()
-        assert stats["builds"] == 2
-        assert stats["extends"] == 0
+        assert acct.index_builds == 2
+        assert acct.index_extends == 0
 
 
 class TestIncrementalMatrix:
@@ -147,7 +144,7 @@ class TestIncrementalMatrix:
 
 class TestMaintenanceThroughStore:
     def test_recovered_relation_rebuild_equals_incremental(
-            self, tmp_path):
+            self, tmp_path, acct):
         """Rows appended through a live store keep the index current by
         extension; after crash recovery the replayed relation's rebuilt
         index must equal the incrementally maintained one."""
@@ -164,7 +161,7 @@ class TestMaintenanceThroughStore:
         incremental = index_mod.index_for(rel, "e",
                                           index_mod.cst_cell_box)
         matrix = matrix_mod.matrix_for(rel, "e")
-        assert index_mod.stats()["extends"] >= 1
+        assert acct.index_extends >= 1
         store.close()
 
         with Store.open(path) as reopened:
@@ -178,7 +175,7 @@ class TestMaintenanceThroughStore:
                 == matrix_keys(rebuilt_matrix, recovered)
 
     def test_store_loaded_relation_supports_incremental_appends(
-            self, tmp_path):
+            self, tmp_path, acct):
         path = str(tmp_path / "store")
         store = Store.create(path, durability="always")
         store.create_relation("boxes", ("e",))
@@ -192,7 +189,7 @@ class TestMaintenanceThroughStore:
             current = index_mod.index_for(rel, "e",
                                           index_mod.cst_cell_box)
             assert current.n_rows == 2
-            assert index_mod.stats()["extends"] == 1
+            assert acct.index_extends == 1
             assert_indexes_equal(
                 current,
                 index_mod.BoxIndex(rel, "e", index_mod.cst_cell_box))
