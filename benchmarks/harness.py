@@ -6,16 +6,22 @@ Run with::
     python benchmarks/harness.py            # all experiments
     python benchmarks/harness.py E7 E9      # a subset
 
-Each experiment prints a small table; EXPERIMENTS.md records one such
-run next to the paper's corresponding claim.  Timings are wall-clock
-medians of ``repeats`` runs on whatever machine this executes on — the
-*shapes* (scaling exponents, blow-ups, orderings), not the absolute
-numbers, are the reproduction targets.
+Each experiment prints a small table and writes no file;
+EXPERIMENTS.md records one such run next to the paper's corresponding
+claim.  Timings are wall-clock medians of ``repeats`` runs on whatever
+machine this executes on — the *shapes* (scaling exponents, blow-ups,
+orderings), not the absolute numbers, are the reproduction targets.
+
+These are the paper's claims (E7-E15).  What this repository's own
+layers cost is measured by ``python3 bench/run.py`` against
+``BENCHMARK.json`` and nowhere else; E23 is the one table kept here
+for a decision still open (ROADMAP item 3a), with no floor.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import statistics
 import sys
 import time
@@ -42,9 +48,9 @@ from repro.workloads.random_constraints import (
     dense_system,
     make_variables,
     random_dnf,
-    random_infeasible,
     random_polytope,
     redundant_conjunction,
+    scattered_boxes,
 )
 
 
@@ -297,46 +303,63 @@ def experiment_e15() -> None:
           "drawer joins)")
 
 
-def experiment_e16() -> None:
-    header("E16", "constraint cache + interval prefilter: repeated "
-                  "canonicalization/satisfiability workload")
-    from repro.constraints.canonical import canonical_conjunctive
-    from repro.constraints.conjunctive import ConjunctiveConstraint
-    from repro.runtime.cache import ConstraintCache
-    base = [redundant_conjunction(3, 5, 4, seed=s) for s in range(8)]
-    base += [random_polytope(3, 8, seed=s) for s in range(8)]
-    base += [random_infeasible(3, 8, seed=s) for s in range(8)]
-    # The join-loop access pattern: the same constraints recur many
-    # times as fresh (structurally equal) instances.
-    workload = [ConjunctiveConstraint(c.atoms)
-                for _ in range(5) for c in base]
+def experiment_e23() -> None:
+    header("E23", "shard-pair probes, serial vs concurrent (ROADMAP "
+                  "item 3a: keep or remove needs >= 4 cores)")
+    from repro.constraints.cst_object import CSTObject
+    from repro.model.oid import LiteralOid
+    from repro.runtime import parallel
+    from repro.sqlc import index
+    from repro.sqlc.shard import ShardedConstraintRelation, scatter_pairs
+    shards = 16
+    workers = max(2, min(8, os.cpu_count() or 2))
+    variables = make_variables(1)
 
-    def run_all():
-        return [(canonical_conjunctive(c), is_satisfiable(c))
-                for c in workload]
+    def side(name: str, column: str, n: int, seed: int):
+        # canonicalize=False: the boxes are already bound atoms.  The
+        # spread grows with n, so the density stays E21's.
+        relation = ShardedConstraintRelation(
+            name, ("id", column),
+            [(LiteralOid(i),
+              CSTObject(variables, box, canonicalize=False))
+             for i, box in enumerate(scattered_boxes(
+                 n, seed=seed, spread=460 * n, size=20))],
+            shards=shards, partition_by=column)
+        relation.register_index(column, index.cst_cell_box)
+        return relation
 
-    def run_disabled():
-        with QueryContext(cache=None, prefilter=False).activate():
-            return run_all()
+    print(f"{os.cpu_count()} cores, {workers} workers, {shards} shards "
+          f"a side")
+    print(f"{'rows/side':>10} {'pairs probed':>13} {'in workers':>11} "
+          f"{'candidates':>11} {'serial (s)':>11} {'concurrent (s)':>15} "
+          f"{'speedup':>8}")
+    parallel.shutdown_pool()
+    try:
+        parallel.warm(workers)  # the cold fork stays out of the timings
+        for n in [11_000, 65_000]:
+            left, right = side("L", "e", n, 11), side("R", "f", n, 13)
 
-    def run_cached():
-        cache = ConstraintCache()
-        with QueryContext(cache=cache).activate():
-            result = run_all()
-        return result, cache.counters()
+            def probe(**options):
+                ctx = QueryContext(**options)
+                pairs = scatter_pairs(left, right, "e", "f",
+                                      index.cst_cell_box,
+                                      index.cst_cell_box, ctx=ctx)
+                return pairs, ctx.stats
 
-    t_off, baseline = timed(run_disabled)
-    t_on, (warm, counters) = timed(run_cached)
-    assert [r for r, _ in baseline] == [r for r, _ in warm]
-    assert [s for _, s in baseline] == [s for _, s in warm]
-    hit_rate = counters["hits"] / max(
-        1, counters["hits"] + counters["misses"])
-    print(f"{'mode':>10} {'median (s)':>12}")
-    print(f"{'disabled':>10} {t_off:>12.4f}")
-    print(f"{'cached':>10} {t_on:>12.4f}")
-    print(f"speedup {t_off / t_on:.1f}x; hit rate {hit_rate:.2f}; "
-          f"{counters['simplex_saved']} simplex solves saved "
-          f"(identical results in both modes)")
+            t_serial, (pairs, serial) = timed(probe)
+            t_fanned, (fanned_pairs, fanned) = timed(
+                lambda: probe(parallelism=workers))
+            assert fanned_pairs == pairs, \
+                "concurrent probes changed the candidate list"
+            print(f"{n:>10} {serial.shard_pairs_probed:>13} "
+                  f"{fanned.shard_pairs_parallel:>11} {len(pairs):>11} "
+                  f"{t_serial:>11.4f} {t_fanned:>15.4f} "
+                  f"{t_serial / t_fanned:>7.2f}x")
+    finally:
+        parallel.shutdown_pool()
+    print("(identical candidate lists in both modes; 0 in workers means "
+          "the pool was unavailable and both columns timed the serial "
+          "loop)")
 
 
 EXPERIMENTS = {
@@ -349,7 +372,7 @@ EXPERIMENTS = {
     "E13": experiment_e13,
     "E14": experiment_e14,
     "E15": experiment_e15,
-    "E16": experiment_e16,
+    "E23": experiment_e23,
 }
 
 

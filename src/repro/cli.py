@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from repro import lyric
@@ -313,77 +312,6 @@ def cmd_shell(args) -> int:
     return 0
 
 
-_PREPARE_RE = re.compile(
-    r"^prepare\s+([A-Za-z_]\w*)\s+as\s+(.+)$",
-    re.IGNORECASE | re.DOTALL)
-_EXECUTE_RE = re.compile(
-    r"^execute\s+([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*$",
-    re.IGNORECASE | re.DOTALL)
-
-
-def _execute_bindings(args_text: str | None,
-                      param_names: tuple[str, ...]) -> dict:
-    """EXECUTE argument list -> parameter bindings.
-
-    Arguments are positional (mapped onto the prepared query's
-    parameter order) or named (``p = 3`` / ``$p = 3``); values are
-    numbers, quoted strings, or bare identifiers (symbolic oids).
-    """
-    from fractions import Fraction
-
-    from repro.core.lexer import tokenize
-    from repro.errors import LyricSyntaxError
-    from repro.model.oid import LiteralOid, SymbolicOid
-
-    bindings: dict = {}
-    positional: list = []
-    if args_text and args_text.strip():
-        tokens = tokenize(args_text)
-        i = 0
-
-        def value_at(i: int):
-            token = tokens[i]
-            if token.kind == "number":
-                return LiteralOid(Fraction(token.value)), i + 1
-            if token.kind == "symbol" and token.value == "-" \
-                    and tokens[i + 1].kind == "number":
-                return LiteralOid(-Fraction(tokens[i + 1].value)), i + 2
-            if token.kind == "string":
-                return LiteralOid(token.value), i + 1
-            if token.kind in ("ident", "kw"):
-                return SymbolicOid(token.value), i + 1
-            raise LyricSyntaxError(
-                f"EXECUTE argument: unexpected {token.value or token.kind!r}")
-
-        while tokens[i].kind != "eof":
-            token = tokens[i]
-            if token.kind in ("ident", "param") \
-                    and tokens[i + 1].kind == "symbol" \
-                    and tokens[i + 1].value == "=":
-                value, i = value_at(i + 2)
-                bindings[token.value] = value
-            else:
-                value, i = value_at(i)
-                positional.append(value)
-            if tokens[i].kind == "symbol" and tokens[i].value == ",":
-                i += 1
-            elif tokens[i].kind != "eof":
-                raise LyricSyntaxError(
-                    "EXECUTE arguments must be comma-separated")
-    if len(positional) > len(param_names):
-        raise LyricSyntaxError(
-            f"EXECUTE: {len(positional)} positional arguments for "
-            f"{len(param_names)} parameters")
-    for name, value in zip(param_names, positional):
-        bindings.setdefault(name, value)
-    unknown = set(bindings) - set(param_names)
-    if unknown:
-        raise LyricSyntaxError(
-            "EXECUTE: unknown parameters "
-            + ", ".join(f"${n}" for n in sorted(unknown)))
-    return bindings
-
-
 def _shell_loop(db: Database, args, buffer: list[str], stream) -> None:
     prepared: dict[str, lyric.PreparedQuery] = {}
     while True:
@@ -406,8 +334,8 @@ def _shell_loop(db: Database, args, buffer: list[str], stream) -> None:
             # A fresh guard per statement: one exhausted query must not
             # poison the budgets of the next.
             ctx = _context_from(args, guard=_guard_from(args))
-            prepare_match = _PREPARE_RE.match(text)
-            execute_match = _EXECUTE_RE.match(text)
+            prepare_match = lyric.PREPARE_STATEMENT.match(text)
+            execute_match = lyric.EXECUTE_STATEMENT.match(text)
             if prepare_match:
                 name = prepare_match.group(1)
                 prepared[name] = lyric.prepare(db,
@@ -424,8 +352,8 @@ def _shell_loop(db: Database, args, buffer: list[str], stream) -> None:
                     print(f"error: no prepared query {name!r}",
                           file=sys.stderr)
                     continue
-                bindings = _execute_bindings(execute_match.group(2),
-                                             statement.params)
+                bindings = lyric.execute_bindings(
+                    execute_match.group(2), statement.params)
                 result = statement.run(db, ctx=ctx, params=bindings)
                 print(result.pretty())
                 print(f"({len(result)} rows)")

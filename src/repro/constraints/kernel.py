@@ -25,14 +25,12 @@ correct, and the dominant cost of dense workloads.  This kernel runs a
 The float LP is an *elastic* program — minimize ``t`` subject to
 ``a_i . x - s_i t <= b_i`` (equalities as opposing row pairs),
 ``t >= -1`` — whose optimum is the normalized infeasibility of the
-system: negative iff a point satisfies every row with slack.  The
-primary backend is a dense tableau simplex in pure Python (slack basis
-is feasible by construction, so no Phase I; Dantzig entering rule with
-a pivot cap that degrades to :data:`UNKNOWN`).  ``scipy.optimize
-.linprog`` takes over for large systems when the ``fast`` extra is
-installed; numpy powers the batched interval screen.  Everything
-degrades to the exact path when the extra is missing — see
-:func:`repro.runtime.numeric_available`.
+system: negative iff a point satisfies every row with slack.  It is
+solved by one backend, a dense tableau simplex in pure Python (slack
+basis is feasible by construction, so no Phase I; Dantzig entering
+rule with a pivot cap that degrades to :data:`UNKNOWN`).  numpy powers
+the batched interval screen, which is skipped when the ``fast`` extra
+is missing — see :func:`repro.runtime.numeric_available`.
 """
 
 from __future__ import annotations
@@ -52,10 +50,6 @@ EPSILON = 1e-7
 
 #: Float-simplex pivot cap; hitting it yields :data:`UNKNOWN`.
 MAX_PIVOTS = 500
-
-#: Row count beyond which scipy's LP (when installed) replaces the
-#: pure-Python tableau.
-SCIPY_MIN_ROWS = 60
 
 #: Atom-count floor for :func:`quick_satisfiable` — tiny systems are
 #: cheaper to solve exactly than to pack, and several calibration
@@ -176,46 +170,6 @@ def _elastic_tableau(rows: Sequence[Sequence[float]],
     return t_star, x
 
 
-def _elastic_scipy(rows: Sequence[Sequence[float]],
-                   rhs: Sequence[float],
-                   scales: Sequence[float]
-                   ) -> tuple[float, list[float]] | None:
-    """scipy backend for large systems: same elastic program, solved
-    by ``linprog`` over variables ``(x, t)`` with ``t >= -1``."""
-    linprog = numeric.get_linprog()
-    np = numeric.get_numpy()
-    if linprog is None or np is None:
-        return None
-    m0 = len(rows)
-    nvars = len(rows[0]) if m0 else 0
-    a_ub = np.empty((m0, nvars + 1), dtype=np.float64)
-    for i, row in enumerate(rows):
-        a_ub[i, :nvars] = row
-        a_ub[i, nvars] = -scales[i]
-    cost = np.zeros(nvars + 1)
-    cost[nvars] = 1.0
-    bounds = [(None, None)] * nvars + [(-1.0, None)]
-    try:
-        res = linprog(cost, A_ub=a_ub, b_ub=np.asarray(rhs, dtype=np.float64),
-                      bounds=bounds, method="highs")
-    except Exception:
-        return None
-    if not getattr(res, "success", False):
-        return None
-    return float(res.x[nvars]), [float(v) for v in res.x[:nvars]]
-
-
-def _elastic_min(rows: Sequence[Sequence[float]],
-                 rhs: Sequence[float],
-                 scales: Sequence[float]
-                 ) -> tuple[float, list[float]] | None:
-    if len(rows) >= SCIPY_MIN_ROWS:
-        solved = _elastic_scipy(rows, rhs, scales)
-        if solved is not None:
-            return solved
-    return _elastic_tableau(rows, rhs, scales)
-
-
 # ---------------------------------------------------------------------------
 # Single-system classification
 # ---------------------------------------------------------------------------
@@ -236,7 +190,7 @@ def classify_system(ps: matrix.PackedSystem) -> int:
         if _verified_point(ps, [0.0] * ps.n_vars):
             return FEASIBLE
         return UNKNOWN
-    solved = _elastic_min(*_expand_rows(ps))
+    solved = _elastic_tableau(*_expand_rows(ps))
     if solved is None:
         return UNKNOWN
     t_star, x = solved

@@ -19,19 +19,26 @@ parameters remain as conveniences that derive a context on the fly.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from typing import Mapping
 
 from typing import Iterator
 
 from repro.core import ast
 from repro.core.evaluator import evaluate
+from repro.core.lexer import tokenize
 from repro.core.parser import parse, parse_query, parse_view
 from repro.core.result import ResultRow, ResultSet
 from repro.core.translator import TranslationError, run_translated
 from repro.core.views import ViewResult, create_view
-from repro.errors import QueryCancelled, ResourceExhausted
+from repro.errors import (
+    LyricSyntaxError,
+    QueryCancelled,
+    ResourceExhausted,
+)
 from repro.model.database import Database
-from repro.model.oid import Oid, as_oid
+from repro.model.oid import LiteralOid, Oid, SymbolicOid, as_oid
 from repro.runtime import ExecutionGuard, QueryContext
 from repro.runtime import context as context_mod
 from repro.runtime.context import ExecutionStats
@@ -313,7 +320,7 @@ class PreparedQuery:
     original, while any DDL mutation correctly invalidates them.
 
     The compiled plan is memoized per plan-relevant option combination
-    (numeric/indexing/optimizer/shards); queries outside the
+    (indexing/optimizer/shards); queries outside the
     translatable fragment fall back to the naive evaluator, as does any
     run under fault injection (a memoized plan would shift the fault
     schedule's compile-phase ticks).
@@ -384,6 +391,73 @@ def prepare(db: Database, text: str | ast.Query) -> PreparedQuery:
     return PreparedQuery(db.schema, text)
 
 
+#: ``PREPARE name AS query`` and ``EXECUTE name [(arguments)]``: the
+#: statement forms of the shell and of the server's line dialect.
+PREPARE_STATEMENT = re.compile(
+    r"^prepare\s+([A-Za-z_]\w*)\s+as\s+(.+)$",
+    re.IGNORECASE | re.DOTALL)
+EXECUTE_STATEMENT = re.compile(
+    r"^execute\s+([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*$",
+    re.IGNORECASE | re.DOTALL)
+
+
+def execute_bindings(args_text: str | None,
+                     param_names: tuple[str, ...]) -> dict[str, Oid]:
+    """EXECUTE argument list -> parameter bindings.
+
+    Arguments are positional (mapped onto the prepared query's
+    parameter order) or named (``p = 3`` / ``$p = 3``); values are
+    numbers, quoted strings, or bare identifiers (symbolic oids).
+    """
+    bindings: dict[str, Oid] = {}
+    positional: list = []
+    if args_text and args_text.strip():
+        tokens = tokenize(args_text)
+        i = 0
+
+        def value_at(i: int):
+            token = tokens[i]
+            if token.kind == "number":
+                return LiteralOid(Fraction(token.value)), i + 1
+            if token.kind == "symbol" and token.value == "-" \
+                    and tokens[i + 1].kind == "number":
+                return LiteralOid(-Fraction(tokens[i + 1].value)), i + 2
+            if token.kind == "string":
+                return LiteralOid(token.value), i + 1
+            if token.kind in ("ident", "kw"):
+                return SymbolicOid(token.value), i + 1
+            raise LyricSyntaxError(
+                f"EXECUTE argument: unexpected {token.value or token.kind!r}")
+
+        while tokens[i].kind != "eof":
+            token = tokens[i]
+            if token.kind in ("ident", "param") \
+                    and tokens[i + 1].kind == "symbol" \
+                    and tokens[i + 1].value == "=":
+                value, i = value_at(i + 2)
+                bindings[token.value] = value
+            else:
+                value, i = value_at(i)
+                positional.append(value)
+            if tokens[i].kind == "symbol" and tokens[i].value == ",":
+                i += 1
+            elif tokens[i].kind != "eof":
+                raise LyricSyntaxError(
+                    "EXECUTE arguments must be comma-separated")
+    if len(positional) > len(param_names):
+        raise LyricSyntaxError(
+            f"EXECUTE: {len(positional)} positional arguments for "
+            f"{len(param_names)} parameters")
+    for name, value in zip(param_names, positional):
+        bindings.setdefault(name, value)
+    unknown = set(bindings) - set(param_names)
+    if unknown:
+        raise LyricSyntaxError(
+            "EXECUTE: unknown parameters "
+            + ", ".join(f"${n}" for n in sorted(unknown)))
+    return bindings
+
+
 __all__ = [
     "Database",
     "ExecutionGuard",
@@ -395,6 +469,9 @@ __all__ = [
     "explain",
     "prepare",
     "PreparedQuery",
+    "PREPARE_STATEMENT",
+    "EXECUTE_STATEMENT",
+    "execute_bindings",
     "parse",
     "parse_query",
     "parse_view",

@@ -20,10 +20,10 @@ Public surface:
 * :func:`filter_rows` / :func:`should_partition` — the partitioned
   parallel evaluator, gated by the context's ``parallelism`` (see
   ``docs/API.md``, "Indexing & parallel execution");
-* :func:`numeric_available` / :func:`scipy_available` — the single
-  import guard in front of the optional ``fast`` extra (numpy/scipy);
-  the numeric fast path (see ``docs/API.md``, "Numeric fast path")
-  degrades cleanly when the extra is missing.
+* :func:`numeric_available` — the single import guard in front of
+  the optional ``fast`` extra's numpy; the numeric fast path (see
+  ``docs/API.md``, "Numeric fast path") degrades cleanly when the
+  extra is missing.
 """
 
 from repro.runtime.cache import (
@@ -44,10 +44,7 @@ from repro.runtime.plancache import (
     clear_global_plan_cache,
     get_global_plan_cache,
 )
-from repro.runtime.numeric import (
-    numeric_available,
-    scipy_available,
-)
+from repro.runtime.numeric import numeric_available
 from repro.runtime.guard import (
     POLICIES,
     ExecutionGuard,
@@ -76,7 +73,6 @@ __all__ = [
     "filter_rows",
     "get_global_cache",
     "numeric_available",
-    "scipy_available",
     "should_degrade",
     "should_partition",
 ]

@@ -48,8 +48,7 @@ class ConstraintCache:
 
     ``simplex_saved`` accumulates, over all hits, the number of simplex
     solves the original (miss-time) computation performed — the
-    headline effectiveness number reported by ``ExecutionStats`` and
-    the E16 benchmark.
+    headline effectiveness number reported by ``ExecutionStats``.
 
     Methods are individually thread-safe (one internal lock): the
     process-global cache is shared by every concurrent server session,

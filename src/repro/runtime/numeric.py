@@ -1,19 +1,19 @@
-"""Import guards for the optional numeric stack (the ``fast`` extra).
+"""Import guard for the optional numeric stack (the ``fast`` extra).
 
 ``pyproject.toml`` declares ``fast = ["numpy", "scipy"]``; neither is a
 hard dependency, so every consumer of the numeric fast path
 (:mod:`repro.constraints.matrix`, :mod:`repro.constraints.kernel`, the
 vectorized index sweep) must degrade cleanly when the extra is absent.
-This module is the single place that probes for the libraries:
+This module is the single place that probes for numpy (scipy is only
+the ablation backend of :mod:`repro.constraints.lp`, which imports it
+itself):
 
 * :func:`numeric_available` — is numpy importable?  This is the gate
   the :class:`~repro.runtime.context.QueryContext` ``numeric`` option
   defaults to;
-* :func:`get_numpy` — the module object, or ``None``;
-* :func:`get_linprog` — ``scipy.optimize.linprog``, or ``None`` (the
-  float-LP kernel falls back to its pure-python simplex).
+* :func:`get_numpy` — the module object, or ``None``.
 
-Probes run once and memoize; :func:`force` lets tests simulate a
+The probe runs once and memoizes; :func:`force` lets tests simulate a
 missing (or present) stack for the dynamic extent without touching
 ``sys.modules``.
 """
@@ -21,13 +21,12 @@ missing (or present) stack for the dynamic extent without touching
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 #: Probe cache: ``_UNPROBED`` until the first import attempt.
 _UNPROBED = object()
 
 _numpy: Any = _UNPROBED
-_linprog: Any = _UNPROBED
 
 #: Test override: ``None`` = probe normally, ``False`` = pretend the
 #: whole numeric stack is missing.
@@ -49,21 +48,6 @@ def get_numpy() -> Any:
     return _numpy
 
 
-def get_linprog() -> Callable[..., Any] | None:
-    """``scipy.optimize.linprog``, or ``None`` when scipy is missing
-    (the kernel then uses its pure-python float simplex)."""
-    global _linprog
-    if _forced is False:
-        return None
-    if _linprog is _UNPROBED:
-        try:
-            from scipy.optimize import linprog
-            _linprog = linprog
-        except Exception:
-            _linprog = None
-    return _linprog
-
-
 def numeric_available() -> bool:
     """Can the numeric fast path run at all?  True when numpy imports.
 
@@ -72,10 +56,6 @@ def numeric_available() -> bool:
     (pure-python packing and simplex), ``numeric=False`` disables it.
     """
     return get_numpy() is not None
-
-
-def scipy_available() -> bool:
-    return get_linprog() is not None
 
 
 @contextmanager

@@ -27,12 +27,14 @@ Keys are ``(query AST, schema fingerprint, plan-relevant options)``:
   fingerprint`, the storage layer's content digest) — equal-content
   schemas share plans (a ``Store``-restored database reuses plans
   prepared against the original), and any DDL mutation changes the key;
-* the **options** that change the compiled plan: ``numeric``,
-  ``indexing``, ``use_optimizer`` and ``shards`` (they steer the
-  physical rewrites — sharding selects scatter-gather join nodes — so
-  they must partition the cache).  ``parallelism`` is not one of them:
-  nodes read the worker count from the executing context, so one
-  cached plan serves every worker count.
+* the **options** that change the compiled plan: ``indexing``,
+  ``use_optimizer`` and ``shards`` (they steer the physical rewrites —
+  sharding selects scatter-gather join nodes — so they must partition
+  the cache).  ``parallelism`` and ``numeric`` are not among them:
+  nothing in compilation reads either — nodes take the worker count,
+  and the batch filter takes the float-kernel switch, from the
+  executing context — so one cached plan serves every worker count
+  with the kernel on or off.
 
 Guard interaction mirrors the constraint cache
 (:mod:`repro.runtime.cache`): a hit runs one guard checkpoint (done by
@@ -69,7 +71,7 @@ DEFAULT_PLAN_CACHE_SIZE = 256
 def plan_options_key(ctx: "QueryContext") -> tuple:
     """The plan-relevant slice of a context's options — everything that
     changes what the compile pipeline produces."""
-    return (ctx.numeric, ctx.indexing, ctx.use_optimizer, ctx.shards)
+    return (ctx.indexing, ctx.use_optimizer, ctx.shards)
 
 
 def plan_key(query_ast: Hashable, fingerprint: bytes,
@@ -83,8 +85,8 @@ class PlanCache:
 
     ``compile_saved`` accumulates, over all hits, the wall-clock
     seconds the original (miss-time) compilation spent past parsing —
-    the headline number reported by ``--analyze`` and the E20
-    benchmark.
+    the headline number reported by ``--analyze`` and by the
+    benchmark's ``runtime.plan_compile_saved_ms``.
 
     Every public method holds an internal lock: the process default is
     shared by all concurrent server sessions, and an unsynchronized

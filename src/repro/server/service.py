@@ -484,10 +484,6 @@ class QueryService:
             return 0
         return parallel.warm(self._pool_size)
 
-    @property
-    def inflight(self) -> int:
-        return len(self._jobs)
-
     # -- queries ---------------------------------------------------------
 
     def parse(self, text: str) -> ast.Query:

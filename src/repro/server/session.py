@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import re
 from typing import Any
 
+from repro import lyric
 from repro.model.oid import Oid, as_oid
 from repro.model.serialize import load_oid
 from repro.server import protocol
@@ -44,14 +44,6 @@ def _decode_params(payload: Any) -> dict[str, Oid] | None:
         else:
             out[name] = as_oid(value)
     return out
-
-
-_LINE_PREPARE = re.compile(
-    r"^prepare\s+([A-Za-z_]\w*)\s+as\s+(.+)$",
-    re.IGNORECASE | re.DOTALL)
-_LINE_EXECUTE = re.compile(
-    r"^execute\s+([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*$",
-    re.IGNORECASE | re.DOTALL)
 
 
 class Session:
@@ -316,7 +308,7 @@ class Session:
                 await self._say(
                     "error shutting_down: server is shutting down")
                 return True
-            match = _LINE_PREPARE.match(body)
+            match = lyric.PREPARE_STATEMENT.match(body)
             if match:
                 name = match.group(1)
                 self.prepared[name] = \
@@ -326,9 +318,8 @@ class Session:
                           + ")") if slots else ""
                 await self._say(f"prepared {name}{suffix}")
                 return True
-            match = _LINE_EXECUTE.match(body)
+            match = lyric.EXECUTE_STATEMENT.match(body)
             if match:
-                from repro.cli import _execute_bindings
                 entry = self.prepared.get(match.group(1))
                 if entry is None:
                     await self._say(
@@ -336,7 +327,8 @@ class Session:
                         f"{match.group(1)!r}")
                     return True
                 query_ast, required, _warnings = entry
-                bindings = _execute_bindings(match.group(2), required)
+                bindings = lyric.execute_bindings(match.group(2),
+                                                  required)
                 self.service.check_params(required, bindings)
                 await self._line_query(query_ast, bindings)
                 return True

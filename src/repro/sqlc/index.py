@@ -320,11 +320,6 @@ def index_for(relation: ConstraintRelation, column: str,
         return built
 
 
-def cached_indexes() -> int:
-    """Total live cached indexes (introspection for tests)."""
-    return sum(len(per) for per in _index_cache.values())
-
-
 def clear_index_cache() -> None:
     _index_cache.clear()
 

@@ -58,7 +58,7 @@ def scattered_boxes(count: int, dimension: int = 1, seed: int = 0,
                     spread: int = 1000, size: int = 5,
                     prefix: str = "x") -> list[ConjunctiveConstraint]:
     """``count`` small axis-aligned boxes scattered over a wide range —
-    the *sparse* join workload of the box-index benchmark.
+    the *sparse* join workload (E7's join from text).
 
     Each constraint bounds every variable to an interval of width up to
     ``size`` with its center drawn uniformly from ``[-spread, spread]``,
@@ -88,7 +88,7 @@ def overlapping_polytopes(count: int, dimension: int = 2,
                           prefix: str = "x"
                           ) -> list[ConjunctiveConstraint]:
     """``count`` polytopes whose bounding boxes overlap heavily — the
-    *dense* join workload of the numeric-kernel benchmark (E18).
+    *dense* join workload (the benchmark's ``dense_join``).
 
     Each constraint confines every variable to an interval of width
     ``size`` with its center drawn from ``[0, spread]`` (with

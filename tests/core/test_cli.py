@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -143,3 +146,29 @@ class TestAnalyzeTrace:
         assert main(["query", "--office", "--explain",
                      self.QUERY]) == 0
         assert "phase trace:" not in capsys.readouterr().out
+
+
+class TestCliIsTheTopLayer:
+    def test_only_main_imports_the_cli(self):
+        """Nothing under ``src/repro`` but ``__main__`` imports
+        ``repro.cli``, at module or at function level: what both front
+        ends need lives in ``repro.lyric``."""
+        package = pathlib.Path(repro.__file__).parent
+        importers = set()
+        for path in package.rglob("*.py"):
+            module = path.relative_to(package.parent).with_suffix("").parts
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    # ``from . import cli`` counts: resolve the dots.
+                    base = list(module[:-node.level]) if node.level else []
+                    base += node.module.split(".") if node.module else []
+                    names = [".".join(base + [alias.name])
+                             for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[:2] == ["repro", "cli"]
+                       for name in names):
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"__main__.py"}

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import lyric
 from repro.core.pipeline import CompiledQuery, Pipeline, render_trace
 from repro.model.office import build_office_database
+from repro.runtime import ExecutionGuard
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.runtime.plancache import clear_global_plan_cache
 from repro.sqlc.optimizer import LOGICAL_RULES, PHYSICAL_RULES
@@ -114,6 +116,40 @@ class TestRunTranslatedIntegration:
         names = [r.name for r in stats.phases]
         assert "parse" in names and "execute" in names
         assert stats.optimized
+
+
+class TestQueryStreamAsAValue:
+    @pytest.mark.parametrize("text, engine, max_pivots", [
+        (QUERY, "translated", None),
+        # An attribute variable is outside the translatable fragment.
+        ("SELECT A FROM Drawer D WHERE D.A['red']", "naive", None),
+        (QUERY, "translated", 1),
+    ], ids=["translated", "naive-fallback", "degrade-to-partial"])
+    def test_result_equals_the_materialising_call(
+            self, office, text, engine, max_pivots):
+        def fresh_ctx():
+            guard = ExecutionGuard(
+                max_pivots=max_pivots, on_exhaustion="degrade") \
+                if max_pivots else None
+            return QueryContext(stats=ExecutionStats(), cache=None,
+                                guard=guard)
+        materialise = lyric.query_translated \
+            if engine == "translated" else lyric.query
+        expected = materialise(office, text, ctx=fresh_ctx())
+        assert expected.is_partial == bool(max_pivots)
+
+        ctx = fresh_ctx()
+        stream = lyric.stream(office, text, ctx=ctx)
+        assert stream.engine == engine
+        assert stream.stats is ctx.stats
+        assert not stream.exhausted
+        result = stream.result()
+        assert stream.exhausted and list(stream) == []
+        assert result.columns == expected.columns
+        assert result.rows == expected.rows
+        assert result.warnings == expected.warnings
+        assert stream.stats.exhausted \
+            == ("pivots" if max_pivots else None)
 
 
 class TestRenderTrace:

@@ -72,6 +72,8 @@ class TestConstraintLevelEquivalence:
     def test_canonical_forms_identical(self):
         cases = [redundant_conjunction(3, 5, 4, seed=s)
                  for s in range(10)]
+        cases += [random_polytope(3, 6, seed=s) for s in range(4)]
+        cases += [random_infeasible(3, 6, seed=s) for s in range(4)]
         with uncached():
             plain = [canonical_conjunctive(c) for c in cases]
         with cached():

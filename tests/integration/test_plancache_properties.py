@@ -121,13 +121,17 @@ class TestCachedEqualsFresh:
     @settings(max_examples=10, deadline=None)
     def test_option_combinations_partition_entries(self, n, seed):
         db = office.generate(n, seed=seed).db
-        text, _ = QUERIES[0]
+        text, _ = QUERIES[1]
         cache = PlanCache()
         fresh, _ = run_once(db, text, None, None)
+        # ``indexing`` steers the rewrites and partitions the cache;
+        # ``numeric`` is read at execution only, so each numeric-off
+        # run is a hit of the plan its numeric-on twin compiled, with
+        # byte-identical rows.
         combos = [dict(numeric=num, indexing=idx)
-                  for num in (False, True) for idx in (False, True)]
+                  for num in (True, False) for idx in (False, True)]
         for options in combos:
             cached, _ = run_once(db, text, None, cache, **options)
             assert cached == fresh
-        assert cache.misses == len(combos)
-        assert cache.hits == 0
+        assert cache.misses == 2
+        assert cache.hits == 2

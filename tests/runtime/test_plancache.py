@@ -128,8 +128,6 @@ class TestOptionsKeying:
         assert plan_options_key(base) \
             != plan_options_key(base.derive(indexing=False))
         assert plan_options_key(base) \
-            != plan_options_key(base.derive(numeric=not base.numeric))
-        assert plan_options_key(base) \
             != plan_options_key(base.derive(use_optimizer=False))
         assert plan_options_key(base) \
             != plan_options_key(base.derive(shards=4))
@@ -140,11 +138,15 @@ class TestOptionsKeying:
             == plan_options_key(base.derive(prefilter=not base.prefilter))
         assert plan_options_key(base) \
             == plan_options_key(base.derive(cache=None))
-        # Nodes read the worker count from the executing context, so
-        # one compiled plan serves every degree of parallelism.
-        assert len(plan_options_key(base)) == 4
+        # Nodes read the worker count, and the batch filter the
+        # float-kernel switch, from the executing context, so one
+        # compiled plan serves every degree of parallelism with the
+        # kernel on or off.
+        assert len(plan_options_key(base)) == 3
         assert plan_options_key(base) \
             == plan_options_key(base.derive(parallelism=4))
+        assert plan_options_key(base) \
+            == plan_options_key(base.derive(numeric=not base.numeric))
 
     def test_plan_key_carries_fingerprint(self):
         ctx = QueryContext()

@@ -50,12 +50,12 @@ def frames(events):
 
 
 async def _run_once(db, text, executor, *, guard_spec=None,
-                    translated=True):
+                    translated=True, params=None):
     service = QueryService(db, executor_threads=2, executor=executor)
     try:
         subscription = await service.submit(
             service.parse(text), guard_spec=guard_spec,
-            translated=translated)
+            translated=translated, params=params)
         events = await drain(subscription)
         return events, service.stats.snapshot()
     finally:
@@ -63,24 +63,37 @@ async def _run_once(db, text, executor, *, guard_spec=None,
 
 
 class TestFrameEquivalence:
-    def test_process_frames_match_thread_frames(self):
-        db = office_db(6, seed=3)
-        text = "SELECT X, X.color FROM Office_Object X"
-
+    @staticmethod
+    def _both_executors(db, text, params=None):
         async def main():
             thread_events, thread_snap = await _run_once(
-                db, text, "thread")
+                db, text, "thread", params=params)
             process_events, process_snap = await _run_once(
-                db, text, "process")
+                db, text, "process", params=params)
             return (thread_events, thread_snap,
                     process_events, process_snap)
+        return asyncio.run(main())
+
+    def test_process_frames_match_thread_frames(self):
+        db = office_db(6, seed=3)
         thread_events, thread_snap, process_events, process_snap = \
-            asyncio.run(main())
+            self._both_executors(
+                db, "SELECT X, X.color FROM Office_Object X")
         assert frames(process_events) == frames(thread_events)
         assert thread_snap["executor"] == "thread"
         assert thread_snap["process_requests"] == 0
         assert process_snap["executor"] == "process"
         assert process_snap["process_requests"] == 1
+        assert process_snap["process_fallbacks"] == 0
+        # A translated CST template: its bindings cross into the
+        # worker with it.
+        thread_events, _, process_events, process_snap = \
+            self._both_executors(db, """
+                SELECT CO, ((u,v) | E and D and x = $px and y = $py)
+                FROM Office_Object CO
+                WHERE CO.extent[E] and CO.translation[D]
+            """, {"px": LiteralOid(6), "py": LiteralOid(4)})
+        assert frames(process_events) == frames(thread_events)
         assert process_snap["process_fallbacks"] == 0
 
     def test_degrade_partial_frames_match(self):

@@ -106,6 +106,14 @@ class TestShardedEquivalence:
         result = execute(_sharded_plan(), sharded,
                          use_optimizer=False)
         _same_relation(baseline, result)
+        # ... and after a burst into both sides, when the indexes
+        # both joins just built are brought current by extension.
+        for catalog in (plain, sharded):
+            catalog["L"].add_rows(_rows(5, seed + 1, 60))
+            catalog["R"].add_rows(_rows(4, seed + 2, 60))
+        _same_relation(
+            execute(_plain_plan(), plain, use_optimizer=False),
+            execute(_sharded_plan(), sharded, use_optimizer=False))
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            shards=st.integers(min_value=2, max_value=5))

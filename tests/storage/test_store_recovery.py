@@ -40,6 +40,10 @@ OPS = [
     ("add_row", "R", ("i3", CST_B)),
     ("remove", "i3"),
     ("add_object", "i4", {"name": "d"}),
+    # One record per batch: a crash never leaves half of one behind.
+    ("add_rows", "R", [("i4", CST_B), ("i2", CST_A)]),
+    ("create_relation", "S", ("a", "b"), 4),
+    ("add_rows", "S", [("i1", CST_A), ("i2", CST_B), ("i4", CST_A)]),
 ]
 
 
@@ -55,16 +59,19 @@ def _coerce(values):
             for k, v in values.items()}
 
 
-def apply_op(op, db, create_relation, add_row):
+def apply_op(op, db, create_relation, relation):
     kind = op[0]
     if kind == "add_class":
         db.schema.add_class(_item_class())
     elif kind == "add_object":
         db.add_object(op[1], "Item", _coerce(op[2]))
     elif kind == "create_relation":
-        create_relation(op[1], op[2])
+        create_relation(*op[1:])
     elif kind == "add_row":
-        add_row(op[1], (op[2][0], parse_cst(op[2][1])))
+        relation(op[1]).add_row((op[2][0], parse_cst(op[2][1])))
+    elif kind == "add_rows":
+        relation(op[1]).add_rows(
+            [(key, parse_cst(text)) for key, text in op[2]])
     elif kind == "update":
         db.update_attribute(
             next(o.oid for o in db.objects() if str(o.oid) == op[1]),
@@ -77,9 +84,12 @@ def apply_op(op, db, create_relation, add_row):
 
 
 def run_ops_on_store(store, ops):
+    def create_relation(name, columns, shards=0):
+        store.create_relation(name, columns, shards=shards,
+                              partition_by="b" if shards else None)
+
     for op in ops:
-        apply_op(op, store.db, store.create_relation,
-                 lambda name, row: store.relation(name).add_row(row))
+        apply_op(op, store.db, create_relation, store.relation)
 
 
 def plain_state(k):
@@ -87,12 +97,13 @@ def plain_state(k):
     db = Database(Schema())
     relations = {}
 
-    def create_relation(name, columns):
+    def create_relation(name, columns, shards=0):
+        # Unsharded whatever the store's layout: a sharded relation
+        # must list the same rows in the same order.
         relations[name] = ConstraintRelation(name, columns)
 
     for op in OPS[:k]:
-        apply_op(op, db, create_relation,
-                 lambda name, row: relations[name].add_row(row))
+        apply_op(op, db, create_relation, relations.__getitem__)
     return db, relations
 
 
