@@ -14,14 +14,12 @@ orderings), not the absolute numbers, are the reproduction targets.
 
 These are the paper's claims (E7-E15).  What this repository's own
 layers cost is measured by ``python3 bench/run.py`` against
-``BENCHMARK.json`` and nowhere else; E23 is the one table kept here
-for a decision still open (ROADMAP item 3a), with no floor.
+``BENCHMARK.json`` and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import statistics
 import sys
 import time
@@ -50,7 +48,6 @@ from repro.workloads.random_constraints import (
     random_dnf,
     random_polytope,
     redundant_conjunction,
-    scattered_boxes,
 )
 
 
@@ -303,65 +300,6 @@ def experiment_e15() -> None:
           "drawer joins)")
 
 
-def experiment_e23() -> None:
-    header("E23", "shard-pair probes, serial vs concurrent (ROADMAP "
-                  "item 3a: keep or remove needs >= 4 cores)")
-    from repro.constraints.cst_object import CSTObject
-    from repro.model.oid import LiteralOid
-    from repro.runtime import parallel
-    from repro.sqlc import index
-    from repro.sqlc.shard import ShardedConstraintRelation, scatter_pairs
-    shards = 16
-    workers = max(2, min(8, os.cpu_count() or 2))
-    variables = make_variables(1)
-
-    def side(name: str, column: str, n: int, seed: int):
-        # canonicalize=False: the boxes are already bound atoms.  The
-        # spread grows with n, so the density stays E21's.
-        relation = ShardedConstraintRelation(
-            name, ("id", column),
-            [(LiteralOid(i),
-              CSTObject(variables, box, canonicalize=False))
-             for i, box in enumerate(scattered_boxes(
-                 n, seed=seed, spread=460 * n, size=20))],
-            shards=shards, partition_by=column)
-        relation.register_index(column, index.cst_cell_box)
-        return relation
-
-    print(f"{os.cpu_count()} cores, {workers} workers, {shards} shards "
-          f"a side")
-    print(f"{'rows/side':>10} {'pairs probed':>13} {'in workers':>11} "
-          f"{'candidates':>11} {'serial (s)':>11} {'concurrent (s)':>15} "
-          f"{'speedup':>8}")
-    parallel.shutdown_pool()
-    try:
-        parallel.warm(workers)  # the cold fork stays out of the timings
-        for n in [11_000, 65_000]:
-            left, right = side("L", "e", n, 11), side("R", "f", n, 13)
-
-            def probe(**options):
-                ctx = QueryContext(**options)
-                pairs = scatter_pairs(left, right, "e", "f",
-                                      index.cst_cell_box,
-                                      index.cst_cell_box, ctx=ctx)
-                return pairs, ctx.stats
-
-            t_serial, (pairs, serial) = timed(probe)
-            t_fanned, (fanned_pairs, fanned) = timed(
-                lambda: probe(parallelism=workers))
-            assert fanned_pairs == pairs, \
-                "concurrent probes changed the candidate list"
-            print(f"{n:>10} {serial.shard_pairs_probed:>13} "
-                  f"{fanned.shard_pairs_parallel:>11} {len(pairs):>11} "
-                  f"{t_serial:>11.4f} {t_fanned:>15.4f} "
-                  f"{t_serial / t_fanned:>7.2f}x")
-    finally:
-        parallel.shutdown_pool()
-    print("(identical candidate lists in both modes; 0 in workers means "
-          "the pool was unavailable and both columns timed the serial "
-          "loop)")
-
-
 EXPERIMENTS = {
     "E7": experiment_e7,
     "E8": experiment_e8,
@@ -372,7 +310,6 @@ EXPERIMENTS = {
     "E13": experiment_e13,
     "E14": experiment_e14,
     "E15": experiment_e15,
-    "E23": experiment_e23,
 }
 
 

@@ -223,8 +223,7 @@ def _print_analysis(stats: ExecutionStats) -> None:
           f"{stats.candidates_pruned} pairs pruned")
     if stats.shard_joins:
         print(f"shards: {stats.shard_joins} scatter-gather joins, "
-              f"{stats.shard_pairs_probed} shard pairs probed "
-              f"({stats.shard_pairs_parallel} in pool workers), "
+              f"{stats.shard_pairs_probed} shard pairs probed, "
               f"{stats.shard_pairs_pruned} pruned by envelope")
     if stats.parallel_runs or stats.parallel_fallbacks:
         print(f"parallel: {stats.workers} workers, "

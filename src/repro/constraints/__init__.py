@@ -10,7 +10,6 @@ Public entry points are re-exported here; submodules remain importable
 for the finer-grained APIs.
 """
 
-from repro.constraints.allen import AllenRelation, relation as allen_relation
 from repro.constraints.atoms import (
     Eq,
     Ge,
@@ -21,7 +20,7 @@ from repro.constraints.atoms import (
     Ne,
     Relop,
 )
-from repro.constraints.filtering import BoxIndex, overlap_join
+from repro.constraints.filtering import overlap_join
 from repro.constraints.canonical import canonical_key, canonicalize
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject
@@ -52,8 +51,6 @@ from repro.constraints.terms import (
 )
 
 __all__ = [
-    "AllenRelation",
-    "BoxIndex",
     "CSTObject",
     "ConjunctiveConstraint",
     "DisjunctiveConstraint",
@@ -73,7 +70,6 @@ __all__ = [
     "OptimizationResult",
     "Relop",
     "Variable",
-    "allen_relation",
     "canonical_key",
     "canonicalize",
     "classify",

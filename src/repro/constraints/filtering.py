@@ -8,8 +8,6 @@ pairs before the exact LP-based test runs.  This module provides:
 
 * :func:`interval_hull` — the exact per-dimension bounding box of a CST
   object (computed once, by 2n LPs);
-* :class:`BoxIndex` — a collection index answering box-overlap
-  candidate queries;
 * :func:`overlap_join` — the exact pairwise overlap join with and
   without the prefilter (experiment E14 measures the difference).
 """
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from repro.constraints.cst_object import CSTObject
 from repro.errors import DimensionError
@@ -42,63 +40,6 @@ def boxes_overlap(a: Sequence[Interval], b: Sequence[Interval]) -> bool:
         if bhi is not None and alo is not None and bhi < alo:
             return False
     return True
-
-
-@dataclass
-class _Entry:
-    key: Hashable
-    obj: CSTObject
-    box: list[Interval]
-
-
-class BoxIndex:
-    """A (linear-scan) bounding-box index over CST objects.
-
-    Boxes are exact hulls computed once at insert; candidate queries
-    cost one interval test per entry instead of one LP — the classic
-    filter step.  (A real system would use an R-tree here; a linear
-    scan of interval tests already captures the filter/refine cost gap
-    the benchmark measures, since the refine step is orders of
-    magnitude more expensive per pair.)
-    """
-
-    def __init__(self, dimension: int):
-        self._dimension = dimension
-        self._entries: list[_Entry] = []
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def insert(self, key: Hashable, obj: CSTObject) -> None:
-        if obj.dimension != self._dimension:
-            raise DimensionError(
-                f"index is {self._dimension}-dimensional, object is "
-                f"{obj.dimension}-dimensional")
-        self._entries.append(_Entry(key, obj, interval_hull(obj)))
-
-    def extend(self, items: Iterable[tuple[Hashable, CSTObject]]
-               ) -> None:
-        for key, obj in items:
-            self.insert(key, obj)
-
-    def candidates(self, obj: CSTObject) -> list[Hashable]:
-        """Keys whose box overlaps ``obj``'s box (a superset of the
-        true overlaps)."""
-        probe = interval_hull(obj)
-        return [e.key for e in self._entries
-                if boxes_overlap(e.box, probe)]
-
-    def overlapping(self, obj: CSTObject) -> list[Hashable]:
-        """Keys whose *object* exactly overlaps ``obj`` (filter +
-        refine)."""
-        probe_box = interval_hull(obj)
-        return [e.key for e in self._entries
-                if boxes_overlap(e.box, probe_box)
-                and e.obj.overlaps(obj)]
 
 
 @dataclass(frozen=True)

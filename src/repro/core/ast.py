@@ -289,6 +289,10 @@ class WSat(Where):
     formula: CstFormula
 
     def __str__(self):
+        # A formula that carries its variable list is the predicate
+        # itself (Section 4.2); ``SAT(`` takes only a bare body.
+        if self.formula.head is not None:
+            return str(self.formula)
         return f"SAT({self.formula})"
 
 
@@ -350,7 +354,15 @@ class Query:
     oid_function_name: str = "result"
 
     def __str__(self):
+        return self.render()
+
+    def render(self, signature: tuple[SignatureItem, ...] = ()) -> str:
+        """The query as text; a view's SIGNATURE clause sits between
+        SELECT and FROM, where the grammar reads it."""
         text = "SELECT " + ", ".join(str(s) for s in self.select)
+        if signature:
+            text += "\nSIGNATURE " + ", ".join(
+                str(s) for s in signature)
         text += "\nFROM " + ", ".join(str(f) for f in self.from_items)
         if self.oid_function_of:
             text += "\nOID FUNCTION OF " + ", ".join(self.oid_function_of)
@@ -388,9 +400,6 @@ class CreateView:
     signature: tuple[SignatureItem, ...] = ()
 
     def __str__(self):
-        text = (f"CREATE VIEW {self.name} AS SUBCLASS OF "
-                f"{self.superclass}\n{self.query}")
-        if self.signature:
-            text += "\nSIGNATURE " + ", ".join(
-                str(s) for s in self.signature)
-        return text
+        return (f"CREATE VIEW {self.name} AS SUBCLASS OF "
+                f"{self.superclass}\n"
+                f"{self.query.render(self.signature)}")

@@ -133,7 +133,7 @@ class ExecutionStats:
     #: appended rows instead of rebuilding from scratch
     #: (:func:`repro.sqlc.index.index_for`).
     index_extends: int = 0
-    #: Coarse candidate pairs examined by the sweep/grid phase.
+    #: Coarse candidate pairs examined by the vector/sweep phase.
     index_probes: int = 0
     #: Pairs that survived the box test to the exact phase.
     index_candidates: int = 0
@@ -152,13 +152,10 @@ class ExecutionStats:
     shard_pairs_pruned: int = 0
     #: Shard pairs that survived the envelope test and were probed.
     shard_pairs_probed: int = 0
-    #: Surviving shard pairs whose index probes ran concurrently in
-    #: pool workers (the rest probed serially in-process).
-    shard_pairs_parallel: int = 0
     # -- persistent worker pool -----------------------------------------
-    #: Tasks delivered by the persistent pool (shard-pair probes, the
-    #: server's whole-query requests; row filters fork their own
-    #: one-shot workers and never count here).
+    #: Tasks delivered by the persistent pool (the server's
+    #: whole-query requests; row filters fork their own one-shot
+    #: workers and never count here).
     pool_dispatches: int = 0
     #: Pool dispatches that had to create (or grow) the pool first;
     #: ``pool_dispatches - pool_cold_starts`` ran on warm workers.

@@ -1,15 +1,14 @@
 """Partitioned parallel evaluation over worker processes.
 
 Large row filters (the exact phase of :class:`~repro.sqlc.algebra.
-IndexJoin` and big ``Select`` nodes), surviving shard-pair probes and
-the server's whole-query requests all run on **one parallel region**,
-:func:`dispatch`: pro-rate the guard, reserve a cancel slot, submit,
-gather in task order, absorb every delivered outcome exactly once.
-For :func:`filter_rows` and :func:`scatter_tasks` the region goes on
-(:func:`_run_region`) to recompute whatever was not delivered
-in-process, under the parent guard, re-raise the first worker
-exhaustion and checkpoint — so serial evaluation is the only fallback
-there is, and every fallback is counted under a reason
+IndexJoin` and big ``Select`` nodes) and the server's whole-query
+requests run on **one parallel region**, :func:`dispatch`: pro-rate
+the guard, reserve a cancel slot, submit, gather in task order, absorb
+every delivered outcome exactly once.  For :func:`filter_rows` the
+region goes on (:func:`_run_region`) to recompute whatever was not
+delivered in-process, under the parent guard, re-raise the first
+worker exhaustion and checkpoint — so serial evaluation is the only
+fallback there is, and every fallback is counted under a reason
 (``stats()["fallback_reasons"]``).
 
 **Two transports, chosen by the caller, never probed.**
@@ -21,12 +20,12 @@ there is, and every fallback is counted under a reason
   predicates are closures over the constraint engine and cannot travel
   any other way, and what a filter spends its time on — exact
   elimination — dwarfs the fork.
-* **Persistent pool** (:func:`scatter_tasks`, the server's process
-  executor) — warm workers reused across regions.  ``fn``, each task
-  and each value are pickled; the worker trusts nothing it inherited
-  and rebuilds its context from :func:`context_options`, which carries
-  *every* plain-data option of the parent.  A task or value that will
-  not pickle fails that one future only; it counts as undelivered.
+* **Persistent pool** (the server's process executor) — warm workers
+  reused across requests.  ``fn``, each task and each value are
+  pickled; the worker trusts nothing it inherited and rebuilds its
+  context from :func:`context_options`, which carries *every*
+  plain-data option of the parent.  A task or value that will not
+  pickle fails that one future only; it counts as undelivered.
 
 **Determinism.**  Values come back in task order (filter chunks are
 contiguous slices), so the output equals the serial evaluation's.
@@ -127,28 +126,17 @@ def _fork_available() -> bool:
         return False
 
 
-def _may_fork(ctx: QueryContext) -> bool:
-    """Needs parallelism, no FaultPlan on the guard (fault
-    determinism), a ``fork`` start method, and not already being inside
-    a worker."""
-    if _IN_WORKER or ctx.parallelism < 2 or ctx.faults is not None:
-        return False
-    return _fork_available()
-
-
 def should_partition(n_rows: int,
                      ctx: QueryContext | None = None) -> bool:
     """Partition this filter?  Requires enough rows to amortize the
-    fork and a (given or ambient) context that allows workers."""
+    fork, parallelism on the (given or ambient) context, no FaultPlan
+    on the guard (fault determinism), a ``fork`` start method, and not
+    already being inside a worker."""
     ctx = context_mod.resolve(ctx)
-    return n_rows >= PARTITION_THRESHOLD and _may_fork(ctx)
-
-
-def should_scatter(n_tasks: int,
-                   ctx: QueryContext | None = None) -> bool:
-    """Dispatch ``n_tasks`` independent tasks to the pool?  Requires at
-    least two tasks and a context that allows workers."""
-    return n_tasks >= 2 and _may_fork(context_mod.resolve(ctx))
+    if (n_rows < PARTITION_THRESHOLD or _IN_WORKER
+            or ctx.parallelism < 2 or ctx.faults is not None):
+        return False
+    return _fork_available()
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +573,6 @@ def _chunk_bounds(n_rows: int, chunks: int) -> list[tuple[int, int]]:
             bounds_list.append((start, stop))
         start = stop
     return bounds_list
-
-
-def scatter_tasks(fn: Callable, tasks: Sequence[tuple],
-                  ctx: QueryContext | None = None) -> list:
-    """Run ``fn(*task)`` for every task in warm pool workers and return
-    the values **in task order** (the deterministic merge: callers that
-    fold the values in sequence get exactly the serial loop's result).
-
-    The caller gates on :func:`should_scatter`; ``fn`` reads its
-    context ambiently, in a worker as in-process.  Same semantics as
-    the partitioned filter: pro-rated worker guards, counters merged
-    generically, first task-order exhaustion re-raised, undelivered
-    tasks recomputed in-process."""
-    ctx = context_mod.resolve(ctx)
-    return _run_region(fn, tasks, ctx, min(ctx.parallelism, len(tasks)))
 
 
 def _rebuild_exhaustion(guard: ExecutionGuard | None,

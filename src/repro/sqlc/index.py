@@ -11,11 +11,10 @@ geometric phase *in front of* pair enumeration:
   of one CST column (derived from :func:`repro.constraints.bounds`),
   organised as sorted interval endpoints per variable;
 * :func:`candidate_pairs` sweeps the two indexes along the most
-  selective shared variable (sort + sweep; a uniform grid takes over
-  for dense workloads where long intervals make the sweep's active
-  lists quadratic) and emits only the pairs whose boxes overlap, in
-  the same deterministic ``(left row, right row)`` order a nested loop
-  would produce;
+  selective shared variable (sort + sweep, or one numpy all-pairs
+  comparison where the sides are large enough to pay for it) and emits
+  only the pairs whose boxes overlap, in the same deterministic
+  ``(left row, right row)`` order a nested loop would produce;
 * indexes are built lazily and memoized per
   ``(relation, column, boxer, version)`` in a weak-keyed cache, so
   catalog relations scanned by many joins are indexed once and the
@@ -54,11 +53,6 @@ from repro.sqlc.relation import ConstraintRelation
 #: A boxer: cell -> box (``dict`` over-approximation, ``{}`` unknown,
 #: ``None`` provably empty).
 Boxer = Callable[[Oid], object]
-
-#: Grid fallback threshold: when the average interval covers more than
-#: this fraction of the variable's span, the sweep's active lists stay
-#: long and a uniform grid enumerates candidates more cheaply.
-DENSITY_THRESHOLD = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -363,63 +357,6 @@ def _sweep(lefts: list, rights: list) -> list[tuple[int, int]]:
     return out
 
 
-def _grid(lefts: list, rights: list) -> list[tuple[int, int]]:
-    """Uniform-grid candidate generation — the dense-workload fallback
-    where long intervals keep the sweep's active lists near-full."""
-    finite = [end for lo, hi, _pos in lefts + rights
-              for end in (lo, hi) if end not in (_NEG_INF, _POS_INF)]
-    if not finite:
-        return _sweep(lefts, rights)
-    span_lo, span_hi = min(finite), max(finite)
-    if span_hi <= span_lo:
-        span_hi = span_lo + 1
-    cells = max(4, min(256, 2 * math.isqrt(len(lefts) + len(rights))))
-    width = (span_hi - span_lo) / cells
-
-    def cell_range(lo, hi) -> tuple[int, int]:
-        first = 0 if lo == _NEG_INF \
-            else min(cells - 1, max(0, int((lo - span_lo) / width)))
-        last = cells - 1 if hi == _POS_INF \
-            else min(cells - 1, max(0, int((hi - span_lo) / width)))
-        return first, last
-
-    buckets: list[list] = [[] for _ in range(cells)]
-    for lo, hi, pos in rights:
-        first, last = cell_range(lo, hi)
-        for cell in range(first, last + 1):
-            buckets[cell].append((lo, hi, pos))
-    out: list[tuple[int, int]] = []
-    for lo, hi, pos in lefts:
-        first, last = cell_range(lo, hi)
-        seen: set[int] = set()
-        for cell in range(first, last + 1):
-            for other_lo, other_hi, other_pos in buckets[cell]:
-                if other_pos in seen:
-                    continue
-                seen.add(other_pos)
-                if other_lo <= hi and other_hi >= lo:
-                    out.append((pos, other_pos))
-    return out
-
-
-def _density(intervals: list) -> float:
-    """Average fraction of the variable's span one interval covers."""
-    finite = [end for lo, hi, _pos in intervals
-              for end in (lo, hi) if end not in (_NEG_INF, _POS_INF)]
-    if not finite:
-        return 1.0
-    span = max(finite) - min(finite)
-    if span <= 0:
-        return 1.0
-    total = 0.0
-    for lo, hi, _pos in intervals:
-        if lo == _NEG_INF or hi == _POS_INF:
-            total += float(span)
-        else:
-            total += float(hi - lo)
-    return total / (float(span) * len(intervals))
-
-
 #: Side-size floor below which the vectorized all-pairs overlap costs
 #: more than the sweep, and product ceiling above which its dense
 #: boolean matrix is not worth the memory.
@@ -473,9 +410,6 @@ def _overlapping_pairs(lefts: list, rights: list,
         pairs = _vector_overlap(lefts, rights)
         if pairs is not None:
             return pairs
-    if _density(lefts) > DENSITY_THRESHOLD \
-            or _density(rights) > DENSITY_THRESHOLD:
-        return _grid(lefts, rights)
     return _sweep(lefts, rights)
 
 
@@ -496,7 +430,7 @@ def candidate_pairs(left: BoxIndex, right: BoxIndex,
     """Row-position pairs whose boxes overlap, sorted in nested-loop
     order ``(left, right)``.
 
-    The coarse phase (sweep or grid on the best shared variable) emits
+    The coarse phase (vector or sweep on the best shared variable) emits
     a superset of the box-overlapping pairs; each coarse pair is then
     refined with the exact multi-variable
     :func:`repro.constraints.bounds.boxes_disjoint` test.  Pairs never

@@ -53,7 +53,6 @@ from repro.constraints import matrix as matrix_mod
 from repro.errors import EvaluationError
 from repro.model.oid import CstOid, LiteralOid, Oid
 from repro.runtime import context as context_mod
-from repro.runtime import parallel as parallel_mod
 from repro.runtime.context import QueryContext
 from repro.sqlc import index as index_mod
 from repro.sqlc.index import Boxer, cst_cell_box
@@ -344,14 +343,6 @@ class ShardedConstraintRelation(ConstraintRelation):
 # ---------------------------------------------------------------------------
 
 
-def _probe_shard_pair(left_index, right_index):
-    """Pool-worker task body: probe one surviving shard pair.  Runs
-    under the worker's ambient :class:`QueryContext` (installed by the
-    pool), so probe counters land on the worker's stats snapshot and
-    merge back into the parent's on gather."""
-    return index_mod.candidate_pairs(left_index, right_index)
-
-
 def scatter_pairs(left: ShardedConstraintRelation,
                   right: ShardedConstraintRelation,
                   left_column: str, right_column: str,
@@ -369,15 +360,6 @@ def scatter_pairs(left: ShardedConstraintRelation,
     maintained) per-shard indexes; shard-local positions map back
     through each shard's global-position list and the union is sorted
     into nested-loop order.
-
-    When the persistent worker pool is available (and the context's
-    fault plan does not force serial execution), the surviving pairs
-    are probed *concurrently*: each pair ships its two
-    :class:`~repro.sqlc.index.BoxIndex` objects — pure data, so they
-    pickle — to a pool worker and the shard-local results merge back in
-    global shard-pair order.  Probing spends no guard budget (only
-    stats), so the parallel path returns the byte-identical pair list
-    the serial loop produces, under any budget.
     """
     ctx = context_mod.resolve(ctx)
     left.register_index(left_column, left_boxer, ctx=ctx)
@@ -391,44 +373,25 @@ def scatter_pairs(left: ShardedConstraintRelation,
                                         ctx=ctx), len(rel))
         for rel, positions in right.shard_tables()]
 
-    # Pass 1: envelope pruning — collect the surviving shard pairs so
-    # the probe phase can dispatch them as one task batch.
-    surviving: list[tuple[int, int]] = []
-    for li, (_, left_index, left_size) in enumerate(left_shards):
+    pairs: list[tuple[int, int]] = []
+    probed = 0
+    for left_positions, left_index, left_size in left_shards:
         left_env = left_index.envelope()
-        for ri, (_, right_index, right_size) in enumerate(right_shards):
+        for right_positions, right_index, right_size in right_shards:
             if index_mod.envelopes_disjoint(left_env,
                                             right_index.envelope()):
                 # Every cross pair died without per-pair work; keep the
                 # relation-level pruning counter meaningful.
                 ctx.stats.candidates_pruned += left_size * right_size
                 continue
-            surviving.append((li, ri))
-
-    # Pass 2: probe the survivors — concurrently through the pool when
-    # it is worth it, serially otherwise.  Either way ``local_sets``
-    # lines up with ``surviving`` (deterministic merge order).
-    if parallel_mod.should_scatter(len(surviving), ctx):
-        local_sets = parallel_mod.scatter_tasks(
-            _probe_shard_pair,
-            [(left_shards[li][1], right_shards[ri][1])
-             for li, ri in surviving], ctx=ctx)
-        ctx.stats.shard_pairs_parallel += len(surviving)
-    else:
-        local_sets = [
-            index_mod.candidate_pairs(left_shards[li][1],
-                                      right_shards[ri][1], ctx=ctx)
-            for li, ri in surviving]
-
-    pairs: list[tuple[int, int]] = []
-    for (li, ri), local in zip(surviving, local_sets):
-        left_positions = left_shards[li][0]
-        right_positions = right_shards[ri][0]
-        pairs.extend((left_positions[l], right_positions[r])
-                     for l, r in local)
+            probed += 1
+            pairs.extend(
+                (left_positions[l], right_positions[r])
+                for l, r in index_mod.candidate_pairs(
+                    left_index, right_index, ctx=ctx))
     pairs.sort()
     ctx.stats.shard_joins += 1
     ctx.stats.shard_pairs_pruned += \
-        len(left_shards) * len(right_shards) - len(surviving)
-    ctx.stats.shard_pairs_probed += len(surviving)
+        len(left_shards) * len(right_shards) - probed
+    ctx.stats.shard_pairs_probed += probed
     return pairs

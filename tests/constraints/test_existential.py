@@ -7,6 +7,7 @@ import pytest
 
 from repro.constraints.atoms import Eq, Ge, Le, Lt, Ne
 from repro.constraints.conjunctive import ConjunctiveConstraint
+from repro.constraints.cst_object import CSTObject
 from repro.constraints.existential import (
     DisjunctiveExistentialConstraint,
     ExistentialConjunctiveConstraint,
@@ -256,3 +257,67 @@ class TestDisjunctiveExistential:
         flat = self.build().to_disjunctive()
         assert flat.holds_at({x: 1})
         assert not flat.holds_at({x: 3})
+
+
+class TestClosureAtTheCstObjectLevel:
+    """Section 3.1's closure where a stored object is existential:
+    ``CSTObject.rename`` / ``.intersect`` dispatch to the family's own
+    ``rename`` / ``substitute`` / ``conjoin``, which must not let a
+    free name capture the bound ``y``.  Checked on points."""
+
+    HALF = Fraction(1, 2)
+
+    def low(self):
+        # exists y. x + y <= 3 and y >= 1, i.e. x <= 2
+        return ExistentialConjunctiveConstraint(
+            conj(Le(x + y, 3), Ge(y, 1)), [y])
+
+    def high(self):
+        # exists y. x - y >= 10 and y >= 0, i.e. x >= 10
+        return ExistentialConjunctiveConstraint(
+            conj(Ge(x - y, 10), Ge(y, 0)), [y])
+
+    def stored(self, constraint):
+        # canonicalize=False keeps the prefix symbolic, as a restricted
+        # projection stores it.
+        return CSTObject([x], constraint, canonicalize=False)
+
+    def test_rename_onto_the_bound_name(self):
+        renamed = self.stored(self.low()).rename([y])
+        assert renamed.schema == (y,)
+        assert renamed.constraint.free_variables == {y}
+        assert y not in renamed.constraint.quantified
+        assert [renamed.contains_point(v)
+                for v in (-5, 2, 2 + self.HALF, 3)] \
+            == [True, True, False, False]
+
+    def test_substitute_avoids_capture(self):
+        # x := y + 1 turns x <= 2 into y <= 1.
+        shifted = self.low().substitute({x: y + 1})
+        assert shifted.free_variables == {y}
+        assert [shifted.holds_at({y: v})
+                for v in (-5, 1, 1 + self.HALF, 2)] \
+            == [True, True, False, False]
+
+    def test_disjunctive_rename_and_substitute(self):
+        either = DisjunctiveExistentialConstraint(
+            [self.low(), self.high()])
+        renamed = self.stored(either).rename([y])
+        assert [renamed.contains_point(v)
+                for v in (2, 3, 10 - self.HALF, 10)] \
+            == [True, False, False, True]
+        # x := y + 1: y <= 1 or y >= 9.
+        shifted = either.substitute({x: y + 1})
+        assert [shifted.holds_at({y: v})
+                for v in (1, 2, 9 - self.HALF, 9)] \
+            == [True, False, False, True]
+
+    def test_intersect_with_a_conjunctive_object(self):
+        other = CSTObject([x, y], conj(Ge(x, 0), Ge(y, 10)))
+        met = self.stored(self.low()).intersect(other)
+        assert met.schema == (x, y)
+        # 0 <= x <= 2 and y >= 10: the free y is not the witness.
+        assert [met.contains_point(*p)
+                for p in ((0, 10), (2, 100), (3, 10), (-1, 10),
+                          (1, 9))] \
+            == [True, True, False, False, False]

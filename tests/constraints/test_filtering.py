@@ -7,7 +7,6 @@ import pytest
 from repro.constraints.atoms import Ge, Le
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.filtering import (
-    BoxIndex,
     boxes_overlap,
     interval_hull,
     overlap_join,
@@ -42,45 +41,6 @@ class TestBoxes:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             boxes_overlap([(0, 1)], [(0, 1), (0, 1)])
-
-
-class TestBoxIndex:
-    def test_candidates_superset_of_overlaps(self):
-        index = BoxIndex(2)
-        index.extend((i, unit_at(2 * i, 0)) for i in range(5))
-        probe = unit_at(Fraction(1, 2), 0)
-        candidates = set(index.candidates(probe))
-        overlapping = set(index.overlapping(probe))
-        assert overlapping <= candidates
-        assert 0 in overlapping
-
-    def test_filter_prunes_far_objects(self):
-        index = BoxIndex(2)
-        index.extend((i, unit_at(10 * i, 10 * i)) for i in range(6))
-        probe = unit_at(0, 0)
-        assert index.candidates(probe) == [0]
-
-    def test_filter_is_conservative_for_diagonal(self):
-        """Boxes overlap but the convex objects do not: the candidate
-        survives the filter and is removed by the refine step."""
-        index = BoxIndex(2)
-        lower = CSTObject.from_atoms(
-            [x, y], [Ge(x, 0), Ge(y, 0), Le(x + y, 1)])
-        upper = CSTObject.from_atoms(
-            [x, y], [Le(x, 2), Le(y, 2), Ge(x + y, 3)])
-        index.insert("lower", lower)
-        assert index.candidates(upper) == ["lower"]
-        assert index.overlapping(upper) == []
-
-    def test_dimension_checked(self):
-        index = BoxIndex(2)
-        with pytest.raises(DimensionError):
-            index.insert("bad", box([x], [(0, 1)]))
-
-    def test_len(self):
-        index = BoxIndex(2)
-        index.insert(1, unit_at(0, 0))
-        assert len(index) == 1
 
 
 class TestOverlapJoin:

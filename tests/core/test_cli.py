@@ -148,27 +148,127 @@ class TestAnalyzeTrace:
         assert "phase trace:" not in capsys.readouterr().out
 
 
+class TestDurableStoreVerbs:
+    def test_round_trip_and_damage(self, tmp_path, capsys):
+        """CI's ``cli-smoke`` durability step, in-process: exit 0 on a
+        clean store, 4 once recovery had to drop something, 5 when no
+        snapshot is readable, and the report names the state."""
+        store = tmp_path / "office.store"
+
+        def run(*argv):
+            code = main([*argv, str(store)])
+            return code, capsys.readouterr()
+
+        code, io = run("db", "save", "--office")
+        assert code == 0 and "generation 1, 10 objects" in io.out
+        code, io = run("db", "verify")
+        assert code == 0 and "state: clean" in io.out
+        code, io = run("db", "load")
+        assert code == 0 and "10 objects, 0 relations" in io.out \
+            and "state: clean" in io.out
+        code, io = run("query", "SELECT X FROM Desk X", "--store")
+        assert code == 0 and "standard_desk" in io.out
+        code, io = run("db", "snapshot")
+        assert code == 0 and "snapshot generation 2" in io.out
+
+        # A torn WAL tail: recovered, until a writable open repairs it.
+        newest_wal = sorted(store.glob("wal-*.log"))[-1]
+        with newest_wal.open("ab") as wal:
+            wal.write(b"torn")
+        for verb in ("verify", "load", "snapshot"):
+            code, io = run("db", verb)
+            assert code == 4, verb
+            if verb != "snapshot":
+                assert "state: recovered" in io.out
+                assert "warning: wal 2: torn tail" in io.out
+        code, io = run("db", "verify")
+        assert code == 0 and "state: clean" in io.out
+
+        # No readable snapshot: unrecoverable.
+        for snapshot in store.glob("snapshot-*.lyrc"):
+            snapshot.write_bytes(b"gone")
+        code, io = run("db", "verify")
+        assert code == 5 and "state: unrecoverable" in io.out \
+            and "warning: no readable snapshot" in io.out
+        code, io = run("db", "load")
+        assert code == 5 and "store unrecoverable:" in io.err
+
+
+PACKAGE = pathlib.Path(repro.__file__).parent
+
+
+def _imports(path, module):
+    """``(dotted target, bound name)`` of every import in ``path``, at
+    module or at function level; ``module`` is the file's own dotted
+    path, which resolves the dots of ``from . import cli``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            base = []
+        elif isinstance(node, ast.ImportFrom):
+            base = list(module[:-node.level]) if node.level else []
+            base += node.module.split(".") if node.module else []
+        else:
+            continue
+        for alias in node.names:
+            yield (".".join(base + [alias.name]),
+                   alias.asname or alias.name)
+
+
+def _dotted(path, root):
+    return path.relative_to(root).with_suffix("").parts
+
+
 class TestCliIsTheTopLayer:
     def test_only_main_imports_the_cli(self):
         """Nothing under ``src/repro`` but ``__main__`` imports
         ``repro.cli``, at module or at function level: what both front
         ends need lives in ``repro.lyric``."""
-        package = pathlib.Path(repro.__file__).parent
-        importers = set()
-        for path in package.rglob("*.py"):
-            module = path.relative_to(package.parent).with_suffix("").parts
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    # ``from . import cli`` counts: resolve the dots.
-                    base = list(module[:-node.level]) if node.level else []
-                    base += node.module.split(".") if node.module else []
-                    names = [".".join(base + [alias.name])
-                             for alias in node.names]
-                else:
-                    continue
-                if any(name.split(".")[:2] == ["repro", "cli"]
-                       for name in names):
-                    importers.add(path.relative_to(package).as_posix())
+        importers = {
+            path.relative_to(PACKAGE).as_posix()
+            for path in PACKAGE.rglob("*.py")
+            for target, _ in _imports(path,
+                                      _dotted(path, PACKAGE.parent))
+            if target.split(".")[:2] == ["repro", "cli"]}
         assert importers == {"__main__.py"}
+
+    def test_no_module_is_an_orphan(self):
+        """Every module under ``src/repro`` is imported by another
+        ``src/`` module, ``bench/``, ``benchmarks/`` or ``examples/`` —
+        directly, or through a name its package ``__init__`` re-exports
+        and somebody other than that ``__init__`` imports.  A module
+        only its own test imports is not part of the system;
+        ``__main__`` is the entry point."""
+        root = PACKAGE.parent.parent
+        modules, imports = {}, {}
+        for path in PACKAGE.rglob("*.py"):
+            parts = _dotted(path, PACKAGE.parent)
+            imports[path] = list(_imports(path, parts))
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            modules[".".join(parts)] = path
+        for outside in ("bench", "benchmarks", "examples"):
+            for path in (root / outside).rglob("*.py"):
+                imports[path] = list(_imports(path, _dotted(path, root)))
+
+        def importers_of(name, but):
+            return {path for path, found in imports.items()
+                    if path not in but
+                    and any(target == name
+                            or target.startswith(name + ".")
+                            for target, _ in found)}
+
+        orphans = set()
+        for name, path in modules.items():
+            if name == "repro.__main__":
+                continue
+            init = path.parent / "__init__.py"
+            if importers_of(name, but={path, init}):
+                continue
+            package = name.rpartition(".")[0]
+            reexported = [f"{package}.{bound}"
+                          for target, bound in imports[init]
+                          if target.startswith(name + ".")]
+            if not any(importers_of(public, but={path, init})
+                       for public in reexported):
+                orphans.add(name)
+        assert orphans == set()

@@ -9,6 +9,7 @@ from repro.core.parser import parse, parse_query, parse_view
 from repro.errors import LyricSyntaxError
 from repro.model.oid import LiteralOid
 from repro.model.paths import PathExpression, VarRef
+from repro.workloads import manufacturing, mda, office, temporal
 
 
 class TestBasicQueries:
@@ -224,6 +225,26 @@ class TestCreateView:
     def test_parse_query_rejects_view(self):
         with pytest.raises(LyricSyntaxError):
             parse_query(self.VIEW)
+
+
+#: A WHERE satisfiability predicate written in projection form.
+PROJECTION_PREDICATE = """
+    SELECT X FROM Office_Object X
+    WHERE X.extent[E] and ((u,v) | E and u <= 2)
+"""
+
+
+class TestRenderedAstParsesBack:
+    @pytest.mark.parametrize("text", [
+        pytest.param(getattr(module, name),
+                     id=f"{module.__name__.rpartition('.')[2]}.{name}")
+        for module in (office, temporal, mda, manufacturing)
+        for name in sorted(vars(module)) if name.endswith("_QUERY")
+    ] + [pytest.param(TestCreateView.VIEW, id="view"),
+         pytest.param(PROJECTION_PREDICATE, id="projection-predicate")])
+    def test_round_trip(self, text):
+        tree = parse(text)
+        assert parse(str(tree)) == tree
 
 
 class TestErrors:

@@ -1,8 +1,9 @@
 """Unit tests for the one parallel region and its two transports:
-every filter forks and inherits, tasks go to the persistent pool
-(reuse, growth, recovery, budgets, warm-up, the context a pool worker
-rebuilds), cancellation crosses the board mid-flight, and whatever a
-region did not deliver is recomputed exactly once."""
+every filter forks and inherits, picklable tasks go to the persistent
+pool as the server's requests do (reuse, growth, recovery, budgets,
+warm-up, the context a pool worker rebuilds), cancellation crosses the
+board mid-flight, and whatever a region did not deliver is recomputed
+exactly once."""
 
 import threading
 import time
@@ -12,12 +13,10 @@ import pytest
 from repro.errors import PivotBudgetExceeded, QueryCancelled
 from repro.runtime import parallel
 from repro.runtime.context import QueryContext, current_context
-from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard
 from repro.runtime.parallel import (
     filter_rows,
     get_pool,
-    scatter_tasks,
     shutdown_pool,
 )
 
@@ -50,11 +49,20 @@ def _skip_unless_parallel():
         pytest.skip("process pool unavailable")
 
 
+def _pool_region(fn, tasks):
+    """``fn(*task)`` for every task on the persistent pool, values in
+    task order: the region ``filter_rows`` runs, on the transport the
+    server's ``dispatch`` uses."""
+    ctx = current_context()
+    return parallel._run_region(fn, tasks, ctx,
+                                min(ctx.parallelism, len(tasks)))
+
+
 def _pool_available() -> bool:
     """Probe once whether real pool dispatch works on this runner,
     then discard the pool and the counters the probe touched."""
     with QueryContext(parallelism=2).activate():
-        scatter_tasks(_identity, [(0,), (1,)])
+        _pool_region(_identity, [(0,), (1,)])
     available = not parallel.stats()["fallbacks"]
     shutdown_pool()
     parallel.reset_stats()
@@ -124,19 +132,19 @@ class TestTransportSelection:
 class TestWarmReuse:
     def test_second_dispatch_reuses_the_pool(self):
         with QueryContext(parallelism=3).activate():
-            scatter_tasks(_identity, _tasks(3))
+            _pool_region(_identity, _tasks(3))
             _skip_unless_parallel()
-            scatter_tasks(_identity, _tasks(3))
+            _pool_region(_identity, _tasks(3))
         stats = parallel.stats()
         assert stats["pool_cold_starts"] == 1
         assert stats["pool_dispatches"] == 6
 
     def test_growing_replaces_the_pool(self):
         with QueryContext(parallelism=2).activate():
-            scatter_tasks(_identity, _tasks(4))
+            _pool_region(_identity, _tasks(4))
         _skip_unless_parallel()
         with QueryContext(parallelism=4).activate():
-            scatter_tasks(_identity, _tasks(4))
+            _pool_region(_identity, _tasks(4))
         assert parallel.stats()["pool_cold_starts"] == 2
 
     def test_smaller_request_keeps_the_bigger_pool(self):
@@ -148,9 +156,9 @@ class TestWarmReuse:
     def test_context_stats_record_warm_and_cold(self):
         ctx = QueryContext(parallelism=3)
         with ctx.activate():
-            scatter_tasks(_identity, _tasks(3))
+            _pool_region(_identity, _tasks(3))
             _skip_unless_parallel()
-            scatter_tasks(_identity, _tasks(3))
+            _pool_region(_identity, _tasks(3))
         assert ctx.stats.pool_cold_starts == 1
         assert ctx.stats.pool_dispatches == 6
 
@@ -158,7 +166,7 @@ class TestWarmReuse:
 class TestPoolDeath:
     def test_dead_pool_falls_back_and_recovers(self):
         with QueryContext(parallelism=2).activate():
-            assert scatter_tasks(_identity, _tasks(4)) == [0, 1, 2, 3]
+            assert _pool_region(_identity, _tasks(4)) == [0, 1, 2, 3]
             _skip_unless_parallel()
             # Kill every warm worker behind the pool's back.
             pool, cold = get_pool(2)
@@ -168,14 +176,14 @@ class TestPoolDeath:
                 proc.join()
             # The dead pool is detected (at submit or at gather) and
             # discarded, the tasks recomputed in-process — same values.
-            assert scatter_tasks(_identity, _tasks(4)) == [0, 1, 2, 3]
+            assert _pool_region(_identity, _tasks(4)) == [0, 1, 2, 3]
             stats = parallel.stats()
             assert stats["fallbacks"] == 1
             reasons = stats["fallback_reasons"]
             assert reasons["worker_lost"] \
                 + reasons["pool_start_failed"] == 1
             # The next dispatch cold-starts a fresh pool.
-            assert scatter_tasks(_identity, _tasks(4)) == [0, 1, 2, 3]
+            assert _pool_region(_identity, _tasks(4)) == [0, 1, 2, 3]
         stats = parallel.stats()
         assert stats["fallbacks"] == 1
         assert stats["pool_cold_starts"] == 2
@@ -185,7 +193,7 @@ class TestPoolBudgets:
     def test_guard_spend_absorbed_through_the_pool(self):
         guard = ExecutionGuard(max_pivots=10_000)
         with QueryContext(guard=guard, parallelism=2).activate():
-            values = scatter_tasks(_square, _tasks(6))
+            values = _pool_region(_square, _tasks(6))
         _skip_unless_parallel()
         assert values == [i * i for i in range(6)]
         assert parallel.stats()["pool_dispatches"] == 6
@@ -197,7 +205,7 @@ class TestPoolBudgets:
         with QueryContext(guard=guard, parallelism=2).activate():
             # Pro-rated to 3 pivots a task; each spends 5.
             with pytest.raises(PivotBudgetExceeded) as exc:
-                scatter_tasks(_five_pivots, _tasks(2))
+                _pool_region(_five_pivots, _tasks(2))
         _skip_unless_parallel()
         assert parallel.stats()["pool_dispatches"] == 2
         assert exc.value.budget == "pivots"
@@ -306,12 +314,14 @@ class TestMidFlightCancel:
 
 
 class TestScatterTasks:
+    """``_run_region`` on the persistent-pool transport."""
+
     def test_values_in_task_order_spend_absorbed(self):
         if not _pool_available():
             pytest.skip("process pool unavailable")
         guard = ExecutionGuard(max_pivots=10_000)
         with QueryContext(guard=guard, parallelism=3).activate():
-            values = scatter_tasks(_square, _tasks(7))
+            values = _pool_region(_square, _tasks(7))
         assert values == [i * i for i in range(7)]
         assert guard.pivots == 7
         stats = parallel.stats()
@@ -326,7 +336,7 @@ class TestScatterTasks:
             # The serial fallback runs under the parent guard, so the
             # budget trips exactly where a serial run would trip it.
             with pytest.raises(PivotBudgetExceeded):
-                scatter_tasks(_square, _tasks(4))
+                _pool_region(_square, _tasks(4))
         stats = parallel.stats()
         assert stats["fallbacks"] == 1
         assert stats["fallback_reasons"]["no_headroom"] == 1
@@ -339,21 +349,7 @@ class TestScatterTasks:
         guard.cancel()
         with QueryContext(guard=guard, parallelism=2).activate():
             with pytest.raises(QueryCancelled):
-                scatter_tasks(_checkpointing, _tasks(4))
-
-    def test_should_scatter_gates(self):
-        ctx = current_context().derive(parallelism=4)
-        with ctx.activate():
-            assert not parallel.should_scatter(1)
-            assert parallel.should_scatter(4) \
-                == parallel._fork_available()
-            faulted = ctx.derive(
-                guard=ExecutionGuard(faults=FaultPlan()))
-            with faulted.activate():
-                assert not parallel.should_scatter(4)
-        serial_ctx = current_context().derive(parallelism=1)
-        with serial_ctx.activate():
-            assert not parallel.should_scatter(4)
+                _pool_region(_checkpointing, _tasks(4))
 
     def test_salvages_lost_tasks_in_process(self, monkeypatch):
         if not _pool_available():
@@ -361,7 +357,7 @@ class TestScatterTasks:
         monkeypatch.setattr(parallel, "_gather", _losing(2))
         guard = ExecutionGuard(max_pivots=10_000)
         with QueryContext(guard=guard, parallelism=3).activate():
-            values = scatter_tasks(_square, _tasks(5))
+            values = _pool_region(_square, _tasks(5))
         assert values == [i * i for i in range(5)]
         # 4 absorbed worker ticks + 1 in-process re-run tick.
         assert guard.pivots == 5
@@ -377,14 +373,14 @@ class TestScatterTasks:
         tasks = [(1,), (unpicklable,), (3,)]
         pool, _cold = get_pool(2)
         with QueryContext(parallelism=2).activate():
-            values = scatter_tasks(_identity, tasks)
+            values = _pool_region(_identity, tasks)
             assert values == [1, unpicklable, 3]
             stats = parallel.stats()
             assert stats["pool_dispatches"] == 2
             assert stats["fallback_reasons"]["worker_lost"] == 1
             # One future failed, not the pool: the same workers serve
             # the next region.
-            assert scatter_tasks(_identity, _tasks(3)) == [0, 1, 2]
+            assert _pool_region(_identity, _tasks(3)) == [0, 1, 2]
         assert parallel.stats()["fallbacks"] == 1
         assert get_pool(2) == (pool, False)
 
@@ -397,7 +393,7 @@ class TestScatterTasks:
             numeric=False, parallelism=2)
         with ctx.activate():
             expected = _report_context()
-            reports = scatter_tasks(_report_context, [(), ()])
+            reports = _pool_region(_report_context, [(), ()])
         assert parallel.stats()["pool_dispatches"] == 2
         assert reports == [expected, expected]
         assert expected["cache_off"] and expected["plan_cache_off"]
@@ -412,5 +408,5 @@ class TestWarm:
         assert parallel.stats()["pool_cold_starts"] == 1
         # A dispatch after warm-up reuses the warmed pool.
         with QueryContext(parallelism=2).activate():
-            scatter_tasks(_identity, _tasks(2))
+            _pool_region(_identity, _tasks(2))
         assert parallel.stats()["pool_cold_starts"] == 1

@@ -295,12 +295,6 @@ class TestScatterGather:
         assert pairs == mono
         assert ctx.stats.shard_pairs_pruned \
             + ctx.stats.shard_pairs_probed == 16
-        # Probed in pool workers (or serially, where nothing can
-        # fork), the merged list is the same list.
-        assert scatter_pairs(
-            sharded["L"], sharded["R"], "e", "f",
-            index.cst_cell_box, index.cst_cell_box,
-            ctx=QueryContext(parallelism=3)) == mono
 
     def test_join_results_byte_identical(self):
         plain, sharded = _sharded_catalog()

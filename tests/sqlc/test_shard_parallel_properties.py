@@ -1,13 +1,13 @@
-"""Property tests: shard-parallel ≡ shard-serial ≡ unsharded, byte for
-byte, across random partitionings — including under degrade-to-partial
-budgets, with the cache off, with the numeric prefilter off, and under
-a FaultPlan (which must keep the probe phase serial).
+"""Property tests: a sharded plan under ``parallelism`` ≡ the same plan
+serial ≡ unsharded, byte for byte, across random partitionings —
+including under degrade-to-partial budgets, with the cache off, with
+the numeric prefilter off, and under a FaultPlan (which keeps the
+whole execution in-process).
 
-Shard-pair probes spend no guard budget (only stats counters), so
-probing surviving pairs concurrently in pool workers cannot perturb
-where a budget trips: the merged candidate list sorts into the same
+Shard-pair probes spend no guard budget (only stats counters) and run
+in the calling process; the merged candidate list sorts into the
 global nested-loop order, and every unit of spend happens downstream
-in the exact phase.  These properties pin that invariant.
+in the exact phase, the one place ``parallelism`` partitions.
 """
 
 from hypothesis import given, settings
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.constraints.cst_object import CSTObject
 from repro.model.oid import LiteralOid
 from repro.runtime import parallel
-from repro.runtime.context import ExecutionStats, QueryContext
+from repro.runtime.context import QueryContext
 from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard
 from repro.sqlc import index
@@ -103,9 +103,8 @@ def _same_relation(a, b):
 class TestShardParallelEquivalence:
     """Hypothesis sweep: whatever the partitioning, the three
     execution layouts agree byte for byte.  The equivalence asserts
-    hold whether or not the pool actually dispatched (no fork → the
-    concurrent path falls back serial with the same merge), so none of
-    these need gating."""
+    hold whether or not anything forked, so none of these need
+    gating."""
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            shards=st.integers(min_value=2, max_value=7),
@@ -152,8 +151,8 @@ class TestShardParallelEquivalence:
     @settings(max_examples=5, deadline=None)
     def test_degrade_to_partial_agreement(self, seed, shards):
         # A budget tight enough to trip mid-join: probes spend no
-        # budget, so serial and concurrent probing leave the exact
-        # phase identical spend headroom — identical partial rows.
+        # budget, so the sharded and the monolithic probe leave the
+        # exact phase identical spend headroom — identical partial rows.
         plain, sharded = _catalogs(seed, shards, True)
         with QueryContext(cache=None).activate():
             baseline = execute(
@@ -173,33 +172,10 @@ class TestShardParallelGates:
         plain, sharded = _catalogs(11, 3, True)
         faults_a = ExecutionGuard(faults=FaultPlan())
         faults_b = ExecutionGuard(faults=FaultPlan())
-        stats = ExecutionStats()
         baseline = execute(_plain_plan(), plain, use_optimizer=False,
                            guard=faults_a)
         fanned = execute(_sharded_plan(), sharded,
                          use_optimizer=False, guard=faults_b,
-                         stats=stats, ctx=QueryContext(parallelism=3))
-        _same_relation(baseline, fanned)
-        assert stats.shard_pairs_parallel == 0
-        assert parallel.stats()["scatters"] == 0
-
-    def test_parallel_probe_stats_surface(self):
-        _, sharded = _catalogs(12, 4, True)
-        serial_stats = ExecutionStats()
-        serial = execute(_sharded_plan(), sharded,
-                         use_optimizer=False, stats=serial_stats)
-        assert serial_stats.shard_pairs_parallel == 0
-        fanned_stats = ExecutionStats()
-        fanned = execute(_sharded_plan(), sharded,
-                         use_optimizer=False, stats=fanned_stats,
                          ctx=QueryContext(parallelism=3))
-        _same_relation(serial, fanned)
-        if parallel.stats()["scatters"]:
-            # The pool really ran: every surviving pair probed in a
-            # worker, and the probe work merged back into the account.
-            assert fanned_stats.shard_pairs_parallel \
-                == fanned_stats.shard_pairs_probed > 0
-            assert fanned_stats.index_probes \
-                == serial_stats.index_probes
-        else:  # no fork / unpicklable: serial fallback, still correct
-            assert fanned_stats.shard_pairs_parallel == 0
+        _same_relation(baseline, fanned)
+        assert parallel.stats()["scatters"] == 0
