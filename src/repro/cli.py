@@ -616,8 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "the cold start")
     serve.add_argument("--max-workers", type=_positive_int,
                        default=None, metavar="N",
-                       help="cap concurrent process-executor workers "
-                            "(excess requests take the thread path)")
+                       help="size of the process executor's worker "
+                            "pool (requests beyond it wait for a "
+                            "worker)")
     serve.add_argument("--dump-stats-on-exit", action="store_true",
                        help="print the aggregate service statistics "
                             "as JSON after shutdown")

@@ -8,7 +8,7 @@ coefficient matrices the numeric kernel (:mod:`repro.constraints.
 kernel`) consumes in batch, one packing per system instead of one
 `Fraction` tree walk per solver probe.
 
-Three layers:
+Two layers:
 
 * :class:`PackedSystem` — one conjunctive body as float rows over the
   body's own (system-local) variable order, with the exact atoms kept
@@ -16,11 +16,7 @@ Three layers:
 * :class:`ConstraintMatrix` — a *batch* of constraints (any family),
   flattened to their disjunct bodies, with column-major stacked numpy
   arrays (:meth:`ConstraintMatrix.stacked`) for the vectorized
-  interval screen;
-* :class:`RelationMatrix` / :func:`matrix_for` — per-relation packing
-  of a whole CST column, built once per relation
-  :attr:`~repro.sqlc.relation.ConstraintRelation.version` and cached
-  weakly, so repeated filters over the same relation never re-pack.
+  interval screen.
 
 Packing is *conservative*: any atom whose coefficients do not convert
 to finite floats (overflowing numerators, for instance) marks the body
@@ -33,8 +29,7 @@ so an accepted sample point is still verified against them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
-from weakref import WeakKeyDictionary
+from typing import Iterable
 
 from repro.constraints.atoms import LinearConstraint, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
@@ -267,126 +262,8 @@ class ConstraintMatrix:
 _UNSET = object()
 
 
-# ---------------------------------------------------------------------------
-# Per-relation packing (once per relation version)
-# ---------------------------------------------------------------------------
-
-
-class RelationMatrix:
-    """The packed units of one relation's CST column.
-
-    Built eagerly over every row once, then looked up by cell identity
-    — cells flow through plan operators unchanged, so ``id(cell)``
-    survives selects, projections, and join row assembly.
-    """
-
-    __slots__ = ("column", "version", "n_rows", "_by_cell")
-
-    def __init__(self, relation, column: str):
-        self.column = column
-        self.version = relation.version
-        self.n_rows = 0
-        self._by_cell: dict[int, object] = {}
-        self._pack_rows(relation)
-
-    def _pack_rows(self, relation) -> None:
-        """Pack the cells of rows ``self.n_rows ..`` (all rows on first
-        build, only the appended suffix on :meth:`extend`)."""
-        from repro.model.oid import CstOid
-        cell_index = relation.column_index(self.column)
-        for row in list(relation)[self.n_rows:]:
-            cell = row[cell_index]
-            if id(cell) in self._by_cell:
-                continue
-            if isinstance(cell, CstOid):
-                self._by_cell[id(cell)] = \
-                    pack_constraint(cell.cst.constraint)
-            else:
-                self._by_cell[id(cell)] = None
-        self.n_rows = len(relation)
-        self.version = relation.version
-
-    def extend(self, relation) -> None:
-        """Bring the matrix current by packing only appended rows.
-
-        In-place extension is safe here (unlike the box indexes):
-        the cell map is additive and keyed by cell identity, so a
-        reader holding this matrix mid-scan sees exactly the units it
-        saw before plus new ones it never asks for.
-        """
-        self._pack_rows(relation)
-
-    def unit_for(self, cell: object) -> "Unit":
-        """The packed unit of ``cell``, or ``None`` when the cell is
-        unknown to this relation (or not a CST)."""
-        return self._by_cell.get(id(cell))
-
-    def has_cell(self, cell: object) -> bool:
-        """Was ``cell`` packed by this matrix?  Distinguishes "not this
-        relation's cell" from "packed to None (non-CST)" — sharded
-        relations scan their shard matrices with this before trusting
-        :meth:`unit_for`."""
-        return id(cell) in self._by_cell
-
-
-_relation_cache: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def matrix_for(relation, column: str) -> RelationMatrix:
-    """The (cached) :class:`RelationMatrix` of ``relation[column]``.
-
-    When the relation's mutation version moves by appends alone (the
-    version delta equals the row-count delta — ``add_row`` is the only
-    version bump), the cached matrix is *extended* with just the new
-    rows; any other divergence rebuilds.  CST atoms are thus packed
-    exactly once per row, not once per relation version.
-    """
-    per_relation = _relation_cache.get(relation)
-    if per_relation is None:
-        per_relation = {}
-        _relation_cache[relation] = per_relation
-    entry = per_relation.get(column)
-    if entry is not None:
-        if entry.version == relation.version:
-            return entry
-        if entry.version < relation.version \
-                and relation.version - entry.version \
-                == len(relation) - entry.n_rows \
-                and len(relation) >= entry.n_rows:
-            entry.extend(relation)
-            return entry
-    built = RelationMatrix(relation, column)
-    per_relation[column] = built
-    return built
-
-
 def clear_matrix_cache() -> None:
-    _relation_cache.clear()
-
-
-def cell_constraint(cell: object) -> object | None:
-    """The standard single-column conjunction extractor: a CST cell's
-    own constraint (``None`` for non-CST cells, which then take the
-    exact row-wise path).  Predicates whose test is exactly
-    "``cell`` is satisfiable" can pass this as their
-    :attr:`~repro.sqlc.algebra.CstPredicate.conjunction`; the batch
-    evaluator additionally recognises it and reads pre-packed systems
-    from :func:`matrix_for`."""
-    from repro.model.oid import CstOid
-    if isinstance(cell, CstOid):
-        return cell.cst.constraint
-    return None
-
-
-def _sequence_units(cells: Sequence[object],
-                    rm: RelationMatrix) -> list:
-    """Units for a run of cells through a relation matrix, packing any
-    cell the matrix has not seen (filtered/derived rows)."""
-    from repro.model.oid import CstOid
-    units = []
-    for cell in cells:
-        unit = rm.unit_for(cell)
-        if unit is None and isinstance(cell, CstOid):
-            unit = pack_constraint(cell.cst.constraint)
-        units.append(unit)
-    return units
+    """Nothing to clear: packing keeps no state between filter calls.
+    Importable only because ``bench/common.clear_caches`` calls it and
+    ``bench/`` changes in ``benchmark`` PRs alone (ROADMAP item 1 lists
+    the call for removal)."""

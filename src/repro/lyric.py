@@ -279,9 +279,9 @@ def stream(db: Database, text: str | ast.Query,
     pipeline) runs eagerly, so syntax and translation problems surface
     here; execution is deferred to the first pull.  ``translated``
     queries outside the translatable fragment fall back to the naive
-    evaluator, as does any run under fault injection (matching
-    :class:`PreparedQuery`); :attr:`QueryStream.engine` reports which
-    path was taken.
+    evaluator, as does any run under fault injection (a cached plan
+    would shift the fault schedule's compile-phase ticks);
+    :attr:`QueryStream.engine` reports which path was taken.
     """
     overrides: dict = {}
     if params is not None:
@@ -310,8 +310,8 @@ def stream(db: Database, text: str | ast.Query,
 
 
 class PreparedQuery:
-    """A query parsed, analyzed **and compiled** once, reusable across
-    executions — the PREPARE half of PREPARE/EXECUTE.
+    """A query parsed and analyzed once, reusable across executions —
+    the PREPARE half of PREPARE/EXECUTE.
 
     Binding is by schema *content*, not object identity: the schema
     fingerprint recorded at prepare time must equal the target
@@ -319,11 +319,9 @@ class PreparedQuery:
     :class:`~repro.storage.store.Store` runs plans prepared against the
     original, while any DDL mutation correctly invalidates them.
 
-    The compiled plan is memoized per plan-relevant option combination
-    (indexing/optimizer/shards); queries outside the
-    translatable fragment fall back to the naive evaluator, as does any
-    run under fault injection (a memoized plan would shift the fault
-    schedule's compile-phase ticks).
+    Each run is a :func:`stream` of the prepared AST: the compiled plan
+    comes from the context's plan cache (a second run is a cache hit)
+    and the engine is chosen by the one rule :func:`stream` states.
     """
 
     def __init__(self, schema, text: str | ast.Query):
@@ -334,8 +332,6 @@ class PreparedQuery:
         self._fingerprint = schema.fingerprint()
         self._query_ast = query_ast
         self._analysis = analyze_query(schema, query_ast)
-        #: options key -> CompiledQuery, or None for "untranslatable".
-        self._plans: dict = {}
 
     @property
     def warnings(self) -> list[str]:
@@ -367,27 +363,14 @@ class PreparedQuery:
             raise EvaluationError(
                 "unbound parameters: "
                 + ", ".join(f"${p}" for p in missing))
-        from repro.core.evaluator import evaluate_analyzed
-        if call_ctx.faults is not None:
-            return evaluate_analyzed(db, self._analysis, ctx=call_ctx)
-        from repro.core.pipeline import Pipeline
-        from repro.runtime.plancache import plan_options_key
-        key = plan_options_key(call_ctx)
-        pipeline = Pipeline(db, call_ctx)
-        if key not in self._plans:
-            try:
-                self._plans[key] = pipeline.compile(self._query_ast)
-            except TranslationError:
-                self._plans[key] = None
-        compiled = self._plans[key]
-        if compiled is None:
-            return evaluate_analyzed(db, self._analysis, ctx=call_ctx)
-        return pipeline.run_compiled(compiled)
+        return stream(db, self._query_ast,
+                      use_optimizer=call_ctx.use_optimizer,
+                      ctx=call_ctx).result()
 
 
 def prepare(db: Database, text: str | ast.Query) -> PreparedQuery:
-    """Parse, analyze and (lazily) compile once; execute many times
-    with ``.run(db, params=...)``."""
+    """Parse and analyze once; execute many times with
+    ``.run(db, params=...)``."""
     return PreparedQuery(db.schema, text)
 
 

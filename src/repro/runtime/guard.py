@@ -119,11 +119,13 @@ class ExecutionGuard:
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self) -> None:
+    def start(self, at: float | None = None) -> None:
         """Start the deadline clock (idempotent; activating the
-        guard's context calls this)."""
+        guard's context calls this) — at ``at``, an earlier reading of
+        the guard's clock, for an execution that was already waiting
+        when its guard was made (a queued pool task)."""
         if self._started is None:
-            self._started = self._clock()
+            self._started = self._clock() if at is None else at
 
     def elapsed(self) -> float:
         """Wall-clock seconds since activation (0.0 before)."""

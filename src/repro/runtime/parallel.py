@@ -35,7 +35,9 @@ serial — fault schedules count ticks on one guard.
 **Budgets.**  Each worker runs under a fresh guard carrying
 ``remaining // tasks`` of every *work* budget of the parent's guard
 (pivots, branches, canonical; disjuncts caps one disjunction and
-passes through whole) and the full remaining deadline.  Worker guards
+passes through whole) and the full remaining deadline, counted from
+the dispatch — a task that waited for a worker has that much less, and
+trips at its first checkpoint when nothing is left.  Worker guards
 ``fail`` on exhaustion unless the dispatch says otherwise, so a trip
 travels back as a plain dict (:class:`~repro.errors.ResourceExhausted`
 has keyword-only constructors and does not pickle); the parent
@@ -357,6 +359,10 @@ def _worker_limits(guard: ExecutionGuard | None, tasks: int,
         limits["deadline"] = guard.deadline - guard.elapsed()
         if limits["deadline"] <= 0:
             return None
+        # What is left runs from now, not from when a worker takes the
+        # task: a pool task may queue behind others.  The monotonic
+        # clock is system-wide on the platforms that fork.
+        limits["dispatched_at"] = time.monotonic()
     for limit_name, counter_name in _DIVIDED_BUDGETS:
         limit = getattr(guard, limit_name)
         if limit is None:
@@ -612,6 +618,8 @@ def _guard_from_limits(limits: dict) -> ExecutionGuard | None:
         max_disjuncts=limits["max_disjuncts"],
         max_canonical=limits.get("max_canonical"),
         on_exhaustion=limits["on_exhaustion"])
+    if "dispatched_at" in limits:
+        guard.start(at=limits["dispatched_at"])
     slot = limits.get("cancel_slot")
     if slot is not None:
         guard.bind_cancel_probe(lambda: slot_cancelled(slot))

@@ -1,10 +1,15 @@
-"""Process-backed query execution for the server (GIL escape).
+"""One server request, and the pool task that runs it elsewhere.
 
-The thread executor in :mod:`repro.server.service` keeps *distinct*
-concurrent queries on one interpreter, so solver-bound load gains
-nothing from extra cores.  This module is the task the service hands
-to :func:`repro.runtime.parallel.dispatch` instead: a whole query, run
-in a persistent-pool worker process.
+A request is one CPU-bound plan evaluation; the only thing an executor
+decides is *where* it runs.  :func:`request_events` is that request —
+the only loop in the server that pumps a
+:class:`~repro.lyric.QueryStream` — and it yields exactly the events a
+job publishes.  The thread executor feeds the live generator to the
+event loop; the process executor (the GIL escape: *distinct* concurrent
+queries on one interpreter gain nothing from extra cores) hands
+:func:`run_query` to :func:`repro.runtime.parallel.dispatch`, and a
+persistent-pool worker ships the same events back as a list.  Frames
+are therefore byte-identical across executors by construction.
 
 **Shipping strategy.**  The database never pickles per request — the
 worker *inherits* it by fork.  :func:`publish` stores
@@ -14,14 +19,13 @@ service re-publishes and discards the pool
 (:func:`~repro.runtime.parallel.shutdown_pool`), so the next dispatch
 forks workers that inherit the post-mutation database.  The version
 check in :func:`run_query` turns any remaining race into a clean
-``{"stale": True}`` reply, which the service converts into a
-thread-path fallback — never a wrong answer.
+``None`` reply, and the service runs the generator itself — never a
+wrong answer.
 
 What *does* cross the process boundary per request is small: the query
 AST plus what every pool task carries — the context options (parameter
 oids among them) and the guard budgets.  Rows come back already
-``dump_oid``-serialized in result order, so the service publishes
-byte-identical frames to the thread path's.
+``dump_oid``-serialized in result order.
 
 **Guard.**  The service dispatches with the request's own
 ``on_exhaustion`` policy (degrade must produce the same partial rows
@@ -31,11 +35,18 @@ through the region's cancel-board slot like any other pool task's.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro import lyric
 from repro.model.database import Database
 from repro.model.serialize import dump_oid
-from repro.runtime.context import current_context
+from repro.runtime.context import QueryContext, current_context
 from repro.server import protocol
+
+#: Rows per ``rows`` event — the granularity at which a request hands
+#: rows to the event loop (each event becomes that many ``row``
+#: frames).
+ROW_BATCH = 32
 
 #: ``(db_version, database)`` the *next* pool fork will inherit.
 _PUBLISHED: tuple[int, Database | None] = (-1, None)
@@ -49,44 +60,47 @@ def publish(db_version: int, db: Database | None) -> None:
     _PUBLISHED = (db_version, db)
 
 
-def run_query(db_version: int, query_ast, translated: bool) -> dict:
-    """The pool task: execute one query against the fork-inherited
-    database, under the ambient (worker-rebuilt) context, and ship the
-    whole result back.
-
-    Returns ``{"stale": True}`` when the inherited database predates
-    ``db_version`` (the service falls back to its thread path), else a
-    reply dict with ``rows`` (``(values, oid)`` pairs, dump_oid
-    serialized, in result order) and ``columns``/``engine``/
-    ``partial``/``warnings`` — or ``error_code``/``error_message`` plus
-    the rows produced before the error, mirroring what the thread path
-    would already have streamed.  Stats and guard spend travel in the
-    task outcome, as for every pool task."""
-    version, db = _PUBLISHED
-    if db is None or version != db_version:
-        return {"stale": True}
-    ctx = current_context()
-    rows: list[tuple] = []
+def request_events(db: Database, query_ast, translated: bool,
+                   ctx: QueryContext) -> Iterator[tuple]:
+    """One request, as the events its job publishes: ``("rows",
+    [(values, oid), ...])`` per :data:`ROW_BATCH` rows (``dump_oid``
+    serialized, in result order), ``("warning", text)`` per warning,
+    then the terminal — ``("done", body)``, or ``("error", code,
+    message)`` with the rows produced before the error already
+    yielded.  The account is ``ctx``'s (guard, stats); the caller
+    reports it."""
+    rows = 0
     try:
         stream = lyric.stream(db, query_ast, translated=translated,
                               use_optimizer=ctx.use_optimizer, ctx=ctx)
-        batch = stream.next_batch(64)
-        while batch:
-            rows.extend((
-                [dump_oid(v) for v in row.values],
-                dump_oid(row.oid) if row.oid is not None else None)
-                for row in batch)
-            batch = stream.next_batch(64)
-        return {
-            "rows": rows,
+        while batch := stream.next_batch(ROW_BATCH):
+            rows += len(batch)
+            yield ("rows", [
+                ([dump_oid(v) for v in row.values],
+                 dump_oid(row.oid) if row.oid is not None else None)
+                for row in batch])
+        for warning in stream.warnings:
+            yield ("warning", warning)
+        yield ("done", {
             "columns": list(stream.columns),
             "engine": stream.engine,
-            "partial": bool(stream.warnings),
-            "warnings": list(stream.warnings),
-        }
-    except BaseException as exc:  # noqa: BLE001 - process boundary
-        return {
             "rows": rows,
-            "error_code": protocol.error_code(exc),
-            "error_message": str(exc),
-        }
+            "partial": bool(stream.warnings),
+        })
+    except Exception as exc:  # noqa: BLE001 - wire / process boundary
+        yield ("error", protocol.error_code(exc), str(exc))
+
+
+def run_query(db_version: int, query_ast,
+              translated: bool) -> list[tuple] | None:
+    """The pool task: :func:`request_events` against the fork-inherited
+    database, under the ambient (worker-rebuilt) context, shipped back
+    whole — or ``None`` when the inherited database predates
+    ``db_version`` (the service then runs the request itself).  Stats
+    and guard spend travel in the task outcome, as for every pool
+    task."""
+    version, db = _PUBLISHED
+    if db is None or version != db_version:
+        return None
+    return list(request_events(db, query_ast, translated,
+                               current_context()))

@@ -27,15 +27,17 @@ Everything here runs on the event loop thread except the query bodies
 themselves, which :meth:`QueryService.submit` ships to the executor;
 workers publish events back via ``loop.call_soon_threadsafe``.
 
-**Executor modes.**  The executor above is always a thread pool; with
+**Executor modes.**  A request is one body,
+:func:`repro.server.procexec.request_events`, and the executor decides
+only where it runs.  The executor above is always a thread pool; with
 ``executor="process"`` (or ``"auto"`` on a multi-core fork platform)
-each executor thread first hands its query to the persistent worker
-pool as one :func:`~repro.runtime.parallel.dispatch` task
-(:mod:`repro.server.procexec`) — true parallelism for distinct-query
-load — and falls back to the in-thread body, under a reason from
-:data:`PROCESS_FALLBACK_REASONS`, whenever no worker served it.  The
-fallback is taken before anything is published, so clients cannot
-observe which path served them except through STATS.
+each executor thread hands its request to the persistent worker pool
+as one :func:`~repro.runtime.parallel.dispatch` task — true
+parallelism for distinct-query load — and waits for a worker: the pool
+queues what exceeds its size.  When no worker's reply arrives (a
+reason from :data:`PROCESS_FALLBACK_REASONS`) the thread runs the same
+generator itself, before anything is published, so clients cannot
+observe where a request ran except through STATS.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Mapping
+from typing import Any, AsyncIterator, Iterable, Mapping
 
 from repro import lyric
 from repro.core import ast
@@ -53,7 +55,6 @@ from repro.errors import EvaluationError
 from repro.model.database import Database
 from repro.model.oid import Oid
 from repro.model.relations import REBUILD_REASONS
-from repro.model.serialize import dump_oid
 from repro.runtime import ExecutionGuard, QueryContext
 from repro.runtime import parallel
 from repro.runtime.context import ExecutionStats
@@ -61,22 +62,16 @@ from repro.runtime.plancache import plan_options_key
 from repro.server import procexec, protocol
 from repro.storage.store import Store
 
-#: Rows per published event — the granularity at which the worker
-#: thread hands rows to the event loop (each event becomes that many
-#: ``row`` frames).
-ROW_BATCH = 32
-
 #: Budget axes a client may request and the server may cap.
 BUDGET_FIELDS = ("deadline", "max_pivots", "max_branches",
                  "max_disjuncts", "max_canonical")
 
-#: Why a process-mode request was served by the thread path: every
-#: worker slot busy (``ServerLimits.max_workers``); the task or its
-#: reply never crossed the process boundary (it would not pickle, or
-#: the worker died); the worker's fork-inherited database predates the
-#: request; the pool could not start.
-PROCESS_FALLBACK_REASONS = ("saturated", "undelivered", "stale",
-                            "pool_start_failed")
+#: Why no worker's reply arrived and a process-mode request ran in its
+#: executor thread: the task or its reply never crossed the process
+#: boundary (it would not pickle, or the worker died); the worker's
+#: fork-inherited database predates the request; the pool could not
+#: start.
+PROCESS_FALLBACK_REASONS = ("undelivered", "stale", "pool_start_failed")
 
 
 @dataclass(frozen=True)
@@ -88,10 +83,9 @@ class ServerLimits:
     (a cap alone applies to clients that asked for nothing).  ``None``
     means uncapped on that axis.
 
-    ``max_workers`` is not a guard budget: it caps how many pool
-    *processes* the process executor may occupy at once (``None`` =
-    size the pool to the machine).  Requests beyond the cap take the
-    thread path instead of queueing."""
+    ``max_workers`` is not a guard budget: it is the size of the
+    process executor's worker pool (``None`` = size the pool to the
+    machine).  Requests beyond it queue for a worker."""
 
     deadline: float | None = None
     max_pivots: int | None = None
@@ -433,10 +427,6 @@ class QueryService:
         self.stats.executor = self.executor_mode
         self._pool_size = self.limits.max_workers \
             or max(2, os.cpu_count() or 2)
-        #: Caps concurrent process-executor requests (ServerLimits.
-        #: max_workers); a request that finds no free slot takes the
-        #: thread path instead of queueing behind the pool.
-        self._worker_slots = threading.Semaphore(self._pool_size)
         if self.executor_mode == "process":
             # Discard any pool forked before this publish: its workers
             # inherited someone else's database (or none at all), and
@@ -530,15 +520,20 @@ class QueryService:
         db_version = self.db_version
 
         def work() -> None:
+            ctx = self._base_ctx.derive(
+                guard=guard, stats=ExecutionStats(),
+                params=dict(params) if params else None,
+                use_optimizer=use_optimizer)
+            events = None
             if self.executor_mode == "process":
-                fallback = self._execute_via_pool(
-                    job, db_version, query_ast, params, translated,
-                    use_optimizer)
-                if fallback is None:
-                    return
-                self.stats.note_process(fallback)
-            self._execute(job, db, query_ast, params,
-                          translated, use_optimizer)
+                events = self._events_from_pool(
+                    ctx, db_version, query_ast, translated)
+            if events is None:
+                # Thread mode, or no worker's reply arrived: the same
+                # body runs here, and rows leave while it runs.
+                events = procexec.request_events(
+                    db, query_ast, translated, ctx)
+            self._serve(job, events, ctx.stats)
 
         async def drive() -> None:
             try:
@@ -551,135 +546,63 @@ class QueryService:
         asyncio.ensure_future(drive())
         return subscription
 
-    def _execute(self, job: _Job, db: Database,
-                 query_ast: ast.Query,
-                 params: Mapping[str, Oid] | None,
-                 translated: bool, use_optimizer: bool) -> None:
-        """The worker-thread body: pump a
-        :class:`~repro.lyric.QueryStream` and publish events."""
-        loop = self._loop
-        assert loop is not None
-
-        def post(event: tuple) -> None:
-            loop.call_soon_threadsafe(job.publish, event)
-
-        stats = ExecutionStats()
-        ctx = self._base_ctx.derive(
-            guard=job.guard, stats=stats,
-            params=dict(params) if params else None)
-        baseline = job.guard.spend()
-        rows = 0
-        try:
-            stream = lyric.stream(db, query_ast,
-                                  translated=translated,
-                                  use_optimizer=use_optimizer,
-                                  ctx=ctx)
-            batch = stream.next_batch(ROW_BATCH)
-            while batch:
-                rows += len(batch)
-                post(("rows", [
-                    ([dump_oid(v) for v in row.values],
-                     dump_oid(row.oid) if row.oid is not None
-                     else None)
-                    for row in batch]))
-                batch = stream.next_batch(ROW_BATCH)
-            for warning in stream.warnings:
-                post(("warning", warning))
-            stats.capture_guard(job.guard, baseline)
-            post(("stats", protocol.stats_payload(stats)))
-            # Record before the terminal event goes out, so anyone who
-            # observed "done" also sees this request in the aggregate.
-            self.stats.record_request(stats, rows=rows, outcome="ok")
-            post(("done", {
-                "columns": list(stream.columns),
-                "engine": stream.engine,
-                "rows": rows,
-                "partial": bool(stream.warnings),
-            }))
-        except BaseException as exc:  # noqa: BLE001 - wire boundary
-            stats.capture_guard(job.guard, baseline)
-            code = protocol.error_code(exc)
-            self.stats.record_request(
-                stats, rows=rows,
-                outcome="cancelled" if code == "cancelled"
-                else "error")
-            post(("error", code, str(exc)))
-
-    def _execute_via_pool(self, job: _Job, db_version: int,
+    def _events_from_pool(self, ctx: QueryContext, db_version: int,
                           query_ast: ast.Query,
-                          params: Mapping[str, Oid] | None,
-                          translated: bool,
-                          use_optimizer: bool) -> str | None:
-        """Try to run the request as one pool task.  Returns ``None``
-        once a worker's reply is published, else — with *nothing
-        published* — the :data:`PROCESS_FALLBACK_REASONS` entry saying
-        why the thread path must serve instead."""
-        if not self._worker_slots.acquire(blocking=False):
-            return "saturated"
-        try:
-            ctx = self._base_ctx.derive(
-                guard=job.guard, stats=ExecutionStats(),
-                params=dict(params) if params else None,
-                use_optimizer=use_optimizer)
-            # The task *is* the query, so the worker guard keeps the
-            # request's own exhaustion policy; a parent-side cancel
-            # reaches it through the region's cancel slot.
-            (outcome,), reason = parallel.dispatch(
-                procexec.run_query,
-                [(db_version, query_ast, translated)], ctx,
-                self._pool_size,
-                on_exhaustion=job.guard.on_exhaustion)
-            if outcome is None:
-                return reason if reason == "pool_start_failed" \
-                    else "undelivered"
-            reply = outcome["value"]
-            if reply.get("stale"):
-                return "stale"
-            # Count the process-served request *before* the terminal
-            # frame goes out (same invariant as record_request in the
-            # thread path: anyone who observed "done" also sees this
-            # request in the aggregate).
-            self.stats.note_process(None)
-            self._publish_reply(job, reply, ctx.stats)
-            return None
-        finally:
-            self._worker_slots.release()
+                          translated: bool) -> list[tuple] | None:
+        """The request as one pool task, waiting for a worker when all
+        are busy: the events a worker shipped (its stats and spend
+        already absorbed into ``ctx``), or ``None`` — counted under its
+        :data:`PROCESS_FALLBACK_REASONS` entry — when no worker's reply
+        arrived."""
+        guard = ctx.guard
+        assert guard is not None
+        # The deadline covers the wait for a worker, not only the run.
+        guard.start()
+        # The task *is* the query, so the worker guard keeps the
+        # request's own exhaustion policy; a parent-side cancel
+        # reaches it through the region's cancel slot.
+        (outcome,), reason = parallel.dispatch(
+            procexec.run_query, [(db_version, query_ast, translated)],
+            ctx, self._pool_size, on_exhaustion=guard.on_exhaustion)
+        if outcome is None:
+            fallback = reason if reason == "pool_start_failed" \
+                else "undelivered"
+        else:
+            fallback = "stale" if outcome["value"] is None else None
+        self.stats.note_process(fallback)
+        return None if fallback else outcome["value"]
 
-    def _publish_reply(self, job: _Job, reply: dict,
-                       stats: ExecutionStats) -> None:
-        """Publish a worker reply as the exact event sequence the
-        thread path would have produced (frames are byte-identical;
-        only their timing differs — the worker ships the whole result
-        at once).  ``stats`` is the request's account, the worker's
-        already merged in."""
+    def _serve(self, job: _Job, events: Iterable[tuple],
+               stats: ExecutionStats) -> None:
+        """Publish a request's events — a live
+        :func:`~repro.server.procexec.request_events` generator, or the
+        list a worker shipped — and close its account ahead of the
+        terminal one: capture the guard into ``stats``, post the
+        ``stats`` event (on ``done`` only) and record the request, so
+        anyone who observed the terminal event also sees this request
+        in the aggregate."""
         loop = self._loop
         assert loop is not None
 
         def post(event: tuple) -> None:
             loop.call_soon_threadsafe(job.publish, event)
 
-        rows = reply["rows"]
-        for i in range(0, len(rows), ROW_BATCH):
-            post(("rows", rows[i:i + ROW_BATCH]))
-        code = reply.get("error_code")
-        if code is None:
-            for warning in reply["warnings"]:
-                post(("warning", warning))
-            post(("stats", protocol.stats_payload(stats)))
-            self.stats.record_request(stats, rows=len(rows),
-                                      outcome="ok")
-            post(("done", {
-                "columns": reply["columns"],
-                "engine": reply["engine"],
-                "rows": len(rows),
-                "partial": reply["partial"],
-            }))
-        else:
-            self.stats.record_request(
-                stats, rows=len(rows),
-                outcome="cancelled" if code == "cancelled"
-                else "error")
-            post(("error", code, reply["error_message"]))
+        rows = 0
+        for event in events:
+            kind = event[0]
+            if kind == "rows":
+                rows += len(event[1])
+            elif kind == "done":
+                stats.capture_guard(job.guard)
+                post(("stats", protocol.stats_payload(stats)))
+                self.stats.record_request(stats, rows=rows, outcome="ok")
+            elif kind == "error":
+                stats.capture_guard(job.guard)
+                self.stats.record_request(
+                    stats, rows=rows,
+                    outcome="cancelled" if event[1] == "cancelled"
+                    else "error")
+            post(event)
 
     # -- mutations -------------------------------------------------------
 

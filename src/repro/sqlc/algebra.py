@@ -175,7 +175,7 @@ class Select(Plan):
         # kernel when the context's numeric option is active.
         from repro.sqlc import batch
         kept = batch.filter_rows(base.columns, list(base),
-                                 self.predicate, ctx=ctx, relation=base)
+                                 self.predicate, ctx=ctx)
         result = ConstraintRelation(base.name, base.columns)
         result._rows = kept
         return result

@@ -12,9 +12,7 @@ kernel call per chunk instead, whenever the predicate exposes an
    a row rejected early never reaches the constraint, exactly as in
    the row-wise evaluator);
 2. surviving rows' constraints are extracted, packed into a
-   :class:`~repro.constraints.matrix.ConstraintMatrix` (pre-packed
-   per-relation when the extractor is the standard
-   :func:`~repro.constraints.matrix.cell_constraint`), and classified
+   :class:`~repro.constraints.matrix.ConstraintMatrix`, and classified
    by one :func:`~repro.constraints.kernel.classify_matrix` call;
 3. rows the kernel could not decide fall back to the *original*
    predicate through the row-wise evaluator, under a derived context
@@ -61,26 +59,12 @@ def _split(predicate: Predicate
     return None
 
 
-def _units_for(cst: CstPredicate, cells: Sequence[tuple],
-               relation) -> list:
+def _units_for(cst: CstPredicate, cells: Sequence[tuple]) -> list:
     """Packed units for the extracted constraints of ``cells`` (the
     per-row oid tuples for ``cst.columns``).  ``None`` entries mark
     rows whose extraction failed — they take the exact path, where the
     original ``test`` reproduces any error."""
     extractor = cst.conjunction
-    if (extractor is matrix.cell_constraint and relation is not None
-            and len(cst.columns) == 1):
-        from repro.sqlc.shard import ShardedConstraintRelation
-        if isinstance(relation, ShardedConstraintRelation):
-            # Sharded relations keep one matrix per shard, extended
-            # eagerly at ingest; look each cell up across them instead
-            # of packing a redundant monolithic matrix.
-            return relation.sequence_units(cst.columns[0],
-                                           [c[0] for c in cells])
-        # The standard single-cell extractor over a base relation:
-        # systems were packed once per relation version.
-        rm = matrix.matrix_for(relation, cst.columns[0])
-        return matrix._sequence_units([c[0] for c in cells], rm)
     units = []
     for values in cells:
         try:
@@ -93,11 +77,10 @@ def _units_for(cst: CstPredicate, cells: Sequence[tuple],
 
 
 def filter_rows(columns: Sequence[str], rows: list, predicate,
-                ctx=None, relation=None) -> list:
+                ctx=None) -> list:
     """Drop-in for :func:`repro.runtime.parallel.filter_rows` that
     batches extractable constraint predicates through the numeric
-    kernel.  ``relation`` (optional) names the base relation the rows
-    came from, enabling the per-relation packed-matrix cache."""
+    kernel."""
     resolved = context_mod.resolve(ctx)
     plan = None
     if resolved.numeric_active() and len(rows) >= MIN_BATCH:
@@ -115,7 +98,7 @@ def filter_rows(columns: Sequence[str], rows: list, predicate,
              if all(p(dicts[i]) for p in pre)]
 
     units = _units_for(cst, [tuple(rows[i][j] for j in cst_idx)
-                             for i in alive], relation)
+                             for i in alive])
     cm = matrix.ConstraintMatrix.from_units(units)
     verdicts = kernel.classify_matrix(cm, resolved)
 

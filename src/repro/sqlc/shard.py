@@ -20,16 +20,14 @@ into one of ``shards`` internal shard relations:
   incremental maintenance still apply.
 
 Each shard is itself a plain ``ConstraintRelation``, so the existing
-version-keyed caches maintain a *per-shard*
-:class:`~repro.sqlc.index.BoxIndex` and
-:class:`~repro.constraints.matrix.RelationMatrix` incrementally: a
-mutation burst extends each touched shard's structures with just its
-appended rows (copy-on-extend / in-place pack) instead of rebuilding
-anything relation-wide.  ``register_index``/``register_matrix`` make
-that maintenance *eager* — after the first query registers its
-(column, boxer), every ``add_rows`` batch brings the touched shards'
-indexes current at ingest time, so the next query pays no build at
-all.
+version-keyed cache maintains a *per-shard*
+:class:`~repro.sqlc.index.BoxIndex` incrementally: a mutation burst
+extends each touched shard's index with just its appended rows
+(copy-on-extend) instead of rebuilding anything relation-wide.
+``register_index`` makes that maintenance *eager* — after the first
+query registers its (column, boxer), every ``add_rows`` batch brings
+the touched shards' indexes current at ingest time, so the next query
+pays no build at all.
 
 Routing is an internal layout decision: queries that treat the
 relation as unsharded (plain ``IndexJoin``, ``Select``, the naive
@@ -49,7 +47,6 @@ import zlib
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
-from repro.constraints import matrix as matrix_mod
 from repro.errors import EvaluationError
 from repro.model.oid import CstOid, LiteralOid, Oid
 from repro.runtime import context as context_mod
@@ -112,7 +109,7 @@ class ShardedConstraintRelation(ConstraintRelation):
 
     __slots__ = ("shard_count", "partition_by", "_shard_rels",
                  "_shard_positions", "_boundaries", "_routed",
-                 "_index_targets", "_matrix_columns")
+                 "_index_targets")
 
     def __init__(self, name: str, columns: Sequence[str],
                  rows: Iterable[Sequence] = (), *,
@@ -135,10 +132,8 @@ class ShardedConstraintRelation(ConstraintRelation):
         self._boundaries: list[float] | None = None
         #: Rows [0, _routed) are already distributed into shards.
         self._routed = 0
-        #: Eagerly maintained per-shard structures: (column, boxer)
-        #: box indexes and packed-matrix columns.
+        #: Eagerly maintained per-shard box indexes: (column, boxer).
         self._index_targets: list[tuple[str, Boxer]] = []
-        self._matrix_columns: set[str] = set()
         super().__init__(name, columns)
         if partition_by is not None:
             self.column_index(partition_by)  # validates the column
@@ -216,8 +211,8 @@ class ShardedConstraintRelation(ConstraintRelation):
             touched.add(shard)
         for shard in touched:
             # One bulk append per touched shard: the shard's version
-            # delta equals its row delta, so the per-shard BoxIndex /
-            # RelationMatrix caches take their incremental-extend path.
+            # delta equals its row delta, so the per-shard BoxIndex
+            # cache takes its incremental-extend path.
             self._shard_rels[shard].add_rows(per_shard[shard])
         self._routed = len(self._rows)
         return touched
@@ -237,27 +232,14 @@ class ShardedConstraintRelation(ConstraintRelation):
         for rel in self._shard_rels:
             index_mod.index_for(rel, column, boxer, ctx=ctx)
 
-    def register_matrix(self, column: str) -> None:
-        """Maintain a per-shard packed coefficient matrix of
-        ``column`` eagerly (see :func:`~repro.constraints.matrix.
-        matrix_for`)."""
-        if column in self._matrix_columns:
-            return
-        self._matrix_columns.add(column)
-        for rel in self._shard_rels:
-            matrix_mod.matrix_for(rel, column)
-
     def _refresh_shards(self, touched: set[int]) -> None:
-        """Bring the registered derived structures of the touched
-        shards current — once per batch, through the incremental-extend
-        caches."""
+        """Bring the registered indexes of the touched shards current —
+        once per batch, through the incremental-extend cache."""
         ctx = context_mod.current_context()
         for shard in touched:
             rel = self._shard_rels[shard]
             for column, boxer in self._index_targets:
                 index_mod.index_for(rel, column, boxer, ctx=ctx)
-            for column in self._matrix_columns:
-                matrix_mod.matrix_for(rel, column)
 
     # -- shard-preserving operators ----------------------------------------
 
@@ -311,24 +293,6 @@ class ShardedConstraintRelation(ConstraintRelation):
     def shard_sizes(self) -> list[int]:
         self._route_backlog(force=True)
         return [len(rel) for rel in self._shard_rels]
-
-    def sequence_units(self, column: str, cells: Sequence[Oid]) -> list:
-        """Packed units for ``cells`` of ``column``, served from the
-        per-shard matrices (``None`` entries take the exact path, as in
-        :func:`~repro.constraints.matrix._sequence_units`)."""
-        self._route_backlog(force=True)
-        self.register_matrix(column)
-        matrices = [matrix_mod.matrix_for(rel, column)
-                    for rel in self._shard_rels]
-        units = []
-        for cell in cells:
-            unit = None
-            for m in matrices:
-                if m.has_cell(cell):
-                    unit = m.unit_for(cell)
-                    break
-            units.append(unit)
-        return units
 
     def __repr__(self) -> str:
         return (f"ShardedConstraintRelation({self._name!r}, "

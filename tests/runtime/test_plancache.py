@@ -269,7 +269,15 @@ class TestPreparedQueryBinding:
         prepared.run(db, ctx=ctx1)
         ctx2 = QueryContext(stats=ExecutionStats())
         prepared.run(db, ctx=ctx2)
-        # The statement memoizes its own CompiledQuery per options key:
-        # the second run recompiles nothing (no compile phases at all).
-        names = [r.name for r in ctx2.stats.phases]
-        assert "translate" not in names and "plan-cache" not in names
+        # The plan cache is the statement's only plan memo: the second
+        # run is a hit there ...
+        assert (ctx2.stats.plan_cache_hits,
+                ctx2.stats.plan_cache_misses) == (1, 0)
+        assert "translate" not in [r.name for r in ctx2.stats.phases]
+        # ... and with the cache off every run compiles.
+        for _ in range(2):
+            uncached = QueryContext(stats=ExecutionStats(),
+                                    plan_cache=None)
+            prepared.run(db, ctx=uncached)
+            assert "translate" in [r.name
+                                   for r in uncached.stats.phases]

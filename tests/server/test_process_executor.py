@@ -1,18 +1,21 @@
-"""The process executor end to end: pool-worker execution publishes
-the exact frames the thread path would (stats timing aside), CANCEL
-crosses the cancel board into a busy worker, every fallback path
-(undelivered, stale fork, saturated slots) still serves correct rows
-through the threads under its reason, and warm-up/STATS surface the
-pool account."""
+"""The process executor end to end: one request body
+(``request_events``) whose events are the frames either executor
+publishes (stats timing aside), CANCEL crosses the cancel board into a
+busy worker, requests beyond the pool queue for a worker with their
+deadline running, every fallback (undelivered, stale fork) still serves
+correct rows from the executor thread under its reason, and
+warm-up/STATS surface the pool account."""
 
 import asyncio
 
 import pytest
 
+from repro.core.parser import parse_query
 from repro.errors import QueryCancelled
 from repro.model.oid import LiteralOid
 from repro.runtime import parallel
 from repro.runtime.cache import clear_global_cache
+from repro.runtime.context import ExecutionStats, QueryContext
 from repro.server import QueryService, procexec
 
 from tests.server.harness import (
@@ -121,6 +124,58 @@ class TestFrameEquivalence:
         assert snap["process_requests"] == 1
 
 
+class TestRequestEvents:
+    """The one place the event sequence is spelled out: zero or more
+    ``rows``, zero or more ``warning``, then ``done`` or ``error`` —
+    and a thread-mode job publishes exactly that, plus one ``stats``
+    event ahead of ``done`` (none ahead of ``error``)."""
+
+    @pytest.mark.parametrize("n, text, translated, spec, kinds, last", [
+        # More rows than one batch holds: two ``rows`` events.
+        (40, "SELECT X FROM Office_Object X", True, None,
+         ["rows", "rows", "done"], {"engine": "translated", "rows": 40}),
+        (6, "SELECT A FROM Drawer D WHERE D.A['red']", True, None,
+         ["rows", "done"], {"engine": "naive", "partial": False}),
+        # The canonicalisation budget trips mid-stream: what was
+        # produced before it stands, then the warning, then ``done``
+        # ... or, under the fail policy, the error after the one full
+        # batch already yielded.
+        (10, SLOW_QUERY, False,
+         {"max_canonical": 200, "on_exhaustion": "degrade"},
+         ["rows", "rows", "warning", "done"], {"partial": True}),
+        (10, SLOW_QUERY, False, {"max_canonical": 200},
+         ["rows", "error"], "resource"),
+        (10, "SELECT X FROM Office_Object X WHERE X.color = $c", True,
+         None, ["error"], "evaluation"),
+    ], ids=["translated", "naive_fallback", "degrade_to_partial",
+            "budget_trips_mid_stream", "unbound_parameter"])
+    def test_events_are_what_a_thread_mode_job_publishes(
+            self, n, text, translated, spec, kinds, last):
+        # Each side gets its own cold database and constraint cache:
+        # where a budget trips depends on what earlier runs memoized.
+        async def main():
+            clear_global_cache()
+            return (await _run_once(
+                office_db(n, seed=4), text, "thread", guard_spec=spec,
+                translated=translated))[0]
+        served = asyncio.run(main())
+        clear_global_cache()
+        ctx = QueryContext(guard=ServerLimits().effective_guard(spec),
+                           stats=ExecutionStats())
+        direct = list(procexec.request_events(
+            office_db(n, seed=4), parse_query(text), translated, ctx))
+        assert direct == frames(served)
+        assert [e[0] for e in direct] == kinds
+        assert [e[0] for e in served] == kinds[:-1] \
+            + ["stats"] * (kinds[-1] == "done") + kinds[-1:]
+        assert all(len(e[1]) <= procexec.ROW_BATCH
+                   for e in direct if e[0] == "rows")
+        if kinds[-1] == "done":
+            assert last.items() <= direct[-1][1].items()
+        else:
+            assert direct[-1][1] == last
+
+
 class TestCancellation:
     def test_cancel_crosses_the_board_into_the_worker(self):
         db = office_db(30)
@@ -177,6 +232,67 @@ class TestCancellation:
                 assert stats["cancellations"] >= 1
                 assert stats["executor"] == "process"
         asyncio.run(main())
+
+
+class TestQueueing:
+    def test_requests_beyond_the_pool_queue_for_a_worker(self):
+        db = office_db(8, seed=5)
+        texts = [SLOW_QUERY,
+                 "SELECT X FROM Office_Object X",
+                 "SELECT X, X.color FROM Office_Object X",
+                 "SELECT X FROM Desk X"]
+
+        async def main():
+            baseline = [(await _run_once(db, text, "thread"))[0]
+                        for text in texts]
+            service = QueryService(db, executor_threads=4,
+                                   executor="process",
+                                   limits=ServerLimits(max_workers=1))
+            try:
+                # Four distinct queries at once, one worker: three wait
+                # for it, none is served anywhere else.
+                subscriptions = await asyncio.gather(*[
+                    service.submit(service.parse(text))
+                    for text in texts])
+                events = await asyncio.gather(
+                    *[drain(s) for s in subscriptions])
+                return baseline, events, service.stats.snapshot()
+            finally:
+                service.close()
+        baseline, events, snap = asyncio.run(main())
+        assert [e[-1][0] for e in events] == ["done"] * 4
+        assert [frames(e) for e in events] \
+            == [frames(e) for e in baseline]
+        assert snap["process_fallbacks"] == 0
+        assert snap["process_requests"] == 4
+        assert set(snap["process_fallback_reasons"]) \
+            == {"undelivered", "stale", "pool_start_failed"}
+
+    def test_the_deadline_runs_while_a_request_waits(self):
+        db = office_db(30)
+
+        async def main():
+            service = QueryService(db, executor_threads=2,
+                                   executor="process",
+                                   limits=ServerLimits(max_workers=1))
+            try:
+                slow = await service.submit(service.parse(SLOW_QUERY))
+                await asyncio.sleep(0.2)  # the worker is taken
+                quick = await service.submit(
+                    service.parse("SELECT X, X.color "
+                                  "FROM Office_Object X"),
+                    guard_spec={"deadline": 0.2})
+                events = await drain(quick)
+                slow.cancel()
+                return events, service.stats.snapshot()
+            finally:
+                service.close()
+        events, snap = asyncio.run(main())
+        # The quick query would take milliseconds; its 0.2 s were
+        # spent in the queue, so the worker trips it on arrival.
+        assert events[-1][:2] == ("error", "resource")
+        assert "budget=deadline" in events[-1][2]
+        assert snap["process_fallbacks"] == 0
 
 
 class TestFallbacks:
@@ -240,31 +356,6 @@ class TestFallbacks:
         assert frames(events) == frames(baseline_events)
         assert snap["process_requests"] == 0
         assert snap["process_fallbacks"] == 1
-
-    def test_saturated_slots_take_the_thread_path(self):
-        db = office_db(8, seed=5)
-
-        async def main():
-            service = QueryService(db, executor_threads=2,
-                                   executor="process",
-                                   limits=ServerLimits(max_workers=1))
-            try:
-                # Two distinct queries at once, one worker slot: the
-                # second finds it taken and is served by its thread.
-                first, second = await asyncio.gather(
-                    service.submit(service.parse(SLOW_QUERY)),
-                    service.submit(service.parse(
-                        "SELECT X FROM Office_Object X")))
-                events = await asyncio.gather(drain(first),
-                                              drain(second))
-                return events, service.stats.snapshot()
-            finally:
-                service.close()
-        events, snap = asyncio.run(main())
-        assert [e[-1][0] for e in events] == ["done", "done"]
-        assert snap["process_requests"] == 1
-        assert snap["process_fallbacks"] == 1
-        assert snap["process_fallback_reasons"]["saturated"] == 1
 
     def test_mutation_republishes_to_fresh_workers(self):
         async def main():

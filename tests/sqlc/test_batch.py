@@ -5,7 +5,6 @@ merge them across parallel workers."""
 
 import pytest
 
-from repro.constraints import matrix
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
@@ -45,7 +44,7 @@ def _cell_sat(cell):
 
 def _cell_predicate():
     return CstPredicate(("c",), _cell_sat, "SAT", (),
-                        matrix.cell_constraint)
+                        lambda cell: cell.cst.constraint)
 
 
 def _pair_catalog(n=14, seed=2):
@@ -144,8 +143,7 @@ class TestFilterEquivalence:
         ctx = QueryContext(stats=ExecutionStats(), cache=None)
         rows = list(relation)
         kept = batch.filter_rows(relation.columns, rows,
-                                 _cell_predicate(), ctx=ctx,
-                                 relation=relation)
+                                 _cell_predicate(), ctx=ctx)
         assert kept == [r for r in rows
                         if _cell_predicate()(dict(zip(relation.columns,
                                                       r)))]

@@ -417,20 +417,3 @@ class TestOptimizerSelection:
         assert [tuple(map(repr, r)) for r in baseline.rows] \
             == [tuple(map(repr, r)) for r in result.rows]
 
-
-class TestSequenceUnits:
-    def test_units_served_from_shard_matrices(self):
-        rows = _box_rows(40)
-        sharded = ShardedConstraintRelation(
-            "r", ("id", "c"), rows, shards=3, partition_by="c")
-        cells = [row[1] for row in sharded]
-        units = sharded.sequence_units("c", cells)
-        assert len(units) == len(cells)
-        assert all(unit is not None for unit in units)
-
-    def test_foreign_cells_fall_back_to_none(self):
-        sharded = ShardedConstraintRelation(
-            "r", ("id", "c"), _box_rows(10), shards=2,
-            partition_by="c")
-        foreign = _box_rows(1, seed=77, prefix="z")[0][1]
-        assert sharded.sequence_units("c", [foreign]) == [None]

@@ -1,14 +1,11 @@
-"""Incremental maintenance equivalence: box indexes and packed
-coefficient matrices brought current by *extension* after appends must
-be indistinguishable from ones rebuilt from scratch — including after
-a crash and recovery, where the store replays the rows and the
-rebuilt structures must match the incrementally maintained ones."""
-
-from fractions import Fraction
+"""Incremental maintenance equivalence: box indexes brought current by
+*extension* after appends must be indistinguishable from ones rebuilt
+from scratch — including after a crash and recovery, where the store
+replays the rows and the rebuilt index must match the incrementally
+maintained one."""
 
 import pytest
 
-from repro.constraints import matrix as matrix_mod
 from repro.constraints.parser import parse_cst
 from repro.runtime.context import QueryContext
 from repro.sqlc import index as index_mod
@@ -38,35 +35,12 @@ def assert_indexes_equal(left, right):
         assert sorted(left.unbounded[var]) == sorted(right.unbounded[var])
 
 
-def _system_key(system):
-    if system is None:
-        return None
-    return (tuple(v.name for v in system.variables),
-            tuple(map(tuple, system.rows)),
-            tuple(system.rhs), tuple(system.kinds),
-            tuple(system.scales))
-
-
-def unit_key(unit):
-    if unit is None:
-        return None
-    return tuple(_system_key(s) for s in unit)
-
-
-def matrix_keys(matrix, relation):
-    cell_index = relation.column_index(matrix.column)
-    return [unit_key(matrix.unit_for(row[cell_index]))
-            for row in relation]
-
-
 @pytest.fixture(autouse=True)
 def acct():
-    """A cold matrix cache, and a fresh ambient context whose account
-    the test reads the index counters from."""
-    matrix_mod.clear_matrix_cache()
+    """A fresh ambient context whose account the test reads the index
+    counters from."""
     with QueryContext().activate() as ctx:
         yield ctx.stats
-    matrix_mod.clear_matrix_cache()
 
 
 class TestIncrementalBoxIndex:
@@ -124,24 +98,6 @@ class TestIncrementalBoxIndex:
         assert acct.index_extends == 0
 
 
-class TestIncrementalMatrix:
-    def test_extend_is_in_place_and_equals_rebuild(self):
-        rel = fresh_relation(2)
-        first = matrix_mod.matrix_for(rel, "e")
-        rel.add_row((box_cst(7, 9, Fraction(1, 3), 4),))
-        second = matrix_mod.matrix_for(rel, "e")
-        assert second is first  # in-place extension, same object
-        assert second.n_rows == 3
-        rebuilt = matrix_mod.RelationMatrix(rel, "e")
-        assert matrix_keys(second, rel) == matrix_keys(rebuilt, rel)
-
-    def test_same_version_is_cache_hit(self):
-        rel = fresh_relation(2)
-        first = matrix_mod.matrix_for(rel, "e")
-        assert matrix_mod.matrix_for(rel, "e") is first
-        assert first.n_rows == 2
-
-
 class TestMaintenanceThroughStore:
     def test_recovered_relation_rebuild_equals_incremental(
             self, tmp_path, acct):
@@ -155,12 +111,10 @@ class TestMaintenanceThroughStore:
         for i in range(3):
             rel.add_row((box_cst(i, i + 2, 0, i + 1),))
         index_mod.index_for(rel, "e", index_mod.cst_cell_box)
-        matrix = matrix_mod.matrix_for(rel, "e")
         for i in range(3, 6):
             rel.add_row((box_cst(i, i + 2, 0, i + 1),))
         incremental = index_mod.index_for(rel, "e",
                                           index_mod.cst_cell_box)
-        matrix = matrix_mod.matrix_for(rel, "e")
         assert acct.index_extends >= 1
         store.close()
 
@@ -170,9 +124,6 @@ class TestMaintenanceThroughStore:
             rebuilt = index_mod.BoxIndex(recovered, "e",
                                          index_mod.cst_cell_box)
             assert_indexes_equal(incremental, rebuilt)
-            rebuilt_matrix = matrix_mod.RelationMatrix(recovered, "e")
-            assert matrix_keys(matrix, rel) \
-                == matrix_keys(rebuilt_matrix, recovered)
 
     def test_store_loaded_relation_supports_incremental_appends(
             self, tmp_path, acct):
