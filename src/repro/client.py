@@ -12,8 +12,9 @@ One background reader task demultiplexes response frames to their
 requests by id, so any number of queries may be in flight on one
 connection — and :meth:`LyricClient.cancel` can target one of them
 while its rows are still streaming.  Row values come back as tagged
-terms and are rebuilt with :func:`repro.model.serialize.load_oid`,
-whose round trip is exact: a :class:`~repro.core.result.ResultSet`
+terms and are rebuilt with :func:`repro.model.serialize.load_oid` —
+trusted, so the server's canonical forms are taken as is, not solved
+again — whose round trip is exact: a :class:`~repro.core.result.ResultSet`
 materialized here compares equal, row for row and warning for
 warning, with one produced in-process.
 """
@@ -107,8 +108,9 @@ class RemoteStream:
             frame = await self._queue.get()
             kind = frame.get("type")
             if kind == "row":
-                values = tuple(load_oid(v) for v in frame["values"])
-                oid = load_oid(frame["oid"]) \
+                values = tuple(load_oid(v, trusted=True)
+                               for v in frame["values"])
+                oid = load_oid(frame["oid"], trusted=True) \
                     if frame.get("oid") is not None else None
                 yield ResultRow(values, oid)
             elif kind == "warning":

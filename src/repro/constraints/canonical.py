@@ -195,32 +195,52 @@ def lower(constraint):
     return constraint
 
 
+def seed_canonical(constraint, ctx: QueryContext | None = None) -> None:
+    """Enter each conjunction of a quantifier-free constraint *known*
+    to be canonical in the memo as its own canonical form — what
+    canonicalising it would have left there, without the solving."""
+    cache = context_mod.resolve(ctx).active_cache()
+    if cache is None:
+        return
+    for conj in (constraint.disjuncts
+                 if isinstance(constraint, DisjunctiveConstraint)
+                 else (constraint,)):
+        if not conj.is_true():
+            cache.store(("canon", conj.sorted_atoms(), True), conj)
+
+
 def canonical_key(constraint, schema: Sequence[Variable],
-                  ctx: QueryContext | None = None) -> tuple:
+                  ctx: QueryContext | None = None,
+                  canonical: bool = False) -> tuple:
     """Alpha-invariant identity key of a constraint under a variable
     schema (the ordered tuple of its CST dimensions).
 
     Variables are renamed positionally (schema variable i becomes
     ``_i``), so two CST objects that differ only in variable names get
     equal keys — the invariance Section 4.1 requires of logical oids.
+    ``canonical`` says the constraint is a quantifier-free canonical
+    form: irredundancy is invariant under a bijective renaming, so its
+    key is the renamed constraint and nothing is solved.
     """
     resolved = context_mod.resolve(ctx)
     try:
         return resolved.memoized(
             ("key", type(constraint).__name__, constraint,
              tuple(v.name for v in schema)),
-            lambda: _canonical_key(constraint, schema, resolved))
+            lambda: _canonical_key(constraint, schema, resolved, canonical))
     except TypeError:
         # Unhashable constraint content — compute without memoizing.
-        return _canonical_key(constraint, schema, resolved)
+        return _canonical_key(constraint, schema, resolved, canonical)
 
 
 def _canonical_key(constraint, schema: Sequence[Variable],
-                   ctx: QueryContext) -> tuple:
+                   ctx: QueryContext, canonical: bool = False) -> tuple:
     mapping = {var: Variable(f"_{i}") for i, var in enumerate(schema)}
-    canon = canonicalize(constraint, ctx)
-    renamed = canon.rename(mapping)
-    renamed = canonicalize(renamed, ctx)
+    if canonical:
+        renamed = constraint.rename(mapping)
+    else:
+        renamed = canonicalize(
+            canonicalize(constraint, ctx).rename(mapping), ctx)
     if isinstance(renamed, ConjunctiveConstraint):
         return ("conj", renamed.sorted_atoms())
     if isinstance(renamed, DisjunctiveConstraint):

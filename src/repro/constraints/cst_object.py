@@ -34,6 +34,11 @@ AnyConstraint = (ConjunctiveConstraint | DisjunctiveConstraint
                  | ExistentialConjunctiveConstraint
                  | DisjunctiveExistentialConstraint)
 
+#: The quantifier-free families: irredundant-and-satisfiable is stable
+#: there, so a canonical member is a fixed point of ``canonicalize``
+#: (an existential one can simplify again).
+_QUANTIFIER_FREE = (ConjunctiveConstraint, DisjunctiveConstraint)
+
 #: Placeholder for a not-yet-computed cheap bounding box (``None`` is a
 #: meaningful value: the box is provably empty).
 _UNSET = object()
@@ -49,14 +54,17 @@ class CSTObject:
     Equality and hashing are *semantic up to canonical form*: two CST
     objects with the same dimension and the same canonical key are the
     same logical oid, regardless of variable names.
+
+    ``canonical=True`` is the caller's word that ``constraint`` is a
+    canonical form (an :meth:`oid_text`, renamed or not): taken as is.
     """
 
     __slots__ = ("_schema", "_constraint", "_key", "_hash", "_sat",
-                 "_box")
+                 "_box", "_canonical")
 
     def __init__(self, schema: Sequence[Variable],
                  constraint: AnyConstraint | LinearConstraint,
-                 canonicalize: bool = True):
+                 canonicalize: bool = True, *, canonical: bool = False):
         schema = tuple(schema)
         if len({v.name for v in schema}) != len(schema):
             raise DimensionError(
@@ -70,10 +78,12 @@ class CSTObject:
                 f"constraint mentions variables outside the CST schema: "
                 f"{sorted(v.name for v in extra)} not in "
                 f"{[v.name for v in schema]}")
-        if canonicalize:
+        if canonicalize and not canonical:
             constraint = canonical_mod.canonicalize(constraint)
         self._schema = schema
         self._constraint = constraint
+        self._canonical = (canonicalize or canonical) \
+            and isinstance(constraint, _QUANTIFIER_FREE)
         self._key: tuple | None = None
         self._hash: int | None = None
         self._sat: bool | None = None
@@ -114,12 +124,18 @@ class CSTObject:
         return families.classify(self._constraint)
 
     @property
+    def is_canonical(self) -> bool:
+        """Known fixed point of ``canonicalize``: nothing left to solve."""
+        return self._canonical
+
+    @property
     def oid_key(self) -> tuple:
         """The alpha-invariant identity key (the logical oid's content)."""
         if self._key is None:
             self._key = (len(self._schema),
                          canonical_mod.canonical_key(
-                             self._constraint, self._schema))
+                             self._constraint, self._schema,
+                             canonical=self._canonical))
         return self._key
 
     def oid_text(self) -> str:
@@ -177,7 +193,7 @@ class CSTObject:
             return self
         mapping = dict(zip(self._schema, new_schema))
         return CSTObject(new_schema, self._constraint.rename(mapping),
-                         canonicalize=False)
+                         canonicalize=False, canonical=self._canonical)
 
     def intersect(self, other: "CSTObject") -> "CSTObject":
         """Constraint conjunction; schemas merge by variable name (the
@@ -192,16 +208,12 @@ class CSTObject:
         """
         schema = _merge_schemas(self._schema, other._schema)
         if current_context().prefilter_active() \
-                and isinstance(self._constraint,
-                               (ConjunctiveConstraint,
-                                DisjunctiveConstraint)) \
-                and isinstance(other._constraint,
-                               (ConjunctiveConstraint,
-                                DisjunctiveConstraint)) \
+                and isinstance(self._constraint, _QUANTIFIER_FREE) \
+                and isinstance(other._constraint, _QUANTIFIER_FREE) \
                 and bounds.boxes_disjoint(self.cheap_box(),
                                           other.cheap_box()):
             return CSTObject(schema, ConjunctiveConstraint.false(),
-                             canonicalize=False)
+                             canonical=True)
         combined = _conjoin_any(self._constraint, other._constraint)
         return CSTObject(schema, combined)
 

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from repro.errors import ConstraintSyntaxError
 from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.canonical import seed_canonical
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject, _conjoin_any, _disjoin_any
 from repro.constraints.disjunctive import DisjunctiveConstraint
@@ -107,7 +108,7 @@ class _Parser:
 
     # -- entry points --------------------------------------------------------
 
-    def parse_cst(self) -> CSTObject:
+    def parse_cst(self, trusted: bool = False) -> CSTObject:
         self.expect("punct", "(")
         self.expect("punct", "(")
         schema = self.parse_varlist()
@@ -116,7 +117,7 @@ class _Parser:
         body = self.parse_body()
         self.expect("punct", ")")
         self.expect("eof")
-        return _projected(schema, body)
+        return _projected(schema, body, trusted)
 
     def parse_constraint(self):
         body = self.parse_body()
@@ -228,8 +229,7 @@ class _Parser:
         kind, value = self.peek()
         if kind == "number":
             self.next()
-            number = Fraction(value) if "." not in value \
-                else Fraction(value)
+            number = Fraction(value)
             # Implicit multiplication: "2x" arrives as two tokens.
             if self.peek()[0] == "ident":
                 var = Variable(self.next()[1])
@@ -281,7 +281,8 @@ def _quantify(constraint, quantified: list[Variable]):
     raise ConstraintSyntaxError(f"cannot quantify {constraint!r}")
 
 
-def _projected(schema: list[Variable], body) -> CSTObject:
+def _projected(schema: list[Variable], body,
+               trusted: bool = False) -> CSTObject:
     free = set(_free_vars(body))
     hidden = free - set(schema)
     if hidden:
@@ -293,18 +294,25 @@ def _projected(schema: list[Variable], body) -> CSTObject:
         else:
             body = DisjunctiveExistentialConstraint.of(body).project(
                 set(schema) & free)
-    return CSTObject(schema, body)
+    cst = CSTObject(schema, body, canonical=trusted)
+    if trusted and cst.is_canonical:
+        seed_canonical(body)
+    return cst
 
 
 def _free_vars(body):
     return body.variables
 
 
-def parse_cst(text: str) -> CSTObject:
+def parse_cst(text: str, trusted: bool = False) -> CSTObject:
     """Parse a CST object in projection notation
-    ``((x,y) | x + y <= 1 and ...)``."""
+    ``((x,y) | x + y <= 1 and ...)``.  ``trusted`` says the text is an
+    :meth:`CSTObject.oid_text` nothing could have altered
+    (:mod:`repro.model.serialize` says where): the object is built from
+    it as is and, when quantifier-free, seeds the memo as its own
+    canonical form."""
     try:
-        return _Parser(text).parse_cst()
+        return _Parser(text).parse_cst(trusted)
     except RecursionError:
         raise ConstraintSyntaxError(
             "constraint too deeply nested to parse") from None

@@ -9,6 +9,14 @@ terms.
     from repro.model.serialize import dump_database, load_database
     payload = dump_database(db)          # plain dicts/lists/strings
     clone = load_database(payload)       # a fresh, validated Database
+
+A ``cst`` payload written here is a canonical form (Section 3.1: the
+logical oid itself); :func:`dump_oid` canonicalises a quantifier-free
+object not known to be one before printing it.  A reader may rely on
+that — ``trusted=True``: the object is the text as is, nothing solved —
+only where the bytes are provably the writer's: a checksummed store
+file of format 2, a frame of this server's reply.  A hand-editable JSON
+file, a client's parameter, a format-1 file are not: the default.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
+from repro.constraints.cst_object import CSTObject
+from repro.constraints.families import Family
 from repro.constraints.parser import parse_cst
 from repro.errors import ModelError
 from repro.model.database import Database
@@ -54,7 +64,11 @@ def dump_oid(oid: Oid) -> Any:
             return {"t": "num", "v": str(value)}
         return {"t": "str", "v": value}
     if isinstance(oid, CstOid):
-        return {"t": "cst", "v": oid.cst.oid_text()}
+        cst = oid.cst
+        if not cst.is_canonical and cst.family <= Family.DISJUNCTIVE:
+            # No quantifier will print: readers take it for canonical.
+            cst = CSTObject(cst.schema, cst.constraint)
+        return {"t": "cst", "v": cst.oid_text()}
     if isinstance(oid, FunctionalOid):
         return {"t": "fn", "f": oid.function,
                 "a": [dump_oid(a) for a in oid.args]}
@@ -65,7 +79,7 @@ def dump_oid(oid: Oid) -> Any:
     raise ModelError(f"cannot serialize oid {oid!r}")
 
 
-def load_oid(payload: Any) -> Oid:
+def load_oid(payload: Any, trusted: bool = False) -> Oid:
     tag = payload.get("t")
     if tag == "sym":
         return SymbolicOid(payload["v"])
@@ -74,10 +88,10 @@ def load_oid(payload: Any) -> Oid:
     if tag == "str":
         return LiteralOid(payload["v"])
     if tag == "cst":
-        return CstOid(parse_cst(payload["v"]))
+        return CstOid(parse_cst(payload["v"], trusted))
     if tag == "fn":
-        return FunctionalOid(payload["f"],
-                             [load_oid(a) for a in payload["a"]])
+        return FunctionalOid(payload["f"], [load_oid(a, trusted)
+                                            for a in payload["a"]])
     if tag == "attr":
         return AttributeNameOid(payload["v"])
     if tag == "class":
@@ -189,12 +203,12 @@ def dump_value(raw: Any) -> Any:
     return dump_oid(raw)
 
 
-def load_value(raw: Any) -> Any:
+def load_value(raw: Any, trusted: bool = False) -> Any:
     """Inverse of :func:`dump_value`; set values load as lists, which
     :meth:`DBObject.set` coerces back to frozensets."""
     if isinstance(raw, dict) and "set" in raw:
-        return [load_oid(v) for v in raw["set"]]
-    return load_oid(raw)
+        return [load_oid(v, trusted) for v in raw["set"]]
+    return load_oid(raw, trusted)
 
 
 def dump_object(obj: Any) -> dict:
@@ -208,10 +222,11 @@ def dump_object(obj: Any) -> dict:
     }
 
 
-def load_object_into(db: Database, payload: dict) -> None:
+def load_object_into(db: Database, payload: dict,
+                     trusted: bool = False) -> None:
     """Add a :func:`dump_object` payload to ``db``."""
-    db.add_object(load_oid(payload["oid"]), payload["class"],
-                  {name: load_value(raw)
+    db.add_object(load_oid(payload["oid"], trusted), payload["class"],
+                  {name: load_value(raw, trusted)
                    for name, raw in payload["values"].items()})
 
 
@@ -223,7 +238,7 @@ def dump_database(db: Database) -> dict:
     }
 
 
-def load_database(payload: dict) -> Database:
+def load_database(payload: dict, trusted: bool = False) -> Database:
     if payload.get("version") != FORMAT_VERSION:
         raise ModelError(
             f"unsupported database format version "
@@ -231,7 +246,7 @@ def load_database(payload: dict) -> Database:
     schema = load_schema(payload["schema"])
     db = Database(schema)
     for obj in payload["objects"]:
-        load_object_into(db, obj)
+        load_object_into(db, obj, trusted)
     db.validate()
     return db
 

@@ -31,7 +31,8 @@ from repro.server.service import QueryService, Subscription
 
 def _decode_params(payload: Any) -> dict[str, Oid] | None:
     """Wire parameter bindings -> oids.  Tagged terms go through
-    :func:`load_oid`; plain scalars (numbers, strings) coerce like the
+    :func:`load_oid` — untrusted: the client wrote them, so a ``cst``
+    is canonicalised; plain scalars (numbers, strings) coerce like the
     ``params=`` mapping of the in-process API."""
     if payload is None:
         return None
@@ -358,10 +359,12 @@ class Session:
             if kind == "rows":
                 for values, oid in event[1]:
                     rows += 1
+                    # The service's own dump_oid output: trusted.
                     rendered = " | ".join(
-                        str(load_oid(v)) for v in values)
+                        str(load_oid(v, trusted=True)) for v in values)
                     if oid is not None:
-                        rendered = f"<{load_oid(oid)}> | {rendered}"
+                        oid = load_oid(oid, trusted=True)
+                        rendered = f"<{oid}> | {rendered}"
                     await self._say(f"row {rendered}")
             elif kind == "warning":
                 await self._say(f"warning {event[1]}")

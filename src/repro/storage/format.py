@@ -31,9 +31,12 @@ from typing import Any, Iterator
 
 from repro.errors import StoreCorruptError
 
-#: Bumped when the binary layout changes (independent of the JSON
-#: payload's :data:`repro.model.serialize.FORMAT_VERSION`).
-STORAGE_FORMAT_VERSION = 1
+#: Independent of the JSON payload's
+#: :data:`repro.model.serialize.FORMAT_VERSION`.  1: ``cst`` payloads are
+#: canonicalised again when read.  2 (same layout, same bytes): the
+#: writer vouches that they are canonical forms (:func:`is_trusted`).
+STORAGE_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 MAGIC_SNAPSHOT = b"LYRS"
 MAGIC_WAL = b"LYRW"
@@ -78,6 +81,13 @@ def schema_fingerprint(schema: Any) -> bytes:
     return digest.digest()[:16]
 
 
+def is_trusted(path: str) -> bool:
+    """Does the snapshot or WAL file at ``path`` (header already
+    validated by its reader below) vouch for its ``cst`` payloads?"""
+    with open(path, "rb") as handle:
+        return struct.unpack("<4xH", handle.read(6))[0] >= 2
+
+
 def _crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
@@ -107,7 +117,7 @@ def read_snapshot(data: bytes) -> tuple[int, bytes, Any]:
         _SNAPSHOT_HEADER.unpack_from(data)
     if magic != MAGIC_SNAPSHOT:
         raise StoreCorruptError(f"bad snapshot magic {magic!r}")
-    if version != STORAGE_FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise StoreCorruptError(
             f"unsupported storage format version {version}")
     payload = data[SNAPSHOT_HEADER_SIZE:]
@@ -146,7 +156,7 @@ def read_wal_header(data: bytes) -> tuple[int, bytes]:
         _WAL_HEADER.unpack_from(data)
     if magic != MAGIC_WAL:
         raise StoreCorruptError(f"bad WAL magic {magic!r}")
-    if version != STORAGE_FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise StoreCorruptError(
             f"unsupported storage format version {version}")
     return generation, fingerprint

@@ -33,11 +33,14 @@ prefix with an explicit warning in the :class:`RecoveryReport` —
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
+from repro.constraints.cst_object import CSTObject
+from repro.constraints.parser import parse_cst
 from repro.errors import (
     ReproError,
     StoreCorruptError,
@@ -58,6 +61,7 @@ from repro.model.serialize import (
     load_value,
     load_object_into,
 )
+from repro.runtime.context import current_context
 from repro.runtime.faults import FaultPlan
 from repro.sqlc.relation import ConstraintRelation
 from repro.storage import format as fmt
@@ -190,8 +194,17 @@ class Store:
         partial damage is reported in :attr:`report` instead."""
         store = cls(path, **options)
         report = RecoveryReport()
-        db, relations, tip = store._recover(report,
-                                            repair=not store.readonly)
+        # What recovery allocates lives on and holds no cycles; left on,
+        # the collector runs a full pass inside some opens and not others.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            db, relations, tip = store._recover(report,
+                                                repair=not store.readonly)
+        finally:
+            if collecting:
+                gc.enable()
+                gc.collect(0)
         store.report = report
         store._db = db
         store._relations = relations
@@ -219,7 +232,7 @@ class Store:
         store = cls(path, readonly=True)
         report = RecoveryReport()
         try:
-            store._recover(report, repair=False)
+            store._recover(report, repair=False, audit=True)
         except StoreCorruptError as exc:
             report.state = UNRECOVERABLE
             report.warnings.append(str(exc))
@@ -453,10 +466,10 @@ class Store:
         }
 
     @staticmethod
-    def _restore_payload(payload: Any
+    def _restore_payload(payload: Any, trusted: bool = False
                          ) -> tuple[Database, dict[str, ConstraintRelation]]:
         try:
-            db = load_database(payload["database"])
+            db = load_database(payload["database"], trusted)
             relations: dict[str, ConstraintRelation] = {}
             for dumped in payload["relations"]:
                 relation = _build_relation(
@@ -464,7 +477,7 @@ class Store:
                     dumped.get("shards", 0),
                     dumped.get("partition_by"))
                 relation.add_rows(
-                    [[load_oid(cell) for cell in row]
+                    [[load_oid(cell, trusted) for cell in row]
                      for row in dumped["rows"]])
                 relations[dumped["name"]] = relation
         except (ReproError, KeyError, TypeError) as exc:
@@ -522,7 +535,8 @@ class Store:
                         "readable snapshot")
         return None
 
-    def _recover(self, report: RecoveryReport, *, repair: bool
+    def _recover(self, report: RecoveryReport, *, repair: bool,
+                 audit: bool = False
                  ) -> tuple[Database, dict[str, ConstraintRelation], int]:
         snapshots, wals = self._scan_files()
         if not snapshots:
@@ -540,7 +554,7 @@ class Store:
 
         base = None
         state: tuple[Database, dict[str, ConstraintRelation]] | None = None
-        fingerprint = b""
+        fingerprint, base_trusted = b"", False
         for generation in order:
             try:
                 with open(snapshots[generation], "rb") as handle:
@@ -550,7 +564,10 @@ class Store:
                     raise StoreCorruptError(
                         f"snapshot header says generation {gen}, file "
                         f"name says {generation}")
-                state = self._restore_payload(payload)
+                base_trusted = fmt.is_trusted(snapshots[generation])
+                state = self._restore_payload(payload, base_trusted)
+                if audit and base_trusted:
+                    _audit_cells(report, f"snapshot {generation}", payload)
                 base = generation
                 break
             except StoreCorruptError as exc:
@@ -594,10 +611,11 @@ class Store:
                     f"wal {generation} was written against a "
                     f"different schema snapshot; stopping replay")
                 break
+            trusted = fmt.is_trusted(path)
             applied = 0
             for record in records:
                 try:
-                    _apply_record(db, relations, record)
+                    _apply_record(db, relations, record, trusted)
                 except ReproError as exc:
                     report.warn(
                         f"wal {generation} record "
@@ -606,6 +624,8 @@ class Store:
                     stop = True
                     break
                 applied += 1
+            if audit and trusted:
+                _audit_cells(report, f"wal {generation}", records[:applied])
             report.records_applied += applied
             report.records_dropped += len(records) - applied
             tip = generation
@@ -635,11 +655,12 @@ class Store:
             with open(snapshots[base], "rb") as handle:
                 _gen, fingerprint, payload = \
                     fmt.read_snapshot(handle.read())
-            db, relations = self._restore_payload(payload)
+            db, relations = self._restore_payload(payload, base_trusted)
             tip = base
 
         if repair:
-            self._prune_unreachable(tip, snapshots, wals, report)
+            self._prune_unreachable(tip, snapshots, wals, report,
+                                    stale=current != tip)
         report.generation = tip
         return db, relations, tip
 
@@ -655,10 +676,10 @@ class Store:
 
     def _prune_unreachable(self, tip: int, snapshots: dict[int, str],
                            wals: dict[int, str],
-                           report: RecoveryReport) -> None:
+                           report: RecoveryReport, stale: bool) -> None:
         """Remove generations *newer* than the recovered tip (their
-        contents build on state that no longer exists) and re-point
-        CURRENT at the tip."""
+        contents build on state that no longer exists) and re-point a
+        ``stale`` CURRENT at the tip: a clean open writes nothing."""
         doomed = sorted(g for g in set(snapshots) | set(wals)
                         if g > tip)
         for generation in doomed:
@@ -668,8 +689,9 @@ class Store:
                     os.unlink(path)
         if doomed:
             report.warn(f"pruned unreachable generations {doomed}")
-        self._write_file(os.path.join(self.path, "CURRENT"),
-                         f"{tip}\n".encode("ascii"))
+        if stale:
+            self._write_file(os.path.join(self.path, "CURRENT"),
+                             f"{tip}\n".encode("ascii"))
 
     def _prune(self) -> None:
         snapshots, wals = self._scan_files()
@@ -710,21 +732,49 @@ def _relation_ddl(relation: ConstraintRelation) -> dict:
     return record
 
 
+def _cst_texts(payload: Any) -> Iterator[str]:
+    """Every ``cst`` oid text of a decoded payload, in file order."""
+    if isinstance(payload, dict):
+        if payload.get("t") == "cst":
+            yield payload["v"]
+        else:
+            for value in payload.values():
+                yield from _cst_texts(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from _cst_texts(value)
+
+
+def _audit_cells(report: RecoveryReport, where: str, payload: Any) -> None:
+    """``verify``'s audit of what ``open`` takes on trust: canonicalise
+    each quantifier-free cell of a format-2 file (already decoded once)
+    from cold and warn of the first whose stored text is not the result
+    — a writer bug, which no checksum can see."""
+    with current_context().derive(cache=None).activate():
+        for text in _cst_texts(payload):
+            cst = parse_cst(text, trusted=True)
+            if cst.is_canonical and text != CSTObject(
+                    cst.schema, cst.constraint).oid_text():
+                report.warn(f"{where} stores {text} as a canonical "
+                            f"form, which it is not")
+                return
+
+
 def _apply_record(db: Database,
                   relations: dict[str, ConstraintRelation],
-                  record: Any) -> None:
+                  record: Any, trusted: bool = False) -> None:
     """Replay one WAL record against the recovering state."""
     if not isinstance(record, dict):
         raise StoreError(f"malformed WAL record {record!r}")
     op = record.get("op")
     if op == "add_object":
-        load_object_into(db, record["object"])
+        load_object_into(db, record["object"], trusted)
     elif op == "update_attribute":
-        db.update_attribute(load_oid(record["oid"]),
+        db.update_attribute(load_oid(record["oid"], trusted),
                             record["attribute"],
-                            load_value(record["value"]))
+                            load_value(record["value"], trusted))
     elif op == "remove_object":
-        db.remove_object(load_oid(record["oid"]),
+        db.remove_object(load_oid(record["oid"], trusted),
                          force=record["force"])
     elif op == "add_class":
         db.schema.add_class(load_class_def(record["class"]))
@@ -742,13 +792,13 @@ def _apply_record(db: Database,
         if name not in relations:
             raise StoreError(f"add_row to unknown relation {name!r}")
         relations[name].add_row(
-            [load_oid(cell) for cell in record["row"]])
+            [load_oid(cell, trusted) for cell in record["row"]])
     elif op == "add_rows":
         name = record["relation"]
         if name not in relations:
             raise StoreError(f"add_rows to unknown relation {name!r}")
         relations[name].add_rows(
-            [[load_oid(cell) for cell in row]
+            [[load_oid(cell, trusted) for cell in row]
              for row in record["rows"]])
     else:
         raise StoreError(f"unknown WAL op {op!r}")

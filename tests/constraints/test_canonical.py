@@ -147,3 +147,25 @@ class TestCanonicalKey:
         b = ExistentialConjunctiveConstraint(
             conj(Ge(z, 0), Le(z - x, 0)), [z])
         assert canonical_key(a, [x]) == canonical_key(b, [x])
+
+
+_MOVES = pytest.mark.xfail(strict=True, reason=(
+    "canonicalize is not idempotent on the existential families: 15 of "
+    "the 30 seeds here (every chained system) print differently when "
+    "canonicalised again, as 80 of 120 sampled objects did in ISSUE 23 "
+    "— ROADMAP item 4; `==` still holds"))
+
+
+@pytest.mark.parametrize("family", [
+    "conjunctive", "disjunctive",
+    pytest.param("existential", marks=_MOVES),
+    pytest.param("dex", marks=_MOVES)])
+def test_canonicalize_is_a_fixed_point(family):
+    """Section 3.1's canonical form is the oid, so applying it again
+    must change nothing.  Fixed seeds: the strict mark cannot flake."""
+    from tests.model.test_serialize_roundtrip import family_constraint
+    for seed in range(30):
+        once = canonicalize(family_constraint(family, seed))
+        again = canonicalize(once)
+        assert type(again) is type(once)
+        assert str(again) == str(once), seed

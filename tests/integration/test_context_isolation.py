@@ -56,8 +56,11 @@ class TestInterleavedIsolation:
             "B's execution mutated A's stats account"
         assert ctx_b.stats.pivots > 0
 
+        # A's account moves again when A runs.  Not its pivots: the
+        # result's canonical form is the last entry A's four-entry
+        # cache took, and since ISSUE 23 no second key pass evicts it.
         lyric.query_translated(office, QUERY, ctx=ctx_a)
-        assert ctx_a.stats.pivots >= a_after_first["pivots"]
+        assert ctx_a.stats.cache_hits > a_after_first["cache_hits"]
 
     def test_caches_stay_separate(self, office):
         ctx_a = _context(cache_size=4)

@@ -8,9 +8,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from repro.constraints import canonical
 from repro.constraints.atoms import Eq, Ge, Gt, Le, Lt, Ne
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject
+from repro.constraints.existential import (
+    DisjunctiveExistentialConstraint,
+    ExistentialConjunctiveConstraint,
+)
 from repro.constraints.terms import Variable
 from repro.model.database import Database
 from repro.model.oid import (
@@ -22,6 +27,9 @@ from repro.model.oid import (
     SymbolicOid,
 )
 from repro.model.schema import AttributeDef, CSTSpec, Schema
+from repro.runtime.cache import ConstraintCache
+from repro.runtime.context import ExecutionStats, QueryContext
+from repro.workloads import random_constraints as rc
 from repro.model.serialize import (
     dump_database,
     dump_oid,
@@ -58,6 +66,42 @@ def cst_objects(draw):
     body = ConjunctiveConstraint(
         draw(st.lists(atoms(), min_size=1, max_size=3)))
     return CSTObject((X, Y), body)
+
+
+#: x0..x3: a family object's schema is (x0, x1); x2, x3 get quantified.
+V = rc.make_variables(4)
+FAMILIES = ("conjunctive", "disjunctive", "existential", "dex")
+QUANTIFIER_FREE = FAMILIES[:2]
+
+
+def family_constraint(family, seed):
+    """A member of one of Section 3.1's four families over (x0, x1),
+    from ``workloads/random_constraints.py`` (deterministic in
+    ``seed``).  The existential ones keep a quantifier under
+    canonicalisation: odd seeds take the chained system, whose
+    canonical form moves when canonicalised again; even ones the dense
+    system, whose does not."""
+    if family == "conjunctive":
+        return rc.redundant_conjunction(2, 3, 2, seed)
+    if family == "disjunctive":
+        return rc.random_dnf(2, 3, 3, seed)
+    body = rc.chained_projection_system(4, seed) if seed % 2 \
+        else rc.dense_system(4, seed=seed)
+    kept = ExistentialConjunctiveConstraint(body, V[2:])
+    if family == "existential":
+        return kept
+    return DisjunctiveExistentialConstraint(
+        [kept, ExistentialConjunctiveConstraint.of_conjunctive(
+            rc.random_polytope(2, 2, seed))])
+
+
+def family_object(family, seed):
+    return CSTObject(V[:2], family_constraint(family, seed))
+
+
+def family_objects(families=FAMILIES):
+    return st.builds(family_object, st.sampled_from(families),
+                     st.integers(min_value=0, max_value=10**6))
 
 
 @st.composite
@@ -100,6 +144,63 @@ class TestOidRoundtrip:
         clone = load_oid(dump_oid(CstOid(cst)))
         assert clone == CstOid(cst)  # canonical-form equality
         assert clone.cst.dimension == cst.dimension
+
+
+class TestTrustedDecode:
+    """The reader that takes our own canonical text as what it is must
+    stay a refinement of the one that canonicalises."""
+
+    @given(family_objects())
+    @settings(max_examples=40, deadline=None)
+    def test_trusted_decode_is_the_identity(self, cst):
+        clone = load_oid(dump_oid(CstOid(cst)), trusted=True).cst
+        assert clone.oid_text() == cst.oid_text()
+        assert type(clone.constraint) is type(cst.constraint)
+        assert clone == cst and clone.oid_key == cst.oid_key
+        assert clone.is_canonical == cst.is_canonical
+
+    @given(family_objects(QUANTIFIER_FREE),
+           st.sampled_from([V[:2], (Variable("b"), Variable("a"))]))
+    @settings(max_examples=40, deadline=None)
+    def test_trusted_equals_canonicalising_decode(self, cst, schema):
+        cst = cst.rename(schema)
+        payload = dump_oid(CstOid(cst))
+        trusted, slow = load_oid(payload, trusted=True), load_oid(payload)
+        assert trusted == slow and dump_oid(trusted) == dump_oid(slow)
+        assert trusted.cst.is_canonical and cst.is_canonical
+        # The flagged key is _canonical_key's, computed the long way.
+        assert trusted.cst.oid_key == (2, canonical._canonical_key(
+            cst.constraint, schema, QueryContext(cache=None)))
+
+    def test_flagged_key_solves_nothing(self):
+        """On a cold memo the key of a flagged object is one entry —
+        the renamed constraint itself, kept because a warm hit costs
+        2.5 us where renaming again costs 45 — with nothing under it:
+        no ``canon``, ``sat`` or ``redundant`` computation."""
+        cst = family_object("disjunctive", 3)
+        payload, key = dump_oid(CstOid(cst)), cst.oid_key
+        stats = ExecutionStats()
+        with QueryContext(stats=stats, cache=ConstraintCache()).activate():
+            clone = load_oid(payload, trusted=True).cst
+            assert stats.cache_misses == 0
+            assert clone.oid_key == key
+            assert (stats.simplex_solves, stats.cache_misses) == (0, 1)
+            assert load_oid(payload, trusted=True).cst.oid_key == key
+            assert (stats.cache_hits, stats.cache_misses) == (1, 1)
+
+    def test_uncanonical_object_is_dumped_canonical(self):
+        redundant = CSTObject((X,), ConjunctiveConstraint(
+            [Le(X, 1), Le(X, 2)]), canonicalize=False)
+        assert not redundant.is_canonical
+        payload = dump_oid(CstOid(redundant))
+        assert payload["v"] == "((x) | x <= 1)"
+        clone = load_oid(payload, trusted=True).cst
+        assert clone.is_canonical and clone == redundant
+
+    def test_untrusted_is_the_default(self):
+        payload = {"t": "cst", "v": "((x) | x <= 1 and x <= 2)"}
+        assert load_oid(payload).cst.oid_text() == "((x) | x <= 1)"
+        assert load_oid(payload, trusted=True).cst.oid_text() == payload["v"]
 
 
 @st.composite

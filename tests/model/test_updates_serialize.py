@@ -133,6 +133,26 @@ class TestDatabaseRoundtrip:
                           for r in lyric.query(clone, query))
         assert original == restored
 
+    def test_trusted_reload_rewrites_no_oid_in_any_family(self):
+        """What a restart does to a format-2 store: canonicalising an
+        existential form again can print it differently, so the reader
+        that trusts its own bytes must take all four families as is."""
+        from repro.model.database import Database
+        from repro.model.schema import AttributeDef, CSTSpec, Schema
+        from tests.model.test_serialize_roundtrip import (
+            FAMILIES, family_object)
+        schema = Schema()
+        schema.define("Item", attributes=[
+            AttributeDef("ext", CSTSpec(("x0", "x1"))),
+            AttributeDef("more", CSTSpec(("x0", "x1")), set_valued=True)])
+        db = Database(schema)
+        for family, seed in zip(FAMILIES, (1, 2, 3, 5)):
+            db.add_object(f"i{seed}", "Item", {
+                "ext": family_object(family, seed),
+                "more": [family_object(family, seed + 2)]})
+        payload = dump_database(db)
+        assert dump_database(load_database(payload, trusted=True)) == payload
+
     def test_roundtrip_preserves_extents(self, office):
         db, _ = office
         add_file_cabinet(db)

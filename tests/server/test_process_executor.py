@@ -105,7 +105,7 @@ class TestFrameEquivalence:
         # before each run (the pool forks after the clear, so workers
         # inherit the same cold cache the thread run started from).
         db = office_db(10, seed=4)
-        spec = {"max_pivots": 60, "on_exhaustion": "degrade"}
+        spec = {"max_canonical": 60, "on_exhaustion": "degrade"}
 
         async def main():
             clear_global_cache()

@@ -187,6 +187,12 @@ class TestParamDecoding:
         decoded = _decode_params({"d": term})
         assert decoded == {"d": load_oid(term)}
 
+    def test_a_clients_cst_is_still_canonicalised(self):
+        # The client wrote it: nothing vouches that it is canonical.
+        decoded = _decode_params(
+            {"c": {"t": "cst", "v": "((x) | x <= 1 and x <= 2)"}})
+        assert decoded["c"].cst.oid_text() == "((x) | x <= 1)"
+
     def test_none_stays_none(self):
         assert _decode_params(None) is None
 

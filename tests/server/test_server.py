@@ -94,13 +94,13 @@ class TestEquivalence:
 
     def test_degrade_is_byte_identical_including_partials(self):
         db = office_db(10, seed=4)
-        guard_spec = {"max_pivots": 60, "on_exhaustion": "degrade"}
+        guard_spec = {"max_canonical": 60, "on_exhaustion": "degrade"}
 
         clear_global_cache()
         local = lyric.query(
             db, SLOW_QUERY,
             guard=ExecutionGuard(on_exhaustion="degrade",
-                                 max_pivots=60))
+                                 max_canonical=60))
         assert local.warnings, "budget must trip for this test"
 
         async def main():
@@ -142,7 +142,7 @@ class TestErrors:
                 with pytest.raises(ResourceExhausted):
                     await client.query(
                         SLOW_QUERY, translated=False,
-                        guard={"max_pivots": 60})
+                        guard={"max_canonical": 60})
         asyncio.run(main())
 
 

@@ -56,6 +56,22 @@ class TestSnapshotFraming:
             fmt.read_snapshot(bytes(blob))
 
 
+    def test_formats_one_and_two_are_read_and_nothing_else(self):
+        blob = bytearray(fmt.pack_snapshot(1, b"\0" * 16, b"{}"))
+        wal = bytearray(fmt.pack_wal_header(1, b"\0" * 16))
+        assert blob[4] == wal[4] == fmt.STORAGE_FORMAT_VERSION == 2
+        for version in (1, 2):
+            blob[4] = wal[4] = version
+            assert fmt.read_snapshot(bytes(blob))[0] == 1
+            assert fmt.read_wal_header(bytes(wal))[0] == 1
+        blob[4] = wal[4] = 3
+        reason = "unsupported storage format version 3"
+        with pytest.raises(StoreCorruptError, match=reason):
+            fmt.read_snapshot(bytes(blob))
+        with pytest.raises(StoreCorruptError, match=reason):
+            fmt.read_wal_header(bytes(wal))
+
+
 class TestWalHeader:
     def test_round_trip(self):
         data = fmt.pack_wal_header(3, b"s" * 16)

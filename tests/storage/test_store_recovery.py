@@ -8,21 +8,32 @@ acknowledged as fsync'd still present, and never an unhandled
 exception.
 """
 
+import gc
 import os
 import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.constraints.cst_object import CSTObject
+from repro.constraints.existential import (
+    DisjunctiveExistentialConstraint,
+    ExistentialConjunctiveConstraint,
+)
 from repro.constraints.parser import parse_cst
 from repro.errors import StoreCorruptError, StoreError, StoreWriteError
 from repro.model.database import Database
+from repro.model.oid import CstOid
 from repro.model.schema import AttributeDef, CSTSpec, ClassDef, Schema
 from repro.model.serialize import dump_database, dump_oid
+from repro.runtime.cache import ConstraintCache
+from repro.runtime.context import ExecutionStats, QueryContext
 from repro.runtime.faults import FaultPlan
 from repro.sqlc.relation import ConstraintRelation
 from repro.storage import CLEAN, RECOVERED, UNRECOVERABLE, Store
 from repro.storage import format as fmt
+from repro.workloads import random_constraints as rc
+from tests.model.test_serialize_roundtrip import FAMILIES, family_object
 
 CST_A = "((x,y) | 0 <= x <= 4 and 1 <= y <= 3)"
 CST_B = "((x,y) | x + y <= 10 and x >= -2)"
@@ -436,3 +447,190 @@ class TestReadonlyAndBrokenSemantics:
         Store.create(path).close()
         with pytest.raises(StoreError, match="already contains"):
             Store.create(path)
+
+
+class TestStoredCanonicalFormIsTheIdentity:
+    """ISSUE 23: a format-2 file's ``cst`` payloads are taken for the
+    canonical forms they are — restore solves nothing, a restart
+    rewrites no oid — and ``verify`` audits exactly that trust."""
+
+    def test_restart_rewrites_no_oid_in_any_family(self, tmp_path):
+        path = str(tmp_path / "store")
+        store = Store.create(path, durability="always")
+        store.db.schema.add_class(ClassDef(name="Item", attributes={
+            "ext": AttributeDef("ext", CSTSpec(("x0", "x1")))}))
+        rel = store.create_relation("R", ("id", "c"))
+        # Odd seeds: the existential forms that move when re-solved.
+        for family, seed in zip(FAMILIES, (1, 2, 3, 5)):
+            if family == "existential":
+                store.snapshot()  # those two replay from the WAL
+            cst = family_object(family, seed)
+            store.db.add_object(f"i{seed}", "Item", {"ext": cst})
+            rel.add_row((f"i{seed}", cst))
+        kinds = {type(row[1].cst.constraint) for row in rel}
+        assert {ExistentialConjunctiveConstraint,
+                DisjunctiveExistentialConstraint} <= kinds
+        live = fingerprint(store.db, store.relations)
+        store.close()
+        with Store.open(path) as reopened:
+            assert reopened.report.state == CLEAN
+            assert fingerprint(reopened.db, reopened.relations) == live
+            reopened.snapshot()
+        with Store.open(path) as again:
+            assert fingerprint(again.db, again.relations) == live
+
+    @pytest.mark.parametrize("cache", [ConstraintCache, lambda: None])
+    def test_restore_solves_nothing(self, tmp_path, cache):
+        """Counts, not clocks, on ``burst_store``-shaped rows."""
+        path = str(tmp_path / "store")
+        boxes = [CSTObject(rc.make_variables(2), box)
+                 for box in rc.scattered_boxes(24, dimension=2, seed=5)]
+        store = Store.create(path, durability="off")
+        rel = store.create_relation("L", ("lid", "e"), shards=4,
+                                    partition_by="e")
+        rel.add_rows([(i, box) for i, box in enumerate(boxes[:12])])
+        store.snapshot()
+        rel.add_rows([(i, box) for i, box in enumerate(boxes[12:], 12)])
+        store.close()
+        stats = ExecutionStats()
+        with QueryContext(stats=stats, cache=cache()).activate() as ctx:
+            with Store.open(path) as reopened:
+                rows = list(reopened.relation("L"))
+            assert [row[1].cst for row in rows] == boxes
+            assert {hash(row[1]) for row in rows} \
+                == {hash(CstOid(box)) for box in boxes}
+            assert stats.simplex_solves == 0
+            if ctx.cache is not None:
+                # The seeding: the same atoms again hit the memo.
+                for box in boxes:
+                    CSTObject.from_atoms(box.schema, box.constraint.atoms)
+                assert stats.simplex_solves == 0
+                assert stats.cache_hits >= len(boxes)
+
+    def test_verify_audits_what_open_trusts(self, tmp_path):
+        """A wrong 'canonical' byte under a valid CRC can only be a
+        writer bug; ``verify`` names it, ``open`` never pays to look."""
+        path = str(tmp_path / "store")
+        store = Store.create(path, durability="always")
+        store.create_relation("R", ("c",)).add_row((parse_cst(CST_A),))
+        store.close()
+        assert Store.verify(path).state == CLEAN
+        forged = "((x) | x <= 1 and x <= 2)"
+        with open(wal_file(path), "ab") as handle:
+            handle.write(fmt.encode_record(
+                {"op": "add_row", "relation": "R",
+                 "row": [{"t": "cst", "v": forged}]}))
+        # A private memo: open enters the forged text there as its own
+        # canonical form, and verify must not be fooled by that either.
+        with QueryContext(cache=ConstraintCache()).activate():
+            with Store.open(path, readonly=True) as store:
+                assert store.report.state == CLEAN
+                assert list(store.relation("R"))[-1][0].cst.oid_text() \
+                    == forged
+            report = Store.verify(path)
+        assert report.state == RECOVERED
+        assert [w for w in report.warnings if forged in w]
+
+    def test_format_one_store_opens_and_upgrades(self, tmp_path):
+        """The committed fixture was written by the parent commit
+        (format 1): read through the canonicalising decoder, appended
+        to in place, and format 2 from its next snapshot on."""
+        path = str(tmp_path / "store")
+        shutil.copytree(os.path.join(os.path.dirname(__file__),
+                                     "fixtures", "store-v1"), path)
+        assert not fmt.is_trusted(wal_file(path))
+        assert Store.verify(path).state == CLEAN
+        with Store.open(path) as store:
+            assert store.report.state == CLEAN
+            assert len(store.db) == 2 and len(store.relation("R")) == 3
+            store.relation("R").add_row(("i2", parse_cst(CST_A)))
+            before = fingerprint(store.db, store.relations)
+            assert not fmt.is_trusted(wal_file(path))
+        with Store.open(path) as store:
+            assert fingerprint(store.db, store.relations) == before
+            store.snapshot()
+            assert fmt.is_trusted(wal_file(path))
+        stats = ExecutionStats()
+        with QueryContext(stats=stats, cache=None).activate():
+            with Store.open(path) as store:
+                assert fingerprint(store.db, store.relations) == before
+        assert stats.simplex_solves == 0
+
+
+class TestOpenIsSteady:
+    """Counts, not clocks: nothing ``open`` does depends on the disk's
+    mood or on where the collector's counters happen to stand."""
+
+    @staticmethod
+    def _store(tmp_path):
+        path = str(tmp_path / "store")
+        store = Store.create(path, durability="always")
+        run_ops_on_store(store, OPS[:5])
+        store.snapshot()
+        run_ops_on_store(store, OPS[5:])
+        store.close()
+        return path
+
+    def test_clean_open_writes_and_syncs_nothing(self, tmp_path):
+        path = self._store(tmp_path)
+        current = tmp_path / "store" / "CURRENT"
+        stamp = current.stat().st_mtime_ns
+        with Store.open(path) as store:
+            assert store.report.state == CLEAN
+            assert (store.io.writes, store.io.fsyncs) == (0, 0)
+        assert current.stat().st_mtime_ns == stamp
+        # A CURRENT that does not name the tip is still re-pointed.
+        current.write_bytes(b"1\n")
+        with Store.open(path) as store:
+            assert recovered_prefix(store) == len(OPS)
+            assert (store.io.writes, store.io.fsyncs) == (1, 1)
+        assert current.read_bytes() == b"2\n"
+
+    def test_open_pauses_the_collector(self, tmp_path, monkeypatch):
+        """No pass of the cyclic collector lands inside recovery; one
+        young pass over what was loaded follows it."""
+        path = self._store(tmp_path)
+        passes, marks = [], []
+
+        def watch(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        recover = Store._recover
+
+        def marking(self, *args, **kwargs):
+            marks.append(len(passes))
+            try:
+                return recover(self, *args, **kwargs)
+            finally:
+                marks.append(len(passes))
+
+        monkeypatch.setattr(Store, "_recover", marking)
+        saved = gc.get_threshold()
+        gc.callbacks.append(watch)
+        # Thresholds this recovery trips many times over, collector on.
+        gc.set_threshold(50, 2, 2)
+        try:
+            Store.open(path).close()
+        finally:
+            gc.set_threshold(*saved)
+            gc.callbacks.remove(watch)
+        assert marks[0] == marks[1]
+        assert passes[marks[1]] == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_open_leaves_the_collector_as_found(self, tmp_path, enabled):
+        path = self._store(tmp_path)
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "snapshot-000001.lyrc").write_bytes(b"dead")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            Store.open(path).close()
+            assert gc.isenabled() == enabled
+            with pytest.raises(StoreCorruptError):
+                Store.open(str(broken))
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
