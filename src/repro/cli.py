@@ -3,7 +3,7 @@
     python -m repro demo
     python -m repro dump-office office.json
     python -m repro query office.json "SELECT X FROM Desk X"
-    python -m repro query --office "SELECT X FROM Desk X" --translated
+    python -m repro query --office "SELECT X FROM Desk X" --shards 4
     python -m repro view office.json "CREATE VIEW ... " --save out.json
     python -m repro schema office.json
 """
@@ -109,9 +109,9 @@ def _positive_float(text: str) -> float:
 
 
 def _add_context_options(parser: argparse.ArgumentParser) -> None:
-    """The one shared flag set every executing subcommand gets: guard
-    budgets, cache, index, and parallelism — everything
-    :func:`_context_from` folds into a single
+    """The flags every executing subcommand gets — guard budgets, the
+    constraint cache and the numeric kernel, which both engines read —
+    folded by :func:`_context_from` into one
     :class:`~repro.runtime.QueryContext`."""
     group = parser.add_argument_group("resource limits")
     group.add_argument("--timeout", type=_positive_float,
@@ -130,13 +130,24 @@ def _add_context_options(parser: argparse.ArgumentParser) -> None:
                        help="on budget exhaustion: fail the query "
                             "(default) or return a partial result "
                             "with a warning")
-    group = parser.add_argument_group("constraint cache")
+    group = parser.add_argument_group("constraint engine")
     group.add_argument("--no-cache", action="store_true",
                        help="disable constraint-level memoization and "
                             "the interval prefilter (the A/B baseline)")
     group.add_argument("--cache-size", type=_positive_int, metavar="N",
                        help="use a fresh constraint cache of at most "
                             "N entries for this command")
+    group.add_argument("--no-numeric", action="store_true",
+                       help="disable the batched float prefilter "
+                            "(every satisfiability check runs the "
+                            "exact rational simplex)")
+
+
+def _add_plan_options(parser: argparse.ArgumentParser) -> None:
+    """The flags only the translated engine reads: the plan cache and
+    the plan's execution strategy.  ``query`` and ``shell`` take them,
+    because :func:`repro.lyric.stream` runs translated; ``view`` keeps
+    the reference evaluator and so does not."""
     group = parser.add_argument_group("plan cache")
     group.add_argument("--no-plan-cache", action="store_true",
                        help="compile every query from scratch "
@@ -162,10 +173,6 @@ def _add_context_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--no-index", action="store_true",
                        help="disable box-index join acceleration (the "
                             "optimizer keeps plain NaturalJoin plans)")
-    group.add_argument("--no-numeric", action="store_true",
-                       help="disable the batched float prefilter "
-                            "(every satisfiability check runs the "
-                            "exact rational simplex)")
 
 
 def _context_from(args, guard: ExecutionGuard | None = None
@@ -181,7 +188,6 @@ def _context_from(args, guard: ExecutionGuard | None = None
         "parallelism": getattr(args, "parallel", 1),
         "shards": getattr(args, "shards", 0),
         "stats": ExecutionStats(),
-        "store": getattr(args, "_open_store", None),
     }
     if getattr(args, "no_numeric", False):
         kwargs["numeric"] = False
@@ -291,10 +297,7 @@ def cmd_query(args) -> int:
             print(lyric.explain(db, text, ctx=ctx))
         print(_cache_status(args))
         return 0
-    if args.translated:
-        result = lyric.query_translated(db, text, ctx=ctx)
-    else:
-        result = lyric.query(db, text, ctx=ctx)
+    result = lyric.stream(db, text, ctx=ctx).result()
     print(result.pretty(limit=args.limit))
     print(f"({len(result)} rows)")
     return 0
@@ -344,7 +347,14 @@ def _shell_loop(db: Database, args, buffer: list[str], stream) -> None:
                           + ", ".join(f"${p}" for p in slots) + ")"
                           if slots else "")
                 print(f"prepared {name}{suffix}")
-            elif execute_match:
+                continue
+            if text.lower().startswith("create"):
+                created = lyric.view(db, text, ctx=ctx)
+                for name in created.classes:
+                    members = created.instances.get(name, [])
+                    print(f"{name}: {len(members)} instances")
+                continue
+            if execute_match:
                 name = execute_match.group(1)
                 statement = prepared.get(name)
                 if statement is None:
@@ -354,17 +364,10 @@ def _shell_loop(db: Database, args, buffer: list[str], stream) -> None:
                 bindings = lyric.execute_bindings(
                     execute_match.group(2), statement.params)
                 result = statement.run(db, ctx=ctx, params=bindings)
-                print(result.pretty())
-                print(f"({len(result)} rows)")
-            elif text.lower().startswith("create"):
-                created = lyric.view(db, text, ctx=ctx)
-                for name in created.classes:
-                    members = created.instances.get(name, [])
-                    print(f"{name}: {len(members)} instances")
             else:
-                result = lyric.query(db, text, ctx=ctx)
-                print(result.pretty())
-                print(f"({len(result)} rows)")
+                result = lyric.stream(db, text, ctx=ctx).result()
+            print(result.pretty())
+            print(f"({len(result)} rows)")
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
 
@@ -534,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--store", metavar="DIR",
                        help="read the database from a durable store "
                             "directory (opened read-only)")
-    query.add_argument("--translated", action="store_true",
-                       help="evaluate via the Section 5 translation")
     query.add_argument("--explain", action="store_true",
                        help="print the translated plan instead of "
                             "evaluating")
@@ -546,6 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--limit", type=int, default=20,
                        help="rows to print")
     _add_context_options(query)
+    _add_plan_options(query)
     query.set_defaults(fn=cmd_query)
 
     shell = sub.add_parser("shell", help="interactive LyriC shell")
@@ -555,6 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="work against a durable store directory "
                             "(mutations are write-ahead logged)")
     _add_context_options(shell)
+    _add_plan_options(shell)
     shell.set_defaults(fn=cmd_shell, _store_readonly=False)
 
     view = sub.add_parser("view", help="execute a CREATE VIEW")

@@ -4,13 +4,14 @@ the Section 5 translation to flat SQL with constraints."""
 from repro.core import ast
 from repro.core.evaluator import evaluate
 from repro.core.parser import parse, parse_query, parse_view
-from repro.core.result import ResultRow, ResultSet
+from repro.core.result import QueryStream, ResultRow, ResultSet
 from repro.core.semantics import AnalyzedQuery, analyze
-from repro.core.translator import TranslationError, run_translated, translate
+from repro.core.translator import TranslationError, translate
 from repro.core.views import ViewResult, create_view
 
 __all__ = [
     "AnalyzedQuery",
+    "QueryStream",
     "ResultRow",
     "ResultSet",
     "TranslationError",
@@ -22,6 +23,5 @@ __all__ = [
     "parse",
     "parse_query",
     "parse_view",
-    "run_translated",
     "translate",
 ]

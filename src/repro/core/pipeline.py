@@ -1,9 +1,7 @@
 """The staged compile pipeline: parse → translate → logical plan →
 rewrite rules → physical plan → execute.
 
-Until now compilation was a monolith (``run_translated`` parsed,
-translated, optimized, and executed in one opaque call).  This module
-restages it as an explicit :class:`Pipeline` of named phases over one
+Compilation is an explicit :class:`Pipeline` of named phases over one
 :class:`~repro.runtime.context.QueryContext`:
 
 * **parse** — concrete syntax → AST plus semantic analysis;
@@ -42,7 +40,7 @@ from typing import Iterator, cast
 
 from repro.core import ast
 from repro.core.parser import parse_query
-from repro.core.result import ResultRow, ResultSet
+from repro.core.result import QueryStream, ResultRow, ResultSet
 from repro.core.semantics import AnalyzedQuery, analyze
 from repro.model.database import Database
 from repro.model.relations import Catalog, flatten
@@ -231,25 +229,20 @@ class Pipeline:
         return catalog, exec_ctx
 
     def run(self, query: str | ast.Query) -> ResultSet:
-        """All phases end to end, re-packaging the flat relation into a
-        :class:`ResultSet` comparable with the naive evaluator's."""
-        return self.run_compiled(self.compile(query))
-
-    def run_compiled(self, compiled: CompiledQuery) -> ResultSet:
-        """Execute a compiled (possibly cache-shared) query against
-        this pipeline's database and package the rows."""
-        relation = self.execute(compiled)
-        result = ResultSet(compiled.columns)
-        for warning in self.ctx.stats.warnings:
-            result.add_warning(warning)
-        for row in self._package_rows(compiled, relation):
-            result.add(row)
-        return result
+        """All phases end to end: :meth:`compile`, then
+        :meth:`stream_compiled` materialised by
+        :meth:`QueryStream.result` into a :class:`ResultSet` comparable
+        with the naive evaluator's."""
+        compiled = self.compile(query)
+        return QueryStream(self.ctx, compiled.columns,
+                           self.stream_compiled(compiled),
+                           "translated").result()
 
     def stream_compiled(self, compiled: CompiledQuery
                         ) -> "Iterator[ResultRow]":
-        """Incremental variant of :meth:`run_compiled`: a generator of
-        packaged result rows (deduplicated, in relation order).
+        """Execute a compiled (possibly cache-shared) query against
+        this pipeline's database: a generator of packaged result rows
+        (deduplicated, in relation order).
 
         The flat engine evaluates bottom-up, so the *plan* still runs
         to completion on the first pull — cancellation during the
@@ -260,30 +253,22 @@ class Pipeline:
         issued mid-stream lands between batches.  Degrade policy is the
         caller's: under ``on_exhaustion="degrade"`` the engine already
         yields an empty relation plus a warning in the context's stats,
-        which the caller surfaces (:class:`repro.lyric.QueryStream`
-        turns it into ``warning`` frames)."""
+        which the caller surfaces (:class:`QueryStream` reports it)."""
         relation = self.execute(compiled)
         guard = self.ctx.guard
-        for i, row in enumerate(self._package_rows(compiled, relation)):
-            if guard is not None and i and i % STREAM_CHECK_EVERY == 0:
-                guard.checkpoint("stream")
-            yield row
-
-    def _package_rows(self, compiled: CompiledQuery, relation:
-                      ConstraintRelation) -> "Iterator[ResultRow]":
-        """Flat relation rows -> deduplicated :class:`ResultRow`\\ s,
-        mirroring :class:`~repro.core.result.ResultSet` insertion
-        semantics so streamed rows match materialized ones exactly."""
         seen: set[tuple] = set()
         for row in relation:
             mapping = relation.row_dict(row)
             values = tuple(mapping[c] for c in compiled.columns)
             oid = mapping.get(compiled.oid_column) \
                 if compiled.oid_column else None
-            key = (values, oid)
-            if key not in seen:
-                seen.add(key)
-                yield ResultRow(values, oid)
+            if (values, oid) in seen:
+                continue
+            if guard is not None and seen \
+                    and len(seen) % STREAM_CHECK_EVERY == 0:
+                guard.checkpoint("stream")
+            seen.add((values, oid))
+            yield ResultRow(values, oid)
 
 
 def render_trace(stats: ExecutionStats) -> str:

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from repro.constraints.terms import Variable
 from repro.core import ast, formulas
 from repro.core.parser import parse_query
-from repro.core.result import ResultSet
 from repro.core.semantics import AnalyzedQuery, analyze
 from repro.errors import SemanticError
 from repro.model.database import Database
@@ -46,9 +46,8 @@ from repro.model.relations import (
     attribute_relation_name,
     extent_relation_name,
 )
-from repro.runtime import context as context_mod
-from repro.runtime.context import QueryContext, bound_db
-from repro.sqlc import algebra, engine
+from repro.runtime.context import bound_db
+from repro.sqlc import algebra
 
 
 class TranslationError(SemanticError):
@@ -83,30 +82,6 @@ def translate_analyzed(db: Database, analysis: AnalyzedQuery
     """Translate an already-analyzed query (the pipeline's translate
     phase; :func:`translate` wraps it for one-shot callers)."""
     return _Translator(db, analysis).translate()
-
-
-def run_translated(db: Database, query: ast.Query | str,
-                   use_optimizer: bool = True,
-                   stats: engine.ExecutionStats | None = None,
-                   ctx: QueryContext | None = None
-                   ) -> ResultSet:
-    """Translate, execute on the flat catalog, and re-package rows into
-    a :class:`ResultSet` comparable with the naive evaluator's.
-
-    A thin wrapper over :class:`repro.core.pipeline.Pipeline`; the
-    optional ``stats`` object is reset and receives the execution's
-    account (including the per-phase trace)."""
-    from repro.core.pipeline import Pipeline
-    base = context_mod.resolve(ctx)
-    overrides: dict = {"use_optimizer": use_optimizer}
-    if stats is not None:
-        stats.reset()
-        overrides["stats"] = stats
-    elif ctx is None:
-        # No explicit context: fresh account so repeated calls do not
-        # grow the ambient context's stats without bound.
-        overrides["stats"] = engine.ExecutionStats()
-    return Pipeline(db, base.derive(**overrides)).run(query)
 
 
 class _Translator:
@@ -329,9 +304,11 @@ class _Translator:
         """Query variables the formula depends on (= columns the
         CstPredicate needs)."""
         names: list[str] = []
+        refs: list[ast.FRef] = []
 
         def visit(node: ast.Formula) -> None:
             if isinstance(node, ast.FRef):
+                refs.append(node)
                 if isinstance(node.source, str):
                     if node.source not in names:
                         names.append(node.source)
@@ -350,6 +327,19 @@ class _Translator:
                     self._arith_vars(side, names)
 
         visit(formula.body)
+        # An implicit edge equality resolves against the objects its
+        # references' binding paths pass through
+        # (``formulas._ref_constraint``): those variables are inputs too.
+        infos = [info for info in map(self.analysis.ref_info.get, refs)
+                 if info is not None]
+        if any(info.last_edge is not None
+               and info.last_edge.interface_args is not None
+               for info in infos):
+            for info in infos:
+                for path in (info.parent_prefix, info.edge_source):
+                    for name in self.operand_variables(path):
+                        if name not in names:
+                            names.append(name)
         return tuple(names)
 
     def _arith_vars(self, node: ast.Arith, names: list[str]) -> None:
@@ -463,7 +453,12 @@ class _Translator:
                     raise TranslationError(
                         f"SELECT variable {name!r} is not bound by the "
                         "translated joins")
-                return name, plan
+                if item.name is None or item.name == name:
+                    return name, plan
+                # ``first = X``: the naive evaluator names the column
+                # ``first``; copy the value under that name.
+                return item.name, algebra.Extend(
+                    plan, item.name, operator.itemgetter(name), name)
             raise TranslationError(
                 "multi-step SELECT paths are outside the translatable "
                 "fragment; bind the value with a selector variable")

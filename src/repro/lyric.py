@@ -23,26 +23,21 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-from typing import Iterator
-
 from repro.core import ast
-from repro.core.evaluator import evaluate
+from repro.core.evaluator import _column_names, evaluate, stream_analyzed
 from repro.core.lexer import tokenize
 from repro.core.parser import parse, parse_query, parse_view
-from repro.core.result import ResultRow, ResultSet
-from repro.core.translator import TranslationError, run_translated
+from repro.core.pipeline import Pipeline
+from repro.core.result import QueryStream, ResultSet
+from repro.core.semantics import analyze as analyze_query
+from repro.core.translator import TranslationError
 from repro.core.views import ViewResult, create_view
-from repro.errors import (
-    LyricSyntaxError,
-    QueryCancelled,
-    ResourceExhausted,
-)
+from repro.errors import EvaluationError, LyricSyntaxError
 from repro.model.database import Database
 from repro.model.oid import LiteralOid, Oid, SymbolicOid, as_oid
 from repro.runtime import ExecutionGuard, QueryContext
 from repro.runtime import context as context_mod
 from repro.runtime.context import ExecutionStats
-from repro.runtime.guard import should_degrade
 
 
 def _call_context(guard: ExecutionGuard | None,
@@ -74,7 +69,9 @@ def query(db: Database, text: str | ast.Query,
           guard: ExecutionGuard | None = None,
           ctx: QueryContext | None = None,
           params: Mapping[str, object] | None = None) -> ResultSet:
-    """Evaluate a LyriC query with the naive object-level evaluator.
+    """Evaluate a LyriC query with the naive object-level evaluator —
+    the reference engine; :func:`stream` is the rule that prefers the
+    translation.
 
     An optional :class:`~repro.runtime.ExecutionGuard` bounds the
     execution (deadline, pivot/branch/disjunct/canonicalisation
@@ -97,12 +94,13 @@ def query_translated(db: Database, text: str | ast.Query,
                      ) -> ResultSet:
     """Evaluate via the Section 5 translation to flat SQL with
     constraints (the second, independent evaluation path), through the
-    staged compile pipeline."""
-    overrides = {}
+    staged compile pipeline; raises
+    :class:`~repro.core.translator.TranslationError` outside the
+    translatable fragment."""
+    overrides: dict = {"use_optimizer": use_optimizer}
     if params is not None:
         overrides["params"] = _coerce_params(params)
-    return run_translated(db, text, use_optimizer=use_optimizer,
-                          ctx=_call_context(guard, ctx, **overrides))
+    return Pipeline(db, _call_context(guard, ctx, **overrides)).run(text)
 
 
 def view(db: Database, text: str | ast.CreateView,
@@ -123,7 +121,6 @@ def explain(db: Database, text: str | ast.Query,
     trace lands in the context's stats (``ctx.stats.phases``)."""
     import time
 
-    from repro.core.pipeline import Pipeline
     from repro.runtime.context import PhaseRecord
     from repro.sqlc.engine import explain_analyze
 
@@ -145,124 +142,8 @@ def explain(db: Database, text: str | ast.Query,
 def warnings_for(db: Database, text: str | ast.Query) -> list[str]:
     """Static diagnostics for a query (e.g. paths that are empty by
     typing — XSQL's "type error" case)."""
-    from repro.core.parser import parse_query
-    from repro.core.semantics import analyze as analyze_query
     query = parse_query(text) if isinstance(text, str) else text
     return list(analyze_query(db.schema, query).warnings)
-
-
-class QueryStream:
-    """Incremental query results: an iterator of
-    :class:`~repro.core.result.ResultRow`\\ s plus the metadata a
-    consumer streams out alongside them (columns, warnings, stats).
-    Created by :func:`stream`; the serving layer pumps one of these per
-    request, shipping rows as frames between guard checkpoints.
-
-    Every pull re-activates the stream's context: generators resume in
-    the *caller's* contextvar scope, so without this the engine's
-    late-bound closures (parameter slots, ``bound_db``, the constraint
-    cache) would resolve against whatever context the pumping thread
-    happens to have active.
-
-    Exhaustion policy matches the materializing entry points: under
-    ``on_exhaustion="degrade"`` a tripped budget ends the stream with a
-    ``partial result: ...`` warning instead of raising.  The one
-    deliberate divergence is :class:`~repro.errors.QueryCancelled`,
-    which always propagates — an explicit cancel is a verdict, not a
-    partial answer (the server turns it into an ``error`` frame with
-    code ``cancelled``).
-    """
-
-    def __init__(self, ctx: QueryContext, columns: tuple[str, ...],
-                 rows: Iterator[ResultRow], engine: str):
-        self._ctx = ctx
-        self._rows = rows
-        self._columns = tuple(columns)
-        self._engine = engine
-        self._own_warnings: list[str] = []
-        self._done = False
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return self._columns
-
-    @property
-    def engine(self) -> str:
-        """Which evaluator produces the rows: ``"translated"`` (the
-        Section 5 compile pipeline) or ``"naive"`` (the reference
-        evaluator — the fallback outside the translatable fragment)."""
-        return self._engine
-
-    @property
-    def ctx(self) -> QueryContext:
-        return self._ctx
-
-    @property
-    def stats(self) -> ExecutionStats:
-        return self._ctx.stats
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the stream has yielded its last row (normally or
-        by degrading)."""
-        return self._done
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        """Warnings so far: the context account's (the translated
-        engine degrades internally, leaving its warning there) plus the
-        stream's own (a budget tripped between pulls under degrade).
-        Complete only once :attr:`exhausted`."""
-        return tuple(self._ctx.stats.warnings) \
-            + tuple(self._own_warnings)
-
-    def __iter__(self) -> Iterator[ResultRow]:
-        while True:
-            row = self._pull()
-            if row is None:
-                return
-            yield row
-
-    def next_batch(self, size: int = 64) -> list[ResultRow]:
-        """Up to ``size`` more rows; ``[]`` means the stream is done."""
-        batch: list[ResultRow] = []
-        while len(batch) < size:
-            row = self._pull()
-            if row is None:
-                break
-            batch.append(row)
-        return batch
-
-    def _pull(self) -> ResultRow | None:
-        if self._done:
-            return None
-        try:
-            with self._ctx.activate():
-                return next(self._rows)
-        except StopIteration:
-            self._done = True
-            return None
-        except QueryCancelled:
-            self._done = True
-            raise
-        except ResourceExhausted as exc:
-            self._done = True
-            if not should_degrade(self._ctx.guard):
-                raise
-            self._own_warnings.append(f"partial result: {exc}")
-            return None
-
-    def result(self) -> ResultSet:
-        """Drain the stream and materialize — identical to what the
-        equivalent :func:`query`/:func:`query_translated` call
-        returns."""
-        rows = list(self)
-        result = ResultSet(self._columns)
-        for warning in self.warnings:
-            result.add_warning(warning)
-        for row in rows:
-            result.add(row)
-        return result
 
 
 def stream(db: Database, text: str | ast.Query,
@@ -272,16 +153,20 @@ def stream(db: Database, text: str | ast.Query,
            ctx: QueryContext | None = None,
            params: Mapping[str, object] | None = None) -> QueryStream:
     """Evaluate a query incrementally, returning a
-    :class:`QueryStream` of rows instead of a materialized
-    :class:`~repro.core.result.ResultSet`.
+    :class:`~repro.core.result.QueryStream` of rows;
+    ``stream(...).result()`` materializes them.
 
-    Compilation (parse, analysis, and — when ``translated`` — the plan
-    pipeline) runs eagerly, so syntax and translation problems surface
-    here; execution is deferred to the first pull.  ``translated``
-    queries outside the translatable fragment fall back to the naive
-    evaluator, as does any run under fault injection (a cached plan
-    would shift the fault schedule's compile-phase ticks);
+    This is the engine rule every front end runs — ``repro query``,
+    plain shell statements, ``EXECUTE``, :class:`PreparedQuery` and the
+    server: the Section 5 translation, except that queries outside the
+    translatable fragment fall back to the naive evaluator, as does any
+    run under fault injection (a cached plan would shift the fault
+    schedule's compile-phase ticks) and any ``translated=False`` call;
     :attr:`QueryStream.engine` reports which path was taken.
+
+    Compilation (parse, analysis, and — when translated — the plan
+    pipeline) runs eagerly, so syntax and semantic problems surface
+    here; execution is deferred to the first pull.
     """
     overrides: dict = {}
     if params is not None:
@@ -291,22 +176,19 @@ def stream(db: Database, text: str | ast.Query,
     call_ctx = _call_context(guard, ctx, **overrides)
     query_ast = parse_query(text) if isinstance(text, str) else text
     if translated and call_ctx.faults is None:
-        from repro.core.pipeline import Pipeline
         pipeline = Pipeline(db, call_ctx)
         try:
             compiled = pipeline.compile(query_ast)
         except TranslationError:
-            compiled = None
-        if compiled is not None:
+            pass
+        else:
             return QueryStream(call_ctx, compiled.columns,
                                pipeline.stream_compiled(compiled),
                                "translated")
-    from repro.core import evaluator as evaluator_mod
-    from repro.core.semantics import analyze as analyze_query
     analysis = analyze_query(db.schema, query_ast)
-    rows = evaluator_mod.stream_analyzed(db, analysis, ctx=call_ctx)
-    columns = evaluator_mod._column_names(analysis.query)
-    return QueryStream(call_ctx, columns, rows, "naive")
+    return QueryStream(call_ctx, _column_names(analysis.query),
+                       stream_analyzed(db, analysis, ctx=call_ctx),
+                       "naive")
 
 
 class PreparedQuery:
@@ -322,13 +204,15 @@ class PreparedQuery:
     Each run is a :func:`stream` of the prepared AST: the compiled plan
     comes from the context's plan cache (a second run is a cache hit)
     and the engine is chosen by the one rule :func:`stream` states.
+
+    Server sessions keep these too.  Their EXECUTE submits
+    :attr:`query` to the service, whose compile analyses it again
+    against the served database, so the server makes no fingerprint
+    check; :meth:`require_bound` is the check both share.
     """
 
     def __init__(self, schema, text: str | ast.Query):
-        from repro.core.parser import parse_query
-        from repro.core.semantics import analyze as analyze_query
         query_ast = parse_query(text) if isinstance(text, str) else text
-        self._schema = schema
         self._fingerprint = schema.fingerprint()
         self._query_ast = query_ast
         self._analysis = analyze_query(schema, query_ast)
@@ -339,12 +223,24 @@ class PreparedQuery:
 
     @property
     def query(self) -> ast.Query:
-        return self._analysis.query
+        """The parsed query every run streams (what the plan cache and
+        the server's dedup key on)."""
+        return self._query_ast
 
     @property
     def params(self) -> tuple[str, ...]:
         """Parameter slots in positional (first-occurrence) order."""
         return self._analysis.params
+
+    def require_bound(self, bindings: Mapping[str, object] | None
+                      ) -> None:
+        """Raise :class:`~repro.errors.EvaluationError` naming every
+        parameter slot ``bindings`` leaves unbound."""
+        missing = [p for p in self.params if p not in (bindings or {})]
+        if missing:
+            raise EvaluationError(
+                "unbound parameters: "
+                + ", ".join(f"${p}" for p in missing))
 
     def run(self, db: Database,
             ctx: QueryContext | None = None,
@@ -356,13 +252,7 @@ class PreparedQuery:
         if params is not None:
             overrides["params"] = _coerce_params(params)
         call_ctx = _call_context(None, ctx, **overrides)
-        bound = call_ctx.params or {}
-        missing = [p for p in self._analysis.params if p not in bound]
-        if missing:
-            from repro.errors import EvaluationError
-            raise EvaluationError(
-                "unbound parameters: "
-                + ", ".join(f"${p}" for p in missing))
+        self.require_bound(call_ctx.params)
         return stream(db, self._query_ast,
                       use_optimizer=call_ctx.use_optimizer,
                       ctx=call_ctx).result()

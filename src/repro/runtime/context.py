@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.runtime.cache import ConstraintCache
     from repro.runtime.faults import FaultPlan
     from repro.runtime.plancache import PlanCache
-    from repro.storage.store import Store
 
 T = TypeVar("T")
 
@@ -259,8 +258,8 @@ _UNSET: Any = object()
 #: The attributes :meth:`QueryContext.derive` may override.
 _DERIVABLE = frozenset({
     "guard", "cache", "prefilter", "indexing", "parallelism",
-    "numeric", "use_optimizer", "catalog", "stats", "store",
-    "db", "params", "plan_cache", "shards",
+    "numeric", "use_optimizer", "catalog", "stats", "db", "params",
+    "plan_cache", "shards",
 })
 
 
@@ -277,8 +276,7 @@ class QueryContext:
 
     __slots__ = ("guard", "cache", "prefilter", "indexing",
                  "parallelism", "numeric", "use_optimizer", "catalog",
-                 "stats", "store", "db", "params", "plan_cache",
-                 "shards")
+                 "stats", "db", "params", "plan_cache", "shards")
 
     def __init__(self, *,
                  guard: ExecutionGuard | None = None,
@@ -290,7 +288,6 @@ class QueryContext:
                  use_optimizer: bool = True,
                  catalog: Mapping[str, Any] | None = None,
                  stats: ExecutionStats | None = None,
-                 store: "Store | None" = None,
                  db: "Database | None" = None,
                  params: "Mapping[str, Oid] | None" = None,
                  plan_cache: "PlanCache | None" = _UNSET,
@@ -316,11 +313,6 @@ class QueryContext:
         self.use_optimizer = use_optimizer
         self.catalog = catalog
         self.stats = stats if stats is not None else ExecutionStats()
-        #: The durable :class:`~repro.storage.store.Store` this query
-        #: runs against, when any — carried so layers can reach the
-        #: store's relations and report durability state without a
-        #: second channel.  ``None`` for purely in-memory execution.
-        self.store = store
         #: The database a cached (database-free) plan is bound to for
         #: this execution — set by the pipeline's execute step; plan
         #: closures read it through :func:`bound_db`.
@@ -485,8 +477,6 @@ class QueryContext:
             parts.append(f"shards={self.shards}")
         if not self.use_optimizer:
             parts.append("optimizer=off")
-        if self.store is not None:
-            parts.append(f"store={self.store.path!r}")
         if self.plan_cache is None:
             parts.append("plan-cache=off")
         if self.params:

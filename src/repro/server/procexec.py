@@ -3,7 +3,7 @@
 A request is one CPU-bound plan evaluation; the only thing an executor
 decides is *where* it runs.  :func:`request_events` is that request —
 the only loop in the server that pumps a
-:class:`~repro.lyric.QueryStream` — and it yields exactly the events a
+:class:`~repro.core.result.QueryStream` — and it yields exactly the events a
 job publishes.  The thread executor feeds the live generator to the
 event loop; the process executor (the GIL escape: *distinct* concurrent
 queries on one interpreter gain nothing from extra cores) hands

@@ -51,7 +51,6 @@ from typing import Any, AsyncIterator, Iterable, Mapping
 
 from repro import lyric
 from repro.core import ast
-from repro.errors import EvaluationError
 from repro.model.database import Database
 from repro.model.oid import Oid
 from repro.model.relations import REBUILD_REASONS
@@ -414,7 +413,7 @@ class QueryService:
         # The base context: process-global caches, fresh stats/guard
         # per request (derived in the worker).
         self._base_ctx = base_ctx if base_ctx is not None \
-            else QueryContext(store=store)
+            else QueryContext()
         self._executor = ThreadPoolExecutor(
             max_workers=executor_threads,
             thread_name_prefix="lyric-exec")
@@ -642,25 +641,3 @@ class QueryService:
             return summary
         finally:
             await self._gate.release_write()
-
-    # -- prepared statements --------------------------------------------
-
-    def analyze_prepared(self, text: str) -> tuple[ast.Query,
-                                                   tuple[str, ...],
-                                                   list[str]]:
-        """Parse + analyze for PREPARE: the AST (which EXECUTE submits
-        through the same dedup machinery as QUERY), the parameter
-        slots, and the static warnings."""
-        from repro.core.semantics import analyze
-        query_ast = self.parse(text)
-        analysis = analyze(self.db.schema, query_ast)
-        return query_ast, analysis.params, list(analysis.warnings)
-
-    @staticmethod
-    def check_params(required: tuple[str, ...],
-                     bound: Mapping[str, Oid] | None) -> None:
-        missing = [p for p in required if p not in (bound or {})]
-        if missing:
-            raise EvaluationError(
-                "unbound parameters: "
-                + ", ".join(f"${p}" for p in missing))

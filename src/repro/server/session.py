@@ -61,7 +61,7 @@ class Session:
         self.session_id = next(Session._ids)
         #: request id -> live subscription (the CANCEL target table).
         self.active: dict[int, Subscription] = {}
-        self.prepared: dict[str, tuple] = {}
+        self.prepared: dict[str, lyric.PreparedQuery] = {}
         self._write_lock = asyncio.Lock()
         self._pumps: set[asyncio.Task] = set()
         self._closing = False
@@ -157,13 +157,17 @@ class Session:
                 else:
                     await self._start_query(request_id, frame, op)
             elif op == "prepare":
-                self._handle_prepare(frame)
-                name = frame["name"]
-                _ast, params, warnings = self.prepared[name]
+                name = frame.get("name")
+                text = frame.get("text")
+                if not isinstance(name, str) \
+                        or not isinstance(text, str):
+                    raise protocol.ProtocolError(
+                        "prepare requires string 'name' and 'text'")
+                statement = self._prepare(name, text)
                 await self._send({
                     "id": request_id, "type": "prepared",
-                    "name": name, "params": list(params),
-                    "warnings": warnings})
+                    "name": name, "params": list(statement.params),
+                    "warnings": statement.warnings})
             else:
                 raise protocol.ProtocolError(f"unknown op {op!r}")
         except Exception as exc:  # noqa: BLE001 - wire boundary
@@ -173,13 +177,13 @@ class Session:
                 "message": str(exc)})
         return True
 
-    def _handle_prepare(self, frame: dict) -> None:
-        name = frame.get("name")
-        text = frame.get("text")
-        if not isinstance(name, str) or not isinstance(text, str):
-            raise protocol.ProtocolError(
-                "prepare requires string 'name' and 'text'")
-        self.prepared[name] = self.service.analyze_prepared(text)
+    def _prepare(self, name: str, text: str) -> lyric.PreparedQuery:
+        """PREPARE, in either dialect, over the service's parse memo:
+        EXECUTE then submits the AST a QUERY of the same text would."""
+        statement = lyric.prepare(self.service.db,
+                                  self.service.parse(text))
+        self.prepared[name] = statement
+        return statement
 
     async def _start_query(self, request_id: Any, frame: dict,
                            op: str) -> None:
@@ -187,12 +191,12 @@ class Session:
         params = _decode_params(frame.get("params"))
         if op == "execute":
             name = frame.get("name")
-            entry = self.prepared.get(name)
-            if entry is None:
+            statement = self.prepared.get(name)
+            if statement is None:
                 raise protocol.ProtocolError(
                     f"no prepared query {name!r}")
-            query_ast, required, _warnings = entry
-            self.service.check_params(required, params)
+            statement.require_bound(params)
+            query_ast = statement.query
         else:
             text = frame.get("text")
             if not isinstance(text, str):
@@ -312,26 +316,23 @@ class Session:
             match = lyric.PREPARE_STATEMENT.match(body)
             if match:
                 name = match.group(1)
-                self.prepared[name] = \
-                    self.service.analyze_prepared(match.group(2))
-                slots = self.prepared[name][1]
+                slots = self._prepare(name, match.group(2)).params
                 suffix = (" (" + ", ".join(f"${p}" for p in slots)
                           + ")") if slots else ""
                 await self._say(f"prepared {name}{suffix}")
                 return True
             match = lyric.EXECUTE_STATEMENT.match(body)
             if match:
-                entry = self.prepared.get(match.group(1))
-                if entry is None:
+                statement = self.prepared.get(match.group(1))
+                if statement is None:
                     await self._say(
                         f"error bad_request: no prepared query "
                         f"{match.group(1)!r}")
                     return True
-                query_ast, required, _warnings = entry
                 bindings = lyric.execute_bindings(match.group(2),
-                                                  required)
-                self.service.check_params(required, bindings)
-                await self._line_query(query_ast, bindings)
+                                                  statement.params)
+                statement.require_bound(bindings)
+                await self._line_query(statement.query, bindings)
                 return True
             if lowered.startswith("create"):
                 summary = await self.service.run_view(body)

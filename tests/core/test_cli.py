@@ -7,7 +7,10 @@ import pathlib
 import pytest
 
 import repro
+from repro import lyric
 from repro.cli import main
+from repro.runtime import context as context_mod
+from repro.runtime import parallel
 
 
 class TestDemo:
@@ -40,10 +43,28 @@ class TestDumpAndQuery:
                      "SELECT X FROM Desk X"]) == 0
         assert "standard_desk" in capsys.readouterr().out
 
-    def test_query_translated(self, capsys):
-        assert main(["query", "--office", "--translated",
-                     "SELECT X FROM Desk X"]) == 0
+    def test_query_translated(self, cli_built, capsys):
+        """``--translated`` is gone: the default path runs the
+        translation wherever the translator accepts the query."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["query", "--office", "--translated",
+                  "SELECT X FROM Desk X"])
+        assert exit_.value.code == 2
+        assert main(["query", "--office", "SELECT X FROM Desk X"]) == 0
         assert "standard_desk" in capsys.readouterr().out
+        assert cli_built.engines == ["translated"]
+
+    def test_query_the_translator_rejects(self, cli_built, capsys):
+        """An attribute variable is outside the translatable fragment:
+        the rule falls back to the reference evaluator, and the answer
+        is the reference answer, exit 0."""
+        text = "SELECT A FROM Drawer D WHERE D.A['red']"
+        assert main(["query", "--office", text]) == 0
+        assert cli_built.engines == ["naive"]
+        expected = lyric.query(cli_built.dbs[0], text)
+        assert len(expected) == 1
+        assert capsys.readouterr().out \
+            == expected.pretty() + f"\n({len(expected)} rows)\n"
 
     def test_query_limit(self, capsys):
         assert main(["query", "--office", "--limit", "1",
@@ -100,6 +121,63 @@ class TestResourceGuards:
         assert syntax != resource
 
 
+class TestQueryReadsItsFlags:
+    """``repro query`` runs ``lyric.stream``'s rule, so each plan flag
+    reaches the engine — asserted on the context ``cmd_query`` built
+    and on what running under it left behind."""
+
+    JOIN = ("SELECT A, B FROM Office_Object A, Office_Object B "
+            "WHERE A.extent[E] and B.extent[F] "
+            "and SAT(E(w,z) and F(w,z))")
+
+    def run(self, cli_built, *flags):
+        assert main(["query", "--office", *flags, self.JOIN]) == 0
+        return cli_built.contexts[-1]
+
+    @staticmethod
+    def phases(ctx):
+        return {record.name: record for record in ctx.stats.phases}
+
+    def test_shards(self, cli_built):
+        ctx = self.run(cli_built, "--shards", "4")
+        assert ctx.shards == 4
+        assert cli_built.dbs[-1].flat_catalog.key[-1] == 4
+
+    def test_parallel(self, cli_built, monkeypatch):
+        asked = []
+
+        def should_partition(n_rows, ctx=None):
+            asked.append(context_mod.resolve(ctx).parallelism)
+            return False  # read the flag, fork nothing
+
+        monkeypatch.setattr(parallel, "should_partition",
+                            should_partition)
+        ctx = self.run(cli_built, "--parallel", "2", "--no-numeric")
+        assert ctx.parallelism == 2
+        assert asked and set(asked) == {2}
+
+    def test_no_index(self, cli_built):
+        indexed = self.run(cli_built)
+        assert "IndexJoin(" \
+            in self.phases(indexed)["physical-plan"].plan_after
+        ctx = self.run(cli_built, "--no-index")
+        assert not ctx.indexing
+        assert "IndexJoin(" \
+            not in self.phases(ctx)["physical-plan"].plan_after
+
+    def test_no_plan_cache(self, cli_built):
+        for _ in range(2):
+            ctx = self.run(cli_built, "--no-plan-cache")
+            assert ctx.plan_cache is None
+            assert "translate" in self.phases(ctx)  # compiled afresh
+
+    def test_plan_cache_size(self, cli_built):
+        ctx = self.run(cli_built, "--plan-cache-size", "8")
+        assert ctx.plan_cache.maxsize == 8
+        assert len(ctx.plan_cache) == 1
+        assert ctx.stats.plan_cache_misses == 1
+
+
 class TestViewAndSchema:
     VIEW = ("CREATE VIEW Red AS SUBCLASS OF Office_Object "
             "SELECT item = X SIGNATURE item => Office_Object "
@@ -118,6 +196,18 @@ class TestViewAndSchema:
         from repro.model.serialize import read_database
         db = read_database(path)
         assert db.schema.has_class("Red")
+
+    @pytest.mark.parametrize("flag", [
+        ["--shards", "4"], ["--parallel", "2"], ["--no-index"],
+        ["--no-plan-cache"], ["--plan-cache-size", "8"]],
+        ids=lambda flag: flag[0])
+    def test_view_takes_no_plan_flag(self, flag, capsys):
+        """``view`` runs the reference evaluator, which reads none of
+        the plan flags, so argparse refuses them."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["view", "--office", *flag, self.VIEW])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_schema(self, capsys):
         assert main(["schema", "--office"]) == 0

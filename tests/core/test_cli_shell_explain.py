@@ -117,3 +117,18 @@ class TestShell:
     def test_eof_exits(self, monkeypatch, capsys):
         code, _, _ = self.run_shell(monkeypatch, capsys, "")
         assert code == 0
+
+    @pytest.mark.parametrize("text, engine", [
+        ("SELECT X FROM Desk X", "translated"),
+        # An attribute variable is outside the translatable fragment.
+        ("SELECT A FROM Drawer D WHERE D.A['red']", "naive"),
+    ], ids=["translatable", "untranslatable"])
+    def test_statement_and_execute_run_one_engine(
+            self, monkeypatch, capsys, cli_built, text, engine):
+        code, out, err = self.run_shell(
+            monkeypatch, capsys,
+            f"{text};\nPREPARE q AS {text};\nEXECUTE q;\nquit;\n")
+        assert code == 0 and not err
+        assert cli_built.engines == [engine, engine]
+        first, _, second = out.partition("prepared q\n")
+        assert first.splitlines()[1:] == second.splitlines()

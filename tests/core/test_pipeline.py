@@ -110,9 +110,11 @@ class TestRunPhases:
 
 class TestRunTranslatedIntegration:
     def test_stats_parameter_receives_phase_trace(self, office):
-        from repro.core.translator import run_translated
+        """The account of an explicit context receives the trace of a
+        ``query_translated`` call."""
         stats = ExecutionStats()
-        run_translated(office, QUERY, stats=stats)
+        lyric.query_translated(office, QUERY,
+                               ctx=QueryContext(stats=stats))
         names = [r.name for r in stats.phases]
         assert "parse" in names and "execute" in names
         assert stats.optimized
@@ -150,6 +152,29 @@ class TestQueryStreamAsAValue:
         assert result.warnings == expected.warnings
         assert stream.stats.exhausted \
             == ("pivots" if max_pivots else None)
+
+
+class TestWarningsBelongToTheirRun:
+    @pytest.mark.parametrize("run", [
+        lambda db, text, ctx: lyric.query_translated(db, text, ctx=ctx),
+        lambda db, text, ctx: lyric.stream(db, text, ctx=ctx).result(),
+        lambda db, text, ctx: lyric.prepare(db, text).run(db, ctx=ctx),
+        lambda db, text, ctx: Pipeline(db, ctx).run(text),
+        lambda db, text, ctx: lyric.query(db, text, ctx=ctx),
+    ], ids=["query_translated", "stream", "prepare", "pipeline",
+            "query"])
+    def test_complete_result_after_a_degraded_one(self, office, run):
+        """``derive`` shares the stats account, so a degraded run's
+        warning is still there for the next run on a derived context;
+        that run is complete and must not say otherwise."""
+        ctx = QueryContext(stats=ExecutionStats(), cache=None,
+                           guard=ExecutionGuard(max_pivots=1,
+                                                on_exhaustion="degrade"))
+        assert run(office, QUERY, ctx).is_partial
+        clean = run(office, "SELECT X FROM Desk X",
+                    ctx.derive(guard=None))
+        assert len(clean) == 1
+        assert clean.warnings == () and not clean.is_partial
 
 
 class TestRenderTrace:

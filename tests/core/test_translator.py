@@ -72,6 +72,33 @@ class TestDifferential:
         assert nonempty >= 10
 
 
+class TestSameTableAsTheReference:
+    """The translation returns the reference evaluator's table —
+    column names, rows, row order — which is what lets ``lyric.stream``
+    prefer it for every front end."""
+
+    @pytest.mark.parametrize("text", [
+        # Each reference's implicit edge equalities resolve against its
+        # own parent object, so the two frames stay apart.
+        """SELECT X, Y
+           FROM Object_in_Room OX, Object_in_Room OY,
+                Office_Object X, Office_Object Y
+           WHERE OX.catalog_object[X] and OY.catalog_object[Y]
+             and OX.location[LX] and OY.location[LY]
+             and X.translation[DX] and Y.translation[DY]
+             and SAT(DX(w,z,x,y,u,v) and LX(x,y)
+                     and DY(w2,z2,x2,y2,u,v) and LY(x2,y2))""",
+        "SELECT first = X, second = Y FROM Desk X, File_Cabinet Y",
+    ], ids=["two-parent-frames", "named-select-items"])
+    def test_same_table(self, office, text):
+        db, _, _ = office
+        expected = lyric.query(db, text)
+        assert expected
+        translated = lyric.query_translated(db, text)
+        assert translated.columns == expected.columns
+        assert translated.rows == expected.rows
+
+
 class TestPlanShape:
     def test_translation_produces_plan(self, office):
         db, _, _ = office

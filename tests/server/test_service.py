@@ -291,24 +291,34 @@ class TestServiceStats:
 
 
 class TestPrepared:
+    """Server sessions keep :class:`repro.lyric.PreparedQuery` objects
+    built over the service's parse memo."""
+
     def test_analyze_reports_parameter_slots(self):
         async def main():
             service = QueryService(office_db(4), executor_threads=2)
             try:
-                _ast, params, _warnings = service.analyze_prepared(
-                    "SELECT X FROM Office_Object X "
-                    "WHERE X.color = $col")
-                assert params == ("col",)
+                text = ("SELECT X FROM Office_Object X "
+                        "WHERE X.color = $col")
+                statement = lyric.prepare(service.db, service.parse(text))
+                assert statement.params == ("col",)
+                # EXECUTE submits the very AST a QUERY of the same
+                # text would: one dedup key, one cached plan.
+                assert statement.query is service.parse(text)
             finally:
                 service.close()
         asyncio.run(main())
 
     def test_check_params_names_every_missing_slot(self):
+        statement = lyric.prepare(
+            office_db(4), "SELECT X FROM Office_Object X "
+                          "WHERE X.color = $px and X.color = $py")
         with pytest.raises(EvaluationError) as excinfo:
-            QueryService.check_params(("px", "py"), {})
+            statement.require_bound({})
         assert "$px" in str(excinfo.value)
         assert "$py" in str(excinfo.value)
-        QueryService.check_params((), None)  # nothing required: fine
+        lyric.prepare(office_db(4), "SELECT X FROM Desk X") \
+            .require_bound(None)  # nothing required: fine
 
 
 class TestErrorPath:

@@ -11,13 +11,7 @@ from repro.runtime.context import QueryContext
 from repro.runtime.guard import ExecutionGuard
 from repro.runtime import parallel
 from repro.sqlc import index
-from repro.sqlc.algebra import (
-    CstPredicate,
-    IndexJoin,
-    NaturalJoin,
-    Scan,
-    Select,
-)
+from repro.sqlc.algebra import NaturalJoin, Scan, Select
 from repro.sqlc.engine import ExecutionStats, execute
 from repro.workloads.random_constraints import (
     make_variables,
@@ -26,22 +20,14 @@ from repro.workloads.random_constraints import (
 
 import pytest
 
+from tests.sqlc.harness import _plain_plan, _predicate, _same_relation
+
 
 @pytest.fixture(autouse=True)
 def _fresh_index_state():
     index.clear_index_cache()
     parallel.reset_stats()
     yield
-
-
-def _sat_intersection(a, b):
-    return a.cst.intersect(b.cst).is_satisfiable()
-
-
-def _predicate():
-    return CstPredicate(
-        ("e", "f"), _sat_intersection, "SAT",
-        (("e", index.cst_cell_box), ("f", index.cst_cell_box)))
 
 
 def _catalog(seed, n_left=12, n_right=10, spread=40, size=12):
@@ -65,17 +51,6 @@ def _nested_loop_plan():
                   _predicate())
 
 
-def _index_join_plan():
-    return IndexJoin(Scan("L", ("lid", "e")), Scan("R", ("rid", "f")),
-                     "e", "f", index.cst_cell_box, index.cst_cell_box,
-                     _predicate())
-
-
-def _same_relation(a, b):
-    assert a.columns == b.columns
-    assert list(a) == list(b)
-
-
 class TestIndexJoinEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -83,7 +58,7 @@ class TestIndexJoinEquivalence:
         catalog = _catalog(seed)
         baseline = execute(_nested_loop_plan(), catalog,
                            use_optimizer=False)
-        indexed = execute(_index_join_plan(), catalog,
+        indexed = execute(_plain_plan(), catalog,
                           use_optimizer=False)
         _same_relation(baseline, indexed)
 
@@ -97,7 +72,7 @@ class TestIndexJoinEquivalence:
                 guard=ExecutionGuard(max_pivots=1_000_000,
                                      on_exhaustion="degrade"))
             indexed = execute(
-                _index_join_plan(), catalog, use_optimizer=False,
+                _plain_plan(), catalog, use_optimizer=False,
                 guard=ExecutionGuard(max_pivots=1_000_000,
                                      on_exhaustion="degrade"))
         _same_relation(baseline, indexed)
@@ -122,11 +97,11 @@ class TestParallelEquivalence:
         # A dense-overlap workload so the exact phase has >= 64 rows.
         catalog = _catalog(seed, n_left=16, n_right=16,
                            spread=10, size=10)
-        serial = execute(_index_join_plan(), catalog,
+        serial = execute(_plain_plan(), catalog,
                          use_optimizer=False)
         before = parallel.stats()
         with QueryContext(parallelism=2).activate():
-            fanned = execute(_index_join_plan(), catalog,
+            fanned = execute(_plain_plan(), catalog,
                              use_optimizer=False)
         after = parallel.stats()
         _same_relation(serial, fanned)
@@ -139,12 +114,12 @@ class TestParallelEquivalence:
                            spread=10, size=10)
         with QueryContext(cache=None).activate():
             serial = execute(
-                _index_join_plan(), catalog, use_optimizer=False,
+                _plain_plan(), catalog, use_optimizer=False,
                 guard=ExecutionGuard(max_pivots=1_000_000,
                                      on_exhaustion="degrade"))
             with QueryContext(cache=None, parallelism=2).activate():
                 fanned = execute(
-                    _index_join_plan(), catalog, use_optimizer=False,
+                    _plain_plan(), catalog, use_optimizer=False,
                     guard=ExecutionGuard(max_pivots=1_000_000,
                                          on_exhaustion="degrade"))
         _same_relation(serial, fanned)
@@ -157,14 +132,14 @@ class TestParallelEquivalence:
         with QueryContext(cache=None).activate():
             serial_stats = ExecutionStats()
             serial = execute(
-                _index_join_plan(), catalog, use_optimizer=False,
+                _plain_plan(), catalog, use_optimizer=False,
                 stats=serial_stats,
                 guard=ExecutionGuard(max_pivots=3,
                                      on_exhaustion="degrade"))
             parallel_stats = ExecutionStats()
             with QueryContext(cache=None, parallelism=2).activate():
                 fanned = execute(
-                    _index_join_plan(), catalog, use_optimizer=False,
+                    _plain_plan(), catalog, use_optimizer=False,
                     stats=parallel_stats,
                     guard=ExecutionGuard(max_pivots=3,
                                          on_exhaustion="degrade"))
@@ -178,7 +153,7 @@ class TestParallelEquivalence:
                            spread=10, size=10)
         stats = ExecutionStats()
         with QueryContext(parallelism=2).activate():
-            execute(_index_join_plan(), catalog, use_optimizer=False,
+            execute(_plain_plan(), catalog, use_optimizer=False,
                     stats=stats)
         if parallel.stats()["runs"]:
             assert stats.partitions >= 2

@@ -13,25 +13,18 @@ in the exact phase, the one place ``parallelism`` partitions.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constraints.cst_object import CSTObject
-from repro.model.oid import LiteralOid
 from repro.runtime import parallel
 from repro.runtime.context import QueryContext
 from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard
 from repro.sqlc import index
-from repro.sqlc.algebra import (
-    CstPredicate,
-    IndexJoin,
-    Scan,
-    ShardedIndexJoin,
-)
 from repro.sqlc.engine import execute
-from repro.sqlc.relation import ConstraintRelation
-from repro.sqlc.shard import ShardedConstraintRelation
-from repro.workloads.random_constraints import (
-    make_variables,
-    scattered_boxes,
+
+from tests.sqlc.harness import (
+    _catalogs,
+    _plain_plan,
+    _same_relation,
+    _sharded_plan,
 )
 
 import pytest
@@ -42,62 +35,6 @@ def _fresh_state():
     index.clear_index_cache()
     parallel.reset_stats()
     yield
-
-
-def _sat_intersection(a, b):
-    return a.cst.intersect(b.cst).is_satisfiable()
-
-
-def _predicate():
-    return CstPredicate(
-        ("e", "f"), _sat_intersection, "SAT",
-        (("e", index.cst_cell_box), ("f", index.cst_cell_box)))
-
-
-def _rows(count, seed, spread, size=10):
-    vars_ = make_variables(1)
-    return [(LiteralOid(i), CSTObject(vars_, c))
-            for i, c in enumerate(
-                scattered_boxes(count, seed=seed, spread=spread,
-                                size=size))]
-
-
-def _catalogs(seed, shards, partition_by, n_left=14, n_right=12,
-              spread=60):
-    left_rows = _rows(n_left, seed, spread)
-    right_rows = _rows(n_right, seed + 7919, spread)
-    plain = {
-        "L": ConstraintRelation("L", ("lid", "e"), left_rows),
-        "R": ConstraintRelation("R", ("rid", "f"), right_rows),
-    }
-    sharded = {
-        "L": ShardedConstraintRelation(
-            "L", ("lid", "e"), left_rows, shards=shards,
-            partition_by="e" if partition_by else None),
-        "R": ShardedConstraintRelation(
-            "R", ("rid", "f"), right_rows, shards=shards,
-            partition_by="f" if partition_by else None),
-    }
-    return plain, sharded
-
-
-def _plain_plan():
-    return IndexJoin(Scan("L", ("lid", "e")), Scan("R", ("rid", "f")),
-                     "e", "f", index.cst_cell_box,
-                     index.cst_cell_box, _predicate())
-
-
-def _sharded_plan():
-    return ShardedIndexJoin(
-        Scan("L", ("lid", "e")), Scan("R", ("rid", "f")),
-        "e", "f", index.cst_cell_box, index.cst_cell_box,
-        _predicate())
-
-
-def _same_relation(a, b):
-    assert a.columns == b.columns
-    assert [tuple(map(repr, row)) for row in a] \
-        == [tuple(map(repr, row)) for row in b]
 
 
 class TestShardParallelEquivalence:
