@@ -1,22 +1,20 @@
-"""Linear arithmetic constraint atoms.
+"""Linear arithmetic constraint atoms — the one module that knows how an
+atom is stored.
 
 A *linear arithmetic constraint* in the paper (Section 3.1) has the form::
 
     r1*x1 + ... + rm*xm  relop  r      relop in {=, <=, >=, <, >, !=}
 
-Atoms are stored in a normal form with the relation drawn from
-``{=, <=, <, !=}`` (``>=``/``>`` are flipped on construction) and with the
-coefficient vector scaled so that structurally-equal atoms compare equal:
-
-* the non-variable part is moved entirely to the right-hand side,
-* coefficients are divided by the gcd of their numerators / lcm of their
-  denominators,
-* for ``=`` and ``!=`` (which are sign-symmetric) the leading coefficient
-  (of the alphabetically first variable) is made positive.
-
-This normalization is the first half of the paper's canonical form; the
-rest (satisfiability pruning, duplicate removal) lives in
-:mod:`repro.constraints.canonical`.
+An atom is stored as its normalized integer row, the first half of the
+paper's canonical form: its variables sorted by name with coprime
+``int`` coefficients (the non-variable part moved to the bound, which
+may stay rational), the relation drawn from ``{=, <=, <, !=}``
+(``>=``/``>`` flip on construction), and for the sign-symmetric ``=``
+and ``!=`` a positive leading coefficient.  Structurally-equal atoms
+therefore compare equal, on a key computed once.  Other modules read
+the row through ``terms`` / ``coefficient``; ``expression`` builds a
+:class:`LinearExpression` view for arithmetic.  The rest of the
+canonical form lives in :mod:`repro.constraints.canonical`.
 """
 
 from __future__ import annotations
@@ -24,14 +22,16 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import ConstraintError
 from repro.constraints.terms import (
     LinearExpression,
     RationalLike,
     Variable,
+    evaluate_terms,
     format_fraction,
+    format_terms,
 )
 
 
@@ -46,28 +46,14 @@ class Relop(enum.Enum):
     NE = "!="
 
     @property
-    def is_strict(self) -> bool:
-        return self in (Relop.LT, Relop.GT)
-
-    @property
     def flipped(self) -> "Relop":
         """The operator with both sides exchanged."""
-        flips = {
-            Relop.LE: Relop.GE, Relop.GE: Relop.LE,
-            Relop.LT: Relop.GT, Relop.GT: Relop.LT,
-            Relop.EQ: Relop.EQ, Relop.NE: Relop.NE,
-        }
-        return flips[self]
+        return _FLIPPED[self]
 
     @property
     def negated(self) -> "Relop":
         """The operator of the complementary constraint."""
-        negations = {
-            Relop.LE: Relop.GT, Relop.GT: Relop.LE,
-            Relop.GE: Relop.LT, Relop.LT: Relop.GE,
-            Relop.EQ: Relop.NE, Relop.NE: Relop.EQ,
-        }
-        return negations[self]
+        return _NEGATED[self]
 
     def holds(self, lhs: Fraction, rhs: Fraction) -> bool:
         if self is Relop.EQ:
@@ -83,68 +69,95 @@ class Relop(enum.Enum):
         return lhs != rhs
 
 
-class LinearConstraint:
-    """A normalized linear arithmetic constraint ``expr relop bound``.
+_FLIPPED = {
+    Relop.LE: Relop.GE, Relop.GE: Relop.LE,
+    Relop.LT: Relop.GT, Relop.GT: Relop.LT,
+    Relop.EQ: Relop.EQ, Relop.NE: Relop.NE,
+}
 
-    ``expr`` has no constant term (it was folded into ``bound``) and the
-    stored ``relop`` is one of ``=, <=, <, !=``.
+_NEGATED = {
+    Relop.LE: Relop.GT, Relop.GT: Relop.LE,
+    Relop.GE: Relop.LT, Relop.LT: Relop.GE,
+    Relop.EQ: Relop.NE, Relop.NE: Relop.EQ,
+}
+
+_SIGN_SYMMETRIC = (Relop.EQ, Relop.NE)
+
+
+class LinearConstraint:
+    """A normalized linear arithmetic constraint ``row relop bound``.
+
+    The row is the variables sorted by name with their coprime ``int``
+    coefficients; the stored ``relop`` is one of ``=, <=, <, !=``.
 
     Instances are immutable and hashable; structural equality after
     normalization is what the paper calls "deletion of syntactic
     duplicates".
     """
 
-    __slots__ = ("_expr", "_relop", "_bound", "_hash")
+    __slots__ = ("_vars", "_coeffs", "_relop", "_bound", "_key", "_hash")
 
-    def __init__(self, expr: LinearExpression, relop: Relop,
-                 bound: Fraction):
-        # Internal constructor: callers should use :meth:`build`.
-        self._expr = expr
+    def __init__(self, variables: tuple[Variable, ...],
+                 coeffs: tuple[int, ...], relop: Relop, bound: Fraction):
+        # Internal constructor over an already normal row: callers
+        # should use :meth:`build`.
+        self._vars = variables
+        self._coeffs = coeffs
         self._relop = relop
         self._bound = bound
-        self._hash: int | None = None
+        # Names and coefficients interleaved, so keys order exactly as
+        # sorted (name, coefficient) pairs do; the bound is a Fraction,
+        # which orders by value.
+        row = []
+        for var, coeff in zip(variables, coeffs):
+            row += (var.name, coeff)
+        self._key = (tuple(row), relop.value, bound)
+        self._hash = hash(self._key)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def build(cls, lhs, relop: Relop, rhs) -> "LinearConstraint":
         """Build and normalize an atom from arbitrary linear sides."""
-        lhs = LinearExpression.coerce(lhs)
-        rhs = LinearExpression.coerce(rhs)
-        diff = lhs - rhs
-        expr = LinearExpression(diff.coefficients, 0)
+        diff = LinearExpression.coerce(lhs) - rhs
         bound = -diff.constant_term
-        if relop in (Relop.GE, Relop.GT):
-            expr, bound, relop = -expr, -bound, relop.flipped
-        return cls._normalized(expr, relop, bound)
-
-    @classmethod
-    def _normalized(cls, expr: LinearExpression, relop: Relop,
-                    bound: Fraction) -> "LinearConstraint":
-        coeffs = expr.coefficients
-        if not coeffs:
+        terms = list(diff)
+        if relop is Relop.GE or relop is Relop.GT:
+            terms = [(var, -coeff) for var, coeff in terms]
+            bound, relop = -bound, _FLIPPED[relop]
+        if not terms:
             # Trivial atoms normalize to the canonical TRUE (0 = 0) or
             # FALSE (0 = 1) so that semantically-equal trivia compare
             # equal.
             truth = relop.holds(Fraction(0), bound)
-            return cls(LinearExpression({}, 0), Relop.EQ,
-                       Fraction(0 if truth else 1))
-        if coeffs:
-            scale = _normalizing_scale(list(coeffs.values()) + [bound])
-            if relop in (Relop.EQ, Relop.NE):
-                lead_var = min(coeffs, key=lambda v: v.name)
-                if coeffs[lead_var] < 0:
-                    scale = -scale
-            expr = LinearExpression(
-                {v: c * scale for v, c in coeffs.items()}, 0)
-            bound = bound * scale
-        return cls(expr, relop, bound)
+            return cls((), (), Relop.EQ, Fraction(0 if truth else 1))
+        variables, fractions = zip(*terms)
+        scale = _normalizing_scale(fractions)
+        if relop in _SIGN_SYMMETRIC and fractions[0] < 0:
+            scale = -scale
+        num, den = scale.numerator, scale.denominator
+        coeffs = tuple(c.numerator * num // (c.denominator * den)
+                       for c in fractions)
+        return cls(variables, coeffs, relop, bound * scale)
 
     # -- inspection -------------------------------------------------------
 
     @property
+    def terms(self) -> tuple[tuple[Variable, int], ...]:
+        """The row: ``(variable, coefficient)`` pairs sorted by name."""
+        return tuple(zip(self._vars, self._coeffs))
+
+    def coefficient(self, var: Variable) -> int:
+        """The coefficient of ``var`` (0 when it does not occur)."""
+        for own, coeff in zip(self._vars, self._coeffs):
+            if own == var:
+                return coeff
+        return 0
+
+    @property
     def expression(self) -> LinearExpression:
-        return self._expr
+        """The row as a :class:`LinearExpression`, built on each access."""
+        return LinearExpression(dict(zip(self._vars, self._coeffs)))
 
     @property
     def relop(self) -> Relop:
@@ -156,24 +169,18 @@ class LinearConstraint:
 
     @property
     def variables(self) -> frozenset[Variable]:
-        return self._expr.variables
+        return frozenset(self._vars)
 
     @property
     def is_trivial(self) -> bool:
         """True when the atom mentions no variables (``0 relop c``)."""
-        return self._expr.is_constant()
+        return not self._vars
 
     def trivial_truth(self) -> bool:
         """Truth value of a trivial atom (raises if not trivial)."""
         if not self.is_trivial:
             raise ConstraintError("atom is not trivial")
         return self._relop.holds(Fraction(0), self._bound)
-
-    def is_equality(self) -> bool:
-        return self._relop is Relop.EQ
-
-    def is_disequality(self) -> bool:
-        return self._relop is Relop.NE
 
     def is_strict(self) -> bool:
         return self._relop is Relop.LT
@@ -186,81 +193,66 @@ class LinearConstraint:
         ``=`` negates to ``!=``; callers that need a strict-inequality
         split of that result use :meth:`split_disequality`.
         """
-        return LinearConstraint.build(self._expr, self._relop.negated,
+        return LinearConstraint.build(self.expression, self._relop.negated,
                                       self._bound)
 
     def split_disequality(self) -> tuple["LinearConstraint", "LinearConstraint"]:
         """``expr != b`` as the disjunction ``expr < b  or  expr > b``."""
         if self._relop is not Relop.NE:
             raise ConstraintError("not a disequality")
-        return (LinearConstraint.build(self._expr, Relop.LT, self._bound),
-                LinearConstraint.build(self._expr, Relop.GT, self._bound))
+        expr = self.expression
+        return (LinearConstraint.build(expr, Relop.LT, self._bound),
+                LinearConstraint.build(expr, Relop.GT, self._bound))
 
     def weakened(self) -> "LinearConstraint":
         """The non-strict version of a strict inequality (``<`` -> ``<=``)."""
         if self._relop is Relop.LT:
-            return LinearConstraint.build(self._expr, Relop.LE, self._bound)
+            return LinearConstraint(self._vars, self._coeffs, Relop.LE,
+                                    self._bound)
         return self
 
     # -- evaluation & substitution ------------------------------------------
 
     def holds_at(self, point: Mapping[Variable, RationalLike]) -> bool:
         """Truth of the atom at a concrete rational point."""
-        return self._relop.holds(self._expr.evaluate(point), self._bound)
+        value = evaluate_terms(zip(self._vars, self._coeffs), point)
+        return self._relop.holds(value, self._bound)
 
     def substitute(self, bindings) -> "LinearConstraint":
-        new_expr = self._expr.substitute(bindings)
+        new_expr = self.expression.substitute(bindings)
         return LinearConstraint.build(new_expr, self._relop, self._bound)
 
     def rename(self, mapping: Mapping[Variable, Variable]) -> "LinearConstraint":
         """The atom over renamed variables.
 
         A renaming that keeps this atom's variables distinct keeps it
-        normal — the coefficients, hence their gcd and lcm, are the
-        same numbers — except that ``=`` / ``!=`` fix their sign by the
-        alphabetically first variable, which may now be another one.
-        Only a renaming that merges variables goes through
-        :meth:`build` again."""
-        coeffs = self._expr._coeffs
-        renamed: dict[Variable, Fraction] = {}
-        moved = False
-        for var, coeff in coeffs.items():
-            target = mapping.get(var, var)
-            moved = moved or target.name != var.name
-            renamed[target] = coeff
-        if not moved:
+        normal — the coefficients are the same numbers — once the row
+        is sorted by the new names, except that ``=`` / ``!=`` fix
+        their sign by the alphabetically first variable, which may now
+        be another one.  Only a renaming that merges variables goes
+        through :meth:`build` again."""
+        targets = [mapping.get(var, var) for var in self._vars]
+        if all(t.name == v.name for t, v in zip(targets, self._vars)):
             return self
-        if len(renamed) != len(coeffs):
+        if len({t.name for t in targets}) != len(targets):
             return LinearConstraint.build(
-                self._expr.rename(mapping), self._relop, self._bound)
+                self.expression.rename(mapping), self._relop, self._bound)
+        variables, coeffs = zip(*sorted(zip(targets, self._coeffs),
+                                        key=lambda term: term[0].name))
         bound = self._bound
-        if self._relop in (Relop.EQ, Relop.NE) \
-                and renamed[min(renamed, key=lambda v: v.name)] < 0:
-            renamed = {var: -coeff for var, coeff in renamed.items()}
+        if self._relop in _SIGN_SYMMETRIC and coeffs[0] < 0:
+            coeffs = tuple(-coeff for coeff in coeffs)
             bound = -bound
-        return LinearConstraint(LinearExpression._normal(renamed),
-                                self._relop, bound)
+        return LinearConstraint(variables, coeffs, self._relop, bound)
 
     # -- identity --------------------------------------------------------
-
-    def _key(self):
-        items = tuple(sorted(
-            (v.name, c) for v, c in self._expr.coefficients.items()))
-        return (items, self._relop, self._bound)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearConstraint):
             return NotImplemented
-        return self._key() == other._key()
-
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, LinearConstraint):
-            return NotImplemented
-        return self._key() != other._key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(("LinearConstraint",) + self._key())
         return self._hash
 
     def __bool__(self) -> bool:
@@ -275,8 +267,7 @@ class LinearConstraint:
 
     def sort_key(self) -> tuple:
         """Deterministic ordering key used by canonical forms."""
-        items, relop, bound = self._key()
-        return (items, relop.value, bound)
+        return self._key
 
     # -- display ------------------------------------------------------------
 
@@ -284,29 +275,23 @@ class LinearConstraint:
         return f"LinearConstraint({self})"
 
     def __str__(self) -> str:
-        return f"{self._expr} {self._relop.value} {format_fraction(self._bound)}"
+        return (f"{format_terms(zip(self._vars, self._coeffs))} "
+                f"{self._relop.value} {format_fraction(self._bound)}")
 
 
-def _normalizing_scale(values: list[Fraction]) -> Fraction:
-    """Positive scale factor making the values integral with gcd 1.
+def _normalizing_scale(coeffs: Sequence[Fraction]) -> Fraction:
+    """Positive scale factor making the coefficients integral with gcd 1.
 
-    Only the variable coefficients drive the scale; the bound rides along
-    (it is included so the result stays integral when convenient, but a
-    non-integral bound is fine).
+    Only the variable coefficients drive the scale; the bound is scaled
+    by the same factor and may stay non-integral.
     """
-    numerators = [v.numerator for v in values[:-1] if v != 0]
-    denominators = [v.denominator for v in values[:-1]]
-    if not numerators:
-        return Fraction(1)
     lcm = 1
-    for d in denominators:
-        lcm = lcm * d // gcd(lcm, d)
-    scaled = [abs(n) * (lcm // d) for n, d in
-              ((v.numerator, v.denominator) for v in values[:-1]) if n != 0]
+    for c in coeffs:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
     g = 0
-    for s in scaled:
-        g = gcd(g, s)
-    return Fraction(lcm, g if g else 1)
+    for c in coeffs:
+        g = gcd(g, c.numerator * (lcm // c.denominator))
+    return Fraction(lcm, g)
 
 
 # ---------------------------------------------------------------------------

@@ -77,14 +77,14 @@ def box_of(atoms: Iterable[LinearConstraint]
     for atom in atoms:
         if atom.relop is Relop.NE:
             continue
-        coeffs = atom.expression.coefficients
-        if not coeffs:
+        terms = atom.terms
+        if not terms:
             if not atom.trivial_truth():
                 return None
             continue
-        if len(coeffs) != 1:
+        if len(terms) != 1:
             continue
-        (var, coeff), = coeffs.items()
+        (var, coeff), = terms
         value = atom.bound / coeff
         relop = atom.relop if coeff > 0 else atom.relop.flipped
         tightened = _tighten(box.get(var, FULL), relop, value)
@@ -99,14 +99,14 @@ def box_of(atoms: Iterable[LinearConstraint]
 # ---------------------------------------------------------------------------
 
 
-def _extremum(coeffs: Mapping[Variable, Fraction],
+def _extremum(terms: Iterable[tuple[Variable, int]],
               box: Mapping[Variable, Interval], lower: bool
               ) -> tuple[Fraction | None, bool]:
     """(inf, attained) or (sup, attained) of ``sum c_i * x_i`` over the
     box; ``None`` marks an unbounded extremum."""
     total = Fraction(0)
     attained = True
-    for var, coeff in coeffs.items():
+    for var, coeff in terms:
         lo, lo_open, hi, hi_open = box.get(var, FULL)
         # The minimizing end for positive coefficients is ``lo``; signs
         # and the min/max direction flip which end is used.
@@ -124,17 +124,17 @@ def _extremum(coeffs: Mapping[Variable, Fraction],
 def _atom_impossible(atom: LinearConstraint,
                      box: Mapping[Variable, Interval]) -> bool:
     """Can ``atom`` hold nowhere on ``box``?  (Sound, not complete.)"""
-    coeffs = atom.expression.coefficients
-    if not coeffs:
+    terms = atom.terms
+    if not terms:
         return not atom.trivial_truth()
     bound = atom.bound
-    inf, inf_att = _extremum(coeffs, box, lower=True)
+    inf, inf_att = _extremum(terms, box, lower=True)
     if atom.relop is Relop.LE:
         return inf is not None and (inf > bound
                                     or (inf == bound and not inf_att))
     if atom.relop is Relop.LT:
         return inf is not None and inf >= bound
-    sup, sup_att = _extremum(coeffs, box, lower=False)
+    sup, sup_att = _extremum(terms, box, lower=False)
     if atom.relop is Relop.EQ:
         if inf is not None and (inf > bound
                                 or (inf == bound and not inf_att)):
@@ -159,8 +159,7 @@ def refutes(conj: ConjunctiveConstraint, ctx=None) -> bool:
         stats_acct.box_refutations += 1
         return True
     for atom in conj.atoms:
-        if len(atom.expression.coefficients) > 1 \
-                and _atom_impossible(atom, box):
+        if len(atom.terms) > 1 and _atom_impossible(atom, box):
             stats_acct.box_refutations += 1
             return True
     return False

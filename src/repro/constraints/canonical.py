@@ -133,11 +133,19 @@ def remove_subsumed_disjuncts(dis: DisjunctiveConstraint,
 def canonical_existential(ex: ExistentialConjunctiveConstraint,
                           ctx: QueryContext | None = None
                           ) -> ExistentialConjunctiveConstraint:
-    """Simplifying eliminations + canonical body."""
+    """Simplifying eliminations + canonical body, until simplifying the
+    canonical body eliminates nothing (a fixed point of
+    :func:`canonicalize`): dropping redundant atoms can make another
+    elimination simplifying.  One pass per eliminated variable, and one."""
     ctx = context_mod.resolve(ctx)
     simplified = ex.simplify()
-    body = canonical_conjunctive(simplified.body, ctx=ctx)
-    return ExistentialConjunctiveConstraint(body, simplified.quantified)
+    while True:
+        ex = ExistentialConjunctiveConstraint(
+            canonical_conjunctive(simplified.body, ctx=ctx),
+            simplified.quantified)
+        simplified = ex.simplify()
+        if simplified.quantified == ex.quantified:
+            return ex
 
 
 def canonical_dex(dex: DisjunctiveExistentialConstraint,

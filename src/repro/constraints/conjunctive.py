@@ -232,7 +232,7 @@ def _solve_for(atom: LinearConstraint, var: Variable) -> LinearExpression:
     """Solve the equality ``atom`` for ``var``."""
     if atom.relop is not Relop.EQ:
         raise ConstraintError("can only solve equalities")
-    coeff = atom.expression.coefficient(var)
+    coeff = atom.coefficient(var)
     if coeff == 0:
         raise ConstraintError(f"{var} does not occur in {atom}")
     rest = atom.expression - LinearExpression({var: coeff})
@@ -241,5 +241,4 @@ def _solve_for(atom: LinearConstraint, var: Variable) -> LinearExpression:
 
 #: The canonical false atom ``0 = 1`` — kept trivial-false on purpose so a
 #: collapsed conjunction still carries one atom to print and hash.
-_FALSE_ATOM = LinearConstraint(
-    LinearExpression({}, 0), Relop.EQ, Fraction(1))
+_FALSE_ATOM = LinearConstraint.build(0, Relop.EQ, 1)

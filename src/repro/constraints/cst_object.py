@@ -36,7 +36,7 @@ AnyConstraint = (ConjunctiveConstraint | DisjunctiveConstraint
 
 #: The quantifier-free families: irredundant-and-satisfiable is stable
 #: there, so a canonical member is a fixed point of ``canonicalize``
-#: (an existential one can simplify again).
+#: (an existential one is too, but is not flagged).
 _QUANTIFIER_FREE = (ConjunctiveConstraint, DisjunctiveConstraint)
 
 #: Placeholder for a not-yet-computed cheap bounding box (``None`` is a

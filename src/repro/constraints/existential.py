@@ -521,7 +521,7 @@ def _bound_counts(body: ConjunctiveConstraint, var: Variable
                   ) -> tuple[int, int]:
     lows = highs = 0
     for atom in body.atoms:
-        coeff = atom.expression.coefficient(var)
+        coeff = atom.coefficient(var)
         if coeff > 0:
             highs += 1
         elif coeff < 0:

@@ -78,8 +78,8 @@ def vertices_2d(conj: ConjunctiveConstraint,
     for atom in conj.atoms:
         if atom.relop is Relop.NE:
             continue
-        a = atom.expression.coefficient(x)
-        b = atom.expression.coefficient(y)
+        a = atom.coefficient(x)
+        b = atom.coefficient(y)
         c = atom.bound
         lines.append((a, b, c))
         if atom.relop is Relop.EQ:
@@ -126,7 +126,7 @@ def vertices_nd(conj: ConjunctiveConstraint,
     for atom in conj.atoms:
         if atom.relop is Relop.NE:
             continue
-        coeffs = [atom.expression.coefficient(v) for v in vars_]
+        coeffs = [Fraction(atom.coefficient(v)) for v in vars_]
         rows.append((coeffs, atom.bound))
         if atom.relop is Relop.EQ:
             rows.append(([-c for c in coeffs], -atom.bound))

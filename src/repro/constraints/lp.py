@@ -226,7 +226,7 @@ def _scipy_solve(objective: LinearExpression,
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for atom in atoms:
         row = np.zeros(n)
-        for var, coeff in atom.expression.coefficients.items():
+        for var, coeff in atom.terms:
             row[index[var]] = float(coeff)
         if atom.relop is Relop.LE:
             a_ub.append(row)

@@ -120,7 +120,7 @@ def pack_conjunction(conj: ConjunctiveConstraint
             continue            # measure-zero; verified exactly
         row = [0.0] * width
         norm = 0.0
-        for var, coeff in atom.expression.coefficients.items():
+        for var, coeff in atom.terms:
             f = _finite(coeff)
             if f is None:
                 return None

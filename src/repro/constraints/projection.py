@@ -58,7 +58,7 @@ def eliminate_variable(conj: ConjunctiveConstraint, var: Variable
     upper: list[tuple[LinearConstraint, LinearExpression]] = []
     rest: list[LinearConstraint] = []
     for atom in conj.atoms:
-        coeff = atom.expression.coefficient(var)
+        coeff = atom.coefficient(var)
         if coeff == 0:
             rest.append(atom)
             continue
@@ -135,7 +135,7 @@ def _elimination_order(conj: ConjunctiveConstraint,
     for var in remaining:
         lows = highs = 0
         for atom in conj.atoms:
-            coeff = atom.expression.coefficient(var)
+            coeff = atom.coefficient(var)
             if coeff > 0:
                 highs += 1
             elif coeff < 0:
@@ -150,7 +150,7 @@ def _elimination_order(conj: ConjunctiveConstraint,
 def _substitute_equality(conj: ConjunctiveConstraint,
                          equality: LinearConstraint,
                          var: Variable) -> ConjunctiveConstraint:
-    coeff = equality.expression.coefficient(var)
+    coeff = equality.coefficient(var)
     rest_expr = equality.expression - LinearExpression({var: coeff})
     solution = (LinearExpression.constant(equality.bound) - rest_expr) / coeff
     new_atoms = [a.substitute({var: solution})
@@ -172,8 +172,7 @@ def prune_syntactic(conj: ConjunctiveConstraint) -> ConjunctiveConstraint:
         if atom.relop not in (Relop.LE, Relop.LT):
             others.append(atom)
             continue
-        key = tuple(sorted((v.name, c) for v, c in
-                           atom.expression.coefficients.items()))
+        key = atom.terms
         current = best.get(key)
         if current is None:
             best[key] = atom

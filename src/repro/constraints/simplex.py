@@ -138,10 +138,12 @@ class _StandardForm:
         zero = Fraction(0)
         for atom in self.constraints:
             row = [zero] * n_cols
-            for var, coeff in atom.expression.coefficients.items():
+            for var, coeff in atom.terms:
+                # Every tableau entry a Fraction, never an int that a
+                # later ``/`` could turn into a float.
                 j = self.var_index[var]
-                row[2 * j] = coeff
-                row[2 * j + 1] = -coeff
+                row[2 * j] = Fraction(coeff)
+                row[2 * j + 1] = Fraction(-coeff)
             b = atom.bound
             if atom.relop is Relop.LE:
                 row[2 * n_vars + slack_seen] = Fraction(1)

@@ -1,12 +1,15 @@
 """Variables and linear expressions over exact rational coefficients.
 
-These are the atoms of the constraint engine.  Everything is immutable and
-hashable so that constraint objects can serve as logical oids (Section 3 of
-the paper: constraints are first-class objects whose identity is their
-canonical form).
+This is the arithmetic and parser API that *builds* constraint atoms:
+comparing two expressions builds a
+:class:`repro.constraints.atoms.LinearConstraint`, which stores its own
+normalized integer row (see :mod:`repro.constraints.atoms`).
+Everything is immutable and hashable.
 
 Arithmetic is exact (:class:`fractions.Fraction`): canonical forms, and
-therefore object identity, must not depend on floating-point rounding.
+therefore object identity (Section 3 of the paper: constraints are
+first-class objects whose identity is their canonical form), must not
+depend on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ class LinearExpression:
     :class:`repro.constraints.atoms.LinearConstraint` atoms.
     """
 
-    __slots__ = ("_coeffs", "_constant", "_hash")
+    __slots__ = ("_coefficients", "_constant", "_hash")
 
     def __init__(self,
                  coeffs: Mapping[Variable, RationalLike] | None = None,
@@ -173,23 +176,11 @@ class LinearExpression:
                 frac = to_fraction(coeff)
                 if frac != 0:
                     cleaned[var] = frac
-        self._coeffs = cleaned
+        self._coefficients = cleaned
         self._constant = to_fraction(constant)
         self._hash: int | None = None
 
     # -- construction helpers -----------------------------------------
-
-    @classmethod
-    def _normal(cls, coeffs: dict[Variable, Fraction]
-                ) -> "LinearExpression":
-        """An expression over ``coeffs`` as they are — non-zero
-        Fractions keyed by Variables, owned by the result — and no
-        constant term."""
-        expr = cls.__new__(cls)
-        expr._coeffs = coeffs
-        expr._constant = _ZERO
-        expr._hash = None
-        return expr
 
     @classmethod
     def constant(cls, value: RationalLike) -> "LinearExpression":
@@ -208,7 +199,7 @@ class LinearExpression:
 
     @property
     def coefficients(self) -> Mapping[Variable, Fraction]:
-        return dict(self._coeffs)
+        return dict(self._coefficients)
 
     @property
     def constant_term(self) -> Fraction:
@@ -216,32 +207,28 @@ class LinearExpression:
 
     @property
     def variables(self) -> frozenset[Variable]:
-        return frozenset(self._coeffs)
+        return frozenset(self._coefficients)
 
     def coefficient(self, var: Variable) -> Fraction:
-        return self._coeffs.get(var, Fraction(0))
+        return self._coefficients.get(var, Fraction(0))
 
     def is_constant(self) -> bool:
-        return not self._coeffs
+        return not self._coefficients
 
     def __iter__(self) -> Iterator[tuple[Variable, Fraction]]:
-        return iter(sorted(self._coeffs.items(), key=lambda kv: kv[0].name))
+        return iter(sorted(self._coefficients.items(), key=lambda kv: kv[0].name))
 
     # -- evaluation & substitution --------------------------------------
 
     def evaluate(self, point: Mapping[Variable, RationalLike]) -> Fraction:
         """Value of the expression at ``point`` (must bind every variable)."""
-        total = self._constant
-        for var, coeff in self._coeffs.items():
-            if var not in point:
-                raise KeyError(f"point does not bind variable {var.name!r}")
-            total += coeff * to_fraction(point[var])
-        return total
+        return self._constant + evaluate_terms(
+            self._coefficients.items(), point)
 
     def substitute(self, bindings: Mapping[Variable, "LinearExpression | Variable | RationalLike"]) -> "LinearExpression":
         """Replace variables by expressions (or constants) simultaneously."""
         result = LinearExpression.constant(self._constant)
-        for var, coeff in self._coeffs.items():
+        for var, coeff in self._coefficients.items():
             if var in bindings:
                 result = result + LinearExpression.coerce(bindings[var]) * coeff
             else:
@@ -251,7 +238,7 @@ class LinearExpression:
     def rename(self, mapping: Mapping[Variable, Variable]) -> "LinearExpression":
         """Rename variables.  Distinct variables must stay distinct."""
         coeffs: dict[Variable, Fraction] = {}
-        for var, coeff in self._coeffs.items():
+        for var, coeff in self._coefficients.items():
             target = mapping.get(var, var)
             coeffs[target] = coeffs.get(target, Fraction(0)) + coeff
         return LinearExpression(coeffs, self._constant)
@@ -260,8 +247,8 @@ class LinearExpression:
 
     def __add__(self, other) -> "LinearExpression":
         other = LinearExpression.coerce(other)
-        coeffs = dict(self._coeffs)
-        for var, coeff in other._coeffs.items():
+        coeffs = dict(self._coefficients)
+        for var, coeff in other._coefficients.items():
             coeffs[var] = coeffs.get(var, Fraction(0)) + coeff
         return LinearExpression(coeffs, self._constant + other._constant)
 
@@ -275,7 +262,7 @@ class LinearExpression:
 
     def __neg__(self) -> "LinearExpression":
         return LinearExpression(
-            {v: -c for v, c in self._coeffs.items()}, -self._constant)
+            {v: -c for v, c in self._coefficients.items()}, -self._constant)
 
     def __pos__(self) -> "LinearExpression":
         return self
@@ -292,7 +279,7 @@ class LinearExpression:
                     "product of two non-constant expressions is not linear")
         scalar = to_fraction(other)
         return LinearExpression(
-            {v: c * scalar for v, c in self._coeffs.items()},
+            {v: c * scalar for v, c in self._coefficients.items()},
             self._constant * scalar)
 
     __rmul__ = __mul__
@@ -342,14 +329,14 @@ class LinearExpression:
     def _same(self, other: "LinearExpression") -> bool:
         """Structural equality (used for hashing and canonical forms)."""
         return (self._constant == other._constant
-                and self._coeffs == other._coeffs)
+                and self._coefficients == other._coefficients)
 
     def structurally_equal(self, other: "LinearExpression") -> bool:
         return isinstance(other, LinearExpression) and self._same(other)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            items = tuple(sorted(((v.name, c) for v, c in self._coeffs.items())))
+            items = tuple(sorted(((v.name, c) for v, c in self._coefficients.items())))
             self._hash = hash(("LinearExpression", items, self._constant))
         return self._hash
 
@@ -359,29 +346,9 @@ class LinearExpression:
         return f"LinearExpression({self})"
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for var, coeff in sorted(self._coeffs.items(), key=lambda kv: kv[0].name):
-            if coeff == 1:
-                term = var.name
-            elif coeff == -1:
-                term = f"-{var.name}"
-            else:
-                term = f"{format_fraction(coeff)}*{var.name}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        if self._constant != 0 or not parts:
-            const = format_fraction(self._constant)
-            if parts and self._constant > 0:
-                parts.append(f"+ {const}")
-            elif parts:
-                parts.append(f"- {format_fraction(-self._constant)}")
-            else:
-                parts.append(const)
-        return " ".join(parts)
+        return format_terms(
+            sorted(self._coefficients.items(), key=lambda kv: kv[0].name),
+            self._constant)
 
 
 def format_fraction(value: Fraction) -> str:
@@ -389,6 +356,46 @@ def format_fraction(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def evaluate_terms(terms: Iterable[tuple[Variable, RationalLike]],
+                   point: Mapping[Variable, RationalLike]) -> Fraction:
+    """``sum(coeff * point[var])`` over ``(var, coeff)`` pairs (``point``
+    must bind every variable)."""
+    total = _ZERO
+    for var, coeff in terms:
+        if var not in point:
+            raise KeyError(f"point does not bind variable {var.name!r}")
+        total += coeff * to_fraction(point[var])
+    return total
+
+
+def format_terms(terms: Iterable[tuple[Variable, RationalLike]],
+                 constant: Fraction = _ZERO) -> str:
+    """Render ``sum(coeff * var) + constant`` from ``(var, coeff)``
+    pairs in the order given (``2*x - y + 3``)."""
+    parts: list[str] = []
+    for var, coeff in terms:
+        if coeff == 1:
+            term = var.name
+        elif coeff == -1:
+            term = f"-{var.name}"
+        else:
+            term = f"{format_fraction(coeff)}*{var.name}"
+        if parts and not term.startswith("-"):
+            parts.append(f"+ {term}")
+        elif parts:
+            parts.append(f"- {term[1:]}")
+        else:
+            parts.append(term)
+    if constant != 0 or not parts:
+        if parts and constant > 0:
+            parts.append(f"+ {format_fraction(constant)}")
+        elif parts:
+            parts.append(f"- {format_fraction(-constant)}")
+        else:
+            parts.append(format_fraction(constant))
+    return " ".join(parts)
 
 
 def sum_expressions(exprs: Iterable) -> LinearExpression:

@@ -1,9 +1,12 @@
 """Unit tests for linear constraint atoms and their normal form."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+import repro
 from repro.constraints.atoms import (
     Eq,
     Ge,
@@ -169,3 +172,59 @@ class TestIdentity:
 
     def test_str_renders_relop(self):
         assert "<=" in str(Le(x, 2))
+
+    def test_sort_key_orders_bounds_by_value(self):
+        half, third = Le(x, Fraction(1, 2)), Le(x, Fraction(1, 3))
+        assert sorted([half, third], key=LinearConstraint.sort_key) \
+            == [third, half]
+
+
+class TestRow:
+    def test_terms_are_the_coprime_integer_row(self):
+        atom = Le(Fraction(2, 3) * y - Fraction(4, 9) * x, 1)
+        assert atom.terms == ((x, -2), (y, 3))
+        assert all(type(c) is int for _, c in atom.terms)
+        assert atom.bound == Fraction(9, 2)
+        assert atom.coefficient(y) == 3 and atom.coefficient(x) == -2
+        assert atom.coefficient(variables("z")[0]) == 0
+
+    def test_expression_view_matches_the_row(self):
+        atom = Eq(3 * y, 6 * x + 9)
+        assert dict(atom.expression.coefficients) == dict(atom.terms)
+        assert LinearConstraint.build(atom.expression, atom.relop,
+                                      atom.bound) == atom
+
+    def test_rename_resorts_and_fixes_the_lead_sign(self):
+        u, z = variables("u z")
+        atom = Eq(x - 2 * y, 1).rename({x: z, y: u})
+        assert atom.terms == ((u, 2), (z, -1))
+        assert atom == Eq(z - 2 * u, 1)
+        assert str(atom) == "2*u - z = -1"
+
+
+#: Attribute chains that read an atom's stored row behind its back.
+_ROW_CHAINS = {("expression", "coefficients"), ("expression", "coefficient")}
+_ROW_SLOTS = {"_expr", "_coeffs"}
+
+
+def test_only_atoms_reads_the_row_format():
+    """Nothing under ``src/repro`` but ``constraints/atoms.py`` knows how
+    an atom stores its row: others read ``atom.terms`` /
+    ``atom.coefficient(v)``, never ``X.expression.coefficients``,
+    ``X.expression.coefficient(...)`` or the ``_expr`` / ``_coeffs``
+    slots."""
+    package = pathlib.Path(repro.__file__).parent
+    offenders = set()
+    for path in package.rglob("*.py"):
+        name = path.relative_to(package).as_posix()
+        if name == "constraints/atoms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            inner = node.value
+            if node.attr in _ROW_SLOTS or (
+                    isinstance(inner, ast.Attribute)
+                    and (inner.attr, node.attr) in _ROW_CHAINS):
+                offenders.add(f"{name}:{node.lineno}")
+    assert not offenders

@@ -149,20 +149,13 @@ class TestCanonicalKey:
         assert canonical_key(a, [x]) == canonical_key(b, [x])
 
 
-_MOVES = pytest.mark.xfail(strict=True, reason=(
-    "canonicalize is not idempotent on the existential families: 15 of "
-    "the 30 seeds here (every chained system) print differently when "
-    "canonicalised again, as 80 of 120 sampled objects did in ISSUE 23 "
-    "— ROADMAP item 4; `==` still holds"))
-
-
 @pytest.mark.parametrize("family", [
-    "conjunctive", "disjunctive",
-    pytest.param("existential", marks=_MOVES),
-    pytest.param("dex", marks=_MOVES)])
+    "conjunctive", "disjunctive", "existential", "dex"])
 def test_canonicalize_is_a_fixed_point(family):
     """Section 3.1's canonical form is the oid, so applying it again
-    must change nothing.  Fixed seeds: the strict mark cannot flake."""
+    must change nothing — on the existential families too, where
+    removing redundant atoms can make another elimination simplifying.
+    Fixed seeds, so a failure reproduces."""
     from tests.model.test_serialize_roundtrip import family_constraint
     for seed in range(30):
         once = canonicalize(family_constraint(family, seed))

@@ -33,6 +33,7 @@ class TestKnownShapes:
         verts = vertices_nd(simplex, [x, y, z])
         assert set(verts) == {(0, 0, 0), (1, 0, 0), (0, 1, 0),
                               (0, 0, 1)}
+        assert all(type(c) is Fraction for v in verts for c in v)
 
     def test_tesseract(self):
         cube4 = ConjunctiveConstraint(

@@ -49,6 +49,15 @@ class TestMaxMin:
         assert result.value == Fraction(4, 3)
 
 
+    @pytest.mark.parametrize("optimum", [max_value, min_value])
+    def test_value_and_witness_are_fractions(self, optimum):
+        # Pivots divide integer row entries (3 by 2, 1 by 7, ...).
+        result = optimum(x - y, conj(Le(2 * x + 3 * y, 7), Le(3 * x + y, 5),
+                                     Ge(2 * x + 3 * y, -7), Ge(3 * x + y, -5)))
+        assert type(result.value) is Fraction
+        assert all(type(c) is Fraction for c in result.point.values())
+
+
 class TestStrictness:
     def test_supremum_not_attained(self):
         result = max_value(x, conj(Lt(x, 1)))

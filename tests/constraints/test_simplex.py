@@ -88,6 +88,22 @@ class TestExactness:
         result = solve(x, [Le(eps * x, eps)])
         assert result.value == 1
 
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_optimum_and_witness_are_fractions(self, maximize):
+        # Every pivot divides one integer row entry by another (3 by 2,
+        # 1 by 7, ...): exact only if the tableau holds Fractions.
+        system = [Le(2 * x + 3 * y, 7), Le(3 * x + y, 5),
+                  Le(-2 * x - 3 * y, 7), Le(-3 * x - y, 5),
+                  Eq(z - 2 * x, 0)]
+        result = solve(x + y, system, maximize=maximize)
+        assert result.is_optimal
+        assert result.value == (Fraction(19, 7) if maximize
+                                else Fraction(-19, 7))
+        assert type(result.value) is Fraction
+        assert all(type(c) is Fraction for c in result.point.values())
+        point = feasible_point(system)
+        assert all(type(c) is Fraction for c in point.values())
+
 
 class TestDegenerate:
     def test_redundant_equalities(self):

@@ -460,8 +460,9 @@ class TestStoredCanonicalFormIsTheIdentity:
         store.db.schema.add_class(ClassDef(name="Item", attributes={
             "ext": AttributeDef("ext", CSTSpec(("x0", "x1")))}))
         rel = store.create_relation("R", ("id", "c"))
-        # Odd seeds: the existential forms that move when re-solved.
-        for family, seed in zip(FAMILIES, (1, 2, 3, 5)):
+        # Odd seeds take the chained existential systems; the dex of 11
+        # keeps a quantifier under canonicalisation.
+        for family, seed in zip(FAMILIES, (1, 2, 3, 11)):
             if family == "existential":
                 store.snapshot()  # those two replay from the WAL
             cst = family_object(family, seed)
