@@ -16,6 +16,7 @@ import sys
 
 from repro import lyric
 from repro.core.pipeline import render_trace
+from repro.core.translator import TranslationError
 from repro.errors import (
     ConstraintSyntaxError,
     LyricSyntaxError,
@@ -239,7 +240,12 @@ def _print_analysis(stats: ExecutionStats) -> None:
               f"{stats.parallel_fallbacks} serial fallbacks")
     print(f"numeric: {stats.numeric_accepts} accepts, "
           f"{stats.numeric_rejects} rejects, "
-          f"{stats.numeric_fallbacks} exact fallbacks")
+          f"{stats.numeric_fallbacks} exact fallbacks, "
+          f"{stats.template_rows} template rows")
+    engine = f"engine: {stats.engine_fallbacks} naive fallbacks"
+    if stats.engine_fallback_reason is not None:
+        engine += f" ({stats.engine_fallback_reason})"
+    print(engine)
     print(f"plan cache: {stats.plan_cache_hits} hits, "
           f"{stats.plan_cache_misses} misses, "
           f"{stats.plan_cache_invalidations} invalidations, "
@@ -291,7 +297,14 @@ def cmd_query(args) -> int:
     ctx = _context_from(args)
     if args.explain:
         if args.analyze:
-            print(lyric.explain(db, text, analyze=True, ctx=ctx))
+            try:
+                print(lyric.explain(db, text, analyze=True, ctx=ctx))
+            except TranslationError:
+                # No plan to annotate: run the engine rule, whose naive
+                # fallback the analysis names on its ``engine:`` line.
+                result = lyric.stream(db, text, ctx=ctx).result()
+                print(f"no translated plan: {len(result)} rows from "
+                      "the naive evaluator")
             _print_analysis(ctx.stats)
         else:
             print(lyric.explain(db, text, ctx=ctx))

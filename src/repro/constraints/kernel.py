@@ -15,9 +15,10 @@ correct, and the dominant cost of dense workloads.  This kernel runs a
   set, so a reject of the relaxation is a reject of the system.
 * :data:`FEASIBLE` — airtight, no ε-assumption: the LP produced a
   float point with margin ``t* < -ε``, and that point — converted
-  exactly via ``Fraction(float)`` — was verified against **every**
-  exact atom (strict, disequality, equality included) with rational
-  arithmetic.  A verdict of feasible is a constructive witness.
+  exactly to a rational (``float.as_integer_ratio``) — was verified
+  against **every** exact integer row (strict, disequality, equality
+  included) in integer arithmetic.  A verdict of feasible is a
+  constructive witness.
 * :data:`UNKNOWN` — anything in the ε band, any packing failure, any
   pivot-cap hit: the caller falls back to the exact solver.  The
   kernel never guesses.
@@ -35,7 +36,6 @@ is missing — see :func:`repro.runtime.numeric_available`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from repro.constraints import matrix
@@ -177,10 +177,23 @@ def _elastic_tableau(rows: Sequence[Sequence[float]],
 
 def _verified_point(ps: matrix.PackedSystem,
                     x: Sequence[float]) -> bool:
-    """Exact-rational membership of the float witness: ``Fraction``
-    conversion is exact, so acceptance carries no float assumption."""
-    point = {var: Fraction(val) for var, val in zip(ps.variables, x)}
-    return all(atom.holds_at(point) for atom in ps.atoms)
+    """Exact-rational membership of the float witness, row by row over
+    the system's exact integer rows: a float is exactly the rational
+    ``n / 2**k`` (:meth:`float.as_integer_ratio`), so over the point's
+    common power-of-two denominator ``d`` each row value is the integer
+    ``sum(a_j * x_j * d)`` and ``value relop p/q`` is ``value * q relop
+    p * d`` in integers — acceptance carries no float assumption."""
+    ratios = [val.as_integer_ratio() for val in x]
+    scale = max((den for _, den in ratios), default=1)
+    point = [num * (scale // den) for num, den in ratios]
+    for cols, coeffs, relop, bound in ps.exact:
+        value = 0
+        for j, coeff in zip(cols, coeffs):
+            value += coeff * point[j]
+        if not relop.holds(value * bound.denominator,
+                           bound.numerator * scale):
+            return False
+    return True
 
 
 def classify_system(ps: matrix.PackedSystem) -> int:

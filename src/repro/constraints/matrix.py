@@ -11,8 +11,11 @@ kernel`) consumes in batch, one packing per system instead of one
 Two layers:
 
 * :class:`PackedSystem` — one conjunctive body as float rows over the
-  body's own (system-local) variable order, with the exact atoms kept
-  alongside for the kernel's rational verification of accepts;
+  body's own (system-local) variable order, with its exact integer rows
+  kept alongside for the kernel's rational verification of accepts —
+  :func:`pack_rows` builds every one of them, whether from a
+  conjunction's atoms (:func:`pack_conjunction`) or straight from a
+  formula template's stored rows (:mod:`repro.core.formulas`);
 * :class:`ConstraintMatrix` — a *batch* of constraints (any family),
   flattened to their disjunct bodies, with column-major stacked numpy
   arrays (:meth:`ConstraintMatrix.stacked`) for the vectorized
@@ -22,8 +25,8 @@ Packing is *conservative*: any atom whose coefficients do not convert
 to finite floats (overflowing numerators, for instance) marks the body
 unsupported (``None``), and the kernel routes the system to the exact
 solver.  Disequalities are excluded from the float rows (they carve
-measure-zero sets the LP cannot see) but kept in the exact atom tuple,
-so an accepted sample point is still verified against them.
+measure-zero sets the LP cannot see) but kept in the exact rows, so
+an accepted sample point is still verified against them.
 """
 
 from __future__ import annotations
@@ -47,27 +50,34 @@ ROW_EQ = 1   # a . x  = b
 Unit = "list[PackedSystem | None] | None"
 
 
+#: One exact row of a packed system: the ascending column indices of
+#: its variables in the system's variable order, their coprime ``int``
+#: coefficients, its relop (``=``, ``<=``, ``<`` or ``!=``) and its
+#: rational bound — an atom's normalized row, indexed by column.
+ExactRow = tuple[tuple[int, ...], tuple[int, ...], Relop, Fraction]
+
+
 class PackedSystem:
     """One conjunctive body as float64 rows over local variables.
 
     ``rows[i][j]`` is the coefficient of ``variables[j]`` in row ``i``;
     ``kinds[i]`` is :data:`ROW_LE` or :data:`ROW_EQ`; ``scales[i]`` is
     the row's normalization ``max(1, sum |a_ij|, |b_i|)`` used by the
-    kernel's elastic margins.  ``atoms`` is the body's exact atom tuple
-    (every atom, including strict and disequality forms) — the ground
-    truth accepts are verified against.
+    kernel's elastic margins.  ``exact`` is the body's exact integer
+    rows (:data:`ExactRow`, every atom including strict and disequality
+    forms) — the ground truth accepts are verified against.
     """
 
     __slots__ = ("variables", "rows", "rhs", "kinds", "scales",
                  "has_equality", "has_strict", "has_disequality",
-                 "atoms")
+                 "exact")
 
     def __init__(self, variables: tuple[Variable, ...],
                  rows: list[list[float]], rhs: list[float],
                  kinds: list[int], scales: list[float],
                  has_equality: bool, has_strict: bool,
                  has_disequality: bool,
-                 atoms: tuple[LinearConstraint, ...]):
+                 exact: tuple[ExactRow, ...]):
         self.variables = variables
         self.rows = rows
         self.rhs = rhs
@@ -76,7 +86,7 @@ class PackedSystem:
         self.has_equality = has_equality
         self.has_strict = has_strict
         self.has_disequality = has_disequality
-        self.atoms = atoms
+        self.exact = exact
 
     @property
     def n_rows(self) -> int:
@@ -87,60 +97,87 @@ class PackedSystem:
         return len(self.variables)
 
 
-def _finite(value: Fraction) -> float | None:
-    """``float(value)`` when finite and representable, else ``None``."""
+#: A row's float form: its coefficients (aligned with its columns), its
+#: bound, and its scale ``max(1, sum |a_j|, |b|)`` — or ``None`` when a
+#: value does not convert to a finite float.
+FloatRow = tuple[tuple[float, ...], float, float] | None
+
+
+def float_row(coeffs: tuple[int, ...], bound: Fraction) -> FloatRow:
+    """The float form of one exact row (what :func:`pack_rows` reads)."""
     try:
-        f = float(value)
-    except (OverflowError, ValueError):
+        floats = tuple(map(float, coeffs))
+        value = bound.numerator / bound.denominator     # float(bound)
+    except OverflowError:
         return None
-    if f != f or f in (float("inf"), float("-inf")):
-        return None
-    return f
+    norm = 0.0
+    for f in floats:
+        norm += abs(f)
+    return floats, value, max(1.0, norm, abs(value))
 
 
-def pack_conjunction(conj: ConjunctiveConstraint
-                     ) -> "PackedSystem | None":
-    """Pack one conjunctive body; ``None`` when any coefficient does
-    not convert to a finite float (the body then stays exact-only)."""
-    variables = sorted(conj.variables, key=lambda v: v.name)
-    index = {v: j for j, v in enumerate(variables)}
+def pack_rows(variables: tuple[Variable, ...],
+              entries: list[tuple[ExactRow, FloatRow]]
+              ) -> PackedSystem | None:
+    """The row packer: one conjunctive body given as exact integer rows
+    over ``variables`` (column indices into it), each with its
+    :func:`float_row`, in conjunction order.
+
+    Trivially-true rows (no columns) are dropped; a trivially-false one,
+    or an inequality or equality whose values do not convert to finite
+    floats, gives ``None`` — the body then stays exact-only."""
     width = len(variables)
     rows: list[list[float]] = []
     rhs: list[float] = []
     kinds: list[int] = []
     scales: list[float] = []
+    kept: list = []
     has_eq = has_strict = has_ne = False
-    for atom in conj.atoms:
-        if atom.is_trivial:
-            if not atom.trivial_truth():
+    for exact, converted in entries:
+        cols, _, relop, bound = exact
+        if not cols:
+            if not relop.holds(0, bound):
                 return None     # syntactically false: exact path
             continue
-        if atom.relop is Relop.NE:
+        kept.append(exact)
+        if relop is Relop.NE:
             has_ne = True
             continue            # measure-zero; verified exactly
-        row = [0.0] * width
-        norm = 0.0
-        for var, coeff in atom.terms:
-            f = _finite(coeff)
-            if f is None:
-                return None
-            row[index[var]] = f
-            norm += abs(f)
-        bound = _finite(atom.bound)
-        if bound is None:
+        if converted is None:
             return None
-        if atom.relop is Relop.EQ:
+        floats, value, scale = converted
+        row = [0.0] * width
+        for j, f in zip(cols, floats):
+            row[j] = f
+        if relop is Relop.EQ:
             has_eq = True
             kinds.append(ROW_EQ)
         else:
-            if atom.relop is Relop.LT:
+            if relop is Relop.LT:
                 has_strict = True
             kinds.append(ROW_LE)
         rows.append(row)
-        rhs.append(bound)
-        scales.append(max(1.0, norm, abs(bound)))
-    return PackedSystem(tuple(variables), rows, rhs, kinds, scales,
-                        has_eq, has_strict, has_ne, conj.atoms)
+        rhs.append(value)
+        scales.append(scale)
+    return PackedSystem(variables, rows, rhs, kinds, scales,
+                        has_eq, has_strict, has_ne, tuple(kept))
+
+
+def pack_conjunction(conj: ConjunctiveConstraint
+                     ) -> "PackedSystem | None":
+    """Pack one conjunctive body through :func:`pack_rows`; ``None``
+    when any coefficient does not convert to a finite float (the body
+    then stays exact-only)."""
+    variables = tuple(sorted(conj.variables, key=lambda v: v.name))
+    index = {v: j for j, v in enumerate(variables)}
+    entries = []
+    for atom in conj.atoms:
+        terms = atom.terms
+        coeffs = tuple(coeff for _, coeff in terms)
+        entries.append(((tuple(index[var] for var, _ in terms), coeffs,
+                         atom.relop, atom.bound),
+                        float_row(coeffs, atom.bound)))
+    return pack_rows(variables, entries)
 
 
 def bodies_of(constraint: object

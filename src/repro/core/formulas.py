@@ -20,6 +20,13 @@ object by:
 4. composing with ``and``/``or``/``not`` under the family rules, and
    projecting onto the formula head.
 
+A WHERE ``SAT`` formula without a head is also compiled once per plan
+into a :class:`FormulaTemplate` (Section 5 evaluates a fixed query, so
+for each row the formula is the same linear system with that row's
+stored constraints put in): :func:`formula_units` packs a whole batch of
+rows for the numeric kernel straight from the stored integer rows,
+and gives exactly what packing the instantiated body would.
+
 One refinement over a literal reading of the paper: an implicit edge
 equality is only *emitted* when its actual-parameter variable is used
 somewhere else in the formula (or is a head variable).  When the actual
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from repro.constraints import matrix
 from repro.constraints.atoms import Eq, LinearConstraint, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import (
@@ -54,6 +62,7 @@ from repro.errors import EvaluationError
 from repro.model.database import Database
 from repro.model.oid import CstOid, LiteralOid, Oid
 from repro.model.paths import PathExpression, VarRef, path_values
+from repro.runtime.context import current_context
 
 _RELOP_MAP = {
     "=": Relop.EQ, "!=": Relop.NE, "<": Relop.LT, "<=": Relop.LE,
@@ -79,11 +88,8 @@ def instantiate_body(db: Database, analysis: AnalyzedQuery,
     families), plus the not-yet-emitted implicit edge equalities and
     the anchors that can resolve them."""
     if isinstance(node, ast.FAtom):
-        left = _arith(db, analysis, node.left, env)
-        right = _arith(db, analysis, node.right, env)
-        atom = ConjunctiveConstraint.of(
-            LinearConstraint.build(left, _RELOP_MAP[node.relop], right))
-        return atom, [], []
+        atom = _build_atom(db, analysis, node, env)
+        return ConjunctiveConstraint.of(atom), [], []
     if isinstance(node, ast.FRef):
         return _ref_constraint(db, analysis, node, env)
     if isinstance(node, ast.FAnd):
@@ -222,6 +228,305 @@ def _side(db, analysis, formula: ast.CstFormula, env):
         return cst.constraint, cst.schema
     body = instantiate_formula(db, analysis, formula, env)
     return body, None
+
+
+# ---------------------------------------------------------------------------
+# Formula templates (the batched WHERE satisfiability predicate)
+# ---------------------------------------------------------------------------
+
+
+#: Template part kinds: a bare-variable reference, an atom whose leaves
+#: are constants and ``$params`` only, an atom that reads the row.
+_REF, _FIXED, _ROW_ATOM = range(3)
+
+#: Relops whose stored row leads with a positive coefficient.
+_SIGN_SYMMETRIC = (Relop.EQ, Relop.NE)
+
+
+class FormulaTemplate:
+    """The conjunctive spine (``and`` / ``TRUE`` / references / atoms)
+    of a WHERE ``SAT`` formula without a projection head, compiled
+    once per plan.
+
+    ``variables`` is every constraint variable the spine can mention,
+    sorted by name: the column order of the systems it packs, before
+    the columns a row does not use drop out.  ``parts`` follow the
+    spine in conjunction order: ``(_REF, cell position, declared
+    dimension, column of each stored schema position)`` — the
+    positional rename stored schema → declared spec → explicit
+    arguments as a column map — or ``(_FIXED | _ROW_ATOM, atom node)``.
+    """
+
+    __slots__ = ("variables", "parts")
+
+    def __init__(self, variables: tuple[Variable, ...], parts: tuple):
+        self.variables = variables
+        self.parts = parts
+
+
+def compile_template(analysis: AnalyzedQuery, formula: ast.CstFormula,
+                     columns: tuple[str, ...]
+                     ) -> FormulaTemplate | None:
+    """The template of a SAT formula over the row ``columns``, or
+    ``None`` when the formula has a shape the template does not cover
+    (a head, ``or`` / ``not``, a path-source reference, a reference on
+    an interface-renamed edge, repeated arguments, or a reference whose
+    names are only known from the stored cell)."""
+    if formula.head is not None:
+        return None
+    spine: list[ast.Formula] = []
+    if not _spine(formula.body, spine):
+        return None
+    names: set[str] = set()
+    refs: dict[ast.FRef, tuple[int, tuple[str, ...]]] = {}
+    row_atoms: set[ast.FAtom] = set()
+    for node in spine:
+        if isinstance(node, ast.FAtom):
+            if _reads_row(node.left, columns, names) \
+                    | _reads_row(node.right, columns, names):
+                row_atoms.add(node)
+            continue
+        if not isinstance(node.source, str):
+            return None
+        info = analysis.ref_info.get(node)
+        spec = info.spec if info is not None else None
+        if info is not None and info.last_edge is not None \
+                and info.last_edge.interface_args is not None:
+            return None
+        if node.args is not None:
+            targets = tuple(node.args)
+            if spec is not None and spec.dimension != len(targets):
+                return None
+        elif spec is not None:
+            targets = tuple(v.name for v in spec.variables)
+        else:
+            return None
+        if len(set(targets)) != len(targets):
+            return None
+        names.update(targets)
+        refs[node] = (columns.index(node.source), targets)
+    order = sorted(names)
+    slot = {name: j for j, name in enumerate(order)}
+    parts = []
+    for node in spine:
+        if isinstance(node, ast.FRef):
+            position, targets = refs[node]
+            parts.append((_REF, position, len(targets),
+                          tuple(slot[t] for t in targets)))
+        else:
+            parts.append((_ROW_ATOM if node in row_atoms else _FIXED,
+                          node))
+    return FormulaTemplate(tuple(Variable(n) for n in order),
+                           tuple(parts))
+
+
+def _spine(node: ast.Formula, out: list) -> bool:
+    """Collect the references and atoms of a conjunctive spine in
+    conjunction order; ``False`` for any other shape."""
+    if isinstance(node, ast.FAnd):
+        return all(_spine(part, out) for part in node.parts)
+    if isinstance(node, (ast.FRef, ast.FAtom)):
+        out.append(node)
+        return True
+    return isinstance(node, ast.FTrue)
+
+
+def _reads_row(node: ast.Arith, columns: tuple[str, ...],
+               names: set[str]) -> bool:
+    """Whether an atom side reads the row (a path, or a name the row
+    binds); the names it leaves to the constraint go into ``names``."""
+    if isinstance(node, ast.AName):
+        if node.name in columns:
+            return True
+        names.add(node.name)
+        return False
+    if isinstance(node, ast.APath):
+        return True
+    if isinstance(node, ast.ABinary):
+        return _reads_row(node.left, columns, names) \
+            | _reads_row(node.right, columns, names)
+    if isinstance(node, ast.ANeg):
+        return _reads_row(node.operand, columns, names)
+    return False
+
+
+def formula_units(db: Database, analysis: AnalyzedQuery,
+                  formula: ast.CstFormula, columns: tuple[str, ...],
+                  template: FormulaTemplate | None,
+                  cells: list[tuple]) -> list:
+    """The packed units (:mod:`repro.constraints.matrix`) of a WHERE
+    ``SAT`` formula without a head for a batch of rows — ``cells[i]``
+    holds row ``i``'s values for ``columns``.
+
+    A row the template covers is packed from its cells' stored integer
+    rows and gives the unit ``matrix.pack_constraint`` of the
+    instantiated body would: the same variable order, rows in
+    conjunction order with duplicates dropped at their first
+    occurrence, the same ``=`` / ``!=`` lead sign after a rename.  Any
+    other row — a cell that is not a CST object holding a conjunction
+    of the declared dimension, or no template at all — is instantiated
+    and packed as such; a row whose instantiation raises gets ``None``,
+    so the exact test reproduces the error.  Rows packed by the
+    template are booked as ``template_rows``."""
+    def generic(values: tuple):
+        try:
+            constraint = instantiate_formula(
+                db, analysis, formula, dict(zip(columns, values)))
+        except Exception:
+            return None
+        return matrix.pack_constraint(constraint)
+
+    if template is None:
+        return [generic(values) for values in cells]
+    slot = {var.name: j for j, var in enumerate(template.variables)}
+    fixed: dict[int, list] = {}
+    for i, part in enumerate(template.parts):
+        if part[0] == _FIXED:
+            try:
+                row = _atom_row(_build_atom(db, analysis, part[1], {}),
+                                slot)
+            except Exception:
+                row = None
+            if row is None:
+                return [generic(values) for values in cells]
+            fixed[i] = [row]
+    stored: dict[tuple[int, int], list | None] = {}
+    units: list = []
+    templated = 0
+    for values in cells:
+        entries: list = []
+        env = None
+        for i, part in enumerate(template.parts):
+            kind = part[0]
+            if kind == _REF:
+                cell = values[part[1]]
+                key = (i, id(cell))
+                if key not in stored:
+                    stored[key] = _cell_rows(cell, part[2], part[3])
+                mapped = stored[key]
+            elif kind == _FIXED:
+                mapped = fixed[i]
+            else:
+                if env is None:
+                    env = dict(zip(columns, values))
+                try:
+                    atom = _build_atom(db, analysis, part[1], env)
+                except Exception:
+                    units.append(None)
+                    break
+                row = _atom_row(atom, slot)
+                mapped = [row] if row is not None else None
+            if mapped is None:
+                units.append(generic(values))
+                break
+            entries.extend(mapped)
+        else:
+            units.append(_pack_template_rows(template.variables,
+                                             entries))
+            templated += 1
+    current_context().stats.template_rows += templated
+    return units
+
+
+def _build_atom(db: Database, analysis: AnalyzedQuery,
+                node: ast.FAtom, env) -> LinearConstraint:
+    """The atom an ``FAtom`` instantiates to."""
+    return LinearConstraint.build(_arith(db, analysis, node.left, env),
+                                  _RELOP_MAP[node.relop],
+                                  _arith(db, analysis, node.right, env))
+
+
+def _atom_row(atom: LinearConstraint, slot: dict[str, int]):
+    """An atom's exact row over the template's columns (as
+    :func:`_entry`), or ``None`` when it mentions a variable outside
+    them."""
+    terms = atom.terms
+    cols = []
+    for var, _ in terms:
+        j = slot.get(var.name)
+        if j is None:
+            return None
+        cols.append(j)
+    return _entry(tuple(cols), tuple(coeff for _, coeff in terms),
+                  atom.relop, atom.bound)
+
+
+def _entry(cols: tuple[int, ...], coeffs: tuple[int, ...], relop: Relop,
+           bound: Fraction) -> tuple:
+    """An exact row as ``(identity key, row, float form)``: the key is
+    the row in plain ``int`` / ``str`` form, which hashes without
+    ``Fraction`` or ``Enum`` work; the float form is converted once
+    for every system the row goes into."""
+    return ((cols, coeffs, relop.value, bound.numerator,
+             bound.denominator), (cols, coeffs, relop, bound),
+            matrix.float_row(coeffs, bound))
+
+
+def _cell_rows(cell, dimension: int, targets: tuple[int, ...]
+               ) -> list | None:
+    """A reference cell's stored atoms as exact rows over the template's
+    columns (as :func:`_entry`; stored schema position ``i`` → column
+    ``targets[i]``), re-sorted by column and with the ``=`` / ``!=``
+    lead sign fixed as :meth:`LinearConstraint.rename` does; ``None``
+    unless the cell is a CST object holding a conjunction of
+    ``dimension``."""
+    if not isinstance(cell, CstOid):
+        return None
+    cst = cell.cst
+    constraint = cst.constraint
+    if type(constraint) is not ConjunctiveConstraint \
+            or cst.dimension != dimension:
+        return None
+    column = dict(zip(cst.schema, targets))
+    # A column map that keeps the stored name order keeps every row
+    # sorted and its lead coefficient in place.
+    stored = sorted(cst.schema, key=lambda var: var.name)
+    in_order = all(column[a] < column[b]
+                   for a, b in zip(stored, stored[1:]))
+    rows = []
+    for atom in constraint.atoms:
+        terms = atom.terms
+        relop, bound = atom.relop, atom.bound
+        if in_order:
+            cols = tuple([column[var] for var, _ in terms])
+            coeffs = tuple([coeff for _, coeff in terms])
+        else:
+            pairs = sorted([(column[var], coeff) for var, coeff in terms])
+            cols = tuple([j for j, _ in pairs])
+            coeffs = tuple([coeff for _, coeff in pairs])
+            if pairs and relop in _SIGN_SYMMETRIC and coeffs[0] < 0:
+                coeffs = tuple([-coeff for coeff in coeffs])
+                bound = -bound
+        rows.append(_entry(cols, coeffs, relop, bound))
+    return rows
+
+
+def _pack_template_rows(variables: tuple[Variable, ...], entries: list):
+    """One row's unit from its exact rows over the template's columns:
+    the conjunction's cleaning (trivially-true rows dropped, duplicates
+    dropped at their first occurrence, a trivially-false row making
+    the body FALSE — the empty unit), then the columns the rows use."""
+    seen: set = set()
+    kept = []
+    used: set[int] = set()
+    for key, row, converted in entries:
+        cols = row[0]
+        if not cols:
+            if not row[2].holds(0, row[3]):
+                return []
+            continue
+        if key not in seen:
+            seen.add(key)
+            kept.append((row, converted))
+            used.update(cols)
+    if len(used) < len(variables):
+        order = sorted(used)
+        local = {j: k for k, j in enumerate(order)}
+        variables = tuple(variables[j] for j in order)
+        kept = [((tuple(local[j] for j in cols), coeffs, relop, bound),
+                 converted)
+                for (cols, coeffs, relop, bound), converted in kept]
+    return [matrix.pack_rows(variables, kept)]
 
 
 # ---------------------------------------------------------------------------

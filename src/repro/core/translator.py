@@ -367,22 +367,26 @@ class _Translator:
             return formulas.satisfiable(bound_db(db), analysis,
                                         formula, env)
 
-        conjunction = None
+        units = None
         if formula.head is None:
             # Unprojected SAT formulas are exactly "the instantiated
             # body is satisfiable", so the batched numeric kernel can
-            # classify the instantiated constraint directly.  (A
-            # projection head changes the object tested, not its
-            # emptiness — but keep heads on the exact path, where the
-            # row-wise test builds them.)
-            def conjunction(*values, _cols=columns):
-                env = dict(zip(_cols, values))
-                return formulas.instantiate_formula(
-                    bound_db(db), analysis, formula, env)
+            # classify the packed body directly — from the formula's
+            # template where it covers the row.  (A projection head
+            # changes the object tested, not its emptiness — but keep
+            # heads on the exact path, where the row-wise test builds
+            # them.)
+            template = formulas.compile_template(analysis, formula,
+                                                 columns)
+
+            def units(cells, _cols=columns):
+                return formulas.formula_units(bound_db(db), analysis,
+                                              formula, _cols, template,
+                                              cells)
 
         return algebra.CstPredicate(columns, test, "SAT",
                                     self._conjunct_boxers(formula),
-                                    conjunction)
+                                    units)
 
     def _conjunct_boxers(self, formula: ast.CstFormula
                          ) -> tuple[tuple[str, object], ...]:

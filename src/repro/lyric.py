@@ -162,7 +162,9 @@ def stream(db: Database, text: str | ast.Query,
     translatable fragment fall back to the naive evaluator, as does any
     run under fault injection (a cached plan would shift the fault
     schedule's compile-phase ticks) and any ``translated=False`` call;
-    :attr:`QueryStream.engine` reports which path was taken.
+    :attr:`QueryStream.engine` reports which path was taken, and the
+    context's stats book each fallback with its reason
+    (``engine_fallbacks`` / ``engine_fallback_reason``).
 
     Compilation (parse, analysis, and — when translated — the plan
     pipeline) runs eagerly, so syntax and semantic problems surface
@@ -175,17 +177,23 @@ def stream(db: Database, text: str | ast.Query,
         overrides["use_optimizer"] = use_optimizer
     call_ctx = _call_context(guard, ctx, **overrides)
     query_ast = parse_query(text) if isinstance(text, str) else text
-    if translated and call_ctx.faults is None:
+    if not translated:
+        reason = "translated=False"
+    elif call_ctx.faults is not None:
+        reason = "fault plan"
+    else:
         pipeline = Pipeline(db, call_ctx)
         try:
             compiled = pipeline.compile(query_ast)
-        except TranslationError:
-            pass
+        except TranslationError as exc:
+            reason = str(exc)
         else:
             return QueryStream(call_ctx, compiled.columns,
                                pipeline.stream_compiled(compiled),
                                "translated")
     analysis = analyze_query(db.schema, query_ast)
+    call_ctx.stats.engine_fallbacks += 1
+    call_ctx.stats.engine_fallback_reason = reason
     return QueryStream(call_ctx, _column_names(analysis.query),
                        stream_analyzed(db, analysis, ctx=call_ctx),
                        "naive")

@@ -125,6 +125,16 @@ class ExecutionStats:
     numeric_accepts: int = 0
     numeric_rejects: int = 0
     numeric_fallbacks: int = 0
+    #: Rows a WHERE formula template packed straight from stored rows
+    #: (:func:`repro.core.formulas.formula_units`).
+    template_rows: int = 0
+    # -- engine rule ---------------------------------------------------
+    #: Queries :func:`repro.lyric.stream` ran on the naive evaluator,
+    #: and why the latest of them did: the translator's message,
+    #: ``"fault plan"`` or ``"translated=False"``.
+    engine_fallbacks: int = 0
+    engine_fallback_reason: str | None = field(
+        default=None, metadata={"merge": "first"})
     # -- box index / parallel execution --------------------------------
     #: Box indexes constructed from scratch (index-cache misses).
     index_builds: int = 0

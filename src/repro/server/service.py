@@ -174,6 +174,9 @@ class ServiceStats:
         #: Requests that had to rebuild the database's flat catalog,
         #: by reason (their number is ``execution.catalog_rebuilds``).
         self.catalog_rebuild_reasons = dict.fromkeys(REBUILD_REASONS, 0)
+        #: Requests the engine rule ran on the naive evaluator, by
+        #: reason (their number is ``execution.engine_fallbacks``).
+        self.engine_fallback_reasons: dict[str, int] = {}
 
     def record_request(self, stats: ExecutionStats | None, *,
                        rows: int = 0, outcome: str = "ok") -> None:
@@ -195,6 +198,10 @@ class ServiceStats:
                 if reason is not None:
                     self.catalog_rebuild_reasons[reason] = \
                         self.catalog_rebuild_reasons.get(reason, 0) + 1
+                reason = stats.engine_fallback_reason
+                if reason is not None:
+                    self.engine_fallback_reasons[reason] = \
+                        self.engine_fallback_reasons.get(reason, 0) + 1
 
     def note_dedup(self, hit: bool) -> None:
         with self._lock:
@@ -249,6 +256,8 @@ class ServiceStats:
                     dict(self.process_fallback_reasons),
                 "catalog_rebuild_reasons":
                     dict(self.catalog_rebuild_reasons),
+                "engine_fallback_reasons":
+                    dict(self.engine_fallback_reasons),
                 #: The process-wide worker-pool account — in particular
                 #: ``pool_cold_starts``, the warm-pool satellite's
                 #: observable.

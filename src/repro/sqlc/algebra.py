@@ -495,21 +495,22 @@ class CstPredicate(Predicate):
     boxers to SAT predicates over conjunctions; the optimizer uses them
     to select :class:`IndexJoin`.
 
-    ``conjunction`` optionally exposes the predicate's *extractable*
-    form to the batched numeric kernel: called with the same oids as
-    ``test``, it returns a constraint object such that ``test`` is
-    exactly "that constraint is satisfiable" (or raises/returns
-    ``None``, in which case the row silently takes the exact row-wise
-    path).  The translator attaches it to unprojected SAT predicates;
-    :mod:`repro.sqlc.batch` uses it to evaluate whole filters with one
-    kernel call per chunk.
+    ``units`` optionally exposes the predicate to the batched numeric
+    kernel: called with a batch of rows' oid tuples for ``columns``, it
+    returns one packed unit (:mod:`repro.constraints.matrix`) per row,
+    of a constraint such that ``test`` is exactly "that constraint is
+    satisfiable" — ``None`` for a row it cannot pack, which then
+    silently takes the exact row-wise path.  The translator attaches it
+    to unprojected SAT predicates (:func:`repro.core.formulas.
+    formula_units`); :mod:`repro.sqlc.batch` uses it to evaluate whole
+    filters with one kernel call per chunk.
     """
 
     columns: tuple[str, ...]
     test: Callable[..., bool]
     label: str = "cst"
     boxers: tuple[tuple[str, Callable], ...] = ()
-    conjunction: Callable[..., object] | None = None
+    units: Callable[[list], list] | None = None
 
     def __call__(self, row):
         return self.test(*(row[c] for c in self.columns))

@@ -3,22 +3,21 @@
 The row-wise evaluator (:func:`repro.runtime.parallel.filter_rows`)
 calls the predicate once per row, and each constraint predicate call
 walks the exact solver.  This module evaluates whole filters with one
-kernel call per chunk instead, whenever the predicate exposes an
-*extractable* constraint form
-(:attr:`~repro.sqlc.algebra.CstPredicate.conjunction`):
+kernel call per chunk instead, whenever the predicate exposes a
+batch packer (:attr:`~repro.sqlc.algebra.CstPredicate.units`):
 
-1. non-constraint conjuncts *preceding* the extractable one run
+1. non-constraint conjuncts *preceding* the packable one run
    row-wise first (preserving ``And``'s short-circuit semantics —
    a row rejected early never reaches the constraint, exactly as in
    the row-wise evaluator);
-2. surviving rows' constraints are extracted, packed into a
+2. surviving rows are packed by one ``units`` call into a
    :class:`~repro.constraints.matrix.ConstraintMatrix`, and classified
    by one :func:`~repro.constraints.kernel.classify_matrix` call;
 3. rows the kernel could not decide fall back to the *original*
    predicate through the row-wise evaluator, under a derived context
    with numeric off — exact semantics, exact error behaviour, same
    parallel partitioning as before;
-4. conjuncts *after* the extractable one run row-wise on survivors.
+4. conjuncts *after* the packable one run row-wise on survivors.
 
 Output rows and their order are identical to the row-wise evaluator's
 by construction: the kernel only replaces individual boolean answers,
@@ -44,42 +43,24 @@ MIN_BATCH = 8
 
 def _split(predicate: Predicate
            ) -> "tuple[tuple, CstPredicate, tuple] | None":
-    """``(pre, extractable, post)`` decomposition of the predicate, or
-    ``None`` when no conjunct carries an extractor."""
+    """``(pre, packable, post)`` decomposition of the predicate, or
+    ``None`` when no conjunct carries a batch packer."""
     if isinstance(predicate, CstPredicate):
-        if predicate.conjunction is not None:
+        if predicate.units is not None:
             return (), predicate, ()
         return None
     if isinstance(predicate, And):
         for i, part in enumerate(predicate.parts):
-            if isinstance(part, CstPredicate) \
-                    and part.conjunction is not None:
+            if isinstance(part, CstPredicate) and part.units is not None:
                 return (predicate.parts[:i], part,
                         predicate.parts[i + 1:])
     return None
 
 
-def _units_for(cst: CstPredicate, cells: Sequence[tuple]) -> list:
-    """Packed units for the extracted constraints of ``cells`` (the
-    per-row oid tuples for ``cst.columns``).  ``None`` entries mark
-    rows whose extraction failed — they take the exact path, where the
-    original ``test`` reproduces any error."""
-    extractor = cst.conjunction
-    units = []
-    for values in cells:
-        try:
-            constraint = extractor(*values)
-        except Exception:
-            constraint = None
-        units.append(matrix.pack_constraint(constraint)
-                     if constraint is not None else None)
-    return units
-
-
 def filter_rows(columns: Sequence[str], rows: list, predicate,
                 ctx=None) -> list:
     """Drop-in for :func:`repro.runtime.parallel.filter_rows` that
-    batches extractable constraint predicates through the numeric
+    batches packable constraint predicates through the numeric
     kernel."""
     resolved = context_mod.resolve(ctx)
     plan = None
@@ -93,12 +74,13 @@ def filter_rows(columns: Sequence[str], rows: list, predicate,
     position = {c: i for i, c in enumerate(cols)}
     cst_idx = [position[c] for c in cst.columns]
 
-    dicts = [dict(zip(cols, row)) for row in rows]
+    # Row dicts only for the row-wise conjuncts around the packed one.
+    dicts = [dict(zip(cols, row)) for row in rows] if pre or post else []
     alive = [i for i in range(len(rows))
              if all(p(dicts[i]) for p in pre)]
 
-    units = _units_for(cst, [tuple(rows[i][j] for j in cst_idx)
-                             for i in alive])
+    units = cst.units([tuple(rows[i][j] for j in cst_idx)
+                       for i in alive])
     cm = matrix.ConstraintMatrix.from_units(units)
     verdicts = kernel.classify_matrix(cm, resolved)
 
@@ -132,5 +114,5 @@ def filter_rows(columns: Sequence[str], rows: list, predicate,
             else:
                 keep[i] = False
 
-    return [rows[i] for i in range(len(rows))
-            if keep.get(i) and all(p(dicts[i]) for p in post)]
+    return [rows[i] for i in alive
+            if keep[i] and all(p(dicts[i]) for p in post)]

@@ -358,8 +358,8 @@ def _sweep(lefts: list, rights: list) -> list[tuple[int, int]]:
 
 
 #: Side-size floor below which the vectorized all-pairs overlap costs
-#: more than the sweep, and product ceiling above which its dense
-#: boolean matrix is not worth the memory.
+#: more than the sweep, and the most cells one of its dense boolean
+#: blocks may hold (a larger probe compares in slices of left rows).
 VECTOR_MIN_SIDE = 32
 VECTOR_MAX_PRODUCT = 4_000_000
 
@@ -382,12 +382,16 @@ def _float_ends(intervals: list, np) -> "tuple | None":
 def _vector_overlap(lefts: list, rights: list
                     ) -> "list[tuple[int, int]] | None":
     """Numpy all-pairs interval overlap, or ``None`` when numpy is
-    missing, the sides are too small/large, or endpoints overflow."""
+    missing, a side is too small, or endpoints overflow.
+
+    Left rows are compared in slices of at most
+    ``VECTOR_MAX_PRODUCT // len(rights)`` rows, so no boolean block
+    outgrows :data:`VECTOR_MAX_PRODUCT` cells; the slices run in order,
+    so pairs come out in the row-major order of one unsliced block."""
     np = numeric_mod.get_numpy()
     if np is None:
         return None
-    if len(lefts) < VECTOR_MIN_SIDE or len(rights) < VECTOR_MIN_SIDE \
-            or len(lefts) * len(rights) > VECTOR_MAX_PRODUCT:
+    if len(lefts) < VECTOR_MIN_SIDE or len(rights) < VECTOR_MIN_SIDE:
         return None
     left_ends = _float_ends(lefts, np)
     right_ends = _float_ends(rights, np)
@@ -395,10 +399,15 @@ def _vector_overlap(lefts: list, rights: list
         return None
     llo, lhi = left_ends
     rlo, rhi = right_ends
-    overlap = (llo[:, None] <= rhi[None, :]) \
-        & (rlo[None, :] <= lhi[:, None])
-    return [(lefts[i][2], rights[j][2])
-            for i, j in np.argwhere(overlap)]
+    step = max(1, VECTOR_MAX_PRODUCT // len(rights))
+    pairs: list[tuple[int, int]] = []
+    for start in range(0, len(lefts), step):
+        stop = start + step
+        overlap = (llo[start:stop, None] <= rhi[None, :]) \
+            & (rlo[None, :] <= lhi[start:stop, None])
+        pairs.extend((lefts[start + i][2], rights[j][2])
+                     for i, j in np.argwhere(overlap))
+    return pairs
 
 
 def _overlapping_pairs(lefts: list, rights: list,

@@ -283,7 +283,7 @@ def _rename_predicate(pred: Predicate,
             pred.test, pred.label,
             tuple((reverse.get(c, c), boxer)
                   for c, boxer in pred.boxers),
-            pred.conjunction)
+            pred.units)
     return None
 
 

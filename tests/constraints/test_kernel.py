@@ -44,7 +44,7 @@ class TestPacking:
         assert ps.n_rows == 3
         assert ps.has_disequality
         assert not ps.has_equality
-        assert len(ps.atoms) == 4
+        assert len(ps.exact) == 4
         assert all(s >= 1.0 for s in ps.scales)
 
     def test_overflowing_coefficients_are_unsupported(self):

@@ -232,6 +232,24 @@ class TestAnalyzeTrace:
         assert "cache:" in out and "prefilter:" in out \
             and "index:" in out
 
+    def test_analyze_names_the_engine_and_template_rows(self, capsys):
+        assert main(["query", "--office", "--explain", "--analyze",
+                     self.QUERY]) == 0
+        out = capsys.readouterr().out
+        assert "engine: 0 naive fallbacks\n" in out
+        assert " template rows\n" in out
+
+    def test_analyze_of_a_naive_query_names_the_reason(self, capsys):
+        """No translated plan to annotate: the rule's naive run is
+        analysed instead, and the ``engine:`` line says why."""
+        assert main(["query", "--office", "--explain", "--analyze",
+                     "SELECT A FROM Drawer D WHERE D.A['red']"]) == 0
+        out = capsys.readouterr().out
+        assert "no translated plan: 1 rows from the naive evaluator" \
+            in out
+        assert "engine: 1 naive fallbacks (attribute variables are " \
+            "outside the translatable fragment" in out
+
     def test_plain_explain_has_no_trace(self, capsys):
         assert main(["query", "--office", "--explain",
                      self.QUERY]) == 0

@@ -2,10 +2,11 @@
 
 import pytest
 
+from bench import text as bench_text
 from repro import lyric
 from repro.core.pipeline import CompiledQuery, Pipeline, render_trace
 from repro.model.office import build_office_database
-from repro.runtime import ExecutionGuard
+from repro.runtime import ExecutionGuard, FaultPlan
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.runtime.plancache import clear_global_plan_cache
 from repro.sqlc.optimizer import LOGICAL_RULES, PHYSICAL_RULES
@@ -152,6 +153,41 @@ class TestQueryStreamAsAValue:
         assert result.warnings == expected.warnings
         assert stream.stats.exhausted \
             == ("pivots" if max_pivots else None)
+
+
+class TestEngineFallbacksAreCounted:
+    """``lyric.stream`` books each naive fallback with its reason."""
+
+    def test_an_attribute_variable_books_the_translator_reason(
+            self, office):
+        ctx = QueryContext(stats=ExecutionStats())
+        lyric.stream(office, "SELECT A FROM Drawer D WHERE D.A['red']",
+                     ctx=ctx).result()
+        assert ctx.stats.engine_fallbacks == 1
+        assert ctx.stats.engine_fallback_reason.startswith(
+            "attribute variables are outside the translatable fragment")
+
+    @pytest.mark.parametrize("options, reason", [
+        ({"translated": False}, "translated=False"),
+        ({"guard": ExecutionGuard(faults=FaultPlan())}, "fault plan"),
+    ])
+    def test_a_requested_fallback_names_itself(self, office, options,
+                                               reason):
+        ctx = QueryContext(stats=ExecutionStats())
+        lyric.stream(office, QUERY, ctx=ctx, **options).result()
+        assert ctx.stats.engine_fallbacks == 1
+        assert ctx.stats.engine_fallback_reason == reason
+
+    def test_the_dense_join_books_none(self):
+        inst = bench_text.build_dense(3, {"n": 4, "extra": 4, "atoms": 5,
+                                    "drawn": 20})
+        ctx = QueryContext(stats=ExecutionStats())
+        stream = lyric.stream(inst.db, bench_text.DENSE_JOIN_QUERY, ctx=ctx,
+                              params=bench_text.distinct_k(0))
+        stream.result()
+        assert stream.engine == "translated"
+        assert ctx.stats.engine_fallbacks == 0
+        assert ctx.stats.engine_fallback_reason is None
 
 
 class TestWarningsBelongToTheirRun:

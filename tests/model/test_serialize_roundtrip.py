@@ -78,9 +78,10 @@ def family_constraint(family, seed):
     """A member of one of Section 3.1's four families over (x0, x1),
     from ``workloads/random_constraints.py`` (deterministic in
     ``seed``).  The existential ones keep a quantifier under
-    canonicalisation: odd seeds take the chained system, whose
-    canonical form moves when canonicalised again; even ones the dense
-    system, whose does not."""
+    canonicalisation: odd seeds take the chained system, where dropping
+    redundant atoms makes a further elimination simplifying; even ones
+    the dense system.  Neither canonical form moves when canonicalised
+    again: ``canonical_existential`` iterates to a fixed point."""
     if family == "conjunctive":
         return rc.redundant_conjunction(2, 3, 2, seed)
     if family == "disjunctive":

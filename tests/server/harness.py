@@ -8,6 +8,7 @@ service owns are torn down by ``server.shutdown()`` on the way out.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 
 from repro.client import connect
@@ -15,7 +16,7 @@ from repro.server import LyricServer, QueryService, ServerLimits
 from repro.workloads import office
 
 __all__ = ["SLOW_QUERY", "ServerLimits", "client_for", "office_db",
-           "rows_bytes", "serving"]
+           "rows_bytes", "serving", "settled"]
 
 #: A query whose cost scales quadratically with the database: every
 #: object pair drags a four-way constraint conjunction through the
@@ -67,3 +68,19 @@ async def client_for(server):
         yield client
     finally:
         await client.close()
+
+
+async def settled(server, timeout: float = 60.0) -> None:
+    """Wait until no job runs in the server's service.
+
+    A client sees its cancel at once, while the detached execution
+    runs on to its next guard checkpoint and only then records the
+    request in the service's stats: whatever reads that account after
+    a cancel waits for this first."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while server.service._jobs:
+        if loop.time() > deadline:
+            raise AssertionError(
+                f"jobs still running after {timeout} s")
+        await asyncio.sleep(0.01)

@@ -26,6 +26,7 @@ from tests.server.harness import (
     office_db,
     rows_bytes,
     serving,
+    settled,
 )
 
 
@@ -204,6 +205,8 @@ class TestCancellation:
                 result = await client.query(
                     "SELECT X FROM Desk X")
                 assert len(result.rows) > 0
+                # The cancelled execution books itself when it stops.
+                await settled(server)
                 stats = await client.stats()
                 assert stats["cancellations"] >= 1
         asyncio.run(main())
@@ -356,7 +359,10 @@ class TestGracefulShutdown:
                         break  # the query is definitely running
                     shutdown = asyncio.ensure_future(
                         server.shutdown())
-                    await asyncio.sleep(0.05)
+                    # Test while the stream is in flight: as soon as
+                    # the shutdown has begun, not a fixed time later.
+                    while not server.shutting_down:
+                        await asyncio.sleep(0)
 
                     # A brand-new connection is turned away with the
                     # shutting_down code...

@@ -250,6 +250,24 @@ class TestServiceStats:
         assert snapshot["execution"]["catalog_hits"] == 4
         assert snapshot["execution"]["catalog_rebuilds"] == 3
 
+    def test_engine_fallbacks_are_counted_by_reason(self):
+        """A request the engine rule ran naive is booked under the
+        translator's reason; a translated one books nothing."""
+        async def main():
+            service = QueryService(office_db(4), executor_threads=2)
+            try:
+                for text in ("SELECT A FROM Drawer D WHERE D.A['red']",
+                             "SELECT X FROM Office_Object X"):
+                    await drain(await service.submit(service.parse(text)))
+                snapshot = service.stats.snapshot()
+                assert snapshot["execution"]["engine_fallbacks"] == 1
+                (reason, count), = \
+                    snapshot["engine_fallback_reasons"].items()
+                assert "attribute variables" in reason and count == 1
+            finally:
+                service.close()
+        asyncio.run(main())
+
     def test_outcomes_and_counters(self):
         stats = ServiceStats()
         stats.record_request(ExecutionStats(), rows=5, outcome="ok")

@@ -5,6 +5,7 @@ merge them across parallel workers."""
 
 import pytest
 
+from repro.constraints import matrix
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
@@ -42,9 +43,25 @@ def _cell_sat(cell):
     return cell.cst.is_satisfiable()
 
 
+def _per_row(extract):
+    """A batch packer from a per-row constraint extractor: a row whose
+    extraction raises gets no unit and takes the exact path."""
+    def units(cells):
+        out = []
+        for values in cells:
+            try:
+                constraint = extract(*values)
+            except Exception:
+                constraint = None
+            out.append(matrix.pack_constraint(constraint)
+                       if constraint is not None else None)
+        return out
+    return units
+
+
 def _cell_predicate():
     return CstPredicate(("c",), _cell_sat, "SAT", (),
-                        lambda cell: cell.cst.constraint)
+                        _per_row(lambda cell: cell.cst.constraint))
 
 
 def _pair_catalog(n=14, seed=2):
@@ -74,7 +91,7 @@ def _pair_predicate():
     return CstPredicate(
         ("e", "f"), _sat_intersection, "SAT",
         (("e", index.cst_cell_box), ("f", index.cst_cell_box)),
-        _conjoined)
+        _per_row(_conjoined))
 
 
 def _same_relation(a, b):
@@ -157,7 +174,8 @@ class TestFilterEquivalence:
         def broken(cell):
             raise RuntimeError("no extraction")
 
-        predicate = CstPredicate(("c",), _cell_sat, "SAT", (), broken)
+        predicate = CstPredicate(("c",), _cell_sat, "SAT", (),
+                                 _per_row(broken))
         ctx = QueryContext(stats=ExecutionStats(), cache=None)
         rows = list(relation)
         kept = batch.filter_rows(relation.columns, rows, predicate,
