@@ -207,7 +207,7 @@ def seed_canonical(constraint, ctx: QueryContext | None = None) -> None:
     """Enter each conjunction of a quantifier-free constraint *known*
     to be canonical in the memo as its own canonical form — what
     canonicalising it would have left there, without the solving."""
-    cache = context_mod.resolve(ctx).active_cache()
+    cache = context_mod.resolve(ctx).cache
     if cache is None:
         return
     for conj in (constraint.disjuncts

@@ -207,7 +207,7 @@ class CSTObject:
         observationally identical to the slow path.
         """
         schema = _merge_schemas(self._schema, other._schema)
-        if current_context().prefilter_active() \
+        if current_context().prefilter \
                 and isinstance(self._constraint, _QUANTIFIER_FREE) \
                 and isinstance(other._constraint, _QUANTIFIER_FREE) \
                 and bounds.boxes_disjoint(self.cheap_box(),

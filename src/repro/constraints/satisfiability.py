@@ -73,7 +73,7 @@ def sample_point(conj: ConjunctiveConstraint,
     if conj.is_syntactically_false():
         return None
     resolved = context_mod.resolve(ctx)
-    if resolved.prefilter_active() and bounds.refutes(conj, resolved):
+    if resolved.prefilter and bounds.refutes(conj, resolved):
         return None
     base = [a for a in conj.atoms if a.relop is not Relop.NE]
     disequalities = conj.disequalities()

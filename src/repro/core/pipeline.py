@@ -110,7 +110,7 @@ class Pipeline:
         stats = self.ctx.stats
 
         started = time.perf_counter()
-        cache = self.ctx.active_plan_cache()
+        cache = self.ctx.plan_cache
         if not isinstance(query, str):
             query_ast = query
         elif cache is not None:

@@ -160,8 +160,10 @@ def stream(db: Database, text: str | ast.Query,
     plain shell statements, ``EXECUTE``, :class:`PreparedQuery` and the
     server: the Section 5 translation, except that queries outside the
     translatable fragment fall back to the naive evaluator, as does any
-    run under fault injection (a cached plan would shift the fault
-    schedule's compile-phase ticks) and any ``translated=False`` call;
+    ``translated=False`` call.  A guard's
+    :class:`~repro.runtime.faults.FaultPlan` changes nothing here: it
+    injects its faults into whichever engine the rule picks, with the
+    caches, prefilter, index and kernel the context sets.
     :attr:`QueryStream.engine` reports which path was taken, and the
     context's stats book each fallback with its reason
     (``engine_fallbacks`` / ``engine_fallback_reason``).
@@ -179,8 +181,6 @@ def stream(db: Database, text: str | ast.Query,
     query_ast = parse_query(text) if isinstance(text, str) else text
     if not translated:
         reason = "translated=False"
-    elif call_ctx.faults is not None:
-        reason = "fault plan"
     else:
         pipeline = Pipeline(db, call_ctx)
         try:

@@ -17,10 +17,13 @@ honest):
   was genuinely not redone — but still runs one
   :meth:`~repro.runtime.guard.ExecutionGuard.checkpoint`, so
   cancellation and wall-clock deadlines are observed on the fast path;
-* a guard carrying a :class:`~repro.runtime.faults.FaultPlan`
-  **bypasses** the cache entirely (no reads, no writes): fault tests
-  count ticks, and a warm cache would make injected failures
-  nondeterministic.
+* a guard carrying a :class:`~repro.runtime.faults.FaultPlan` reads
+  and writes the cache like any other: a value is stored only after
+  its computation returns, so an injected failure, an exhaustion or a
+  cancel is never cached.  A warm cache does move a fault schedule's
+  ticks (a hit spends no pivots and makes no simplex call), so a test
+  that counts ticks builds its context with ``cache=None`` or a fresh
+  :class:`ConstraintCache`.
 
 The cache is process-global by default and travels inside the active
 :class:`~repro.runtime.context.QueryContext`, whose

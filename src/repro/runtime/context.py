@@ -130,8 +130,8 @@ class ExecutionStats:
     template_rows: int = 0
     # -- engine rule ---------------------------------------------------
     #: Queries :func:`repro.lyric.stream` ran on the naive evaluator,
-    #: and why the latest of them did: the translator's message,
-    #: ``"fault plan"`` or ``"translated=False"``.
+    #: and why the latest of them did: the translator's message or
+    #: ``"translated=False"``.
     engine_fallbacks: int = 0
     engine_fallback_reason: str | None = field(
         default=None, metadata={"merge": "first"})
@@ -351,48 +351,15 @@ class QueryContext:
         return self.guard.on_exhaustion if self.guard is not None \
             else "fail"
 
-    def active_cache(self) -> "ConstraintCache | None":
-        """The cache this context should use, or ``None``: caching
-        disabled, or the guard injects faults (fault determinism beats
-        speed — a warm cache would make injected failures
-        nondeterministic)."""
-        if self.cache is None:
-            return None
-        if self.guard is not None and self.guard.faults is not None:
-            return None
-        return self.cache
-
-    def active_plan_cache(self) -> "PlanCache | None":
-        """The compiled-plan cache this context should use, or
-        ``None``: plan caching disabled, or the guard injects faults
-        (a fault schedule counts compile-phase ticks, so a cached plan
-        would shift every injected failure)."""
-        if self.plan_cache is None:
-            return None
-        if self.guard is not None and self.guard.faults is not None:
-            return None
-        return self.plan_cache
-
-    def prefilter_active(self) -> bool:
-        """Is the interval prefilter enabled?  Off under fault
-        injection, for the same determinism reason as the cache."""
-        if not self.prefilter:
-            return False
-        return self.guard is None or self.guard.faults is None
-
     def numeric_active(self) -> bool:
         """Is the float-prefilter numeric fast path enabled?
 
         ``numeric=None`` (the default) resolves to "on iff numpy
         imports"; ``numeric=True`` forces the kernel on (pure-python
         fallbacks carry it without the ``fast`` extra); ``numeric=False``
-        disables it.  Always off under fault injection: the kernel
-        changes how many exact-solver calls a run makes, which would
-        perturb deterministic fault schedules.
+        disables it.
         """
         if self.numeric is False:
-            return False
-        if self.guard is not None and self.guard.faults is not None:
             return False
         if self.numeric is None:
             from repro.runtime.numeric import numeric_available
@@ -408,12 +375,14 @@ class QueryContext:
         checkpoint — budgets are not spent, but cancellation and
         deadlines still fire.  On a miss the computation runs normally
         (spending its budgets) and the result is stored with its
-        simplex-call cost.  Exceptions (budget exhaustion included) are
-        never cached.  Hit/miss/eviction traffic is booked both on the
-        cache object (its cumulative counters) and on this context's
-        :attr:`stats`.
+        simplex-call cost.  A value is stored only after ``compute()``
+        returns, so an exception — budget exhaustion, an injected fault
+        or a cancel — is never cached, and a faulted run leaves the
+        cache as sound as an unfaulted one.  Hit/miss/eviction traffic
+        is booked both on the cache object (its cumulative counters)
+        and on this context's :attr:`stats`.
         """
-        cache = self.active_cache()
+        cache = self.cache
         if cache is None:
             return compute()
         saved_before = cache.simplex_saved

@@ -28,7 +28,11 @@ processes:
   budget fails, persisting only the bytes under the cap (ENOSPC).
 
 All counters are 1-based and deterministic: the same query against the
-same database trips at the same spot every run.
+same database, from the same cache state, trips at the same spot every
+run.  A plan changes no other option, so a warm constraint or plan
+cache still answers without the ticks a cold run spends; a test that
+counts ticks gives its context ``cache=None`` (or a fresh cache) and
+``plan_cache=None``.
 """
 
 from __future__ import annotations

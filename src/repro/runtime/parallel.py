@@ -30,7 +30,8 @@ fallback there is, and every fallback is counted under a reason
 **Determinism.**  Values come back in task order (filter chunks are
 contiguous slices), so the output equals the serial evaluation's.
 Runs under a :class:`~repro.runtime.faults.FaultPlan` are forced
-serial — fault schedules count ticks on one guard.
+serial: a plan belongs to one guard and a worker gets a fresh guard,
+so rows evaluated in a worker would never see the plan's faults.
 
 **Budgets.**  Each worker runs under a fresh guard carrying
 ``remaining // tasks`` of every *work* budget of the parent's guard
@@ -132,8 +133,8 @@ def should_partition(n_rows: int,
                      ctx: QueryContext | None = None) -> bool:
     """Partition this filter?  Requires enough rows to amortize the
     fork, parallelism on the (given or ambient) context, no FaultPlan
-    on the guard (fault determinism), a ``fork`` start method, and not
-    already being inside a worker."""
+    on the guard (its faults fire only on the guard that carries it),
+    a ``fork`` start method, and not already being inside a worker."""
     ctx = context_mod.resolve(ctx)
     if (n_rows < PARTITION_THRESHOLD or _IN_WORKER
             or ctx.parallelism < 2 or ctx.faults is not None):
@@ -512,7 +513,7 @@ def _absorb_outcome(ctx: QueryContext, guard: ExecutionGuard | None,
     # and cumulative counters a worker wrote die with its process
     # or stay in the pool worker).  Bounds traffic, by contrast,
     # lives *only* in ExecutionStats.
-    cache = ctx.active_cache()
+    cache = ctx.cache
     if cache is not None:
         cache.absorb({
             "hits": snapshot.get("cache_hits", 0),

@@ -39,8 +39,9 @@ Keys are ``(query AST, schema fingerprint, plan-relevant options)``:
 Guard interaction mirrors the constraint cache
 (:mod:`repro.runtime.cache`): a hit runs one guard checkpoint (done by
 the pipeline), and a guard carrying a :class:`~repro.runtime.faults.
-FaultPlan` bypasses the cache entirely — fault schedules count
-compile-phase ticks, so a cached plan would shift injected failures.
+FaultPlan` uses the cache like any other.  A hit skips the compile
+phases and their ticks, so a test that counts ticks builds its context
+with ``plan_cache=None``.
 
 Invalidation: the cache tracks the last fingerprint seen per schema
 *object* (weakly, so cached schemas die naturally).  When a schema

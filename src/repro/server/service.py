@@ -488,7 +488,7 @@ class QueryService:
         """Parse through the plan cache's AST memo, so a repeated query
         text skips the tokenizer before it ever reaches a worker."""
         from repro.core.parser import parse_query
-        cache = self._base_ctx.active_plan_cache()
+        cache = self._base_ctx.plan_cache
         if cache is not None:
             return cache.ast_for(text, parse_query)
         return parse_query(text)

@@ -225,11 +225,9 @@ class IndexJoin(Plan):
     unindexed plan (same rows, same order).
 
     When the context turns indexing or the interval prefilter off
-    (``--no-index``, ``QueryContext(prefilter=False)``, or a
-    :class:`~repro.runtime.faults.FaultPlan` run, where box shortcuts
-    would perturb deterministic fault schedules) the node degrades to
-    the plain nested enumeration — same exact-phase work as the
-    unrewritten plan.
+    (``--no-index`` or ``QueryContext(prefilter=False)``) the node
+    degrades to the plain nested enumeration — same exact-phase work
+    as the unrewritten plan.
     """
 
     left: Plan
@@ -252,7 +250,7 @@ class IndexJoin(Plan):
     def probes_index(ctx: QueryContext) -> bool:
         """Does a join evaluated under ``ctx`` probe box indexes (else
         it enumerates every pair)?"""
-        return ctx.indexing and ctx.prefilter_active()
+        return ctx.indexing and ctx.prefilter
 
     def _candidate_pairs(self, left: ConstraintRelation,
                          right: ConstraintRelation,

@@ -167,15 +167,19 @@ class TestEngineFallbacksAreCounted:
         assert ctx.stats.engine_fallback_reason.startswith(
             "attribute variables are outside the translatable fragment")
 
-    @pytest.mark.parametrize("options, reason", [
-        ({"translated": False}, "translated=False"),
-        ({"guard": ExecutionGuard(faults=FaultPlan())}, "fault plan"),
+    @pytest.mark.parametrize("options, engine, reason", [
+        ({"translated": False}, "naive", "translated=False"),
+        # A fault plan is no fallback: it runs on the translated engine.
+        ({"guard": ExecutionGuard(faults=FaultPlan())}, "translated",
+         None),
     ])
     def test_a_requested_fallback_names_itself(self, office, options,
-                                               reason):
+                                               engine, reason):
         ctx = QueryContext(stats=ExecutionStats())
-        lyric.stream(office, QUERY, ctx=ctx, **options).result()
-        assert ctx.stats.engine_fallbacks == 1
+        stream = lyric.stream(office, QUERY, ctx=ctx, **options)
+        stream.result()
+        assert stream.engine == engine
+        assert ctx.stats.engine_fallbacks == (reason is not None)
         assert ctx.stats.engine_fallback_reason == reason
 
     def test_the_dense_join_books_none(self):

@@ -75,29 +75,36 @@ class TestLRU:
 
 class TestContextSelection:
     def test_global_by_default(self):
-        assert current_context().active_cache() is get_global_cache()
+        assert current_context().cache is get_global_cache()
 
     def test_caching_none_disables(self):
         with QueryContext(cache=None).activate():
-            assert current_context().active_cache() is None
-        assert current_context().active_cache() is get_global_cache()
+            assert current_context().cache is None
+        assert current_context().cache is get_global_cache()
 
     def test_scoped_cache_wins(self):
         scoped = ConstraintCache(maxsize=16)
         with QueryContext(cache=scoped).activate():
-            assert current_context().active_cache() is scoped
+            assert current_context().cache is scoped
 
     def test_fault_plan_bypasses_cache(self):
+        """It does not: a fault plan keeps the cache and the
+        prefilter, and its run reads and fills the cache like any
+        other."""
+        cache = ConstraintCache()
         guard = ExecutionGuard(faults=FaultPlan())
-        with QueryContext(guard=guard).activate():
-            assert current_context().active_cache() is None
-            assert not current_context().prefilter_active()
+        with QueryContext(guard=guard, cache=cache).activate():
+            assert current_context().cache is cache
+            assert current_context().prefilter
+            interval(0, 10).is_satisfiable()
+            interval(0, 10).is_satisfiable()
+        assert cache.misses == 1 and cache.hits == 1
 
     def test_prefilter_context(self):
-        assert current_context().prefilter_active()
+        assert current_context().prefilter
         with QueryContext(prefilter=False).activate():
-            assert not current_context().prefilter_active()
-        assert current_context().prefilter_active()
+            assert not current_context().prefilter
+        assert current_context().prefilter
 
 
 class TestMemoizedSemantics:
@@ -167,15 +174,24 @@ class TestGuardInteraction:
         assert guard.exhausted == "cancellation"
 
     def test_fault_injection_unaffected_by_warm_cache(self):
-        """The fault test contract: a FaultPlan-injected run does the
-        real work even when the answer is cached."""
+        """A warm cache does move the fault: on a cold cache the
+        injected failure fires and the failed run caches nothing; a
+        warm one answers without the simplex call the plan fails, so
+        the hit neither raises nor spends budget.  A test that counts
+        ticks therefore starts from a cold cache."""
         conj = interval(0, 10)
-        conj.is_satisfiable()    # warm
-        guard = ExecutionGuard(
-            faults=FaultPlan(fail_simplex_at=1))
-        with QueryContext(guard=guard).activate():
+        cache = ConstraintCache()
+        guard = ExecutionGuard(faults=FaultPlan(fail_simplex_at=1))
+        with QueryContext(guard=guard, cache=cache).activate():
             with pytest.raises(errors.InjectedFaultError):
                 ConjunctiveConstraint(conj.atoms).is_satisfiable()
+        assert len(cache) == 0
+        with QueryContext(cache=cache).activate():
+            assert conj.is_satisfiable()    # warm
+        guard = ExecutionGuard(faults=FaultPlan(fail_simplex_at=1))
+        with QueryContext(guard=guard, cache=cache).activate():
+            assert ConjunctiveConstraint(conj.atoms).is_satisfiable()
+        assert guard.simplex_calls == 0
 
 
 class TestCachedDecisions:

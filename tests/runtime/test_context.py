@@ -18,6 +18,7 @@ from repro.runtime.context import (
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard
+from repro.runtime.plancache import get_global_plan_cache
 
 x, y = variables("x y")
 
@@ -37,7 +38,7 @@ class TestConstruction:
         assert isinstance(ctx.stats, ExecutionStats)
 
     def test_explicit_none_cache_disables(self):
-        assert QueryContext(cache=None).active_cache() is None
+        assert QueryContext(cache=None).cache is None
 
     def test_parallelism_validated(self):
         with pytest.raises(ValueError):
@@ -66,7 +67,7 @@ class TestDerive:
     def test_derive_honours_explicit_none(self):
         parent = QueryContext(guard=ExecutionGuard())
         assert parent.derive(guard=None).guard is None
-        assert parent.derive(cache=None).active_cache() is None
+        assert parent.derive(cache=None).cache is None
 
     def test_derive_rejects_unknown_attributes(self):
         with pytest.raises(TypeError):
@@ -107,16 +108,22 @@ class TestActivation:
 
 
 class TestFaultGating:
+    """A fault plan injects faults and changes no option: the context
+    keeps the cache, plan cache, prefilter and kernel it was given."""
+
     def test_faults_disable_cache_and_prefilter(self):
+        """They do not: the plan leaves every option as set."""
         guard = ExecutionGuard(faults=FaultPlan())
         ctx = QueryContext(guard=guard)
-        assert ctx.active_cache() is None
-        assert not ctx.prefilter_active()
+        assert ctx.cache is get_global_cache()
+        assert ctx.plan_cache is get_global_plan_cache()
+        assert ctx.prefilter
+        assert ctx.derive(numeric=True).numeric_active()
 
     def test_no_faults_keeps_both(self):
         ctx = QueryContext(guard=ExecutionGuard())
-        assert ctx.active_cache() is ctx.cache
-        assert ctx.prefilter_active()
+        assert ctx.cache is get_global_cache()
+        assert ctx.prefilter
 
 
 class TestMemoized:

@@ -161,13 +161,17 @@ class TestEvaluatorDegrade:
         assert "cancel" in partial.warnings[0]
 
     def test_degrade_warning_carries_budget(self, db):
+        # Both runs cold: a warm cache would leave the faulted run
+        # fewer pivots than the probe counted.
         probe = ExecutionGuard()
-        lyric.query(db, PAPER_QUERY, guard=probe)
+        lyric.query(db, PAPER_QUERY, guard=probe,
+                    ctx=QueryContext(cache=None))
         guard = ExecutionGuard(
             on_exhaustion="degrade",
             faults=FaultPlan(exhaust_budget="pivots",
                              exhaust_after=probe.pivots // 2))
-        partial = lyric.query(db, PAPER_QUERY, guard=guard)
+        partial = lyric.query(db, PAPER_QUERY, guard=guard,
+                              ctx=QueryContext(cache=None))
         assert partial.is_partial
         assert "budget=pivots" in partial.warnings[0]
 

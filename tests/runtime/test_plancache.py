@@ -224,14 +224,20 @@ class TestPipelineIntegration:
         assert len(get_global_plan_cache()) == 0
 
     def test_fault_plan_bypasses_cache(self, office):
+        """It does not: a faulted run hits the plan cache like any
+        other, and a cold compile is what ``plan_cache=None`` asks
+        for."""
         Pipeline(office).run(QUERY)
         guard = ExecutionGuard(faults=FaultPlan())
         ctx = QueryContext(stats=ExecutionStats(), guard=guard)
-        assert ctx.active_plan_cache() is None
+        assert ctx.plan_cache is get_global_plan_cache()
         Pipeline(office, ctx).run(QUERY)
-        assert ctx.stats.plan_cache_hits == 0
-        names = [r.name for r in ctx.stats.phases]
-        assert "translate" in names
+        assert ctx.stats.plan_cache_hits == 1
+        assert "translate" not in [r.name for r in ctx.stats.phases]
+        cold = ctx.derive(stats=ExecutionStats(), plan_cache=None)
+        Pipeline(office, cold).run(QUERY)
+        assert cold.stats.plan_cache_hits == 0
+        assert "translate" in [r.name for r in cold.stats.phases]
 
     def test_private_cache_isolated_from_global(self, office):
         private = PlanCache(maxsize=8)

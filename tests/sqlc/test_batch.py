@@ -209,11 +209,19 @@ class TestStatsSurfacing:
         assert decided > 0
 
     def test_numeric_off_under_fault_injection(self):
+        """It is not off: a fault plan leaves the kernel on, and the
+        batch filter decides rows through it."""
         from repro.runtime.faults import FaultPlan
         from repro.runtime.guard import ExecutionGuard
         guard = ExecutionGuard(faults=FaultPlan())
-        ctx = QueryContext(stats=ExecutionStats(), guard=guard)
-        assert not ctx.numeric_active()
+        ctx = QueryContext(stats=ExecutionStats(), guard=guard,
+                           cache=None, numeric=True)
+        assert ctx.numeric_active()
+        catalog = {"T": _relation()}
+        plan = Select(Scan("T", ("rid", "c")), _cell_predicate())
+        with ctx.activate():
+            execute(plan, catalog, use_optimizer=False, stats=ctx.stats)
+        assert ctx.stats.numeric_accepts + ctx.stats.numeric_rejects > 0
 
     @pytest.mark.skipif(not numeric.numeric_available(),
                         reason="counters only move with the fast extra")

@@ -188,11 +188,18 @@ class TestIndexJoin:
         assert list(off) == list(on)
 
     def test_fault_plan_disables_pruning(self, catalog):
+        """It does not: a fault plan leaves the box index on, so the
+        faulted join prunes exactly as the unfaulted one does."""
+        with QueryContext().activate() as plain:
+            expected = execute(index_join_plan(), catalog,
+                               use_optimizer=False)
         guard = ExecutionGuard(faults=FaultPlan())
         with QueryContext(guard=guard).activate() as ctx:
             result = execute(index_join_plan(), catalog,
                              use_optimizer=False)
-        assert ctx.stats.index_probes == 0
+        assert ctx.stats.index_probes == plain.stats.index_probes > 0
+        assert ctx.stats.candidates_pruned > 0
+        assert list(result) == list(expected)
         assert len(result) == 2
 
     def test_optimizer_selects_index_join(self, catalog):
