@@ -1,5 +1,6 @@
-"""E11 — the MAX/MIN SUBJECT TO operators: exact rational simplex vs
-the scipy (HiGHS, float) backend.
+"""E11 — the MAX/MIN SUBJECT TO operators: exact simplex (rational
+results, fraction-free integer pivots) vs the scipy (HiGHS, float)
+backend.
 
 Exactness is what canonical forms require; the ablation shows what it
 costs on growing systems."""

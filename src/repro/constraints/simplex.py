@@ -1,4 +1,4 @@
-"""Exact two-phase simplex over rational numbers.
+"""Exact two-phase simplex over a fraction-free integer tableau.
 
 This is the LP workhorse behind satisfiability checking, entailment, the
 paper's ``MAX/MIN ... SUBJECT TO`` operators, and redundancy removal in
@@ -17,6 +17,17 @@ Free variables are handled by the standard split ``x = x+ - x-``; a
 Phase-I run with artificial variables establishes feasibility; Bland's
 rule guarantees termination.  Results carry an optimal point so that
 ``MAX_POINT``/``MIN_POINT`` fall out directly.
+
+Results are rational; the arithmetic is integer.  The tableau holds
+``d * B^-1 A`` for the current basis ``B``, with ``d = |det B|``: that
+is ``adj(B) A`` up to sign, a matrix of integers because ``A`` is one
+(each atom stores its coprime ``int`` row; the right-hand side is scaled
+by the lcm of the bounds' denominators and the objective by the lcm of
+its coefficients' denominators).  A pivot replaces the Gauss-Jordan
+update with Edmonds' fraction-free one, ``T'[i][j] = (T[p][q] T[i][j] -
+T[i][q] T[p][j]) / d``, whose result is again ``d' B'^-1 A`` with ``d' =
+T[p][q] = ±det B'`` -- an integer, so the division is exact.  ``Fraction``
+appears only when :class:`LPResult` reports the optimum and its point.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from repro.errors import ConstraintError
@@ -101,11 +113,20 @@ def feasible_point(constraints: Sequence[LinearConstraint],
 
 
 class _StandardForm:
-    """Dense-tableau two-phase simplex in standard form.
+    """Dense two-phase simplex in standard form on an integer tableau.
 
     Free variables are split; rows are ``A x (+ slack) = b`` with
     ``b >= 0`` after sign fixing; Bland's anti-cycling rule is used for
     both entering and leaving choices.
+
+    Each row is a list of ``int``s whose last entry is the right-hand
+    side; the objective row's last entry is the objective value.  All
+    of them are scaled by the common denominator ``self._d`` (see the
+    module docstring), which starts at 1 on the artificial basis.  The
+    right-hand side is further scaled by ``rhs_scale`` and the objective
+    row by ``cost_scale``; both are positive constants, so no sign, and
+    so no entering or leaving choice, differs from the rational
+    tableau's.
     """
 
     def __init__(self, objective: LinearExpression,
@@ -121,96 +142,90 @@ class _StandardForm:
         self.variables: list[Variable] = sorted(var_set, key=lambda v: v.name)
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.constraints = list(constraints)
+        self._d = 1
 
     # Column layout: for each original variable v_i two columns (plus,
     # minus); then one slack column per inequality row; artificials are
-    # appended by Phase I only.
+    # appended by Phase I only; the right-hand side comes last.
 
     def solve(self) -> LPResult:
         n_vars = len(self.variables)
-        n_rows = len(self.constraints)
         n_ineq = sum(1 for a in self.constraints if a.relop is Relop.LE)
         n_cols = 2 * n_vars + n_ineq
 
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
+        rhs_scale = lcm(*(a.bound.denominator for a in self.constraints))
+        rows: list[list[int]] = []
         slack_seen = 0
-        zero = Fraction(0)
         for atom in self.constraints:
-            row = [zero] * n_cols
+            row = [0] * (n_cols + 1)
             for var, coeff in atom.terms:
-                # Every tableau entry a Fraction, never an int that a
-                # later ``/`` could turn into a float.
                 j = self.var_index[var]
-                row[2 * j] = Fraction(coeff)
-                row[2 * j + 1] = Fraction(-coeff)
+                row[2 * j] = coeff
+                row[2 * j + 1] = -coeff
             b = atom.bound
+            row[n_cols] = b.numerator * (rhs_scale // b.denominator)
             if atom.relop is Relop.LE:
-                row[2 * n_vars + slack_seen] = Fraction(1)
+                row[2 * n_vars + slack_seen] = 1
                 slack_seen += 1
             if b < 0:
                 row = [-c for c in row]
-                b = -b
             rows.append(row)
-            rhs.append(b)
 
         # Objective over split variables (Phase II costs).
-        cost = [zero] * n_cols
-        for var, coeff in self.objective.coefficients.items():
+        coefficients = self.objective.coefficients
+        cost_scale = lcm(*(c.denominator for c in coefficients.values()))
+        cost = [0] * n_cols
+        for var, coeff in coefficients.items():
             j = self.var_index[var]
-            cost[2 * j] = coeff
-            cost[2 * j + 1] = -coeff
+            cost[2 * j] = coeff.numerator * (cost_scale // coeff.denominator)
+            cost[2 * j + 1] = -cost[2 * j]
 
-        basis, rows, rhs, n_cols = self._phase_one(rows, rhs, n_cols, n_rows)
+        basis = self._phase_one(rows, n_cols)
         if basis is None:
             return LPResult(LPStatus.INFEASIBLE)
 
-        status, value, solution = self._phase_two(
-            rows, rhs, basis, cost, n_cols)
-        if status is LPStatus.UNBOUNDED:
+        optimum = self._phase_two(rows, basis, cost, n_cols)
+        if optimum is None:
             return LPResult(LPStatus.UNBOUNDED)
+        value, solution = optimum
 
+        denominator = self._d * rhs_scale
         point: dict[Variable, Fraction] = {}
         for var, j in self.var_index.items():
-            point[var] = solution[2 * j] - solution[2 * j + 1]
-        objective_value = value + self.objective.constant_term
+            point[var] = Fraction(solution[2 * j] - solution[2 * j + 1],
+                                  denominator)
+        objective_value = (Fraction(value, denominator * cost_scale)
+                           + self.objective.constant_term)
         if not self.maximize:
             objective_value = -objective_value
         return LPResult(LPStatus.OPTIMAL, objective_value, point)
 
     # -- phase I -----------------------------------------------------------
 
-    def _phase_one(self, rows, rhs, n_cols, n_rows):
-        """Drive artificial variables out; returns (basis, rows, rhs, n_cols)
-        or (None, ...) when infeasible."""
-        zero = Fraction(0)
-        one = Fraction(1)
-        total_cols = n_cols + n_rows
+    def _phase_one(self, rows, n_cols):
+        """Drive artificial variables out; returns the basis, or None when
+        infeasible.  Leaves ``rows`` truncated to ``n_cols`` columns plus
+        the right-hand side."""
+        n_rows = len(rows)
         for i, row in enumerate(rows):
-            row.extend(one if k == i else zero for k in range(n_rows))
+            b = row.pop()
+            row.extend(1 if k == i else 0 for k in range(n_rows))
+            row.append(b)
         basis = [n_cols + i for i in range(n_rows)]
 
         # Phase-I objective: minimize sum of artificials, run as
         # "maximize -sum".  With the artificial basis (cost -1 each),
         # the reduced cost of column j is z_j - c_j where
         # z_j = -sum_i rows[i][j] and c_j is -1 for artificial columns,
-        # 0 otherwise.  The starting objective value is -sum(rhs).
-        col_sums = [zero] * total_cols
-        obj_val = zero
-        for i in range(n_rows):
-            row_i = rows[i]
-            for j in range(total_cols):
-                if row_i[j] != 0:
-                    col_sums[j] += row_i[j]
-            obj_val += rhs[i]
-        reduced = [-col_sums[j] for j in range(total_cols)]
-        for j in range(n_cols, total_cols):
-            reduced[j] += 1
+        # 0 otherwise: so 0 on every artificial column.  The starting
+        # objective value is -sum(rhs).
+        objective = [-sum(column) for column in zip(*rows)] if rows \
+            else [0] * (n_cols + 1)
+        objective[n_cols:n_cols + n_rows] = [0] * n_rows
 
-        basis, value = self._iterate(rows, rhs, basis, reduced, -obj_val,
-                                     total_cols)
-        if value != 0:
-            return None, rows, rhs, n_cols
+        self._iterate(rows, basis, objective, n_cols + n_rows)
+        if objective[-1] != 0:
+            return None
 
         # Pivot remaining artificial basics out where possible.
         for i in range(n_rows):
@@ -218,114 +233,111 @@ class _StandardForm:
                 pivot_col = next(
                     (j for j in range(n_cols) if rows[i][j] != 0), None)
                 if pivot_col is not None:
-                    self._pivot(rows, rhs, None, i, pivot_col)
+                    self._pivot(rows, None, i, pivot_col)
                     basis[i] = pivot_col
         # Degenerate all-zero artificial rows are redundant; they stay with
         # an artificial basic at value 0 and are harmless, but we drop the
         # artificial columns from consideration by truncating each row.
         for row in rows:
-            del row[n_cols:]
-        return basis, rows, rhs, n_cols
+            del row[n_cols:-1]
+        return basis
 
     # -- phase II ------------------------------------------------------------
 
-    def _phase_two(self, rows, rhs, basis, cost, n_cols):
-        zero = Fraction(0)
-        n_rows = len(rows)
+    def _phase_two(self, rows, basis, cost, n_cols):
+        """Optimize ``cost`` from the Phase-I basis; returns ``(value,
+        solution)`` scaled like the tableau, or None when unbounded."""
         # Remove rows whose basic variable is still artificial (index out of
-        # range after truncation): they are all-zero redundant rows.
-        keep = [i for i in range(n_rows) if basis[i] < n_cols]
+        # range after truncation): they are all-zero redundant rows.  The
+        # kept rows never read them, so every later division stays exact.
+        keep = [i for i in range(len(rows)) if basis[i] < n_cols]
         rows = [rows[i] for i in keep]
-        rhs = [rhs[i] for i in keep]
         basis = [basis[i] for i in keep]
-        n_rows = len(rows)
 
-        # Reduced costs: c_B B^-1 A - c  (tableau already in B^-1 A form).
-        reduced = [-cost[j] for j in range(n_cols)]
-        value = zero
-        for i in range(n_rows):
-            cb = cost[basis[i]]
+        # Reduced costs: c_B B^-1 A - c  (tableau already in d B^-1 A
+        # form), with the objective value in the last entry.
+        objective = [-self._d * c for c in cost] + [0]
+        for b, row in zip(basis, rows):
+            cb = cost[b]
             if cb != 0:
-                for j in range(n_cols):
-                    if rows[i][j] != 0:
-                        reduced[j] += cb * rows[i][j]
-                value += cb * rhs[i]
+                objective = [o + cb * a for o, a in zip(objective, row)]
 
-        result = self._iterate(rows, rhs, basis, reduced, value, n_cols,
-                               detect_unbounded=True)
-        if result is None:
-            return LPStatus.UNBOUNDED, None, None
-        basis, value = result
+        if not self._iterate(rows, basis, objective, n_cols,
+                             detect_unbounded=True):
+            return None
 
-        solution = [zero] * n_cols
+        solution = [0] * n_cols
         for i, b in enumerate(basis):
-            solution[b] = rhs[i]
-        return LPStatus.OPTIMAL, value, solution
+            solution[b] = rows[i][-1]
+        return objective[-1], solution
 
     # -- core pivoting ----------------------------------------------------------
 
-    def _iterate(self, rows, rhs, basis, reduced, value, n_cols,
-                 detect_unbounded: bool = False):
+    def _iterate(self, rows, basis, objective, n_cols,
+                 detect_unbounded: bool = False) -> bool:
         """Run simplex iterations (maximization).
 
-        ``reduced[j]`` holds ``z_j - c_j``; a column with ``reduced < 0``
-        improves the objective.  Bland's rule: smallest improving column,
-        smallest-index tie-break on the ratio test.
-        Returns (basis, value); or None when unbounded (only if
+        ``objective[j]`` holds ``z_j - c_j``; a column with a negative
+        entry improves the objective.  Bland's rule: smallest improving
+        column, smallest-index tie-break on the ratio test, which
+        compares ``rhs_i / coeff_i`` by cross-multiplying integers.
+        Returns True at an optimum and False when unbounded (only if
         ``detect_unbounded``, Phase I cannot be unbounded).
         """
-        n_rows = len(rows)
         guard = self._guard
         while True:
             entering = next(
-                (j for j in range(n_cols) if reduced[j] < 0), None)
+                (j for j in range(n_cols) if objective[j] < 0), None)
             if entering is None:
-                return basis, value
+                return True
             # Ratio test.
             leaving = None
-            best_ratio: Fraction | None = None
-            for i in range(n_rows):
-                coeff = rows[i][entering]
+            best_rhs = best_coeff = 0
+            for i, row in enumerate(rows):
+                coeff = row[entering]
                 if coeff > 0:
-                    ratio = rhs[i] / coeff
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio
-                                and basis[i] < basis[leaving])):
-                        best_ratio = ratio
-                        leaving = i
+                    if leaving is None:
+                        best_rhs, best_coeff, leaving = row[-1], coeff, i
+                        continue
+                    lhs = row[-1] * best_coeff
+                    rhs = best_rhs * coeff
+                    if lhs < rhs or (lhs == rhs
+                                     and basis[i] < basis[leaving]):
+                        best_rhs, best_coeff, leaving = row[-1], coeff, i
             if leaving is None:
                 if detect_unbounded:
-                    return None
+                    return False
                 raise ConstraintError("phase-I simplex reported unbounded")
             if guard is not None:
                 guard.tick_pivots()
-            value += (-reduced[entering]) * best_ratio
-            self._pivot(rows, rhs, reduced, leaving, entering)
+            self._pivot(rows, objective, leaving, entering)
             basis[leaving] = entering
 
-    @staticmethod
-    def _pivot(rows, rhs, reduced, pivot_row: int, pivot_col: int) -> None:
-        """Gauss-Jordan pivot on (pivot_row, pivot_col)."""
-        n_cols = len(rows[pivot_row])
-        pivot = rows[pivot_row][pivot_col]
-        inv = Fraction(1) / pivot
-        row = rows[pivot_row]
-        for j in range(n_cols):
-            if row[j] != 0:
-                row[j] *= inv
-        rhs[pivot_row] *= inv
-        for i, other in enumerate(rows):
+    def _pivot(self, rows, objective, pivot_row: int, pivot_col: int) -> None:
+        """Fraction-free pivot on (pivot_row, pivot_col).
+
+        Row ``pivot_row`` stays as it is; every other row (and the
+        objective row, when given) becomes ``(pivot * row - row[pivot_col]
+        * pivot_row) // d``, exact by the module docstring's argument.
+        The pivot becomes the new denominator; a negative one (only the
+        Phase-I clean-up chooses one) is made positive by negating every
+        row.
+        """
+        d = self._d
+        prow = rows[pivot_row]
+        pivot = prow[pivot_col]
+        others = rows if objective is None else rows + [objective]
+        for i, row in enumerate(others):
             if i == pivot_row:
                 continue
-            factor = other[pivot_col]
-            if factor != 0:
-                for j in range(n_cols):
-                    if row[j] != 0:
-                        other[j] -= factor * row[j]
-                rhs[i] -= factor * rhs[pivot_row]
-        if reduced is not None:
-            factor = reduced[pivot_col]
-            if factor != 0:
-                for j in range(n_cols):
-                    if row[j] != 0:
-                        reduced[j] -= factor * row[j]
+            factor = row[pivot_col]
+            if factor:
+                row[:] = [(pivot * a - factor * b) // d
+                          for a, b in zip(row, prow)]
+            elif pivot != d:
+                row[:] = [pivot * a // d for a in row]
+        if pivot < 0:
+            for row in others:
+                row[:] = [-a for a in row]
+            pivot = -pivot
+        self._d = pivot

@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import threading
 
 from repro.client import connect
-from repro.server import LyricServer, QueryService, ServerLimits
+from repro.server import LyricServer, QueryService, ServerLimits, procexec
 from repro.workloads import office
 
-__all__ = ["SLOW_QUERY", "ServerLimits", "client_for", "office_db",
-           "rows_bytes", "serving", "settled"]
+__all__ = ["SLOW_QUERY", "ServerLimits", "client_for",
+           "held_after_first_batch", "office_db", "rows_bytes", "serving",
+           "settled"]
 
 #: A query whose cost scales quadratically with the database: every
 #: object pair drags a four-way constraint conjunction through the
-#: solver.  At ``office_db(30)`` it runs for ~1s — long enough that
-#: cancellation and shutdown deterministically land mid-stream.
+#: solver.  At ``office_db(30)`` it yields 900 rows.  A test that needs
+#: it still running when something happens holds it there with
+#: :func:`held_after_first_batch` rather than trusting its run time.
 SLOW_QUERY = """
     SELECT A, B, ((u,v) | EA and DA and EB and DB)
     FROM Office_Object A, Office_Object B
@@ -84,3 +87,34 @@ async def settled(server, timeout: float = 60.0) -> None:
             raise AssertionError(
                 f"jobs still running after {timeout} s")
         await asyncio.sleep(0.01)
+
+
+@contextlib.asynccontextmanager
+async def held_after_first_batch():
+    """Hold each thread-executed request after its first row batch.
+
+    Wraps the service's event source, :func:`procexec.request_events`:
+    a request publishes its first ``rows`` event, then its worker
+    thread blocks on the yielded :class:`threading.Event` before
+    computing more.  The test sets the event once the server state it
+    needs holds (a cancel seen, a shutdown begun, a drain window
+    expired), so the query is mid-stream then by construction, not
+    because it happens to be slow.  Leaving the block sets the event;
+    a hold that a failing test never releases ends after 60 s."""
+    release = threading.Event()
+    real = procexec.request_events
+
+    def held(*args, **kwargs):
+        holding = True
+        for event in real(*args, **kwargs):
+            yield event
+            if holding and event[0] == "rows":
+                holding = False
+                release.wait(60.0)
+
+    procexec.request_events = held
+    try:
+        yield release
+    finally:
+        release.set()
+        procexec.request_events = real

@@ -23,6 +23,7 @@ from repro.storage.store import Store
 from tests.server.harness import (
     SLOW_QUERY,
     client_for,
+    held_after_first_batch,
     office_db,
     rows_bytes,
     serving,
@@ -191,7 +192,8 @@ class TestCancellation:
 
         async def main():
             async with serving(db) as server, \
-                    client_for(server) as client:
+                    client_for(server) as client, \
+                    held_after_first_batch() as release:
                 stream = await client.stream(SLOW_QUERY,
                                              translated=False)
                 rows_seen = 0
@@ -200,6 +202,9 @@ class TestCancellation:
                         rows_seen += 1
                         if rows_seen == 3:
                             await stream.cancel()
+                            # The cancel's reply means the server has
+                            # cancelled the held execution.
+                            release.set()
                 assert 0 < rows_seen < 900  # genuinely mid-stream
                 # Same connection, next query: fine.
                 result = await client.query(
@@ -350,7 +355,8 @@ class TestGracefulShutdown:
         async def main():
             async with serving(db, drain_timeout=30.0) as server:
                 async with client_for(server) as streaming, \
-                        client_for(server) as bystander:
+                        client_for(server) as bystander, \
+                        held_after_first_batch() as release:
                     stream = await streaming.stream(
                         SLOW_QUERY, translated=False)
                     rows = streaming_rows = []
@@ -376,7 +382,9 @@ class TestGracefulShutdown:
                             "SELECT X FROM Desk X")
                     assert excinfo.value.code == "shutting_down"
 
-                    # ...but the in-flight stream drains completely.
+                    # ...but the in-flight stream, held until now,
+                    # drains completely.
+                    release.set()
                     async for row in stream:
                         rows.append(row)
                     assert stream.done is not None
@@ -390,7 +398,8 @@ class TestGracefulShutdown:
 
         async def main():
             async with serving(db, drain_timeout=0.05) as server:
-                async with client_for(server) as client:
+                async with client_for(server) as client, \
+                        held_after_first_batch() as release:
                     stream = await client.stream(SLOW_QUERY,
                                                  translated=False)
                     async for _row in stream:
@@ -398,11 +407,12 @@ class TestGracefulShutdown:
                     shutdown = asyncio.ensure_future(
                         server.shutdown())
                     # The tiny drain window expires with the query
-                    # still running; the force-cancel sweep reaches
-                    # it and the client sees the cancelled code.
+                    # still running (held); the force-cancel sweep
+                    # reaches it and the client sees the cancelled code.
                     with pytest.raises(QueryCancelled):
                         async for _row in stream:
                             pass
+                    release.set()
                     await shutdown
         asyncio.run(main())
 
