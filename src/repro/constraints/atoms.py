@@ -1,5 +1,5 @@
 """Linear arithmetic constraint atoms — the one module that knows how an
-atom is stored.
+atom is stored, normalised and combined.
 
 A *linear arithmetic constraint* in the paper (Section 3.1) has the form::
 
@@ -11,8 +11,18 @@ paper's canonical form: its variables sorted by name with coprime
 may stay rational), the relation drawn from ``{=, <=, <, !=}``
 (``>=``/``>`` flip on construction), and for the sign-symmetric ``=``
 and ``!=`` a positive leading coefficient.  Structurally-equal atoms
-therefore compare equal, on a key computed once.  Other modules read
-the row through ``terms`` / ``coefficient``; ``expression`` builds a
+therefore compare equal, on a key computed once.
+
+One normaliser, :func:`_normal_row`, maps an integer row to that
+stored representative.  :meth:`LinearConstraint.build` clears the
+denominators of a :class:`LinearExpression` and calls it; every atom
+derived from stored atoms — a negation, a disequality split, a
+renaming, a row combination (:meth:`LinearConstraint.combine`: the
+Fourier-Motzkin step and the strict-inequality slack) and an equality
+substitution (:meth:`LinearConstraint.eliminate`) — is one integer row
+operation followed by the same normaliser, so it is the atom the
+expression arithmetic would build.  Other modules read the row through
+``terms`` / ``coefficient``; ``expression`` builds a
 :class:`LinearExpression` view for arithmetic.  The rest of the
 canonical form lives in :mod:`repro.constraints.canonical`.
 """
@@ -83,6 +93,8 @@ _NEGATED = {
 
 _SIGN_SYMMETRIC = (Relop.EQ, Relop.NE)
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 class LinearConstraint:
     """A normalized linear arithmetic constraint ``row relop bound``.
@@ -120,25 +132,56 @@ class LinearConstraint:
     def build(cls, lhs, relop: Relop, rhs) -> "LinearConstraint":
         """Build and normalize an atom from arbitrary linear sides."""
         diff = LinearExpression.coerce(lhs) - rhs
-        bound = -diff.constant_term
         terms = list(diff)
-        if relop is Relop.GE or relop is Relop.GT:
-            terms = [(var, -coeff) for var, coeff in terms]
-            bound, relop = -bound, _FLIPPED[relop]
-        if not terms:
-            # Trivial atoms normalize to the canonical TRUE (0 = 0) or
-            # FALSE (0 = 1) so that semantically-equal trivia compare
-            # equal.
-            truth = relop.holds(Fraction(0), bound)
-            return cls((), (), Relop.EQ, Fraction(0 if truth else 1))
-        variables, fractions = zip(*terms)
-        scale = _normalizing_scale(fractions)
-        if relop in _SIGN_SYMMETRIC and fractions[0] < 0:
-            scale = -scale
-        num, den = scale.numerator, scale.denominator
-        coeffs = tuple(c.numerator * num // (c.denominator * den)
-                       for c in fractions)
-        return cls(variables, coeffs, relop, bound * scale)
+        lcm = 1
+        for _, coeff in terms:
+            lcm = lcm * coeff.denominator // gcd(lcm, coeff.denominator)
+        row = [(var, coeff.numerator * (lcm // coeff.denominator))
+               for var, coeff in terms]
+        return _normal_row(row, relop, -diff.constant_term * lcm)
+
+    def combine(self, k: int, other: "LinearConstraint", m: int,
+                relop: Relop) -> "LinearConstraint":
+        """The atom ``k*row + m*row' relop k*bound + m*bound'`` over this
+        atom's row and ``other``'s, for nonzero ``int`` factors: the two
+        sorted rows merge by name, and coefficients that cancel drop."""
+        row = []
+        own, theirs = self._vars, other._vars
+        i = j = 0
+        while i < len(own) and j < len(theirs):
+            a, b = own[i].name, theirs[j].name
+            if a < b:
+                row.append((own[i], k * self._coeffs[i]))
+                i += 1
+            elif b < a:
+                row.append((theirs[j], m * other._coeffs[j]))
+                j += 1
+            else:
+                coeff = k * self._coeffs[i] + m * other._coeffs[j]
+                if coeff:
+                    row.append((own[i], coeff))
+                i += 1
+                j += 1
+        row += [(var, k * c) for var, c in zip(own[i:], self._coeffs[i:])]
+        row += [(var, m * c)
+                for var, c in zip(theirs[j:], other._coeffs[j:])]
+        return _normal_row(row, relop, k * self._bound + m * other._bound)
+
+    def eliminate(self, var: Variable,
+                  pivot: "LinearConstraint") -> "LinearConstraint":
+        """This atom with ``var`` substituted away through the equality
+        ``pivot`` (``p*var + ... = e``): the combination
+        ``|p|*self - sign(p)*c*pivot``, where ``c`` is this atom's
+        coefficient of ``var``; the atom itself when ``c`` is 0."""
+        if pivot._relop is not Relop.EQ:
+            raise ConstraintError("can only solve equalities")
+        p = pivot.coefficient(var)
+        if p == 0:
+            raise ConstraintError(f"{var} does not occur in {pivot}")
+        c = self.coefficient(var)
+        if c == 0:
+            return self
+        return self.combine(abs(p), pivot, -c if p > 0 else c, self._relop)
 
     # -- inspection -------------------------------------------------------
 
@@ -193,16 +236,15 @@ class LinearConstraint:
         ``=`` negates to ``!=``; callers that need a strict-inequality
         split of that result use :meth:`split_disequality`.
         """
-        return LinearConstraint.build(self.expression, self._relop.negated,
-                                      self._bound)
+        return _normal_row(self.terms, self._relop.negated, self._bound)
 
     def split_disequality(self) -> tuple["LinearConstraint", "LinearConstraint"]:
         """``expr != b`` as the disjunction ``expr < b  or  expr > b``."""
         if self._relop is not Relop.NE:
             raise ConstraintError("not a disequality")
-        expr = self.expression
-        return (LinearConstraint.build(expr, Relop.LT, self._bound),
-                LinearConstraint.build(expr, Relop.GT, self._bound))
+        row = self.terms
+        return (_normal_row(row, Relop.LT, self._bound),
+                _normal_row(row, Relop.GT, self._bound))
 
     def weakened(self) -> "LinearConstraint":
         """The non-strict version of a strict inequality (``<`` -> ``<=``)."""
@@ -223,27 +265,20 @@ class LinearConstraint:
         return LinearConstraint.build(new_expr, self._relop, self._bound)
 
     def rename(self, mapping: Mapping[Variable, Variable]) -> "LinearConstraint":
-        """The atom over renamed variables.
-
-        A renaming that keeps this atom's variables distinct keeps it
-        normal — the coefficients are the same numbers — once the row
-        is sorted by the new names, except that ``=`` / ``!=`` fix
-        their sign by the alphabetically first variable, which may now
-        be another one.  Only a renaming that merges variables goes
-        through :meth:`build` again."""
+        """The atom over renamed variables: the coefficients of variables
+        renamed to one name add up, and the row, re-sorted by the new
+        names, is normalised again (a renaming that keeps the variables
+        distinct can still move the ``=`` / ``!=`` lead sign)."""
         targets = [mapping.get(var, var) for var in self._vars]
         if all(t.name == v.name for t, v in zip(targets, self._vars)):
             return self
-        if len({t.name for t in targets}) != len(targets):
-            return LinearConstraint.build(
-                self.expression.rename(mapping), self._relop, self._bound)
-        variables, coeffs = zip(*sorted(zip(targets, self._coeffs),
-                                        key=lambda term: term[0].name))
-        bound = self._bound
-        if self._relop in _SIGN_SYMMETRIC and coeffs[0] < 0:
-            coeffs = tuple(-coeff for coeff in coeffs)
-            bound = -bound
-        return LinearConstraint(variables, coeffs, self._relop, bound)
+        merged: dict[str, tuple[Variable, int]] = {}
+        for target, coeff in zip(targets, self._coeffs):
+            prior = merged.get(target.name)
+            merged[target.name] = (target,
+                                   coeff + prior[1] if prior else coeff)
+        row = [term for _, term in sorted(merged.items()) if term[1]]
+        return _normal_row(row, self._relop, self._bound)
 
     # -- identity --------------------------------------------------------
 
@@ -279,19 +314,33 @@ class LinearConstraint:
                 f"{self._relop.value} {format_fraction(self._bound)}")
 
 
-def _normalizing_scale(coeffs: Sequence[Fraction]) -> Fraction:
-    """Positive scale factor making the coefficients integral with gcd 1.
+def _normal_row(row: Sequence[tuple[Variable, int]], relop: Relop,
+                bound: Fraction) -> LinearConstraint:
+    """The stored atom of ``row relop bound`` — the one normaliser.
 
-    Only the variable coefficients drive the scale; the bound is scaled
-    by the same factor and may stay non-integral.
+    ``row`` is ``(variable, int)`` pairs sorted by name with no zero
+    coefficient.  ``>=`` / ``>`` flip; a row without variables becomes
+    the canonical TRUE (``0 = 0``) or FALSE (``0 = 1``), so that
+    semantically-equal trivia compare equal; otherwise the row and the
+    bound are divided by the row's gcd, negated for ``=`` / ``!=`` when
+    the leading coefficient is negative.
     """
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    if relop is Relop.GE or relop is Relop.GT:
+        row = [(var, -coeff) for var, coeff in row]
+        bound, relop = -bound, _FLIPPED[relop]
+    if not row:
+        truth = relop.holds(_ZERO, bound)
+        return LinearConstraint((), (), Relop.EQ, _ZERO if truth else _ONE)
+    variables, coeffs = zip(*row)
     g = 0
-    for c in coeffs:
-        g = gcd(g, c.numerator * (lcm // c.denominator))
-    return Fraction(lcm, g)
+    for coeff in coeffs:
+        g = gcd(g, coeff)
+    if relop in _SIGN_SYMMETRIC and coeffs[0] < 0:
+        g = -g
+    if g != 1:
+        coeffs = tuple(coeff // g for coeff in coeffs)
+        bound = bound / g
+    return LinearConstraint(variables, coeffs, relop, bound)
 
 
 # ---------------------------------------------------------------------------

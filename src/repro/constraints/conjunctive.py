@@ -11,14 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import ConstraintError
 from repro.constraints.atoms import LinearConstraint, Relop
-from repro.constraints.terms import (
-    LinearExpression,
-    RationalLike,
-    Variable,
-    to_fraction,
-)
+from repro.constraints.terms import RationalLike, Variable, to_fraction
 
 
 class ConjunctiveConstraint:
@@ -181,9 +175,8 @@ class ConjunctiveConstraint:
                 if not candidates:
                     continue
                 var = min(candidates, key=lambda v: v.name)
-                solution = _solve_for(atom, var)
                 rest = atoms[:i] + atoms[i + 1:]
-                atoms = [a.substitute({var: solution}) for a in rest]
+                atoms = [a.eliminate(var, atom) for a in rest]
                 changed = True
                 break
         return ConjunctiveConstraint(atoms)
@@ -226,17 +219,6 @@ class ConjunctiveConstraint:
         if self.is_syntactically_false():
             return "FALSE"
         return " and ".join(str(a) for a in self.sorted_atoms())
-
-
-def _solve_for(atom: LinearConstraint, var: Variable) -> LinearExpression:
-    """Solve the equality ``atom`` for ``var``."""
-    if atom.relop is not Relop.EQ:
-        raise ConstraintError("can only solve equalities")
-    coeff = atom.coefficient(var)
-    if coeff == 0:
-        raise ConstraintError(f"{var} does not occur in {atom}")
-    rest = atom.expression - LinearExpression({var: coeff})
-    return (LinearExpression.constant(atom.bound) - rest) / coeff
 
 
 #: The canonical false atom ``0 = 1`` — kept trivial-false on purpose so a

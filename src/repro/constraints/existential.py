@@ -195,8 +195,7 @@ class ExistentialConjunctiveConstraint:
                     quantified.discard(var)
                     changed = True
                     continue
-                lows, highs = _bound_counts(body, var)
-                growth = lows * highs - lows - highs
+                growth = projection_mod.fm_growth(body, var)
                 if growth <= _SIMPLIFY_GROWTH_LIMIT:
                     body = projection_mod.prune_syntactic(
                         projection_mod.eliminate_variable(body, var))
@@ -515,18 +514,6 @@ def _fresh_variable(base: str, forbidden: set[Variable]) -> Variable:
 
 def _has_equality_on(body: ConjunctiveConstraint, var: Variable) -> bool:
     return any(var in a.variables for a in body.equalities())
-
-
-def _bound_counts(body: ConjunctiveConstraint, var: Variable
-                  ) -> tuple[int, int]:
-    lows = highs = 0
-    for atom in body.atoms:
-        coeff = atom.coefficient(var)
-        if coeff > 0:
-            highs += 1
-        elif coeff < 0:
-            lows += 1
-    return lows, highs
 
 
 def _holds_partial(d: ExistentialConjunctiveConstraint,

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from repro.errors import ConstraintFamilyError
 from repro.constraints.atoms import LinearConstraint, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
-from repro.constraints.terms import LinearExpression, Variable
+from repro.constraints.terms import Variable
 
 
 def eliminate_variable(conj: ConjunctiveConstraint, var: Variable
@@ -50,33 +50,34 @@ def eliminate_variable(conj: ConjunctiveConstraint, var: Variable
 
     # Substitute the variable away through an equality when one exists —
     # exact and produces no quadratic atom growth.
-    for atom in conj.equalities():
-        if var in atom.variables:
-            return _substitute_equality(conj, atom, var)
+    for pivot in conj.equalities():
+        if var in pivot.variables:
+            return ConjunctiveConstraint(
+                atom.eliminate(var, pivot)
+                for atom in conj.atoms if atom is not pivot)
 
-    lower: list[tuple[LinearConstraint, LinearExpression]] = []
-    upper: list[tuple[LinearConstraint, LinearExpression]] = []
+    # atom: c*var + r relop b.  A lower bound (c < 0) and an upper bound
+    # (c > 0) combine with positive factors that cancel var.
+    lower: list[tuple[LinearConstraint, int]] = []
+    upper: list[tuple[LinearConstraint, int]] = []
     rest: list[LinearConstraint] = []
     for atom in conj.atoms:
         coeff = atom.coefficient(var)
-        if coeff == 0:
-            rest.append(atom)
-            continue
-        # atom: c*var + r relop b  =>  var relop' (b - r)/c
-        residual = (LinearExpression.constant(atom.bound)
-                    - (atom.expression - LinearExpression({var: coeff}))) / coeff
         if coeff > 0:
-            upper.append((atom, residual))
+            upper.append((atom, coeff))
+        elif coeff < 0:
+            lower.append((atom, -coeff))
         else:
-            lower.append((atom, residual))
+            rest.append(atom)
 
     derived: list[LinearConstraint] = []
-    for lo_atom, lo_expr in lower:
-        for hi_atom, hi_expr in upper:
+    for lo_atom, lo_coeff in lower:
+        for hi_atom, hi_coeff in upper:
             strict = (lo_atom.relop is Relop.LT
                       or hi_atom.relop is Relop.LT)
             relop = Relop.LT if strict else Relop.LE
-            derived.append(LinearConstraint.build(lo_expr, relop, hi_expr))
+            derived.append(lo_atom.combine(hi_coeff, hi_atom, lo_coeff,
+                                           relop))
     return ConjunctiveConstraint(rest + derived)
 
 
@@ -122,40 +123,29 @@ def restricted_project(conj: ConjunctiveConstraint,
     return project_conjunctive(conj, free_set)
 
 
+def fm_growth(conj: ConjunctiveConstraint, var: Variable) -> int:
+    """How many atoms one Fourier-Motzkin step on ``var`` adds to
+    ``conj``: its ``lows * highs`` derived atoms less the ``lows +
+    highs`` bounds on ``var`` they replace."""
+    lows = highs = 0
+    for atom in conj.atoms:
+        coeff = atom.coefficient(var)
+        if coeff > 0:
+            highs += 1
+        elif coeff < 0:
+            lows += 1
+    return lows * highs - lows - highs
+
+
 def _elimination_order(conj: ConjunctiveConstraint,
                        candidates: Sequence[Variable]) -> list[Variable]:
-    """Greedy min-fill ordering: repeatedly pick the variable whose FM
-    step produces the fewest derived atoms (classic FM heuristic)."""
-    remaining = list(candidates)
-    order: list[Variable] = []
-    # Cost is estimated on the original conjunction; re-estimating after
-    # each elimination would be more accurate but the static estimate is
-    # a good and much cheaper proxy.
-    counts: dict[Variable, tuple[int, int]] = {}
-    for var in remaining:
-        lows = highs = 0
-        for atom in conj.atoms:
-            coeff = atom.coefficient(var)
-            if coeff > 0:
-                highs += 1
-            elif coeff < 0:
-                lows += 1
-        counts[var] = (lows, highs)
-    remaining.sort(key=lambda v: (counts[v][0] * counts[v][1]
-                                  - counts[v][0] - counts[v][1], v.name))
-    order.extend(remaining)
-    return order
+    """Min-fill ordering: the candidates sorted once by the growth of
+    their FM step on ``conj``, ties by name (classic FM heuristic).
 
-
-def _substitute_equality(conj: ConjunctiveConstraint,
-                         equality: LinearConstraint,
-                         var: Variable) -> ConjunctiveConstraint:
-    coeff = equality.coefficient(var)
-    rest_expr = equality.expression - LinearExpression({var: coeff})
-    solution = (LinearExpression.constant(equality.bound) - rest_expr) / coeff
-    new_atoms = [a.substitute({var: solution})
-                 for a in conj.atoms if a is not equality]
-    return ConjunctiveConstraint(new_atoms)
+    The growth is estimated on the original conjunction; re-estimating
+    after each elimination would be more accurate, but the static
+    estimate is a good and much cheaper proxy."""
+    return sorted(candidates, key=lambda v: (fm_growth(conj, v), v.name))
 
 
 def prune_syntactic(conj: ConjunctiveConstraint) -> ConjunctiveConstraint:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from repro.constraints import bounds, simplex
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import Ge, Le, LinearConstraint, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.terms import Variable
 from repro.errors import ReservedVariableError
@@ -133,14 +133,10 @@ def _solve_strict(atoms: list[LinearConstraint],
                     f"variable name {_EPSILON_NAME!r} is reserved for "
                     "the strict-inequality slack")
     eps = Variable(_EPSILON_NAME)
-    relaxed = list(non_strict)
-    for atom in strict:
-        relaxed.append(LinearConstraint.build(
-            atom.expression + eps, Relop.LE, atom.bound))
-    relaxed.append(LinearConstraint.build(
-        eps.as_expression(), Relop.LE, 1))
-    relaxed.append(LinearConstraint.build(
-        -eps.as_expression(), Relop.LE, 0))
+    slack = Le(eps, 0)
+    relaxed = non_strict + [atom.combine(1, slack, 1, Relop.LE)
+                            for atom in strict]
+    relaxed += [Le(eps, 1), Ge(eps, 0)]
 
     result = simplex.solve(eps.as_expression(), relaxed, maximize=True,
                            ctx=ctx)

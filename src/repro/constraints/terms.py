@@ -331,9 +331,6 @@ class LinearExpression:
         return (self._constant == other._constant
                 and self._coefficients == other._coefficients)
 
-    def structurally_equal(self, other: "LinearExpression") -> bool:
-        return isinstance(other, LinearExpression) and self._same(other)
-
     def __hash__(self) -> int:
         if self._hash is None:
             items = tuple(sorted(((v.name, c) for v, c in self._coefficients.items())))
@@ -397,10 +394,3 @@ def format_terms(terms: Iterable[tuple[Variable, RationalLike]],
             parts.append(format_fraction(constant))
     return " ".join(parts)
 
-
-def sum_expressions(exprs: Iterable) -> LinearExpression:
-    """Sum an iterable of expressions/variables/constants."""
-    total = LinearExpression.constant(0)
-    for expr in exprs:
-        total = total + LinearExpression.coerce(expr)
-    return total

@@ -148,11 +148,10 @@ class TestIdentity:
         assert str(ConjunctiveConstraint.false()) == "FALSE"
 
     def test_solve_for_requires_equality(self):
-        from repro.constraints.conjunctive import _solve_for
+        # Equality elimination solves its pivot for the variable.
         with pytest.raises(ConstraintError):
-            _solve_for(Le(x, 1), x)
+            Le(x + y, 2).eliminate(x, Le(x, 1))
 
     def test_solve_for_requires_occurrence(self):
-        from repro.constraints.conjunctive import _solve_for
         with pytest.raises(ConstraintError):
-            _solve_for(Eq(x, 1), y)
+            Le(x + y, 2).eliminate(y, Eq(x, 1))

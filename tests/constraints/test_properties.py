@@ -84,7 +84,7 @@ class TestExpressionLaws:
     @given(expressions())
     def test_structural_hash_consistency(self, a):
         clone = LinearExpression(a.coefficients, a.constant_term)
-        assert a.structurally_equal(clone)
+        assert (a == clone) is True
         assert hash(a) == hash(clone)
 
 

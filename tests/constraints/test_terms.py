@@ -8,7 +8,6 @@ from repro.constraints.terms import (
     LinearExpression,
     Variable,
     format_fraction,
-    sum_expressions,
     to_fraction,
     variables,
 )
@@ -109,11 +108,6 @@ class TestArithmetic:
         assert expr.coefficient(x) == 2
         assert expr.constant_term == 2
 
-    def test_sum_expressions(self):
-        expr = sum_expressions([x, y, 3])
-        assert expr.coefficient(x) == 1
-        assert expr.constant_term == 3
-
 
 class TestEvaluation:
     def test_evaluate(self):
@@ -164,9 +158,6 @@ class TestDisplay:
 
 
 class TestStructuralIdentity:
-    def test_structurally_equal(self):
-        assert (x + y).structurally_equal(y + x)
-
     def test_hash_consistency(self):
         assert hash(x + y) == hash(y + x)
 
