@@ -1,5 +1,5 @@
-"""Linear arithmetic constraint atoms — the one module that knows how an
-atom is stored, normalised and combined.
+"""Linear arithmetic constraint atoms and integer rows — the one module
+that knows how a row is normalised and combined.
 
 A *linear arithmetic constraint* in the paper (Section 3.1) has the form::
 
@@ -13,26 +13,25 @@ may stay rational), the relation drawn from ``{=, <=, <, !=}``
 and ``!=`` a positive leading coefficient.  Structurally-equal atoms
 therefore compare equal, on a key computed once.
 
-One normaliser, :func:`_normal_row`, maps an integer row to that
-stored representative.  :meth:`LinearConstraint.build` clears the
-denominators of a :class:`LinearExpression` and calls it; every atom
-derived from stored atoms — a negation, a disequality split, a
-renaming, a row combination (:meth:`LinearConstraint.combine`: the
-Fourier-Motzkin step and the strict-inequality slack) and an equality
-substitution (:meth:`LinearConstraint.eliminate`) — is one integer row
-operation followed by the same normaliser, so it is the atom the
-expression arithmetic would build.  Other modules read the row through
-``terms`` / ``coefficient``; ``expression`` builds a
-:class:`LinearExpression` view for arithmetic.  The rest of the
-canonical form lives in :mod:`repro.constraints.canonical`.
+A conjunction stores the same rows by column (:data:`ExactRow`).  One
+normaliser, :func:`_normal_row`, gives a row its stored form:
+:meth:`LinearConstraint.build` clears a :class:`LinearExpression`'s
+denominators and calls it, and every row derived from rows — negation,
+disequality split, renaming (:func:`remap_rows`), combination
+(:func:`combine_rows`: the Fourier-Motzkin step, the strict slack) and
+equality substitution (:func:`eliminate_row`) — is one integer row
+operation and the same normaliser.  Other modules read an atom's row
+through ``terms`` / ``coefficient``; ``expression`` is a
+:class:`LinearExpression` view for arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import chain
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ConstraintError
 from repro.constraints.terms import (
@@ -120,10 +119,9 @@ class LinearConstraint:
         # Names and coefficients interleaved, so keys order exactly as
         # sorted (name, coefficient) pairs do; the bound is a Fraction,
         # which orders by value.
-        row = []
-        for var, coeff in zip(variables, coeffs):
-            row += (var.name, coeff)
-        self._key = (tuple(row), relop.value, bound)
+        self._key = (tuple(chain.from_iterable(
+            zip([var.name for var in variables], coeffs))),
+            relop.value, bound)
         self._hash = hash(self._key)
 
     # -- construction ---------------------------------------------------
@@ -136,36 +134,19 @@ class LinearConstraint:
         lcm = 1
         for _, coeff in terms:
             lcm = lcm * coeff.denominator // gcd(lcm, coeff.denominator)
-        row = [(var, coeff.numerator * (lcm // coeff.denominator))
-               for var, coeff in terms]
-        return _normal_row(row, relop, -diff.constant_term * lcm)
+        return cls(*_normal_row(
+            tuple([var for var, _ in terms]),
+            tuple([coeff.numerator * (lcm // coeff.denominator)
+                   for _, coeff in terms]),
+            relop, -diff.constant_term * lcm))
 
     def combine(self, k: int, other: "LinearConstraint", m: int,
                 relop: Relop) -> "LinearConstraint":
         """The atom ``k*row + m*row' relop k*bound + m*bound'`` over this
-        atom's row and ``other``'s, for nonzero ``int`` factors: the two
-        sorted rows merge by name, and coefficients that cancel drop."""
-        row = []
-        own, theirs = self._vars, other._vars
-        i = j = 0
-        while i < len(own) and j < len(theirs):
-            a, b = own[i].name, theirs[j].name
-            if a < b:
-                row.append((own[i], k * self._coeffs[i]))
-                i += 1
-            elif b < a:
-                row.append((theirs[j], m * other._coeffs[j]))
-                j += 1
-            else:
-                coeff = k * self._coeffs[i] + m * other._coeffs[j]
-                if coeff:
-                    row.append((own[i], coeff))
-                i += 1
-                j += 1
-        row += [(var, k * c) for var, c in zip(own[i:], self._coeffs[i:])]
-        row += [(var, m * c)
-                for var, c in zip(theirs[j:], other._coeffs[j:])]
-        return _normal_row(row, relop, k * self._bound + m * other._bound)
+        atom's row and ``other``'s, for nonzero ``int`` factors
+        (:func:`combine_rows` over their columns)."""
+        columns, (own, theirs) = index_atoms((self, other))
+        return row_atoms(columns, [combine_rows(k, own, m, theirs, relop)])[0]
 
     def eliminate(self, var: Variable,
                   pivot: "LinearConstraint") -> "LinearConstraint":
@@ -236,15 +217,16 @@ class LinearConstraint:
         ``=`` negates to ``!=``; callers that need a strict-inequality
         split of that result use :meth:`split_disequality`.
         """
-        return _normal_row(self.terms, self._relop.negated, self._bound)
+        return LinearConstraint(*_normal_row(
+            self._vars, self._coeffs, self._relop.negated, self._bound))
 
     def split_disequality(self) -> tuple["LinearConstraint", "LinearConstraint"]:
         """``expr != b`` as the disjunction ``expr < b  or  expr > b``."""
         if self._relop is not Relop.NE:
             raise ConstraintError("not a disequality")
-        row = self.terms
-        return (_normal_row(row, Relop.LT, self._bound),
-                _normal_row(row, Relop.GT, self._bound))
+        return tuple(LinearConstraint(*_normal_row(
+            self._vars, self._coeffs, relop, self._bound))
+            for relop in (Relop.LT, Relop.GT))
 
     def weakened(self) -> "LinearConstraint":
         """The non-strict version of a strict inequality (``<`` -> ``<=``)."""
@@ -269,16 +251,14 @@ class LinearConstraint:
         renamed to one name add up, and the row, re-sorted by the new
         names, is normalised again (a renaming that keeps the variables
         distinct can still move the ``=`` / ``!=`` lead sign)."""
-        targets = [mapping.get(var, var) for var in self._vars]
-        if all(t.name == v.name for t, v in zip(targets, self._vars)):
+        moved = [mapping.get(var, var) for var in self._vars]
+        if all(new.name == var.name for new, var in zip(moved, self._vars)):
             return self
-        merged: dict[str, tuple[Variable, int]] = {}
-        for target, coeff in zip(targets, self._coeffs):
-            prior = merged.get(target.name)
-            merged[target.name] = (target,
-                                   coeff + prior[1] if prior else coeff)
-        row = [term for _, term in sorted(merged.items()) if term[1]]
-        return _normal_row(row, self._relop, self._bound)
+        columns, (target,) = column_union(moved)
+        return row_atoms(columns, remap_rows(
+            [(tuple(range(len(target))), self._coeffs, self._relop,
+              self._bound)],
+            target))[0]
 
     # -- identity --------------------------------------------------------
 
@@ -314,33 +294,134 @@ class LinearConstraint:
                 f"{self._relop.value} {format_fraction(self._bound)}")
 
 
-def _normal_row(row: Sequence[tuple[Variable, int]], relop: Relop,
-                bound: Fraction) -> LinearConstraint:
-    """The stored atom of ``row relop bound`` — the one normaliser.
+#: One row of a system: the ascending indices of its columns in the
+#: system's variables sorted by name, their coprime ``int``
+#: coefficients, its relop (``=``, ``<=``, ``<`` or ``!=``) and its
+#: rational bound.  A row without columns is TRUE or :data:`FALSE_ROW`.
+ExactRow = tuple[tuple[int, ...], tuple[int, ...], Relop, Fraction]
 
-    ``row`` is ``(variable, int)`` pairs sorted by name with no zero
-    coefficient.  ``>=`` / ``>`` flip; a row without variables becomes
-    the canonical TRUE (``0 = 0``) or FALSE (``0 = 1``), so that
-    semantically-equal trivia compare equal; otherwise the row and the
-    bound are divided by the row's gcd, negated for ``=`` / ``!=`` when
-    the leading coefficient is negative.
+
+def _normal_row(cols: tuple, coeffs: tuple[int, ...], relop: Relop,
+                bound: Fraction) -> tuple:
+    """The stored form of the row ``coeffs . cols relop bound`` — the
+    one normaliser.
+
+    ``cols`` are the row's ascending column keys (an atom's variables,
+    or a system's column indices), ``coeffs`` their ``int``
+    coefficients, none zero.  ``>=`` / ``>`` flip; a row without
+    columns becomes the canonical TRUE (``0 = 0``) or FALSE (``0 = 1``),
+    so that semantically-equal trivia compare equal; otherwise the row
+    and the bound are divided by the row's gcd, negated for ``=`` /
+    ``!=`` when the leading coefficient is negative.
     """
     if relop is Relop.GE or relop is Relop.GT:
-        row = [(var, -coeff) for var, coeff in row]
+        coeffs = tuple([-coeff for coeff in coeffs])
         bound, relop = -bound, _FLIPPED[relop]
-    if not row:
-        truth = relop.holds(_ZERO, bound)
-        return LinearConstraint((), (), Relop.EQ, _ZERO if truth else _ONE)
-    variables, coeffs = zip(*row)
-    g = 0
-    for coeff in coeffs:
-        g = gcd(g, coeff)
+    if not cols:
+        return (), (), Relop.EQ, _ZERO if relop.holds(_ZERO, bound) else _ONE
+    g = gcd(*coeffs)
     if relop in _SIGN_SYMMETRIC and coeffs[0] < 0:
         g = -g
     if g != 1:
-        coeffs = tuple(coeff // g for coeff in coeffs)
+        coeffs = tuple([coeff // g for coeff in coeffs])
         bound = bound / g
-    return LinearConstraint(variables, coeffs, relop, bound)
+    return cols, coeffs, relop, bound
+
+
+#: The canonical false row ``0 = 1``.
+FALSE_ROW: ExactRow = ((), (), Relop.EQ, _ONE)
+
+
+def _summed(terms: Iterable[tuple[int, int]], relop: Relop,
+            bound: Fraction) -> ExactRow:
+    """The normal row of ``(column, coefficient)`` terms, the
+    coefficients of one column added up; columns whose sum is 0 drop."""
+    merged: dict[int, int] = {}
+    for j, coeff in terms:
+        merged[j] = merged.get(j, 0) + coeff
+    pairs = sorted(item for item in merged.items() if item[1])
+    return _normal_row(tuple([j for j, _ in pairs]),
+                       tuple([coeff for _, coeff in pairs]), relop, bound)
+
+
+def combine_rows(k: int, row: ExactRow, m: int, other: ExactRow,
+                 relop: Relop) -> ExactRow:
+    """The normal row ``k*row + m*other relop k*bound + m*bound'``, for
+    nonzero ``int`` factors."""
+    return _summed(chain(zip(row[0], [k * coeff for coeff in row[1]]),
+                         zip(other[0], [m * coeff for coeff in other[1]])),
+                   relop, k * row[3] + m * other[3])
+
+
+def row_coefficient(row: ExactRow, col: int) -> int:
+    """The coefficient of column ``col`` in ``row`` (0 when absent)."""
+    cols = row[0]
+    return row[1][cols.index(col)] if col in cols else 0
+
+
+def eliminate_row(row: ExactRow, col: int, pivot: ExactRow) -> ExactRow:
+    """``row`` with column ``col`` substituted away through the equality
+    row ``pivot`` — :meth:`LinearConstraint.eliminate` by column: the
+    combination ``|p|*row - sign(p)*c*pivot``; the row itself when its
+    coefficient ``c`` of ``col`` is 0."""
+    c = row_coefficient(row, col)
+    if not c:
+        return row
+    p = row_coefficient(pivot, col)
+    return combine_rows(abs(p), row, -c if p > 0 else c, pivot, row[2])
+
+
+def move_columns(rows: Iterable[ExactRow], target) -> list[ExactRow]:
+    """Rows under a column map that keeps the order of the columns they
+    use (column ``j`` to ``target[j]``): only the indices change."""
+    move = target.__getitem__
+    return [(tuple(map(move, cols)), coeffs, relop, bound)
+            for cols, coeffs, relop, bound in rows]
+
+
+def remap_rows(rows: Iterable[ExactRow], target: Sequence[int]
+               ) -> list[ExactRow]:
+    """Rows under the column map ``target`` a renaming makes.  One that
+    keeps the columns' order only moves them (:func:`move_columns`);
+    otherwise each row's coefficients are summed per new column and
+    normalised again — distinct columns can still change the ``=`` /
+    ``!=`` lead sign, merged ones the gcd, or leave no column at all."""
+    if all(a < b for a, b in zip(target, target[1:])):
+        return move_columns(rows, target)
+    return [_summed(zip([target[j] for j in cols], coeffs), relop, bound)
+            for cols, coeffs, relop, bound in rows]
+
+
+def column_union(*column_lists: Sequence[Variable]
+                 ) -> tuple[tuple[Variable, ...], list[list[int]]]:
+    """The variables of ``column_lists`` sorted by name — a system's
+    columns — and, for each list, the column of each of its variables."""
+    by_name = {var.name: var for columns in column_lists for var in columns}
+    names = sorted(by_name)
+    index = dict(zip(names, range(len(names))))
+    return (tuple([by_name[name] for name in names]),
+            [[index[var.name] for var in columns] for columns in column_lists])
+
+
+def index_atoms(atoms: Sequence[LinearConstraint]
+                ) -> tuple[tuple[Variable, ...], list[ExactRow]]:
+    """The columns of a system of atoms and each atom's row over them."""
+    if len(atoms) == 1:         # an atom's variables are its columns
+        return atoms[0]._vars, [(tuple(range(len(atoms[0]._vars))),
+                                 atoms[0]._coeffs, atoms[0]._relop,
+                                 atoms[0]._bound)]
+    columns, targets = column_union(*[atom._vars for atom in atoms])
+    return columns, [(tuple(target), atom._coeffs, atom._relop, atom._bound)
+                     for target, atom in zip(targets, atoms)]
+
+
+def row_atoms(columns: tuple[Variable, ...], rows: Iterable[ExactRow]
+              ) -> tuple[LinearConstraint, ...]:
+    """The atoms of ``rows`` over ``columns``, in order."""
+    column = columns.__getitem__
+    return tuple([LinearConstraint(tuple(map(column, cols)), coeffs, relop,
+                                   bound)
+                  for cols, coeffs, relop, bound in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,16 @@ def canonical_conjunctive(conj: ConjunctiveConstraint,
     Unsatisfiable conjunctions collapse to the canonical FALSE; with
     ``remove_redundant`` each atom implied by the others is dropped
     (one LP check per atom — polynomially many simplex runs).  The
-    result is memoized on the sorted atom tuple: canonical keys are the
-    paper's logical oids and are recomputed per join row, so this is
-    the single hottest cache entry point.
+    result is memoized on the conjunction itself (its column names and
+    set of rows): canonical keys are the paper's logical oids and are
+    recomputed per join row, so this is the single hottest cache entry
+    point.
     """
     if conj.is_true():
         return conj
     resolved = context_mod.resolve(ctx)
     return resolved.memoized(
-        ("canon", conj.sorted_atoms(), remove_redundant),
+        ("canon", conj, remove_redundant),
         lambda: _canonical_conjunctive(conj, remove_redundant, resolved))
 
 
@@ -214,7 +215,7 @@ def seed_canonical(constraint, ctx: QueryContext | None = None) -> None:
                  if isinstance(constraint, DisjunctiveConstraint)
                  else (constraint,)):
         if not conj.is_true():
-            cache.store(("canon", conj.sorted_atoms(), True), conj)
+            cache.store(("canon", conj, True), conj)
 
 
 def canonical_key(constraint, schema: Sequence[Variable],

@@ -229,9 +229,7 @@ class CSTObject:
     def conjoin_atoms(self, atoms: Iterable[LinearConstraint]
                       ) -> "CSTObject":
         extra = ConjunctiveConstraint(atoms)
-        schema = _merge_schemas(
-            self._schema,
-            tuple(sorted(extra.variables, key=lambda v: v.name)))
+        schema = _merge_schemas(self._schema, extra.columns)
         return CSTObject(schema, _conjoin_any(self._constraint, extra))
 
     def project(self, schema: Sequence[Variable]) -> "CSTObject":
@@ -339,6 +337,17 @@ def _conjoin_any(a, b):
         return _to_disjunctive(a).conjoin(_to_disjunctive(b))
     return DisjunctiveExistentialConstraint.of(a).conjoin(
         DisjunctiveExistentialConstraint.of(b))
+
+
+def _conjoin_all(parts: list):
+    """The conjunction of ``parts`` in order, folded left by
+    :func:`_conjoin_any`; conjunctions conjoin in one column merge."""
+    if all(type(part) is ConjunctiveConstraint for part in parts):
+        return parts[0].conjoin(*parts[1:])
+    result = parts[0]
+    for part in parts[1:]:
+        result = _conjoin_any(result, part)
+    return result
 
 
 def _disjoin_any(a, b):

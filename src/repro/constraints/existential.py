@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ConstraintFamilyError
 from repro.constraints import projection as projection_mod
-from repro.constraints.atoms import LinearConstraint
+from repro.constraints.atoms import LinearConstraint, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.disjunctive import DisjunctiveConstraint
 from repro.constraints.terms import RationalLike, Variable
@@ -184,23 +184,21 @@ class ExistentialConjunctiveConstraint:
             for var in sorted(quantified, key=lambda v: v.name):
                 if guard is not None:
                     guard.tick_canonical(fragment="existential-simplify")
-                if var not in body.variables:
-                    quantified.discard(var)
-                    changed = True
-                    continue
-                if any(var in a.variables for a in body.disequalities()):
-                    continue
-                if _has_equality_on(body, var):
-                    body = projection_mod.eliminate_variable(body, var)
-                    quantified.discard(var)
-                    changed = True
-                    continue
-                growth = projection_mod.fm_growth(body, var)
-                if growth <= _SIMPLIFY_GROWTH_LIMIT:
-                    body = projection_mod.prune_syntactic(
-                        projection_mod.eliminate_variable(body, var))
-                    quantified.discard(var)
-                    changed = True
+                if var in body.columns:
+                    col = body.columns.index(var)
+                    relops = [row[2] for row in body.rows if col in row[0]]
+                    if Relop.NE in relops:
+                        continue
+                    if Relop.EQ in relops:
+                        body = projection_mod.eliminate_variable(body, var)
+                    elif projection_mod.fm_growth(body, var) \
+                            <= _SIMPLIFY_GROWTH_LIMIT:
+                        body = projection_mod.prune_syntactic(
+                            projection_mod.eliminate_variable(body, var))
+                    else:
+                        continue
+                quantified.discard(var)
+                changed = True
         return ExistentialConjunctiveConstraint(body, quantified)
 
     def eliminate_all(self) -> ConjunctiveConstraint:
@@ -510,10 +508,6 @@ def _fresh_variable(base: str, forbidden: set[Variable]) -> Variable:
         if candidate not in forbidden:
             return candidate
     raise AssertionError("unreachable")
-
-
-def _has_equality_on(body: ConjunctiveConstraint, var: Variable) -> bool:
-    return any(var in a.variables for a in body.equalities())
 
 
 def _holds_partial(d: ExistentialConjunctiveConstraint,

@@ -125,7 +125,7 @@ def atom_redundant_in(atom: LinearConstraint,
                       ctx: QueryContext | None = None) -> bool:
     """Is ``atom`` implied by ``context`` (used by canonical forms)?
 
-    Memoized on ``(atom, sorted context atoms)`` — canonicalization
+    Memoized on ``(atom, context)`` — canonicalization
     asks this question once per atom per call, and the same
     (atom, context) pairs recur across structurally equal constraints.
     The per-branch satisfiability checks additionally flow through the
@@ -133,7 +133,7 @@ def atom_redundant_in(atom: LinearConstraint,
     """
     resolved = context_mod.resolve(ctx)
     return resolved.memoized(
-        ("redundant", atom, context.sorted_atoms()),
+        ("redundant", atom, context),
         lambda: _atom_redundant_in(atom, context, resolved))
 
 

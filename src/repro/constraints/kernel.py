@@ -1,10 +1,11 @@
 """Batched numeric kernels: float prefilter, exact-rational fallback.
 
 The exact simplex (:mod:`repro.constraints.simplex`) answers every
-satisfiability question over ``Fraction`` arithmetic — unconditionally
-correct, and the dominant cost of dense workloads.  This kernel runs a
-*float* screen in front of it over whole batches of packed systems
-(:mod:`repro.constraints.matrix`) and returns three-valued verdicts:
+satisfiability question in fraction-free integer arithmetic —
+unconditionally correct, and the dominant cost of dense workloads.
+This kernel runs a *float* screen in front of it over whole batches of
+packed systems (:mod:`repro.constraints.matrix`) and returns
+three-valued verdicts:
 
 * :data:`INFEASIBLE` — the system is empty **under the documented
   ε-assumption**: an elastic LP relaxation has minimum violation
@@ -39,6 +40,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.constraints import matrix
+from repro.constraints.atoms import Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.runtime import context as context_mod
 from repro.runtime import numeric
@@ -228,8 +230,8 @@ def quick_satisfiable(conj: ConjunctiveConstraint,
     resolved = context_mod.resolve(ctx)
     if not resolved.numeric_active():
         return None
-    atoms = conj.atoms
-    if len(atoms) < MIN_ATOMS or conj.equalities():
+    if len(conj) < MIN_ATOMS \
+            or any(row[2] is Relop.EQ for row in conj.rows):
         return None
     guard = resolved.guard
     if guard is not None:

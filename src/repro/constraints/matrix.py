@@ -1,40 +1,28 @@
 """Column-major float64 packing of constraint systems.
 
-The exact engine stores constraints as trees of `Fraction` atoms — the
-right representation for canonical forms (Section 3.1: logical identity
-must not depend on rounding), and the wrong one for bulk arithmetic.
-This module is the bridge: it packs conjunctive bodies into flat float
-coefficient matrices the numeric kernel (:mod:`repro.constraints.
-kernel`) consumes in batch, one packing per system instead of one
-`Fraction` tree walk per solver probe.
+The exact engine holds a conjunction as integer rows with rational
+bounds — right for canonical forms (Section 3.1: identity must not
+depend on rounding), wrong for bulk arithmetic.  This module packs
+conjunctive bodies into float matrices for the numeric kernel
+(:mod:`repro.constraints.kernel`): :class:`PackedSystem` is one body
+(:func:`pack_rows`, from a conjunction's rows or a formula template's),
+:class:`ConstraintMatrix` a batch of constraints stacked column-major
+for the vectorized interval screen.
 
-Two layers:
-
-* :class:`PackedSystem` — one conjunctive body as float rows over the
-  body's own (system-local) variable order, with its exact integer rows
-  kept alongside for the kernel's rational verification of accepts —
-  :func:`pack_rows` builds every one of them, whether from a
-  conjunction's atoms (:func:`pack_conjunction`) or straight from a
-  formula template's stored rows (:mod:`repro.core.formulas`);
-* :class:`ConstraintMatrix` — a *batch* of constraints (any family),
-  flattened to their disjunct bodies, with column-major stacked numpy
-  arrays (:meth:`ConstraintMatrix.stacked`) for the vectorized
-  interval screen.
-
-Packing is *conservative*: any atom whose coefficients do not convert
-to finite floats (overflowing numerators, for instance) marks the body
-unsupported (``None``), and the kernel routes the system to the exact
-solver.  Disequalities are excluded from the float rows (they carve
-measure-zero sets the LP cannot see) but kept in the exact rows, so
+Packing is *conservative*: a row whose values do not convert to finite
+floats marks the body unsupported (``None``) and the kernel leaves it
+to the exact solver.  Disequalities stay out of the float rows (they
+carve measure-zero sets the LP cannot see) but in the exact rows, so
 an accepted sample point is still verified against them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import ExactRow, LinearConstraint, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.terms import Variable
 from repro.runtime import numeric
@@ -50,13 +38,7 @@ ROW_EQ = 1   # a . x  = b
 Unit = "list[PackedSystem | None] | None"
 
 
-#: One exact row of a packed system: the ascending column indices of
-#: its variables in the system's variable order, their coprime ``int``
-#: coefficients, its relop (``=``, ``<=``, ``<`` or ``!=``) and its
-#: rational bound — an atom's normalized row, indexed by column.
-ExactRow = tuple[tuple[int, ...], tuple[int, ...], Relop, Fraction]
-
-
+@dataclass(slots=True, eq=False)
 class PackedSystem:
     """One conjunctive body as float64 rows over local variables.
 
@@ -68,25 +50,15 @@ class PackedSystem:
     forms) — the ground truth accepts are verified against.
     """
 
-    __slots__ = ("variables", "rows", "rhs", "kinds", "scales",
-                 "has_equality", "has_strict", "has_disequality",
-                 "exact")
-
-    def __init__(self, variables: tuple[Variable, ...],
-                 rows: list[list[float]], rhs: list[float],
-                 kinds: list[int], scales: list[float],
-                 has_equality: bool, has_strict: bool,
-                 has_disequality: bool,
-                 exact: tuple[ExactRow, ...]):
-        self.variables = variables
-        self.rows = rows
-        self.rhs = rhs
-        self.kinds = kinds
-        self.scales = scales
-        self.has_equality = has_equality
-        self.has_strict = has_strict
-        self.has_disequality = has_disequality
-        self.exact = exact
+    variables: tuple[Variable, ...]
+    rows: list[list[float]]
+    rhs: list[float]
+    kinds: list[int]
+    scales: list[float]
+    has_equality: bool
+    has_strict: bool
+    has_disequality: bool
+    exact: tuple[ExactRow, ...]
 
     @property
     def n_rows(self) -> int:
@@ -116,30 +88,20 @@ def float_row(coeffs: tuple[int, ...], bound: Fraction) -> FloatRow:
     return floats, value, max(1.0, norm, abs(value))
 
 
-def pack_rows(variables: tuple[Variable, ...],
-              entries: list[tuple[ExactRow, FloatRow]]
-              ) -> PackedSystem | None:
-    """The row packer: one conjunctive body given as exact integer rows
-    over ``variables`` (column indices into it), each with its
-    :func:`float_row`, in conjunction order.
-
-    Trivially-true rows (no columns) are dropped; a trivially-false one,
-    or an inequality or equality whose values do not convert to finite
-    floats, gives ``None`` — the body then stays exact-only."""
+def pack_rows(variables: tuple[Variable, ...], exact: Sequence[ExactRow],
+              floats: Sequence[FloatRow]) -> PackedSystem | None:
+    """The row packer: one conjunctive body given as the cleaned exact
+    rows of a conjunction over ``variables`` (its columns), in
+    conjunction order, and their :func:`float_row` forms; ``None`` when
+    an inequality or equality's values do not convert to finite floats
+    — the body then stays exact-only."""
     width = len(variables)
     rows: list[list[float]] = []
     rhs: list[float] = []
     kinds: list[int] = []
     scales: list[float] = []
-    kept: list = []
     has_eq = has_strict = has_ne = False
-    for exact, converted in entries:
-        cols, _, relop, bound = exact
-        if not cols:
-            if not relop.holds(0, bound):
-                return None     # syntactically false: exact path
-            continue
-        kept.append(exact)
+    for (cols, _, relop, _), converted in zip(exact, floats):
         if relop is Relop.NE:
             has_ne = True
             continue            # measure-zero; verified exactly
@@ -160,24 +122,18 @@ def pack_rows(variables: tuple[Variable, ...],
         rhs.append(value)
         scales.append(scale)
     return PackedSystem(variables, rows, rhs, kinds, scales,
-                        has_eq, has_strict, has_ne, tuple(kept))
+                        has_eq, has_strict, has_ne, tuple(exact))
 
 
 def pack_conjunction(conj: ConjunctiveConstraint
                      ) -> "PackedSystem | None":
-    """Pack one conjunctive body through :func:`pack_rows`; ``None``
-    when any coefficient does not convert to a finite float (the body
-    then stays exact-only)."""
-    variables = tuple(sorted(conj.variables, key=lambda v: v.name))
-    index = {v: j for j, v in enumerate(variables)}
-    entries = []
-    for atom in conj.atoms:
-        terms = atom.terms
-        coeffs = tuple(coeff for _, coeff in terms)
-        entries.append(((tuple(index[var] for var, _ in terms), coeffs,
-                         atom.relop, atom.bound),
-                        float_row(coeffs, atom.bound)))
-    return pack_rows(variables, entries)
+    """Pack one conjunctive body's stored rows through
+    :func:`pack_rows`; ``None`` for FALSE, or when any coefficient does
+    not convert to a finite float (the body then stays exact-only)."""
+    if conj.is_syntactically_false():
+        return None
+    return pack_rows(conj.columns, conj.rows,
+                     [float_row(row[1], row[3]) for row in conj.rows])
 
 
 def bodies_of(constraint: object
@@ -199,8 +155,7 @@ def bodies_of(constraint: object
     if isinstance(constraint, DisjunctiveConstraint):
         return list(constraint.disjuncts)
     if isinstance(constraint, DisjunctiveExistentialConstraint):
-        return [d.body if isinstance(d, ExistentialConjunctiveConstraint)
-                else d for d in constraint.disjuncts]
+        return [d.body for d in constraint.disjuncts]
     return None
 
 

@@ -34,7 +34,7 @@ from repro.errors import ConstraintSyntaxError
 from repro.constraints.atoms import LinearConstraint, Relop
 from repro.constraints.canonical import seed_canonical
 from repro.constraints.conjunctive import ConjunctiveConstraint
-from repro.constraints.cst_object import CSTObject, _conjoin_any, _disjoin_any
+from repro.constraints.cst_object import CSTObject, _conjoin_all, _disjoin_any
 from repro.constraints.disjunctive import DisjunctiveConstraint
 from repro.constraints.existential import (
     DisjunctiveExistentialConstraint,
@@ -139,10 +139,10 @@ class _Parser:
         return result
 
     def parse_disjunct(self):
-        result = self.parse_unit()
+        parts = [self.parse_unit()]
         while self.accept("kw", "and"):
-            result = _conjoin_any(result, self.parse_unit())
-        return result
+            parts.append(self.parse_unit())
+        return _conjoin_all(parts)
 
     def parse_unit(self):
         kind, value = self.peek()

@@ -19,16 +19,22 @@ This module implements:
 
 Equalities are substituted out first (Gaussian elimination), which both
 shortens FM runs and keeps intermediate growth down; redundant derived
-atoms are pruned with cheap syntactic checks plus an optional LP-based
-pass used by the canonical former.
+rows are pruned syntactically.  Every step is a row operation on the
+conjunction's rows, by column.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ConstraintFamilyError
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import (
+    Relop,
+    combine_rows,
+    eliminate_row,
+    row_atoms,
+    row_coefficient,
+)
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.terms import Variable
 
@@ -42,43 +48,50 @@ def eliminate_variable(conj: ConjunctiveConstraint, var: Variable
     conjunction; route such formulas through the disjunctive family
     (split the disequality first).
     """
-    for atom in conj.disequalities():
-        if var in atom.variables:
+    if var not in conj.columns:
+        return conj
+    col, rows = conj.columns.index(var), conj.rows
+    for row in rows:
+        if row[2] is Relop.NE and col in row[0]:
             raise ConstraintFamilyError(
-                f"cannot eliminate {var} from disequality {atom}; split "
+                f"cannot eliminate {var} from disequality "
+                f"{row_atoms(conj.columns, (row,))[0]}; split "
                 "the disequality into a disjunction first")
 
     # Substitute the variable away through an equality when one exists —
-    # exact and produces no quadratic atom growth.
-    for pivot in conj.equalities():
-        if var in pivot.variables:
-            return ConjunctiveConstraint(
-                atom.eliminate(var, pivot)
-                for atom in conj.atoms if atom is not pivot)
+    # exact and produces no quadratic row growth.
+    for i, pivot in enumerate(rows):
+        if pivot[2] is Relop.EQ and col in pivot[0]:
+            return ConjunctiveConstraint.from_rows(
+                conj.columns,
+                [eliminate_row(row, col, pivot)
+                 for row in rows[:i] + rows[i + 1:]])
 
-    # atom: c*var + r relop b.  A lower bound (c < 0) and an upper bound
-    # (c > 0) combine with positive factors that cancel var.
-    lower: list[tuple[LinearConstraint, int]] = []
-    upper: list[tuple[LinearConstraint, int]] = []
-    rest: list[LinearConstraint] = []
-    for atom in conj.atoms:
-        coeff = atom.coefficient(var)
+    # A lower bound (coefficient c < 0 on var) and an upper bound (c > 0)
+    # combine with positive factors that cancel var, after the rows
+    # without it.
+    lower, upper, rest = _bounds_on(rows, col)
+    for lo_row, lo_coeff in lower:
+        for hi_row, hi_coeff in upper:
+            strict = lo_row[2] is Relop.LT or hi_row[2] is Relop.LT
+            rest.append(combine_rows(hi_coeff, lo_row, lo_coeff, hi_row,
+                                     Relop.LT if strict else Relop.LE))
+    return ConjunctiveConstraint.from_rows(conj.columns, rest)
+
+
+def _bounds_on(rows, col: int) -> tuple[list, list, list]:
+    """The rows bounding column ``col`` from below and from above, each
+    with the magnitude of its coefficient, and the rows without it."""
+    lower, upper, rest = [], [], []
+    for row in rows:
+        coeff = row_coefficient(row, col)
         if coeff > 0:
-            upper.append((atom, coeff))
+            upper.append((row, coeff))
         elif coeff < 0:
-            lower.append((atom, -coeff))
+            lower.append((row, -coeff))
         else:
-            rest.append(atom)
-
-    derived: list[LinearConstraint] = []
-    for lo_atom, lo_coeff in lower:
-        for hi_atom, hi_coeff in upper:
-            strict = (lo_atom.relop is Relop.LT
-                      or hi_atom.relop is Relop.LT)
-            relop = Relop.LT if strict else Relop.LE
-            derived.append(lo_atom.combine(hi_coeff, hi_atom, lo_coeff,
-                                           relop))
-    return ConjunctiveConstraint(rest + derived)
+            rest.append(row)
+    return lower, upper, rest
 
 
 def project_conjunctive(conj: ConjunctiveConstraint,
@@ -92,10 +105,13 @@ def project_conjunctive(conj: ConjunctiveConstraint,
     """
     free_set = frozenset(free)
     work = conj.eliminate_equalities(keep=free_set)
-    to_eliminate = sorted(work.variables - free_set, key=lambda v: v.name)
-    for var in _elimination_order(work, to_eliminate):
-        work = eliminate_variable(work, var)
-        work = prune_syntactic(work)
+    # Min-fill order, fixed once: by the growth of each FM step on the
+    # system as it is now, ties by name (the static estimate is a good
+    # and much cheaper proxy for re-estimating after each step).
+    order = sorted((var for var in work.columns if var not in free_set),
+                   key=lambda v: (fm_growth(work, v), v.name))
+    for var in order:
+        work = prune_syntactic(eliminate_variable(work, var))
     return work
 
 
@@ -124,51 +140,35 @@ def restricted_project(conj: ConjunctiveConstraint,
 
 
 def fm_growth(conj: ConjunctiveConstraint, var: Variable) -> int:
-    """How many atoms one Fourier-Motzkin step on ``var`` adds to
-    ``conj``: its ``lows * highs`` derived atoms less the ``lows +
+    """How many rows one Fourier-Motzkin step on ``var`` adds to
+    ``conj``: its ``lows * highs`` derived rows less the ``lows +
     highs`` bounds on ``var`` they replace."""
-    lows = highs = 0
-    for atom in conj.atoms:
-        coeff = atom.coefficient(var)
-        if coeff > 0:
-            highs += 1
-        elif coeff < 0:
-            lows += 1
-    return lows * highs - lows - highs
-
-
-def _elimination_order(conj: ConjunctiveConstraint,
-                       candidates: Sequence[Variable]) -> list[Variable]:
-    """Min-fill ordering: the candidates sorted once by the growth of
-    their FM step on ``conj``, ties by name (classic FM heuristic).
-
-    The growth is estimated on the original conjunction; re-estimating
-    after each elimination would be more accurate, but the static
-    estimate is a good and much cheaper proxy."""
-    return sorted(candidates, key=lambda v: (fm_growth(conj, v), v.name))
+    if var not in conj.columns:
+        return 0
+    lower, upper, _ = _bounds_on(conj.rows, conj.columns.index(var))
+    return len(lower) * len(upper) - len(lower) - len(upper)
 
 
 def prune_syntactic(conj: ConjunctiveConstraint) -> ConjunctiveConstraint:
-    """Cheap redundancy pruning between atoms sharing a coefficient vector.
+    """Cheap redundancy pruning between rows sharing a coefficient vector.
 
-    Among atoms with the same normalized expression, keep only the
-    tightest upper bound (and the strictest at equal bounds); equalities
-    and disequalities are left untouched.  This is purely syntactic and
+    Among rows with the same columns and coefficients, keep only the
+    tightest upper bound (and the strictest at equal bounds), in the
+    slot of the first of them, after every other row; equalities and
+    disequalities are left untouched.  This is purely syntactic and
     therefore safe to run inside elimination loops.
     """
     best: dict = {}
-    others: list[LinearConstraint] = []
-    for atom in conj.atoms:
-        if atom.relop not in (Relop.LE, Relop.LT):
-            others.append(atom)
+    others: list = []
+    for row in conj.rows:
+        relop = row[2]
+        if relop is not Relop.LE and relop is not Relop.LT:
+            others.append(row)
             continue
-        key = atom.terms
+        key = (row[0], row[1])
         current = best.get(key)
-        if current is None:
-            best[key] = atom
-            continue
-        if (atom.bound < current.bound
-                or (atom.bound == current.bound
-                    and atom.relop is Relop.LT)):
-            best[key] = atom
-    return ConjunctiveConstraint(others + list(best.values()))
+        if current is None or row[3] < current[3] or (
+                row[3] == current[3] and relop is Relop.LT):
+            best[key] = row
+    return ConjunctiveConstraint.from_rows(conj.columns,
+                                          others + list(best.values()))

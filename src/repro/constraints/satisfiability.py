@@ -37,8 +37,8 @@ def is_satisfiable(conj: ConjunctiveConstraint,
                    ctx: QueryContext | None = None) -> bool:
     """Decide satisfiability over the reals.
 
-    The boolean answer is memoized on the conjunction's sorted atom
-    tuple (a structural hash — atoms normalize on construction), so
+    The boolean answer is memoized on the conjunction itself (its
+    column names and set of normalized rows are a structural hash), so
     repeated checks of structurally equal conjunctions cost one cache
     probe instead of a simplex run.
     """
@@ -56,7 +56,7 @@ def is_satisfiable(conj: ConjunctiveConstraint,
             return verdict
         return sample_point(conj, resolved) is not None
 
-    return resolved.memoized(("sat", conj.sorted_atoms()), compute)
+    return resolved.memoized(("sat", conj), compute)
 
 
 def sample_point(conj: ConjunctiveConstraint,

@@ -40,13 +40,15 @@ actual names.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.constraints import matrix
-from repro.constraints.atoms import Eq, LinearConstraint, Relop
-from repro.constraints.conjunctive import ConjunctiveConstraint
+from repro.constraints.atoms import Eq, LinearConstraint, Relop, remap_rows
+from repro.constraints.conjunctive import ConjunctiveConstraint, clean_rows
 from repro.constraints.cst_object import (
     CSTObject,
+    _conjoin_all,
     _conjoin_any,
     _disjoin_any,
 )
@@ -93,16 +95,17 @@ def instantiate_body(db: Database, analysis: AnalyzedQuery,
     if isinstance(node, ast.FRef):
         return _ref_constraint(db, analysis, node, env)
     if isinstance(node, ast.FAnd):
-        result = ConjunctiveConstraint.true()
+        parts: list = []
         pending: list[PendingEq] = []
         anchors: list[Anchor] = []
         for part in node.parts:
             constraint, part_pending, part_anchors = instantiate_body(
                 db, analysis, part, env)
-            result = _conjoin_any(result, constraint)
+            parts.append(constraint)
             pending.extend(part_pending)
             anchors.extend(part_anchors)
-        return result, pending, anchors
+        return (_conjoin_all([ConjunctiveConstraint.true(), *parts]),
+                pending, anchors)
     if isinstance(node, ast.FOr):
         # Implicit equalities are scoped to their own disjunct.
         parts = []
@@ -239,10 +242,8 @@ def _side(db, analysis, formula: ast.CstFormula, env):
 #: are constants and ``$params`` only, an atom that reads the row.
 _REF, _FIXED, _ROW_ATOM = range(3)
 
-#: Relops whose stored row leads with a positive coefficient.
-_SIGN_SYMMETRIC = (Relop.EQ, Relop.NE)
 
-
+@dataclass(slots=True, eq=False)
 class FormulaTemplate:
     """The conjunctive spine (``and`` / ``TRUE`` / references / atoms)
     of a WHERE ``SAT`` formula without a projection head, compiled
@@ -257,11 +258,8 @@ class FormulaTemplate:
     arguments as a column map — or ``(_FIXED | _ROW_ATOM, atom node)``.
     """
 
-    __slots__ = ("variables", "parts")
-
-    def __init__(self, variables: tuple[Variable, ...], parts: tuple):
-        self.variables = variables
-        self.parts = parts
+    variables: tuple[Variable, ...]
+    parts: tuple
 
 
 def compile_template(analysis: AnalyzedQuery, formula: ast.CstFormula,
@@ -358,16 +356,14 @@ def formula_units(db: Database, analysis: AnalyzedQuery,
     ``SAT`` formula without a head for a batch of rows — ``cells[i]``
     holds row ``i``'s values for ``columns``.
 
-    A row the template covers is packed from its cells' stored integer
-    rows and gives the unit ``matrix.pack_constraint`` of the
-    instantiated body would: the same variable order, rows in
-    conjunction order with duplicates dropped at their first
-    occurrence, the same ``=`` / ``!=`` lead sign after a rename.  Any
-    other row — a cell that is not a CST object holding a conjunction
-    of the declared dimension, or no template at all — is instantiated
-    and packed as such; a row whose instantiation raises gets ``None``,
-    so the exact test reproduces the error.  Rows packed by the
-    template are booked as ``template_rows``."""
+    A row the template covers is packed from its cells' stored rows,
+    renamed and cleaned as the instantiated conjunction's are, and gives
+    the unit ``matrix.pack_constraint`` of that body would.  Any other
+    row (no template, or a cell that is not a CST object holding a
+    conjunction of the declared dimension) is instantiated and packed;
+    one whose instantiation raises gets ``None``, so the exact test
+    reproduces the error.  Template rows are booked as
+    ``template_rows``."""
     def generic(values: tuple):
         try:
             constraint = instantiate_formula(
@@ -379,22 +375,23 @@ def formula_units(db: Database, analysis: AnalyzedQuery,
     if template is None:
         return [generic(values) for values in cells]
     slot = {var.name: j for j, var in enumerate(template.variables)}
-    fixed: dict[int, list] = {}
+    fixed: dict[int, tuple] = {}
     for i, part in enumerate(template.parts):
         if part[0] == _FIXED:
             try:
-                row = _atom_row(_build_atom(db, analysis, part[1], {}),
-                                slot)
+                mapped = _template_rows(ConjunctiveConstraint.of(
+                    _build_atom(db, analysis, part[1], {})), slot)
             except Exception:
-                row = None
-            if row is None:
+                mapped = None
+            if mapped is None:
                 return [generic(values) for values in cells]
-            fixed[i] = [row]
-    stored: dict[tuple[int, int], list | None] = {}
+            fixed[i] = mapped
+    stored: dict[tuple[int, int], tuple | None] = {}
     units: list = []
     templated = 0
     for values in cells:
-        entries: list = []
+        rows: list = []
+        floats: list = []
         env = None
         for i, part in enumerate(template.parts):
             kind = part[0]
@@ -414,15 +411,16 @@ def formula_units(db: Database, analysis: AnalyzedQuery,
                 except Exception:
                     units.append(None)
                     break
-                row = _atom_row(atom, slot)
-                mapped = [row] if row is not None else None
+                mapped = _template_rows(ConjunctiveConstraint.of(atom),
+                                        slot)
             if mapped is None:
                 units.append(generic(values))
                 break
-            entries.extend(mapped)
+            rows += mapped[0]
+            floats += mapped[1]
         else:
-            units.append(_pack_template_rows(template.variables,
-                                             entries))
+            units.append(_pack_template_rows(template.variables, rows,
+                                             floats))
             templated += 1
     current_context().stats.template_rows += templated
     return units
@@ -436,97 +434,47 @@ def _build_atom(db: Database, analysis: AnalyzedQuery,
                                   _arith(db, analysis, node.right, env))
 
 
-def _atom_row(atom: LinearConstraint, slot: dict[str, int]):
-    """An atom's exact row over the template's columns (as
-    :func:`_entry`), or ``None`` when it mentions a variable outside
-    them."""
-    terms = atom.terms
-    cols = []
-    for var, _ in terms:
-        j = slot.get(var.name)
-        if j is None:
-            return None
-        cols.append(j)
-    return _entry(tuple(cols), tuple(coeff for _, coeff in terms),
-                  atom.relop, atom.bound)
-
-
-def _entry(cols: tuple[int, ...], coeffs: tuple[int, ...], relop: Relop,
-           bound: Fraction) -> tuple:
-    """An exact row as ``(identity key, row, float form)``: the key is
-    the row in plain ``int`` / ``str`` form, which hashes without
-    ``Fraction`` or ``Enum`` work; the float form is converted once
-    for every system the row goes into."""
-    return ((cols, coeffs, relop.value, bound.numerator,
-             bound.denominator), (cols, coeffs, relop, bound),
-            matrix.float_row(coeffs, bound))
-
-
 def _cell_rows(cell, dimension: int, targets: tuple[int, ...]
                ) -> list | None:
-    """A reference cell's stored atoms as exact rows over the template's
-    columns (as :func:`_entry`; stored schema position ``i`` → column
-    ``targets[i]``), re-sorted by column and with the ``=`` / ``!=``
-    lead sign fixed as :meth:`LinearConstraint.rename` does; ``None``
-    unless the cell is a CST object holding a conjunction of
-    ``dimension``."""
+    """A reference cell's stored rows over the template's columns
+    (stored schema position ``i`` to column ``targets[i]``), as
+    :func:`_template_rows`; ``None`` unless the cell is a CST object
+    holding a conjunction of ``dimension``."""
     if not isinstance(cell, CstOid):
         return None
     cst = cell.cst
-    constraint = cst.constraint
-    if type(constraint) is not ConjunctiveConstraint \
+    if type(cst.constraint) is not ConjunctiveConstraint \
             or cst.dimension != dimension:
         return None
-    column = dict(zip(cst.schema, targets))
-    # A column map that keeps the stored name order keeps every row
-    # sorted and its lead coefficient in place.
-    stored = sorted(cst.schema, key=lambda var: var.name)
-    in_order = all(column[a] < column[b]
-                   for a, b in zip(stored, stored[1:]))
-    rows = []
-    for atom in constraint.atoms:
-        terms = atom.terms
-        relop, bound = atom.relop, atom.bound
-        if in_order:
-            cols = tuple([column[var] for var, _ in terms])
-            coeffs = tuple([coeff for _, coeff in terms])
-        else:
-            pairs = sorted([(column[var], coeff) for var, coeff in terms])
-            cols = tuple([j for j, _ in pairs])
-            coeffs = tuple([coeff for _, coeff in pairs])
-            if pairs and relop in _SIGN_SYMMETRIC and coeffs[0] < 0:
-                coeffs = tuple([-coeff for coeff in coeffs])
-                bound = -bound
-        rows.append(_entry(cols, coeffs, relop, bound))
-    return rows
+    return _template_rows(cst.constraint, {
+        var.name: j for var, j in zip(cst.schema, targets)})
 
 
-def _pack_template_rows(variables: tuple[Variable, ...], entries: list):
-    """One row's unit from its exact rows over the template's columns:
-    the conjunction's cleaning (trivially-true rows dropped, duplicates
-    dropped at their first occurrence, a trivially-false row making
-    the body FALSE — the empty unit), then the columns the rows use."""
-    seen: set = set()
-    kept = []
-    used: set[int] = set()
-    for key, row, converted in entries:
-        cols = row[0]
-        if not cols:
-            if not row[2].holds(0, row[3]):
-                return []
-            continue
-        if key not in seen:
-            seen.add(key)
-            kept.append((row, converted))
-            used.update(cols)
-    if len(used) < len(variables):
-        order = sorted(used)
-        local = {j: k for k, j in enumerate(order)}
-        variables = tuple(variables[j] for j in order)
-        kept = [((tuple(local[j] for j in cols), coeffs, relop, bound),
-                 converted)
-                for (cols, coeffs, relop, bound), converted in kept]
-    return [matrix.pack_rows(variables, kept)]
+def _template_rows(conj: ConjunctiveConstraint, column: dict[str, int]
+                   ) -> tuple[list, list] | None:
+    """A conjunction's rows over the template's columns — the column
+    remap a rename does, variable ``v`` to ``column[v.name]`` — and
+    their float forms; ``None`` when a variable has no column."""
+    try:
+        target = [column[var.name] for var in conj.columns]
+    except KeyError:
+        return None
+    rows = remap_rows(conj.rows, target)
+    return rows, [matrix.float_row(row[1], row[3]) for row in rows]
+
+
+def _pack_template_rows(variables: tuple[Variable, ...], rows: list,
+                        floats: list):
+    """One row's unit from its exact rows over the template's columns
+    and their float forms: the rows cleaned as a conjunction's are
+    (:func:`~repro.constraints.conjunctive.clean_rows`), then packed;
+    a FALSE body gives the empty unit."""
+    cleaned = clean_rows(variables, rows)
+    if cleaned is None:
+        return []
+    columns, kept, positions = cleaned
+    return [matrix.pack_rows(columns, kept,
+                             [floats[i] for i in positions])]
 
 
 # ---------------------------------------------------------------------------

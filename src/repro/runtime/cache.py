@@ -1,14 +1,15 @@
 """Constraint-level memoization — the engine's second hot-path layer.
 
 Canonical keys are the paper's logical oids, and they get recomputed
-per join row; every recomputation bottoms out in exact-``Fraction``
-simplex runs.  This module caches the three expensive decision results
+per join row; every recomputation bottoms out in exact simplex runs.
+This module caches the three expensive decision results
 (``is_satisfiable``, ``canonical_conjunctive``,
 ``implication.atom_redundant_in``) behind a size-bounded LRU keyed on
-the structural content of the inputs — atoms normalize on construction
-(:mod:`repro.constraints.atoms`), so the sorted atom tuple *is* a
-structural hash, and keys built from canonical forms are alpha-invariant
-by construction.
+the structural content of the inputs — a conjunction stores normalized
+integer rows (:mod:`repro.constraints.atoms`), so the conjunction
+itself, compared by column names and set of rows, *is* a structural
+key, and keys built from canonical forms are alpha-invariant by
+construction.
 
 Guard interaction (the part that keeps the resource-governance layer
 honest):
@@ -42,7 +43,7 @@ from collections import OrderedDict
 from typing import Hashable
 
 #: Default LRU capacity — entries are single booleans or conjunction
-#: objects, so memory per entry is dominated by the key's atom tuples.
+#: objects, so memory per entry is dominated by the key's conjunction rows.
 DEFAULT_CACHE_SIZE = 4096
 
 

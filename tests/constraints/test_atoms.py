@@ -208,6 +208,12 @@ _ROW_SLOTS = {"_expr", "_coeffs"}
 #: Modules that derive atoms from atoms and do so by row operations.
 _ROW_DERIVERS = {"constraints/projection.py", "constraints/conjunctive.py",
                  "constraints/satisfiability.py"}
+#: A conjunction's stored columns and rows, and the modules that own them.
+_SYSTEM_SLOTS = {"_rows", "_columns"}
+_SYSTEM_OWNERS = {"constraints/atoms.py", "constraints/conjunctive.py"}
+#: Modules that work on a conjunction's rows, never on its atom view.
+_ROW_READERS = {"constraints/projection.py", "constraints/matrix.py",
+                "constraints/existential.py", "core/formulas.py"}
 
 
 def test_only_atoms_reads_the_row_format():
@@ -218,7 +224,14 @@ def test_only_atoms_reads_the_row_format():
     slots.  Under ``constraints/`` nothing else reads an atom's
     ``expression`` view at all — atoms derive from atoms through
     ``combine`` / ``eliminate`` — and the modules that eliminate,
-    project and relax strict atoms do not import ``LinearExpression``."""
+    project and relax strict atoms do not import ``LinearExpression``.
+
+    A conjunction's stored ``_rows`` / ``_columns`` are read by
+    ``atoms.py`` and ``conjunctive.py`` alone — no other module of
+    ``constraints/`` or ``core/formulas.py`` names them (``sqlc``'s
+    relations have slots of those names of their own) — and the
+    modules that eliminate, pack and template rows read no ``.atoms``
+    view."""
     package = pathlib.Path(repro.__file__).parent
     offenders = set()
     for path in package.rglob("*.py"):
@@ -239,6 +252,11 @@ def test_only_atoms_reads_the_row_format():
                     isinstance(inner, ast.Attribute)
                     and (inner.attr, node.attr) in _ROW_CHAINS) or (
                     node.attr == "expression"
-                    and name.startswith("constraints/")):
+                    and name.startswith("constraints/")) or (
+                    node.attr == "atoms" and name in _ROW_READERS):
+                offenders.add(f"{name}:{node.lineno}")
+            if node.attr in _SYSTEM_SLOTS and name not in _SYSTEM_OWNERS \
+                    and (name.startswith("constraints/")
+                         or name in _ROW_READERS):
                 offenders.add(f"{name}:{node.lineno}")
     assert not offenders
