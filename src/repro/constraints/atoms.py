@@ -15,13 +15,14 @@ therefore compare equal, on a key computed once.
 
 A conjunction stores the same rows by column (:data:`ExactRow`).  One
 normaliser, :func:`_normal_row`, gives a row its stored form:
-:meth:`LinearConstraint.build` clears a :class:`LinearExpression`'s
-denominators and calls it, and every row derived from rows — negation,
-disequality split, renaming (:func:`remap_rows`), combination
-(:func:`combine_rows`: the Fourier-Motzkin step, the strict slack) and
-equality substitution (:func:`eliminate_row`) — is one integer row
-operation and the same normaliser.  Other modules read an atom's row
-through ``terms`` / ``coefficient``; ``expression`` is a
+:func:`expression_row` clears a :class:`LinearExpression`'s
+denominators and calls it, and every row derived from rows — negation
+(:func:`negate_row`), disequality split (:func:`split_row`), renaming
+(:func:`remap_rows`), combination (:func:`combine_rows`: the
+Fourier-Motzkin step, the strict slack) and equality substitution
+(:func:`eliminate_row`) — is one integer row operation and the same
+normaliser; the atom methods are views of these.  Other modules read an
+atom's row through ``terms`` / ``coefficient``; ``expression`` is a
 :class:`LinearExpression` view for arithmetic.
 """
 
@@ -116,12 +117,8 @@ class LinearConstraint:
         self._coeffs = coeffs
         self._relop = relop
         self._bound = bound
-        # Names and coefficients interleaved, so keys order exactly as
-        # sorted (name, coefficient) pairs do; the bound is a Fraction,
-        # which orders by value.
-        self._key = (tuple(chain.from_iterable(
-            zip([var.name for var in variables], coeffs))),
-            relop.value, bound)
+        self._key = row_key(variables, (range(len(variables)), coeffs, relop,
+                                        bound))
         self._hash = hash(self._key)
 
     # -- construction ---------------------------------------------------
@@ -129,40 +126,7 @@ class LinearConstraint:
     @classmethod
     def build(cls, lhs, relop: Relop, rhs) -> "LinearConstraint":
         """Build and normalize an atom from arbitrary linear sides."""
-        diff = LinearExpression.coerce(lhs) - rhs
-        terms = list(diff)
-        lcm = 1
-        for _, coeff in terms:
-            lcm = lcm * coeff.denominator // gcd(lcm, coeff.denominator)
-        return cls(*_normal_row(
-            tuple([var for var, _ in terms]),
-            tuple([coeff.numerator * (lcm // coeff.denominator)
-                   for _, coeff in terms]),
-            relop, -diff.constant_term * lcm))
-
-    def combine(self, k: int, other: "LinearConstraint", m: int,
-                relop: Relop) -> "LinearConstraint":
-        """The atom ``k*row + m*row' relop k*bound + m*bound'`` over this
-        atom's row and ``other``'s, for nonzero ``int`` factors
-        (:func:`combine_rows` over their columns)."""
-        columns, (own, theirs) = index_atoms((self, other))
-        return row_atoms(columns, [combine_rows(k, own, m, theirs, relop)])[0]
-
-    def eliminate(self, var: Variable,
-                  pivot: "LinearConstraint") -> "LinearConstraint":
-        """This atom with ``var`` substituted away through the equality
-        ``pivot`` (``p*var + ... = e``): the combination
-        ``|p|*self - sign(p)*c*pivot``, where ``c`` is this atom's
-        coefficient of ``var``; the atom itself when ``c`` is 0."""
-        if pivot._relop is not Relop.EQ:
-            raise ConstraintError("can only solve equalities")
-        p = pivot.coefficient(var)
-        if p == 0:
-            raise ConstraintError(f"{var} does not occur in {pivot}")
-        c = self.coefficient(var)
-        if c == 0:
-            return self
-        return self.combine(abs(p), pivot, -c if p > 0 else c, self._relop)
+        return cls(*expression_row(lhs, relop, rhs))
 
     # -- inspection -------------------------------------------------------
 
@@ -212,21 +176,20 @@ class LinearConstraint:
     # -- logical operations ------------------------------------------------
 
     def negate(self) -> "LinearConstraint":
-        """Complement of the atom (always a single atom).
+        """Complement of the atom (always a single atom,
+        :func:`negate_row`).
 
         ``=`` negates to ``!=``; callers that need a strict-inequality
         split of that result use :meth:`split_disequality`.
         """
-        return LinearConstraint(*_normal_row(
-            self._vars, self._coeffs, self._relop.negated, self._bound))
+        return row_atoms(self._vars, [negate_row(self._row())])[0]
 
     def split_disequality(self) -> tuple["LinearConstraint", "LinearConstraint"]:
-        """``expr != b`` as the disjunction ``expr < b  or  expr > b``."""
+        """``expr != b`` as the disjunction ``expr < b  or  expr > b``
+        (:func:`split_row`)."""
         if self._relop is not Relop.NE:
             raise ConstraintError("not a disequality")
-        return tuple(LinearConstraint(*_normal_row(
-            self._vars, self._coeffs, relop, self._bound))
-            for relop in (Relop.LT, Relop.GT))
+        return row_atoms(self._vars, split_row(self._row()))
 
     def weakened(self) -> "LinearConstraint":
         """The non-strict version of a strict inequality (``<`` -> ``<=``)."""
@@ -234,6 +197,11 @@ class LinearConstraint:
             return LinearConstraint(self._vars, self._coeffs, Relop.LE,
                                     self._bound)
         return self
+
+    def _row(self) -> "ExactRow":
+        """The atom's row over its variables as the columns."""
+        return (tuple(range(len(self._vars))), self._coeffs, self._relop,
+                self._bound)
 
     # -- evaluation & substitution ------------------------------------------
 
@@ -290,8 +258,7 @@ class LinearConstraint:
         return f"LinearConstraint({self})"
 
     def __str__(self) -> str:
-        return (f"{format_terms(zip(self._vars, self._coeffs))} "
-                f"{self._relop.value} {format_fraction(self._bound)}")
+        return format_row(self._vars, self._row())
 
 
 #: One row of a system: the ascending indices of its columns in the
@@ -332,6 +299,58 @@ def _normal_row(cols: tuple, coeffs: tuple[int, ...], relop: Relop,
 FALSE_ROW: ExactRow = ((), (), Relop.EQ, _ONE)
 
 
+def expression_row(lhs, relop: Relop, rhs) -> tuple:
+    """The normal row of ``lhs relop rhs`` over its variables sorted by
+    name: ``lhs - rhs`` with its denominators cleared."""
+    diff = LinearExpression.coerce(lhs) - rhs
+    terms = list(diff)
+    lcm = 1
+    for _, coeff in terms:
+        lcm = lcm * coeff.denominator // gcd(lcm, coeff.denominator)
+    return _normal_row(
+        tuple([var for var, _ in terms]),
+        tuple([coeff.numerator * (lcm // coeff.denominator)
+               for _, coeff in terms]),
+        relop, -diff.constant_term * lcm)
+
+
+def row_key(columns: Sequence[Variable], row: ExactRow) -> tuple:
+    """The :meth:`LinearConstraint.sort_key` of ``row`` over
+    ``columns``: names and coefficients interleaved, so keys order
+    exactly as sorted (name, coefficient) pairs do, then the relop and
+    the bound (a Fraction, which orders by value)."""
+    cols, coeffs, relop, bound = row
+    return (tuple(chain.from_iterable(
+        zip([columns[j].name for j in cols], coeffs))), relop.value, bound)
+
+
+def format_row(columns: Sequence[Variable], row: ExactRow) -> str:
+    """``row`` over ``columns`` printed as its atom prints."""
+    cols, coeffs, relop, bound = row
+    return (f"{format_terms(zip([columns[j] for j in cols], coeffs))} "
+            f"{relop.value} {format_fraction(bound)}")
+
+
+def negate_row(row: ExactRow) -> ExactRow:
+    """The complement of ``row``: one row, ``=`` negating to ``!=``."""
+    cols, coeffs, relop, bound = row
+    return _normal_row(cols, coeffs, _NEGATED[relop], bound)
+
+
+def split_row(row: ExactRow) -> tuple[ExactRow, ExactRow]:
+    """The disequality ``row`` as its strict rows ``<`` and ``>``."""
+    cols, coeffs, _, bound = row
+    return (_normal_row(cols, coeffs, Relop.LT, bound),
+            _normal_row(cols, coeffs, Relop.GT, bound))
+
+
+def negated_rows(row: ExactRow) -> tuple[ExactRow, ...]:
+    """The complement of ``row`` as a disjunction of ``=``, ``<=`` and
+    ``<`` rows: its negation, split when that is a disequality."""
+    negated = negate_row(row)
+    return split_row(negated) if negated[2] is Relop.NE else (negated,)
+
+
 def _summed(terms: Iterable[tuple[int, int]], relop: Relop,
             bound: Fraction) -> ExactRow:
     """The normal row of ``(column, coefficient)`` terms, the
@@ -361,9 +380,9 @@ def row_coefficient(row: ExactRow, col: int) -> int:
 
 def eliminate_row(row: ExactRow, col: int, pivot: ExactRow) -> ExactRow:
     """``row`` with column ``col`` substituted away through the equality
-    row ``pivot`` — :meth:`LinearConstraint.eliminate` by column: the
-    combination ``|p|*row - sign(p)*c*pivot``; the row itself when its
-    coefficient ``c`` of ``col`` is 0."""
+    row ``pivot`` (``p`` its coefficient of ``col``): the combination
+    ``|p|*row - sign(p)*c*pivot``; the row itself when its coefficient
+    ``c`` of ``col`` is 0."""
     c = row_coefficient(row, col)
     if not c:
         return row
@@ -406,13 +425,22 @@ def column_union(*column_lists: Sequence[Variable]
 def index_atoms(atoms: Sequence[LinearConstraint]
                 ) -> tuple[tuple[Variable, ...], list[ExactRow]]:
     """The columns of a system of atoms and each atom's row over them."""
-    if len(atoms) == 1:         # an atom's variables are its columns
-        return atoms[0]._vars, [(tuple(range(len(atoms[0]._vars))),
-                                 atoms[0]._coeffs, atoms[0]._relop,
-                                 atoms[0]._bound)]
-    columns, targets = column_union(*[atom._vars for atom in atoms])
-    return columns, [(tuple(target), atom._coeffs, atom._relop, atom._bound)
-                     for target, atom in zip(targets, atoms)]
+    return index_named([(atom._vars, atom._coeffs, atom._relop, atom._bound)
+                        for atom in atoms])
+
+
+def index_named(named: Sequence[tuple]
+                ) -> tuple[tuple[Variable, ...], list[ExactRow]]:
+    """:func:`index_atoms` of rows over their own variables (what
+    :func:`expression_row` gives)."""
+    if len(named) == 1:         # a row's variables are its columns
+        variables, coeffs, relop, bound = named[0]
+        return variables, [(tuple(range(len(variables))), coeffs, relop,
+                            bound)]
+    columns, targets = column_union(*[row[0] for row in named])
+    return columns, [(tuple(target), coeffs, relop, bound)
+                     for target, (_, coeffs, relop, bound)
+                     in zip(targets, named)]
 
 
 def row_atoms(columns: tuple[Variable, ...], rows: Iterable[ExactRow]

@@ -2,12 +2,12 @@
 
 "The evaluation of geometric queries" literature splits constraint
 processing into a cheap geometric phase and an exact symbolic phase;
-this module is the cheap phase.  From the *single-variable* atoms of a
-conjunction it derives per-variable lower/upper bounds in O(atoms),
+this module is the cheap phase.  From the *single-column* rows of a
+conjunction it derives per-column lower/upper bounds in O(rows),
 producing an axis-aligned bounding box that **over-approximates** the
 conjunction's point set.  Two sound refutations follow:
 
-* a conjunction whose multi-variable atoms cannot hold anywhere on the
+* a conjunction whose multi-column rows cannot hold anywhere on the
   box is unsatisfiable (:func:`refutes`);
 * two constraints whose boxes are disjoint on a shared variable have an
   empty intersection (:func:`boxes_disjoint`) — the join prefilter.
@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import ExactRow, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.terms import Variable
 from repro.runtime import context as context_mod
@@ -65,29 +65,29 @@ def _tighten(interval: Interval, relop: Relop, value: Fraction
     return (lo, lo_open, hi, hi_open)
 
 
-def box_of(atoms: Iterable[LinearConstraint]
+def box_of(conj: ConjunctiveConstraint
            ) -> dict[Variable, Interval] | None:
-    """Per-variable bounds from the single-variable, non-``!=`` atoms.
+    """Per-variable bounds from the single-variable, non-``!=`` rows of
+    ``conj``.
 
     Returns ``None`` when the bounds alone are contradictory (the box —
-    and hence the point set — is empty).  Multi-variable atoms are
+    and hence the point set — is empty).  Multi-variable rows are
     ignored here; :func:`refutes` evaluates them *over* the box.
     """
     box: dict[Variable, Interval] = {}
-    for atom in atoms:
-        if atom.relop is Relop.NE:
+    for cols, coeffs, relop, bound in conj.rows:
+        if relop is Relop.NE:
             continue
-        terms = atom.terms
-        if not terms:
-            if not atom.trivial_truth():
+        if not cols:
+            if not relop.holds(Fraction(0), bound):
                 return None
             continue
-        if len(terms) != 1:
+        if len(cols) != 1:
             continue
-        (var, coeff), = terms
-        value = atom.bound / coeff
-        relop = atom.relop if coeff > 0 else atom.relop.flipped
-        tightened = _tighten(box.get(var, FULL), relop, value)
+        var, (coeff,) = conj.columns[cols[0]], coeffs
+        tightened = _tighten(box.get(var, FULL),
+                             relop if coeff > 0 else relop.flipped,
+                             bound / coeff)
         if tightened is None:
             return None
         box[var] = tightened
@@ -95,7 +95,7 @@ def box_of(atoms: Iterable[LinearConstraint]
 
 
 # ---------------------------------------------------------------------------
-# Interval evaluation of general atoms over a box
+# Interval evaluation of general rows over a box
 # ---------------------------------------------------------------------------
 
 
@@ -121,31 +121,28 @@ def _extremum(terms: Iterable[tuple[Variable, int]],
     return total, attained
 
 
-def _atom_impossible(atom: LinearConstraint,
-                     box: Mapping[Variable, Interval]) -> bool:
-    """Can ``atom`` hold nowhere on ``box``?  (Sound, not complete.)"""
-    terms = atom.terms
-    if not terms:
-        return not atom.trivial_truth()
-    bound = atom.bound
+def _impossible(columns: tuple[Variable, ...], row: ExactRow,
+                box: Mapping[Variable, Interval]) -> bool:
+    """Can ``row`` over ``columns`` hold nowhere on ``box``?  (Sound,
+    not complete.)"""
+    cols, coeffs, relop, bound = row
+    terms = [(columns[j], coeff) for j, coeff in zip(cols, coeffs)]
     inf, inf_att = _extremum(terms, box, lower=True)
-    if atom.relop is Relop.LE:
+    if relop is Relop.LE:
         return inf is not None and (inf > bound
                                     or (inf == bound and not inf_att))
-    if atom.relop is Relop.LT:
+    if relop is Relop.LT:
         return inf is not None and inf >= bound
     sup, sup_att = _extremum(terms, box, lower=False)
-    if atom.relop is Relop.EQ:
+    if relop is Relop.EQ:
         if inf is not None and (inf > bound
                                 or (inf == bound and not inf_att)):
             return True
         return sup is not None and (sup < bound
                                     or (sup == bound and not sup_att))
-    if atom.relop is Relop.NE:
-        # Only refutable when the box pins the expression to the bound.
-        return (inf is not None and sup is not None
-                and inf == sup == bound and inf_att and sup_att)
-    return False
+    # ``!=``: only refutable when the box pins the row to the bound.
+    return (inf is not None and sup is not None
+            and inf == sup == bound and inf_att and sup_att)
 
 
 def refutes(conj: ConjunctiveConstraint, ctx=None) -> bool:
@@ -154,14 +151,12 @@ def refutes(conj: ConjunctiveConstraint, ctx=None) -> bool:
     per-execution stats (once — workers merge generically)."""
     stats_acct = context_mod.resolve(ctx).stats
     stats_acct.box_checks += 1
-    box = box_of(conj.atoms)
-    if box is None:
+    box = box_of(conj)
+    if box is None or any(len(row[0]) > 1
+                          and _impossible(conj.columns, row, box)
+                          for row in conj.rows):
         stats_acct.box_refutations += 1
         return True
-    for atom in conj.atoms:
-        if len(atom.terms) > 1 and _atom_impossible(atom, box):
-            stats_acct.box_refutations += 1
-            return True
     return False
 
 
@@ -196,37 +191,25 @@ def constraint_box(constraint) -> dict[Variable, Interval] | None:
     over-approximates the projection onto the free ones).  ``None``
     means every disjunct's box was already empty.
     """
-    from repro.constraints.disjunctive import DisjunctiveConstraint
-    from repro.constraints.existential import (
-        DisjunctiveExistentialConstraint,
-        ExistentialConjunctiveConstraint,
-    )
-    if isinstance(constraint, ConjunctiveConstraint):
-        return box_of(constraint.atoms)
-    if isinstance(constraint, ExistentialConjunctiveConstraint):
-        return box_of(constraint.body.atoms)
-    if isinstance(constraint, (DisjunctiveConstraint,
-                               DisjunctiveExistentialConstraint)):
-        bodies = [d.body if isinstance(
-                      d, ExistentialConjunctiveConstraint) else d
-                  for d in constraint.disjuncts]
-        hull: dict[Variable, Interval] | None = None
-        for body in bodies:
-            box = box_of(body.atoms)
-            if box is None:
-                continue
-            if hull is None:
-                hull = dict(box)
-                continue
-            # A variable missing from either box is unbounded there, so
-            # its hull entry is the full line — simply drop it.
-            for var in list(hull):
-                if var in box:
-                    hull[var] = _hull(hull[var], box[var])
-                else:
-                    del hull[var]
-        return hull
-    raise TypeError(f"not a constraint: {constraint!r}")
+    from repro.constraints.matrix import bodies_of
+    bodies = bodies_of(constraint)
+    if bodies is None:
+        raise TypeError(f"not a constraint: {constraint!r}")
+    hull: dict[Variable, Interval] | None = None
+    for box in map(box_of, bodies):
+        if box is None:
+            continue
+        if hull is None:
+            hull = dict(box)
+            continue
+        # A variable missing from either box is unbounded there, so its
+        # hull entry is the full line — simply drop it.
+        for var in list(hull):
+            if var in box:
+                hull[var] = _hull(hull[var], box[var])
+            else:
+                del hull[var]
+    return hull
 
 
 def intervals_disjoint(a: Interval, b: Interval) -> bool:

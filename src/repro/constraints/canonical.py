@@ -41,8 +41,8 @@ def canonical_conjunctive(conj: ConjunctiveConstraint,
     """Canonical form of a conjunction.
 
     Unsatisfiable conjunctions collapse to the canonical FALSE; with
-    ``remove_redundant`` each atom implied by the others is dropped
-    (one LP check per atom — polynomially many simplex runs).  The
+    ``remove_redundant`` each row implied by the others is dropped
+    (one LP check per row — polynomially many simplex runs).  The
     result is memoized on the conjunction itself (its column names and
     set of rows): canonical keys are the paper's logical oids and are
     recomputed per join row, so this is the single hottest cache entry
@@ -64,19 +64,23 @@ def _canonical_conjunctive(conj: ConjunctiveConstraint,
         return ConjunctiveConstraint.false()
     if not remove_redundant:
         return conj
-    atoms = list(conj.sorted_atoms())
+    columns = conj.columns
+    rows = conj.sorted_rows()
     kept: list = []
     guard = ctx.guard
     # A single backward pass relative to the full remaining context keeps
-    # the result order-independent: an atom is dropped iff implied by
+    # the result order-independent: a row is dropped iff implied by
     # (kept so far) + (not yet examined).
-    for i, atom in enumerate(atoms):
+    for i, row in enumerate(rows):
         if guard is not None:
             guard.tick_canonical()
-        context = ConjunctiveConstraint(kept + atoms[i + 1:])
-        if not implication.atom_redundant_in(atom, context, ctx):
-            kept.append(atom)
-    return ConjunctiveConstraint(kept)
+        context = ConjunctiveConstraint.from_rows(columns,
+                                                  kept + rows[i + 1:])
+        if not implication.atom_redundant_in(
+                ConjunctiveConstraint.from_rows(columns, (row,)), context,
+                ctx):
+            kept.append(row)
+    return ConjunctiveConstraint.from_rows(columns, kept)
 
 
 def canonical_disjunctive(dis: DisjunctiveConstraint,

@@ -6,12 +6,14 @@ disequalities).  It is the base family of Section 3.1 of the paper; the
 disjunctive and existential families are built on top of it.
 
 A conjunction is stored as its integer rows (``columns`` and ``rows``);
-every operation on it is a row operation, and its atoms are a view.
+every operation on it, printing and the exact solver included, is a row
+operation.  Its atoms are built on first read, for the public API.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -22,49 +24,47 @@ from repro.constraints.atoms import (
     Relop,
     column_union,
     eliminate_row,
+    format_row,
     index_atoms,
     move_columns,
     remap_rows,
     row_atoms,
+    row_key,
 )
 from repro.constraints.terms import RationalLike, Variable, to_fraction
+from repro.errors import InfeasibleError
 
 _ZERO = Fraction(0)
 _ROW_KEY = itemgetter(0, 1)
 _ROW_COLUMNS = itemgetter(0)
 _TRIVIAL_KEY = ((), ())
-
-#: The canonical false atom ``0 = 1`` — kept trivial-false on purpose so a
-#: collapsed conjunction still carries one row to print and hash.
-_FALSE_ATOM = LinearConstraint.build(0, Relop.EQ, 1)
-#: The columns, rows and atoms of the canonical FALSE conjunction.
-_FALSE = ((), (FALSE_ROW,), (_FALSE_ATOM,))
+#: The columns and rows of the canonical FALSE conjunction — kept
+#: trivial-false on purpose so a collapsed conjunction still carries one
+#: row to print and hash.
+_FALSE = ((), (FALSE_ROW,))
 
 
 def clean_rows(columns: tuple[Variable, ...], rows: Sequence[ExactRow]
-               ) -> tuple[tuple[Variable, ...], Sequence[ExactRow],
-                          Sequence[int]] | None:
+               ) -> tuple[tuple[Variable, ...], Sequence[ExactRow]] | None:
     """A conjunction's cleaning of ``rows`` over ``columns``: trivially
     true rows drop, a row equal to an earlier one drops (the first
     occurrence stays), and the columns no kept row uses drop out.
-    Returns the columns, the kept rows and each kept row's position in
-    ``rows``; ``None`` when a row is trivially false."""
+    Returns the columns and the kept rows, in order; ``None`` when a row
+    is trivially false."""
     # Rows are told apart by their (columns, coefficients) pair, which
     # hashes without ``Fraction`` or ``Enum`` work; only a row whose
     # pair an earlier row has is compared, or hashed, whole.  When no
     # two rows share a pair and none is trivial, every row is kept.
     kept: Sequence[ExactRow] = rows
-    positions: Sequence[int] = range(len(rows))
     if len(rows) == 1 and 0 < len(rows[0][0]) == len(columns):
-        return columns, kept, positions     # one row on every column
+        return columns, kept        # one row on every column
     keys = list(map(_ROW_KEY, rows))
     distinct = set(keys)
     if len(distinct) < len(keys) or _TRIVIAL_KEY in distinct:
         first: dict[tuple, ExactRow] = {}
         more: set[ExactRow] = set()
-        where: list[int] = []
-        for i, key in enumerate(keys):
-            row = rows[i]
+        kept = []
+        for key, row in zip(keys, rows):
             if key == _TRIVIAL_KEY:
                 if not row[2].holds(_ZERO, row[3]):
                     return None
@@ -79,14 +79,13 @@ def clean_rows(columns: tuple[Variable, ...], rows: Sequence[ExactRow]
                 more.add(row)           # hashes the row once
                 if len(more) == size:
                     continue
-            where.append(i)
-        kept, positions = [rows[i] for i in where], where
+            kept.append(row)
     used = set().union(*map(_ROW_COLUMNS, kept))
     if len(used) < len(columns):
         order = sorted(used)
         columns = tuple([columns[j] for j in order])
         kept = move_columns(kept, dict(zip(order, range(len(order)))))
-    return columns, kept, positions
+    return columns, kept
 
 
 class ConjunctiveConstraint:
@@ -99,40 +98,31 @@ class ConjunctiveConstraint:
     paper's two always-on simplifications).
     """
 
-    __slots__ = ("_columns", "_rows", "_atoms", "_hash")
+    __slots__ = ("_columns", "_rows", "_atoms", "_hash", "_text")
 
     def __init__(self, atoms: Iterable[LinearConstraint] = ()):
         atoms = tuple(atoms)
         for atom in atoms:
             if not isinstance(atom, LinearConstraint):
                 raise TypeError(f"expected LinearConstraint, got {atom!r}")
-        self._store(*index_atoms(atoms), atoms)
+        self._store(*index_atoms(atoms))
 
     def _store(self, columns: tuple[Variable, ...],
-               rows: Sequence[ExactRow],
-               atoms: tuple[LinearConstraint, ...] | None = None) -> None:
-        """Hold ``rows`` over ``columns`` after :func:`clean_rows`, with
-        their atoms as the view when given."""
-        cleaned = clean_rows(columns, rows)
-        kept: Sequence[ExactRow]
-        if cleaned is None:
-            columns, kept, atoms = _FALSE
-        else:
-            columns, kept, positions = cleaned
-            if atoms is not None and len(positions) < len(atoms):
-                atoms = tuple([atoms[i] for i in positions])
-        self._columns, self._rows, self._atoms = columns, tuple(kept), atoms
+               rows: Sequence[ExactRow]) -> None:
+        """Hold ``rows`` over ``columns`` after :func:`clean_rows`."""
+        columns, kept = clean_rows(columns, rows) or _FALSE
+        self._columns, self._rows = columns, tuple(kept)
+        self._atoms: tuple[LinearConstraint, ...] | None = None
         self._hash: int | None = None
+        self._text: str | None = None
 
     @classmethod
     def from_rows(cls, columns: tuple[Variable, ...],
-                  rows: Sequence[ExactRow],
-                  atoms: tuple[LinearConstraint, ...] | None = None
-                  ) -> "ConjunctiveConstraint":
+                  rows: Sequence[ExactRow]) -> "ConjunctiveConstraint":
         """The conjunction of ``rows`` over ``columns``, cleaned as a
         construction is (:func:`clean_rows`)."""
         conj = cls.__new__(cls)
-        conj._store(columns, rows, atoms)
+        conj._store(columns, rows)
         return conj
 
     # -- constructors ---------------------------------------------------
@@ -145,7 +135,7 @@ class ConjunctiveConstraint:
     @classmethod
     def false(cls) -> "ConjunctiveConstraint":
         """The canonical unsatisfiable conjunction."""
-        return cls((_FALSE_ATOM,))
+        return cls.from_rows(*_FALSE)
 
     @classmethod
     def of(cls, *atoms: LinearConstraint) -> "ConjunctiveConstraint":
@@ -165,7 +155,8 @@ class ConjunctiveConstraint:
 
     @property
     def atoms(self) -> tuple[LinearConstraint, ...]:
-        """The rows as atoms, in conjunction order (built once)."""
+        """The rows as atoms, in conjunction order — built on first read,
+        for the public API."""
         if self._atoms is None:
             self._atoms = row_atoms(self._columns, self._rows)
         return self._atoms
@@ -213,9 +204,7 @@ class ConjunctiveConstraint:
         columns, targets = column_union(*[part._columns for part in parts])
         rows = [row for part, target in zip(parts, targets)
                 for row in move_columns(part._rows, target)]
-        views = [part._atoms for part in parts if part._atoms is not None]
-        atoms = sum(views, ()) if len(views) == len(parts) else None
-        return ConjunctiveConstraint.from_rows(columns, rows, atoms)
+        return ConjunctiveConstraint.from_rows(columns, rows)
 
     __and__ = conjoin
 
@@ -291,17 +280,25 @@ class ConjunctiveConstraint:
 
     def variable_bounds(self, var: Variable
                         ) -> tuple[Fraction | None, Fraction | None]:
-        """Exact (min, max) of ``var`` over the region; None = unbounded.
+        """Exact (min, max) of ``var`` over the region — of its closure,
+        for strict rows; None = unbounded.
 
-        Raises :class:`ConstraintError` on an unsatisfiable region.
+        Raises :class:`InfeasibleError` on an unsatisfiable region.
         """
         from repro.constraints import lp
+        if not self.is_satisfiable():
+            raise InfeasibleError("the region is empty")
         lo = lp.minimize(var.as_expression(), self)
         hi = lp.maximize(var.as_expression(), self)
         return lo.value if lo.is_optimal else None, \
             hi.value if hi.is_optimal else None
 
     # -- identity --------------------------------------------------------------------
+
+    def sorted_rows(self) -> list[ExactRow]:
+        """The rows in canonical order, that of their atoms'
+        ``sort_key`` (:func:`~repro.constraints.atoms.row_key`)."""
+        return sorted(self._rows, key=partial(row_key, self._columns))
 
     def sorted_atoms(self) -> tuple[LinearConstraint, ...]:
         return tuple(sorted(self.atoms, key=LinearConstraint.sort_key))
@@ -326,11 +323,12 @@ class ConjunctiveConstraint:
         return f"ConjunctiveConstraint({self})"
 
     def __str__(self) -> str:
-        if not self._rows:
-            return "TRUE"
-        if self.is_syntactically_false():
-            return "FALSE"
-        return " and ".join(str(a) for a in self.sorted_atoms())
+        # Printed from the rows once: a stored object prints often.
+        if self._text is None:
+            self._text = "FALSE" if self.is_syntactically_false() \
+                else " and ".join([format_row(self._columns, row)
+                                   for row in self.sorted_rows()]) or "TRUE"
+        return self._text
 
 
 #: The empty conjunction :meth:`ConjunctiveConstraint.true` gives.

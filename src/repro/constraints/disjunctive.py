@@ -19,9 +19,9 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ConstraintFamilyError
 from repro.constraints import projection as projection_mod
-from repro.constraints.atoms import LinearConstraint
+from repro.constraints.atoms import LinearConstraint, Relop, split_row
 from repro.constraints.conjunctive import ConjunctiveConstraint
-from repro.constraints.implication import negated_atom_branches
+from repro.constraints.implication import negated_branches
 from repro.constraints.terms import RationalLike, Variable
 from repro.runtime.context import current_context
 
@@ -77,12 +77,8 @@ class DisjunctiveConstraint:
     @classmethod
     def negation_of_conjunctive(cls, conj: ConjunctiveConstraint
                                 ) -> "DisjunctiveConstraint":
-        """``not conj`` as a disjunction of single-atom conjunctions."""
-        disjuncts: list[ConjunctiveConstraint] = []
-        for atom in conj.atoms:
-            for branch in negated_atom_branches(atom):
-                disjuncts.append(ConjunctiveConstraint.of(branch))
-        return cls(disjuncts)
+        """``not conj`` as a disjunction of single-row conjunctions."""
+        return cls(negated_branches(conj))
 
     # -- inspection ---------------------------------------------------------
 
@@ -246,15 +242,14 @@ def _split_disequalities_on(conj: ConjunctiveConstraint,
     """Split every disequality that mentions a to-be-eliminated variable
     into its two strict branches, producing a small disjunction of
     conjunctions each safe for Fourier-Motzkin."""
-    pending = [a for a in conj.disequalities()
-               if a.variables - free]
+    columns = conj.columns
+    pending = [row for row in conj.rows if row[2] is Relop.NE
+               and any(columns[j] not in free for j in row[0])]
     if not pending:
         return [conj]
-    base = ConjunctiveConstraint(
-        a for a in conj.atoms if a not in pending)
-    results = [base]
-    for atom in pending:
-        below, above = atom.split_disequality()
-        results = [r.conjoin(branch)
-                   for r in results for branch in (below, above)]
-    return results
+    results = [[row for row in conj.rows if row not in pending]]
+    for row in pending:
+        results = [rows + [branch]
+                   for rows in results for branch in split_row(row)]
+    return [ConjunctiveConstraint.from_rows(columns, rows)
+            for rows in results]

@@ -67,37 +67,12 @@ def vertices_2d(conj: ConjunctiveConstraint,
     """
     if len(schema) != 2:
         raise DimensionError("vertices_2d needs a 2-variable schema")
-    x, y = schema
-    extra = conj.variables - {x, y}
+    extra = conj.variables - set(schema)
     if extra:
         raise DimensionError(
             f"constraint is not 2-D: extra variables "
             f"{sorted(v.name for v in extra)}")
-
-    lines: list[tuple[Fraction, Fraction, Fraction]] = []
-    for atom in conj.atoms:
-        if atom.relop is Relop.NE:
-            continue
-        a = atom.coefficient(x)
-        b = atom.coefficient(y)
-        c = atom.bound
-        lines.append((a, b, c))
-        if atom.relop is Relop.EQ:
-            lines.append((-a, -b, -c))
-
-    closure = ConjunctiveConstraint(
-        a.weakened() for a in conj.atoms if a.relop is not Relop.NE)
-
-    points: set[tuple[Fraction, Fraction]] = set()
-    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        px = (c1 * b2 - c2 * b1) / det
-        py = (a1 * c2 - a2 * c1) / det
-        if closure.holds_at({x: px, y: py}):
-            points.add((px, py))
-    return _ccw_sort(list(points))
+    return _ccw_sort(vertices_nd(conj, schema))
 
 
 def vertices_nd(conj: ConjunctiveConstraint,
@@ -122,25 +97,27 @@ def vertices_nd(conj: ConjunctiveConstraint,
     if n == 0:
         return []
 
+    # The rows as half-spaces ``vector . x <= bound`` over the schema
+    # (an equality both ways): the closure, and the hyperplanes whose
+    # n-subsets meet in the candidate vertices.
+    position = [vars_.index(var) for var in conj.columns]
     rows: list[tuple[list[Fraction], Fraction]] = []
-    for atom in conj.atoms:
-        if atom.relop is Relop.NE:
+    for cols, coeffs, relop, bound in conj.rows:
+        if relop is Relop.NE:
             continue
-        coeffs = [Fraction(atom.coefficient(v)) for v in vars_]
-        rows.append((coeffs, atom.bound))
-        if atom.relop is Relop.EQ:
-            rows.append(([-c for c in coeffs], -atom.bound))
-
-    closure = ConjunctiveConstraint(
-        a.weakened() for a in conj.atoms if a.relop is not Relop.NE)
+        vector = [Fraction(0)] * n
+        for j, coeff in zip(cols, coeffs):
+            vector[position[j]] = Fraction(coeff)
+        rows.append((vector, bound))
+        if relop is Relop.EQ:
+            rows.append(([-c for c in vector], -bound))
 
     points: set[tuple[Fraction, ...]] = set()
     for combo in itertools.combinations(range(len(rows)), n):
         solution = _solve_square([rows[i] for i in combo], n)
-        if solution is None:
-            continue
-        point = dict(zip(vars_, solution))
-        if closure.holds_at(point):
+        if solution is not None and all(
+                sum(c * v for c, v in zip(vector, solution)) <= bound
+                for vector, bound in rows):
             points.add(tuple(solution))
     return sorted(points)
 

@@ -4,9 +4,9 @@ Section 4.2 defines ``((x..)|phi) |= ((y..)|psi)`` to hold iff for every
 real instantiation of all variables, truth of the left side implies truth
 of the right side.  We decide it completely:
 
-* ``conjunctive |= conjunctive``: for each atom ``a`` of the right side,
+* ``conjunctive |= conjunctive``: for each row ``a`` of the right side,
   check ``phi and not(a)`` unsatisfiable.  Negation of ``=`` splits into
-  two strict branches.
+  two strict branches (:func:`~repro.constraints.atoms.negated_rows`).
 * ``disjunctive |= disjunctive``: every disjunct of the left side must
   entail the right-side disjunction; ``D |= (C1 or ... or Ck)`` holds iff
   ``D and not(C1) and ... and not(Ck)`` is unsatisfiable, where each
@@ -18,9 +18,14 @@ of the right side.  We decide it completely:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import (
+    LinearConstraint,
+    index_atoms,
+    negated_rows,
+    row_atoms,
+)
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.satisfiability import is_satisfiable
 from repro.runtime import context as context_mod
@@ -30,10 +35,17 @@ from repro.runtime.context import QueryContext
 def negated_atom_branches(atom: LinearConstraint
                           ) -> tuple[LinearConstraint, ...]:
     """The complement of an atom as a disjunction of =,<=,< atoms."""
-    negated = atom.negate()
-    if negated.relop is Relop.NE:
-        return negated.split_disequality()
-    return (negated,)
+    columns, (row,) = index_atoms((atom,))
+    return row_atoms(columns, negated_rows(row))
+
+
+def negated_branches(conj: ConjunctiveConstraint
+                     ) -> Iterator[ConjunctiveConstraint]:
+    """``not conj`` as one-row conjunctions, a disjunction: the
+    :func:`~repro.constraints.atoms.negated_rows` of each row."""
+    for row in conj.rows:
+        for branch in negated_rows(row):
+            yield ConjunctiveConstraint.from_rows(conj.columns, (branch,))
 
 
 def conjunctive_entails_conjunctive(lhs: ConjunctiveConstraint,
@@ -44,11 +56,8 @@ def conjunctive_entails_conjunctive(lhs: ConjunctiveConstraint,
     ctx = context_mod.resolve(ctx)
     if not is_satisfiable(lhs, ctx):
         return True
-    for atom in rhs.atoms:
-        for branch in negated_atom_branches(atom):
-            if is_satisfiable(lhs.conjoin(branch), ctx):
-                return False
-    return True
+    return not any(is_satisfiable(lhs.conjoin(branch), ctx)
+                   for branch in negated_branches(rhs))
 
 
 def conjunctive_entails_disjunction(lhs: ConjunctiveConstraint,
@@ -75,10 +84,7 @@ def conjunctive_entails_disjunction(lhs: ConjunctiveConstraint,
 
     negations: list[list[ConjunctiveConstraint]] = []
     for d in disjuncts:
-        branches: list[ConjunctiveConstraint] = []
-        for atom in d.atoms:
-            for branch in negated_atom_branches(atom):
-                branches.append(ConjunctiveConstraint.of(branch))
+        branches = list(negated_branches(d))
         if not branches:
             # Negating TRUE gives FALSE: the disjunct covers everything.
             return True
@@ -120,27 +126,22 @@ def equivalent(lhs: ConjunctiveConstraint,
             and conjunctive_entails_conjunctive(rhs, lhs, ctx))
 
 
-def atom_redundant_in(atom: LinearConstraint,
+def atom_redundant_in(atom: LinearConstraint | ConjunctiveConstraint,
                       context: ConjunctiveConstraint,
                       ctx: QueryContext | None = None) -> bool:
-    """Is ``atom`` implied by ``context`` (used by canonical forms)?
+    """Is ``atom`` — or a conjunction of one row — implied by
+    ``context`` (used by canonical forms)?
 
-    Memoized on ``(atom, context)`` — canonicalization
-    asks this question once per atom per call, and the same
-    (atom, context) pairs recur across structurally equal constraints.
-    The per-branch satisfiability checks additionally flow through the
-    interval prefilter via :func:`is_satisfiable`.
+    Memoized on ``(atom, context)`` — canonicalization asks this
+    question once per row per call, and the same pairs recur across
+    structurally equal constraints.  The per-branch satisfiability
+    checks additionally flow through the interval prefilter via
+    :func:`is_satisfiable`.
     """
+    if isinstance(atom, LinearConstraint):
+        atom = ConjunctiveConstraint.of(atom)
     resolved = context_mod.resolve(ctx)
     return resolved.memoized(
         ("redundant", atom, context),
-        lambda: _atom_redundant_in(atom, context, resolved))
-
-
-def _atom_redundant_in(atom: LinearConstraint,
-                       context: ConjunctiveConstraint,
-                       ctx: QueryContext) -> bool:
-    for branch in negated_atom_branches(atom):
-        if is_satisfiable(context.conjoin(branch), ctx):
-            return False
-    return True
+        lambda: not any(is_satisfiable(context.conjoin(branch), resolved)
+                        for branch in negated_branches(atom)))

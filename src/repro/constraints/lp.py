@@ -10,9 +10,9 @@ topological closure and report whether the supremum is *attained*.
 
 Two backends:
 
-* ``exact`` (default) — the rational simplex of
-  :mod:`repro.constraints.simplex`; exact optima, required for canonical
-  results;
+* ``exact`` (default) — the exact simplex of
+  :mod:`repro.constraints.simplex`, over the system's rows; exact
+  optima, required for canonical results;
 * ``scipy`` — ``scipy.optimize.linprog`` (HiGHS) on floats; kept as the
   ablation baseline of experiment E11 and for large problems where exact
   arithmetic is too slow.
@@ -111,21 +111,23 @@ def _coerce_systems(system) -> list[ConjunctiveConstraint]:
     return [_coerce_system(system)]
 
 
-def _split_atoms(conj: ConjunctiveConstraint):
-    if conj.disequalities():
+def _closure(objective: LinearExpression, conj: ConjunctiveConstraint
+             ) -> tuple:
+    """The LP over the closure of ``conj``: its rows, ``<`` weakened to
+    ``<=`` (:func:`simplex.objective_columns`)."""
+    if any(row[2] is Relop.NE for row in conj.rows):
         raise ConstraintError(
             "MAX/MIN over a system with disequalities is not a single "
             "linear program; split the disequalities first")
-    non_strict = [a.weakened() for a in conj.atoms]
-    has_strict = any(a.relop is Relop.LT for a in conj.atoms)
-    return non_strict, has_strict
+    return simplex.objective_columns(objective, conj.columns, [
+        (cols, coeffs, Relop.LE, bound) if relop is Relop.LT
+        else (cols, coeffs, relop, bound)
+        for cols, coeffs, relop, bound in conj.rows])
 
 
 def _solve_raw(objective, system, maximize: bool) -> simplex.LPResult:
-    conj = _coerce_system(system)
-    non_strict, _ = _split_atoms(conj)
-    return simplex.solve(LinearExpression.coerce(objective), non_strict,
-                         maximize=maximize)
+    return simplex.solve_rows(*_closure(LinearExpression.coerce(objective),
+                                        _coerce_system(system)), maximize)
 
 
 def _optimize(objective, system, maximize: bool,
@@ -139,10 +141,11 @@ def _optimize(objective, system, maximize: bool,
                               "(empty disjunction)")
     conj = branches[0]
     objective = LinearExpression.coerce(objective)
-    non_strict, has_strict = _split_atoms(conj)
+    problem = _closure(objective, conj)
+    has_strict = any(row[2] is Relop.LT for row in conj.rows)
 
     if backend == "exact":
-        result = simplex.solve(objective, non_strict, maximize=maximize)
+        result = simplex.solve_rows(*problem, maximize)
         if result.is_infeasible:
             raise InfeasibleError("SUBJECT TO system is unsatisfiable")
         if result.is_unbounded:
@@ -150,7 +153,7 @@ def _optimize(objective, system, maximize: bool,
             raise UnboundedError(f"objective is unbounded {direction}")
         value, point = result.value, dict(result.point)
     elif backend == "scipy":
-        value, point = _scipy_solve(objective, non_strict, maximize)
+        value, point = _scipy_solve(*problem, maximize)
     else:
         raise ValueError(f"unknown LP backend {backend!r}")
 
@@ -198,11 +201,11 @@ def _optimize_branches(objective, branches, maximize: bool,
     return best
 
 
-def _scipy_solve(objective: LinearExpression,
-                 atoms: list[LinearConstraint],
-                 maximize: bool) -> tuple[Fraction, dict[Variable, Fraction]]:
-    """Float LP via scipy/HiGHS; results are converted to (approximate)
-    Fractions — use only where exactness is not required."""
+def _scipy_solve(variables, rows, cost, constant, maximize: bool
+                 ) -> tuple[Fraction, dict[Variable, Fraction]]:
+    """Float LP via scipy/HiGHS over :func:`_closure`'s problem; results
+    are converted to (approximate) Fractions — use only where exactness
+    is not required."""
     try:
         import numpy as np
         from scipy.optimize import linprog
@@ -210,30 +213,25 @@ def _scipy_solve(objective: LinearExpression,
         raise ConstraintError(
             "the scipy backend requires scipy to be installed") from exc
 
-    variables = sorted(
-        set(objective.variables).union(*(a.variables for a in atoms))
-        if atoms else set(objective.variables),
-        key=lambda v: v.name)
-    index = {v: i for i, v in enumerate(variables)}
     n = len(variables)
 
     c = np.zeros(n)
-    for var, coeff in objective.coefficients.items():
-        c[index[var]] = float(coeff)
+    for j, coeff in cost.items():
+        c[j] = float(coeff)
     if maximize:
         c = -c
 
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for atom in atoms:
+    for cols, coeffs, relop, bound in rows:
         row = np.zeros(n)
-        for var, coeff in atom.terms:
-            row[index[var]] = float(coeff)
-        if atom.relop is Relop.LE:
-            a_ub.append(row)
-            b_ub.append(float(atom.bound))
-        else:
+        for j, coeff in zip(cols, coeffs):
+            row[j] = float(coeff)
+        if relop is Relop.EQ:
             a_eq.append(row)
-            b_eq.append(float(atom.bound))
+            b_eq.append(float(bound))
+        else:
+            a_ub.append(row)
+            b_ub.append(float(bound))
 
     result = linprog(
         c,
@@ -251,7 +249,6 @@ def _scipy_solve(objective: LinearExpression,
         raise ConstraintError(f"scipy linprog failed: {result.message}")
 
     value = Fraction(str(float(-result.fun if maximize else result.fun)))
-    value += objective.constant_term
-    point = {v: Fraction(str(float(result.x[index[v]])))
-             for v in variables}
+    value += constant
+    point = {v: Fraction(str(float(x))) for v, x in zip(variables, result.x)}
     return value, point

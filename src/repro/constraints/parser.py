@@ -22,7 +22,9 @@ Grammar (informal)::
     factor     := NUMBER | IDENT | '(' arith ')'
 
 Numbers may be integers, decimals, or rationals like ``3/4`` (the ``/``
-binds tighter than arithmetic; ``x/2`` divides a variable by two).
+binds tighter than arithmetic; ``x/2`` divides a variable by two).  A
+comparison (chain) parses straight to a conjunction's integer rows
+(:func:`~repro.constraints.atoms.expression_row`); no atom is built.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import re
 from fractions import Fraction
 
 from repro.errors import ConstraintSyntaxError
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import Relop, expression_row, index_named
 from repro.constraints.canonical import seed_canonical
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject, _conjoin_all, _disjoin_any
@@ -186,13 +188,13 @@ class _Parser:
             raise ConstraintSyntaxError(
                 f"expected a comparison operator after {left} "
                 f"in {self.text!r}")
-        atoms: list[LinearConstraint] = []
+        rows = []
         while self.peek()[0] == "relop":
             op = self.next()[1]
             right = self.parse_arith()
-            atoms.append(LinearConstraint.build(left, _RELOPS[op], right))
+            rows.append(expression_row(left, _RELOPS[op], right))
             left = right
-        return ConjunctiveConstraint(atoms)
+        return ConjunctiveConstraint.from_rows(*index_named(rows))
 
     # -- arithmetic ---------------------------------------------------------------------
 

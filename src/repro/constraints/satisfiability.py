@@ -16,21 +16,26 @@ here.  The decision procedure is complete for the full atom language:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.constraints import bounds, simplex
-from repro.constraints.atoms import Ge, Le, LinearConstraint, Relop
+from repro.constraints.atoms import (
+    ExactRow,
+    Relop,
+    combine_rows,
+    move_columns,
+    split_row,
+)
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.terms import Variable
-from repro.errors import ReservedVariableError
 from repro.runtime import context as context_mod
 from repro.runtime.context import QueryContext
 
-#: Reserved variable for the strict-inequality slack.  The name cannot be
-#: produced by :func:`repro.constraints.terms.variables`, and collisions
-#: with user variables are checked at use.
-_EPSILON_NAME = "__eps__"
+#: The strict-inequality slack is an unnamed column (no variable can
+#: collide with it) placed where this name sorts among the columns.
+_SLACK_SORTS_AS = "__eps__"
 
 
 def is_satisfiable(conj: ConjunctiveConstraint,
@@ -64,29 +69,26 @@ def sample_point(conj: ConjunctiveConstraint,
                  ) -> Mapping[Variable, Fraction] | None:
     """A rational point satisfying ``conj``, or None when unsatisfiable.
 
-    The returned point satisfies every atom, including strict
-    inequalities and disequalities.  An interval prefilter
-    (:mod:`repro.constraints.bounds`) refutes box-empty conjunctions
-    before any simplex work; it is sound (refutation-only), so the
-    answer is unchanged.
+    The returned point binds every variable of ``conj`` and satisfies
+    every row, including strict inequalities and disequalities.  An
+    interval prefilter (:mod:`repro.constraints.bounds`) refutes
+    box-empty conjunctions before any simplex work; it is sound
+    (refutation-only), so the answer is unchanged.
     """
     if conj.is_syntactically_false():
         return None
     resolved = context_mod.resolve(ctx)
     if resolved.prefilter and bounds.refutes(conj, resolved):
         return None
-    base = [a for a in conj.atoms if a.relop is not Relop.NE]
-    disequalities = conj.disequalities()
-    return _solve_branches(base, list(disequalities), conj.variables,
-                           resolved)
+    base = [row for row in conj.rows if row[2] is not Relop.NE]
+    disequalities = [row for row in conj.rows if row[2] is Relop.NE]
+    return _solve_branches(conj.columns, base, disequalities, resolved)
 
 
-def _solve_branches(base: list[LinearConstraint],
-                    pending: list[LinearConstraint],
-                    all_vars: frozenset[Variable],
-                    ctx: QueryContext
+def _solve_branches(columns: tuple[Variable, ...], base: list[ExactRow],
+                    pending: list[ExactRow], ctx: QueryContext
                     ) -> Mapping[Variable, Fraction] | None:
-    """DFS over the <,> splits of pending disequalities.
+    """DFS over the <,> splits of pending disequality rows.
 
     The search is an explicit worklist rather than recursion: with many
     disequalities the recursive formulation would overflow Python's
@@ -97,62 +99,44 @@ def _solve_branches(base: list[LinearConstraint],
     first pending disequality is explored first (the recursive order).
     """
     guard = ctx.guard
-    stack: list[tuple[list[LinearConstraint], list[LinearConstraint]]] \
-        = [(base, pending)]
+    stack: list[tuple[list[ExactRow], list[ExactRow]]] = [(base, pending)]
     while stack:
-        atoms, rest = stack.pop()
+        rows, rest = stack.pop()
         if guard is not None:
             guard.tick_branch()
         if not rest:
-            point = _solve_strict(atoms, all_vars, ctx)
+            point = _solve_strict(columns, rows, ctx)
             if point is not None:
                 return point
             continue
-        atom, remaining = rest[0], rest[1:]
-        below, above = atom.split_disequality()
-        stack.append((atoms + [above], remaining))
-        stack.append((atoms + [below], remaining))
+        below, above = split_row(rest[0])
+        stack.append((rows + [above], rest[1:]))
+        stack.append((rows + [below], rest[1:]))
     return None
 
 
-def _solve_strict(atoms: list[LinearConstraint],
-                  all_vars: frozenset[Variable],
-                  ctx: QueryContext
-                  ) -> Mapping[Variable, Fraction] | None:
-    """Feasible point of a system of =, <=, < atoms, or None."""
-    strict = [a for a in atoms if a.relop is Relop.LT]
-    non_strict = [a for a in atoms if a.relop is not Relop.LT]
+def _solve_strict(columns: tuple[Variable, ...], rows: Sequence[ExactRow],
+                  ctx: QueryContext) -> Mapping[Variable, Fraction] | None:
+    """Feasible point of a system of =, <=, < rows over ``columns``, or
+    None.  Every column occurs in a row, so the point binds them all."""
+    strict = [row for row in rows if row[2] is Relop.LT]
+    non_strict = [row for row in rows if row[2] is not Relop.LT]
     if not strict:
-        point = simplex.feasible_point(non_strict, ctx=ctx)
-        return _restrict(point, all_vars) if point is not None else None
+        result = simplex.solve_rows(columns, non_strict, {}, ctx=ctx)
+        return result.point if result.is_optimal else None
 
-    for atom in atoms:
-        for var in atom.variables:
-            if var.name == _EPSILON_NAME:
-                raise ReservedVariableError(
-                    f"variable name {_EPSILON_NAME!r} is reserved for "
-                    "the strict-inequality slack")
-    eps = Variable(_EPSILON_NAME)
-    slack = Le(eps, 0)
-    relaxed = non_strict + [atom.combine(1, slack, 1, Relop.LE)
-                            for atom in strict]
-    relaxed += [Le(eps, 1), Ge(eps, 0)]
-
-    result = simplex.solve(eps.as_expression(), relaxed, maximize=True,
-                           ctx=ctx)
+    # The slack column s: each strict row plus ``s <= 0`` becomes
+    # non-strict, and ``0 <= s <= 1`` bounds s.
+    s = bisect_left([var.name for var in columns], _SLACK_SORTS_AS)
+    target = [j + (j >= s) for j in range(len(columns))]
+    slack = ((s,), (1,), Relop.LE, Fraction(0))
+    relaxed = move_columns(non_strict, target) + [
+        combine_rows(1, row, 1, slack, Relop.LE)
+        for row in move_columns(strict, target)]
+    relaxed += [((s,), (1,), Relop.LE, Fraction(1)),
+                ((s,), (-1,), Relop.LE, Fraction(0))]
+    result = simplex.solve_rows(columns[:s] + (None,) + columns[s:],
+                                relaxed, {s: Fraction(1)}, ctx=ctx)
     if not result.is_optimal or result.value <= 0:
         return None
-    point = dict(result.point)
-    point.pop(eps, None)
-    return _restrict(point, all_vars)
-
-
-def _restrict(point: Mapping[Variable, Fraction] | None,
-              all_vars: frozenset[Variable]
-              ) -> Mapping[Variable, Fraction] | None:
-    """Project the solver's point onto the constraint's variables, binding
-    any variable the solver never saw to 0."""
-    if point is None:
-        return None
-    result = {v: point.get(v, Fraction(0)) for v in all_vars}
-    return result
+    return result.point

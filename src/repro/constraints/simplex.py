@@ -13,6 +13,11 @@ the engine::
               e_j . x  = d_j      (equalities)
               x free (unrestricted in sign)
 
+given as a conjunction's integer rows as stored (:func:`solve_rows`;
+:func:`solve` indexes atoms first): the tableau's columns are the
+columns' order (by name) and its rows the rows', and nothing else
+steers Bland's rule.
+
 Free variables are handled by the standard split ``x = x+ - x-``; a
 Phase-I run with artificial variables establishes feasibility; Bland's
 rule guarantees termination.  Results carry an optimal point so that
@@ -21,7 +26,7 @@ rule guarantees termination.  Results carry an optimal point so that
 Results are rational; the arithmetic is integer.  The tableau holds
 ``d * B^-1 A`` for the current basis ``B``, with ``d = |det B|``: that
 is ``adj(B) A`` up to sign, a matrix of integers because ``A`` is one
-(each atom stores its coprime ``int`` row; the right-hand side is scaled
+(each row is coprime ``int``s; the right-hand side is scaled
 by the lcm of the bounds' denominators and the objective by the lcm of
 its coefficients' denominators).  A pivot replaces the Gauss-Jordan
 update with Edmonds' fraction-free one, ``T'[i][j] = (T[p][q] T[i][j] -
@@ -39,7 +44,14 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from repro.errors import ConstraintError
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import (
+    ExactRow,
+    LinearConstraint,
+    Relop,
+    column_union,
+    index_atoms,
+    move_columns,
+)
 from repro.constraints.terms import LinearExpression, Variable
 from repro.runtime import context as context_mod
 from repro.runtime.context import QueryContext
@@ -92,14 +104,9 @@ def solve(objective: LinearExpression,
         if atom.relop not in (Relop.LE, Relop.EQ):
             raise ConstraintError(
                 f"simplex accepts only <= and = atoms, got {atom}")
-    resolved = context_mod.resolve(ctx)
-    resolved.stats.simplex_solves += 1
-    guard = resolved.guard
-    if guard is not None:
-        guard.enter_simplex()
-    objective = LinearExpression.coerce(objective)
-    problem = _StandardForm(objective, constraints, maximize, guard)
-    return problem.solve()
+    return solve_rows(*objective_columns(LinearExpression.coerce(objective),
+                                         *index_atoms(constraints)),
+                      maximize, ctx)
 
 
 def feasible_point(constraints: Sequence[LinearConstraint],
@@ -110,6 +117,39 @@ def feasible_point(constraints: Sequence[LinearConstraint],
     if result.is_optimal:
         return result.point
     return None
+
+
+def objective_columns(objective: LinearExpression,
+                      columns: tuple[Variable, ...],
+                      rows: Sequence[ExactRow]) -> tuple:
+    """:func:`solve_rows`' problem: the columns widened by the
+    objective's variables (the rows moved onto them), the objective's
+    coefficient per column and its constant."""
+    coefficients = objective.coefficients
+    missing = [var for var in coefficients if var not in columns]
+    if missing:
+        columns, (target, _) = column_union(columns, missing)
+        rows = move_columns(rows, target)
+    return columns, rows, {columns.index(var): coeff
+                           for var, coeff in coefficients.items()}, \
+        objective.constant_term
+
+
+def solve_rows(columns: Sequence[Variable | None], rows: Sequence[ExactRow],
+               cost: Mapping[int, Fraction], constant: Fraction = Fraction(0),
+               maximize: bool = True, ctx: QueryContext | None = None
+               ) -> LPResult:
+    """Solve ``max/min cost . x + constant`` subject to ``rows`` (``<=``
+    and ``=`` only) over ``columns``; ``cost`` maps a column to its
+    coefficient.  A ``None`` column is unnamed: the point leaves it
+    out.  Budget governance comes from ``ctx``'s guard."""
+    resolved = context_mod.resolve(ctx)
+    resolved.stats.simplex_solves += 1
+    guard = resolved.guard
+    if guard is not None:
+        guard.enter_simplex()
+    return _StandardForm(columns, rows, cost, constant, maximize,
+                         guard).solve()
 
 
 class _StandardForm:
@@ -129,19 +169,17 @@ class _StandardForm:
     tableau's.
     """
 
-    def __init__(self, objective: LinearExpression,
-                 constraints: Sequence[LinearConstraint],
-                 maximize: bool,
+    def __init__(self, columns: Sequence[Variable | None],
+                 rows: Sequence[ExactRow], cost: Mapping[int, Fraction],
+                 constant: Fraction, maximize: bool,
                  guard: ExecutionGuard | None = None):
         self.maximize = maximize
         self._guard = guard
-        self.objective = objective if maximize else -objective
-        var_set: set[Variable] = set(objective.variables)
-        for atom in constraints:
-            var_set.update(atom.variables)
-        self.variables: list[Variable] = sorted(var_set, key=lambda v: v.name)
-        self.var_index = {v: i for i, v in enumerate(self.variables)}
-        self.constraints = list(constraints)
+        self.columns = columns
+        self.rows = rows
+        self.cost = cost if maximize \
+            else {j: -coeff for j, coeff in cost.items()}
+        self.constant = constant
         self._d = 1
 
     # Column layout: for each original variable v_i two columns (plus,
@@ -149,22 +187,20 @@ class _StandardForm:
     # appended by Phase I only; the right-hand side comes last.
 
     def solve(self) -> LPResult:
-        n_vars = len(self.variables)
-        n_ineq = sum(1 for a in self.constraints if a.relop is Relop.LE)
+        n_vars = len(self.columns)
+        n_ineq = sum(1 for row in self.rows if row[2] is Relop.LE)
         n_cols = 2 * n_vars + n_ineq
 
-        rhs_scale = lcm(*(a.bound.denominator for a in self.constraints))
+        rhs_scale = lcm(*(row[3].denominator for row in self.rows))
         rows: list[list[int]] = []
         slack_seen = 0
-        for atom in self.constraints:
+        for cols, coeffs, relop, b in self.rows:
             row = [0] * (n_cols + 1)
-            for var, coeff in atom.terms:
-                j = self.var_index[var]
+            for j, coeff in zip(cols, coeffs):
                 row[2 * j] = coeff
                 row[2 * j + 1] = -coeff
-            b = atom.bound
             row[n_cols] = b.numerator * (rhs_scale // b.denominator)
-            if atom.relop is Relop.LE:
+            if relop is Relop.LE:
                 row[2 * n_vars + slack_seen] = 1
                 slack_seen += 1
             if b < 0:
@@ -172,11 +208,9 @@ class _StandardForm:
             rows.append(row)
 
         # Objective over split variables (Phase II costs).
-        coefficients = self.objective.coefficients
-        cost_scale = lcm(*(c.denominator for c in coefficients.values()))
+        cost_scale = lcm(*(c.denominator for c in self.cost.values()))
         cost = [0] * n_cols
-        for var, coeff in coefficients.items():
-            j = self.var_index[var]
+        for j, coeff in self.cost.items():
             cost[2 * j] = coeff.numerator * (cost_scale // coeff.denominator)
             cost[2 * j + 1] = -cost[2 * j]
 
@@ -190,15 +224,14 @@ class _StandardForm:
         value, solution = optimum
 
         denominator = self._d * rhs_scale
-        point: dict[Variable, Fraction] = {}
-        for var, j in self.var_index.items():
-            point[var] = Fraction(solution[2 * j] - solution[2 * j + 1],
-                                  denominator)
-        objective_value = (Fraction(value, denominator * cost_scale)
-                           + self.objective.constant_term)
+        point = {var: Fraction(solution[2 * j] - solution[2 * j + 1],
+                               denominator)
+                 for j, var in enumerate(self.columns) if var is not None}
+        objective_value = Fraction(value, denominator * cost_scale)
         if not self.maximize:
             objective_value = -objective_value
-        return LPResult(LPStatus.OPTIMAL, objective_value, point)
+        return LPResult(LPStatus.OPTIMAL, objective_value + self.constant,
+                        point)
 
     # -- phase I -----------------------------------------------------------
 

@@ -472,9 +472,10 @@ def _pack_template_rows(variables: tuple[Variable, ...], rows: list,
     cleaned = clean_rows(variables, rows)
     if cleaned is None:
         return []
-    columns, kept, positions = cleaned
-    return [matrix.pack_rows(columns, kept,
-                             [floats[i] for i in positions])]
+    columns, kept = cleaned
+    if len(kept) < len(rows):       # else every row kept, in order
+        floats = [matrix.float_row(row[1], row[3]) for row in kept]
+    return [matrix.pack_rows(columns, kept, floats)]
 
 
 # ---------------------------------------------------------------------------

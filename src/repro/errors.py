@@ -49,16 +49,6 @@ class ConstraintSyntaxError(ConstraintError):
     """Textual constraint input could not be parsed."""
 
 
-class ReservedVariableError(ConstraintError):
-    """A user variable collides with an engine-reserved name.
-
-    The strict-inequality epsilon trick reserves ``__eps__``
-    (:mod:`repro.constraints.satisfiability`); building a constraint
-    over that name would silently change its meaning, so it is
-    rejected up front.
-    """
-
-
 class InjectedFaultError(ConstraintError):
     """A failure injected by the fault harness.
 

@@ -211,9 +211,14 @@ _ROW_DERIVERS = {"constraints/projection.py", "constraints/conjunctive.py",
 #: A conjunction's stored columns and rows, and the modules that own them.
 _SYSTEM_SLOTS = {"_rows", "_columns"}
 _SYSTEM_OWNERS = {"constraints/atoms.py", "constraints/conjunctive.py"}
-#: Modules that work on a conjunction's rows, never on its atom view.
+#: Modules that work on a conjunction's rows, never on its atom view:
+#: elimination, packing and the WHERE template, and the exact solver.
 _ROW_READERS = {"constraints/projection.py", "constraints/matrix.py",
-                "constraints/existential.py", "core/formulas.py"}
+                "constraints/existential.py", "core/formulas.py",
+                "constraints/satisfiability.py", "constraints/simplex.py",
+                "constraints/implication.py", "constraints/canonical.py",
+                "constraints/lp.py", "constraints/bounds.py",
+                "constraints/disjunctive.py"}
 
 
 def test_only_atoms_reads_the_row_format():
@@ -222,15 +227,17 @@ def test_only_atoms_reads_the_row_format():
     ``atom.coefficient(v)``, never ``X.expression.coefficients``,
     ``X.expression.coefficient(...)`` or the ``_expr`` / ``_coeffs``
     slots.  Under ``constraints/`` nothing else reads an atom's
-    ``expression`` view at all — atoms derive from atoms through
-    ``combine`` / ``eliminate`` — and the modules that eliminate,
-    project and relax strict atoms do not import ``LinearExpression``.
+    ``expression`` view at all — rows derive from rows through the row
+    helpers — and the modules that eliminate, project and relax strict
+    rows do not import ``LinearExpression``.
 
     A conjunction's stored ``_rows`` / ``_columns`` are read by
     ``atoms.py`` and ``conjunctive.py`` alone — no other module of
     ``constraints/`` or ``core/formulas.py`` names them (``sqlc``'s
     relations have slots of those names of their own) — and the
-    modules that eliminate, pack and template rows read no ``.atoms``
+    modules that eliminate, pack and template rows, and those of the
+    exact solver (satisfiability, entailment, redundancy removal,
+    MAX/MIN, the interval prefilter, negation), read no ``.atoms``
     view."""
     package = pathlib.Path(repro.__file__).parent
     offenders = set()

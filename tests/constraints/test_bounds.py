@@ -24,43 +24,43 @@ x, y, z = variables("x y z")
 class TestBoxOf:
     def test_simple_bounds(self):
         box = bounds.box_of(ConjunctiveConstraint.of(
-            Ge(x, 2), Le(x, 10)).atoms)
+            Ge(x, 2), Le(x, 10)))
         assert box[x] == (Fraction(2), False, Fraction(10), False)
 
     def test_strict_bounds_marked_open(self):
         box = bounds.box_of(ConjunctiveConstraint.of(
-            Gt(x, 0), Lt(x, 1)).atoms)
+            Gt(x, 0), Lt(x, 1)))
         assert box[x] == (Fraction(0), True, Fraction(1), True)
 
     def test_equality_pins_both_ends(self):
-        box = bounds.box_of(ConjunctiveConstraint.of(Eq(x, 3)).atoms)
+        box = bounds.box_of(ConjunctiveConstraint.of(Eq(x, 3)))
         assert box[x] == (Fraction(3), False, Fraction(3), False)
 
     def test_negative_coefficient_flips(self):
         # -2x <= -6  <=>  x >= 3
         box = bounds.box_of(ConjunctiveConstraint.of(
-            Le(-2 * x, -6)).atoms)
+            Le(-2 * x, -6)))
         lo, lo_open, hi, hi_open = box[x]
         assert lo == Fraction(3) and not lo_open and hi is None
 
     def test_contradictory_bounds_give_none(self):
         assert bounds.box_of(ConjunctiveConstraint.of(
-            Ge(x, 5), Le(x, 1)).atoms) is None
+            Ge(x, 5), Le(x, 1))) is None
 
     def test_touching_strict_bounds_give_none(self):
         # x < 1 and x >= 1 is empty.
         assert bounds.box_of(ConjunctiveConstraint.of(
-            Lt(x, 1), Ge(x, 1)).atoms) is None
+            Lt(x, 1), Ge(x, 1))) is None
 
     def test_multivariable_atoms_ignored_for_bounds(self):
         box = bounds.box_of(ConjunctiveConstraint.of(
-            Le(x + y, 1), Ge(x, 0)).atoms)
+            Le(x + y, 1), Ge(x, 0)))
         assert y not in box
         assert box[x][0] == Fraction(0)
 
     def test_disequalities_ignored(self):
         box = bounds.box_of(ConjunctiveConstraint.of(
-            Ne(x, 0), Ge(x, -1)).atoms)
+            Ne(x, 0), Ge(x, -1)))
         assert box[x] == (Fraction(-1), False, None, False)
 
 

@@ -95,7 +95,7 @@ class Reference:
                     continue
                 var = min(candidates, key=lambda v: v.name)
                 rest = atoms[:i] + atoms[i + 1:]
-                atoms = [a.eliminate(var, atom) for a in rest]
+                atoms = [ref_eliminate(a, var, atom) for a in rest]
                 changed = True
                 break
         return Reference(atoms)
@@ -122,13 +122,49 @@ def ref_rename_atom(atom, mapping):
     return LinearConstraint.build(expr, atom.relop, atom.bound)
 
 
+def ref_combine(atom, k, other, m, relop):
+    """``k*atom + m*other relop k*bound + m*bound'`` rebuilt from
+    rational expression arithmetic."""
+    expr = ((atom.expression - atom.bound) * k
+            + (other.expression - other.bound) * m)
+    return LinearConstraint.build(expr, relop, 0)
+
+
+def ref_eliminate(atom, var, pivot):
+    """``atom`` with ``var`` substituted away through the equality
+    ``pivot``: ``|p|*atom - sign(p)*c*pivot``; ``atom`` when ``c`` is 0."""
+    c = atom.coefficient(var)
+    if c == 0:
+        return atom
+    p = pivot.coefficient(var)
+    return ref_combine(atom, abs(p), pivot, -c if p > 0 else c, atom.relop)
+
+
+def ref_combine(atom, k, other, m, relop):
+    """``k*atom + m*other relop k*bound + m*bound'`` rebuilt from
+    rational expression arithmetic."""
+    expr = ((atom.expression - atom.bound) * k
+            + (other.expression - other.bound) * m)
+    return LinearConstraint.build(expr, relop, 0)
+
+
+def ref_eliminate(atom, var, pivot):
+    """``atom`` with ``var`` substituted away through the equality
+    ``pivot``: ``|p|*atom - sign(p)*c*pivot``; ``atom`` when ``c`` is 0."""
+    c = atom.coefficient(var)
+    if c == 0:
+        return atom
+    p = pivot.coefficient(var)
+    return ref_combine(atom, abs(p), pivot, -c if p > 0 else c, atom.relop)
+
+
 def ref_eliminate_variable(conj, var):
     for atom in conj.disequalities():
         if var in atom.variables:
             raise ConstraintFamilyError(f"{var} in {atom}")
     for pivot in conj.equalities():
         if var in pivot.variables:
-            return Reference(atom.eliminate(var, pivot)
+            return Reference(ref_eliminate(atom, var, pivot)
                              for atom in conj.atoms if atom is not pivot)
     lower, upper, rest = [], [], []
     for atom in conj.atoms:
@@ -144,8 +180,8 @@ def ref_eliminate_variable(conj, var):
         for hi_atom, hi_coeff in upper:
             strict = (lo_atom.relop is Relop.LT
                       or hi_atom.relop is Relop.LT)
-            derived.append(lo_atom.combine(
-                hi_coeff, hi_atom, lo_coeff,
+            derived.append(ref_combine(
+                lo_atom, hi_coeff, hi_atom, lo_coeff,
                 Relop.LT if strict else Relop.LE))
     return Reference(rest + derived)
 

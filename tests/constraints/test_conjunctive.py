@@ -7,7 +7,7 @@ import pytest
 from repro.constraints.atoms import Eq, Ge, Le, Lt, Ne
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.terms import variables
-from repro.errors import ConstraintError
+from repro.errors import InfeasibleError
 
 x, y, z = variables("x y z")
 
@@ -135,6 +135,17 @@ class TestBounds:
         assert lo == 2
         assert hi is None
 
+    def test_empty_region_raises(self):
+        conj = ConjunctiveConstraint.of(Le(x, 0), Ge(x, 1))
+        with pytest.raises(InfeasibleError):
+            conj.variable_bounds(x)
+
+    def test_empty_open_region_raises(self):
+        # Its closure is the point x = 0; the region itself is empty.
+        conj = ConjunctiveConstraint.of(Lt(x, 0), Ge(x, 0))
+        with pytest.raises(InfeasibleError):
+            conj.variable_bounds(x)
+
 
 class TestIdentity:
     def test_order_insensitive_equality(self):
@@ -148,10 +159,12 @@ class TestIdentity:
         assert str(ConjunctiveConstraint.false()) == "FALSE"
 
     def test_solve_for_requires_equality(self):
-        # Equality elimination solves its pivot for the variable.
-        with pytest.raises(ConstraintError):
-            Le(x + y, 2).eliminate(x, Le(x, 1))
+        # Equality elimination solves only equality rows for a variable.
+        conj = ConjunctiveConstraint.of(Le(x + y, 2), Le(x, 1), Ne(x - y, 0))
+        assert conj.eliminate_equalities() == conj
 
     def test_solve_for_requires_occurrence(self):
-        with pytest.raises(ConstraintError):
-            Le(x + y, 2).eliminate(y, Eq(x, 1))
+        # ... and only for a variable the equality has and ``keep`` lacks.
+        conj = ConjunctiveConstraint.of(Le(x + y, 2), Eq(x, 1))
+        assert conj.eliminate_equalities(keep=frozenset({x})) == conj
+        assert str(conj.eliminate_equalities()) == "y <= 1"

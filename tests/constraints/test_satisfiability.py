@@ -3,8 +3,6 @@ inequalities, disequalities, mixed systems)."""
 
 from fractions import Fraction
 
-import pytest
-
 from repro.constraints.atoms import Eq, Ge, Le, Lt, Ne
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.satisfiability import is_satisfiable, sample_point
@@ -62,12 +60,16 @@ class TestStrict:
         point = sample_point(conj)
         assert point[x] > 0
 
-    def test_reserved_epsilon_name_rejected(self):
-        from repro.errors import ReservedVariableError
-        bad = Variable("__eps__")
-        conj = ConjunctiveConstraint.of(Lt(bad, 1))
-        with pytest.raises(ReservedVariableError):
-            is_satisfiable(conj)
+    def test_epsilon_named_variable_is_an_ordinary_variable(self):
+        # The strict slack is an unnamed column: a variable named like
+        # it takes part as any other.
+        eps = Variable("__eps__")
+        conj = ConjunctiveConstraint.of(Lt(eps, 1), Lt(-eps, 0),
+                                        Lt(x - eps, 0))
+        point = sample_point(conj)
+        assert 0 < point[eps] < 1 and point[x] < point[eps]
+        assert conj.holds_at(point)
+        assert not is_satisfiable(conj.conjoin(Lt(1, x)))
 
 
 class TestDisequalities:

@@ -21,7 +21,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import simplex
-from repro.constraints.atoms import Eq, Le, LinearConstraint, Relop
+from repro.constraints.atoms import (
+    Eq,
+    Le,
+    LinearConstraint,
+    Relop,
+    index_atoms,
+)
 from repro.constraints.simplex import LPResult, LPStatus
 from repro.constraints.terms import LinearExpression, Variable
 from repro.errors import ConstraintError, PivotBudgetExceeded
@@ -283,8 +289,13 @@ def _assert_integral(tableau, rows, objective):
 
 def _run(solver_cls, objective, constraints, maximize, max_pivots=None):
     guard = ExecutionGuard(max_pivots=max_pivots)
-    result = solver_cls(LinearExpression.coerce(objective), constraints,
-                        maximize, guard).solve()
+    objective = LinearExpression.coerce(objective)
+    if solver_cls is RationalTableau:
+        result = solver_cls(objective, constraints, maximize, guard).solve()
+    else:           # the integer solver reads the atoms' rows
+        problem = simplex.objective_columns(objective,
+                                            *index_atoms(constraints))
+        result = solver_cls(*problem, maximize, guard).solve()
     return result, guard.pivots
 
 

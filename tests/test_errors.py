@@ -53,8 +53,6 @@ class TestHierarchy:
                      errors.QueryCancelled):
             assert issubclass(leaf, errors.ResourceExhausted)
             assert issubclass(leaf, errors.ReproError)
-        assert issubclass(errors.ReservedVariableError,
-                          errors.ConstraintError)
         assert issubclass(errors.InjectedFaultError,
                           errors.ConstraintError)
 
@@ -114,13 +112,13 @@ class TestAdversarialInputs:
         with pytest.raises(errors.InfeasibleError):
             lp.max_value(x, system)
 
-    def test_epsilon_collision_is_reserved_variable_error(self):
+    def test_epsilon_named_variable_is_decided(self):
         from repro.constraints.atoms import Lt
         from repro.constraints.conjunctive import ConjunctiveConstraint
         from repro.constraints.terms import Variable
-        conj = ConjunctiveConstraint.of(Lt(Variable("__eps__"), 1))
-        with pytest.raises(errors.ReservedVariableError):
-            conj.is_satisfiable()
-        # And it is catchable as the library-wide base class.
-        with pytest.raises(errors.ReproError):
-            conj.sample_point()
+        eps = Variable("__eps__")
+        conj = ConjunctiveConstraint.of(Lt(eps, 1), Lt(-eps, -1))
+        assert not conj.is_satisfiable()
+        assert conj.sample_point() is None
+        point = ConjunctiveConstraint.of(Lt(eps, 1)).sample_point()
+        assert point[eps] < 1
