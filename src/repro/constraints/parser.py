@@ -223,7 +223,11 @@ class _Parser:
                 if not divisor.is_constant():
                     raise ConstraintSyntaxError(
                         "division by a non-constant is not linear")
-                result = result / divisor.constant_term
+                try:
+                    result = result / divisor.constant_term
+                except ZeroDivisionError as exc:
+                    raise ConstraintSyntaxError(
+                        f"division by zero in {self.text!r}") from exc
             else:
                 return result
 

@@ -20,12 +20,15 @@ object by:
 4. composing with ``and``/``or``/``not`` under the family rules, and
    projecting onto the formula head.
 
-A WHERE ``SAT`` formula without a head is also compiled once per plan
-into a :class:`FormulaTemplate` (Section 5 evaluates a fixed query, so
-for each row the formula is the same linear system with that row's
-stored constraints put in): :func:`formula_units` packs a whole batch of
-rows for the numeric kernel straight from the stored integer rows,
-and gives exactly what packing the instantiated body would.
+A formula with a conjunctive spine is also compiled once per plan into
+a :class:`FormulaTemplate` (Section 5 evaluates a fixed query, so for
+each row the formula is the same linear system with that row's stored
+constraints put in): :func:`template_body` assembles a row's body
+straight from the stored integer rows, equal to the instantiated body
+row for row.  :func:`formula_units` packs it for the numeric kernel
+(WHERE ``SAT`` without a head); :func:`formula_to_cst` and
+:func:`optimize` (SELECT) run their exact step — the projection, the
+LP — on it once per distinct body, through the context's cache.
 
 One refinement over a literal reading of the paper: an implicit edge
 equality is only *emitted* when its actual-parameter variable is used
@@ -45,7 +48,7 @@ from fractions import Fraction
 
 from repro.constraints import matrix
 from repro.constraints.atoms import Eq, LinearConstraint, Relop, remap_rows
-from repro.constraints.conjunctive import ConjunctiveConstraint, clean_rows
+from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import (
     CSTObject,
     _conjoin_all,
@@ -64,7 +67,7 @@ from repro.errors import EvaluationError
 from repro.model.database import Database
 from repro.model.oid import CstOid, LiteralOid, Oid
 from repro.model.paths import PathExpression, VarRef, path_values
-from repro.runtime.context import current_context
+from repro.runtime.context import current_context, param_value
 
 _RELOP_MAP = {
     "=": Relop.EQ, "!=": Relop.NE, "<": Relop.LT, "<=": Relop.LE,
@@ -174,18 +177,50 @@ def instantiate_formula(db: Database, analysis: AnalyzedQuery,
 
 
 def formula_to_cst(db: Database, analysis: AnalyzedQuery,
-                   formula: ast.CstFormula, env) -> CSTObject:
-    """The CST object denoted by a formula with a projection head."""
+                   formula: ast.CstFormula, env,
+                   template: "FormulaTemplate | None" = None) -> CSTObject:
+    """The CST object denoted by a formula with a projection head —
+    its body from ``template`` when that covers the row
+    (:func:`_system`), projected once per distinct conjunctive body."""
     if formula.head is None:
         raise EvaluationError(
             "a SELECT-clause formula needs a projection head "
             "((x1..xn) | ...)")
     head_vars = [Variable(name) for name in formula.head]
+    body = _system(db, analysis, formula, env, template)
+    return _memoized(("project", formula.head), body, lambda: CSTObject(
+        head_vars, _project(body, head_vars)))
+
+
+def _system(db: Database, analysis: AnalyzedQuery,
+            formula: ast.CstFormula, env,
+            template: "FormulaTemplate | None"):
+    """A SELECT formula's body with its implicit equalities: assembled
+    from ``template`` when it covers the row, instantiated otherwise."""
+    if template is not None:
+        fixed = _fixed_rows(db, analysis, template)
+        body = None if fixed is None else template_body(
+            db, analysis, template, fixed,
+            [env[name] for name in template.columns])
+        if body is not None:
+            return body
     body, pending, anchors = instantiate_body(
         db, analysis, formula.body, env)
-    body = _apply_pending(body, pending, anchors, frozenset(head_vars))
-    projected = _project(body, head_vars)
-    return CSTObject(head_vars, projected)
+    return _apply_pending(body, pending, anchors, frozenset(
+        Variable(name) for name in formula.head or ()))
+
+
+def _memoized(tag: tuple, body, compute):
+    """``compute()`` — the exact step over a SELECT formula's ``body``
+    — through the context's cache when the body is a conjunction,
+    keyed on ``tag``, the column names and the rows *in order*:
+    elimination's pivots and an optimum's vertex follow the row order,
+    so two bodies equal as sets of rows are different keys."""
+    if type(body) is not ConjunctiveConstraint:
+        return compute()
+    return current_context().memoized(
+        (*tag, tuple([var.name for var in body.columns]), body.rows),
+        compute)
 
 
 def satisfiable(db: Database, analysis: AnalyzedQuery,
@@ -234,7 +269,7 @@ def _side(db, analysis, formula: ast.CstFormula, env):
 
 
 # ---------------------------------------------------------------------------
-# Formula templates (the batched WHERE satisfiability predicate)
+# Formula templates (a formula's body assembled from stored rows)
 # ---------------------------------------------------------------------------
 
 
@@ -246,32 +281,37 @@ _REF, _FIXED, _ROW_ATOM = range(3)
 @dataclass(slots=True, eq=False)
 class FormulaTemplate:
     """The conjunctive spine (``and`` / ``TRUE`` / references / atoms)
-    of a WHERE ``SAT`` formula without a projection head, compiled
-    once per plan.
+    of a formula, compiled once per plan over the row ``columns``.
 
     ``variables`` is every constraint variable the spine can mention,
-    sorted by name: the column order of the systems it packs, before
-    the columns a row does not use drop out.  ``parts`` follow the
-    spine in conjunction order: ``(_REF, cell position, declared
+    sorted by name: the columns of the rows a body is assembled from,
+    before the columns a row does not use drop out (``slot`` gives each
+    name's column).  ``parts`` follow
+    the spine in conjunction order: ``(_REF, cell position, declared
     dimension, column of each stored schema position)`` — the
     positional rename stored schema → declared spec → explicit
     arguments as a column map — or ``(_FIXED | _ROW_ATOM, atom node)``.
+    ``fixed`` holds the ``_FIXED`` atoms' rows for one set of parameter
+    values, keyed on them and replaced as one tuple, so a session with
+    other values never reads them (:func:`_fixed_rows`).
     """
 
+    columns: tuple[str, ...]
     variables: tuple[Variable, ...]
+    slot: dict[str, int]
     parts: tuple
+    fixed: tuple | None = None
 
 
 def compile_template(analysis: AnalyzedQuery, formula: ast.CstFormula,
                      columns: tuple[str, ...]
                      ) -> FormulaTemplate | None:
-    """The template of a SAT formula over the row ``columns``, or
-    ``None`` when the formula has a shape the template does not cover
-    (a head, ``or`` / ``not``, a path-source reference, a reference on
-    an interface-renamed edge, repeated arguments, or a reference whose
-    names are only known from the stored cell)."""
-    if formula.head is not None:
-        return None
+    """The template of a formula over the row ``columns``, or ``None``
+    when the formula has a shape the template does not cover (``or`` /
+    ``not``, a path-source reference, repeated arguments, a reference
+    whose names are only known from the stored cell, or an
+    interface-renamed edge whose implicit equalities are not vacuous
+    whatever the row)."""
     spine: list[ast.Formula] = []
     if not _spine(formula.body, spine):
         return None
@@ -288,9 +328,6 @@ def compile_template(analysis: AnalyzedQuery, formula: ast.CstFormula,
             return None
         info = analysis.ref_info.get(node)
         spec = info.spec if info is not None else None
-        if info is not None and info.last_edge is not None \
-                and info.last_edge.interface_args is not None:
-            return None
         if node.args is not None:
             targets = tuple(node.args)
             if spec is not None and spec.dimension != len(targets):
@@ -303,6 +340,8 @@ def compile_template(analysis: AnalyzedQuery, formula: ast.CstFormula,
             return None
         names.update(targets)
         refs[node] = (columns.index(node.source), targets)
+    if not _edges_vacuous(analysis, refs):
+        return None
     order = sorted(names)
     slot = {name: j for j, name in enumerate(order)}
     parts = []
@@ -314,8 +353,38 @@ def compile_template(analysis: AnalyzedQuery, formula: ast.CstFormula,
         else:
             parts.append((_ROW_ATOM if node in row_atoms else _FIXED,
                           node))
-    return FormulaTemplate(tuple(Variable(n) for n in order),
-                           tuple(parts))
+    return FormulaTemplate(columns, tuple(Variable(n) for n in order),
+                           slot, tuple(parts))
+
+
+def _edges_vacuous(analysis: AnalyzedQuery,
+                   refs: dict[ast.FRef, tuple[int, tuple[str, ...]]]
+                   ) -> bool:
+    """Whether the implicit equalities of the references'
+    interface-renamed edges (:func:`_ref_constraint`) are vacuous
+    whatever the row: each formal in a reference's spec is used under
+    its actual's name, and no reference renames that name, so every
+    equality :func:`_apply_pending` could emit equates a name with
+    itself."""
+    infos = [(analysis.ref_info.get(node), targets)
+             for node, (_, targets) in refs.items()]
+    edges = [(info, targets) for info, targets in infos
+             if info is not None and info.last_edge is not None
+             and info.last_edge.interface_args is not None]
+    if not edges:
+        return True
+    if any(info is None or info.spec is None for info, _ in infos):
+        return False
+    renamed = {v.name for info, targets in infos
+               for v, t in zip(info.spec.variables, targets) if v.name != t}
+    for info, targets in edges:
+        used = dict(zip(info.spec.variables, targets))
+        for actual, formal in zip(info.last_edge.interface_args,
+                                  info.edge_formals):
+            if actual.name in renamed \
+                    or used.get(formal, actual.name) != actual.name:
+                return False
+    return True
 
 
 def _spine(node: ast.Formula, out: list) -> bool:
@@ -348,6 +417,80 @@ def _reads_row(node: ast.Arith, columns: tuple[str, ...],
     return False
 
 
+def template_body(db: Database, analysis: AnalyzedQuery,
+                  template: FormulaTemplate, fixed: dict, values,
+                  stored: dict | None = None
+                  ) -> ConjunctiveConstraint | None:
+    """A row's body assembled from ``template`` — ``values`` holds the
+    row's values for ``template.columns`` — as
+    ``ConjunctiveConstraint.from_rows(template.variables, rows)``: the
+    reference cells' stored rows under the template's column map, the
+    ``$param`` and constant atoms' rows (``fixed``, from
+    :func:`_fixed_rows`) and the row-bound atoms' rows, in conjunction
+    order — the instantiated body, columns and rows in order.  ``None``
+    when the template does not cover the row (a cell that is not a CST
+    object holding a conjunction of the declared dimension, an atom
+    that does not instantiate); the per-row path then gives the body
+    or the error.  ``stored`` memoizes cells' rows over one batch.
+    Covered rows are booked as ``template_rows``."""
+    rows: list = []
+    env = None
+    for i, part in enumerate(template.parts):
+        kind = part[0]
+        if kind == _REF:
+            cell = values[part[1]]
+            if stored is None:
+                mapped = _cell_rows(cell, part[2], part[3])
+            else:
+                key = (i, id(cell))
+                if key not in stored:
+                    stored[key] = _cell_rows(cell, part[2], part[3])
+                mapped = stored[key]
+        elif kind == _FIXED:
+            mapped = fixed[i]
+        else:
+            if env is None:
+                env = dict(zip(template.columns, values))
+            try:
+                atom = _build_atom(db, analysis, part[1], env)
+            except Exception:
+                return None
+            mapped = _template_rows(ConjunctiveConstraint.of(atom),
+                                    template.slot)
+        if mapped is None:
+            return None
+        rows += mapped
+    current_context().stats.template_rows += 1
+    return ConjunctiveConstraint.from_rows(template.variables, rows)
+
+
+def _fixed_rows(db: Database, analysis: AnalyzedQuery,
+                template: FormulaTemplate) -> dict | None:
+    """The ``_FIXED`` parts' rows over the template's columns, by part
+    index, for the active context's values of the query's parameters —
+    built once per set of values; ``None`` when one of them does not
+    instantiate."""
+    params = current_context().params or {}
+    key = tuple([params.get(name) for name in analysis.params])
+    held = template.fixed
+    if held is not None and held[0] == key:
+        return held[1]
+    fixed: dict[int, list] | None = {}
+    for i, part in enumerate(template.parts):
+        if part[0] == _FIXED:
+            try:
+                mapped = _template_rows(ConjunctiveConstraint.of(
+                    _build_atom(db, analysis, part[1], {})), template.slot)
+            except Exception:
+                mapped = None
+            if mapped is None:
+                fixed = None
+                break
+            fixed[i] = mapped
+    template.fixed = (key, fixed)
+    return fixed
+
+
 def formula_units(db: Database, analysis: AnalyzedQuery,
                   formula: ast.CstFormula, columns: tuple[str, ...],
                   template: FormulaTemplate | None,
@@ -356,14 +499,11 @@ def formula_units(db: Database, analysis: AnalyzedQuery,
     ``SAT`` formula without a head for a batch of rows — ``cells[i]``
     holds row ``i``'s values for ``columns``.
 
-    A row the template covers is packed from its cells' stored rows,
-    renamed and cleaned as the instantiated conjunction's are, and gives
-    the unit ``matrix.pack_constraint`` of that body would.  Any other
-    row (no template, or a cell that is not a CST object holding a
-    conjunction of the declared dimension) is instantiated and packed;
-    one whose instantiation raises gets ``None``, so the exact test
-    reproduces the error.  Template rows are booked as
-    ``template_rows``."""
+    A row the template covers is packed from :func:`template_body`,
+    which equals the instantiated body, so it gives the unit
+    ``matrix.pack_constraint`` of that body would.  Any other row is
+    instantiated and packed; one whose instantiation raises gets
+    ``None``, so the exact test reproduces the error."""
     def generic(values: tuple):
         try:
             constraint = instantiate_formula(
@@ -372,58 +512,35 @@ def formula_units(db: Database, analysis: AnalyzedQuery,
             return None
         return matrix.pack_constraint(constraint)
 
-    if template is None:
+    fixed = None if template is None \
+        else _fixed_rows(db, analysis, template)
+    if fixed is None:
         return [generic(values) for values in cells]
-    slot = {var.name: j for j, var in enumerate(template.variables)}
-    fixed: dict[int, tuple] = {}
-    for i, part in enumerate(template.parts):
-        if part[0] == _FIXED:
-            try:
-                mapped = _template_rows(ConjunctiveConstraint.of(
-                    _build_atom(db, analysis, part[1], {})), slot)
-            except Exception:
-                mapped = None
-            if mapped is None:
-                return [generic(values) for values in cells]
-            fixed[i] = mapped
-    stored: dict[tuple[int, int], tuple | None] = {}
+    stored: dict = {}
+    converted: dict = {}
     units: list = []
-    templated = 0
     for values in cells:
-        rows: list = []
-        floats: list = []
-        env = None
-        for i, part in enumerate(template.parts):
-            kind = part[0]
-            if kind == _REF:
-                cell = values[part[1]]
-                key = (i, id(cell))
-                if key not in stored:
-                    stored[key] = _cell_rows(cell, part[2], part[3])
-                mapped = stored[key]
-            elif kind == _FIXED:
-                mapped = fixed[i]
-            else:
-                if env is None:
-                    env = dict(zip(columns, values))
-                try:
-                    atom = _build_atom(db, analysis, part[1], env)
-                except Exception:
-                    units.append(None)
-                    break
-                mapped = _template_rows(ConjunctiveConstraint.of(atom),
-                                        slot)
-            if mapped is None:
-                units.append(generic(values))
-                break
-            rows += mapped[0]
-            floats += mapped[1]
-        else:
-            units.append(_pack_template_rows(template.variables, rows,
-                                             floats))
-            templated += 1
-    current_context().stats.template_rows += templated
+        body = template_body(db, analysis, template, fixed, values,
+                             stored)
+        units.append(generic(values) if body is None
+                     else _packed(body, converted))
     return units
+
+
+def _packed(body: ConjunctiveConstraint, converted: dict) -> list:
+    """``matrix.pack_constraint(body)``, each row's float form computed
+    once per batch: ``converted`` maps ``id(row)`` to the row — held,
+    so the id stays its own — and its :func:`~matrix.float_row`."""
+    if body.is_syntactically_false():
+        return []
+    floats = []
+    for row in body.rows:
+        held = converted.get(id(row))
+        if held is None:
+            held = converted[id(row)] = (row, matrix.float_row(row[1],
+                                                               row[3]))
+        floats.append(held[1])
+    return [matrix.pack_rows(body.columns, body.rows, floats)]
 
 
 def _build_atom(db: Database, analysis: AnalyzedQuery,
@@ -451,31 +568,15 @@ def _cell_rows(cell, dimension: int, targets: tuple[int, ...]
 
 
 def _template_rows(conj: ConjunctiveConstraint, column: dict[str, int]
-                   ) -> tuple[list, list] | None:
+                   ) -> list | None:
     """A conjunction's rows over the template's columns — the column
-    remap a rename does, variable ``v`` to ``column[v.name]`` — and
-    their float forms; ``None`` when a variable has no column."""
+    remap a rename does, variable ``v`` to ``column[v.name]``; ``None``
+    when a variable has no column."""
     try:
         target = [column[var.name] for var in conj.columns]
     except KeyError:
         return None
-    rows = remap_rows(conj.rows, target)
-    return rows, [matrix.float_row(row[1], row[3]) for row in rows]
-
-
-def _pack_template_rows(variables: tuple[Variable, ...], rows: list,
-                        floats: list):
-    """One row's unit from its exact rows over the template's columns
-    and their float forms: the rows cleaned as a conjunction's are
-    (:func:`~repro.constraints.conjunctive.clean_rows`), then packed;
-    a FALSE body gives the empty unit."""
-    cleaned = clean_rows(variables, rows)
-    if cleaned is None:
-        return []
-    columns, kept = cleaned
-    if len(kept) < len(rows):       # else every row kept, in order
-        floats = [matrix.float_row(row[1], row[3]) for row in kept]
-    return [matrix.pack_rows(columns, kept, floats)]
+    return remap_rows(conj.rows, target)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +585,15 @@ def _pack_template_rows(variables: tuple[Variable, ...], rows: list,
 
 
 def optimize(db: Database, analysis: AnalyzedQuery,
-             item: ast.OptimizeOut, env) -> Oid:
+             item: ast.OptimizeOut, env,
+             template: "FormulaTemplate | None" = None) -> Oid:
     """Evaluate MAX/MIN/MAX_POINT/MIN_POINT; returns the result oid
-    (a numeric literal, or a singleton-point CST object)."""
+    (a numeric literal, or a singleton-point CST object).  The body
+    comes from ``template`` when that covers the row, and the LP runs
+    once per distinct conjunctive body and objective."""
     from repro.constraints import lp
 
-    body, pending, anchors = instantiate_body(
-        db, analysis, item.formula.body, env)
-    head_vars = frozenset(Variable(n) for n in item.formula.head or ())
-    system = _apply_pending(body, pending, anchors, head_vars)
+    system = _system(db, analysis, item.formula, env, template)
     objective = _arith(db, analysis, item.objective, env)
 
     maximize = item.kind in (ast.OptimizeKind.MAX,
@@ -500,8 +601,12 @@ def optimize(db: Database, analysis: AnalyzedQuery,
     # The lp module accepts every family: a disjunctive system is
     # optimized branch-wise (an extension over the paper's
     # existential-conjunctive typing; see lp._coerce_systems).
-    result = lp.max_value(objective, system) if maximize \
-        else lp.min_value(objective, system)
+    solve = lp.max_value if maximize else lp.min_value
+    result = _memoized(
+        ("max" if maximize else "min",
+         tuple([(var.name, c) for var, c in objective]),
+         objective.constant_term),
+        system, lambda: solve(objective, system))
 
     if item.kind in (ast.OptimizeKind.MAX, ast.OptimizeKind.MIN):
         return LiteralOid(result.value)
@@ -552,7 +657,6 @@ def _arith(db: Database, analysis: AnalyzedQuery, node: ast.Arith,
             f"variable {node.name!r} is bound to {bound}, which is not "
             "a numeric constant usable in a pseudo-linear formula")
     if isinstance(node, ast.AParam):
-        from repro.runtime.context import param_value
         bound = param_value(node.name)
         if isinstance(bound, LiteralOid) \
                 and isinstance(bound.value, Fraction):
@@ -576,7 +680,11 @@ def _arith(db: Database, analysis: AnalyzedQuery, node: ast.Arith,
             if not right.is_constant():
                 raise EvaluationError(
                     "division by a non-constant is not linear")
-            return left / right.constant_term
+            try:
+                return left / right.constant_term
+            except ZeroDivisionError as exc:
+                raise EvaluationError(
+                    "division by zero in a pseudo-linear formula") from exc
         raise EvaluationError(f"unknown operator {node.op!r}")
     if isinstance(node, ast.ANeg):
         return -_arith(db, analysis, node.operand, env)

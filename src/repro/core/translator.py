@@ -471,12 +471,13 @@ class _Translator:
         if isinstance(expr, ast.FormulaOut):
             needed = self.formula_variables(expr.formula)
             formula = expr.formula
+            template = formulas.compile_template(analysis, formula,
+                                                 needed)
 
             def compute(row, _needed=needed, _formula=formula):
-                from repro.model.oid import CstOid
                 env = {n: row[n] for n in _needed}
                 return CstOid(formulas.formula_to_cst(
-                    bound_db(db), analysis, _formula, env))
+                    bound_db(db), analysis, _formula, env, template))
 
             return column, algebra.Extend(plan, column, compute,
                                           "cst-formula")
@@ -484,11 +485,13 @@ class _Translator:
             needed = tuple(dict.fromkeys(
                 self.formula_variables(expr.formula)))
             opt = expr
+            template = formulas.compile_template(analysis, opt.formula,
+                                                 needed)
 
             def compute_opt(row, _needed=needed, _opt=opt):
                 env = {n: row[n] for n in _needed}
                 return formulas.optimize(bound_db(db), analysis, _opt,
-                                         env)
+                                         env, template)
 
             return column, algebra.Extend(plan, column, compute_opt,
                                           opt.kind.value)

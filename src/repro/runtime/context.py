@@ -125,8 +125,9 @@ class ExecutionStats:
     numeric_accepts: int = 0
     numeric_rejects: int = 0
     numeric_fallbacks: int = 0
-    #: Rows a WHERE formula template packed straight from stored rows
-    #: (:func:`repro.core.formulas.formula_units`).
+    #: Rows whose formula body a template assembled straight from
+    #: stored rows — WHERE ``SAT`` rows packed for the kernel and
+    #: SELECT formula rows (:func:`repro.core.formulas.template_body`).
     template_rows: int = 0
     # -- engine rule ---------------------------------------------------
     #: Queries :func:`repro.lyric.stream` ran on the naive evaluator,

@@ -15,18 +15,22 @@ from repro.constraints.atoms import LinearConstraint, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.disjunctive import DisjunctiveConstraint
+from repro.constraints.parser import parse_constraint
 from repro.constraints.terms import Variable
 from repro.core import ast, formulas
 from repro.core.parser import parse_query
 from repro.core.semantics import analyze
 from repro.core.translator import _Translator
+from repro.errors import InfeasibleError, ResourceExhausted
 from repro.model.database import Database
 from repro.model.oid import CstOid, LiteralOid
 from repro.model.office import build_office_database
 from repro.model.schema import AttributeDef, CSTSpec, Schema
-from repro.runtime import numeric
+from repro.runtime import ExecutionGuard, numeric
+from repro.runtime.cache import ConstraintCache
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.sqlc import batch
+from repro.workloads import office
 
 OBJECTS = 4
 
@@ -263,3 +267,242 @@ class TestTemplateRowsAreBooked:
         decided = stats.numeric_accepts + stats.numeric_rejects
         assert decided + stats.numeric_fallbacks >= batch.MIN_BATCH
         assert stats.template_rows == 0
+
+
+# ---------------------------------------------------------------------------
+# SELECT formulas: templated bodies and the memoized exact step
+# ---------------------------------------------------------------------------
+
+
+def _select_compiled(db, text, index=1):
+    analysis = analyze(db.schema, parse_query(text))
+    item = analysis.query.select[index].expr
+    columns = tuple(dict.fromkeys(
+        _Translator(db, analysis).formula_variables(item.formula)))
+    return analysis, item, columns, formulas.compile_template(
+        analysis, item.formula, columns)
+
+
+def _outcome(compute):
+    """A SELECT item's value field for field — its printed form and its
+    repr (a CST oid's content) — or the error it raises."""
+    try:
+        value = compute()
+    except Exception as exc:    # compared, not swallowed
+        return type(exc).__name__, str(exc)
+    return str(value), repr(value)
+
+
+def _evaluate(db, analysis, item, env, template):
+    if isinstance(item, ast.FormulaOut):
+        return CstOid(formulas.formula_to_cst(db, analysis, item.formula,
+                                              env, template))
+    return formulas.optimize(db, analysis, item, env, template)
+
+
+def _same_body(db, analysis, item, columns, template, values):
+    """The templated body equals the instantiated one, columns and rows
+    in order; ``False`` when the template does not cover the row."""
+    fixed = formulas._fixed_rows(db, analysis, template)
+    body = None if fixed is None else formulas.template_body(
+        db, analysis, template, fixed, values)
+    if body is None:
+        return False
+    reference = formulas._system(db, analysis, item.formula,
+                                 dict(zip(columns, values)), None)
+    assert body.columns == reference.columns
+    assert body.rows == reference.rows
+    return True
+
+
+#: Every templated SELECT shape: a projection (over declared specs,
+#: explicit and reversed arguments, ``$params`` and row-bound atoms),
+#: then MAX, MIN, MAX_POINT and MIN_POINT.
+SELECT_TEMPLATED = [
+    "((x,y) | E and F and x + y <= $k)",
+    "((u) | G(u,v) and E(v,u) and 2*u = v)",
+    "((x) | E(x,y) and F(y,x) and x <= N and y >= A.w - 3)",
+    "MAX(x SUBJECT TO ((x,y) | E and F and $lo <= x + y <= $hi))",
+    "MIN(x - y SUBJECT TO ((x,y) | E and F and $lo <= x <= $hi))",
+    "MAX_POINT(x + 2*y SUBJECT TO ((x,y) | E and F and x <= $k))",
+    "MIN_POINT(y SUBJECT TO (E(x,y) and $lo <= y <= $hi))",
+]
+
+
+@pytest.mark.parametrize("item", SELECT_TEMPLATED)
+@pytest.mark.parametrize("odd", [0.0, 0.3])
+def test_select_template_bodies_and_results_equal_the_per_row_ones(
+        item, odd):
+    db = shapes_database()
+    text = ("SELECT A, " + item + " FROM Shape A, Shape B "
+            "WHERE A.extent[E] and B.extent[F] and A.flipped[G] "
+            "and A.w[N]")
+    analysis, node, columns, template = _select_compiled(db, text)
+    assert template is not None
+    rng = random.Random(f"{item}/{odd}")
+    rows = _rows(db, columns, rng, 60, odd)
+    covered = 0
+    cached = QueryContext(stats=ExecutionStats(), params=PARAMS)
+    per_row = QueryContext(stats=ExecutionStats(), params=PARAMS,
+                           cache=None)
+    for values in rows + rows:      # the second pass hits the memo
+        env = dict(zip(columns, values))
+        with cached.activate():
+            covered += _same_body(db, analysis, node, columns, template,
+                                  values)
+            got = _outcome(lambda: _evaluate(db, analysis, node, env,
+                                             template))
+        with per_row.activate():
+            want = _outcome(lambda: _evaluate(db, analysis, node, env,
+                                              None))
+        assert got == want
+    if odd:
+        assert 0 < covered < 2 * len(rows)
+    else:
+        assert covered == 2 * len(rows)
+    assert cached.stats.cache_hits > 0
+
+
+def office_instance():
+    return office.generate(8, seed=5).db
+
+
+OFFICE_SELECT = [
+    ("projection", bench_text.PROJECTION_QUERY),
+    ("max", bench_text.MAX_QUERY),
+    ("min", bench_text.MAX_QUERY.replace("MAX(", "MIN(")),
+    ("max_point", bench_text.MAX_QUERY.replace("MAX(", "MAX_POINT(")),
+    ("min_point", bench_text.MAX_QUERY.replace("MAX(", "MIN_POINT(")),
+    ("placed_extent", office.PLACED_EXTENT_QUERY),
+]
+
+OFFICE_PARAMS = {"px": 5, "py": 7}
+
+
+def _printed(result):
+    return sorted((str(row.oid), tuple(map(str, row.values)),
+                   tuple(map(repr, row.values))) for row in result)
+
+
+@pytest.mark.parametrize("name,text", OFFICE_SELECT,
+                         ids=[name for name, _ in OFFICE_SELECT])
+def test_office_select_shapes_run_from_templates(name, text):
+    """The office SELECT shapes — the placed extent's vacuous
+    ``catalog_object`` edge included — are templated, every row's body
+    is the instantiated one, and the query's rows equal the per-row
+    reference's (the naive evaluator, no cache), printed oid
+    included, cold and from the memo; each result row books one
+    template row."""
+    db = office_instance()
+    analysis, item, columns, template = _select_compiled(db, text)
+    assert template is not None
+    frm = text[text.index("FROM"):]
+    rows = lyric.query(db, "SELECT " + ", ".join(columns) + " " + frm)
+    assert len(rows) > 1
+    ctx = QueryContext(params=lyric._coerce_params(OFFICE_PARAMS))
+    with ctx.activate():
+        assert all(_same_body(db, analysis, item, columns, template,
+                              row.values) for row in rows)
+    reference = _printed(lyric.query(
+        db, text, ctx=QueryContext(cache=None), params=OFFICE_PARAMS))
+    for _ in range(2):
+        stats = ExecutionStats()
+        result = lyric.stream(db, text, ctx=QueryContext(stats=stats),
+                              params=OFFICE_PARAMS).result()
+        assert _printed(result) == reference
+        assert stats.template_rows == len(result)
+
+
+FALLBACK_SELECT = [
+    # An interface-renamed edge whose implicit equalities bind: the
+    # drawer's (x,y) are the desk's (p,q).
+    ("drawer_edge", """
+        SELECT DSK, ((u1,v1) | C and DD(w1,z1,x1,y1,u1,v1)
+                               and w1 = 0 and z1 = 0)
+        FROM Desk DSK
+        WHERE DSK.drawer_center[C] and DSK.drawer.translation[DD]
+     """),
+    ("or_body", """
+        SELECT CO, ((u,v) | (E and D and x = $px and y = $py)
+                            or (E and D and x = $py and y = $px))
+        FROM Office_Object CO WHERE CO.extent[E] and CO.translation[D]
+     """),
+    ("not_body", """
+        SELECT CO, MAX(u SUBJECT TO ((u,v) | E and D and x = $px
+                                     and y = $py and not (u <= $px)))
+        FROM Office_Object CO WHERE CO.extent[E] and CO.translation[D]
+     """),
+]
+
+
+@pytest.mark.parametrize("name,text", FALLBACK_SELECT,
+                         ids=[name for name, _ in FALLBACK_SELECT])
+def test_other_select_shapes_fall_back_with_the_same_answers(name, text):
+    db = office_instance()
+    assert _select_compiled(db, text)[3] is None
+    reference = _printed(lyric.query(
+        db, text, ctx=QueryContext(cache=None), params=OFFICE_PARAMS))
+    for _ in range(2):
+        stats = ExecutionStats()
+        result = lyric.stream(db, text, ctx=QueryContext(stats=stats),
+                              params=OFFICE_PARAMS).result()
+        assert _printed(result) == reference
+        assert stats.template_rows == 0
+
+
+class TestTheExactStepMemo:
+    def test_row_order_is_part_of_the_key(self):
+        """Equal as sets of rows, different in order: two entries."""
+        first = parse_constraint("x <= 1 and y <= 2 and x + y >= 0")
+        second = ConjunctiveConstraint.from_rows(
+            first.columns, first.rows[::-1])
+        assert first == second and first.rows != second.rows
+        calls = []
+        ctx = QueryContext(stats=ExecutionStats(), cache=ConstraintCache())
+        with ctx.activate():
+            for body in (first, second, first, second):
+                formulas._memoized(("project", ("x",)), body,
+                                   lambda: calls.append(1))
+        assert len(calls) == 2
+        assert ctx.stats.cache_hits == 2
+
+    def _optimum(self, db, text, ctx):
+        analysis, item, columns, template = _select_compiled(db, text)
+        assert template is not None
+        row = next(iter(lyric.query(
+            db, "SELECT " + ", ".join(columns) + " "
+            + text[text.index("FROM"):])))
+        with ctx.activate():
+            return formulas.optimize(db, analysis, item,
+                                     dict(zip(columns, row.values)),
+                                     template)
+
+    def test_an_infeasible_lp_is_not_cached(self):
+        db = office_instance()
+        text = bench_text.MAX_QUERY.replace("y = $py", "x = $px + 1")
+        ctx = QueryContext(stats=ExecutionStats(), cache=ConstraintCache(),
+                           params=lyric._coerce_params(OFFICE_PARAMS))
+        for _ in range(2):
+            with pytest.raises(InfeasibleError):
+                self._optimum(db, text, ctx)
+        assert ctx.stats.cache_hits == 0
+
+    def test_an_exhausted_lp_is_not_cached(self):
+        db = office_instance()
+        text = bench_text.MAX_QUERY
+        cache = ConstraintCache()
+        for _ in range(2):
+            guard = ExecutionGuard(max_pivots=1)
+            ctx = QueryContext(stats=ExecutionStats(), guard=guard,
+                               cache=cache,
+                               params=lyric._coerce_params(OFFICE_PARAMS))
+            with pytest.raises(ResourceExhausted):
+                self._optimum(db, text, ctx)
+            assert guard.spend()["pivots"] >= 1
+            assert ctx.stats.cache_hits == 0
+        guard = ExecutionGuard()
+        ctx = QueryContext(stats=ExecutionStats(), guard=guard,
+                           cache=cache,
+                           params=lyric._coerce_params(OFFICE_PARAMS))
+        self._optimum(db, text, ctx)
+        assert guard.spend()["pivots"] >= 1

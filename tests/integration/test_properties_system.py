@@ -125,8 +125,8 @@ class TestParserFuzz:
         from repro.errors import ConstraintError
         try:
             parse_constraint(text)
-        except (ConstraintError, ZeroDivisionError):
-            # Division by a literal zero is reported as such.
+        except ConstraintError:
+            # Division by a literal zero is a ConstraintSyntaxError.
             pass
 
 

@@ -21,15 +21,18 @@ __all__ = ["SLOW_QUERY", "ServerLimits", "client_for",
            "settled"]
 
 #: A query whose cost scales quadratically with the database: every
-#: object pair drags a four-way constraint conjunction through the
-#: solver.  At ``office_db(30)`` it yields 900 rows.  A test that needs
-#: it still running when something happens holds it there with
-#: :func:`held_after_first_batch` rather than trusting its run time.
+#: pair of placed objects drags its own two locations through two
+#: entailments and a projection, so no two rows share a constraint
+#: body and no cache collapses the work.  At ``office_db(30)`` it
+#: yields 900 rows.  A test that needs it still running when something
+#: happens holds it there with :func:`held_after_first_batch` rather
+#: than trusting its run time.
 SLOW_QUERY = """
-    SELECT A, B, ((u,v) | EA and DA and EB and DB)
-    FROM Office_Object A, Office_Object B
-    WHERE A.extent[EA] and A.translation[DA]
-      and B.extent[EB] and B.translation[DB]
+    SELECT A, B, ((u,v) | L(x,y) and M(p,q) and u <= p + v - q)
+    FROM Object_in_Room A, Object_in_Room B
+    WHERE A.location[L] and B.location[M]
+      and (L(x,y) and M(p,q) |= x + y <= p + q + 1000)
+      and (L(x,y) and M(p,q) |= x - y <= p - q + 1000)
 """
 
 

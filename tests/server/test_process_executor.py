@@ -179,6 +179,7 @@ class TestRequestEvents:
 class TestCancellation:
     def test_cancel_crosses_the_board_into_the_worker(self):
         db = office_db(30)
+        clear_global_cache()    # the worker forks with a cold cache
 
         async def main():
             service = QueryService(db, executor_threads=2,
@@ -270,6 +271,7 @@ class TestQueueing:
 
     def test_the_deadline_runs_while_a_request_waits(self):
         db = office_db(30)
+        clear_global_cache()    # the worker forks with a cold cache
 
         async def main():
             service = QueryService(db, executor_threads=2,

@@ -80,6 +80,24 @@ class TestAdversarialInputs:
         with pytest.raises(errors.ConstraintSyntaxError):
             parse_cst(text)
 
+    def test_division_by_zero_in_a_cst_is_syntax_error(self):
+        from repro.constraints.parser import parse_cst
+        with pytest.raises(errors.ConstraintSyntaxError) as info:
+            parse_cst("((x) | x <= 1/0)")
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_division_by_zero_in_a_formula_is_evaluation_error(self):
+        from repro import lyric
+        from repro.model.office import build_office_database
+        db, _ = build_office_database()
+        text = ("SELECT CO, ((u,v) | E and D and x = 1/0 and y = 4) "
+                "FROM Office_Object CO "
+                "WHERE CO.extent[E] and CO.translation[D]")
+        for run in (lyric.query, lyric.query_translated):
+            with pytest.raises(errors.EvaluationError) as info:
+                run(db, text)
+            assert isinstance(info.value.__cause__, ZeroDivisionError)
+
     def test_wrong_dimension_cst_object(self):
         from repro.constraints import geometry
         from repro.constraints.parser import parse_cst
