@@ -9,12 +9,13 @@ geometric phase *in front of* pair enumeration:
 
 * a :class:`BoxIndex` stores, per relation row, the cheap bounding box
   of one CST column (derived from :func:`repro.constraints.bounds`),
-  organised as sorted interval endpoints per variable;
-* :func:`candidate_pairs` sweeps the two indexes along the most
-  selective shared variable (sort + sweep, or one numpy all-pairs
-  comparison where the sides are large enough to pay for it) and emits
-  only the pairs whose boxes overlap, in the same deterministic
-  ``(left row, right row)`` order a nested loop would produce;
+  and per variable one *sweep table*: the rows bounding it as
+  ``(lo, hi, pos)`` float triples, sorted once, built on first probe;
+* :func:`candidate_pairs` sweeps the two indexes' tables along the
+  most selective shared variable and emits only the pairs whose boxes
+  overlap, in the same deterministic ``(left row, right row)`` order a
+  nested loop would produce; shard envelopes
+  (:meth:`BoxIndex.envelope`) are the tables' float hulls;
 * indexes are built lazily and memoized per
   ``(relation, column, boxer, version)`` in a weak-keyed cache, so
   catalog relations scanned by many joins are indexed once and the
@@ -29,6 +30,13 @@ those conventions; :func:`cst_cell_box` is the default for cells whose
 CST objects are already expressed over shared variable names, and the
 translator builds renaming-aware boxers for its SAT predicates.
 
+Float keys: a table rounds each exact end one ulp *outward*
+(:func:`math.nextafter`; an end beyond float range maps outward too),
+so each float interval contains its exact one and a float overlap test
+keeps a superset of the overlapping pairs; the exact
+:func:`repro.constraints.bounds.boxes_disjoint` refines every pair it
+keeps.  No probe sorts or compares a ``Fraction``.
+
 Soundness: the index only ever *drops* pairs whose boxes are provably
 disjoint, which by :func:`repro.constraints.bounds.boxes_disjoint` is a
 proof that the exact CST intersection is empty.  The exact predicate
@@ -39,13 +47,14 @@ identical with and without the index.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import insort
 from typing import Callable
 from weakref import WeakKeyDictionary
 
 from repro.constraints import bounds
 from repro.model.oid import CstOid, Oid
 from repro.runtime import context as context_mod
-from repro.runtime import numeric as numeric_mod
 from repro.runtime.context import QueryContext
 from repro.runtime.parallel import fork_safe_lock
 from repro.sqlc.relation import ConstraintRelation
@@ -84,17 +93,36 @@ _NEG_INF = -math.inf
 _POS_INF = math.inf
 
 
+def _float_toward(value, limit: float) -> float:
+    """A float on ``limit``'s side (``-inf`` or ``inf``) of the exact
+    ``value``: its nearest float stepped one ulp toward ``limit``.  Past
+    float range: ``limit``, or the largest finite float of ``value``'s
+    sign when that lies on ``limit``'s side."""
+    try:
+        return math.nextafter(float(value), limit)
+    except OverflowError:
+        if (value < 0) == (limit < 0):
+            return limit
+        return -sys.float_info.max if value < 0 else sys.float_info.max
+
+
+def _sweep_key(interval: tuple) -> tuple:
+    """A :attr:`BoxIndex.bounded` entry as its sweep-table triple."""
+    lo, hi, pos = interval
+    return _float_toward(lo, _NEG_INF), _float_toward(hi, _POS_INF), pos
+
+
 #: Lazily-computed :meth:`BoxIndex.envelope` not taken yet (the value
 #: itself may legitimately be ``None`` — a provably empty index).
 _ENVELOPE_UNSET: object = object()
 
 
 class BoxIndex:
-    """Per-row boxes of one CST column, with per-variable sorted
-    interval lists for the sweep."""
+    """Per-row boxes of one CST column, with one sorted float sweep
+    table per variable."""
 
     __slots__ = ("n_rows", "boxes", "nonempty", "bounded", "unbounded",
-                 "_envelope")
+                 "_tables", "_envelope")
 
     def __init__(self, relation: ConstraintRelation, column: str,
                  boxer: Boxer):
@@ -106,9 +134,9 @@ class BoxIndex:
         #: Row positions that can match at all.
         self.nonempty = [pos for pos, box in enumerate(self.boxes)
                          if box is not None]
-        #: var -> [(lo, hi, pos)] for rows bounding the variable
-        #: (closed-endpoint over-approximation; exactness is restored
-        #: by the boxes_disjoint refinement).
+        #: var -> [(lo, hi, pos)] for rows bounding the variable, in
+        #: row-position order (closed-endpoint over-approximation;
+        #: exactness is restored by the boxes_disjoint refinement).
         self.bounded: dict = {}
         #: var -> [pos] for nonempty rows *not* bounding the variable.
         self.unbounded: dict = {}
@@ -130,11 +158,24 @@ class BoxIndex:
                         pos))
             self.bounded[var] = intervals
             self.unbounded[var] = free
+        #: var -> its sweep table, built on first use.
+        self._tables: dict = {}
         self._envelope = _ENVELOPE_UNSET
 
     def coverage(self, var) -> int:
         """How many rows the variable actually bounds."""
         return len(self.bounded.get(var, ()))
+
+    def sweep_table(self, var) -> list:
+        """``var``'s rows as sorted ``(lo, hi, pos)`` float triples
+        (:func:`_sweep_key`), built on first use and never mutated.
+        Positions are unique, so an extended index's table equals a
+        rebuilt one's."""
+        table = self._tables.get(var)
+        if table is None:
+            table = sorted(map(_sweep_key, self.bounded[var]))
+            self._tables[var] = table
+        return table
 
     def envelope(self) -> "dict | None":
         """The bounding envelope of every row in this index, computed
@@ -143,10 +184,11 @@ class BoxIndex:
 
         ``None`` means *provably empty* — no row can ever match.  A
         dict maps each variable that **every** nonempty row bounds to
-        the closed hull ``(min lo, max hi)`` of their intervals; a
-        variable any row leaves free is omitted (that row overlaps
-        everything along it, so the hull would prove nothing).  An
-        empty dict is the unknown envelope: it overlaps everything.
+        the float hull ``(min lo, max hi)`` of its sweep table, which
+        contains the exact hull; a variable any row leaves free is
+        omitted (that row overlaps everything along it, so the hull
+        would prove nothing).  An empty dict is the unknown envelope:
+        it overlaps everything.
         """
         if self._envelope is _ENVELOPE_UNSET:
             self._envelope = self._compute_envelope()
@@ -159,8 +201,9 @@ class BoxIndex:
         for var, intervals in self.bounded.items():
             if not intervals or self.unbounded.get(var):
                 continue
-            envelope[var] = (min(iv[0] for iv in intervals),
-                             max(iv[1] for iv in intervals))
+            table = self.sweep_table(var)
+            envelope[var] = (table[0][0],
+                             max(hi for _lo, hi, _pos in table))
         return envelope
 
     def extended(self, relation: ConstraintRelation, column: str,
@@ -173,7 +216,8 @@ class BoxIndex:
         shipped it) stay frozen at their row count.  The result is
         structurally identical to ``BoxIndex(relation, column, boxer)``
         — per-variable lists keep ascending row-position order because
-        appends only ever add larger positions.
+        appends only ever add larger positions, and a sweep table this
+        index already built takes just the appended rows' keys.
         """
         cell_index = relation.column_index(column)
         fresh_boxes = [boxer(row[cell_index])
@@ -208,6 +252,15 @@ class BoxIndex:
                         _NEG_INF if lo is None else lo,
                         _POS_INF if hi is None else hi,
                         pos))
+        new._tables = {}
+        # A copy: a concurrent probe may add a table to this index.
+        for var, table in self._tables.copy().items():
+            appended = new.bounded[var][len(self.bounded[var]):]
+            if appended:
+                table = table.copy()
+                for key in map(_sweep_key, appended):
+                    insort(table, key)
+            new._tables[var] = table
         new._envelope = _ENVELOPE_UNSET
         return new
 
@@ -216,13 +269,13 @@ def envelopes_disjoint(left: "dict | None", right: "dict | None") -> bool:
     """Are two :meth:`BoxIndex.envelope` values provably disjoint?
 
     ``True`` only when *every* cross pair of rows has disjoint boxes:
-    either side is empty, or the closed hulls are strictly separated
-    along a variable both sides bound on all rows — then each left
-    box's interval lies entirely below (or above) each right box's,
-    which is exactly what :func:`repro.constraints.bounds.
-    boxes_disjoint` would conclude pair by pair.  Strict inequality
-    keeps the test sound for open endpoints: touching hulls are never
-    pruned.
+    either side is empty, or the float hulls are strictly separated
+    along a variable both sides bound on all rows.  Each float hull
+    contains its exact hull, so then each left box's interval lies
+    entirely below (or above) each right box's, which is exactly what
+    :func:`repro.constraints.bounds.boxes_disjoint` would conclude
+    pair by pair.  Strict inequality keeps the test sound for open
+    endpoints: touching hulls are never pruned.
     """
     if left is None or right is None:
         return True
@@ -325,101 +378,37 @@ def clear_index_cache() -> None:
 
 def _sweep(lefts: list, rights: list) -> list[tuple[int, int]]:
     """All (left pos, right pos) pairs whose closed intervals overlap,
-    by a sort + sweep over the interval start points."""
-    lefts = sorted(lefts)
-    rights = sorted(rights)
+    by one sweep over two :meth:`BoxIndex.sweep_table` lists (already
+    sorted by start point)."""
     out: list[tuple[int, int]] = []
+    if not lefts or not rights:
+        return out
     i = j = 0
+    n_left, n_right = len(lefts), len(rights)
     active_left: list[tuple] = []   # (hi, pos) still open
     active_right: list[tuple] = []
-    while i < len(lefts) or j < len(rights):
-        if j >= len(rights) or (i < len(lefts)
-                                and lefts[i][0] <= rights[j][0]):
+    while i < n_left or j < n_right:
+        if j >= n_right or (i < n_left and lefts[i][0] <= rights[j][0]):
             lo, hi, pos = lefts[i]
             i += 1
             live = []
-            for other_hi, other_pos in active_right:
-                if other_hi >= lo:
-                    live.append((other_hi, other_pos))
-                    out.append((pos, other_pos))
+            for other in active_right:
+                if other[0] >= lo:
+                    live.append(other)
+                    out.append((pos, other[1]))
             active_right = live
             active_left.append((hi, pos))
         else:
             lo, hi, pos = rights[j]
             j += 1
             live = []
-            for other_hi, other_pos in active_left:
-                if other_hi >= lo:
-                    live.append((other_hi, other_pos))
-                    out.append((other_pos, pos))
+            for other in active_left:
+                if other[0] >= lo:
+                    live.append(other)
+                    out.append((other[1], pos))
             active_left = live
             active_right.append((hi, pos))
     return out
-
-
-#: Side-size floor below which the vectorized all-pairs overlap costs
-#: more than the sweep, and the most cells one of its dense boolean
-#: blocks may hold (a larger probe compares in slices of left rows).
-VECTOR_MIN_SIDE = 32
-VECTOR_MAX_PRODUCT = 4_000_000
-
-
-def _float_ends(intervals: list, np) -> "tuple | None":
-    """Interval endpoints as float arrays padded one ulp *outwards*, so
-    every rational overlap survives the float comparison (a sound
-    superset — spurious pairs die in the exact refinement).  ``None``
-    when an endpoint does not convert."""
-    try:
-        lo = np.array([float(iv[0]) for iv in intervals],
-                      dtype=np.float64)
-        hi = np.array([float(iv[1]) for iv in intervals],
-                      dtype=np.float64)
-    except (OverflowError, ValueError):
-        return None
-    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
-
-
-def _vector_overlap(lefts: list, rights: list
-                    ) -> "list[tuple[int, int]] | None":
-    """Numpy all-pairs interval overlap, or ``None`` when numpy is
-    missing, a side is too small, or endpoints overflow.
-
-    Left rows are compared in slices of at most
-    ``VECTOR_MAX_PRODUCT // len(rights)`` rows, so no boolean block
-    outgrows :data:`VECTOR_MAX_PRODUCT` cells; the slices run in order,
-    so pairs come out in the row-major order of one unsliced block."""
-    np = numeric_mod.get_numpy()
-    if np is None:
-        return None
-    if len(lefts) < VECTOR_MIN_SIDE or len(rights) < VECTOR_MIN_SIDE:
-        return None
-    left_ends = _float_ends(lefts, np)
-    right_ends = _float_ends(rights, np)
-    if left_ends is None or right_ends is None:
-        return None
-    llo, lhi = left_ends
-    rlo, rhi = right_ends
-    step = max(1, VECTOR_MAX_PRODUCT // len(rights))
-    pairs: list[tuple[int, int]] = []
-    for start in range(0, len(lefts), step):
-        stop = start + step
-        overlap = (llo[start:stop, None] <= rhi[None, :]) \
-            & (rlo[None, :] <= lhi[start:stop, None])
-        pairs.extend((lefts[start + i][2], rights[j][2])
-                     for i, j in np.argwhere(overlap))
-    return pairs
-
-
-def _overlapping_pairs(lefts: list, rights: list,
-                       use_vector: bool = False
-                       ) -> list[tuple[int, int]]:
-    if not lefts or not rights:
-        return []
-    if use_vector:
-        pairs = _vector_overlap(lefts, rights)
-        if pairs is not None:
-            return pairs
-    return _sweep(lefts, rights)
 
 
 def _sweep_variable(left: BoxIndex, right: BoxIndex):
@@ -439,9 +428,9 @@ def candidate_pairs(left: BoxIndex, right: BoxIndex,
     """Row-position pairs whose boxes overlap, sorted in nested-loop
     order ``(left, right)``.
 
-    The coarse phase (vector or sweep on the best shared variable) emits
-    a superset of the box-overlapping pairs; each coarse pair is then
-    refined with the exact multi-variable
+    The coarse phase (a sweep of both sides' float tables on the best
+    shared variable) emits a superset of the box-overlapping pairs;
+    each coarse pair is then refined with the exact multi-variable
     :func:`repro.constraints.bounds.boxes_disjoint` test.  Pairs never
     emitted — separated along the sweep variable, or provably empty on
     either side — are pruned without any per-pair work at all.
@@ -452,9 +441,7 @@ def candidate_pairs(left: BoxIndex, right: BoxIndex,
     if var is None:
         coarse = [(l, r) for l in left.nonempty for r in right.nonempty]
     else:
-        coarse = _overlapping_pairs(left.bounded[var],
-                                    right.bounded[var],
-                                    use_vector=ctx.numeric_active())
+        coarse = _sweep(left.sweep_table(var), right.sweep_table(var))
         # Rows unbounded on the sweep variable overlap everything
         # along it: pair them with every nonempty row of the far side.
         if right.unbounded[var]:

@@ -1,14 +1,10 @@
 """Unit tests: box indexes, IndexJoin, optimizer selection, stats."""
 
-import random
-from fractions import Fraction
-
 import pytest
 
 from repro.constraints.parser import parse_cst
 from repro.errors import EvaluationError
 from repro.model.oid import LiteralOid, oid
-from repro.runtime import numeric
 from repro.runtime.context import QueryContext
 from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard
@@ -125,36 +121,16 @@ class TestBoxIndex:
         pairs = index.candidate_pairs(built, built)
         assert pairs == [(i, j) for i in range(8) for j in range(8)]
 
-    @pytest.mark.skipif(not numeric.numeric_available(),
-                        reason="the vector probe needs numpy")
-    def test_vector_overlap_in_slices_keeps_the_block_order(
-            self, monkeypatch):
-        """Past the block ceiling the vector probe compares slices of
-        left rows: the pairs and their order are the unsliced block's,
-        and the pair set is the sweep's."""
-        rng = random.Random(7)
-
-        def intervals(count):
-            out = []
-            for pos in range(count):
-                lo = Fraction(rng.randint(0, 400), rng.choice([1, 3]))
-                out.append((lo, lo + rng.randint(0, 30), pos))
-            return out
-
-        lefts, rights = intervals(70), intervals(50)
-        whole = index._vector_overlap(lefts, rights)
-        monkeypatch.setattr(index, "VECTOR_MAX_PRODUCT", 20 * len(rights))
-        sliced = index._vector_overlap(lefts, rights)
-        assert len(lefts) > 3 * 20          # at least four slices
-        assert whole and sliced == whole
-        assert set(sliced) == set(index._sweep(lefts, rights))
-
     def test_cache_hit_and_version_invalidation(self, catalog, acct):
         rel = catalog["lefts"]
         first = index.index_for(rel, "e", index.cst_cell_box)
         again = index.index_for(rel, "e", index.cst_cell_box)
         assert again is first
         assert acct.index_builds == 1
+        # A probed index has its sweep table: the extension inserts the
+        # appended row's key into it.
+        (var,) = first.bounded
+        first_table = first.sweep_table(var)
         rel.add_row((oid("d"), parse_cst("((x) | 7 <= x <= 8)")))
         # A pure append extends the cached index (copy-on-extend)
         # instead of rebuilding; the old object stays frozen.
@@ -170,6 +146,9 @@ class TestBoxIndex:
         assert extended.nonempty == rebuilt.nonempty
         assert extended.bounded == rebuilt.bounded
         assert extended.unbounded == rebuilt.unbounded
+        assert extended._tables[var] == rebuilt.sweep_table(var)
+        assert first.sweep_table(var) is first_table
+        assert len(first_table) == 3
 
 
 class TestIndexJoin:

@@ -1,8 +1,14 @@
 """Unit tests: sharded relations, envelope pruning, scatter-gather
 joins, and the optimizer's sharded-join selection."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.parser import parse_cst
 from repro.errors import EvaluationError
@@ -209,7 +215,9 @@ class TestEnvelopes:
         env = index.BoxIndex(rel, "c", index.cst_cell_box).envelope()
         (var,) = env
         lo, hi = env[var]
-        assert float(lo) == 0 and float(hi) == 12
+        # The float hull brackets the exact hull [0, 12] within an ulp.
+        assert lo <= 0 <= math.nextafter(lo, math.inf)
+        assert math.nextafter(hi, -math.inf) <= 12 <= hi
 
     def test_empty_index_envelope_is_none(self):
         rel = ConstraintRelation("r", ("id", "c"), [
@@ -222,7 +230,6 @@ class TestEnvelopes:
         # A row bounded only below keeps the variable with an +inf
         # hull endpoint — still sound (never prunes along that side)
         # and tighter than dropping the variable entirely.
-        import math
         rel = ConstraintRelation("r", ("id", "c"), [
             (oid("a"), parse_cst("((x) | 0 <= x <= 4)")),
             (oid("b"), parse_cst("((x) | x >= 10)")),
@@ -230,7 +237,8 @@ class TestEnvelopes:
         env = index.BoxIndex(rel, "c", index.cst_cell_box).envelope()
         (var,) = env
         lo, hi = env[var]
-        assert float(lo) == 0 and hi == math.inf
+        assert lo <= 0 <= math.nextafter(lo, math.inf)
+        assert hi == math.inf
 
     def test_envelopes_disjoint(self):
         rel_a = ConstraintRelation("a", ("id", "c"), [
@@ -417,3 +425,56 @@ class TestOptimizerSelection:
         assert [tuple(map(repr, r)) for r in baseline.rows] \
             == [tuple(map(repr, r)) for r in result.rows]
 
+
+def _cell_box_sides(count, overlaps, seed):
+    """Two sides of ``count`` 1-D boxes with half-integer half-widths
+    (1/2 to 5/2), each inside its own width-20 cell of a shuffled line;
+    exactly ``overlaps`` right boxes share the cell and centre of a
+    left box, so exactly that many left/right pairs intersect."""
+    rng = random.Random(seed)
+    (variable,) = make_variables(1)
+    cells = list(range(-count, count))
+    rng.shuffle(cells)
+
+    def centre(cell):
+        return Fraction(20 * cell + rng.randint(4, 16))
+
+    def row(prefix, i, at):
+        half = Fraction(rng.randint(1, 5), 2)
+        box = ConjunctiveConstraint([
+            LinearConstraint.build(variable, Relop.GE, at - half),
+            LinearConstraint.build(variable, Relop.LE, at + half)])
+        return oid(f"{prefix}{i}"), CSTObject([variable], box)
+
+    left_centres = [centre(cell) for cell in cells[:count]]
+    right_centres = left_centres[:overlaps] + [
+        centre(cell) for cell in cells[count:2 * count - overlaps]]
+    rng.shuffle(left_centres)
+    rng.shuffle(right_centres)
+    return ([row("l", i, at) for i, at in enumerate(left_centres)],
+            [row("r", i, at) for i, at in enumerate(right_centres)])
+
+
+class TestPinnedCounts:
+    def test_sharded_join_books_pinned_counts(self):
+        """A base load, then bursts each followed by the join (shard
+        indexes extended in between): the coarse phase's counts are
+        pinned, so a change to it cannot move them silently."""
+        lefts, rights = _cell_box_sides(120, 12, seed=34)
+        catalog = {
+            "L": ShardedConstraintRelation(
+                "L", ("lid", "e"), shards=16, partition_by="e"),
+            "R": ShardedConstraintRelation(
+                "R", ("rid", "f"), shards=16, partition_by="f")}
+        catalog["L"].add_rows(lefts[:60])
+        catalog["R"].add_rows(rights[:60])
+        ctx = QueryContext()
+        for start in range(60, 120, 15):
+            catalog["L"].add_rows(lefts[start:start + 15])
+            catalog["R"].add_rows(rights[start:start + 15])
+            result = _sharded_join().evaluate(catalog, ctx)
+        stats = ctx.stats
+        assert len(result) == 12
+        assert (stats.index_probes, stats.candidates_pruned,
+                stats.shard_pairs_pruned, stats.shard_pairs_probed) \
+            == (38, 39112, 921, 103)
