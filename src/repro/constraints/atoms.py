@@ -16,7 +16,9 @@ therefore compare equal, on a key computed once.
 A conjunction stores the same rows by column (:data:`ExactRow`).  One
 normaliser, :func:`_normal_row`, gives a row its stored form:
 :func:`expression_row` clears a :class:`LinearExpression`'s
-denominators and calls it, and every row derived from rows — negation
+denominators and calls it (for :meth:`LinearConstraint.build`, user
+arithmetic), the CST text parser does the same on its own
+name-to-coefficient maps, and every row derived from rows — negation
 (:func:`negate_row`), disequality split (:func:`split_row`), renaming
 (:func:`remap_rows`), combination (:func:`combine_rows`: the
 Fourier-Motzkin step, the strict slack) and equality substitution

@@ -22,18 +22,28 @@ Grammar (informal)::
     factor     := NUMBER | IDENT | '(' arith ')'
 
 Numbers may be integers, decimals, or rationals like ``3/4`` (the ``/``
-binds tighter than arithmetic; ``x/2`` divides a variable by two).  A
-comparison (chain) parses straight to a conjunction's integer rows
-(:func:`~repro.constraints.atoms.expression_row`); no atom is built.
+binds tighter than arithmetic; ``x/2`` divides a variable by two).
+
+Every stored or shipped CST text comes back through here, so the parser
+builds no expression object.  The text is tokenized in one scan.  A
+term is a map from variable names to coefficients plus a constant (an
+integer in the text stays an ``int``; decimals and ``/`` give
+fractions).  A comparison becomes a row through
+:func:`~repro.constraints.atoms._normal_row`, its denominators cleared,
+and an ``and`` of comparisons is one conjunction built from all their
+rows at once (:meth:`ConjunctiveConstraint.from_rows`); only an ``and``
+with other parts (``exists``, ``not``, a parenthesised formula,
+``true`` / ``false``) is folded formula by formula.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from repro.errors import ConstraintSyntaxError
-from repro.constraints.atoms import Relop, expression_row, index_named
+from repro.errors import ConstraintSyntaxError, NonLinearError
+from repro.constraints.atoms import Relop, _normal_row, index_named
 from repro.constraints.canonical import seed_canonical
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject, _conjoin_all, _disjoin_any
@@ -42,37 +52,45 @@ from repro.constraints.existential import (
     DisjunctiveExistentialConstraint,
     ExistentialConjunctiveConstraint,
 )
-from repro.constraints.terms import LinearExpression, Variable
+from repro.constraints.terms import Variable, format_terms
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?)
+#: One token after any whitespace; a character no other kind starts is
+#: ``bad``.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<number>\d+(?:\.\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<relop><=|>=|==|!=|<>|<|>|=)
   | (?P<punct>[-+*/(),.|])
+  | (?P<bad>\S))
 """, re.VERBOSE)
 
 _KEYWORDS = {"and", "or", "not", "exists", "true", "false"}
 
+_ONE = Fraction(1)
+_SIGNS = {("punct", "+"): 1, ("punct", "-"): -1}
+_TIMES, _DIVIDE = ("punct", "*"), ("punct", "/")
+
+#: A linear term: coefficients by variable name (none zero) and a
+#: constant.
+Terms = tuple[dict[str, Fraction | int], Fraction | int]
+
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ConstraintSyntaxError(
-                f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = match.end()
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
-        if kind == "ws":
-            continue
-        if kind == "ident" and value.lower() in _KEYWORDS:
-            tokens.append(("kw", value.lower()))
-        else:
-            tokens.append((kind, value))
-    tokens.append(("eof", ""))
+        value = match[kind]
+        if kind == "ident":
+            lowered = value.lower()
+            if lowered in _KEYWORDS:
+                kind, value = "kw", lowered
+        elif kind == "bad":
+            raise ConstraintSyntaxError(
+                f"unexpected character {value!r} at offset "
+                f"{match.start(kind)}")
+        append((kind, value))
+    append(("eof", ""))
     return tokens
 
 
@@ -93,7 +111,7 @@ class _Parser:
         return token
 
     def expect(self, kind: str, value: str | None = None) -> str:
-        tok_kind, tok_value = self.peek()
+        tok_kind, tok_value = self.tokens[self.pos]
         if tok_kind != kind or (value is not None and tok_value != value):
             wanted = value or kind
             raise ConstraintSyntaxError(
@@ -102,9 +120,9 @@ class _Parser:
         return self.next()[1]
 
     def accept(self, kind: str, value: str | None = None) -> bool:
-        tok_kind, tok_value = self.peek()
+        tok_kind, tok_value = self.tokens[self.pos]
         if tok_kind == kind and (value is None or tok_value == value):
-            self.next()
+            self.pos += 1
             return True
         return False
 
@@ -144,19 +162,24 @@ class _Parser:
         parts = [self.parse_unit()]
         while self.accept("kw", "and"):
             parts.append(self.parse_unit())
-        return _conjoin_all(parts)
+        if all(type(part) is list for part in parts):
+            return _conjunction([row for part in parts for row in part])
+        return _conjoin_all([_formula(part) for part in parts])
 
     def parse_unit(self):
+        """A formula, or the named rows of a comparison (chain): a list,
+        so that :meth:`parse_disjunct` builds one conjunction from all
+        the rows of an ``and``."""
         kind, value = self.peek()
         if kind == "kw" and value == "not":
             self.next()
-            inner = self.parse_unit()
+            inner = _formula(self.parse_unit())
             return _negate(inner)
         if kind == "kw" and value == "exists":
             self.next()
             quantified = self.parse_varlist()
             self.expect("punct", ".")
-            inner = self.parse_unit()
+            inner = _formula(self.parse_unit())
             return _quantify(inner, quantified)
         if kind == "kw" and value == "true":
             self.next()
@@ -181,69 +204,80 @@ class _Parser:
                 self.pos = saved
         return self.parse_comparison()
 
-    def parse_comparison(self):
+    def parse_comparison(self) -> list[tuple]:
+        """The rows of a comparison (chain), each over its own variables
+        (what :func:`~repro.constraints.atoms.index_named` reads)."""
         left = self.parse_arith()
-        kind, value = self.peek()
-        if kind != "relop":
+        if self.peek()[0] != "relop":
+            coeffs, constant = left
+            shown = format_terms([(Variable(name), coeffs[name])
+                                  for name in sorted(coeffs)], constant)
             raise ConstraintSyntaxError(
-                f"expected a comparison operator after {left} "
+                f"expected a comparison operator after {shown} "
                 f"in {self.text!r}")
         rows = []
         while self.peek()[0] == "relop":
-            op = self.next()[1]
+            relop = _RELOPS[self.next()[1]]
             right = self.parse_arith()
-            rows.append(expression_row(left, _RELOPS[op], right))
+            rows.append(_named_row(left, relop, right))
             left = right
-        return ConjunctiveConstraint.from_rows(*index_named(rows))
+        return rows
 
     # -- arithmetic ---------------------------------------------------------------------
 
-    def parse_arith(self) -> LinearExpression:
-        negate = False
-        if self.accept("punct", "-"):
-            negate = True
-        result = self.parse_term()
+    def parse_arith(self) -> Terms:
+        negate = self.accept("punct", "-")
+        coeffs, constant = self.parse_term()
         if negate:
-            result = -result
+            coeffs, constant = _scaled(coeffs, constant, -1)
         while True:
-            if self.accept("punct", "+"):
-                result = result + self.parse_term()
-            elif self.accept("punct", "-"):
-                result = result - self.parse_term()
-            else:
-                return result
+            sign = _SIGNS.get(self.tokens[self.pos])
+            if sign is None:
+                return coeffs, constant
+            self.pos += 1
+            other, other_constant = self.parse_term()
+            _add(coeffs, other, sign)
+            constant += sign * other_constant
 
-    def parse_term(self) -> LinearExpression:
-        result = self.parse_factor()
+    def parse_term(self) -> Terms:
+        coeffs, constant = self.parse_factor()
         while True:
-            if self.accept("punct", "*"):
-                result = result * self.parse_factor()
-            elif self.accept("punct", "/"):
-                divisor = self.parse_factor()
-                if not divisor.is_constant():
-                    raise ConstraintSyntaxError(
-                        "division by a non-constant is not linear")
+            token = self.tokens[self.pos]
+            if token != _TIMES and token != _DIVIDE:
+                return coeffs, constant
+            self.pos += 1
+            other, scalar = self.parse_factor()
+            if token == _TIMES:
+                if other:
+                    if coeffs:
+                        raise NonLinearError(
+                            "product of two non-constant expressions is "
+                            "not linear")
+                    coeffs, constant, scalar = other, scalar, constant
+            elif other:
+                raise ConstraintSyntaxError(
+                    "division by a non-constant is not linear")
+            else:
                 try:
-                    result = result / divisor.constant_term
+                    scalar = _ONE / scalar
                 except ZeroDivisionError as exc:
                     raise ConstraintSyntaxError(
                         f"division by zero in {self.text!r}") from exc
-            else:
-                return result
+            coeffs, constant = _scaled(coeffs, constant, scalar)
 
-    def parse_factor(self) -> LinearExpression:
+    def parse_factor(self) -> Terms:
         kind, value = self.peek()
         if kind == "number":
             self.next()
-            number = Fraction(value)
+            number = Fraction(value) if "." in value else int(value)
             # Implicit multiplication: "2x" arrives as two tokens.
             if self.peek()[0] == "ident":
-                var = Variable(self.next()[1])
-                return var.as_expression() * number
-            return LinearExpression.constant(number)
+                name = self.next()[1]
+                return ({name: number} if number else {}), 0
+            return {}, number
         if kind == "ident":
             self.next()
-            return Variable(value).as_expression()
+            return {value: 1}, 0
         if kind == "punct" and value == "(":
             self.next()
             inner = self.parse_arith()
@@ -251,10 +285,57 @@ class _Parser:
             return inner
         if kind == "punct" and value == "-":
             self.next()
-            return -self.parse_factor()
+            return _scaled(*self.parse_factor(), -1)
         raise ConstraintSyntaxError(
             f"expected a number, variable or '(', found "
             f"{value or kind!r} in {self.text!r}")
+
+
+def _add(coeffs: dict, other: dict, sign: int) -> None:
+    """Add ``sign`` times ``other``'s coefficients into ``coeffs``; a
+    coefficient that cancels leaves."""
+    for name, coeff in other.items():
+        total = coeffs.get(name, 0) + sign * coeff
+        if total:
+            coeffs[name] = total
+        else:
+            del coeffs[name]
+
+
+def _scaled(coeffs: dict, constant, scalar) -> Terms:
+    """``scalar`` times a term; a zero scalar leaves no coefficient."""
+    if not scalar:
+        return {}, 0
+    return ({name: coeff * scalar for name, coeff in coeffs.items()},
+            constant * scalar)
+
+
+def _named_row(left: Terms, relop: Relop, right: Terms) -> tuple:
+    """The normal row of ``left relop right`` over its variables sorted
+    by name: ``left - right`` with its denominators cleared."""
+    (coeffs, constant), (other, other_constant) = left, right
+    diff = dict(coeffs)
+    _add(diff, other, -1)
+    names = sorted(diff)
+    values = [diff[name] for name in names]
+    lcm = 1
+    for coeff in values:
+        lcm = lcm * coeff.denominator // gcd(lcm, coeff.denominator)
+    return _normal_row(
+        tuple(map(Variable, names)),
+        tuple([coeff.numerator * (lcm // coeff.denominator)
+               for coeff in values]),
+        relop, Fraction((other_constant - constant) * lcm))
+
+
+def _conjunction(named: list[tuple]) -> ConjunctiveConstraint:
+    """The conjunction of named rows (:meth:`_Parser.parse_comparison`)."""
+    return ConjunctiveConstraint.from_rows(*index_named(named))
+
+
+def _formula(unit):
+    """A unit :meth:`_Parser.parse_unit` gave, as a formula."""
+    return _conjunction(unit) if type(unit) is list else unit
 
 
 _RELOPS = {

@@ -1,10 +1,12 @@
 """Variables and linear expressions over exact rational coefficients.
 
-This is the arithmetic and parser API that *builds* constraint atoms:
-comparing two expressions builds a
-:class:`repro.constraints.atoms.LinearConstraint`, which stores its own
-normalized integer row (see :mod:`repro.constraints.atoms`).
-Everything is immutable and hashable.
+This is the user arithmetic that *builds* constraint atoms: comparing
+two expressions builds a :class:`repro.constraints.atoms.LinearConstraint`,
+which stores its own normalized integer row (see
+:mod:`repro.constraints.atoms`).  The CST text parser does not come
+through here; it shares only :func:`format_terms` /
+:func:`format_fraction`, which print a term.  Everything is immutable
+and hashable.
 
 Arithmetic is exact (:class:`fractions.Fraction`): canonical forms, and
 therefore object identity (Section 3 of the paper: constraints are

@@ -242,8 +242,10 @@ class WorkerPool:
             None, None)
         return len(set(pids) - {None})
 
-    def shutdown(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
+    def shutdown(self, wait: bool = False) -> None:
+        """Cancel what has not started and stop the workers; ``wait``
+        joins the executor's manager thread (and so its workers)."""
+        self._executor.shutdown(wait=wait, cancel_futures=True)
 
 
 _POOL: WorkerPool | None = None
@@ -283,14 +285,14 @@ def warm(workers: int) -> int:
     return pool.warm()
 
 
-def shutdown_pool() -> None:
+def shutdown_pool(wait: bool = False) -> None:
     """Discard the persistent pool (tests; lost-worker recovery; the
-    server after a mutation).  The next pool dispatch cold-starts a
-    fresh one."""
+    server after a mutation; ``wait`` when the server closes).  The
+    next pool dispatch cold-starts a fresh one."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is not None:
-            _POOL.shutdown()
+            _POOL.shutdown(wait)
             _POOL = None
 
 

@@ -469,9 +469,14 @@ class QueryService:
         return loop
 
     def close(self) -> None:
+        """Stop the executor threads and, in process mode, the worker
+        pool.  The pool's manager thread is joined: left running, the
+        interpreter's exit hook could wake it while it closes its
+        wakeup pipe (``OSError: [Errno 9]`` on stderr).  The drain and
+        the force-cancel have run by now, so the join is bounded."""
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.executor_mode == "process":
-            parallel.shutdown_pool()
+            parallel.shutdown_pool(wait=True)
 
     def warm_pool(self) -> int:
         """Pre-fork the worker pool (``repro serve --warm-pool``), so

@@ -7,6 +7,7 @@ correct rows from the executor thread under its reason, and
 warm-up/STATS surface the pool account."""
 
 import asyncio
+from concurrent.futures import process as futures_process
 
 import pytest
 
@@ -400,6 +401,27 @@ class TestWarmAndStats:
                 assert snap["process_requests"] == 1
             finally:
                 service.close()
+        asyncio.run(main())
+
+    def test_close_joins_the_pool_manager_thread(self):
+        """Nothing is left for the interpreter's exit hook
+        (``concurrent.futures.process._python_exit``) to wake: a wakeup
+        racing a manager thread that closes its pipe printed
+        ``OSError: [Errno 9] Bad file descriptor`` on SIGTERM."""
+        async def main():
+            service = QueryService(office_db(4), executor_threads=2,
+                                   executor="process")
+            try:
+                assert service.warm_pool() >= 1
+                await drain(await service.submit(
+                    service.parse("SELECT X FROM Office_Object X")))
+                assert any(thread.is_alive() for thread
+                           in list(futures_process._threads_wakeups))
+            finally:
+                service.close()
+            assert not [thread for thread
+                        in list(futures_process._threads_wakeups)
+                        if thread.is_alive()]
         asyncio.run(main())
 
     def test_thread_mode_has_no_pool_to_warm(self):

@@ -21,6 +21,7 @@ from repro.constraints.existential import (
     ExistentialConjunctiveConstraint,
 )
 from repro.constraints.parser import parse_cst
+from repro.constraints.terms import LinearExpression
 from repro.errors import StoreCorruptError, StoreError, StoreWriteError
 from repro.model.database import Database
 from repro.model.oid import CstOid
@@ -32,7 +33,7 @@ from repro.runtime.faults import FaultPlan
 from repro.sqlc.relation import ConstraintRelation
 from repro.storage import CLEAN, RECOVERED, UNRECOVERABLE, Store
 from repro.storage import format as fmt
-from repro.workloads import random_constraints as rc
+from repro.workloads import office, random_constraints as rc
 from tests.model.test_serialize_roundtrip import FAMILIES, family_object
 
 CST_A = "((x,y) | 0 <= x <= 4 and 1 <= y <= 3)"
@@ -507,6 +508,25 @@ class TestStoredCanonicalFormIsTheIdentity:
                     CSTObject.from_atoms(box.schema, box.constraint.atoms)
                 assert stats.simplex_solves == 0
                 assert stats.cache_hits >= len(boxes)
+
+    def test_restore_builds_no_expression(self, tmp_path, monkeypatch):
+        """The parser turns each stored CST text straight into integer
+        rows: reopening an office store builds no ``LinearExpression``
+        (a parse through expression arithmetic built 627 here)."""
+        path = str(tmp_path / "store")
+        Store.create(path, office.generate(6, 1).db).close()
+        built = []
+        init = LinearExpression.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearExpression, "__init__", counting)
+        with QueryContext(cache=None).activate():
+            with Store.open(path, readonly=True) as store:
+                assert len(store.db) > 0
+        assert len(built) == 0
 
     def test_verify_audits_what_open_trusts(self, tmp_path):
         """A wrong 'canonical' byte under a valid CRC can only be a
