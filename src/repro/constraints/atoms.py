@@ -17,8 +17,11 @@ A conjunction stores the same rows by column (:data:`ExactRow`).  One
 normaliser, :func:`_normal_row`, gives a row its stored form:
 :func:`expression_row` clears a :class:`LinearExpression`'s
 denominators and calls it (for :meth:`LinearConstraint.build`, user
-arithmetic), the CST text parser does the same on its own
-name-to-coefficient maps, and every row derived from rows — negation
+arithmetic); :func:`named_row` does the same for both LyriC front
+ends — the CST text parser and a query's formula atoms — which keep a
+term as a name-to-coefficient map plus a constant (:data:`Terms`,
+combined by :func:`add_terms`, :func:`scaled_terms` and
+:func:`product_terms`); and every row derived from rows — negation
 (:func:`negate_row`), disequality split (:func:`split_row`), renaming
 (:func:`remap_rows`), combination (:func:`combine_rows`: the
 Fourier-Motzkin step, the strict slack) and equality substitution
@@ -36,7 +39,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from repro.errors import ConstraintError
+from repro.errors import ConstraintError, NonLinearError
 from repro.constraints.terms import (
     LinearExpression,
     RationalLike,
@@ -314,6 +317,60 @@ def expression_row(lhs, relop: Relop, rhs) -> tuple:
         tuple([coeff.numerator * (lcm // coeff.denominator)
                for _, coeff in terms]),
         relop, -diff.constant_term * lcm)
+
+
+#: A linear term: coefficients by variable name (none zero) and a
+#: constant.
+Terms = tuple[dict[str, Fraction | int], Fraction | int]
+
+
+def add_terms(coeffs: dict, other: dict, sign: int) -> None:
+    """Add ``sign`` times ``other``'s coefficients into ``coeffs``; a
+    coefficient that cancels leaves."""
+    for name, coeff in other.items():
+        total = coeffs.get(name, 0) + sign * coeff
+        if total:
+            coeffs[name] = total
+        else:
+            del coeffs[name]
+
+
+def scaled_terms(coeffs: dict, constant, scalar) -> Terms:
+    """``scalar`` times a term; a zero scalar leaves no coefficient."""
+    if not scalar:
+        return {}, 0
+    return ({name: coeff * scalar for name, coeff in coeffs.items()},
+            constant * scalar)
+
+
+def product_terms(left: Terms, right: Terms) -> Terms:
+    """``left * right``, linear only when one of them is constant."""
+    (coeffs, constant), (other, scalar) = left, right
+    if other:
+        if coeffs:
+            raise NonLinearError(
+                "product of two non-constant expressions is not linear")
+        coeffs, constant, scalar = other, scalar, constant
+    return scaled_terms(coeffs, constant, scalar)
+
+
+def named_row(left: Terms, relop: Relop, right: Terms) -> tuple:
+    """The normal row of ``left relop right`` over its variables sorted
+    by name (what :func:`index_named` reads): ``left - right`` with its
+    denominators cleared, as :func:`expression_row` gives it."""
+    (coeffs, constant), (other, other_constant) = left, right
+    diff = dict(coeffs)
+    add_terms(diff, other, -1)
+    names = sorted(diff)
+    values = [diff[name] for name in names]
+    lcm = 1
+    for coeff in values:
+        lcm = lcm * coeff.denominator // gcd(lcm, coeff.denominator)
+    return _normal_row(
+        tuple(map(Variable, names)),
+        tuple([coeff.numerator * (lcm // coeff.denominator)
+               for coeff in values]),
+        relop, Fraction((other_constant - constant) * lcm))
 
 
 def row_key(columns: Sequence[Variable], row: ExactRow) -> tuple:

@@ -255,7 +255,7 @@ def _canonical_key(constraint, schema: Sequence[Variable],
         renamed = canonicalize(
             canonicalize(constraint, ctx).rename(mapping), ctx)
     if isinstance(renamed, ConjunctiveConstraint):
-        return ("conj", renamed.sorted_atoms())
+        return ("conj", renamed)
     if isinstance(renamed, DisjunctiveConstraint):
         return ("dis", frozenset(renamed.disjuncts))
     if isinstance(renamed, ExistentialConjunctiveConstraint):

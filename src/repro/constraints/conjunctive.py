@@ -26,6 +26,7 @@ from repro.constraints.atoms import (
     eliminate_row,
     format_row,
     index_atoms,
+    index_named,
     move_columns,
     remap_rows,
     row_atoms,
@@ -124,6 +125,12 @@ class ConjunctiveConstraint:
         conj = cls.__new__(cls)
         conj._store(columns, rows)
         return conj
+
+    @classmethod
+    def from_named(cls, named: Sequence[tuple]) -> "ConjunctiveConstraint":
+        """The conjunction of rows over their own variables (what
+        :func:`~repro.constraints.atoms.named_row` gives), in order."""
+        return cls.from_rows(*index_named(named))
 
     # -- constructors ---------------------------------------------------
 
@@ -299,9 +306,6 @@ class ConjunctiveConstraint:
         """The rows in canonical order, that of their atoms'
         ``sort_key`` (:func:`~repro.constraints.atoms.row_key`)."""
         return sorted(self._rows, key=partial(row_key, self._columns))
-
-    def sorted_atoms(self) -> tuple[LinearConstraint, ...]:
-        return tuple(sorted(self.atoms, key=LinearConstraint.sort_key))
 
     def __eq__(self, other: object) -> bool:
         """Equal column names and the same set of rows."""

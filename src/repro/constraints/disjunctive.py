@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ConstraintFamilyError
 from repro.constraints import projection as projection_mod
-from repro.constraints.atoms import LinearConstraint, Relop, split_row
+from repro.constraints.atoms import LinearConstraint, Relop, row_key, split_row
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.implication import negated_branches
 from repro.constraints.terms import RationalLike, Variable
@@ -201,9 +201,9 @@ class DisjunctiveConstraint:
     # -- identity ------------------------------------------------------------------
 
     def sorted_disjuncts(self) -> tuple[ConjunctiveConstraint, ...]:
-        return tuple(sorted(
-            self._disjuncts,
-            key=lambda d: tuple(a.sort_key() for a in d.sorted_atoms())))
+        """The disjuncts ordered by their sorted rows' keys."""
+        return tuple(sorted(self._disjuncts, key=lambda d: tuple(
+            [row_key(d.columns, row) for row in d.sorted_rows()])))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DisjunctiveConstraint):

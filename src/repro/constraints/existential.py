@@ -257,14 +257,16 @@ class ExistentialConjunctiveConstraint:
     # -- identity ------------------------------------------------------------------
 
     def _canonical_alpha(self) -> tuple:
-        """Hash/eq key invariant under renaming of the quantifier prefix."""
-        mapping: dict[Variable, Variable] = {}
-        for i, var in enumerate(sorted(self._quantified,
-                                       key=lambda v: v.name)):
-            mapping[var] = Variable(f"__q{i}__")
-        body = self._body.rename(mapping) if mapping else self._body
-        return (body.sorted_atoms(),
-                frozenset(mapping.values()) if mapping else frozenset())
+        """Hash/eq key invariant under renaming of the quantifier
+        prefix: the body with the quantified variables renamed, in name
+        order, to the first ``__q{i}__`` no free variable is named, and
+        the set of those names."""
+        free = {var.name for var in self.free_variables}
+        placeholders = (Variable(name) for name in map(
+            "__q{}__".format, itertools.count()) if name not in free)
+        mapping = dict(zip(sorted(self._quantified, key=lambda v: v.name),
+                           placeholders))
+        return self._body.rename(mapping), frozenset(mapping.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExistentialConjunctiveConstraint):

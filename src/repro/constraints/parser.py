@@ -28,10 +28,11 @@ Every stored or shipped CST text comes back through here, so the parser
 builds no expression object.  The text is tokenized in one scan.  A
 term is a map from variable names to coefficients plus a constant (an
 integer in the text stays an ``int``; decimals and ``/`` give
-fractions).  A comparison becomes a row through
-:func:`~repro.constraints.atoms._normal_row`, its denominators cleared,
-and an ``and`` of comparisons is one conjunction built from all their
-rows at once (:meth:`ConjunctiveConstraint.from_rows`); only an ``and``
+fractions): :data:`~repro.constraints.atoms.Terms`, the term algebra
+query formulas use too.  A comparison becomes a row through
+:func:`~repro.constraints.atoms.named_row`, and an ``and`` of
+comparisons is one conjunction built from all their rows at once
+(:meth:`ConjunctiveConstraint.from_named`); only an ``and``
 with other parts (``exists``, ``not``, a parenthesised formula,
 ``true`` / ``false``) is folded formula by formula.
 """
@@ -40,10 +41,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 
-from repro.errors import ConstraintSyntaxError, NonLinearError
-from repro.constraints.atoms import Relop, _normal_row, index_named
+from repro.errors import ConstraintSyntaxError
+from repro.constraints.atoms import (
+    Relop,
+    Terms,
+    add_terms,
+    named_row,
+    product_terms,
+    scaled_terms,
+)
 from repro.constraints.canonical import seed_canonical
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject, _conjoin_all, _disjoin_any
@@ -69,10 +76,6 @@ _KEYWORDS = {"and", "or", "not", "exists", "true", "false"}
 _ONE = Fraction(1)
 _SIGNS = {("punct", "+"): 1, ("punct", "-"): -1}
 _TIMES, _DIVIDE = ("punct", "*"), ("punct", "/")
-
-#: A linear term: coefficients by variable name (none zero) and a
-#: constant.
-Terms = tuple[dict[str, Fraction | int], Fraction | int]
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -163,7 +166,8 @@ class _Parser:
         while self.accept("kw", "and"):
             parts.append(self.parse_unit())
         if all(type(part) is list for part in parts):
-            return _conjunction([row for part in parts for row in part])
+            return ConjunctiveConstraint.from_named(
+                [row for part in parts for row in part])
         return _conjoin_all([_formula(part) for part in parts])
 
     def parse_unit(self):
@@ -219,7 +223,7 @@ class _Parser:
         while self.peek()[0] == "relop":
             relop = _RELOPS[self.next()[1]]
             right = self.parse_arith()
-            rows.append(_named_row(left, relop, right))
+            rows.append(named_row(left, relop, right))
             left = right
         return rows
 
@@ -229,41 +233,35 @@ class _Parser:
         negate = self.accept("punct", "-")
         coeffs, constant = self.parse_term()
         if negate:
-            coeffs, constant = _scaled(coeffs, constant, -1)
+            coeffs, constant = scaled_terms(coeffs, constant, -1)
         while True:
             sign = _SIGNS.get(self.tokens[self.pos])
             if sign is None:
                 return coeffs, constant
             self.pos += 1
             other, other_constant = self.parse_term()
-            _add(coeffs, other, sign)
+            add_terms(coeffs, other, sign)
             constant += sign * other_constant
 
     def parse_term(self) -> Terms:
-        coeffs, constant = self.parse_factor()
+        term = self.parse_factor()
         while True:
             token = self.tokens[self.pos]
             if token != _TIMES and token != _DIVIDE:
-                return coeffs, constant
+                return term
             self.pos += 1
-            other, scalar = self.parse_factor()
+            other, scalar = factor = self.parse_factor()
             if token == _TIMES:
-                if other:
-                    if coeffs:
-                        raise NonLinearError(
-                            "product of two non-constant expressions is "
-                            "not linear")
-                    coeffs, constant, scalar = other, scalar, constant
-            elif other:
+                term = product_terms(term, factor)
+                continue
+            if other:
                 raise ConstraintSyntaxError(
                     "division by a non-constant is not linear")
-            else:
-                try:
-                    scalar = _ONE / scalar
-                except ZeroDivisionError as exc:
-                    raise ConstraintSyntaxError(
-                        f"division by zero in {self.text!r}") from exc
-            coeffs, constant = _scaled(coeffs, constant, scalar)
+            try:
+                term = scaled_terms(*term, _ONE / scalar)
+            except ZeroDivisionError as exc:
+                raise ConstraintSyntaxError(
+                    f"division by zero in {self.text!r}") from exc
 
     def parse_factor(self) -> Terms:
         kind, value = self.peek()
@@ -285,57 +283,16 @@ class _Parser:
             return inner
         if kind == "punct" and value == "-":
             self.next()
-            return _scaled(*self.parse_factor(), -1)
+            return scaled_terms(*self.parse_factor(), -1)
         raise ConstraintSyntaxError(
             f"expected a number, variable or '(', found "
             f"{value or kind!r} in {self.text!r}")
 
 
-def _add(coeffs: dict, other: dict, sign: int) -> None:
-    """Add ``sign`` times ``other``'s coefficients into ``coeffs``; a
-    coefficient that cancels leaves."""
-    for name, coeff in other.items():
-        total = coeffs.get(name, 0) + sign * coeff
-        if total:
-            coeffs[name] = total
-        else:
-            del coeffs[name]
-
-
-def _scaled(coeffs: dict, constant, scalar) -> Terms:
-    """``scalar`` times a term; a zero scalar leaves no coefficient."""
-    if not scalar:
-        return {}, 0
-    return ({name: coeff * scalar for name, coeff in coeffs.items()},
-            constant * scalar)
-
-
-def _named_row(left: Terms, relop: Relop, right: Terms) -> tuple:
-    """The normal row of ``left relop right`` over its variables sorted
-    by name: ``left - right`` with its denominators cleared."""
-    (coeffs, constant), (other, other_constant) = left, right
-    diff = dict(coeffs)
-    _add(diff, other, -1)
-    names = sorted(diff)
-    values = [diff[name] for name in names]
-    lcm = 1
-    for coeff in values:
-        lcm = lcm * coeff.denominator // gcd(lcm, coeff.denominator)
-    return _normal_row(
-        tuple(map(Variable, names)),
-        tuple([coeff.numerator * (lcm // coeff.denominator)
-               for coeff in values]),
-        relop, Fraction((other_constant - constant) * lcm))
-
-
-def _conjunction(named: list[tuple]) -> ConjunctiveConstraint:
-    """The conjunction of named rows (:meth:`_Parser.parse_comparison`)."""
-    return ConjunctiveConstraint.from_rows(*index_named(named))
-
-
 def _formula(unit):
     """A unit :meth:`_Parser.parse_unit` gave, as a formula."""
-    return _conjunction(unit) if type(unit) is list else unit
+    return ConjunctiveConstraint.from_named(unit) if type(unit) is list \
+        else unit
 
 
 _RELOPS = {

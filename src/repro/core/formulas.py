@@ -47,7 +47,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.constraints import matrix
-from repro.constraints.atoms import Eq, LinearConstraint, Relop, remap_rows
+from repro.constraints.atoms import (
+    Relop,
+    Terms,
+    add_terms,
+    index_named,
+    named_row,
+    product_terms,
+    remap_rows,
+    scaled_terms,
+)
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import (
     CSTObject,
@@ -69,12 +78,6 @@ from repro.model.oid import CstOid, LiteralOid, Oid
 from repro.model.paths import PathExpression, VarRef, path_values
 from repro.runtime.context import current_context, param_value
 
-_RELOP_MAP = {
-    "=": Relop.EQ, "!=": Relop.NE, "<": Relop.LT, "<=": Relop.LE,
-    ">": Relop.GT, ">=": Relop.GE,
-}
-
-
 #: A pending implicit equality from an interface-renamed edge:
 #: (runtime oids of the edge's source object, actual spec variable,
 #: renamed formal variable).
@@ -93,8 +96,8 @@ def instantiate_body(db: Database, analysis: AnalyzedQuery,
     families), plus the not-yet-emitted implicit edge equalities and
     the anchors that can resolve them."""
     if isinstance(node, ast.FAtom):
-        atom = _build_atom(db, analysis, node, env)
-        return ConjunctiveConstraint.of(atom), [], []
+        return ConjunctiveConstraint.from_named(
+            [_build_atom(db, analysis, node, env)]), [], []
     if isinstance(node, ast.FRef):
         return _ref_constraint(db, analysis, node, env)
     if isinstance(node, ast.FAnd):
@@ -154,16 +157,14 @@ def _apply_pending(constraint, pending: list[PendingEq],
         for parent_keys, rename in anchors:
             if sources and (parent_keys & sources) and actual in rename:
                 resolved.add(rename[actual])
-        if resolved:
-            for name in resolved:
-                if name != formal:
-                    equalities.append(Eq(name, formal))
-        elif actual in used:
-            if actual != formal:
-                equalities.append(Eq(actual, formal))
+        if not resolved and actual in used:
+            resolved = (actual,)
+        equalities += [_equality(name, ({formal.name: 1}, 0))
+                       for name in resolved if name != formal]
     if not equalities:
         return constraint
-    return _conjoin_any(constraint, ConjunctiveConstraint(equalities))
+    return _conjoin_any(constraint,
+                        ConjunctiveConstraint.from_named(equalities))
 
 
 def instantiate_formula(db: Database, analysis: AnalyzedQuery,
@@ -452,11 +453,10 @@ def template_body(db: Database, analysis: AnalyzedQuery,
             if env is None:
                 env = dict(zip(template.columns, values))
             try:
-                atom = _build_atom(db, analysis, part[1], env)
+                named = _build_atom(db, analysis, part[1], env)
             except Exception:
                 return None
-            mapped = _template_rows(ConjunctiveConstraint.of(atom),
-                                    template.slot)
+            mapped = _template_rows(*index_named([named]), template.slot)
         if mapped is None:
             return None
         rows += mapped
@@ -479,8 +479,8 @@ def _fixed_rows(db: Database, analysis: AnalyzedQuery,
     for i, part in enumerate(template.parts):
         if part[0] == _FIXED:
             try:
-                mapped = _template_rows(ConjunctiveConstraint.of(
-                    _build_atom(db, analysis, part[1], {})), template.slot)
+                mapped = _template_rows(*index_named(
+                    [_build_atom(db, analysis, part[1], {})]), template.slot)
             except Exception:
                 mapped = None
             if mapped is None:
@@ -544,11 +544,16 @@ def _packed(body: ConjunctiveConstraint, converted: dict) -> list:
 
 
 def _build_atom(db: Database, analysis: AnalyzedQuery,
-                node: ast.FAtom, env) -> LinearConstraint:
-    """The atom an ``FAtom`` instantiates to."""
-    return LinearConstraint.build(_arith(db, analysis, node.left, env),
-                                  _RELOP_MAP[node.relop],
-                                  _arith(db, analysis, node.right, env))
+                node: ast.FAtom, env) -> tuple:
+    """The named row (``atoms.named_row``) an ``FAtom`` gives."""
+    return named_row(_arith(db, analysis, node.left, env),
+                     Relop(node.relop),
+                     _arith(db, analysis, node.right, env))
+
+
+def _equality(var: Variable, other: Terms) -> tuple:
+    """The named row ``var = other``."""
+    return named_row(({var.name: 1}, 0), Relop.EQ, other)
 
 
 def _cell_rows(cell, dimension: int, targets: tuple[int, ...]
@@ -559,24 +564,23 @@ def _cell_rows(cell, dimension: int, targets: tuple[int, ...]
     holding a conjunction of ``dimension``."""
     if not isinstance(cell, CstOid):
         return None
-    cst = cell.cst
-    if type(cst.constraint) is not ConjunctiveConstraint \
-            or cst.dimension != dimension:
+    conj = cell.cst.constraint
+    if type(conj) is not ConjunctiveConstraint \
+            or cell.cst.dimension != dimension:
         return None
-    return _template_rows(cst.constraint, {
-        var.name: j for var, j in zip(cst.schema, targets)})
+    return _template_rows(conj.columns, conj.rows, {
+        var.name: j for var, j in zip(cell.cst.schema, targets)})
 
 
-def _template_rows(conj: ConjunctiveConstraint, column: dict[str, int]
-                   ) -> list | None:
-    """A conjunction's rows over the template's columns — the column
-    remap a rename does, variable ``v`` to ``column[v.name]``; ``None``
-    when a variable has no column."""
+def _template_rows(columns, rows, column: dict[str, int]) -> list | None:
+    """Rows over ``columns`` moved to the template's columns — the
+    column remap a rename does, variable ``v`` to ``column[v.name]``;
+    ``None`` when a variable has no column."""
     try:
-        target = [column[var.name] for var in conj.columns]
+        target = [column[var.name] for var in columns]
     except KeyError:
         return None
-    return remap_rows(conj.rows, target)
+    return remap_rows(rows, target)
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +598,21 @@ def optimize(db: Database, analysis: AnalyzedQuery,
     from repro.constraints import lp
 
     system = _system(db, analysis, item.formula, env, template)
-    objective = _arith(db, analysis, item.objective, env)
+    coeffs, constant = _arith(db, analysis, item.objective, env)
 
     maximize = item.kind in (ast.OptimizeKind.MAX,
                              ast.OptimizeKind.MAX_POINT)
     # The lp module accepts every family: a disjunctive system is
     # optimized branch-wise (an extension over the paper's
-    # existential-conjunctive typing; see lp._coerce_systems).
+    # existential-conjunctive typing; see lp._coerce_systems).  Its
+    # objective is built when the LP runs.
     solve = lp.max_value if maximize else lp.min_value
     result = _memoized(
-        ("max" if maximize else "min",
-         tuple([(var.name, c) for var, c in objective]),
-         objective.constant_term),
-        system, lambda: solve(objective, system))
+        ("max" if maximize else "min", tuple(sorted(coeffs.items())),
+         constant),
+        system, lambda: solve(LinearExpression(
+            {Variable(name): c for name, c in coeffs.items()}, constant),
+            system))
 
     if item.kind in (ast.OptimizeKind.MAX, ast.OptimizeKind.MIN):
         return LiteralOid(result.value)
@@ -616,8 +622,8 @@ def optimize(db: Database, analysis: AnalyzedQuery,
     else:
         point_vars = sorted(system.variables, key=lambda v: v.name)
     point = result.point_on(point_vars)
-    atoms = [Eq(var, point[var]) for var in point_vars]
-    return CstOid(CSTObject(point_vars, ConjunctiveConstraint(atoms)))
+    return CstOid(CSTObject(point_vars, ConjunctiveConstraint.from_named(
+        [_equality(var, ({}, point[var])) for var in point_vars])))
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +649,17 @@ def _negate(body):
 
 
 def _arith(db: Database, analysis: AnalyzedQuery, node: ast.Arith,
-           env) -> LinearExpression:
+           env) -> Terms:
+    """The term (with a fresh coefficient map) a node evaluates to."""
     if isinstance(node, ast.ANum):
-        return LinearExpression.constant(node.value)
+        return {}, node.value
     if isinstance(node, ast.AName):
         bound = env.get(node.name)
         if bound is None:
-            return Variable(node.name).as_expression()
+            return {node.name: 1}, 0
         if isinstance(bound, LiteralOid) \
                 and isinstance(bound.value, Fraction):
-            return LinearExpression.constant(bound.value)
+            return {}, bound.value
         raise EvaluationError(
             f"variable {node.name!r} is bound to {bound}, which is not "
             "a numeric constant usable in a pseudo-linear formula")
@@ -660,34 +667,33 @@ def _arith(db: Database, analysis: AnalyzedQuery, node: ast.Arith,
         bound = param_value(node.name)
         if isinstance(bound, LiteralOid) \
                 and isinstance(bound.value, Fraction):
-            return LinearExpression.constant(bound.value)
+            return {}, bound.value
         raise EvaluationError(
             f"parameter ${node.name} is bound to {bound}, which is not "
             "a numeric constant usable in a pseudo-linear formula")
     if isinstance(node, ast.APath):
-        return LinearExpression.constant(
-            _numeric_path_value(db, node.path, env))
+        return {}, _numeric_path_value(db, node.path, env)
     if isinstance(node, ast.ABinary):
-        left = _arith(db, analysis, node.left, env)
-        right = _arith(db, analysis, node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
+        coeffs, constant = left = _arith(db, analysis, node.left, env)
+        other, scalar = right = _arith(db, analysis, node.right, env)
+        if node.op in ("+", "-"):
+            sign = 1 if node.op == "+" else -1
+            add_terms(coeffs, other, sign)
+            return coeffs, constant + sign * scalar
         if node.op == "*":
-            return left * right
+            return product_terms(left, right)
         if node.op == "/":
-            if not right.is_constant():
+            if other:
                 raise EvaluationError(
                     "division by a non-constant is not linear")
             try:
-                return left / right.constant_term
+                return scaled_terms(coeffs, constant, 1 / Fraction(scalar))
             except ZeroDivisionError as exc:
                 raise EvaluationError(
                     "division by zero in a pseudo-linear formula") from exc
         raise EvaluationError(f"unknown operator {node.op!r}")
     if isinstance(node, ast.ANeg):
-        return -_arith(db, analysis, node.operand, env)
+        return scaled_terms(*_arith(db, analysis, node.operand, env), -1)
     raise EvaluationError(f"unknown arithmetic node {node!r}")
 
 

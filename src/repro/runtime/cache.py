@@ -75,7 +75,9 @@ class ConstraintCache:
         self.misses = 0
         self.evictions = 0
         self.simplex_saved = 0
-        self._data: OrderedDict[Hashable, tuple[object, int]] \
+        # (value, cost, stored key): a refresh moves an entry by its
+        # stored key, found by identity, so it compares a key once.
+        self._data: OrderedDict[Hashable, tuple[object, int, Hashable]] \
             = OrderedDict()
         self._lock = threading.Lock()
 
@@ -90,7 +92,7 @@ class ConstraintCache:
             if entry is None:
                 self.misses += 1
                 return False, None
-            self._data.move_to_end(key)
+            self._data.move_to_end(entry[2])
             self.hits += 1
             self.simplex_saved += entry[1]
             return True, entry[0]
@@ -99,12 +101,14 @@ class ConstraintCache:
         """Insert ``value`` (costing ``cost`` simplex solves to
         compute), evicting the least-recently-used entry if full."""
         with self._lock:
-            if key in self._data:
+            entry = self._data.get(key)
+            if entry is not None:
+                key = entry[2]
                 self._data.move_to_end(key)
             elif len(self._data) >= self.maxsize:
                 self._data.popitem(last=False)
                 self.evictions += 1
-            self._data[key] = (value, cost)
+            self._data[key] = (value, cost, key)
 
     def clear(self) -> None:
         """Drop all entries and reset every counter."""

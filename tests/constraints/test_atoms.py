@@ -208,9 +208,16 @@ _ROW_SLOTS = {"_expr", "_coeffs"}
 #: Modules that derive atoms from atoms and do so by row operations.
 _ROW_DERIVERS = {"constraints/projection.py", "constraints/conjunctive.py",
                  "constraints/satisfiability.py"}
-#: The CST text parser, and what it builds rows without.
-_TEXT_PARSER = "constraints/parser.py"
-_EXPRESSION_BUILDERS = {"LinearExpression", "expression_row"}
+#: The two LyriC front ends that build rows from name-to-coefficient
+#: maps, and what each builds them without: the CST text parser builds
+#: no expression, a query's formula atoms no atom (only a MAX / MIN
+#: objective becomes a LinearExpression, for ``lp``).
+_TERMS_USERS = {
+    "constraints/parser.py": {"LinearExpression", "expression_row"},
+    "core/formulas.py": {"LinearConstraint", "expression_row"},
+}
+#: Names no module defines or reads any more: identity keys read rows.
+_GONE = {"sorted_atoms"}
 #: A conjunction's stored columns and rows, and the modules that own them.
 _SYSTEM_SLOTS = {"_rows", "_columns"}
 _SYSTEM_OWNERS = {"constraints/atoms.py", "constraints/conjunctive.py"}
@@ -225,9 +232,12 @@ _ROW_READERS = {"constraints/projection.py", "constraints/matrix.py",
 
 
 def _named(node: ast.AST) -> set:
-    """The names an AST node imports or reads (the last dotted part)."""
+    """The names an AST node imports, defines or reads (the last dotted
+    part)."""
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return {alias.name.rpartition(".")[2] for alias in node.names}
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
     return {getattr(node, "id", None), getattr(node, "attr", None)}
 
 
@@ -248,18 +258,23 @@ def test_only_atoms_reads_the_row_format():
     modules that eliminate, pack and template rows, and those of the
     exact solver (satisfiability, entailment, redundancy removal,
     MAX/MIN, the interval prefilter, negation), read no ``.atoms``
-    view.  The CST text parser builds rows from name-to-coefficient
-    maps: ``constraints/parser.py`` names neither ``LinearExpression``
-    nor ``expression_row``."""
+    view.  The CST text parser and a query's formula atoms build rows
+    from name-to-coefficient maps: ``constraints/parser.py`` names
+    neither ``LinearExpression`` nor ``expression_row``,
+    ``core/formulas.py`` neither ``LinearConstraint`` nor
+    ``expression_row``.  No module names ``sorted_atoms``: identity
+    keys compare a conjunction's rows."""
     package = pathlib.Path(repro.__file__).parent
     offenders = set()
     for path in package.rglob("*.py"):
         name = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (_GONE | _TERMS_USERS.get(name, set())) & _named(node):
+                offenders.add(f"{name}:{node.lineno}")
         if name == "constraints/atoms.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if name == _TEXT_PARSER and _EXPRESSION_BUILDERS & _named(node):
-                offenders.add(f"{name}:{node.lineno}")
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 if name in _ROW_DERIVERS and any(
                         alias.name.endswith("LinearExpression")

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import matrix
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import LinearConstraint, Relop, row_key
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.existential import ExistentialConjunctiveConstraint
 from repro.constraints.projection import (
@@ -332,7 +332,8 @@ def assert_same(conj, ref):
     assert [a.sort_key() for a in conj.atoms] \
         == [a.sort_key() for a in ref.atoms]
     assert str(conj) == str(ref)
-    assert conj.sorted_atoms() == ref.sorted_atoms()
+    assert [row_key(conj.columns, row) for row in conj.sorted_rows()] \
+        == [atom.sort_key() for atom in ref.sorted_atoms()]
     assert conj.variables == ref.variables
     assert conj.columns == tuple(sorted(ref.variables, key=lambda v: v.name))
     assert len(conj) == len(ref.atoms)

@@ -199,6 +199,22 @@ class TestIdentityAlpha:
         b = ExistentialConjunctiveConstraint(conj(Ge(y, 1), Eq(x, y)), [y])
         assert a != b
 
+    def test_placeholder_names_avoid_free_variables(self):
+        """A free variable named like a placeholder is not confused with
+        the quantified variable renamed to it: these two differ at
+        ``x = 0, __q0__ = 1``."""
+        q = Variable("__q0__")
+        a = ExistentialConjunctiveConstraint(
+            conj(Eq(x, 0), Eq(y, 0), Eq(q, 1)), [y])
+        b = ExistentialConjunctiveConstraint(
+            conj(Eq(x, 0), Eq(y, 1), Eq(q, 0)), [y])
+        assert a.holds_at({x: 0, q: 1}) and not b.holds_at({x: 0, q: 1})
+        assert a != b
+        assert len(DisjunctiveExistentialConstraint([a, b])) == 2
+        renamed = ExistentialConjunctiveConstraint(
+            conj(Eq(x, 0), Eq(z, 0), Eq(q, 1)), [z])
+        assert a == renamed and hash(a) == hash(renamed)
+
 
 class TestDisjunctiveExistential:
     def build(self):

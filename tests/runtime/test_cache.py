@@ -7,6 +7,7 @@ from repro.constraints.atoms import Ge, Le
 from repro.constraints.canonical import (
     canonical_conjunctive,
     canonical_key,
+    seed_canonical,
 )
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.implication import atom_redundant_in
@@ -231,6 +232,23 @@ class TestCachedDecisions:
             key3 = canonical_key(renamed, (a, b))
         assert key1 == key2 == key3
         assert cache.hits >= 1
+
+    def test_repeat_seed_compares_the_key_once(self, monkeypatch):
+        """Re-seeding a canonical form the memo already holds compares
+        the new conjunction with the held key once (a hit, likewise)."""
+        cache = ConstraintCache()
+        with QueryContext(cache=cache).activate():
+            seed_canonical(interval(0, 10))
+            calls = []
+            compare = ConjunctiveConstraint.__eq__
+            monkeypatch.setattr(
+                ConjunctiveConstraint, "__eq__",
+                lambda self, other: calls.append(1) or compare(self, other))
+            seed_canonical(interval(0, 10))
+            assert len(calls) == 1
+            assert canonical_conjunctive(interval(0, 10)) == interval(0, 10)
+            assert len(calls) == 3      # the lookup, then the result check
+        assert len(cache) == 1 and cache.hits == 1
 
     def test_cached_answer_matches_uncached(self):
         conj = interval(0, 10)
