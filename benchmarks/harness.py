@@ -204,24 +204,14 @@ def experiment_e10() -> None:
 
 
 def experiment_e11() -> None:
-    header("E11", "LP backends: exact rational simplex vs scipy/HiGHS")
-    print(f"{'dim':>4} {'atoms':>6} {'exact (s)':>10} "
-          f"{'scipy (s)':>10} {'values agree':>13}")
+    header("E11", "LP operators: exact rational simplex")
+    print(f"{'dim':>4} {'atoms':>6} {'exact (s)':>10}")
     for dim, atoms in [(4, 8), (6, 16), (8, 32)]:
         poly = random_polytope(dim, atoms, seed=dim)
         objective = LinearExpression(
             {v: i + 1 for i, v in enumerate(make_variables(dim))})
-        t_exact, exact = timed(
-            lambda: lp.max_value(objective, poly, backend="exact"))
-        try:
-            t_scipy, approx = timed(
-                lambda: lp.max_value(objective, poly, backend="scipy"))
-            agree = abs(float(approx.value) - float(exact.value)) < 1e-6
-            print(f"{dim:>4} {atoms:>6} {t_exact:>10.4f} "
-                  f"{t_scipy:>10.4f} {str(agree):>13}")
-        except Exception:  # pragma: no cover - scipy absent
-            print(f"{dim:>4} {atoms:>6} {t_exact:>10.4f} "
-                  f"{'n/a':>10} {'n/a':>13}")
+        t_exact, _ = timed(lambda: lp.max_value(objective, poly))
+        print(f"{dim:>4} {atoms:>6} {t_exact:>10.4f}")
 
 
 def experiment_e12() -> None:

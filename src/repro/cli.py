@@ -139,9 +139,10 @@ def _add_context_options(parser: argparse.ArgumentParser) -> None:
                        help="use a fresh constraint cache of at most "
                             "N entries for this command")
     group.add_argument("--no-numeric", action="store_true",
-                       help="disable the batched float prefilter "
-                            "(every satisfiability check runs the "
-                            "exact rational simplex)")
+                       help="disable the float kernel, on by default "
+                            "(its ε-sound rejects included): every "
+                            "satisfiability check runs the exact "
+                            "rational simplex")
 
 
 def _add_plan_options(parser: argparse.ArgumentParser) -> None:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial, prod
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ConstraintFamilyError
 from repro.constraints import projection as projection_mod
-from repro.constraints.atoms import LinearConstraint, Relop
+from repro.constraints.atoms import ExactRow, LinearConstraint, Relop, row_key
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.disjunctive import DisjunctiveConstraint
 from repro.constraints.terms import RationalLike, Variable
@@ -29,6 +30,10 @@ from repro.runtime.context import current_context
 #: step does not grow the atom count (equalities always qualify).
 _SIMPLIFY_GROWTH_LIMIT = 0
 
+#: Most orders of signature-tied quantified variables the identity key
+#: tries; past it the tied variables keep name order.
+_MAX_ORDERS = 720
+
 
 class ExistentialConjunctiveConstraint:
     """``exists q1..qk . body`` with a symbolic quantifier prefix.
@@ -38,7 +43,7 @@ class ExistentialConjunctiveConstraint:
     dropped.
     """
 
-    __slots__ = ("_body", "_quantified", "_hash")
+    __slots__ = ("_body", "_quantified", "_hash", "_alpha")
 
     def __init__(self, body: ConjunctiveConstraint,
                  quantified: Iterable[Variable] = ()):
@@ -49,6 +54,7 @@ class ExistentialConjunctiveConstraint:
         self._body = body
         self._quantified = frozenset(quantified) & body.variables
         self._hash: int | None = None
+        self._alpha: tuple | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -258,15 +264,47 @@ class ExistentialConjunctiveConstraint:
 
     def _canonical_alpha(self) -> tuple:
         """Hash/eq key invariant under renaming of the quantifier
-        prefix: the body with the quantified variables renamed, in name
-        order, to the first ``__q{i}__`` no free variable is named, and
-        the set of those names."""
+        prefix: the body with the quantified variables renamed to the
+        first ``__q{i}__`` no free variable is named, and the set of
+        those names.
+
+        Placeholders go to the quantified variables in the order of a
+        name-free signature (:func:`_signature`).  Variables whose
+        signatures tie are tried in every order, and the renamed body
+        whose sorted rows have the least :func:`row_key` sequence is the
+        key — past :data:`_MAX_ORDERS` orders, tied variables keep name
+        order."""
+        if self._alpha is not None:
+            return self._alpha
+        body, quantified = self._body, self._quantified
         free = {var.name for var in self.free_variables}
-        placeholders = (Variable(name) for name in map(
-            "__q{}__".format, itertools.count()) if name not in free)
-        mapping = dict(zip(sorted(self._quantified, key=lambda v: v.name),
-                           placeholders))
-        return self._body.rename(mapping), frozenset(mapping.values())
+        placeholders = list(itertools.islice(
+            (Variable(name) for name in map(
+                "__q{}__".format, itertools.count()) if name not in free),
+            len(quantified)))
+        names = ["" if var in quantified else var.name
+                 for var in body.columns]
+        signature = {var: _signature(body.rows, names, j)
+                     for j, var in enumerate(body.columns)
+                     if var in quantified}
+        ordered = sorted(quantified,
+                         key=lambda var: (signature[var], var.name))
+        groups = [tuple(group) for _, group in itertools.groupby(
+            ordered, key=signature.__getitem__)]
+        if len(groups) == len(ordered) \
+                or prod(map(factorial, map(len, groups))) > _MAX_ORDERS:
+            orders: Iterable[Iterable[Variable]] = [ordered]
+        else:
+            orders = (itertools.chain.from_iterable(choice)
+                      for choice in itertools.product(
+                          *map(itertools.permutations, groups)))
+        best = min((body.rename(dict(zip(order, placeholders)))
+                    for order in orders),
+                   key=lambda renamed: tuple([
+                       row_key(renamed.columns, row)
+                       for row in renamed.sorted_rows()]))
+        self._alpha = best, frozenset(placeholders)
+        return self._alpha
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExistentialConjunctiveConstraint):
@@ -490,6 +528,27 @@ class DisjunctiveExistentialConstraint:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _signature(rows: Iterable[ExactRow], names: list[str],
+               own: int) -> tuple:
+    """The name-free signature of the quantified variable in column
+    ``own``: the sorted keys of the rows it occurs in, each term keyed
+    as (is another column, free variable's name or ``""``, coefficient)
+    — so its own column and the other quantified ones (blank in
+    ``names``) are told apart only by position — with ``=`` / ``!=``
+    rows taken at their lesser sign."""
+    keys = []
+    for cols, coeffs, relop, bound in rows:
+        if own not in cols:
+            continue
+        forms = [(tuple(sorted([(j != own, names[j], sign * coeff)
+                                for j, coeff in zip(cols, coeffs)])),
+                  relop.value, sign * bound)
+                 for sign in ((1, -1) if relop is Relop.EQ
+                              or relop is Relop.NE else (1,))]
+        keys.append(min(forms))
+    return tuple(sorted(keys))
 
 
 def _as_existential(value) -> ExistentialConjunctiveConstraint:

@@ -3,17 +3,17 @@
 The exact simplex (:mod:`repro.constraints.simplex`) answers every
 satisfiability question in fraction-free integer arithmetic —
 unconditionally correct, and the dominant cost of dense workloads.
-This kernel runs a *float* screen in front of it over whole batches of
-packed systems (:mod:`repro.constraints.matrix`) and returns
+This kernel runs a *float* screen in front of it over packed systems
+(:mod:`repro.constraints.matrix`), one body at a time, and returns
 three-valued verdicts:
 
 * :data:`INFEASIBLE` — the system is empty **under the documented
-  ε-assumption**: an elastic LP relaxation has minimum violation
-  ``t* > ε`` after per-row normalization, or the vectorized interval
-  screen shows a row unachievable on the system's bounding box by more
-  than an ε margin.  Strict atoms are screened weakened and
-  disequalities are dropped, both of which only *enlarge* the point
-  set, so a reject of the relaxation is a reject of the system.
+  ε-assumption**: the interval screen shows a row unachievable on the
+  system's bounding box by more than an ε margin, or an elastic LP
+  relaxation has minimum violation ``t* > ε`` after per-row
+  normalization.  Strict atoms are screened weakened and disequalities
+  are dropped, both of which only *enlarge* the point set, so a reject
+  of the relaxation is a reject of the system.
 * :data:`FEASIBLE` — airtight, no ε-assumption: the LP produced a
   float point with margin ``t* < -ε``, and that point — converted
   exactly to a rational (``float.as_integer_ratio``) — was verified
@@ -30,9 +30,10 @@ The float LP is an *elastic* program — minimize ``t`` subject to
 system: negative iff a point satisfies every row with slack.  It is
 solved by one backend, a dense tableau simplex in pure Python (slack
 basis is feasible by construction, so no Phase I; Dantzig entering
-rule with a pivot cap that degrades to :data:`UNKNOWN`).  numpy powers
-the batched interval screen, which is skipped when the ``fast`` extra
-is missing — see :func:`repro.runtime.numeric_available`.
+rule with a pivot cap that degrades to :data:`UNKNOWN`).  Everything
+here is plain Python floats: the kernel runs on every install, and
+``QueryContext(numeric=False)`` (``--no-numeric``) is the exact-only
+configuration.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.constraints import matrix
 from repro.constraints.atoms import Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.runtime import context as context_mod
-from repro.runtime import numeric
 
 #: Relative feasibility margin.  Verdicts inside ``|t*| <= EPSILON``
 #: fall through to the exact solver; rejects assume float LP optima are
@@ -66,6 +66,8 @@ UNKNOWN = 0
 INFEASIBLE = -1
 
 _TOL = 1e-9
+
+_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,58 @@ def _verified_point(ps: matrix.PackedSystem,
     return True
 
 
+def _screen(ps: matrix.PackedSystem) -> bool:
+    """Interval screen of one packed body: does its bounding box — the
+    bounds its single-variable rows give — already refute some row by
+    more than an ε margin?  An empty box (``lo - hi`` beyond ε of the
+    bounds' magnitude), a row whose minimum over the box exceeds its
+    bound, or an equality row whose maximum falls short of it.  Mirrors
+    the exact prefilter in :mod:`repro.constraints.bounds` in float
+    arithmetic, in two passes over the body's rows."""
+    width = ps.n_vars
+    lo = [-_INF] * width
+    hi = [_INF] * width
+    rows, kinds = ps.rows, ps.kinds
+    for row, value, kind in zip(rows, ps.rhs, kinds):
+        var = -1
+        for j, coeff in enumerate(row):
+            if coeff != 0.0:
+                if var >= 0:
+                    break
+                var = j
+        else:
+            if var < 0:
+                continue
+            coeff = row[var]
+            bound = value / coeff
+            if (coeff > 0.0 or kind == matrix.ROW_EQ) and bound < hi[var]:
+                hi[var] = bound
+            if (coeff < 0.0 or kind == matrix.ROW_EQ) and bound > lo[var]:
+                lo[var] = bound
+    for low, high in zip(lo, hi):
+        if low - high > EPSILON * (abs(low) + abs(high) + 1.0):
+            return True
+    for row, value, kind, scale in zip(rows, ps.rhs, kinds, ps.scales):
+        least = 0.0
+        for coeff, low, high in zip(row, lo, hi):
+            if coeff > 0.0:
+                least += coeff * low
+            elif coeff < 0.0:
+                least += coeff * high
+        if least > value + EPSILON * scale:
+            return True
+        if kind == matrix.ROW_EQ:
+            most = 0.0
+            for coeff, low, high in zip(row, lo, hi):
+                if coeff > 0.0:
+                    most += coeff * high
+                elif coeff < 0.0:
+                    most += coeff * low
+            if most < value - EPSILON * scale:
+                return True
+    return False
+
+
 def classify_system(ps: matrix.PackedSystem) -> int:
     """Three-valued verdict for one packed conjunctive body."""
     if ps.n_rows == 0:
@@ -205,6 +259,8 @@ def classify_system(ps: matrix.PackedSystem) -> int:
         if _verified_point(ps, [0.0] * ps.n_vars):
             return FEASIBLE
         return UNKNOWN
+    if _screen(ps):
+        return INFEASIBLE
     solved = _elastic_tableau(*_expand_rows(ps))
     if solved is None:
         return UNKNOWN
@@ -256,85 +312,21 @@ def quick_satisfiable(conj: ConjunctiveConstraint,
 # ---------------------------------------------------------------------------
 
 
-def _screen(stacked: dict) -> "object | None":
-    """Vectorized interval screen over the stacked batch: a boolean
-    array (one entry per flattened system) marking systems whose
-    bounding box already refutes some row by more than an ε margin.
-
-    One pass of numpy array ops over every row of every system in the
-    batch — no per-system Python work.  Mirrors the exact prefilter in
-    :mod:`repro.constraints.bounds` in float arithmetic.
-    """
-    np = numeric.get_numpy()
-    if np is None:
-        return None
-    coeffs = stacked["coeffs"]
-    rhs = stacked["rhs"]
-    scales = stacked["scales"]
-    kinds = stacked["kinds"]
-    row_sys = stacked["row_sys"]
-    n_sys = len(stacked["systems"])
-    n_rows, width = coeffs.shape
-    if width == 0:
-        return np.zeros(n_sys, dtype=bool)
-    lo = np.full((n_sys, width), -np.inf)
-    hi = np.full((n_sys, width), np.inf)
-    nonzero = coeffs != 0.0
-    single = np.flatnonzero(nonzero.sum(axis=1) == 1)
-    if single.size:
-        var = np.argmax(nonzero[single], axis=1)
-        coeff = coeffs[single, var]
-        value = rhs[single] / coeff
-        sys_of = row_sys[single]
-        positive = coeff > 0.0
-        is_eq = kinds[single] == matrix.ROW_EQ
-        upper = positive | is_eq
-        lower = ~positive | is_eq
-        np.minimum.at(hi, (sys_of[upper], var[upper]), value[upper])
-        np.maximum.at(lo, (sys_of[lower], var[lower]), value[lower])
-    dead = np.zeros(n_sys, dtype=bool)
-    # Empty boxes (with an outward ε margin on the comparison).
-    with np.errstate(invalid="ignore"):
-        gap = lo - hi
-        span = np.abs(lo) + np.abs(hi) + 1.0
-        dead |= (np.nan_to_num(gap, nan=-np.inf)
-                 > EPSILON * np.nan_to_num(span, nan=np.inf)).any(axis=1)
-        # Row extrema over the box: minimizing end per coefficient sign.
-        lo_rows = lo[row_sys]
-        hi_rows = hi[row_sys]
-        contrib_min = np.where(
-            coeffs > 0.0, coeffs * lo_rows,
-            np.where(coeffs < 0.0, coeffs * hi_rows, 0.0))
-        row_min = contrib_min.sum(axis=1)
-        bad = row_min > rhs + EPSILON * scales
-        eq_rows = kinds == matrix.ROW_EQ
-        if eq_rows.any():
-            contrib_max = np.where(
-                coeffs > 0.0, coeffs * hi_rows,
-                np.where(coeffs < 0.0, coeffs * lo_rows, 0.0))
-            row_max = contrib_max.sum(axis=1)
-            bad |= eq_rows & (row_max < rhs - EPSILON * scales)
-    np.logical_or.at(dead, row_sys, bad)
-    return dead
-
-
 def classify_matrix(cm: matrix.ConstraintMatrix,
                     ctx=None) -> list[int]:
     """Per-constraint verdicts for a packed batch — one kernel call.
 
     A constraint is :data:`FEASIBLE` when some disjunct body is,
     :data:`INFEASIBLE` when every body is (vacuously for the empty
-    disjunction), :data:`UNKNOWN` otherwise.  Books one
+    disjunction), :data:`UNKNOWN` otherwise; each body is classified by
+    :func:`classify_system` until one is feasible.  Books one
     ``numeric_accepts`` / ``numeric_rejects`` / ``numeric_fallbacks``
     per constraint on the resolved context's stats.
     """
     resolved = context_mod.resolve(ctx)
     guard = resolved.guard
     stats = resolved.stats
-    stacked = cm.stacked()
-    dead = _screen(stacked) if stacked is not None else None
     verdicts: list[int] = []
-    flat = 0
     for pos, unit in enumerate(cm.units):
         if guard is not None and pos % _CHECK_EVERY == 0:
             guard.checkpoint("numeric")
@@ -344,20 +336,11 @@ def classify_matrix(cm: matrix.ConstraintMatrix,
             continue
         verdict = INFEASIBLE
         for ps in unit:
-            if ps is None:
-                if verdict == INFEASIBLE:
-                    verdict = UNKNOWN
-                continue
-            my_flat, flat = flat, flat + 1
-            if verdict == FEASIBLE:
-                continue
-            if dead is not None and bool(dead[my_flat]):
-                body = INFEASIBLE
-            else:
-                body = classify_system(ps)
+            body = UNKNOWN if ps is None else classify_system(ps)
             if body == FEASIBLE:
                 verdict = FEASIBLE
-            elif body == UNKNOWN and verdict == INFEASIBLE:
+                break
+            if body == UNKNOWN:
                 verdict = UNKNOWN
         if verdict == FEASIBLE:
             stats.numeric_accepts += 1

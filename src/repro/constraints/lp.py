@@ -8,14 +8,9 @@ part of the LP); strict inequalities make the optimum a supremum — per
 standard LP practice (and CLP(R))'s treatment) we optimize over the
 topological closure and report whether the supremum is *attained*.
 
-Two backends:
-
-* ``exact`` (default) — the exact simplex of
-  :mod:`repro.constraints.simplex`, over the system's rows; exact
-  optima, required for canonical results;
-* ``scipy`` — ``scipy.optimize.linprog`` (HiGHS) on floats; kept as the
-  ablation baseline of experiment E11 and for large problems where exact
-  arithmetic is too slow.
+Every optimum comes from the exact simplex of
+:mod:`repro.constraints.simplex` over the system's rows: exact optima,
+as canonical results require.
 """
 
 from __future__ import annotations
@@ -61,21 +56,19 @@ def minimize(objective, system) -> simplex.LPResult:
     return _solve_raw(objective, system, maximize=False)
 
 
-def max_value(objective, system, backend: str = "exact"
-              ) -> OptimizationResult:
+def max_value(objective, system) -> OptimizationResult:
     """The paper's ``MAX(f SUBJECT TO system)``.
 
     Raises :class:`InfeasibleError` / :class:`UnboundedError` for the
     degenerate cases (the query evaluator maps these onto empty
     answers / errors per its own policy).
     """
-    return _optimize(objective, system, maximize=True, backend=backend)
+    return _optimize(objective, system, maximize=True)
 
 
-def min_value(objective, system, backend: str = "exact"
-              ) -> OptimizationResult:
+def min_value(objective, system) -> OptimizationResult:
     """The paper's ``MIN(f SUBJECT TO system)``."""
-    return _optimize(objective, system, maximize=False, backend=backend)
+    return _optimize(objective, system, maximize=False)
 
 
 def _coerce_system(system) -> ConjunctiveConstraint:
@@ -130,32 +123,23 @@ def _solve_raw(objective, system, maximize: bool) -> simplex.LPResult:
                                         _coerce_system(system)), maximize)
 
 
-def _optimize(objective, system, maximize: bool,
-              backend: str) -> OptimizationResult:
+def _optimize(objective, system, maximize: bool) -> OptimizationResult:
     branches = _coerce_systems(system)
     if len(branches) > 1:
-        return _optimize_branches(objective, branches, maximize,
-                                  backend)
+        return _optimize_branches(objective, branches, maximize)
     if not branches:
         raise InfeasibleError("SUBJECT TO system is unsatisfiable "
                               "(empty disjunction)")
     conj = branches[0]
     objective = LinearExpression.coerce(objective)
-    problem = _closure(objective, conj)
     has_strict = any(row[2] is Relop.LT for row in conj.rows)
-
-    if backend == "exact":
-        result = simplex.solve_rows(*problem, maximize)
-        if result.is_infeasible:
-            raise InfeasibleError("SUBJECT TO system is unsatisfiable")
-        if result.is_unbounded:
-            direction = "above" if maximize else "below"
-            raise UnboundedError(f"objective is unbounded {direction}")
-        value, point = result.value, dict(result.point)
-    elif backend == "scipy":
-        value, point = _scipy_solve(*problem, maximize)
-    else:
-        raise ValueError(f"unknown LP backend {backend!r}")
+    result = simplex.solve_rows(*_closure(objective, conj), maximize)
+    if result.is_infeasible:
+        raise InfeasibleError("SUBJECT TO system is unsatisfiable")
+    if result.is_unbounded:
+        direction = "above" if maximize else "below"
+        raise UnboundedError(f"objective is unbounded {direction}")
+    value, point = result.value, dict(result.point)
 
     attained = True
     if has_strict:
@@ -177,15 +161,15 @@ def _optimize(objective, system, maximize: bool,
     return OptimizationResult(value=value, point=point, attained=attained)
 
 
-def _optimize_branches(objective, branches, maximize: bool,
-                       backend: str) -> OptimizationResult:
+def _optimize_branches(objective, branches,
+                       maximize: bool) -> OptimizationResult:
     """Optimize each disjunct independently; the union's optimum is the
     best branch optimum."""
     best: OptimizationResult | None = None
     feasible = False
     for branch in branches:
         try:
-            result = _optimize(objective, branch, maximize, backend)
+            result = _optimize(objective, branch, maximize)
         except InfeasibleError:
             continue
         feasible = True
@@ -200,55 +184,3 @@ def _optimize_branches(objective, branches, maximize: bool,
                               "(every disjunct is empty)")
     return best
 
-
-def _scipy_solve(variables, rows, cost, constant, maximize: bool
-                 ) -> tuple[Fraction, dict[Variable, Fraction]]:
-    """Float LP via scipy/HiGHS over :func:`_closure`'s problem; results
-    are converted to (approximate) Fractions — use only where exactness
-    is not required."""
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-    except ImportError as exc:  # pragma: no cover - scipy is installed here
-        raise ConstraintError(
-            "the scipy backend requires scipy to be installed") from exc
-
-    n = len(variables)
-
-    c = np.zeros(n)
-    for j, coeff in cost.items():
-        c[j] = float(coeff)
-    if maximize:
-        c = -c
-
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for cols, coeffs, relop, bound in rows:
-        row = np.zeros(n)
-        for j, coeff in zip(cols, coeffs):
-            row[j] = float(coeff)
-        if relop is Relop.EQ:
-            a_eq.append(row)
-            b_eq.append(float(bound))
-        else:
-            a_ub.append(row)
-            b_ub.append(float(bound))
-
-    result = linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(None, None)] * n,
-        method="highs")
-    if result.status == 2:
-        raise InfeasibleError("SUBJECT TO system is unsatisfiable")
-    if result.status == 3:
-        raise UnboundedError("objective is unbounded")
-    if not result.success:  # pragma: no cover - defensive
-        raise ConstraintError(f"scipy linprog failed: {result.message}")
-
-    value = Fraction(str(float(-result.fun if maximize else result.fun)))
-    value += constant
-    point = {v: Fraction(str(float(x))) for v, x in zip(variables, result.x)}
-    return value, point

@@ -1,4 +1,4 @@
-"""Column-major float64 packing of constraint systems.
+"""Float packing of constraint systems.
 
 The exact engine holds a conjunction as integer rows with rational
 bounds — right for canonical forms (Section 3.1: identity must not
@@ -6,8 +6,7 @@ depend on rounding), wrong for bulk arithmetic.  This module packs
 conjunctive bodies into float matrices for the numeric kernel
 (:mod:`repro.constraints.kernel`): :class:`PackedSystem` is one body
 (:func:`pack_rows`, from a conjunction's rows or a formula template's),
-:class:`ConstraintMatrix` a batch of constraints stacked column-major
-for the vectorized interval screen.
+:class:`ConstraintMatrix` a batch of constraints for one kernel call.
 
 Packing is *conservative*: a row whose values do not convert to finite
 floats marks the body unsupported (``None``) and the kernel leaves it
@@ -25,7 +24,6 @@ from typing import Iterable, Sequence
 from repro.constraints.atoms import ExactRow, LinearConstraint, Relop
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.terms import Variable
-from repro.runtime import numeric
 
 #: Row kinds in a packed system.
 ROW_LE = 0   # a . x <= b   (strict atoms are packed weakened; the
@@ -178,17 +176,14 @@ class ConstraintMatrix:
     """A batch of constraints packed for one kernel call.
 
     ``units[i]`` is the packed unit of ``constraints[i]`` (see
-    :func:`pack_constraint`).  :meth:`stacked` exposes the flattened
-    bodies as column-major float64 arrays for the vectorized interval
-    screen; systems keep their *local* variable order, so the stacked
-    width is the widest single system, not the union of the batch.
+    :func:`pack_constraint`); each body keeps its *local* variable
+    order.
     """
 
-    __slots__ = ("units", "_stacked")
+    __slots__ = ("units",)
 
     def __init__(self, units: list):
         self.units = units
-        self._stacked: object = _UNSET
 
     @classmethod
     def from_constraints(cls, constraints: Iterable[object]
@@ -199,59 +194,6 @@ class ConstraintMatrix:
     @classmethod
     def from_units(cls, units: list) -> "ConstraintMatrix":
         return cls(list(units))
-
-    def systems(self) -> "list[PackedSystem]":
-        """Every supported packed body in the batch, flattened."""
-        out: list[PackedSystem] = []
-        for unit in self.units:
-            if unit:
-                out.extend(ps for ps in unit if ps is not None)
-        return out
-
-    def stacked(self) -> "dict | None":
-        """Column-major stacked arrays of every supported body, or
-        ``None`` without numpy / without rows.
-
-        Returns ``coeffs`` (total_rows x width, Fortran order), ``rhs``,
-        ``scales``, ``kinds``, ``row_sys`` (row -> flattened system
-        ordinal) and ``offsets`` (system ordinal -> first row), aligned
-        with :meth:`systems`.
-        """
-        if self._stacked is not _UNSET:
-            return self._stacked  # type: ignore[return-value]
-        np = numeric.get_numpy()
-        systems = self.systems()
-        total = sum(ps.n_rows for ps in systems)
-        if np is None or total == 0:
-            self._stacked = None
-            return None
-        width = max((ps.n_vars for ps in systems), default=0)
-        coeffs = np.zeros((total, width), dtype=np.float64, order="F")
-        rhs = np.empty(total, dtype=np.float64)
-        scales = np.empty(total, dtype=np.float64)
-        kinds = np.empty(total, dtype=np.int8)
-        row_sys = np.empty(total, dtype=np.intp)
-        offsets = np.empty(len(systems) + 1, dtype=np.intp)
-        at = 0
-        for s, ps in enumerate(systems):
-            offsets[s] = at
-            for i in range(ps.n_rows):
-                coeffs[at, :ps.n_vars] = ps.rows[i]
-                rhs[at] = ps.rhs[i]
-                scales[at] = ps.scales[i]
-                kinds[at] = ps.kinds[i]
-                row_sys[at] = s
-                at += 1
-        offsets[len(systems)] = at
-        self._stacked = {
-            "coeffs": coeffs, "rhs": rhs, "scales": scales,
-            "kinds": kinds, "row_sys": row_sys, "offsets": offsets,
-            "systems": systems,
-        }
-        return self._stacked
-
-
-_UNSET = object()
 
 
 def clear_matrix_cache() -> None:

@@ -19,11 +19,10 @@ Public surface:
   & the plan cache";
 * :func:`filter_rows` / :func:`should_partition` — the partitioned
   parallel evaluator, gated by the context's ``parallelism`` (see
-  ``docs/API.md``, "Indexing & parallel execution");
-* :func:`numeric_available` — the single import guard in front of
-  the optional ``fast`` extra's numpy; the numeric fast path (see
-  ``docs/API.md``, "Numeric fast path") degrades cleanly when the
-  extra is missing.
+  ``docs/API.md``, "Indexing & parallel execution").
+
+The numeric fast path (``docs/API.md``, "Numeric fast path") is plain
+Python and on by default; ``QueryContext(numeric=False)`` turns it off.
 """
 
 from repro.runtime.cache import (
@@ -44,7 +43,6 @@ from repro.runtime.plancache import (
     clear_global_plan_cache,
     get_global_plan_cache,
 )
-from repro.runtime.numeric import numeric_available
 from repro.runtime.guard import (
     POLICIES,
     ExecutionGuard,
@@ -72,7 +70,6 @@ __all__ = [
     "default_context",
     "filter_rows",
     "get_global_cache",
-    "numeric_available",
     "should_degrade",
     "should_partition",
 ]

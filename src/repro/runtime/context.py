@@ -295,7 +295,7 @@ class QueryContext:
                  prefilter: bool = True,
                  indexing: bool = True,
                  parallelism: int = 1,
-                 numeric: bool | None = None,
+                 numeric: bool = True,
                  use_optimizer: bool = True,
                  catalog: Mapping[str, Any] | None = None,
                  stats: ExecutionStats | None = None,
@@ -353,19 +353,10 @@ class QueryContext:
             else "fail"
 
     def numeric_active(self) -> bool:
-        """Is the float-prefilter numeric fast path enabled?
-
-        ``numeric=None`` (the default) resolves to "on iff numpy
-        imports"; ``numeric=True`` forces the kernel on (pure-python
-        fallbacks carry it without the ``fast`` extra); ``numeric=False``
-        disables it.
-        """
-        if self.numeric is False:
-            return False
-        if self.numeric is None:
-            from repro.runtime.numeric import numeric_available
-            return numeric_available()
-        return True
+        """Is the float-prefilter numeric fast path enabled?  It is on
+        by default; ``numeric=False`` (``--no-numeric``) keeps every
+        satisfiability question on the exact solver."""
+        return self.numeric
 
     # -- memoization protocol --------------------------------------------
 
@@ -449,8 +440,8 @@ class QueryContext:
             parts.append("prefilter=off")
         if not self.indexing:
             parts.append("indexing=off")
-        if self.numeric is not None:
-            parts.append(f"numeric={'on' if self.numeric else 'off'}")
+        if not self.numeric:
+            parts.append("numeric=off")
         if self.parallelism > 1:
             parts.append(f"parallelism={self.parallelism}")
         if self.shards:

@@ -23,8 +23,8 @@ Output rows and their order are identical to the row-wise evaluator's
 by construction: the kernel only replaces individual boolean answers,
 never the iteration order, and its accepts/rejects are verified /
 ε-sound (see :mod:`repro.constraints.kernel`).  When the context's
-numeric option is off — explicitly, or because the ``fast`` extra is
-missing — this module delegates wholesale to the row-wise evaluator.
+numeric option is off this module delegates wholesale to the row-wise
+evaluator.
 """
 
 from __future__ import annotations

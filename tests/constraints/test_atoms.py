@@ -296,3 +296,34 @@ def test_only_atoms_reads_the_row_format():
                          or name in _ROW_READERS):
                 offenders.add(f"{name}:{node.lineno}")
     assert not offenders
+
+
+#: Packages no module under ``src/repro`` may import: the program runs
+#: the same on every install (numpy stays a test-only dependency).
+_FORBIDDEN_IMPORTS = {"numpy", "scipy"}
+
+
+def test_no_module_imports_numpy_or_scipy():
+    """Nothing under ``src/repro`` imports numpy or scipy — by an
+    ``import`` statement, or by name through ``__import__`` /
+    ``importlib.import_module``."""
+    package = pathlib.Path(repro.__file__).parent
+    offenders = set()
+    for path in package.rglob("*.py"):
+        name = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Call) and node.args \
+                    and isinstance(node.args[0], ast.Constant) \
+                    and _named(node.func) & {"__import__",
+                                             "import_module"}:
+                modules = [str(node.args[0].value)]
+            else:
+                continue
+            if {module.partition(".")[0]
+                    for module in modules} & _FORBIDDEN_IMPORTS:
+                offenders.add(f"{name}:{node.lineno}")
+    assert not offenders

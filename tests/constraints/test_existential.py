@@ -1,6 +1,7 @@
 """Unit tests for existential conjunctive and disjunctive existential
 constraints."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,41 @@ class TestIdentityAlpha:
         renamed = ExistentialConjunctiveConstraint(
             conj(Eq(x, 0), Eq(z, 0), Eq(q, 1)), [z])
         assert a == renamed and hash(a) == hash(renamed)
+
+    def test_identity_does_not_depend_on_quantified_names(self):
+        """Exchanging the names of two quantified variables keeps the
+        object: one key, one disjunct, one CST object."""
+        a, b = variables("a b")
+
+        def build(first, second):
+            return ExistentialConjunctiveConstraint(
+                conj(Le(x, first), Ne(first, second), Le(second, 3)),
+                [first, second])
+
+        one, two = build(a, b), build(b, a)
+        assert one == two and hash(one) == hash(two)
+        assert len(DisjunctiveExistentialConstraint([one, two])) == 1
+        assert CSTObject([x], one) == CSTObject([x], two)
+
+    def test_tied_signatures_try_every_order(self):
+        """``a``/``c`` and ``b``/``d`` tie in signature but not in
+        which partner each one has: however the four are named, the key
+        is the least body over the orders of the tied variables."""
+        names = variables("a b c d")
+
+        def build(a, b, c, d):
+            return ExistentialConjunctiveConstraint(
+                conj(Le(a - b, 0), Le(c - d, 0), Le(a + d, 1),
+                     Le(c + b, 1), Le(x, a)), [a, b, c, d])
+
+        first = build(*names)
+        for order in itertools.permutations(names):
+            other = build(*order)
+            assert other == first and hash(other) == hash(first)
+        assert build(*names) != ExistentialConjunctiveConstraint(
+            conj(Le(names[0] - names[1], 0), Le(names[2] - names[3], 0),
+                 Le(names[0] + names[1], 1), Le(names[2] + names[3], 1),
+                 Le(x, names[0])), names)
 
 
 class TestDisjunctiveExistential:

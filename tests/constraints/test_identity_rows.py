@@ -17,6 +17,7 @@ atoms giving the same rows, or the same error.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -51,10 +52,15 @@ def old_sorted(conj: ConjunctiveConstraint) -> tuple:
 
 
 def old_alpha(ex: ExistentialConjunctiveConstraint) -> tuple:
-    mapping = {var: Variable(f"__q{i}__") for i, var in enumerate(
-        sorted(ex.quantified, key=lambda v: v.name))}
-    body = ex.body.rename(mapping) if mapping else ex.body
-    return old_sorted(body), frozenset(mapping.values())
+    """The least renamed body over every order of the quantified
+    variables, so that alpha-equivalent prefixes key equal however
+    their variables are named."""
+    def renamed(order) -> tuple:
+        mapping = {var: Variable(f"__q{i}__") for i, var in enumerate(order)}
+        body = ex.body.rename(mapping) if mapping else ex.body
+        return old_sorted(body), frozenset(mapping.values())
+    return min(map(renamed, permutations(ex.quantified)),
+               key=lambda alpha: [atom.sort_key() for atom in alpha[0]])
 
 
 def old_key(renamed) -> tuple:

@@ -11,7 +11,6 @@ from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.disjunctive import DisjunctiveConstraint
 from repro.constraints.satisfiability import is_satisfiable
 from repro.constraints.terms import LinearExpression, variables
-from repro.runtime import numeric
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.workloads.random_constraints import (
     make_variables,
@@ -61,18 +60,6 @@ class TestPacking:
         assert matrix.pack_constraint(conj) is not None
         assert matrix.pack_constraint(disj) is not None
         assert matrix.pack_constraint("not a constraint") is None
-
-    def test_stacked_arrays_align_with_systems(self):
-        pytest.importorskip("numpy")
-        cons = [random_polytope(2, 3, seed=s) for s in range(4)]
-        cm = matrix.ConstraintMatrix.from_constraints(cons)
-        stacked = cm.stacked()
-        assert stacked is not None
-        systems = stacked["systems"]
-        assert len(systems) == 4
-        total = sum(ps.n_rows for ps in systems)
-        assert stacked["coeffs"].shape[0] == total
-        assert stacked["offsets"][-1] == total
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +144,6 @@ class TestClassifyMatrix:
                 + ctx.stats.numeric_fallbacks) == 3
 
     def test_screen_rejects_box_empty_systems(self):
-        pytest.importorskip("numpy")
         dead = ConjunctiveConstraint(interval(x, 10, 0))
         # Normalization may collapse the contradiction syntactically;
         # build it through a coupling the screen has to evaluate.
@@ -180,8 +166,6 @@ class TestQuickSatisfiable:
     def _dense(self, seed=0):
         return random_polytope(3, 8, seed=seed)
 
-    @pytest.mark.skipif(not numeric.numeric_available(),
-                        reason="deciding needs the fast extra")
     def test_decides_dense_systems(self):
         ctx = QueryContext(stats=ExecutionStats())
         verdict = kernel.quick_satisfiable(self._dense(), ctx)
@@ -204,14 +188,6 @@ class TestQuickSatisfiable:
         ctx = QueryContext(stats=ExecutionStats(), numeric=False)
         assert kernel.quick_satisfiable(self._dense(), ctx) is None
 
-    def test_missing_fast_extra_stays_exact(self):
-        with numeric.force(False):
-            ctx = QueryContext(stats=ExecutionStats())
-            assert not ctx.numeric_active()
-            assert kernel.quick_satisfiable(self._dense(), ctx) is None
-
-    @pytest.mark.skipif(not numeric.numeric_available(),
-                        reason="deciding needs the fast extra")
     def test_is_satisfiable_books_numeric_stats(self):
         ctx = QueryContext(stats=ExecutionStats(), cache=None)
         assert is_satisfiable(self._dense(seed=9), ctx)

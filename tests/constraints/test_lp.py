@@ -105,25 +105,3 @@ class TestRawSolvers:
 
     def test_infeasible_status(self):
         assert maximize(x, conj(Le(x, 0), Ge(x, 1))).is_infeasible
-
-
-class TestScipyBackend:
-    scipy = pytest.importorskip("scipy")
-
-    def test_matches_exact_on_integral_problem(self):
-        exact = max_value(x + y, conj(Le(x, 2), Le(y, 3)))
-        approx = max_value(x + y, conj(Le(x, 2), Le(y, 3)),
-                           backend="scipy")
-        assert float(approx.value) == pytest.approx(float(exact.value))
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            max_value(x, conj(Le(x, 0), Ge(x, 1)), backend="scipy")
-
-    def test_unbounded(self):
-        with pytest.raises(UnboundedError):
-            max_value(x, conj(Ge(x, 0)), backend="scipy")
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            max_value(x, conj(Le(x, 1)), backend="magic")

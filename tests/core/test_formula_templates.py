@@ -26,7 +26,7 @@ from repro.model.database import Database
 from repro.model.oid import CstOid, LiteralOid
 from repro.model.office import build_office_database
 from repro.model.schema import AttributeDef, CSTSpec, Schema
-from repro.runtime import ExecutionGuard, numeric
+from repro.runtime import ExecutionGuard
 from repro.runtime.cache import ConstraintCache
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.sqlc import batch
@@ -242,8 +242,6 @@ def test_an_interface_renamed_edge_gets_no_template():
     assert template is None
 
 
-@pytest.mark.skipif(not numeric.numeric_available(),
-                    reason="the batch kernel needs the fast extra")
 class TestTemplateRowsAreBooked:
     def _run(self, query):
         inst = bench_text.build_dense(3, {"n": 6, "extra": 4, "atoms": 5,

@@ -4,7 +4,6 @@ differential over generated databases."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import lyric
@@ -57,20 +56,6 @@ class TestLPCertificates:
         low = lp.min_value(objective, poly)
         high = lp.max_value(objective, poly)
         assert low.value <= high.value
-
-    @pytest.mark.skipif(
-        pytest.importorskip("scipy") is None, reason="scipy missing")
-    @given(st.integers(min_value=0, max_value=20))
-    @settings(max_examples=10, deadline=None)
-    def test_exact_vs_scipy(self, seed):
-        poly = random_polytope(3, 6, seed)
-        vars_ = make_variables(3)
-        objective = LinearExpression(
-            {v: i + 1 for i, v in enumerate(vars_)})
-        exact = lp.max_value(objective, poly, backend="exact")
-        approx = lp.max_value(objective, poly, backend="scipy")
-        assert float(approx.value) == pytest.approx(
-            float(exact.value), rel=1e-6, abs=1e-6)
 
 
 class TestGeometryInvariants:

@@ -9,7 +9,6 @@ from repro.constraints import matrix
 from repro.constraints.cst_object import CSTObject
 from repro.constraints.satisfiability import is_satisfiable
 from repro.model.oid import LiteralOid
-from repro.runtime import numeric
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.sqlc import batch, index
 from repro.sqlc.algebra import (
@@ -166,8 +165,6 @@ class TestFilterEquivalence:
                                                       r)))]
         assert ctx.stats.numeric_accepts == 0  # below MIN_BATCH
 
-    @pytest.mark.skipif(not numeric.numeric_available(),
-                        reason="batch fallback booking needs the fast extra")
     def test_failing_extractor_falls_back_to_exact_test(self):
         relation = _relation()
 
@@ -196,8 +193,6 @@ class TestFilterEquivalence:
 
 
 class TestStatsSurfacing:
-    @pytest.mark.skipif(not numeric.numeric_available(),
-                        reason="counters only move with the fast extra")
     def test_engine_surfaces_numeric_counters(self):
         catalog = {"T": _relation()}
         plan = Select(Scan("T", ("rid", "c")), _cell_predicate())
@@ -223,8 +218,6 @@ class TestStatsSurfacing:
             execute(plan, catalog, use_optimizer=False, stats=ctx.stats)
         assert ctx.stats.numeric_accepts + ctx.stats.numeric_rejects > 0
 
-    @pytest.mark.skipif(not numeric.numeric_available(),
-                        reason="counters only move with the fast extra")
     def test_parallel_matches_serial_and_merges_counters(self):
         catalog = {"T": _relation(count=80, seed=8)}
         plan = Select(Scan("T", ("rid", "c")), _cell_predicate())
