@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro import lyric
@@ -159,12 +158,6 @@ def _add_plan_options(parser: argparse.ArgumentParser) -> None:
                        help="use a fresh compiled-plan cache of at "
                             "most N entries for this command")
     group = parser.add_argument_group("execution strategy")
-    group.add_argument("--parallel", type=_positive_int, metavar="N",
-                       nargs="?", const=os.cpu_count() or 1, default=1,
-                       help="evaluate large joins/filters with up to N "
-                            "worker processes (default 1 = serial; "
-                            "bare --parallel uses the CPU count; "
-                            "fault-injection runs stay serial)")
     group.add_argument("--shards", type=_shard_count, metavar="N",
                        default=0,
                        help="range-partition catalog relations into N "
@@ -181,13 +174,12 @@ def _context_from(args, guard: ExecutionGuard | None = None
                   ) -> QueryContext:
     """One :class:`~repro.runtime.QueryContext` from the shared CLI
     flags: ``--no-cache``/``--cache-size`` pick the cache,
-    ``--no-index`` and ``--parallel`` the execution strategy, and the
+    ``--no-index`` and ``--shards`` the execution strategy, and the
     resource-limit flags the guard (``guard`` overrides when given —
     the shell derives a fresh one per statement)."""
     kwargs: dict = {
         "guard": guard if guard is not None else _guard_from(args),
         "indexing": not getattr(args, "no_index", False),
-        "parallelism": getattr(args, "parallel", 1),
         "shards": getattr(args, "shards", 0),
         "stats": ExecutionStats(),
     }
@@ -233,12 +225,6 @@ def _print_analysis(stats: ExecutionStats) -> None:
         print(f"shards: {stats.shard_joins} scatter-gather joins, "
               f"{stats.shard_pairs_probed} shard pairs probed, "
               f"{stats.shard_pairs_pruned} pruned by envelope")
-    if stats.parallel_runs or stats.parallel_fallbacks:
-        print(f"parallel: {stats.workers} workers, "
-              f"{stats.partitions} partitions, "
-              f"{stats.pool_dispatches} pool dispatches "
-              f"({'cold' if stats.pool_cold_starts else 'warm'} pool), "
-              f"{stats.parallel_fallbacks} serial fallbacks")
     print(f"numeric: {stats.numeric_accepts} accepts, "
           f"{stats.numeric_rejects} rejects, "
           f"{stats.numeric_fallbacks} exact fallbacks, "
@@ -623,8 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("auto", "thread", "process"),
                        default="auto",
                        help="query executor: 'process' runs picklable "
-                            "requests in worker pool processes (true "
-                            "parallelism for distinct-query load); "
+                            "requests in worker pool processes "
+                            "(distinct concurrent queries use every "
+                            "core); "
                             "'auto' picks process on multi-core fork "
                             "platforms")
     serve.add_argument("--warm-pool", action="store_true",
@@ -695,25 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_bare_parallel(argv: list[str]) -> list[str]:
-    """``--parallel`` takes an optional worker count, but argparse's
-    ``nargs="?"`` would greedily consume a following positional (the
-    query text).  Pin the value explicitly unless the next token really
-    is a count, so ``--parallel "SELECT ..."`` means "all cores"."""
-    expanded = []
-    for i, token in enumerate(argv):
-        expanded.append(token)
-        if token == "--parallel":
-            following = argv[i + 1] if i + 1 < len(argv) else None
-            if following is None or not following.isdigit():
-                expanded[-1] = f"--parallel={os.cpu_count() or 1}"
-    return expanded
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_expand_bare_parallel(
-        sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (LyricSyntaxError, ConstraintSyntaxError) as exc:

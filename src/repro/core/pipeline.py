@@ -28,7 +28,7 @@ Every phase appends a :class:`~repro.runtime.context.PhaseRecord`
 (timing, detail, and plan snapshots where applicable) to the context's
 stats, which is what the CLI's ``--analyze`` renders as the per-phase
 trace.  Compilation and execution read *all* options (cache, guard,
-indexing, parallelism, optimizer) from the pipeline's context, so two
+indexing, shards, optimizer) from the pipeline's context, so two
 pipelines over different contexts are fully isolated.
 """
 

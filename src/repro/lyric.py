@@ -13,7 +13,7 @@
 
 Every entry point accepts an optional
 :class:`~repro.runtime.QueryContext` carrying the execution state
-(guard, cache, stats, indexing/parallelism options); the ``guard``
+(guard, cache, stats, indexing/sharding options); the ``guard``
 parameters remain as conveniences that derive a context on the fly.
 """
 

@@ -16,10 +16,11 @@ Public surface:
   (see ``docs/API.md``, "Performance: caching and prefilters");
 * :class:`PlanCache` — the compiled-plan cache keyed on (query AST,
   schema fingerprint, options); see ``docs/API.md``, "Prepared queries
-  & the plan cache";
-* :func:`filter_rows` / :func:`should_partition` — the partitioned
-  parallel evaluator, gated by the context's ``parallelism`` (see
-  ``docs/API.md``, "Indexing & parallel execution").
+  & the plan cache".
+
+:mod:`repro.runtime.parallel` is the server's process executor: one
+request per task on a persistent pool of forked workers (see
+``docs/API.md``, "Process-parallel execution").
 
 The numeric fast path (``docs/API.md``, "Numeric fast path") is plain
 Python and on by default; ``QueryContext(numeric=False)`` turns it off.
@@ -48,10 +49,6 @@ from repro.runtime.guard import (
     ExecutionGuard,
     should_degrade,
 )
-from repro.runtime.parallel import (
-    filter_rows,
-    should_partition,
-)
 
 __all__ = [
     "BUDGETS",
@@ -68,8 +65,6 @@ __all__ = [
     "get_global_plan_cache",
     "current_context",
     "default_context",
-    "filter_rows",
     "get_global_cache",
     "should_degrade",
-    "should_partition",
 ]

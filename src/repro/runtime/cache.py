@@ -121,8 +121,8 @@ class ConstraintCache:
 
     def absorb(self, delta: dict) -> None:
         """Fold a worker process's counter deltas into this cache (the
-        entries a forked worker stored die with it, but its lookup
-        traffic belongs in the parent's account)."""
+        entries a pool worker stored stay in that worker, but its
+        lookup traffic belongs in the parent's account)."""
         with self._lock:
             self.hits += delta.get("hits", 0)
             self.misses += delta.get("misses", 0)

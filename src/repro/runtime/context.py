@@ -14,8 +14,8 @@ star of serving many concurrent queries from one process.
 * the :class:`~repro.runtime.cache.ConstraintCache` (or ``None`` for
   the memoization-off baseline);
 * the :class:`ExecutionStats` account every layer writes into;
-* the execution options: interval prefilter, box indexing, worker
-  parallelism, and whether the optimizer runs.
+* the execution options: interval prefilter, box indexing, the
+  numeric kernel, sharding, and whether the optimizer runs.
 
 Every layer of the engine *receives* the context explicitly (a ``ctx``
 parameter resolved once at each public entry point); exactly one
@@ -80,17 +80,17 @@ def _merged(**meta: str) -> Any:
 @dataclass
 class ExecutionStats:
     """Counters filled during one execution (used by the benchmarks,
-    the CLI's ``--analyze``, and the parallel evaluator's merge).
+    the CLI's ``--analyze``, and the process executor's merge).
 
     The budget-spend block mirrors the context's
     :class:`~repro.runtime.guard.ExecutionGuard` counters; without a
     guard it stays at zero.  ``exhausted`` names the budget that
     tripped — recorded from the guard on every path, not only when the
-    execution degraded.  The cache/box/index/parallel blocks are
+    execution degraded.  The cache/box/index/pool blocks are
     written *directly* by the layers doing the work, so the numbers are
     per-context, not process-global deltas.
 
-    Every field declares how it merges across parallel workers in its
+    Every field declares how it merges from a pool worker in its
     dataclass metadata (``sum`` is the default for counters; peaks use
     ``max``; lists ``extend``; engine-assigned fields are ``skip``\\ ed)
     — :meth:`merge` is generic over the declared fields, so counters
@@ -136,7 +136,7 @@ class ExecutionStats:
     engine_fallbacks: int = 0
     engine_fallback_reason: str | None = field(
         default=None, metadata={"merge": "first"})
-    # -- box index / parallel execution --------------------------------
+    # -- box index ------------------------------------------------------
     #: Box indexes constructed from scratch (index-cache misses).
     index_builds: int = 0
     #: Box indexes brought current by *extending* a cached index with
@@ -150,10 +150,6 @@ class ExecutionStats:
     #: Pairs refuted without running the exact predicate
     #: (``|R|x|S| - candidates`` per join).
     candidates_pruned: int = 0
-    partitions: int = 0
-    workers: int = _merged(merge="max")
-    parallel_runs: int = 0
-    parallel_fallbacks: int = 0
     # -- sharded scatter-gather execution -------------------------------
     #: Scatter-gather joins evaluated over sharded relations.
     shard_joins: int = 0
@@ -164,9 +160,11 @@ class ExecutionStats:
     shard_pairs_probed: int = 0
     # -- persistent worker pool -----------------------------------------
     #: Tasks delivered by the persistent pool (the server's
-    #: whole-query requests; row filters fork their own one-shot
-    #: workers and never count here).
+    #: whole-query requests).
     pool_dispatches: int = 0
+    #: Pool dispatches that delivered nothing, so the task ran
+    #: in-process (:data:`repro.runtime.parallel.FALLBACK_REASONS`).
+    parallel_fallbacks: int = 0
     #: Pool dispatches that had to create (or grow) the pool first;
     #: ``pool_dispatches - pool_cold_starts`` ran on warm workers.
     pool_cold_starts: int = 0
@@ -268,8 +266,7 @@ _UNSET: Any = object()
 
 #: The attributes :meth:`QueryContext.derive` may override.
 _DERIVABLE = frozenset({
-    "guard", "cache", "prefilter", "indexing", "parallelism",
-    "numeric", "use_optimizer", "catalog", "stats", "db", "params",
+    "guard", "cache", "prefilter", "indexing", "numeric", "use_optimizer", "catalog", "stats", "db", "params",
     "plan_cache", "shards",
 })
 
@@ -285,16 +282,15 @@ class QueryContext:
     unless overridden, so nested activations keep one coherent account.
     """
 
-    __slots__ = ("guard", "cache", "prefilter", "indexing",
-                 "parallelism", "numeric", "use_optimizer", "catalog",
-                 "stats", "db", "params", "plan_cache", "shards")
+    __slots__ = ("guard", "cache", "prefilter", "indexing", "numeric",
+                 "use_optimizer", "catalog", "stats", "db", "params",
+                 "plan_cache", "shards")
 
     def __init__(self, *,
                  guard: ExecutionGuard | None = None,
                  cache: "ConstraintCache | None" = _UNSET,
                  prefilter: bool = True,
                  indexing: bool = True,
-                 parallelism: int = 1,
                  numeric: bool = True,
                  use_optimizer: bool = True,
                  catalog: Mapping[str, Any] | None = None,
@@ -303,9 +299,6 @@ class QueryContext:
                  params: "Mapping[str, Oid] | None" = None,
                  plan_cache: "PlanCache | None" = _UNSET,
                  shards: int = 0) -> None:
-        if parallelism < 1:
-            raise ValueError(
-                f"parallelism must be >= 1, got {parallelism!r}")
         if shards < 0 or shards == 1:
             raise ValueError(
                 f"shards must be 0 (unsharded) or >= 2, got {shards!r}")
@@ -319,7 +312,6 @@ class QueryContext:
         self.cache = cache
         self.prefilter = prefilter
         self.indexing = indexing
-        self.parallelism = parallelism
         self.numeric = numeric
         self.use_optimizer = use_optimizer
         self.catalog = catalog
@@ -442,8 +434,6 @@ class QueryContext:
             parts.append("indexing=off")
         if not self.numeric:
             parts.append("numeric=off")
-        if self.parallelism > 1:
-            parts.append(f"parallelism={self.parallelism}")
         if self.shards:
             parts.append(f"shards={self.shards}")
         if not self.use_optimizer:

@@ -244,9 +244,9 @@ class ExecutionGuard:
 
     def absorb_spend(self, spend: dict) -> None:
         """Fold a worker guard's spend into this guard's counters
-        without budget checks (:mod:`repro.runtime.parallel` pro-rates
-        the budgets up front, so the merged totals cannot exceed what
-        this guard had left).  Additive counters sum; peaks max."""
+        without budget checks (:mod:`repro.runtime.parallel` hands the
+        worker only what this guard had left, so the merged totals
+        cannot exceed its limits).  Additive counters sum; peaks max."""
         self.pivots += spend.get("pivots", 0)
         self.branches += spend.get("branches", 0)
         self.canonical_steps += spend.get("canonical_steps", 0)

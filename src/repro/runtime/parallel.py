@@ -1,51 +1,25 @@
-"""Partitioned parallel evaluation over worker processes.
+"""The server's process executor: one request on a persistent worker pool.
 
-Large row filters (the exact phase of :class:`~repro.sqlc.algebra.
-IndexJoin` and big ``Select`` nodes) and the server's whole-query
-requests run on **one parallel region**, :func:`dispatch`: pro-rate
-the guard, reserve a cancel slot, submit, gather in task order, absorb
-every delivered outcome exactly once.  For :func:`filter_rows` the
-region goes on (:func:`_run_region`) to recompute whatever was not
-delivered in-process, under the parent guard, re-raise the first
-worker exhaustion and checkpoint — so serial evaluation is the only
-fallback there is, and every fallback is counted under a reason
+:func:`dispatch` runs one task — a whole server request
+(:func:`repro.server.procexec.run_query`) — on the process-wide pool of
+fork-started workers: hand the task the guard's remaining budgets,
+reserve a cancel slot, submit, wait, absorb the delivered outcome
+exactly once.  ``fn``, its arguments and its value are pickled; the
+worker trusts nothing it inherited and rebuilds its context from
+:func:`context_options`, which carries *every* plain-data option of the
+parent.  A task or value that will not pickle fails that one future
+only.  When no outcome arrives the caller runs the task itself, and
+every such fallback is counted under a reason
 (``stats()["fallback_reasons"]``).
 
-**Two transports, chosen by the caller, never probed.**
+**Budgets.**  The worker runs under a fresh guard carrying what is left
+of every budget of the parent's guard and the full remaining deadline,
+counted from the dispatch — a task that waited for a worker has that
+much less, and trips at its first checkpoint when nothing is left.  The
+worker guard keeps the parent guard's exhaustion policy: the task *is*
+the query, and the task itself turns a trip into its result.
 
-* **Fork-inherit** (:func:`filter_rows`) — a one-shot pool is forked
-  for the region, so the workers *inherit* the predicate, the rows and
-  the whole parent context (database, params, caches, options); only
-  chunk bounds and kept indices cross the pickle boundary.  Translator
-  predicates are closures over the constraint engine and cannot travel
-  any other way, and what a filter spends its time on — exact
-  elimination — dwarfs the fork.
-* **Persistent pool** (the server's process executor) — warm workers
-  reused across requests.  ``fn``, each task and each value are
-  pickled; the worker trusts nothing it inherited and rebuilds its
-  context from :func:`context_options`, which carries *every*
-  plain-data option of the parent.  A task or value that will not
-  pickle fails that one future only; it counts as undelivered.
-
-**Determinism.**  Values come back in task order (filter chunks are
-contiguous slices), so the output equals the serial evaluation's.
-Runs under a :class:`~repro.runtime.faults.FaultPlan` are forced
-serial: a plan belongs to one guard and a worker gets a fresh guard,
-so rows evaluated in a worker would never see the plan's faults.
-
-**Budgets.**  Each worker runs under a fresh guard carrying
-``remaining // tasks`` of every *work* budget of the parent's guard
-(pivots, branches, canonical; disjuncts caps one disjunction and
-passes through whole) and the full remaining deadline, counted from
-the dispatch — a task that waited for a worker has that much less, and
-trips at its first checkpoint when nothing is left.  Worker guards
-``fail`` on exhaustion unless the dispatch says otherwise, so a trip
-travels back as a plain dict (:class:`~repro.errors.ResourceExhausted`
-has keyword-only constructors and does not pickle); the parent
-re-raises the first one in task order and the caller's own policy
-applies at the usual engine boundary.
-
-**Counters.**  Each worker ships its fresh
+**Counters.**  The worker ships its fresh
 :class:`~repro.runtime.context.ExecutionStats` snapshot and guard
 spend; the parent folds them in with the generic
 :meth:`~repro.runtime.context.ExecutionStats.merge`, so counters added
@@ -54,11 +28,12 @@ later survive the round-trip with no change here.
 **Cancellation.**  A worker cannot see
 :meth:`~repro.runtime.guard.ExecutionGuard.cancel` called in the
 parent.  The *cancel board* — a shared-memory byte array allocated at
-import time, so every fork inherits it — closes the gap: the region
+import time, so every fork inherits it — closes the gap: the dispatch
 reserves a slot, the worker guard polls it at every checkpoint, and
-the gather loop flips it when it sees the parent guard cancelled.
+the wait loop flips it when it sees the parent guard cancelled.
 
-Platforms without ``fork`` evaluate serially.
+Platforms without ``fork`` have no pool: :func:`fork_available` is
+false there and the server runs every request in its own threads.
 """
 
 from __future__ import annotations
@@ -71,36 +46,28 @@ import time
 # ``concurrent.futures.process`` lazily, after this module, and the
 # interpreter would tear it down before a pool still alive at exit.
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-import repro.errors as errors_mod
-from repro.errors import QueryCancelled, ResourceExhausted
-from repro.runtime import context as context_mod
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.runtime.guard import ExecutionGuard
 
-#: Don't partition filters smaller than this: pool startup dominates.
-PARTITION_THRESHOLD = 64
-
-#: Budgets divided among workers; disjuncts caps a single disjunction
-#: wherever it is built and is passed through whole.
-_DIVIDED_BUDGETS = (
+#: Work budgets a worker gets what is left of; disjuncts caps a single
+#: disjunction wherever it is built and is passed through whole.
+_SPENT_BUDGETS = (
     ("max_pivots", "pivots"),
     ("max_branches", "branches"),
     ("max_canonical", "canonical_steps"),
 )
 
-#: Why a region (or part of one) ran in-process: a parent budget had
-#: nothing left to split; the pool could not start or was found dead
-#: at submit; an outcome never came back (a worker died, or a task or
-#: value would not pickle).
+#: Why a dispatch delivered nothing and the caller ran the task
+#: itself: a parent budget had nothing left; the pool could not start
+#: or was found dead at submit; the outcome never came back (a worker
+#: died, or the task or its value would not pickle).
 FALLBACK_REASONS = ("no_headroom", "pool_start_failed", "worker_lost")
 
 
 def _zeroed_stats() -> dict[str, Any]:
-    return {"runs": 0, "partitions": 0, "max_workers": 0,
-            "fallbacks": 0, "pool_dispatches": 0, "pool_cold_starts": 0,
-            "scatters": 0,
+    return {"fallbacks": 0, "pool_dispatches": 0, "pool_cold_starts": 0,
             "fallback_reasons": dict.fromkeys(FALLBACK_REASONS, 0)}
 
 
@@ -108,13 +75,10 @@ _stats = _zeroed_stats()
 
 
 def stats() -> dict[str, Any]:
-    """Cumulative counters: ``runs`` (parallel regions executed),
-    ``partitions`` (tasks dispatched), ``max_workers`` (widest region),
-    ``fallbacks`` (regions that ran wholly or partly in-process) and
+    """Cumulative counters: ``pool_dispatches`` (tasks the pool
+    delivered), ``fallbacks`` (dispatches that delivered nothing) and
     ``fallback_reasons`` (the same count by :data:`FALLBACK_REASONS`),
-    ``pool_dispatches`` (tasks delivered by the persistent pool),
-    ``pool_cold_starts`` (persistent pools created), ``scatters``
-    (regions sent to the persistent pool)."""
+    ``pool_cold_starts`` (pools created)."""
     return {**_stats, "fallback_reasons": dict(_stats["fallback_reasons"])}
 
 
@@ -122,33 +86,21 @@ def reset_stats() -> None:
     _stats.update(_zeroed_stats())
 
 
-def _fork_available() -> bool:
+def fork_available() -> bool:
+    """Whether this platform can start the pool's workers (``fork``)."""
     try:
         return "fork" in multiprocessing.get_all_start_methods()
     except Exception:
         return False
 
 
-def should_partition(n_rows: int,
-                     ctx: QueryContext | None = None) -> bool:
-    """Partition this filter?  Requires enough rows to amortize the
-    fork, parallelism on the (given or ambient) context, no FaultPlan
-    on the guard (its faults fire only on the guard that carries it),
-    a ``fork`` start method, and not already being inside a worker."""
-    ctx = context_mod.resolve(ctx)
-    if (n_rows < PARTITION_THRESHOLD or _IN_WORKER
-            or ctx.parallelism < 2 or ctx.faults is not None):
-        return False
-    return _fork_available()
-
-
 # ---------------------------------------------------------------------------
 # The cancel board (cross-process cooperative cancellation)
 # ---------------------------------------------------------------------------
 
-#: Concurrent regions that can each carry a live cancel channel.  A
-#: region that finds no free slot simply runs without one (its workers
-#: still terminate on their pro-rated deadline).
+#: Concurrent dispatches that can each carry a live cancel channel.  A
+#: dispatch that finds no free slot simply runs without one (its worker
+#: still terminates on its deadline).
 CANCEL_SLOTS = 128
 
 try:
@@ -167,7 +119,7 @@ def acquire_cancel_slot() -> int | None:
     """Reserve (and clear) a cancel-board slot, or ``None`` when the
     board is unavailable or fully busy.  A slot freed while a stale
     worker still polls it is harmless: the worker belongs to an
-    abandoned region, so a spurious cancel only stops wasted work."""
+    abandoned dispatch, so a spurious cancel only stops wasted work."""
     if _CANCEL_BOARD is None:
         return None
     with _SLOT_LOCK:
@@ -213,8 +165,7 @@ def _warm_task() -> int:
 
 
 class WorkerPool:
-    """A fork-based worker pool: the persistent one (:func:`get_pool`)
-    or a region's one-shot.
+    """The fork-based persistent worker pool (:func:`get_pool`).
 
     Thin wrapper over :class:`~concurrent.futures.ProcessPoolExecutor`
     carrying its nominal size (executors don't expose theirs) so
@@ -237,10 +188,9 @@ class WorkerPool:
         first dispatch, which PR 8 measured as a 6x cold-start penalty
         on the first query).  Returns the number of distinct worker
         processes that answered."""
-        pids, _lost = _gather(
-            [self.submit(_warm_task) for _ in range(self.workers)],
-            None, None)
-        return len(set(pids) - {None})
+        pending = [self.submit(_warm_task) for _ in range(self.workers)]
+        pids = {_gather(future, None, None)[0] for future in pending}
+        return len(pids - {None})
 
     def shutdown(self, wait: bool = False) -> None:
         """Cancel what has not started and stop the workers; ``wait``
@@ -279,7 +229,7 @@ def warm(workers: int) -> int:
     pre-fork every worker (``repro serve --warm-pool``).  Returns the
     number of workers that answered the warm-up, 0 when ``fork`` is
     unavailable."""
-    if workers < 1 or not _fork_available():
+    if workers < 1 or not fork_available():
         return 0
     pool, _cold = get_pool(workers)
     return pool.warm()
@@ -297,24 +247,14 @@ def shutdown_pool(wait: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The parallel region
+# Dispatch
 # ---------------------------------------------------------------------------
 
-#: ``(ctx, fn)`` a fork-inherit region publishes for the workers its
-#: submits fork; ``None`` otherwise.
-_INHERITED: tuple[QueryContext, Callable] | None = None
-
-#: Held while a region takes its pool, publishes :data:`_INHERITED` and
-#: submits: every worker forks inside ``submit`` (all at the first one
-#: on CPython >= 3.11, one per submit before), so a worker can only
-#: ever inherit its own region's payload — never another thread's,
-#: never a cleared one — and no other region can replace the persistent
-#: pool between taking it and submitting to it.  Gathering happens
-#: outside it.
-_FORK_LOCK = threading.Lock()
-
-#: True inside a worker process — suppresses nested regions.
-_IN_WORKER = False
+#: Held while a dispatch takes the pool and submits to it, so no other
+#: dispatch can replace the pool in between (a submit to a pool shut
+#: down under it would read as a start failure and discard the new
+#: pool).  Waiting happens outside it.
+_SUBMIT_LOCK = threading.Lock()
 
 
 def fork_safe_lock() -> threading.Lock:
@@ -348,15 +288,14 @@ def context_options(ctx: QueryContext) -> dict[str, Any]:
     return options
 
 
-def _worker_limits(guard: ExecutionGuard | None, tasks: int,
-                   on_exhaustion: str) -> dict | None:
-    """The pro-rated budget dict shipped to each worker — empty for
-    unguarded workers, ``None`` when some budget has no spend left (the
-    region then runs in-process so the parent guard trips at its usual
-    site)."""
+def _worker_limits(guard: ExecutionGuard | None) -> dict | None:
+    """The budget dict shipped to the worker — empty for an unguarded
+    worker, ``None`` when some budget has no spend left (the caller
+    then runs the task in-process so the parent guard trips at its
+    usual site)."""
     if guard is None:
         return {}
-    limits: dict = {"on_exhaustion": on_exhaustion,
+    limits: dict = {"on_exhaustion": guard.on_exhaustion,
                     "max_disjuncts": guard.max_disjuncts}
     if guard.deadline is not None:
         limits["deadline"] = guard.deadline - guard.elapsed()
@@ -366,145 +305,105 @@ def _worker_limits(guard: ExecutionGuard | None, tasks: int,
         # task: a pool task may queue behind others.  The monotonic
         # clock is system-wide on the platforms that fork.
         limits["dispatched_at"] = time.monotonic()
-    for limit_name, counter_name in _DIVIDED_BUDGETS:
+    for limit_name, counter_name in _SPENT_BUDGETS:
         limit = getattr(guard, limit_name)
         if limit is None:
             continue
-        remaining = limit - getattr(guard, counter_name)
-        if remaining <= 0:
+        limits[limit_name] = limit - getattr(guard, counter_name)
+        if limits[limit_name] <= 0:
             return None
-        limits[limit_name] = max(1, remaining // tasks)
     return limits
 
 
-def _fell_back(ctx: QueryContext, reason: str) -> str:
+def _fell_back(ctx: QueryContext, reason: str) -> tuple[None, str]:
     _stats["fallbacks"] += 1
     _stats["fallback_reasons"][reason] += 1
     ctx.stats.parallel_fallbacks += 1
-    return reason
+    return None, reason
 
 
-def _gather(pending: list, guard: ExecutionGuard | None,
-            slot: int | None) -> tuple[list, bool]:
-    """Collect results in submit order, propagating a parent-side
-    cancel to the workers through the cancel board.
+def _gather(future, guard: ExecutionGuard | None,
+            slot: int | None) -> tuple[Any, bool]:
+    """Wait for one future, propagating a parent-side cancel to its
+    worker through the cancel board.
 
-    Returns ``(results, lost)``: ``results[i]`` is ``None`` for every
-    future that did not deliver, and ``lost`` says a worker died (the
-    executor is broken and must be discarded).  Any other failure is
-    that one future's — its task or value would not pickle, or ``fn``
-    raised something a worker does not translate — and the caller's
-    in-process recomputation will succeed or raise the same error from
-    the parent's own stack.  On cancel the workers are *not*
-    abandoned: the board flip makes each one raise ``QueryCancelled``
-    at its next checkpoint and its error outcome ships back normally,
-    so the pool stays clean and the spend is still accounted."""
-    results: list = [None] * len(pending)
-    lost = signalled = False
-    for i, future in enumerate(pending):
-        while not future.done():
-            if not signalled and guard is not None and guard.cancelled:
-                signal_cancel(slot)
-                signalled = True
-            wait([future], timeout=0.05)
-        if future.cancelled():
-            continue
-        # Inspected, not raised: raising here would tie the future,
-        # its exception's traceback and this frame — and through it the
-        # caller's pool — into a cycle only the collector frees.
-        error = future.exception()
-        if error is None:
-            results[i] = future.result()
-        elif isinstance(error, BrokenExecutor):
-            lost = True
-    return results, lost
+    Returns ``(result, lost)``: ``result`` is ``None`` when the future
+    did not deliver, and ``lost`` says a worker died (the executor is
+    broken and must be discarded).  Any other failure is the future's
+    own — its task or value would not pickle, or ``fn`` raised — and
+    the caller's in-process run will succeed or raise the same error
+    from the parent's own stack.  On cancel the worker is *not*
+    abandoned: the board flip makes it stop at its next checkpoint and
+    its outcome ships back normally, so the pool stays clean and the
+    spend is still accounted."""
+    signalled = False
+    while not future.done():
+        if not signalled and guard is not None and guard.cancelled:
+            signal_cancel(slot)
+            signalled = True
+        wait([future], timeout=0.05)
+    if future.cancelled():
+        return None, False
+    # Inspected, not raised: raising here would tie the future, its
+    # exception's traceback and this frame — and through it the
+    # caller's pool — into a cycle only the collector frees.
+    error = future.exception()
+    if error is None:
+        return future.result(), False
+    return None, isinstance(error, BrokenExecutor)
 
 
-def dispatch(fn: Callable, tasks: Sequence[tuple], ctx: QueryContext,
-             width: int, *, inherit: bool = False,
-             on_exhaustion: str = "fail"
-             ) -> tuple[list[dict | None], str | None]:
-    """Run ``fn(*task)`` for every task in up to ``width`` worker
-    processes — the one parallel region every caller shares.
+def dispatch(fn: Callable, args: tuple, ctx: QueryContext,
+             width: int) -> tuple[Any, str | None]:
+    """Run ``fn(*args)`` on the persistent pool of ``width`` workers,
+    waiting for a worker when all are busy.
 
-    Returns ``(outcomes, reason)``.  ``outcomes[i]`` is task *i*'s
-    worker outcome — ``value``, or ``error`` (a worker guard's trip as
-    a plain dict) — already absorbed into ``ctx`` (guard spend, stats,
-    cache traffic) exactly once, or ``None`` when the task was not
-    delivered; nothing of an undelivered task is absorbed, so the
-    caller may recompute it without double-charging.
-    ``reason`` names the fallback (:data:`FALLBACK_REASONS`) when any
-    outcome is ``None``, else ``None``.
-
-    ``inherit=True`` forks a one-shot pool whose workers inherit ``fn``
-    and ``ctx`` themselves (``fn`` may be a closure); otherwise ``fn``
-    is pickled to the persistent pool with :func:`context_options`.
-    ``on_exhaustion`` is the worker guards' policy: ``"fail"`` for a
-    *part* of a query, the request's own when the task *is* the query.
-    """
-    global _INHERITED
+    Returns ``(value, reason)``.  When the worker's outcome arrived,
+    ``reason`` is ``None``, ``value`` is what ``fn`` returned, and the
+    worker's guard spend, stats and cache traffic are already absorbed
+    into ``ctx`` exactly once.  Otherwise ``value`` is ``None`` and
+    ``reason`` names the fallback (:data:`FALLBACK_REASONS`); nothing
+    of the task was absorbed, so the caller may run it itself without
+    double-charging.  ``fn`` turns its own errors into its value, as
+    :func:`~repro.server.procexec.request_events` does: an exception
+    escaping it is undelivered, and one that will not unpickle (a
+    :class:`~repro.errors.ResourceExhausted`) breaks the pool."""
     guard = ctx.guard
-    outcomes: list[dict | None] = [None] * len(tasks)
-    limits = _worker_limits(guard, len(tasks), on_exhaustion)
+    limits = _worker_limits(guard)
     if limits is None:
-        return outcomes, _fell_back(ctx, "no_headroom")
+        return _fell_back(ctx, "no_headroom")
     slot = acquire_cancel_slot() if guard is not None else None
     if slot is not None:
         limits["cancel_slot"] = slot
-    shipped_fn, options = (None, None) if inherit \
-        else (fn, context_options(ctx))
-    one_shot = None
     try:
         try:
-            with _FORK_LOCK:
-                if inherit:
-                    pool = one_shot = WorkerPool(width)
-                    cold = False
-                    _INHERITED = (ctx, fn)
-                else:
-                    pool, cold = get_pool(width)
-                try:
-                    pending = [pool.submit(_run_task, shipped_fn, task,
-                                           limits, options)
-                               for task in tasks]
-                finally:
-                    _INHERITED = None
+            with _SUBMIT_LOCK:
+                pool, cold = get_pool(width)
+                future = pool.submit(_run_task, fn, args, limits,
+                                     context_options(ctx))
         except (OSError, RuntimeError):
             # Fork limits, sandboxing, or a pool found dead at submit.
-            if not inherit:
-                shutdown_pool()
-            return outcomes, _fell_back(ctx, "pool_start_failed")
-        outcomes, lost = _gather(pending, guard, slot)
+            shutdown_pool()
+            return _fell_back(ctx, "pool_start_failed")
+        outcome, lost = _gather(future, guard, slot)
     finally:
         release_cancel_slot(slot)
-        if one_shot is not None:
-            one_shot.shutdown()
 
-    delivered = [o for o in outcomes if o is not None]
-    _stats["runs"] += 1
-    _stats["partitions"] += len(tasks)
-    _stats["max_workers"] = max(_stats["max_workers"], width)
-    ctx.stats.parallel_runs += 1
-    ctx.stats.partitions += len(tasks)
-    ctx.stats.workers = max(ctx.stats.workers, width)
-    if not inherit:
-        _stats["scatters"] += 1
-        _stats["pool_dispatches"] += len(delivered)
-        ctx.stats.pool_dispatches += len(delivered)
-        if cold:
-            ctx.stats.pool_cold_starts += 1
-        if lost:
-            shutdown_pool()
-    for outcome in delivered:
-        _absorb_outcome(ctx, guard, outcome)
-    if len(delivered) < len(tasks):
-        return outcomes, _fell_back(ctx, "worker_lost")
-    return outcomes, None
+    if cold:
+        ctx.stats.pool_cold_starts += 1
+    if lost:
+        shutdown_pool()
+    if outcome is None:
+        return _fell_back(ctx, "worker_lost")
+    _stats["pool_dispatches"] += 1
+    ctx.stats.pool_dispatches += 1
+    _absorb_outcome(ctx, guard, outcome)
+    return outcome["value"], None
 
 
 def _absorb_outcome(ctx: QueryContext, guard: ExecutionGuard | None,
                     outcome: dict) -> None:
-    """Fold ONE worker outcome into the parent context."""
+    """Fold the worker outcome into the parent context."""
     snapshot = outcome["stats"]
     if guard is not None:
         guard.absorb_spend(outcome["spend"])
@@ -512,9 +411,8 @@ def _absorb_outcome(ctx: QueryContext, guard: ExecutionGuard | None,
     # any added after this code was written.
     ctx.stats.merge(snapshot)
     # The cache object still needs the worker deltas (the entries
-    # and cumulative counters a worker wrote die with its process
-    # or stay in the pool worker).  Bounds traffic, by contrast,
-    # lives *only* in ExecutionStats.
+    # and cumulative counters a worker wrote stay in the pool worker).
+    # Bounds traffic, by contrast, lives *only* in ExecutionStats.
     cache = ctx.cache
     if cache is not None:
         cache.absorb({
@@ -525,93 +423,15 @@ def _absorb_outcome(ctx: QueryContext, guard: ExecutionGuard | None,
         })
 
 
-def _run_region(fn: Callable, tasks: Sequence[tuple],
-                ctx: QueryContext, width: int,
-                inherit: bool = False) -> list:
-    """:func:`dispatch`, then the values in task order: an undelivered
-    task is recomputed here, in-process, so its spend ticks the parent
-    guard directly (no pro-rating, no second absorption) and an
-    exhaustion raises where the serial run would have reached; the
-    first worker exhaustion re-raises; then the guard's
-    cancellation/deadline checkpoint runs (a worker without a cancel
-    slot can't see a cancel issued after it was handed its task)."""
-    outcomes, _reason = dispatch(fn, tasks, ctx, width, inherit=inherit)
-    values: list = []
-    for task, outcome in zip(tasks, outcomes):
-        if outcome is None:
-            values.append(fn(*task))
-        elif outcome["error"] is not None:
-            raise _rebuild_exhaustion(ctx.guard, outcome["error"])
-        else:
-            values.append(outcome["value"])
-    if ctx.guard is not None:
-        ctx.guard.checkpoint("parallel-merge")
-    return values
-
-
-def filter_rows(columns: Sequence[str], rows: list,
-                predicate: Callable[[dict], bool],
-                ctx: QueryContext | None = None) -> list:
-    """The rows satisfying ``predicate`` (a row-dict test), in input
-    order — partitioned across up to ``ctx.parallelism`` forked worker
-    processes when :func:`should_partition` allows, serially
-    otherwise."""
-    ctx = context_mod.resolve(ctx)
-    cols = tuple(columns)
-    if not should_partition(len(rows), ctx):
-        return [row for row in rows
-                if predicate(dict(zip(cols, row)))]
-
-    def kept(start: int, stop: int) -> list[int]:
-        return [i for i in range(start, stop)
-                if predicate(dict(zip(cols, rows[i])))]
-
-    chunks = _chunk_bounds(len(rows), min(ctx.parallelism, len(rows)))
-    return [rows[i]
-            for part in _run_region(kept, chunks, ctx, len(chunks),
-                                    inherit=True)
-            for i in part]
-
-
-def _chunk_bounds(n_rows: int, chunks: int) -> list[tuple[int, int]]:
-    size, extra = divmod(n_rows, chunks)
-    bounds_list, start = [], 0
-    for i in range(chunks):
-        stop = start + size + (1 if i < extra else 0)
-        if stop > start:
-            bounds_list.append((start, stop))
-        start = stop
-    return bounds_list
-
-
-def _rebuild_exhaustion(guard: ExecutionGuard | None,
-                        error: dict) -> ResourceExhausted:
-    """A worker's exhaustion dict back into the exception the serial
-    run would have raised (ResourceExhausted doesn't pickle: its
-    constructors are keyword-only)."""
-    cls = getattr(errors_mod, error["kind"], None)
-    if cls is None or not (isinstance(cls, type)
-                           and issubclass(cls, ResourceExhausted)):
-        cls = ResourceExhausted
-    if guard is not None:
-        guard.exhausted = error["budget"]
-    if cls is QueryCancelled:
-        return QueryCancelled(spent=error["spent"],
-                              fragment=error["fragment"])
-    return cls(error["message"], budget=error["budget"],
-               limit=error["limit"], spent=error["spent"],
-               fragment=error["fragment"])
-
-
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
 
 def _guard_from_limits(limits: dict) -> ExecutionGuard | None:
-    """The pro-rated per-worker guard.  When the region carries a
-    cancel slot the guard polls it at every checkpoint — the parent's
-    cancel reaches this process through the fork-shared board."""
+    """The worker's guard.  When the dispatch carries a cancel slot the
+    guard polls it at every checkpoint — the parent's cancel reaches
+    this process through the fork-shared board."""
     if not limits:
         return None
     guard = ExecutionGuard(
@@ -629,44 +449,20 @@ def _guard_from_limits(limits: dict) -> ExecutionGuard | None:
     return guard
 
 
-def _run_task(fn: Callable | None, args: tuple, limits: dict,
-              options: dict | None) -> dict:
-    """The one worker entry point: evaluate ``fn(*args)`` under a
-    pro-rated guard and a *fresh* ``ExecutionStats``, so the shipped
-    snapshot is exactly this task's delta.
-
-    ``options is None`` marks a fork-inherit region: ``fn`` and the
-    parent context come from :data:`_INHERITED`.  A pool worker may
-    have forked during an unrelated earlier query, so there the context
-    is rebuilt from the shipped :func:`context_options`.  ``fn`` reads
-    the context ambiently; a guard trip travels back as a plain
-    ``error`` dict."""
-    global _IN_WORKER
-    _IN_WORKER = True
+def _run_task(fn: Callable, args: tuple, limits: dict,
+              options: dict) -> dict:
+    """The worker entry point: evaluate ``fn(*args)`` under the
+    shipped budgets and a *fresh* ``ExecutionStats``, so the shipped
+    snapshot is exactly this task's delta.  A pool worker may have
+    forked during an unrelated earlier request, so its context is
+    rebuilt from the shipped :func:`context_options`; ``fn`` reads it
+    ambiently."""
     guard = _guard_from_limits(limits)
-    if options is None:
-        base, fn = _INHERITED
-        worker_ctx = base.derive(guard=guard, stats=ExecutionStats())
-    else:
-        worker_ctx = QueryContext(guard=guard, stats=ExecutionStats(),
-                                  **options)
-    value = error = None
-    try:
-        with worker_ctx.activate():
-            value = fn(*args)
-    except ResourceExhausted as exc:
-        # str(exc) already embeds the [budget=...] diagnostics block;
-        # ship the bare message so reconstruction doesn't double it.
-        error = {
-            "kind": type(exc).__name__,
-            "message": ("deadline exceeded" if exc.budget == "deadline"
-                        else f"{exc.budget} budget exhausted"),
-            "budget": exc.budget,
-            "limit": exc.limit,
-            "spent": exc.spent,
-            "fragment": exc.fragment,
-        }
+    worker_ctx = QueryContext(guard=guard, stats=ExecutionStats(),
+                              **options)
+    with worker_ctx.activate():
+        value = fn(*args)
     worker_ctx.stats.capture_guard(guard)
-    return {"value": value, "error": error,
+    return {"value": value,
             "spend": guard.spend() if guard is not None else {},
             "stats": worker_ctx.stats.snapshot()}

@@ -30,11 +30,10 @@ Keys are ``(query AST, schema fingerprint, plan-relevant options)``:
 * the **options** that change the compiled plan: ``indexing``,
   ``use_optimizer`` and ``shards`` (they steer the physical rewrites —
   sharding selects scatter-gather join nodes — so they must partition
-  the cache).  ``parallelism`` and ``numeric`` are not among them:
-  nothing in compilation reads either — nodes take the worker count,
-  and the batch filter takes the float-kernel switch, from the
-  executing context — so one cached plan serves every worker count
-  with the kernel on or off.
+  the cache).  ``numeric`` is not among them: nothing in compilation
+  reads it — the batch filter takes the float-kernel switch from the
+  executing context — so one cached plan serves the kernel on or
+  off.
 
 Guard interaction mirrors the constraint cache
 (:mod:`repro.runtime.cache`): a hit runs one guard checkpoint (done by

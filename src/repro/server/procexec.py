@@ -27,10 +27,12 @@ AST plus what every pool task carries — the context options (parameter
 oids among them) and the guard budgets.  Rows come back already
 ``dump_oid``-serialized in result order.
 
-**Guard.**  The service dispatches with the request's own
+**Guard.**  The worker guard keeps the request's own
 ``on_exhaustion`` policy (degrade must produce the same partial rows
-and warnings it would in-process), and cancellation reaches the worker
-through the region's cancel-board slot like any other pool task's.
+and warnings it would in-process), a trip under ``fail`` ends the
+shipped events with an ``error`` event as it would in-process, and
+cancellation reaches the worker through the dispatch's cancel-board
+slot.
 """
 
 from __future__ import annotations

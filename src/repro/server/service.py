@@ -32,8 +32,8 @@ workers publish events back via ``loop.call_soon_threadsafe``.
 only where it runs.  The executor above is always a thread pool; with
 ``executor="process"`` (or ``"auto"`` on a multi-core fork platform)
 each executor thread hands its request to the persistent worker pool
-as one :func:`~repro.runtime.parallel.dispatch` task — true
-parallelism for distinct-query load — and waits for a worker: the pool
+as one :func:`~repro.runtime.parallel.dispatch` task — so distinct
+concurrent queries use every core — and waits for a worker: the pool
 queues what exceeds its size.  When no worker's reply arrives (a
 reason from :data:`PROCESS_FALLBACK_REASONS`) the thread runs the same
 generator itself, before anything is published, so clients cannot
@@ -453,7 +453,7 @@ class QueryService:
             raise ValueError(
                 f"executor must be auto/thread/process, "
                 f"got {executor!r}")
-        if not parallel._fork_available():
+        if not parallel.fork_available():
             return "thread"
         if executor == "auto":
             return "process" if (os.cpu_count() or 1) >= 2 \
@@ -571,19 +571,18 @@ class QueryService:
         assert guard is not None
         # The deadline covers the wait for a worker, not only the run.
         guard.start()
-        # The task *is* the query, so the worker guard keeps the
-        # request's own exhaustion policy; a parent-side cancel
-        # reaches it through the region's cancel slot.
-        (outcome,), reason = parallel.dispatch(
-            procexec.run_query, [(db_version, query_ast, translated)],
-            ctx, self._pool_size, on_exhaustion=guard.on_exhaustion)
-        if outcome is None:
+        # A parent-side cancel reaches the worker through the
+        # dispatch's cancel slot.
+        events, reason = parallel.dispatch(
+            procexec.run_query, (db_version, query_ast, translated),
+            ctx, self._pool_size)
+        if reason is not None:
             fallback = reason if reason == "pool_start_failed" \
                 else "undelivered"
         else:
-            fallback = "stale" if outcome["value"] is None else None
+            fallback = "stale" if events is None else None
         self.stats.note_process(fallback)
-        return None if fallback else outcome["value"]
+        return None if fallback else events
 
     def _serve(self, job: _Job, events: Iterable[tuple],
                stats: ExecutionStats) -> None:

@@ -168,11 +168,9 @@ class Select(Plan):
     def evaluate(self, catalog: Catalog,
                  ctx: QueryContext | None = None) -> ConstraintRelation:
         base = self.child.evaluate(catalog, ctx)
-        # Large filters partition across worker processes when the
-        # context allows (serial and parallel keep the same row order;
-        # see repro.runtime.parallel); batch evaluation additionally
-        # routes extractable constraint predicates through the numeric
-        # kernel when the context's numeric option is active.
+        # Batch evaluation routes extractable constraint predicates
+        # through the numeric kernel when the context's numeric option
+        # is active; the kept rows keep their input order.
         from repro.sqlc import batch
         kept = batch.filter_rows(base.columns, list(base),
                                  self.predicate, ctx=ctx)

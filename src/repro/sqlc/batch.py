@@ -1,8 +1,7 @@
 """Batch-wise predicate evaluation over the numeric kernel.
 
-The row-wise evaluator (:func:`repro.runtime.parallel.filter_rows`)
-calls the predicate once per row, and each constraint predicate call
-walks the exact solver.  This module evaluates whole filters with one
+The row-wise test calls the predicate once per row, and each
+constraint predicate call walks the exact solver.  This module evaluates whole filters with one
 kernel call per chunk instead, whenever the predicate exposes a
 batch packer (:attr:`~repro.sqlc.algebra.CstPredicate.units`):
 
@@ -13,18 +12,16 @@ batch packer (:attr:`~repro.sqlc.algebra.CstPredicate.units`):
 2. surviving rows are packed by one ``units`` call into a
    :class:`~repro.constraints.matrix.ConstraintMatrix`, and classified
    by one :func:`~repro.constraints.kernel.classify_matrix` call;
-3. rows the kernel could not decide fall back to the *original*
-   predicate through the row-wise evaluator, under a derived context
-   with numeric off — exact semantics, exact error behaviour, same
-   parallel partitioning as before;
+3. each row the kernel could not decide is tested by the *original*
+   predicate, under a derived context with numeric off — exact
+   semantics, exact error behaviour;
 4. conjuncts *after* the packable one run row-wise on survivors.
 
-Output rows and their order are identical to the row-wise evaluator's
-by construction: the kernel only replaces individual boolean answers,
+Output rows and their order are identical to the row-wise test's by
+construction: the kernel only replaces individual boolean answers,
 never the iteration order, and its accepts/rejects are verified /
 ε-sound (see :mod:`repro.constraints.kernel`).  When the context's
-numeric option is off this module delegates wholesale to the row-wise
-evaluator.
+numeric option is off every row takes the row-wise test.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from typing import Sequence
 
 from repro.constraints import kernel, matrix
 from repro.runtime import context as context_mod
-from repro.runtime import parallel
 from repro.sqlc.algebra import And, CstPredicate, Predicate
 
 #: Below this many rows the batch machinery costs more than it saves.
@@ -58,18 +54,18 @@ def _split(predicate: Predicate
 
 def filter_rows(columns: Sequence[str], rows: list, predicate,
                 ctx=None) -> list:
-    """Drop-in for :func:`repro.runtime.parallel.filter_rows` that
-    batches packable constraint predicates through the numeric
-    kernel."""
+    """The rows satisfying ``predicate`` (a row-dict test), in input
+    order, with packable constraint predicates batched through the
+    numeric kernel."""
     resolved = context_mod.resolve(ctx)
+    cols = tuple(columns)
     plan = None
     if resolved.numeric_active() and len(rows) >= MIN_BATCH:
         plan = _split(predicate)
     if plan is None:
-        return parallel.filter_rows(columns, rows, predicate,
-                                    ctx=resolved)
+        return [row for row in rows
+                if predicate(dict(zip(cols, row)))]
     pre, cst, post = plan
-    cols = tuple(columns)
     position = {c: i for i, c in enumerate(cols)}
     cst_idx = [position[c] for c in cst.columns]
 
@@ -97,21 +93,9 @@ def filter_rows(columns: Sequence[str], rows: list, predicate,
         # Exact fallback: the original constraint conjunct, row-wise,
         # with numeric off so nested satisfiability checks do not
         # re-enter the kernel they just fell out of.
-        exact_ctx = resolved.derive(numeric=False)
-        with exact_ctx.activate():
-            kept_rows = parallel.filter_rows(
-                cols, [rows[i] for i in unknown], cst, ctx=exact_ctx)
-        # Map the kept subset (an order-preserving sub-list of the
-        # unknown rows; worker round-trips may copy the tuples, and a
-        # deterministic predicate decides equal-valued rows equally)
-        # back to row positions.
-        at = 0
-        for i in unknown:
-            if at < len(kept_rows) and kept_rows[at] == rows[i]:
-                keep[i] = True
-                at += 1
-            else:
-                keep[i] = False
+        with resolved.derive(numeric=False).activate():
+            for i in unknown:
+                keep[i] = cst(dict(zip(cols, rows[i])))
 
     return [rows[i] for i in alive
             if keep[i] and all(p(dicts[i]) for p in post)]

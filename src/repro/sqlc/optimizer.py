@@ -27,10 +27,6 @@ as a named :class:`RewriteRule` with signature ``(plan, ctx) -> plan``:
   ShardedIndexJoin`, scatter-gathering over per-shard box indexes and
   pruning shard pairs with disjoint bounding envelopes.
 
-The degree of parallelism is not a plan property: filter-bearing nodes
-read ``ctx.parallelism`` when they are evaluated, so one plan serves
-every worker count.
-
 :data:`LOGICAL_RULES` and :data:`PHYSICAL_RULES` are what the staged
 pipeline (:mod:`repro.core.pipeline`) runs as its rewrite phases;
 :func:`optimize` remains the one-call wrapper applying everything.

@@ -9,8 +9,6 @@ import pytest
 import repro
 from repro import lyric
 from repro.cli import main
-from repro.runtime import context as context_mod
-from repro.runtime import parallel
 
 
 class TestDemo:
@@ -143,19 +141,6 @@ class TestQueryReadsItsFlags:
         assert ctx.shards == 4
         assert cli_built.dbs[-1].flat_catalog.key[-1] == 4
 
-    def test_parallel(self, cli_built, monkeypatch):
-        asked = []
-
-        def should_partition(n_rows, ctx=None):
-            asked.append(context_mod.resolve(ctx).parallelism)
-            return False  # read the flag, fork nothing
-
-        monkeypatch.setattr(parallel, "should_partition",
-                            should_partition)
-        ctx = self.run(cli_built, "--parallel", "2", "--no-numeric")
-        assert ctx.parallelism == 2
-        assert asked and set(asked) == {2}
-
     def test_no_index(self, cli_built):
         indexed = self.run(cli_built)
         assert "IndexJoin(" \
@@ -198,7 +183,7 @@ class TestViewAndSchema:
         assert db.schema.has_class("Red")
 
     @pytest.mark.parametrize("flag", [
-        ["--shards", "4"], ["--parallel", "2"], ["--no-index"],
+        ["--shards", "4"], ["--no-index"],
         ["--no-plan-cache"], ["--plan-cache-size", "8"]],
         ids=lambda flag: flag[0])
     def test_view_takes_no_plan_flag(self, flag, capsys):

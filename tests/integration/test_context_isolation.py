@@ -132,7 +132,7 @@ class TestInterleavedIsolation:
             == default_stats
 
     def test_options_differ_per_context(self, office):
-        """Indexing/parallelism/optimizer toggles are per-context, and
+        """Indexing/optimizer toggles are per-context, and
         both contexts still compute the same rows."""
         plain = QueryContext(cache=ConstraintCache(maxsize=64),
                              indexing=False, use_optimizer=False)

@@ -57,16 +57,15 @@ class TestCachedEqualsFresh:
            st.integers(min_value=0, max_value=4),
            st.integers(min_value=0, max_value=len(QUERIES) - 1),
            colors, coords, coords,
-           st.booleans(), st.booleans(), st.booleans())
+           st.booleans(), st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_hit_is_byte_identical_to_fresh_compile(
             self, n, seed, query_index, color, px, py,
-            numeric, indexing, parallel):
+            numeric, indexing):
         db = office.generate(n, seed=seed).db
         text, names = QUERIES[query_index]
         params = bindings_for(names, color, px, py)
-        options = dict(numeric=numeric, indexing=indexing,
-                       parallelism=2 if parallel else 1)
+        options = dict(numeric=numeric, indexing=indexing)
 
         fresh, _ = run_once(db, text, params, None, **options)
         cache = PlanCache()

@@ -33,16 +33,11 @@ class TestConstruction:
         assert ctx.guard is None
         assert ctx.cache is get_global_cache()
         assert ctx.prefilter and ctx.indexing
-        assert ctx.parallelism == 1
         assert ctx.use_optimizer
         assert isinstance(ctx.stats, ExecutionStats)
 
     def test_explicit_none_cache_disables(self):
         assert QueryContext(cache=None).cache is None
-
-    def test_parallelism_validated(self):
-        with pytest.raises(ValueError):
-            QueryContext(parallelism=0)
 
     def test_on_exhaustion_comes_from_guard(self):
         assert QueryContext().on_exhaustion == "fail"
@@ -59,10 +54,10 @@ class TestConstruction:
 class TestDerive:
     def test_derive_shares_stats(self):
         parent = QueryContext()
-        child = parent.derive(parallelism=3)
+        child = parent.derive(shards=3)
         assert child.stats is parent.stats
-        assert child.parallelism == 3
-        assert parent.parallelism == 1
+        assert child.shards == 3
+        assert parent.shards == 0
 
     def test_derive_honours_explicit_none(self):
         parent = QueryContext(guard=ExecutionGuard())
@@ -225,10 +220,10 @@ class TestStatsMergeRegression:
 
     def test_max_fields_take_peak(self):
         a, b = ExecutionStats(), ExecutionStats()
-        a.workers = 4
-        b.workers = 2
+        a.peak_disjuncts = 4
+        b.peak_disjuncts = 2
         a.merge(b)
-        assert a.workers == 4
+        assert a.peak_disjuncts == 4
 
     def test_first_fields_keep_existing(self):
         a, b = ExecutionStats(), ExecutionStats()

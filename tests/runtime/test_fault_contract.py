@@ -255,13 +255,12 @@ class TestGlobalCachesStaySound:
 
 #: Where ``X.faults`` may be read, by module: anywhere in the modules
 #: that inject faults (``None``), or only in the named functions —
-#: the context's ``faults`` property and the serial rule.  The
-#: storage layer reads its own write faults.
+#: the context's ``faults`` property.  The storage layer reads its own
+#: write faults.
 _FAULT_READERS = {
     "runtime/guard.py": None,
     "runtime/faults.py": None,
     "runtime/context.py": {"faults"},
-    "runtime/parallel.py": {"should_partition"},
 }
 
 

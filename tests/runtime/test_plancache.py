@@ -138,13 +138,10 @@ class TestOptionsKeying:
             == plan_options_key(base.derive(prefilter=not base.prefilter))
         assert plan_options_key(base) \
             == plan_options_key(base.derive(cache=None))
-        # Nodes read the worker count, and the batch filter the
-        # float-kernel switch, from the executing context, so one
-        # compiled plan serves every degree of parallelism with the
-        # kernel on or off.
+        # The batch filter reads the float-kernel switch from the
+        # executing context, so one compiled plan serves the kernel on
+        # or off.
         assert len(plan_options_key(base)) == 3
-        assert plan_options_key(base) \
-            == plan_options_key(base.derive(parallelism=4))
         assert plan_options_key(base) \
             == plan_options_key(base.derive(numeric=not base.numeric))
 
@@ -178,16 +175,6 @@ class TestPipelineIntegration:
         Pipeline(office).run("  " + QUERY.replace("\n", " \n "))
         cache = get_global_plan_cache()
         assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_one_plan_for_every_worker_count(self, office):
-        ctx1 = QueryContext(stats=ExecutionStats(), parallelism=1)
-        serial = Pipeline(office, ctx1).run(QUERY)
-        assert ctx1.stats.plan_cache_misses == 1
-        ctx2 = QueryContext(stats=ExecutionStats(), parallelism=2)
-        fanned = Pipeline(office, ctx2).run(QUERY)
-        assert ctx2.stats.plan_cache_hits == 1
-        assert ctx2.stats.plan_cache_misses == 0
-        assert [r.values for r in serial] == [r.values for r in fanned]
 
     def test_options_get_separate_entries(self, office):
         Pipeline(office).run(QUERY)

@@ -1,7 +1,6 @@
 """Thread-safety of the process-wide singletons concurrent sessions
 share: the constraint cache, the compiled-plan cache, the worker
-pool accessor, the fork-inherit payload of partitioned filters, and
-the flat catalog a database keeps between queries.
+pool accessor, and the flat catalog a database keeps between queries.
 
 Before the serving layer these objects were only ever touched from one
 thread; the query server executes requests on a thread pool, so every
@@ -172,7 +171,7 @@ class TestWorkerPoolThreadSafety:
         finally:
             parallel.shutdown_pool()
 
-    @pytest.mark.skipif(not parallel._fork_available(),
+    @pytest.mark.skipif(not parallel.fork_available(),
                         reason="fork start method unavailable")
     def test_pool_usable_after_concurrent_growth(self):
         parallel.shutdown_pool()
@@ -185,45 +184,8 @@ class TestWorkerPoolThreadSafety:
             parallel.shutdown_pool()
 
 
-@pytest.mark.skipif(not parallel._fork_available(),
-                    reason="fork start method unavailable")
-class TestForkInheritThreadSafety:
-    def test_concurrent_filters_inherit_their_own_payload(self):
-        """Executor threads (more than cores) partition different rows
-        under different closures at once; a worker forked under another
-        thread's payload (or a cleared one) would return the wrong rows
-        or crash."""
-        results: dict[int, list] = {}
-
-        def worker(i):
-            rows = [(n,) for n in range(i * 1000, i * 1000 + 150 + i)]
-            modulus = 3 + i
-
-            def predicate(row):
-                return row["a"] % modulus == 0
-
-            ctx = QueryContext(parallelism=2)
-            for _ in range(6):
-                kept = parallel.filter_rows(("a",), rows, predicate,
-                                            ctx=ctx)
-                assert kept == [r for r in rows if r[0] % modulus == 0]
-            results[i] = [ctx.stats.parallel_runs,
-                          ctx.stats.parallel_fallbacks]
-
-        parallel.reset_stats()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            _hammer(worker, threads=3)
-        finally:
-            sys.setswitchinterval(interval)
-        if parallel.stats()["fallbacks"]:
-            pytest.skip("process pool unavailable")
-        assert results == dict.fromkeys(range(3), [6, 0])
-
-
 class TestForkSafeLock:
-    @pytest.mark.skipif(not parallel._fork_available(),
+    @pytest.mark.skipif(not parallel.fork_available(),
                         reason="fork start method unavailable")
     def test_a_fork_waits_for_the_holder(self):
         """A thread holds the lock across a fork request: the fork

@@ -29,7 +29,7 @@ from tests.server.harness import (
 )
 
 pytestmark = pytest.mark.skipif(
-    not parallel._fork_available(),
+    not parallel.fork_available(),
     reason="process executor needs a fork platform")
 
 

@@ -1,7 +1,6 @@
 """Batch-evaluation layer: kernel-backed filters must be row-for-row
 identical to the row-wise evaluator, preserve ``And`` semantics and
-error behaviour, surface numeric counters through the engine, and
-merge them across parallel workers."""
+error behaviour, and surface numeric counters through the engine."""
 
 import pytest
 
@@ -217,20 +216,3 @@ class TestStatsSurfacing:
         with ctx.activate():
             execute(plan, catalog, use_optimizer=False, stats=ctx.stats)
         assert ctx.stats.numeric_accepts + ctx.stats.numeric_rejects > 0
-
-    def test_parallel_matches_serial_and_merges_counters(self):
-        catalog = {"T": _relation(count=80, seed=8)}
-        plan = Select(Scan("T", ("rid", "c")), _cell_predicate())
-        serial_stats = ExecutionStats()
-        with QueryContext(cache=None).activate():
-            serial = execute(plan, catalog, use_optimizer=False,
-                             stats=serial_stats)
-        parallel_stats = ExecutionStats()
-        with QueryContext(cache=None, parallelism=2).activate():
-            fanned = execute(plan, catalog, use_optimizer=False,
-                             stats=parallel_stats)
-        _same_relation(serial, fanned)
-        total = (parallel_stats.numeric_accepts
-                 + parallel_stats.numeric_rejects
-                 + parallel_stats.numeric_fallbacks)
-        assert total == len(catalog["T"])

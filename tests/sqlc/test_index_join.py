@@ -211,7 +211,7 @@ class TestIndexJoin:
         execute(join_plan(), catalog, stats=stats)
         assert stats.index_probes > 0
         assert stats.candidates_pruned == 4
-        assert stats.partitions == 0 and stats.workers == 0
+        assert stats.pool_dispatches == 0 and stats.parallel_fallbacks == 0
 
 
 class TestStatsReset:

@@ -1,6 +1,6 @@
-"""Property tests: IndexJoin ≡ NaturalJoin and parallel ≡ serial on
-random workloads, including under ``on_exhaustion="degrade"`` and with
-the constraint cache disabled."""
+"""Property tests: IndexJoin ≡ NaturalJoin on random workloads,
+including under ``on_exhaustion="degrade"`` and with the constraint
+cache disabled."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +9,9 @@ from repro.constraints.cst_object import CSTObject
 from repro.model.oid import LiteralOid
 from repro.runtime.context import QueryContext
 from repro.runtime.guard import ExecutionGuard
-from repro.runtime import parallel
 from repro.sqlc import index
 from repro.sqlc.algebra import NaturalJoin, Scan, Select
-from repro.sqlc.engine import ExecutionStats, execute
+from repro.sqlc.engine import execute
 from repro.workloads.random_constraints import (
     make_variables,
     scattered_boxes,
@@ -26,7 +25,6 @@ from tests.sqlc.harness import _plain_plan, _predicate, _same_relation
 @pytest.fixture(autouse=True)
 def _fresh_index_state():
     index.clear_index_cache()
-    parallel.reset_stats()
     yield
 
 
@@ -86,77 +84,3 @@ class TestIndexJoinEquivalence:
         optimized = execute(_nested_loop_plan(), catalog)
         assert optimized.columns == plain.columns
         assert sorted(map(repr, optimized)) == sorted(map(repr, plain))
-
-
-class TestParallelEquivalence:
-    """Fork-backed runs are slow to spawn; a few fixed seeds keep the
-    suite fast while still sweeping distinct workloads."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_parallel_select_matches_serial(self, seed):
-        # A dense-overlap workload so the exact phase has >= 64 rows.
-        catalog = _catalog(seed, n_left=16, n_right=16,
-                           spread=10, size=10)
-        serial = execute(_plain_plan(), catalog,
-                         use_optimizer=False)
-        before = parallel.stats()
-        with QueryContext(parallelism=2).activate():
-            fanned = execute(_plain_plan(), catalog,
-                             use_optimizer=False)
-        after = parallel.stats()
-        _same_relation(serial, fanned)
-        assert after["runs"] + after["fallbacks"] \
-            > before["runs"] + before["fallbacks"]
-
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_parallel_under_degrade_without_cache(self, seed):
-        catalog = _catalog(seed, n_left=16, n_right=16,
-                           spread=10, size=10)
-        with QueryContext(cache=None).activate():
-            serial = execute(
-                _plain_plan(), catalog, use_optimizer=False,
-                guard=ExecutionGuard(max_pivots=1_000_000,
-                                     on_exhaustion="degrade"))
-            with QueryContext(cache=None, parallelism=2).activate():
-                fanned = execute(
-                    _plain_plan(), catalog, use_optimizer=False,
-                    guard=ExecutionGuard(max_pivots=1_000_000,
-                                         on_exhaustion="degrade"))
-        _same_relation(serial, fanned)
-
-    def test_degrade_trip_is_equivalent(self):
-        """When the budget genuinely trips, both serial and parallel
-        degrade to the same empty relation."""
-        catalog = _catalog(5, n_left=16, n_right=16,
-                           spread=10, size=10)
-        with QueryContext(cache=None).activate():
-            serial_stats = ExecutionStats()
-            serial = execute(
-                _plain_plan(), catalog, use_optimizer=False,
-                stats=serial_stats,
-                guard=ExecutionGuard(max_pivots=3,
-                                     on_exhaustion="degrade"))
-            parallel_stats = ExecutionStats()
-            with QueryContext(cache=None, parallelism=2).activate():
-                fanned = execute(
-                    _plain_plan(), catalog, use_optimizer=False,
-                    stats=parallel_stats,
-                    guard=ExecutionGuard(max_pivots=3,
-                                         on_exhaustion="degrade"))
-        assert len(serial) == len(fanned) == 0
-        assert serial.columns == fanned.columns
-        assert serial_stats.exhausted == "pivots"
-        assert parallel_stats.exhausted == "pivots"
-
-    def test_parallel_stats_surface(self):
-        catalog = _catalog(6, n_left=16, n_right=16,
-                           spread=10, size=10)
-        stats = ExecutionStats()
-        with QueryContext(parallelism=2).activate():
-            execute(_plain_plan(), catalog, use_optimizer=False,
-                    stats=stats)
-        if parallel.stats()["runs"]:
-            assert stats.partitions >= 2
-            assert stats.workers == 2
-        else:  # pool unavailable: fell back serially, still correct
-            assert stats.partitions == 0

@@ -1,13 +1,12 @@
-"""Property tests: a sharded plan under ``parallelism`` ≡ the same plan
-serial ≡ unsharded, byte for byte, across random partitionings —
-including under degrade-to-partial budgets, with the cache off, with
-the numeric prefilter off, and under a FaultPlan (which keeps the
-whole execution in-process).
+"""Property tests: a sharded plan ≡ the unsharded plan, byte for byte,
+across random partitionings — including under degrade-to-partial
+budgets, with the cache off, with the numeric prefilter off, and under
+a FaultPlan.
 
 Shard-pair probes spend no guard budget (only stats counters) and run
 in the calling process; the merged candidate list sorts into the
 global nested-loop order, and every unit of spend happens downstream
-in the exact phase, the one place ``parallelism`` partitions.
+in the exact phase.
 """
 
 from hypothesis import given, settings
@@ -38,25 +37,19 @@ def _fresh_state():
 
 
 class TestShardParallelEquivalence:
-    """Hypothesis sweep: whatever the partitioning, the three
-    execution layouts agree byte for byte.  The equivalence asserts
-    hold whether or not anything forked, so none of these need
-    gating."""
+    """Hypothesis sweep: whatever the partitioning, the sharded and
+    the unsharded layouts agree byte for byte."""
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            shards=st.integers(min_value=2, max_value=7),
            partition_by=st.booleans())
     @settings(max_examples=8, deadline=None)
-    def test_three_way_agreement(self, seed, shards, partition_by):
+    def test_matches_unsharded(self, seed, shards, partition_by):
         plain, sharded = _catalogs(seed, shards, partition_by)
         baseline = execute(_plain_plan(), plain, use_optimizer=False)
         serial = execute(_sharded_plan(), sharded,
                          use_optimizer=False)
-        fanned = execute(_sharded_plan(), sharded,
-                         use_optimizer=False,
-                         ctx=QueryContext(parallelism=3))
         _same_relation(baseline, serial)
-        _same_relation(serial, fanned)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            shards=st.integers(min_value=2, max_value=5))
@@ -66,10 +59,10 @@ class TestShardParallelEquivalence:
         with QueryContext(cache=None).activate():
             baseline = execute(_plain_plan(), plain,
                                use_optimizer=False)
-            fanned = execute(
+            sharded_run = execute(
                 _sharded_plan(), sharded, use_optimizer=False,
-                ctx=QueryContext(cache=None, parallelism=3))
-        _same_relation(baseline, fanned)
+                ctx=QueryContext(cache=None))
+        _same_relation(baseline, sharded_run)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            shards=st.integers(min_value=2, max_value=5))
@@ -78,10 +71,10 @@ class TestShardParallelEquivalence:
         plain, sharded = _catalogs(seed, shards, True)
         baseline = execute(_plain_plan(), plain, use_optimizer=False,
                            ctx=QueryContext(numeric=False))
-        fanned = execute(_sharded_plan(), sharded,
-                         use_optimizer=False,
-                         ctx=QueryContext(numeric=False, parallelism=3))
-        _same_relation(baseline, fanned)
+        sharded_run = execute(_sharded_plan(), sharded,
+                              use_optimizer=False,
+                              ctx=QueryContext(numeric=False))
+        _same_relation(baseline, sharded_run)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            shards=st.integers(min_value=2, max_value=4))
@@ -96,12 +89,12 @@ class TestShardParallelEquivalence:
                 _plain_plan(), plain, use_optimizer=False,
                 guard=ExecutionGuard(max_pivots=60,
                                      on_exhaustion="degrade"))
-            fanned = execute(
+            sharded_run = execute(
                 _sharded_plan(), sharded, use_optimizer=False,
-                ctx=QueryContext(cache=None, parallelism=3),
+                ctx=QueryContext(cache=None),
                 guard=ExecutionGuard(max_pivots=60,
                                      on_exhaustion="degrade"))
-        _same_relation(baseline, fanned)
+        _same_relation(baseline, sharded_run)
 
 
 class TestShardParallelGates:
@@ -111,8 +104,7 @@ class TestShardParallelGates:
         faults_b = ExecutionGuard(faults=FaultPlan())
         baseline = execute(_plain_plan(), plain, use_optimizer=False,
                            guard=faults_a)
-        fanned = execute(_sharded_plan(), sharded,
-                         use_optimizer=False, guard=faults_b,
-                         ctx=QueryContext(parallelism=3))
-        _same_relation(baseline, fanned)
-        assert parallel.stats()["scatters"] == 0
+        sharded_run = execute(_sharded_plan(), sharded,
+                              use_optimizer=False, guard=faults_b)
+        _same_relation(baseline, sharded_run)
+        assert parallel.stats()["pool_dispatches"] == 0
