@@ -28,7 +28,7 @@ from typing import Iterator, Mapping
 from repro.model.database import Database
 from repro.model.schema import BUILTIN_CLASSES
 from repro.runtime.context import ExecutionStats
-from repro.runtime.parallel import fork_safe_lock
+from repro.runtime.locks import fork_safe_lock
 from repro.sqlc.relation import ConstraintRelation
 
 EXTENT_PREFIX = "class:"

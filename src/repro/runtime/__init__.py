@@ -18,8 +18,9 @@ Public surface:
   schema fingerprint, options); see ``docs/API.md``, "Prepared queries
   & the plan cache".
 
-:mod:`repro.runtime.parallel` is the server's process executor: one
-request per task on a persistent pool of forked workers (see
+:func:`~repro.runtime.locks.fork_safe_lock` makes the locks of the
+process-wide structures that the server's forked pool workers inherit
+(the executor itself is :mod:`repro.server.procexec`; see
 ``docs/API.md``, "Process-parallel execution").
 
 The numeric fast path (``docs/API.md``, "Numeric fast path") is plain

@@ -42,6 +42,8 @@ import threading
 from collections import OrderedDict
 from typing import Hashable
 
+from repro.runtime.locks import fork_safe_lock
+
 #: Default LRU capacity — entries are single booleans or conjunction
 #: objects, so memory per entry is dominated by the key's conjunction rows.
 DEFAULT_CACHE_SIZE = 4096
@@ -145,6 +147,9 @@ class ConstraintCache:
 # ---------------------------------------------------------------------------
 
 _global_cache = ConstraintCache()
+#: Pool workers inherit this cache by fork and read it; a server thread
+#: may hold the lock while another thread forks them.
+_global_cache._lock = fork_safe_lock()
 
 
 def get_global_cache() -> ConstraintCache:

@@ -158,14 +158,14 @@ class ExecutionStats:
     shard_pairs_pruned: int = 0
     #: Shard pairs that survived the envelope test and were probed.
     shard_pairs_probed: int = 0
-    # -- persistent worker pool -----------------------------------------
-    #: Tasks delivered by the persistent pool (the server's
-    #: whole-query requests).
+    # -- the server's worker pool ---------------------------------------
+    #: Requests a pool worker served (the server's process executor).
     pool_dispatches: int = 0
-    #: Pool dispatches that delivered nothing, so the task ran
-    #: in-process (:data:`repro.runtime.parallel.FALLBACK_REASONS`).
+    #: Process-mode requests no worker's reply served, so they ran in
+    #: their executor thread
+    #: (:data:`repro.server.procexec.PROCESS_FALLBACK_REASONS`).
     parallel_fallbacks: int = 0
-    #: Pool dispatches that had to create (or grow) the pool first;
+    #: Requests that had to fork the pool first;
     #: ``pool_dispatches - pool_cold_starts`` ran on warm workers.
     pool_cold_starts: int = 0
     # -- compiled-plan cache --------------------------------------------

@@ -149,7 +149,7 @@ class ExecutionGuard:
         checkpoint.  This is how a *worker process* guard observes a
         cancel issued in the parent: :meth:`cancel` sets a flag in this
         process only, but a probe can read fork-shared memory (the
-        cancel board of :mod:`repro.runtime.parallel`) that the parent
+        cancel board of :mod:`repro.server.procexec`) that the parent
         writes after the worker was forked."""
         self._cancel_probe = probe
 
@@ -244,7 +244,7 @@ class ExecutionGuard:
 
     def absorb_spend(self, spend: dict) -> None:
         """Fold a worker guard's spend into this guard's counters
-        without budget checks (:mod:`repro.runtime.parallel` hands the
+        without budget checks (:mod:`repro.server.procexec` hands the
         worker only what this guard had left, so the merged totals
         cannot exceed its limits).  Additive counters sum; peaks max."""
         self.pivots += spend.get("pivots", 0)

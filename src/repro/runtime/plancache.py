@@ -58,6 +58,8 @@ from collections import OrderedDict
 from typing import Any, Hashable, TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
+from repro.runtime.locks import fork_safe_lock
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.model.schema import Schema
     from repro.runtime.context import QueryContext
@@ -221,6 +223,10 @@ class PlanCache:
 # ---------------------------------------------------------------------------
 
 _global_plan_cache = PlanCache()
+#: Pool workers inherit this cache by fork and compile through it; the
+#: server's loop thread holds the lock while it parses as an executor
+#: thread forks them.
+_global_plan_cache._lock = fork_safe_lock()
 
 
 def get_global_plan_cache() -> PlanCache:

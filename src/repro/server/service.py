@@ -31,13 +31,14 @@ workers publish events back via ``loop.call_soon_threadsafe``.
 :func:`repro.server.procexec.request_events`, and the executor decides
 only where it runs.  The executor above is always a thread pool; with
 ``executor="process"`` (or ``"auto"`` on a multi-core fork platform)
-each executor thread hands its request to the persistent worker pool
-as one :func:`~repro.runtime.parallel.dispatch` task — so distinct
-concurrent queries use every core — and waits for a worker: the pool
-queues what exceeds its size.  When no worker's reply arrives (a
-reason from :data:`PROCESS_FALLBACK_REASONS`) the thread runs the same
-generator itself, before anything is published, so clients cannot
-observe where a request ran except through STATS.
+the service also owns a :class:`~repro.server.procexec.ProcessExecutor`
+— one pool of forked workers, its own — and each executor thread hands
+its request to it, so distinct concurrent queries use every core, and
+waits for a worker: the pool queues what exceeds its size.  When no
+worker's reply serves the request (a reason from
+:data:`~repro.server.procexec.PROCESS_FALLBACK_REASONS`) the thread
+runs the same generator itself, before anything is published, so
+clients cannot observe where a request ran except through STATS.
 """
 
 from __future__ import annotations
@@ -55,22 +56,15 @@ from repro.model.database import Database
 from repro.model.oid import Oid
 from repro.model.relations import REBUILD_REASONS
 from repro.runtime import ExecutionGuard, QueryContext
-from repro.runtime import parallel
 from repro.runtime.context import ExecutionStats
 from repro.runtime.plancache import plan_options_key
 from repro.server import procexec, protocol
+from repro.server.procexec import PROCESS_FALLBACK_REASONS
 from repro.storage.store import Store
 
 #: Budget axes a client may request and the server may cap.
 BUDGET_FIELDS = ("deadline", "max_pivots", "max_branches",
                  "max_disjuncts", "max_canonical")
-
-#: Why no worker's reply arrived and a process-mode request ran in its
-#: executor thread: the task or its reply never crossed the process
-#: boundary (it would not pickle, or the worker died); the worker's
-#: fork-inherited database predates the request; the pool could not
-#: start.
-PROCESS_FALLBACK_REASONS = ("undelivered", "stale", "pool_start_failed")
 
 
 @dataclass(frozen=True)
@@ -92,6 +86,15 @@ class ServerLimits:
     max_disjuncts: int | None = None
     max_canonical: int | None = None
     max_workers: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_workers is not None and (
+                isinstance(self.max_workers, bool)
+                or not isinstance(self.max_workers, int)
+                or self.max_workers < 1):
+            raise ValueError(
+                f"max_workers must be a positive integer or None, "
+                f"got {self.max_workers!r}")
 
     def effective_guard(self, spec: Mapping[str, Any] | None
                         ) -> ExecutionGuard:
@@ -166,11 +169,12 @@ class ServiceStats:
         self.executor = "thread"
         #: Requests served end-to-end in a pool worker process, and
         #: requests that fell back to the thread path, in total and by
-        #: reason.
+        #: reason; pools the process executor forked.
         self.process_requests = 0
         self.process_fallbacks = 0
         self.process_fallback_reasons = dict.fromkeys(
             PROCESS_FALLBACK_REASONS, 0)
+        self.pool_cold_starts = 0
         #: Requests that had to rebuild the database's flat catalog,
         #: by reason (their number is ``execution.catalog_rebuilds``).
         self.catalog_rebuild_reasons = dict.fromkeys(REBUILD_REASONS, 0)
@@ -231,6 +235,10 @@ class ServiceStats:
                 self.process_fallbacks += 1
                 self.process_fallback_reasons[fallback] += 1
 
+    def note_cold_start(self) -> None:
+        with self._lock:
+            self.pool_cold_starts += 1
+
     def snapshot(self) -> dict[str, Any]:
         """The whole account as a JSON-able dict (the STATS reply and
         the ``--dump-stats-on-exit`` report)."""
@@ -238,7 +246,6 @@ class ServiceStats:
             execution = protocol.stats_payload(self._execution)
             execution.pop("phases", None)
             execution.pop("warnings", None)
-            pool = parallel.stats()
             return {
                 "requests": self.requests,
                 "failures": self.failures,
@@ -258,10 +265,14 @@ class ServiceStats:
                     dict(self.catalog_rebuild_reasons),
                 "engine_fallback_reasons":
                     dict(self.engine_fallback_reasons),
-                #: The process-wide worker-pool account — in particular
-                #: ``pool_cold_starts``, the warm-pool satellite's
-                #: observable.
-                "pool": pool,
+                #: The same account seen from the pool: requests its
+                #: workers served, requests that fell back, and pools
+                #: forked (``--warm-pool``'s observable).
+                "pool": {
+                    "pool_dispatches": self.process_requests,
+                    "fallbacks": self.process_fallbacks,
+                    "pool_cold_starts": self.pool_cold_starts,
+                },
                 "execution": execution,
             }
 
@@ -433,15 +444,13 @@ class QueryService:
         #: in pool workers, "thread" keeps everything in-process.
         self.executor_mode = self._resolve_executor(executor)
         self.stats.executor = self.executor_mode
-        self._pool_size = self.limits.max_workers \
-            or max(2, os.cpu_count() or 2)
+        #: This service's own worker pool (process mode); it forks on
+        #: the first process request or :meth:`warm_pool`.
+        self._procexec: procexec.ProcessExecutor | None = None
         if self.executor_mode == "process":
-            # Discard any pool forked before this publish: its workers
-            # inherited someone else's database (or none at all), and
-            # a colliding db_version would let the staleness check
-            # pass against the wrong state.
-            parallel.shutdown_pool()
-            procexec.publish(self.db_version, db)
+            self._procexec = procexec.ProcessExecutor(
+                self.limits.max_workers or max(2, os.cpu_count() or 2),
+                self.db_version, db, self.stats)
 
     @staticmethod
     def _resolve_executor(executor: str) -> str:
@@ -453,7 +462,7 @@ class QueryService:
             raise ValueError(
                 f"executor must be auto/thread/process, "
                 f"got {executor!r}")
-        if not parallel.fork_available():
+        if not procexec.fork_available():
             return "thread"
         if executor == "auto":
             return "process" if (os.cpu_count() or 1) >= 2 \
@@ -469,23 +478,21 @@ class QueryService:
         return loop
 
     def close(self) -> None:
-        """Stop the executor threads and, in process mode, the worker
-        pool.  The pool's manager thread is joined: left running, the
-        interpreter's exit hook could wake it while it closes its
-        wakeup pipe (``OSError: [Errno 9]`` on stderr).  The drain and
-        the force-cancel have run by now, so the join is bounded."""
+        """Stop the executor threads and, in process mode, join the
+        worker pool.  The drain and the force-cancel have run by now,
+        so the join is bounded."""
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.executor_mode == "process":
-            parallel.shutdown_pool(wait=True)
+        if self._procexec is not None:
+            self._procexec.close()
 
     def warm_pool(self) -> int:
         """Pre-fork the worker pool (``repro serve --warm-pool``), so
         the first process-executed request does not pay the cold-start
         penalty.  Returns the worker count that answered (0 in thread
         mode)."""
-        if self.executor_mode != "process":
+        if self._procexec is None:
             return 0
-        return parallel.warm(self._pool_size)
+        return self._procexec.warm()
 
     # -- queries ---------------------------------------------------------
 
@@ -538,8 +545,11 @@ class QueryService:
                 params=dict(params) if params else None,
                 use_optimizer=use_optimizer)
             events = None
-            if self.executor_mode == "process":
-                events = self._events_from_pool(
+            if self._procexec is not None:
+                # The deadline covers the wait for a worker, not only
+                # the run.
+                guard.start()
+                events = self._procexec.run(
                     ctx, db_version, query_ast, translated)
             if events is None:
                 # Thread mode, or no worker's reply arrived: the same
@@ -551,6 +561,17 @@ class QueryService:
         async def drive() -> None:
             try:
                 await loop.run_in_executor(self._executor, work)
+            except Exception as exc:  # noqa: BLE001 - ends the job
+                # ``work`` raised before its terminal event (events it
+                # posted are published by now): end the job, or every
+                # subscriber waits for ever, and report the traceback.
+                if not job.finished:
+                    self.stats.record_request(None, outcome="error")
+                    job.publish(("error", protocol.error_code(exc),
+                                 str(exc)))
+                loop.call_exception_handler({
+                    "message": "query executor raised",
+                    "exception": exc})
             finally:
                 if self._jobs.get(key) is job:
                     del self._jobs[key]
@@ -558,31 +579,6 @@ class QueryService:
 
         asyncio.ensure_future(drive())
         return subscription
-
-    def _events_from_pool(self, ctx: QueryContext, db_version: int,
-                          query_ast: ast.Query,
-                          translated: bool) -> list[tuple] | None:
-        """The request as one pool task, waiting for a worker when all
-        are busy: the events a worker shipped (its stats and spend
-        already absorbed into ``ctx``), or ``None`` — counted under its
-        :data:`PROCESS_FALLBACK_REASONS` entry — when no worker's reply
-        arrived."""
-        guard = ctx.guard
-        assert guard is not None
-        # The deadline covers the wait for a worker, not only the run.
-        guard.start()
-        # A parent-side cancel reaches the worker through the
-        # dispatch's cancel slot.
-        events, reason = parallel.dispatch(
-            procexec.run_query, (db_version, query_ast, translated),
-            ctx, self._pool_size)
-        if reason is not None:
-            fallback = reason if reason == "pool_start_failed" \
-                else "undelivered"
-        else:
-            fallback = "stale" if events is None else None
-        self.stats.note_process(fallback)
-        return None if fallback else events
 
     def _serve(self, job: _Job, events: Iterable[tuple],
                stats: ExecutionStats) -> None:
@@ -644,13 +640,15 @@ class QueryService:
             summary = await loop.run_in_executor(self._executor, work)
             self.db_version += 1
             self.stats.note_mutation()
-            if self.executor_mode == "process":
+            if self._procexec is not None:
                 # Pool workers inherited the pre-mutation database by
-                # fork.  Re-publish for the *next* fork and discard the
-                # pool (exclusive write: no process query is running);
-                # the version check in the worker covers any stragglers.
-                procexec.publish(self.db_version, self.db)
-                parallel.shutdown_pool()
+                # fork: stage the new one for the next fork and join
+                # the old pool (exclusive write: no process query is
+                # running).  The version check in the worker covers
+                # any straggler.
+                await loop.run_in_executor(
+                    self._executor, self._procexec.replace,
+                    self.db_version, self.db)
             return summary
         finally:
             await self._gate.release_write()

@@ -56,7 +56,7 @@ from repro.constraints import bounds
 from repro.model.oid import CstOid, Oid
 from repro.runtime import context as context_mod
 from repro.runtime.context import QueryContext
-from repro.runtime.parallel import fork_safe_lock
+from repro.runtime.locks import fork_safe_lock
 from repro.sqlc.relation import ConstraintRelation
 
 #: A boxer: cell -> box (``dict`` over-approximation, ``{}`` unknown,

@@ -1,17 +1,19 @@
 """Thread-safety of the process-wide singletons concurrent sessions
-share: the constraint cache, the compiled-plan cache, the worker
-pool accessor, and the flat catalog a database keeps between queries.
+share: the constraint cache, the compiled-plan cache, a service's
+worker pool, and the flat catalog a database keeps between queries.
 
 Before the serving layer these objects were only ever touched from one
 thread; the query server executes requests on a thread pool, so every
 one of them is hammered from many threads here.  The assertions are
 about *structural* integrity (no lost entries past the bound, no
-corrupted ``OrderedDict``, exactly one surviving pool) — individual
+corrupted ``OrderedDict``, exactly one pool forked) — individual
 counter interleavings are allowed to race benignly.
 """
 
 from __future__ import annotations
 
+import asyncio
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -23,11 +25,14 @@ import pytest
 from repro import lyric
 from repro.model.office import build_office_database
 from repro.model.relations import flatten
-from repro.runtime import parallel
 from repro.runtime.cache import ConstraintCache
 from repro.runtime.context import ExecutionStats, QueryContext
+from repro.runtime.locks import fork_safe_lock
 from repro.runtime.plancache import PlanCache
 from repro.core.parser import parse_query
+from repro.server import QueryService, ServerLimits, procexec
+
+from tests.server.harness import office_db
 
 THREADS = 8
 OPS = 400
@@ -148,49 +153,77 @@ class TestPlanCacheThreadSafety:
 
 
 class TestWorkerPoolThreadSafety:
-    def test_concurrent_get_pool_single_survivor(self):
-        parallel.shutdown_pool()
-        seen: list[parallel.WorkerPool] = []
-        lock = threading.Lock()
+    """One service, one pool: concurrent first requests fork it once,
+    a mutation replaces it once, and ``close()`` joins every worker."""
 
-        def worker(i):
-            for size in (2, 3, 2, 4, 2):
-                pool, _cold = parallel.get_pool(size)
-                assert pool.workers >= size
-                with lock:
-                    seen.append(pool)
+    TEXTS = ["SELECT X FROM Office_Object X",
+             "SELECT X, X.color FROM Office_Object X",
+             "SELECT X FROM Desk X",
+             "SELECT D FROM Drawer D"]
 
-        try:
-            _hammer(worker, threads=6)
-            final, cold = parallel.get_pool(2)
-            assert not cold
-            assert final.workers >= 4
-            # Every pool handed out after the largest request is the
-            # surviving pool object (no parallel replacement leaked).
-            assert seen.count(final) > 0
-        finally:
-            parallel.shutdown_pool()
+    @staticmethod
+    async def _drain_all(service, texts):
+        subscriptions = await asyncio.gather(*[
+            service.submit(service.parse(text)) for text in texts])
+        return [[event async for event in sub.events()]
+                for sub in subscriptions]
 
-    @pytest.mark.skipif(not parallel.fork_available(),
+    @pytest.mark.skipif(not procexec.fork_available(),
                         reason="fork start method unavailable")
-    def test_pool_usable_after_concurrent_growth(self):
-        parallel.shutdown_pool()
-        try:
-            _hammer(lambda i: parallel.get_pool(2 + i % 3),
-                    threads=4)
-            pool, _cold = parallel.get_pool(2)
-            assert pool.submit(len, (1, 2, 3)).result(timeout=30) == 3
-        finally:
-            parallel.shutdown_pool()
+    def test_concurrent_first_requests_fork_one_pool(self):
+        async def main():
+            service = QueryService(office_db(6), executor_threads=4,
+                                   executor="process",
+                                   limits=ServerLimits(max_workers=2))
+            try:
+                events = await self._drain_all(service, self.TEXTS)
+                return events, service.stats.snapshot()
+            finally:
+                service.close()
+        events, snap = asyncio.run(main())
+        assert [each[-1][0] for each in events] == ["done"] * 4
+        assert snap["process_requests"] == 4
+        assert snap["pool"]["pool_cold_starts"] == 1
+        assert snap["execution"]["pool_cold_starts"] == 1
+
+    @pytest.mark.skipif(not procexec.fork_available(),
+                        reason="fork start method unavailable")
+    def test_a_mutation_forks_one_more_and_close_joins_every_worker(
+            self):
+        async def main():
+            service = QueryService(office_db(6), executor_threads=4,
+                                   executor="process",
+                                   limits=ServerLimits(max_workers=2))
+            workers = set()
+            try:
+                await self._drain_all(service, self.TEXTS)
+                workers |= set(service._procexec._pool._processes)
+                await service.run_view(
+                    "CREATE VIEW Tall AS SUBCLASS OF Office_Object "
+                    "SELECT CO FROM Office_Object CO")
+                events = await self._drain_all(
+                    service, self.TEXTS + ["SELECT T FROM Tall T"])
+                workers |= set(service._procexec._pool._processes)
+                snap = service.stats.snapshot()
+            finally:
+                service.close()
+            return events, snap, workers
+        events, snap, workers = asyncio.run(main())
+        assert [each[-1][0] for each in events] == ["done"] * 5
+        assert snap["process_requests"] == 9
+        assert snap["pool"]["pool_cold_starts"] == 2
+        assert len(workers) == 4
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert not workers & alive
 
 
 class TestForkSafeLock:
-    @pytest.mark.skipif(not parallel.fork_available(),
+    @pytest.mark.skipif(not procexec.fork_available(),
                         reason="fork start method unavailable")
     def test_a_fork_waits_for_the_holder(self):
         """A thread holds the lock across a fork request: the fork
         happens after the release, and the child's copy is free."""
-        lock = parallel.fork_safe_lock()
+        lock = fork_safe_lock()
         held = threading.Event()
         released = []
 

@@ -3,10 +3,15 @@
 publishes (stats timing aside), CANCEL crosses the cancel board into a
 busy worker, requests beyond the pool queue for a worker with their
 deadline running, every fallback (undelivered, stale fork) still serves
-correct rows from the executor thread under its reason, and
-warm-up/STATS surface the pool account."""
+correct rows from the executor thread under its reason,
+warm-up/STATS surface the pool account, each service's pool answers
+from that service's database, and a fork never leaves a worker holding
+a cache lock."""
 
 import asyncio
+import multiprocessing
+import threading
+import time
 from concurrent.futures import process as futures_process
 
 import pytest
@@ -14,8 +19,8 @@ import pytest
 from repro.core.parser import parse_query
 from repro.errors import QueryCancelled
 from repro.model.oid import LiteralOid
-from repro.runtime import parallel
-from repro.runtime.cache import clear_global_cache
+from repro.runtime.cache import clear_global_cache, get_global_cache
+from repro.runtime.plancache import get_global_plan_cache
 from repro.runtime.context import ExecutionStats, QueryContext
 from repro.server import QueryService, procexec
 
@@ -29,16 +34,8 @@ from tests.server.harness import (
 )
 
 pytestmark = pytest.mark.skipif(
-    not parallel.fork_available(),
+    not procexec.fork_available(),
     reason="process executor needs a fork platform")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_pool_state():
-    parallel.reset_stats()
-    parallel.shutdown_pool()
-    yield
-    parallel.shutdown_pool()
 
 
 async def drain(subscription):
@@ -348,7 +345,7 @@ class TestFallbacks:
                 # Sabotage: the pool will fork inheriting a version
                 # the service never serves, so the worker reports
                 # stale and the threads answer instead.
-                procexec.publish(999, db)
+                service._procexec.replace(999, db)
                 events = await drain(await service.submit(
                     service.parse(text)))
                 snap = service.stats.snapshot()
@@ -359,6 +356,7 @@ class TestFallbacks:
         assert frames(events) == frames(baseline_events)
         assert snap["process_requests"] == 0
         assert snap["process_fallbacks"] == 1
+        assert snap["process_fallback_reasons"]["stale"] == 1
 
     def test_mutation_republishes_to_fresh_workers(self):
         async def main():
@@ -442,3 +440,90 @@ class TestWarmAndStats:
                 assert stats["process_requests"] == 1
                 assert "pool_cold_starts" in stats["pool"]
         asyncio.run(main())
+
+
+class TestOnePoolPerService:
+    def test_two_services_answer_from_their_own_databases(self):
+        """Two process-mode services in one interpreter: each pool
+        forks with its own service's database, whatever the other
+        service did since."""
+        text = "SELECT X, X.color FROM Office_Object X"
+        small, big = office_db(3, seed=7), office_db(9, seed=8)
+
+        async def main():
+            expected = [(await _run_once(db, text, "thread"))[0]
+                        for db in (small, big)]
+            first = QueryService(small, executor_threads=2,
+                                 executor="process")
+            second = QueryService(big, executor_threads=2,
+                                  executor="process")
+            try:
+                answers = []
+                for service in (first, second, first, second):
+                    answers.append(await drain(await service.submit(
+                        service.parse(text))))
+                snaps = [first.stats.snapshot(),
+                         second.stats.snapshot()]
+            finally:
+                first.close()
+                second.close()
+            return expected, answers, snaps
+        expected, answers, snaps = asyncio.run(main())
+        assert expected[0][-1][1]["rows"] != expected[1][-1][1]["rows"]
+        assert [frames(a) for a in answers] \
+            == [frames(e) for e in expected * 2]
+        for snap in snaps:
+            assert snap["process_requests"] == 2
+            assert snap["process_fallbacks"] == 0
+            assert snap["pool"]["pool_cold_starts"] == 1
+
+
+class TestForkWithAHeldCacheLock:
+    @pytest.mark.parametrize("cache", [get_global_plan_cache,
+                                       get_global_cache],
+                             ids=["plan_cache", "constraint_cache"])
+    def test_a_worker_forked_meanwhile_does_not_hang(self, cache):
+        """A thread holds a process-wide cache lock while the first
+        request forks the pool: the workers start with the lock free,
+        and the request, which reads both caches, finishes."""
+        db = office_db(3, seed=1)
+        text = """
+            SELECT CO, ((u,v) | E and D and x = 6 and y = 4)
+            FROM Office_Object CO
+            WHERE CO.extent[E] and CO.translation[D]
+        """
+        lock = cache()._lock
+        held = threading.Event()
+
+        def holder():
+            with lock:
+                held.set()
+                time.sleep(0.5)
+
+        async def main():
+            expected, _ = await _run_once(db, text, "thread")
+            service = QueryService(db, executor_threads=2,
+                                   executor="process")
+            thread = threading.Thread(target=holder)
+            try:
+                query_ast = service.parse(text)
+                thread.start()
+                held.wait()
+                try:
+                    events = await asyncio.wait_for(
+                        drain(await service.submit(query_ast)),
+                        timeout=20)
+                except asyncio.TimeoutError:
+                    # A worker stuck on the lock copy: end it, so the
+                    # pool can be joined and the failure reported.
+                    for child in multiprocessing.active_children():
+                        child.terminate()
+                    raise
+                return expected, events, service.stats.snapshot()
+            finally:
+                thread.join()
+                service.close()
+        expected, events, snap = asyncio.run(main())
+        assert events[-1][0] == "done"
+        assert frames(events) == frames(expected)
+        assert snap["process_requests"] == 1

@@ -10,8 +10,10 @@ from repro import lyric
 from repro.errors import EvaluationError
 from repro.runtime import ExecutionGuard
 from repro.runtime.context import ExecutionStats, PhaseRecord
+from repro.server import procexec
 from repro.server.service import (
     QueryService,
+    ServerLimits,
     ServiceStats,
     _Job,
     _ReadWriteGate,
@@ -356,3 +358,42 @@ class TestErrorPath:
             finally:
                 service.close()
         asyncio.run(main())
+
+    def test_an_executor_body_that_raises_still_ends_the_job(
+            self, monkeypatch):
+        """The executor thread fails before the request body yields
+        anything: every subscriber still gets an ``error`` terminal
+        instead of waiting for ever."""
+        def broken(*_args):
+            raise RuntimeError("no request body")
+        monkeypatch.setattr(procexec, "request_events", broken)
+
+        async def main():
+            service = QueryService(office_db(4), executor_threads=2,
+                                   executor="thread")
+            try:
+                query_ast = service.parse("SELECT X FROM Desk X")
+                first = await service.submit(query_ast)
+                second = await service.submit(query_ast)
+                assert second.deduped
+                events = await asyncio.wait_for(asyncio.gather(
+                    drain(first), drain(second)), timeout=10)
+                for each in events:
+                    assert each == [
+                        ("error", "internal", "no request body")]
+                assert service.stats.failures == 1
+                # The job is gone: the next request runs afresh.
+                monkeypatch.undo()
+                again = await asyncio.wait_for(drain(
+                    await service.submit(query_ast)), timeout=10)
+                assert terminal(again)[0] == "done"
+            finally:
+                service.close()
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_max_workers_must_be_positive_or_none(self, workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            ServerLimits(max_workers=workers)
+        assert ServerLimits(max_workers=None).max_workers is None
+        assert ServerLimits(max_workers=3).max_workers == 3

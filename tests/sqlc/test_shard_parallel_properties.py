@@ -12,8 +12,7 @@ in the exact phase.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import parallel
-from repro.runtime.context import QueryContext
+from repro.runtime.context import ExecutionStats, QueryContext
 from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard
 from repro.sqlc import index
@@ -32,7 +31,6 @@ import pytest
 @pytest.fixture(autouse=True)
 def _fresh_state():
     index.clear_index_cache()
-    parallel.reset_stats()
     yield
 
 
@@ -104,7 +102,9 @@ class TestShardParallelGates:
         faults_b = ExecutionGuard(faults=FaultPlan())
         baseline = execute(_plain_plan(), plain, use_optimizer=False,
                            guard=faults_a)
+        stats = ExecutionStats()
         sharded_run = execute(_sharded_plan(), sharded,
-                              use_optimizer=False, guard=faults_b)
+                              use_optimizer=False, guard=faults_b,
+                              stats=stats)
         _same_relation(baseline, sharded_run)
-        assert parallel.stats()["pool_dispatches"] == 0
+        assert stats.pool_dispatches == 0
