@@ -12,7 +12,7 @@ claim.  Timings are wall-clock medians of ``repeats`` runs on whatever
 machine this executes on — the *shapes* (scaling exponents, blow-ups,
 orderings), not the absolute numbers, are the reproduction targets.
 
-These are the paper's claims (E7-E15).  What this repository's own
+These are the paper's claims (E7-E13, E15).  What this repository's own
 layers cost is measured by ``python3 bench/run.py`` against
 ``BENCHMARK.json`` and nowhere else.
 """
@@ -251,26 +251,6 @@ def experiment_e13() -> None:
         print(f"{label:>28}: {t:>8.3f}s, {len(result)} rows")
 
 
-def experiment_e14() -> None:
-    header("E14", "economical filtering: box filter-and-refine vs "
-                  "exact-only overlap join")
-    from test_bench_filtering import scattered
-    from repro.constraints.filtering import overlap_join
-    print(f"{'n':>4} {'filtered (s)':>13} {'exact-only (s)':>15} "
-          f"{'LP tests saved':>15} {'matches':>8}")
-    for n in [8, 16, 32]:
-        items = scattered(n)
-        t_f, (matches_f, stats_f) = timed(
-            lambda: overlap_join(items, prefilter=True))
-        t_n, (matches_n, stats_n) = timed(
-            lambda: overlap_join(items, prefilter=False))
-        assert sorted(matches_f) == sorted(matches_n)
-        saved = stats_n.exact_tests - stats_f.exact_tests
-        print(f"{n:>4} {t_f:>13.4f} {t_n:>15.4f} "
-              f"{saved:>10}/{stats_n.exact_tests:<4} "
-              f"{stats_f.matches:>8}")
-
-
 def experiment_e15() -> None:
     header("E15", "binding order: interleaved skeleton joins vs the "
                   "literal all-substitutions product")
@@ -298,7 +278,6 @@ EXPERIMENTS = {
     "E11": experiment_e11,
     "E12": experiment_e12,
     "E13": experiment_e13,
-    "E14": experiment_e14,
     "E15": experiment_e15,
 }
 

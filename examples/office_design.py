@@ -14,9 +14,24 @@ constraint-parameterized view classifying objects by room region.
 from fractions import Fraction
 
 from repro import lyric
-from repro.constraints import geometry
+from repro.constraints.atoms import Eq, Ge, Le
+from repro.constraints.cst_object import CSTObject
 from repro.constraints.parser import parse_cst
+from repro.constraints.terms import Variable
 from repro.workloads import office
+
+
+def box(schema, bounds) -> CSTObject:
+    """The axis-aligned box ``lo_i <= x_i <= hi_i`` over ``schema``."""
+    return CSTObject.from_atoms(schema, [
+        atom for var, (lo, hi) in zip(schema, bounds)
+        for atom in (Ge(var, lo), Le(var, hi))])
+
+
+def cut(obj: CSTObject, var: Variable, value, remaining) -> CSTObject:
+    """The cross-section of ``obj`` at ``var = value``, projected onto
+    ``remaining``: the paper's "projection of their cut" query shape."""
+    return obj.conjoin_atoms([Eq(var, value)]).project(remaining)
 
 
 def main() -> None:
@@ -63,7 +78,7 @@ def main() -> None:
     # the new desk's half-extent (2 feet): a disjunction is the honest
     # answer; here we report per-object exclusion constraints.
     result = lyric.query(db, office.PLACED_EXTENT_QUERY)
-    boxes = [row.values[1].cst for row in result]
+    extents = [row.values[1].cst for row in result]
     candidate = parse_cst(
         f"((u,v) | 2 <= u <= {workload.room_width - 2} "
         f"and 2 <= v <= {workload.room_height - 2})")
@@ -73,10 +88,10 @@ def main() -> None:
             if not candidate.contains_point(gx, gy):
                 continue
             inflated_hit = any(
-                box.intersect(geometry.box(
-                    box.schema, [(gx - 2, gx + 2), (gy - 2, gy + 2)])
+                extent.intersect(box(
+                    extent.schema, [(gx - 2, gx + 2), (gy - 2, gy + 2)])
                 ).is_satisfiable()
-                for box in boxes)
+                for extent in extents)
             if not inflated_hit:
                 free_count += 1
     print(f"    {free_count} candidate grid positions keep 4 x 4 feet "
@@ -84,11 +99,10 @@ def main() -> None:
 
     print("\n[5] Cut at the line v = 5 (the paper's 'projection of "
           "their cut' query):")
-    from repro.constraints.terms import Variable
     u, v = Variable("u"), Variable("v")
     for row in list(lyric.query(db, office.PLACED_EXTENT_QUERY))[:3]:
         placed = row.values[1].cst
-        section = geometry.cut(placed, v, Fraction(5), [u])
+        section = cut(placed, v, Fraction(5), [u])
         status = "crosses" if section.is_satisfiable() else "misses"
         print(f"    {row.values[0]} {status} the v = 5 line: "
               f"{section}")

@@ -20,7 +20,6 @@ from repro.constraints.atoms import (
     Ne,
     Relop,
 )
-from repro.constraints.filtering import overlap_join
 from repro.constraints.canonical import canonical_key, canonicalize
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject
@@ -78,7 +77,6 @@ __all__ = [
     "maximize",
     "min_value",
     "minimize",
-    "overlap_join",
     "parse_constraint",
     "parse_cst",
     "project_conjunctive",

@@ -208,16 +208,12 @@ class LinearConstraint:
         return (tuple(range(len(self._vars))), self._coeffs, self._relop,
                 self._bound)
 
-    # -- evaluation & substitution ------------------------------------------
+    # -- evaluation & renaming ----------------------------------------------
 
     def holds_at(self, point: Mapping[Variable, RationalLike]) -> bool:
         """Truth of the atom at a concrete rational point."""
         value = evaluate_terms(zip(self._vars, self._coeffs), point)
         return self._relop.holds(value, self._bound)
-
-    def substitute(self, bindings) -> "LinearConstraint":
-        new_expr = self.expression.substitute(bindings)
-        return LinearConstraint.build(new_expr, self._relop, self._bound)
 
     def rename(self, mapping: Mapping[Variable, Variable]) -> "LinearConstraint":
         """The atom over renamed variables: the coefficients of variables

@@ -17,9 +17,10 @@ Because the box is an over-approximation, the prefilter can only prove
 remains the sole source of positive answers and the paper's semantics
 are preserved verbatim.
 
-Unlike :mod:`repro.constraints.filtering` (which computes *exact*
-interval hulls with one LP per dimension end), nothing here ever calls
-the simplex — this is the filter in front of it.
+Unlike :meth:`CSTObject.bounding_box
+<repro.constraints.cst_object.CSTObject.bounding_box>` (the *exact*
+interval hull, one LP per dimension end), nothing here ever calls the
+simplex — this is the filter in front of it.
 """
 
 from __future__ import annotations

@@ -220,10 +220,6 @@ class ConjunctiveConstraint:
         frozen = {v: to_fraction(c) for v, c in point.items()}
         return all(atom.holds_at(frozen) for atom in self.atoms)
 
-    def substitute(self, bindings) -> "ConjunctiveConstraint":
-        return ConjunctiveConstraint(
-            atom.substitute(bindings) for atom in self.atoms)
-
     def rename(self, mapping: Mapping[Variable, Variable]
                ) -> "ConjunctiveConstraint":
         """The conjunction over renamed variables: a column remap of its

@@ -138,10 +138,6 @@ class DisjunctiveConstraint:
     def holds_at(self, point: Mapping[Variable, RationalLike]) -> bool:
         return any(d.holds_at(point) for d in self._disjuncts)
 
-    def substitute(self, bindings) -> "DisjunctiveConstraint":
-        return DisjunctiveConstraint(
-            d.substitute(bindings) for d in self._disjuncts)
-
     def rename(self, mapping: Mapping[Variable, Variable]
                ) -> "DisjunctiveConstraint":
         return DisjunctiveConstraint(

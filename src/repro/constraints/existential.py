@@ -19,10 +19,11 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ConstraintFamilyError
 from repro.constraints import projection as projection_mod
-from repro.constraints.atoms import ExactRow, LinearConstraint, Relop, row_key
+from repro.constraints.atoms import (
+    ExactRow, LinearConstraint, Relop, column_union, row_key)
 from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.disjunctive import DisjunctiveConstraint
-from repro.constraints.terms import RationalLike, Variable
+from repro.constraints.terms import RationalLike, Variable, to_fraction
 from repro.runtime.context import current_context
 
 #: Threshold for the "simplifying quantifier elimination" heuristic: a
@@ -158,19 +159,6 @@ class ExistentialConjunctiveConstraint:
         return ExistentialConjunctiveConstraint(
             safe._body.rename(relevant), safe._quantified)
 
-    def substitute(self, bindings) -> "ExistentialConjunctiveConstraint":
-        relevant = {v: e for v, e in bindings.items()
-                    if v in self.free_variables}
-        if not relevant:
-            return self
-        taken: set[Variable] = set()
-        from repro.constraints.terms import LinearExpression
-        for expr in relevant.values():
-            taken.update(LinearExpression.coerce(expr).variables)
-        safe = self.freshen(frozenset(taken))
-        return ExistentialConjunctiveConstraint(
-            safe._body.substitute(relevant), safe._quantified)
-
     # -- elimination ------------------------------------------------------------
 
     def simplify(self) -> "ExistentialConjunctiveConstraint":
@@ -236,16 +224,17 @@ class ExistentialConjunctiveConstraint:
         return {v: c for v, c in point.items() if v in self.free_variables}
 
     def holds_at(self, point: Mapping[Variable, RationalLike]) -> bool:
-        """Truth at a point binding the free variables: satisfiability of
-        the body with the free variables pinned."""
-        free = self.free_variables
-        missing = [v for v in free if v not in point]
+        """Truth at a point binding (at least) the free variables:
+        satisfiability of the body with each free variable pinned to its
+        value by an ``=`` row."""
+        missing = self.free_variables - point.keys()
         if missing:
             raise KeyError(
                 f"point does not bind {sorted(v.name for v in missing)}")
-        pinned = self._body.substitute(
-            {v: point[v] for v in free})
-        return pinned.is_satisfiable()
+        columns, _ = column_union(self.free_variables)
+        return self._body.conjoin(ConjunctiveConstraint.from_rows(columns, [
+            ((j,), (1,), Relop.EQ, to_fraction(point[var]))
+            for j, var in enumerate(columns)])).is_satisfiable()
 
     def entails(self, other: "ExistentialConjunctiveConstraint") -> bool:
         """``self |= other`` (sound and complete).
@@ -459,10 +448,6 @@ class DisjunctiveExistentialConstraint:
         return DisjunctiveExistentialConstraint(
             d.rename(mapping) for d in self._disjuncts)
 
-    def substitute(self, bindings) -> "DisjunctiveExistentialConstraint":
-        return DisjunctiveExistentialConstraint(
-            d.substitute(bindings) for d in self._disjuncts)
-
     # -- satisfiability / entailment ------------------------------------------------
 
     def is_satisfiable(self) -> bool:
@@ -477,7 +462,7 @@ class DisjunctiveExistentialConstraint:
         return None
 
     def holds_at(self, point: Mapping[Variable, RationalLike]) -> bool:
-        return any(_holds_partial(d, point) for d in self._disjuncts)
+        return any(d.holds_at(point) for d in self._disjuncts)
 
     def entails(self, other) -> bool:
         """``self |= other`` — every disjunct must entail the right side."""
@@ -569,18 +554,6 @@ def _fresh_variable(base: str, forbidden: set[Variable]) -> Variable:
         if candidate not in forbidden:
             return candidate
     raise AssertionError("unreachable")
-
-
-def _holds_partial(d: ExistentialConjunctiveConstraint,
-                   point: Mapping[Variable, RationalLike]) -> bool:
-    """Truth of one disjunct at a point binding (at least) its free
-    variables; extra bindings for other disjuncts' variables are fine."""
-    restricted = {v: point[v] for v in d.free_variables if v in point}
-    missing = d.free_variables - restricted.keys()
-    if missing:
-        raise KeyError(
-            f"point does not bind {sorted(v.name for v in missing)}")
-    return d.body.substitute(restricted).is_satisfiable()
 
 
 def _all_vars(dex: DisjunctiveExistentialConstraint) -> frozenset[Variable]:

@@ -284,7 +284,7 @@ def quick_satisfiable(conj: ConjunctiveConstraint,
     not a degradation.
     """
     resolved = context_mod.resolve(ctx)
-    if not resolved.numeric_active():
+    if not resolved.numeric:
         return None
     if len(conj) < MIN_ATOMS \
             or any(row[2] is Relop.EQ for row in conj.rows):

@@ -44,12 +44,14 @@ def _call_context(guard: ExecutionGuard | None,
                   ctx: QueryContext | None,
                   **overrides) -> QueryContext:
     """The context a facade call should run under: the explicit ``ctx``
-    (or the ambient one), with ``guard`` derived in when given.  Calls
-    with neither get a fresh stats account so repeated facade calls do
-    not grow the process default's."""
+    (or the ambient one), with ``guard`` and each override derived in
+    when given — ``None`` keeps the context's value.  Calls with
+    neither get a fresh stats account so repeated facade calls do not
+    grow the process default's."""
     base = context_mod.resolve(ctx)
-    if guard is not None:
-        overrides["guard"] = guard
+    overrides = {name: value for name, value
+                 in dict(overrides, guard=guard).items()
+                 if value is not None}
     if ctx is None and "stats" not in overrides:
         overrides["stats"] = ExecutionStats()
     return base.derive(**overrides) if overrides else base
@@ -80,14 +82,12 @@ def query(db: Database, text: str | ast.Query,
     full execution state (cache, stats, options) explicitly.
     ``params`` binds the query's ``$name`` placeholders.
     """
-    overrides = {}
-    if params is not None:
-        overrides["params"] = _coerce_params(params)
-    return evaluate(db, text, ctx=_call_context(guard, ctx, **overrides))
+    return evaluate(db, text, ctx=_call_context(
+        guard, ctx, params=_coerce_params(params)))
 
 
 def query_translated(db: Database, text: str | ast.Query,
-                     use_optimizer: bool = True,
+                     use_optimizer: bool | None = None,
                      guard: ExecutionGuard | None = None,
                      ctx: QueryContext | None = None,
                      params: Mapping[str, object] | None = None
@@ -96,11 +96,11 @@ def query_translated(db: Database, text: str | ast.Query,
     constraints (the second, independent evaluation path), through the
     staged compile pipeline; raises
     :class:`~repro.core.translator.TranslationError` outside the
-    translatable fragment."""
-    overrides: dict = {"use_optimizer": use_optimizer}
-    if params is not None:
-        overrides["params"] = _coerce_params(params)
-    return Pipeline(db, _call_context(guard, ctx, **overrides)).run(text)
+    translatable fragment.  ``use_optimizer`` (``None``: the context's)
+    selects the plan rewrites."""
+    return Pipeline(db, _call_context(
+        guard, ctx, use_optimizer=use_optimizer,
+        params=_coerce_params(params))).run(text)
 
 
 def view(db: Database, text: str | ast.CreateView,
@@ -111,10 +111,11 @@ def view(db: Database, text: str | ast.CreateView,
 
 
 def explain(db: Database, text: str | ast.Query,
-            use_optimizer: bool = True, analyze: bool = False,
+            use_optimizer: bool | None = None, analyze: bool = False,
             ctx: QueryContext | None = None) -> str:
     """The flat-relational plan the Section 5 translation produces for
-    a query, rendered as a tree (after optimization by default).
+    a query, rendered as a tree (after the context's optimizer
+    setting unless ``use_optimizer`` is given; on by default).
 
     With ``analyze`` the plan is executed and each node is annotated
     with its actual output row count; the compile pipeline's per-phase
@@ -148,7 +149,7 @@ def warnings_for(db: Database, text: str | ast.Query) -> list[str]:
 
 def stream(db: Database, text: str | ast.Query,
            translated: bool = True,
-           use_optimizer: bool = True,
+           use_optimizer: bool | None = None,
            guard: ExecutionGuard | None = None,
            ctx: QueryContext | None = None,
            params: Mapping[str, object] | None = None) -> QueryStream:
@@ -172,12 +173,9 @@ def stream(db: Database, text: str | ast.Query,
     pipeline) runs eagerly, so syntax and semantic problems surface
     here; execution is deferred to the first pull.
     """
-    overrides: dict = {}
-    if params is not None:
-        overrides["params"] = _coerce_params(params)
-    if translated:
-        overrides["use_optimizer"] = use_optimizer
-    call_ctx = _call_context(guard, ctx, **overrides)
+    call_ctx = _call_context(
+        guard, ctx, params=_coerce_params(params),
+        use_optimizer=use_optimizer if translated else None)
     query_ast = parse_query(text) if isinstance(text, str) else text
     if not translated:
         reason = "translated=False"
@@ -256,14 +254,9 @@ class PreparedQuery:
         if db.schema.fingerprint() != self._fingerprint:
             raise ValueError(
                 "prepared query bound to a different schema")
-        overrides = {}
-        if params is not None:
-            overrides["params"] = _coerce_params(params)
-        call_ctx = _call_context(None, ctx, **overrides)
+        call_ctx = _call_context(None, ctx, params=_coerce_params(params))
         self.require_bound(call_ctx.params)
-        return stream(db, self._query_ast,
-                      use_optimizer=call_ctx.use_optimizer,
-                      ctx=call_ctx).result()
+        return stream(db, self._query_ast, ctx=call_ctx).result()
 
 
 def prepare(db: Database, text: str | ast.Query) -> PreparedQuery:

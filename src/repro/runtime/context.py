@@ -312,6 +312,9 @@ class QueryContext:
         self.cache = cache
         self.prefilter = prefilter
         self.indexing = indexing
+        #: Whether the float kernel screens satisfiability questions in
+        #: front of the exact solver (on by default); ``False``
+        #: (``--no-numeric``) keeps every one on the exact solver.
         self.numeric = numeric
         self.use_optimizer = use_optimizer
         self.catalog = catalog
@@ -343,12 +346,6 @@ class QueryContext:
         """The degrade policy (``"fail"`` without a guard)."""
         return self.guard.on_exhaustion if self.guard is not None \
             else "fail"
-
-    def numeric_active(self) -> bool:
-        """Is the float-prefilter numeric fast path enabled?  It is on
-        by default; ``numeric=False`` (``--no-numeric``) keeps every
-        satisfiability question on the exact solver."""
-        return self.numeric
 
     # -- memoization protocol --------------------------------------------
 

@@ -119,7 +119,7 @@ def request_events(db: Database, query_ast, translated: bool,
     rows = 0
     try:
         stream = lyric.stream(db, query_ast, translated=translated,
-                              use_optimizer=ctx.use_optimizer, ctx=ctx)
+                              ctx=ctx)
         while batch := stream.next_batch(ROW_BATCH):
             rows += len(batch)
             yield ("rows", [

@@ -60,7 +60,7 @@ def filter_rows(columns: Sequence[str], rows: list, predicate,
     resolved = context_mod.resolve(ctx)
     cols = tuple(columns)
     plan = None
-    if resolved.numeric_active() and len(rows) >= MIN_BATCH:
+    if resolved.numeric and len(rows) >= MIN_BATCH:
         plan = _split(predicate)
     if plan is None:
         return [row for row in rows

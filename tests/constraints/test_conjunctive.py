@@ -71,10 +71,6 @@ class TestOperations:
         assert unit_square().holds_at({x: Fraction(1, 2), y: 0})
         assert not unit_square().holds_at({x: 2, y: 0})
 
-    def test_substitute(self):
-        conj = unit_square().substitute({x: y})
-        assert conj.variables == {y}
-
     def test_rename(self):
         conj = unit_square().rename({x: z})
         assert conj.variables == {z, y}

@@ -85,10 +85,6 @@ class TestLogic:
         for value in (-1, 0, 1, Fraction(3, 2), 2, 3, 4):
             assert d.holds_at({x: value}) != negated.holds_at({x: value})
 
-    def test_substitute(self):
-        d = DisjunctiveConstraint([interval(0, 1)])
-        assert d.substitute({x: y}).variables == {y}
-
     def test_rename(self):
         d = DisjunctiveConstraint([interval(0, 1)])
         assert d.rename({x: z}).variables == {z}

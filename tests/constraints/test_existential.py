@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constraints.atoms import Eq, Ge, Le, Lt, Ne
 from repro.constraints.conjunctive import ConjunctiveConstraint
@@ -136,6 +137,45 @@ class TestSemantics:
         ex = ExistentialConjunctiveConstraint(conj(Le(x, 1)))
         with pytest.raises(KeyError):
             ex.holds_at({})
+
+    def test_holds_at_pins_every_free_variable_and_ignores_the_rest(self):
+        # exists y. x <= y <= z and y >= 0
+        ex = ExistentialConjunctiveConstraint(
+            conj(Le(x, y), Le(y, z), Ge(y, 0)), [y])
+        assert ex.holds_at({x: 1, z: 2, w: 99})
+        assert not ex.holds_at({x: 3, z: 2})
+        assert not ex.holds_at({x: -5, z: -1})
+        with pytest.raises(KeyError):
+            ex.holds_at({x: 1, y: 1})
+
+    def test_disjunctive_holds_at_binds_each_disjunct_its_own(self):
+        # (exists y. x = y + 1 and 0 <= y <= 1) or (z >= 5)
+        either = DisjunctiveExistentialConstraint([
+            ExistentialConjunctiveConstraint(
+                conj(Eq(x, y + 1), Ge(y, 0), Le(y, 1)), [y]),
+            ExistentialConjunctiveConstraint(conj(Ge(z, 5)))])
+        assert either.holds_at({x: 2, z: 0})
+        assert either.holds_at({x: 0, z: 5})
+        assert not either.holds_at({x: 0, z: 4})
+        with pytest.raises(KeyError):
+            either.holds_at({x: 0})
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.integers(-3, 3), st.integers(-6, 6),
+                              st.sampled_from([Le, Lt, Eq, Ne])),
+                    min_size=1, max_size=4),
+           st.integers(-4, 4), st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_holds_at_agrees_with_quantifier_elimination(
+            self, rows, at_x, at_z):
+        """Pinning the free variables and solving decides the same as
+        eliminating the quantified one and evaluating."""
+        ex = ExistentialConjunctiveConstraint(
+            conj(*[make(a * x + b * y + c * z, k)
+                   for a, b, c, k, make in rows]), [y])
+        point = {x: Fraction(at_x, 2), z: Fraction(at_z, 3)}
+        assert ex.holds_at(point) \
+            == ex.to_disjunctive().holds_at(point)
 
     def test_sample_point_free_only(self):
         ex = ExistentialConjunctiveConstraint(
@@ -314,8 +354,8 @@ class TestDisjunctiveExistential:
 class TestClosureAtTheCstObjectLevel:
     """Section 3.1's closure where a stored object is existential:
     ``CSTObject.rename`` / ``.intersect`` dispatch to the family's own
-    ``rename`` / ``substitute`` / ``conjoin``, which must not let a
-    free name capture the bound ``y``.  Checked on points."""
+    ``rename`` / ``conjoin``, which must not let a free name capture the
+    bound ``y``.  Checked on points."""
 
     HALF = Fraction(1, 2)
 
@@ -343,25 +383,16 @@ class TestClosureAtTheCstObjectLevel:
                 for v in (-5, 2, 2 + self.HALF, 3)] \
             == [True, True, False, False]
 
-    def test_substitute_avoids_capture(self):
-        # x := y + 1 turns x <= 2 into y <= 1.
-        shifted = self.low().substitute({x: y + 1})
-        assert shifted.free_variables == {y}
-        assert [shifted.holds_at({y: v})
-                for v in (-5, 1, 1 + self.HALF, 2)] \
-            == [True, True, False, False]
-
-    def test_disjunctive_rename_and_substitute(self):
+    def test_disjunctive_rename_and_holds_at(self):
         either = DisjunctiveExistentialConstraint(
             [self.low(), self.high()])
         renamed = self.stored(either).rename([y])
         assert [renamed.contains_point(v)
                 for v in (2, 3, 10 - self.HALF, 10)] \
             == [True, False, False, True]
-        # x := y + 1: y <= 1 or y >= 9.
-        shifted = either.substitute({x: y + 1})
-        assert [shifted.holds_at({y: v})
-                for v in (1, 2, 9 - self.HALF, 9)] \
+        # Pinning the free x leaves the bound y free to witness.
+        assert [either.holds_at({x: v})
+                for v in (2, 3, 10 - self.HALF, 10)] \
             == [True, False, False, True]
 
     def test_intersect_with_a_conjunctive_object(self):

@@ -1,25 +1,28 @@
-"""Unit tests for the 2-D geometry helpers."""
+"""Spatial operations through the language's own operators: a box is a
+conjunction of bounds, a translation or a scaling is a conjunction
+with ``u = x + dx`` / ``u = k*x`` rows projected onto ``u`` (as the
+paper's ``translation`` attribute does), and the paper's "projection of
+their cut" is a conjunction with ``var = value`` followed by a
+restricted projection."""
 
 from fractions import Fraction
 
-import pytest
-
 from repro.constraints.atoms import Eq, Ge, Le
-from repro.constraints.conjunctive import ConjunctiveConstraint
 from repro.constraints.cst_object import CSTObject
-from repro.constraints.geometry import (
-    area_2d,
-    box,
-    cut,
-    polygon_area,
-    scale,
-    translate,
-    vertices_2d,
-)
 from repro.constraints.terms import variables
-from repro.errors import DimensionError
 
 x, y, z = variables("x y z")
+u, v = variables("u v")
+
+
+def box(schema, bounds):
+    return CSTObject.from_atoms(schema, [
+        atom for var, (lo, hi) in zip(schema, bounds)
+        for atom in (Ge(var, lo), Le(var, hi))])
+
+
+def cut(obj, var, value, remaining):
+    return obj.conjoin_atoms([Eq(var, value)]).project(remaining)
 
 
 class TestBox:
@@ -28,73 +31,20 @@ class TestBox:
         assert b.contains_point(1, 2)
         assert not b.contains_point(3, 2)
 
-    def test_arity_check(self):
-        with pytest.raises(DimensionError):
-            box([x], [(0, 1), (0, 1)])
-
 
 class TestTransforms:
     def test_translate(self):
-        b = translate(box([x, y], [(0, 1), (0, 1)]), [10, 20])
+        b = box([x, y], [(0, 1), (0, 1)]).conjoin_atoms(
+            [Eq(u, x + 10), Eq(v, y + 20)]).project([u, v])
         assert b.contains_point(10, 20)
         assert b.contains_point(11, 21)
         assert not b.contains_point(0, 0)
 
-    def test_translate_arity(self):
-        with pytest.raises(DimensionError):
-            translate(box([x, y], [(0, 1), (0, 1)]), [1])
-
     def test_scale(self):
-        b = scale(box([x, y], [(0, 1), (0, 1)]), 2)
+        b = box([x, y], [(0, 1), (0, 1)]).conjoin_atoms(
+            [Eq(u, 2 * x), Eq(v, 2 * y)]).project([u, v])
         assert b.contains_point(2, 2)
         assert not b.contains_point(3, 0)
-
-    def test_scale_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            scale(box([x], [(0, 1)]), 0)
-
-
-class TestVertices:
-    def test_unit_square(self):
-        conj = ConjunctiveConstraint.of(
-            Ge(x, 0), Le(x, 1), Ge(y, 0), Le(y, 1))
-        verts = vertices_2d(conj, [x, y])
-        assert set(verts) == {(0, 0), (1, 0), (1, 1), (0, 1)}
-
-    def test_ccw_order(self):
-        conj = ConjunctiveConstraint.of(
-            Ge(x, 0), Le(x, 1), Ge(y, 0), Le(y, 1))
-        verts = vertices_2d(conj, [x, y])
-        assert polygon_area(verts) > 0  # CCW gives positive area
-
-    def test_triangle(self):
-        conj = ConjunctiveConstraint.of(
-            Ge(x, 0), Ge(y, 0), Le(x + y, 1))
-        verts = vertices_2d(conj, [x, y])
-        assert set(verts) == {(0, 0), (1, 0), (0, 1)}
-
-    def test_degenerate_segment(self):
-        conj = ConjunctiveConstraint.of(Eq(y, 0), Ge(x, 0), Le(x, 1))
-        verts = vertices_2d(conj, [x, y])
-        assert set(verts) == {(0, 0), (1, 0)}
-
-    def test_dimension_check(self):
-        conj = ConjunctiveConstraint.of(Le(x + y + z, 1))
-        with pytest.raises(DimensionError):
-            vertices_2d(conj, [x, y])
-
-
-class TestArea:
-    def test_square_area(self):
-        assert area_2d(box([x, y], [(0, 2), (0, 3)])) == 6
-
-    def test_triangle_area(self):
-        tri = CSTObject.from_atoms(
-            [x, y], [Ge(x, 0), Ge(y, 0), Le(x + y, 1)])
-        assert area_2d(tri) == Fraction(1, 2)
-
-    def test_polygon_area_degenerate(self):
-        assert polygon_area([(0, 0), (1, 0)]) == 0
 
 
 class TestCut:

@@ -143,6 +143,41 @@ class TestInterleavedIsolation:
         assert sorted(map(str, a)) == sorted(map(str, b))
 
 
+class TestFacadesKeepTheContextsOptimizerSetting:
+    """``lyric.stream``, ``query_translated`` and ``explain`` run the
+    plan rewrites the context asks for; only an explicit
+    ``use_optimizer=`` argument overrides it."""
+
+    FACADES = {
+        "stream": lambda db, ctx, **kw: lyric.stream(
+            db, QUERY, ctx=ctx, **kw).result(),
+        "query_translated": lambda db, ctx, **kw: lyric.query_translated(
+            db, QUERY, ctx=ctx, **kw),
+        "explain": lambda db, ctx, **kw: lyric.explain(
+            db, QUERY, analyze=True, ctx=ctx, **kw),
+    }
+
+    @staticmethod
+    def _rewrote(ctx):
+        return any(phase.name.startswith(("rewrite", "physical-plan"))
+                   for phase in ctx.stats.phases)
+
+    @pytest.mark.parametrize("facade", sorted(FACADES))
+    def test_context_off_stays_off(self, office, facade):
+        ctx = QueryContext(use_optimizer=False, plan_cache=None)
+        self.FACADES[facade](office, ctx)
+        assert ctx.stats.phases and not self._rewrote(ctx)
+        if facade != "explain":
+            assert ctx.stats.optimized is False
+
+    @pytest.mark.parametrize("facade", sorted(FACADES))
+    def test_an_explicit_argument_overrides_the_context(
+            self, office, facade):
+        ctx = QueryContext(use_optimizer=False, plan_cache=None)
+        self.FACADES[facade](office, ctx, use_optimizer=True)
+        assert self._rewrote(ctx)
+
+
 class TestIndexAccountIsolation:
     """An index join's probe counts belong to the context that ran it
     — not to the process, and not to the plan node, which the plan

@@ -49,3 +49,9 @@ class TestExamples:
         out = run_example("office_design")
         assert "Placed extents" in out
         assert "Classifying placed objects" in out
+        # Sections [4] and [5] build boxes and cuts from CST operators.
+        assert "510 candidate grid positions" in out
+        assert "obj_0 misses the v = 5 line: ((u) | FALSE)" in out
+        assert "obj_1 crosses the v = 5 line: " \
+            "((u) | -u <= -20 and u <= 28)" in out
+        assert "obj_2 misses the v = 5 line: ((u) | FALSE)" in out

@@ -1,6 +1,6 @@
-"""System-level property tests: LP optimality certificates, geometry
-invariants, parser robustness (fuzz), and the naive-vs-translated
-differential over generated databases."""
+"""System-level property tests: LP optimality certificates, parser
+robustness (fuzz), and the naive-vs-translated differential over
+generated databases."""
 
 from fractions import Fraction
 
@@ -8,24 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import lyric
 from repro.constraints import lp
-from repro.constraints.geometry import (
-    area_2d,
-    box,
-    polygon_area,
-    translate,
-    vertices_2d,
-)
-from repro.constraints.terms import LinearExpression, Variable
+from repro.constraints.terms import LinearExpression
 from repro.errors import ReproError
 from repro.workloads import office
 from repro.workloads.random_constraints import (
     make_variables,
     random_polytope,
 )
-
-x, y = Variable("x"), Variable("y")
-
-small = st.integers(min_value=-8, max_value=8)
 
 
 class TestLPCertificates:
@@ -56,35 +45,6 @@ class TestLPCertificates:
         low = lp.min_value(objective, poly)
         high = lp.max_value(objective, poly)
         assert low.value <= high.value
-
-
-class TestGeometryInvariants:
-    @given(small, small, st.integers(min_value=1, max_value=8),
-           st.integers(min_value=1, max_value=8))
-    @settings(max_examples=30, deadline=None)
-    def test_box_area(self, x0, y0, w, h):
-        b = box([x, y], [(x0, x0 + w), (y0, y0 + h)])
-        assert area_2d(b) == w * h
-
-    @given(small, small, st.integers(min_value=1, max_value=6),
-           st.integers(min_value=1, max_value=6), small, small)
-    @settings(max_examples=30, deadline=None)
-    def test_translation_preserves_area(self, x0, y0, w, h, dx, dy):
-        b = box([x, y], [(x0, x0 + w), (y0, y0 + h)])
-        moved = translate(b, [dx, dy])
-        assert area_2d(moved) == area_2d(b)
-        assert moved.contains_point(x0 + dx, y0 + dy)
-
-    @given(st.integers(min_value=0, max_value=40))
-    @settings(max_examples=25, deadline=None)
-    def test_vertices_are_members_and_ccw(self, seed):
-        poly = random_polytope(2, 4, seed,
-                               variables=[x, y])
-        verts = vertices_2d(poly, [x, y])
-        for vx, vy in verts:
-            assert poly.holds_at({x: vx, y: vy})
-        if len(verts) >= 3:
-            assert polygon_area(verts) >= 0
 
 
 class TestParserFuzz:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from repro import lyric
-from repro.constraints.geometry import area_2d
 from repro.errors import IntegrityError, SchemaError
 from repro.model.office import build_office_database, build_office_schema
 from repro.model.oid import LiteralOid
@@ -14,8 +13,10 @@ from repro.model.schema import AttributeDef, MethodDef
 
 
 def area_method(db, oid):
-    extent = db.cst_value(oid, "extent")
-    return area_2d(extent)
+    """An office object's extent is a box: its area is its bounding
+    box's."""
+    (ulo, uhi), (vlo, vhi) = db.cst_value(oid, "extent").bounding_box()
+    return (uhi - ulo) * (vhi - vlo)
 
 
 def scaled_area(db, oid, factor):

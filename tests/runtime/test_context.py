@@ -113,7 +113,7 @@ class TestFaultGating:
         assert ctx.cache is get_global_cache()
         assert ctx.plan_cache is get_global_plan_cache()
         assert ctx.prefilter
-        assert ctx.derive(numeric=True).numeric_active()
+        assert ctx.derive(numeric=True).numeric
 
     def test_no_faults_keeps_both(self):
         ctx = QueryContext(guard=ExecutionGuard())

@@ -210,7 +210,7 @@ class TestStatsSurfacing:
         guard = ExecutionGuard(faults=FaultPlan())
         ctx = QueryContext(stats=ExecutionStats(), guard=guard,
                            cache=None, numeric=True)
-        assert ctx.numeric_active()
+        assert ctx.numeric
         catalog = {"T": _relation()}
         plan = Select(Scan("T", ("rid", "c")), _cell_predicate())
         with ctx.activate():

@@ -1,7 +1,7 @@
 """Property tests: sharded scatter-gather execution ≡ unsharded, byte
 for byte, across random partitionings — including under degraded
-budgets, with the cache off, with the numeric prefilter off, and after
-a store save/restore round-trip."""
+budgets, with the cache off, with the numeric prefilter off, under a
+FaultPlan, and after a store save/restore round-trip."""
 
 import os
 import tempfile
@@ -9,7 +9,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.context import QueryContext
+from repro.runtime.context import ExecutionStats, QueryContext
+from repro.runtime.faults import FaultPlan
 from repro.runtime.guard import ExecutionGuard
 from repro.sqlc import index
 from repro.sqlc.engine import execute
@@ -109,6 +110,19 @@ class TestShardedEquivalence:
                 guard=ExecutionGuard(max_pivots=60,
                                      on_exhaustion="degrade"))
         _same_relation(baseline, result)
+
+    def test_matches_under_a_fault_plan(self):
+        # A plan changes nothing about the join: both layouts run in
+        # the calling process and agree.
+        plain, sharded = _catalogs(11, 3, True)
+        baseline = execute(_plain_plan(), plain, use_optimizer=False,
+                           guard=ExecutionGuard(faults=FaultPlan()))
+        stats = ExecutionStats()
+        result = execute(_sharded_plan(), sharded, use_optimizer=False,
+                         guard=ExecutionGuard(faults=FaultPlan()),
+                         stats=stats)
+        _same_relation(baseline, result)
+        assert stats.pool_dispatches == 0
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            shards=st.integers(min_value=2, max_value=4))

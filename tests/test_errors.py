@@ -99,18 +99,18 @@ class TestAdversarialInputs:
             assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_wrong_dimension_cst_object(self):
-        from repro.constraints import geometry
+        from repro.constraints.cst_object import CSTObject
         from repro.constraints.parser import parse_cst
-        with pytest.raises(errors.DimensionError):
-            geometry.box(["x", "y"], [(0, 1)])  # 2 vars, 1 bound pair
+        from repro.constraints.terms import variables
+        x, y, z = variables("x y z")
         square = parse_cst("((x,y) | 0 <= x <= 1 and 0 <= y <= 1)")
         with pytest.raises(errors.DimensionError):
             square.contains_point(1)  # needs two coordinates
-        from repro.constraints.terms import variables
-        x, y, z = variables("x y z")
+        with pytest.raises(errors.DimensionError):
+            square.rename((x, y, z))  # 3 names for 2 columns
         cube = parse_cst("((x,y,z) | x = 0 and y = 0 and z = 0)")
         with pytest.raises(errors.DimensionError):
-            geometry.vertices_2d(cube.constraint, (x, y, z))
+            CSTObject((x, y), cube.constraint)  # z outside the schema
 
     def test_unbounded_lp(self):
         from repro.constraints import lp
