@@ -611,9 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query executor: 'process' runs picklable "
                             "requests in worker pool processes "
                             "(distinct concurrent queries use every "
-                            "core); "
-                            "'auto' picks process on multi-core fork "
-                            "platforms")
+                            "core); 'auto' picks thread, whose "
+                            "requests skip the worker hop")
     serve.add_argument("--warm-pool", action="store_true",
                        help="pre-fork the worker pool at startup so "
                             "the first process-executed request skips "

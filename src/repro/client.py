@@ -79,6 +79,18 @@ def _encode_params(params: Mapping[str, object] | None
             else value for name, value in params.items()}
 
 
+def _query_options(translated: bool, use_optimizer: bool | None,
+                   guard: Mapping[str, Any] | None) -> dict[str, Any]:
+    """A QUERY/EXECUTE frame's ``options``; an option left as ``None``
+    is not sent, so the server's own setting holds."""
+    options: dict[str, Any] = {"translated": translated}
+    if use_optimizer is not None:
+        options["use_optimizer"] = use_optimizer
+    if guard is not None:
+        options["guard"] = dict(guard)
+    return options
+
+
 class RemoteStream:
     """One streaming request: rows as they arrive, then the trailer
     (warnings, stats, the done frame)."""
@@ -216,14 +228,13 @@ class LyricClient:
     async def stream(self, text: str, *,
                      params: Mapping[str, object] | None = None,
                      translated: bool = True,
-                     use_optimizer: bool = True,
+                     use_optimizer: bool | None = None,
                      guard: Mapping[str, Any] | None = None
                      ) -> RemoteStream:
-        """Start a query; rows stream through the returned handle."""
-        options: dict[str, Any] = {"translated": translated,
-                                   "use_optimizer": use_optimizer}
-        if guard is not None:
-            options["guard"] = dict(guard)
+        """Start a query; rows stream through the returned handle.
+        ``use_optimizer`` left as ``None`` keeps the server's
+        setting."""
+        options = _query_options(translated, use_optimizer, guard)
         request_id = await self._request(
             {"op": "query", "text": text,
              "params": _encode_params(params), "options": options})
@@ -242,13 +253,10 @@ class LyricClient:
                              params: Mapping[str, object]
                              | None = None,
                              translated: bool = True,
-                             use_optimizer: bool = True,
+                             use_optimizer: bool | None = None,
                              guard: Mapping[str, Any] | None = None
                              ) -> RemoteStream:
-        options: dict[str, Any] = {"translated": translated,
-                                   "use_optimizer": use_optimizer}
-        if guard is not None:
-            options["guard"] = dict(guard)
+        options = _query_options(translated, use_optimizer, guard)
         request_id = await self._request(
             {"op": "execute", "name": name,
              "params": _encode_params(params), "options": options})

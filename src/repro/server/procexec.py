@@ -62,6 +62,7 @@ false there and the server runs every request in its own threads.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import threading
 import time
@@ -327,8 +328,13 @@ def _absorb(ctx: QueryContext, outcome: dict) -> None:
     snapshot = outcome["stats"]
     ctx.guard.absorb_spend(outcome["spend"])
     # One generic merge covers every declared counter — including
-    # any added after this code was written.
+    # any added after this code was written.  The fields a merge skips
+    # (``optimized``, row counts) are set by the engine, not summed;
+    # the snapshot is this request's own account, so they copy over.
     ctx.stats.merge(snapshot)
+    for f in dataclasses.fields(ctx.stats):
+        if f.metadata.get("merge") == "skip":
+            setattr(ctx.stats, f.name, snapshot[f.name])
     # The cache object still needs the worker deltas (the entries a
     # worker wrote stay in that worker).  Bounds traffic, by contrast,
     # lives *only* in ExecutionStats.

@@ -30,12 +30,13 @@ workers publish events back via ``loop.call_soon_threadsafe``.
 **Executor modes.**  A request is one body,
 :func:`repro.server.procexec.request_events`, and the executor decides
 only where it runs.  The executor above is always a thread pool; with
-``executor="process"`` (or ``"auto"`` on a multi-core fork platform)
-the service also owns a :class:`~repro.server.procexec.ProcessExecutor`
-— one pool of forked workers, its own — and each executor thread hands
-its request to it, so distinct concurrent queries use every core, and
-waits for a worker: the pool queues what exceeds its size.  When no
-worker's reply serves the request (a reason from
+``executor="process"`` on a fork platform (``"auto"`` resolves to
+``"thread"``) the service also owns a
+:class:`~repro.server.procexec.ProcessExecutor` — one pool of forked
+workers, its own — and each executor thread hands its request to it,
+so distinct concurrent queries use every core, and waits for a worker:
+the pool queues what exceeds its size.  When no worker's reply serves
+the request (a reason from
 :data:`~repro.server.procexec.PROCESS_FALLBACK_REASONS`) the thread
 runs the same generator itself, before anything is published, so
 clients cannot observe where a request ran except through STATS.
@@ -432,6 +433,10 @@ class QueryService:
         self.draining = False
         # The base context: process-global caches, fresh stats/guard
         # per request (derived in the worker).
+        if base_ctx is not None and base_ctx.guard is not None:
+            raise ValueError(
+                "base_ctx must not carry a guard: every request builds "
+                "its own from the service's ServerLimits")
         self._base_ctx = base_ctx if base_ctx is not None \
             else QueryContext()
         self._executor = ThreadPoolExecutor(
@@ -454,20 +459,18 @@ class QueryService:
 
     @staticmethod
     def _resolve_executor(executor: str) -> str:
-        """``auto`` means "process" exactly when it can pay off: a
-        ``fork`` platform with more than one core.  An explicit
-        ``process`` on a fork-less platform degrades to ``thread``
-        (the pool could never start)."""
+        """``auto`` means "thread": on every load measured so far the
+        worker hop costs more than the GIL it escapes (DESIGN.md, the
+        process-executor fork row), so the pool is forked only when
+        asked for.  An explicit ``process`` on a fork-less platform
+        degrades to ``thread`` (the pool could never start)."""
         if executor not in ("auto", "thread", "process"):
             raise ValueError(
                 f"executor must be auto/thread/process, "
                 f"got {executor!r}")
-        if not procexec.fork_available():
-            return "thread"
-        if executor == "auto":
-            return "process" if (os.cpu_count() or 1) >= 2 \
-                else "thread"
-        return executor
+        if executor == "process" and procexec.fork_available():
+            return "process"
+        return "thread"
 
     # -- lifecycle -------------------------------------------------------
 
@@ -508,20 +511,28 @@ class QueryService:
     async def submit(self, query_ast: ast.Query, *,
                      params: Mapping[str, Oid] | None = None,
                      translated: bool = True,
-                     use_optimizer: bool = True,
+                     use_optimizer: bool | None = None,
                      guard_spec: Mapping[str, Any] | None = None
                      ) -> Subscription:
         """Run (or join) a query; returns the caller's subscription.
+
+        ``use_optimizer`` and ``params`` left as ``None`` keep the
+        service's base context's values; the guard is always this
+        request's own, from :attr:`limits` and ``guard_spec``.
 
         Dedup joins an in-flight job only when every key component
         matches — including the *effective* budgets, so a tighter
         client never receives rows computed under a looser budget."""
         loop = self._running_loop()
-        params_key = tuple(sorted((params or {}).items())) or None
-        plan_ctx = self._base_ctx.derive(
-            use_optimizer=use_optimizer) \
-            if use_optimizer != self._base_ctx.use_optimizer \
+        overrides: dict[str, Any] = {}
+        if use_optimizer is not None:
+            overrides["use_optimizer"] = use_optimizer
+        if params:
+            overrides["params"] = dict(params)
+        plan_ctx = self._base_ctx.derive(**overrides) if overrides \
             else self._base_ctx
+        params_key = tuple(sorted((plan_ctx.params or {}).items())) \
+            or None
         key = (query_ast, self.db.schema.fingerprint(),
                self.db_version, translated,
                plan_options_key(plan_ctx), params_key,
@@ -540,10 +551,7 @@ class QueryService:
         db_version = self.db_version
 
         def work() -> None:
-            ctx = self._base_ctx.derive(
-                guard=guard, stats=ExecutionStats(),
-                params=dict(params) if params else None,
-                use_optimizer=use_optimizer)
+            ctx = plan_ctx.derive(guard=guard, stats=ExecutionStats())
             events = None
             if self._procexec is not None:
                 # The deadline covers the wait for a worker, not only

@@ -206,7 +206,7 @@ class Session:
         subscription = await self.service.submit(
             query_ast, params=params,
             translated=options.get("translated", True),
-            use_optimizer=options.get("use_optimizer", True),
+            use_optimizer=options.get("use_optimizer"),
             guard_spec=options.get("guard"))
         self.active[request_id] = subscription
         pump = asyncio.ensure_future(

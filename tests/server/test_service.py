@@ -3,14 +3,16 @@ gate, and the aggregate statistics account."""
 
 import asyncio
 import dataclasses
+import os
 
 import pytest
 
 from repro import lyric
+from repro.client import connect
 from repro.errors import EvaluationError
-from repro.runtime import ExecutionGuard
+from repro.runtime import ExecutionGuard, QueryContext
 from repro.runtime.context import ExecutionStats, PhaseRecord
-from repro.server import procexec
+from repro.server import LyricServer, procexec
 from repro.server.service import (
     QueryService,
     ServerLimits,
@@ -397,3 +399,139 @@ class TestErrorPath:
             ServerLimits(max_workers=workers)
         assert ServerLimits(max_workers=None).max_workers is None
         assert ServerLimits(max_workers=3).max_workers == 3
+
+
+needs_fork = pytest.mark.skipif(not procexec.fork_available(),
+                                reason="the process executor needs fork")
+
+
+class TestExecutorResolution:
+    """``auto`` resolves to the thread executor whatever the machine;
+    an explicit ``process`` and ``max_workers`` keep their meaning.
+    No test here forks: the pool starts on the first process
+    request."""
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_auto_resolves_to_thread(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        service = QueryService(office_db(2), executor_threads=1)
+        try:
+            assert service.executor_mode == "thread"
+            assert service._procexec is None
+            assert service.stats.snapshot()["executor"] == "thread"
+        finally:
+            service.close()
+
+    @needs_fork
+    @pytest.mark.parametrize("cpus, workers", [(1, 2), (None, 2), (3, 3)])
+    def test_explicit_process_sizes_its_pool_to_the_machine(
+            self, monkeypatch, cpus, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        service = QueryService(office_db(2), executor_threads=1,
+                               executor="process")
+        try:
+            assert service.executor_mode == "process"
+            assert service._procexec.workers == workers
+        finally:
+            service.close()
+        service = QueryService(office_db(2), executor_threads=1,
+                               executor="process",
+                               limits=ServerLimits(max_workers=5))
+        try:
+            assert service._procexec.workers == 5
+        finally:
+            service.close()
+
+    def test_explicit_thread_stays_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        service = QueryService(office_db(2), executor_threads=1,
+                               executor="thread")
+        try:
+            assert service.executor_mode == "thread"
+            assert service._procexec is None
+        finally:
+            service.close()
+
+    def test_unknown_executor_is_refused(self):
+        with pytest.raises(ValueError, match="auto/thread/process"):
+            QueryService(office_db(2), executor="fibre")
+
+
+def rewrite_phases(stats):
+    return [p["name"] for p in stats["phases"]
+            if p["name"].startswith("rewrite:")]
+
+
+class TestBaseContext:
+    """A request that does not send an option keeps the value of the
+    service's base context."""
+
+    QUERY = ("SELECT X FROM Office_Object X, Desk D "
+             "WHERE X.color = D.color")
+
+    @pytest.mark.parametrize("executor", [
+        "thread", pytest.param("process", marks=needs_fork)])
+    def test_use_optimizer_defaults_to_the_base_context(self, executor):
+        async def main():
+            service = QueryService(
+                office_db(4), executor_threads=2, executor=executor,
+                base_ctx=QueryContext(use_optimizer=False))
+            try:
+                query_ast = service.parse(self.QUERY)
+                events = await drain(await service.submit(query_ast))
+                assert terminal(events)[0] == "done"
+                (stats,) = [e[1] for e in events if e[0] == "stats"]
+                assert stats["optimized"] is False
+                assert rewrite_phases(stats) == []
+                # An explicit request option still wins.
+                events = await drain(await service.submit(
+                    query_ast, use_optimizer=True))
+                (stats,) = [e[1] for e in events if e[0] == "stats"]
+                assert stats["optimized"] is True
+            finally:
+                service.close()
+        asyncio.run(main())
+
+    def test_a_client_that_sends_no_option_keeps_the_base_context(self):
+        async def main():
+            service = QueryService(
+                office_db(4), executor_threads=2, executor="thread",
+                base_ctx=QueryContext(use_optimizer=False))
+            server = LyricServer(service, port=0)
+            await server.start()
+            try:
+                client = await connect(port=server.port)
+                try:
+                    stream = await client.stream(self.QUERY)
+                    await stream.result()
+                    assert stream.stats["optimized"] is False
+                    assert rewrite_phases(stream.stats) == []
+                finally:
+                    await client.close()
+            finally:
+                await server.shutdown()
+        asyncio.run(main())
+
+    def test_base_params_hold_when_a_request_sends_none(self):
+        from repro.model.oid import as_oid
+        text = "SELECT X FROM Office_Object X WHERE X.color = $col"
+
+        async def main():
+            service = QueryService(
+                office_db(4), executor_threads=2, executor="thread",
+                base_ctx=QueryContext(params={"col": as_oid("red")}))
+            try:
+                query_ast = service.parse(text)
+                events = await drain(await service.submit(query_ast))
+                assert terminal(events)[0] == "done"
+                expected = lyric.query(service.db, text,
+                                       params={"col": "red"})
+                assert terminal(events)[1]["rows"] == len(expected.rows)
+            finally:
+                service.close()
+        asyncio.run(main())
+
+    def test_a_base_guard_is_refused(self):
+        with pytest.raises(ValueError, match="guard"):
+            QueryService(office_db(2),
+                         base_ctx=QueryContext(guard=ExecutionGuard()))
